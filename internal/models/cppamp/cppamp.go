@@ -180,56 +180,33 @@ func (r *Runtime) stageAll(views []*ArrayView) {
 	}
 }
 
-// launchResilient issues one device launch under the machine's fault
-// policy. AMP's recovery cost follows its conservative data management:
-// after a failed launch the runtime cannot prove which captured views the
-// aborted kernel dirtied, so every captured view's device copy is
-// invalidated and re-staged before the retry — the whole capture set
-// round-trips, not just what the kernel needed (compare the OpenCL
-// runtime, which re-stages only staged argument buffers). After the retry
-// budget the launch degrades to the host CPU, which under AMP semantics
-// synchronizes every view back and leaves the next device kernel to pay
-// the re-staging. With no injector attached this is LaunchKernel plus a
-// nil check.
-func (r *Runtime) launchResilient(spec modelapi.KernelSpec, n int, per exec.Counters, cost timing.KernelCost, views []*ArrayView) timing.Result {
-	m := r.machine
-	if r.coexec && spec.Class != modelapi.Irregular {
-		hostCost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), n, per)
-		if res, ok := m.LaunchKernelSplit(spec.Name, cost, hostCost); ok {
-			return res
-		}
-	}
-	res, ev := m.LaunchKernelChecked(sim.OnAccelerator, spec.Name, cost)
-	if ev == nil {
-		return res
-	}
-	pol := m.FaultPolicy()
-	for attempt := 1; ; attempt++ {
-		if ev.Kind == fault.BitFlip {
-			r.corrupt.Corrupt(m.FaultInjector())
-			return res
-		}
-		if attempt >= pol.MaxAttempts {
-			break
-		}
-		m.ChargeBackoffNs(spec.Name, pol.BackoffNs(attempt))
-		// Conservative invalidation: assume every captured view was
-		// dirtied by the aborted launch and re-sync it all.
-		for _, v := range views {
-			v.onDevice = false
-		}
-		r.stageAll(views)
-		res, ev = m.LaunchKernelChecked(sim.OnAccelerator, spec.Name, cost)
-		if ev == nil {
-			return res
-		}
-	}
-	m.NoteFallback(spec.Name)
+func syncAll(views []*ArrayView) {
 	for _, v := range views {
 		v.Synchronize()
 	}
-	hostCost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), n, per)
-	return m.LaunchKernel(sim.OnHost, spec.Name+"(cpu-fallback)", hostCost)
+}
+
+// launchResilient issues one device launch through the shared driver
+// (modelapi.LaunchResilient). AMP's recovery cost follows its
+// conservative data management: after a failed launch the runtime cannot
+// prove which captured views the aborted kernel dirtied, so every
+// captured view's device copy is invalidated and re-staged before the
+// retry — the whole capture set round-trips, not just what the kernel
+// needed (compare the OpenCL runtime, which re-stages only staged
+// argument buffers). The host fallback synchronizes every view back and
+// leaves the next device kernel to pay the re-staging.
+func (r *Runtime) launchResilient(spec modelapi.KernelSpec, n int, per exec.Counters, cost timing.KernelCost, views []*ArrayView) timing.Result {
+	return modelapi.LaunchResilient(r.machine, &r.corrupt, &modelapi.Launch{
+		Spec: spec, Items: n, Per: per, Cost: cost, Coexec: r.coexec,
+	}, modelapi.Recovery{
+		Restage: func() {
+			for _, v := range views {
+				v.onDevice = false
+			}
+			r.stageAll(views)
+		},
+		Sync: func() { syncAll(views) },
+	})
 }
 
 // HostFallback runs a kernel on the host CPU instead of the GPU — the
@@ -242,9 +219,7 @@ func (r *Runtime) launchResilient(spec modelapi.KernelSpec, n int, per exec.Coun
 // runs, then the host copies are stale-on-device so the next GPU kernel
 // pays host→device again (handled by stageIn).
 func (r *Runtime) HostFallback(spec modelapi.KernelSpec, n int, views []*ArrayView, body func(*exec.WorkItem)) timing.Result {
-	for _, v := range views {
-		v.Synchronize()
-	}
+	syncAll(views)
 	res := exec.Run(n, body)
 	per := res.Counters.PerItem(n)
 	r.cache["host:"+spec.Name] = per
@@ -260,9 +235,7 @@ func (r *Runtime) LaunchHostFallback(spec modelapi.KernelSpec, n int, views []*A
 	if functional || !ok {
 		return r.HostFallback(spec, n, views, body)
 	}
-	for _, v := range views {
-		v.Synchronize()
-	}
+	syncAll(views)
 	cost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), n, per)
 	return r.machine.LaunchKernel(sim.OnHost, spec.Name+"(cpu-fallback)", cost)
 }

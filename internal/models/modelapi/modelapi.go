@@ -1,7 +1,8 @@
 // Package modelapi defines the vocabulary shared by all programming-model
 // runtimes: model names, kernel classes, compiler profiles (the calibrated
-// per-compiler code-generation quality and data-management strategy), and
-// the Figure 11 optimization-feature matrix.
+// per-compiler code-generation quality and data-management strategy), the
+// Figure 11 optimization-feature matrix, and the resilient launch driver
+// the GPU runtimes share (LaunchResilient).
 package modelapi
 
 import "fmt"

@@ -169,7 +169,7 @@ func (r *Runtime) Loop(spec modelapi.KernelSpec, n int, uses []Clause, body func
 	res := exec.Run(n, body)
 	per := res.Counters.PerItem(n)
 	r.cache[spec.Name] = per
-	return r.finishLoop(spec, n, uses, per)
+	return r.finishLoop(spec, n, uses, per, 1)
 }
 
 // Launch runs the loop functionally when functional is true (or when no
@@ -186,7 +186,7 @@ func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, uses []Clause, functio
 // Replay charges another launch with previously measured per-item
 // counters, preserving the per-region transfer semantics.
 func (r *Runtime) Replay(spec modelapi.KernelSpec, n int, uses []Clause, per exec.Counters) timing.Result {
-	return r.finishLoop(spec, n, uses, per)
+	return r.finishLoop(spec, n, uses, per, 1)
 }
 
 // LoopGV is a kernels-loop with explicit `gang(G) vector(V)` clauses
@@ -209,14 +209,24 @@ func (r *Runtime) LoopGV(spec modelapi.KernelSpec, n, gang, vector int, uses []C
 	wf := r.machine.Accelerator().WavefrontSize
 	rounded := (vector + wf - 1) / wf * wf
 	util := float64(vector) / float64(rounded)
-	return r.finishLoopDerated(spec, n, uses, per, util)
+	return r.finishLoop(spec, n, uses, per, util)
 }
 
-func (r *Runtime) finishLoop(spec modelapi.KernelSpec, n int, uses []Clause, per exec.Counters) timing.Result {
-	return r.finishLoopDerated(spec, n, uses, per, 1)
-}
-
-func (r *Runtime) finishLoopDerated(spec modelapi.KernelSpec, n int, uses []Clause, per exec.Counters, util float64) timing.Result {
+// finishLoop runs one kernels region around a launch: non-present input
+// clauses copy in, the launch runs with its vector efficiency derated by
+// util (the filled share of each wavefront's lanes; 1 for a plain loop),
+// and non-present output clauses copy out.
+//
+// The launch goes through the shared driver (modelapi.LaunchResilient)
+// with the coarsest recovery granularity of the three runtimes: the
+// generated runtime tracks data at region scope, so after a failed launch
+// it re-establishes the whole kernels region — every copy/copyin clause
+// of every open data region plus the loop's own non-present input
+// clauses is copied to the device again before the retry. The host
+// fallback round-trips the full region: all device-resident region arrays
+// come back to the host, the loop runs on the CPU, and the region's
+// inputs are pushed down again to restore device residency.
+func (r *Runtime) finishLoop(spec modelapi.KernelSpec, n int, uses []Clause, per exec.Counters, util float64) timing.Result {
 	for _, c := range uses {
 		if err := c.validate(); err != nil {
 			panic(err)
@@ -230,63 +240,19 @@ func (r *Runtime) finishLoopDerated(spec modelapi.KernelSpec, n int, uses []Clau
 		// Idle lanes inside partially-filled wavefronts.
 		cost.VecEff *= util
 	}
-	result := r.launchResilient(spec, n, per, cost, uses)
+	result := modelapi.LaunchResilient(r.machine, &r.corrupt, &modelapi.Launch{
+		Spec: spec, Items: n, Per: per, Cost: cost, Coexec: r.coexec,
+	}, modelapi.Recovery{
+		Restage:   func() { r.restageRegion(uses) },
+		Sync:      func() { r.syncRegion(uses) },
+		RoundTrip: true,
+	})
 	for _, c := range uses {
 		if !r.present(c.Name) && (c.Intent == IntentCopy || c.Intent == IntentCopyout) {
 			r.machine.TransferFromDevice(c.Name, c.Bytes)
 		}
 	}
 	return result
-}
-
-// launchResilient issues one device launch under the machine's fault
-// policy. The directive model has the coarsest recovery granularity of the
-// three runtimes: the generated runtime tracks data at region scope, so
-// after a failed launch it re-establishes the whole kernels region —
-// every copy/copyin clause of every open data region plus the loop's own
-// non-present input clauses is copied to the device again before the
-// retry. Host fallback round-trips the full region: all device-resident
-// region arrays come back to the host, the loop runs on the CPU, and the
-// region's inputs are pushed down again to restore device residency. With
-// no injector attached this is LaunchKernel plus a nil check.
-func (r *Runtime) launchResilient(spec modelapi.KernelSpec, n int, per exec.Counters, cost timing.KernelCost, uses []Clause) timing.Result {
-	m := r.machine
-	if r.coexec && spec.Class != modelapi.Irregular {
-		hostCost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), n, per)
-		if res, ok := m.LaunchKernelSplit(spec.Name, cost, hostCost); ok {
-			return res
-		}
-	}
-	res, ev := m.LaunchKernelChecked(sim.OnAccelerator, spec.Name, cost)
-	if ev == nil {
-		return res
-	}
-	pol := m.FaultPolicy()
-	for attempt := 1; ; attempt++ {
-		if ev.Kind == fault.BitFlip {
-			r.corrupt.Corrupt(m.FaultInjector())
-			return res
-		}
-		if attempt >= pol.MaxAttempts {
-			break
-		}
-		m.ChargeBackoffNs(spec.Name, pol.BackoffNs(attempt))
-		r.restageRegion(uses)
-		res, ev = m.LaunchKernelChecked(sim.OnAccelerator, spec.Name, cost)
-		if ev == nil {
-			return res
-		}
-	}
-	m.NoteFallback(spec.Name)
-	for _, c := range r.regionAndUses(uses) {
-		if c.Intent != IntentCreate {
-			m.TransferFromDevice(c.Name+"(fallback-sync)", c.Bytes)
-		}
-	}
-	hostCost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), n, per)
-	res = m.LaunchKernel(sim.OnHost, spec.Name+"(cpu-fallback)", hostCost)
-	r.restageRegion(uses)
-	return res
 }
 
 // restageRegion re-copies the whole kernels region to the device: every
@@ -307,19 +273,22 @@ func (r *Runtime) restageRegion(uses []Clause) {
 	}
 }
 
-// regionAndUses returns every clause in scope for one kernels region: the
-// open data regions' clauses followed by the loop's own non-present uses.
-func (r *Runtime) regionAndUses(uses []Clause) []Clause {
-	var out []Clause
+// syncRegion copies the whole kernels region back to the host: every
+// non-create clause of every open data region plus the loop's own
+// non-present non-create clauses.
+func (r *Runtime) syncRegion(uses []Clause) {
 	for _, reg := range r.regions {
-		out = append(out, reg.clauses...)
-	}
-	for _, c := range uses {
-		if !r.present(c.Name) {
-			out = append(out, c)
+		for _, c := range reg.clauses {
+			if c.Intent != IntentCreate {
+				r.machine.TransferFromDevice(c.Name+"(fallback-sync)", c.Bytes)
+			}
 		}
 	}
-	return out
+	for _, c := range uses {
+		if !r.present(c.Name) && c.Intent != IntentCreate {
+			r.machine.TransferFromDevice(c.Name+"(fallback-sync)", c.Bytes)
+		}
+	}
 }
 
 // UpdateHost is `#pragma acc update host(...)`: refresh a host copy of a

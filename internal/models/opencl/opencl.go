@@ -223,64 +223,28 @@ func (q *Queue) ReplayNDRange(k *Kernel, global int) timing.Result {
 // ---------------------------------------------------------------------
 // Resilience.
 
-// launchResilient issues one device launch under the machine's fault
-// policy: transient failures (launch rejection, watchdog-killed hang,
-// device loss) are retried with exponential backoff, restaging the
-// kernel's staged argument buffers before each retry — the explicit
-// model's recovery cost is exactly the buffers the programmer staged, no
-// more. A silent bit flip is routed to the context's corruptor (detected
-// later by end-to-end checksum). When the retry budget is exhausted the
-// launch degrades gracefully to the host CPU. With no injector attached
-// this is LaunchKernel plus one nil check.
+// launchResilient issues one device launch through the shared driver
+// (modelapi.LaunchResilient). The explicit model's recovery cost is
+// exactly the buffers the programmer staged, no more: a retry restages
+// the kernel's staged argument buffers, and the host fallback round-trips
+// them — results must land back on the device so subsequent kernels see
+// them.
 func (c *Context) launchResilient(spec modelapi.KernelSpec, global int, per exec.Counters, cost timing.KernelCost, args []*Buffer) timing.Result {
 	m := c.machine
-	if c.coexec && spec.Class != modelapi.Irregular {
-		hostCost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), global, per)
-		if res, ok := m.LaunchKernelSplit(spec.Name, cost, hostCost); ok {
-			return res
-		}
-	}
-	r, ev := m.LaunchKernelChecked(sim.OnAccelerator, spec.Name, cost)
-	if ev == nil {
-		return r
-	}
-	pol := m.FaultPolicy()
-	for attempt := 1; ; attempt++ {
-		if ev.Kind == fault.BitFlip {
-			// The launch completed; the corruption surfaces at the run's
-			// end-to-end checksum, not here.
-			c.corrupt.Corrupt(m.FaultInjector())
-			return r
-		}
-		if attempt >= pol.MaxAttempts {
-			break
-		}
-		m.ChargeBackoffNs(spec.Name, pol.BackoffNs(attempt))
-		for _, b := range args {
-			if b != nil && b.staged {
-				m.TransferToDevice(b.name+"(restage)", b.bytes)
-			}
-		}
-		r, ev = m.LaunchKernelChecked(sim.OnAccelerator, spec.Name, cost)
-		if ev == nil {
-			return r
-		}
-	}
-	// Retry budget exhausted: degrade gracefully to the host CPU. The
-	// explicit model round-trips the kernel's staged buffers — results
-	// must land back on the device so subsequent kernels see them.
-	m.NoteFallback(spec.Name)
+	return modelapi.LaunchResilient(m, &c.corrupt, &modelapi.Launch{
+		Spec: spec, Items: global, Per: per, Cost: cost, Coexec: c.coexec,
+	}, modelapi.Recovery{
+		Restage:   func() { moveStaged(args, m.TransferToDevice, "(restage)") },
+		Sync:      func() { moveStaged(args, m.TransferFromDevice, "(fallback-sync)") },
+		RoundTrip: true,
+	})
+}
+
+// moveStaged copies every staged argument buffer one way.
+func moveStaged(args []*Buffer, move func(name string, bytes int64) float64, suffix string) {
 	for _, b := range args {
 		if b != nil && b.staged {
-			m.TransferFromDevice(b.name+"(fallback-sync)", b.bytes)
+			move(b.name+suffix, b.bytes)
 		}
 	}
-	hostCost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), global, per)
-	res := m.LaunchKernel(sim.OnHost, spec.Name+"(cpu-fallback)", hostCost)
-	for _, b := range args {
-		if b != nil && b.staged {
-			m.TransferToDevice(b.name+"(restage)", b.bytes)
-		}
-	}
-	return res
 }

@@ -6,7 +6,8 @@ package sched
 // single-kernel iteration-space splitting to whole workloads (ROADMAP
 // item 2): where LaunchSplit carves one launch into chunks, a DagPlanner
 // schedules many launches over the same pair of per-device virtual command
-// queues (sim.DagQueue).
+// queues (sim.QueuePair), booking distinct kernels with ready times where
+// LaunchSplit books pipelined chunks.
 //
 // The three policies reuse the package vocabulary at kernel granularity:
 //
@@ -90,7 +91,7 @@ type DagLaunch struct {
 	// uses it to price each model's data-movement strategy per edge; the
 	// planner calls it exactly once per kernel, in booking order, after
 	// the device decision and before the kernel itself is booked.
-	Stage func(q *sim.DagQueue, k int, t sim.Target, readyNs float64) float64
+	Stage func(q *sim.QueuePair, k int, t sim.Target, readyNs float64) float64
 
 	// OnKernel, when non-nil, observes every booking in booking order:
 	// the queue pair, the kernel index, the device it booked on, and
@@ -98,7 +99,7 @@ type DagLaunch struct {
 	// after the kernel books, so an observer may append trailing work to
 	// the same device queue (OpenACC-style region-exit copies). Observers
 	// must not block; they run inside the planning loop.
-	OnKernel func(q *sim.DagQueue, k int, t sim.Target, rebooked bool)
+	OnKernel func(q *sim.QueuePair, k int, t sim.Target, rebooked bool)
 }
 
 // DagStats tallies DAG scheduling decisions over a planner's lifetime.
@@ -224,7 +225,7 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 		}
 	}
 
-	q := m.BeginDag()
+	q := m.BeginQueues()
 	inj := m.FaultInjector()
 	finish := make([]float64, n)
 	target := make([]sim.Target, n)
@@ -333,7 +334,7 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 // and the adaptive policies use earliest finish time over the queue
 // state (staging cost is not previewed — it is strategy-dependent and
 // booked by the interpreter after the decision).
-func (p *DagPlanner) placeDag(q *sim.DagQueue, kern DagKernel, ready, hostNs, accelNs float64) sim.Target {
+func (p *DagPlanner) placeDag(q *sim.QueuePair, kern DagKernel, ready, hostNs, accelNs float64) sim.Target {
 	switch kern.Place {
 	case PlaceHost:
 		return sim.OnHost

@@ -58,7 +58,7 @@ func TestDagProperties(t *testing.T) {
 		for _, pol := range policies {
 			var order []int
 			booked := make(map[int]int, n)
-			l.OnKernel = func(q *sim.DagQueue, k int, tg sim.Target, rebooked bool) {
+			l.OnKernel = func(q *sim.QueuePair, k int, tg sim.Target, rebooked bool) {
 				order = append(order, k)
 				booked[k]++
 				if rebooked {
@@ -195,7 +195,7 @@ func TestDagRebooking(t *testing.T) {
 		t        sim.Target
 		rebooked bool
 	}
-	l.OnKernel = func(q *sim.DagQueue, k int, tg sim.Target, rebooked bool) {
+	l.OnKernel = func(q *sim.QueuePair, k int, tg sim.Target, rebooked bool) {
 		events = append(events, struct {
 			k        int
 			t        sim.Target

@@ -216,7 +216,7 @@ func (s *Scheduler) LaunchSplit(m *sim.Machine, l sim.CoexecLaunch) timing.Resul
 	if items <= 0 {
 		panic(fmt.Sprintf("sched: split launch %q with %d items", l.Name, items))
 	}
-	q := m.BeginCoexec()
+	q := m.BeginQueues()
 
 	// Roofline rates for this exact kernel: each device's timing model on
 	// the full launch. These drive the static fraction and the HGuided
@@ -284,6 +284,12 @@ func (s *Scheduler) LaunchSplit(m *sim.Machine, l sim.CoexecLaunch) timing.Resul
 
 	if t := tracer; t != nil {
 		reg := t.Metrics()
+		reg.Add(trace.CtrSchedSplits, float64(st.Splits))
+		imb := st.HostNs - st.AccelNs
+		if imb < 0 {
+			imb = -imb
+		}
+		reg.Add(trace.CtrSchedImbalanceNs, imb)
 		reg.Add(trace.CtrSchedChunks, float64(st.Chunks))
 		reg.Add(trace.CtrSchedHostItems, float64(st.HostItems))
 		reg.Add(trace.CtrSchedAccelItems, float64(st.AccelItems))
@@ -308,7 +314,7 @@ func (s *Scheduler) LaunchSplit(m *sim.Machine, l sim.CoexecLaunch) timing.Resul
 // snaps to the nearest wavefront multiple so at most the accelerator's
 // chunk carries a partial wavefront, matching the dynamic policies'
 // alignment guarantee.
-func (s *Scheduler) runStatic(m *sim.Machine, q *sim.CoexecQueue, items int, hostRate, accelRate float64, run func(chunk)) {
+func (s *Scheduler) runStatic(m *sim.Machine, q *sim.QueuePair, items int, hostRate, accelRate float64, run func(chunk)) {
 	frac := s.cfg.HostFraction
 	if frac <= 0 {
 		frac = Shares([]float64{hostRate, accelRate})[0]
@@ -338,7 +344,7 @@ func (s *Scheduler) runStatic(m *sim.Machine, q *sim.CoexecQueue, items int, hos
 // greedily assigns each to the device whose queue finishes it earliest —
 // work-stealing between two in-order virtual command queues, resolved at
 // plan time because the simulated queues are clairvoyant about duration.
-func (s *Scheduler) runDynamic(m *sim.Machine, q *sim.CoexecQueue, l sim.CoexecLaunch, items int, run func(chunk)) {
+func (s *Scheduler) runDynamic(m *sim.Machine, q *sim.QueuePair, l sim.CoexecLaunch, items int, run func(chunk)) {
 	wf := m.Accelerator().WavefrontSize
 	size := roundUp((items+s.cfg.Chunks-1)/s.cfg.Chunks, wf)
 	for remaining := items; remaining > 0; {
@@ -365,7 +371,7 @@ func (s *Scheduler) runDynamic(m *sim.Machine, q *sim.CoexecQueue, l sim.CoexecL
 // takes half its rate-proportional share of the remaining items, floored
 // at MinChunkItems — coarse chunks early (low bookkeeping), fine chunks
 // at the tail (low imbalance).
-func (s *Scheduler) runHGuided(m *sim.Machine, q *sim.CoexecQueue, items int, hostRate, accelRate float64, run func(chunk)) {
+func (s *Scheduler) runHGuided(m *sim.Machine, q *sim.QueuePair, items int, hostRate, accelRate float64, run func(chunk)) {
 	wf := m.Accelerator().WavefrontSize
 	minChunk := s.cfg.MinChunkItems
 	if minChunk == 0 {
@@ -399,7 +405,7 @@ func (s *Scheduler) runHGuided(m *sim.Machine, q *sim.CoexecQueue, items int, ho
 // accelLost reports whether the machine's fault injector has the
 // accelerator inside a device-loss window at the instant its queue would
 // issue the next chunk.
-func accelLost(m *sim.Machine, q *sim.CoexecQueue) bool {
+func accelLost(m *sim.Machine, q *sim.QueuePair) bool {
 	inj := m.FaultInjector()
 	if inj == nil {
 		return false

@@ -1,17 +1,16 @@
 package sim
 
 // Co-execution: splitting one kernel's iteration space across the host CPU
-// and the accelerator. The machine side is deliberately thin — it owns the
-// per-device virtual command queues and the merge into the clock/ledger —
-// while the partitioning policy lives behind CoexecPlanner (implemented by
-// internal/sched, which imports sim; the interface keeps the dependency
-// one-way, like fault.Injector).
+// and the accelerator. The machine side is deliberately thin — the
+// planner books chunks on a QueuePair (queue.go), which owns the merge
+// into the clock/ledger — while the partitioning policy lives behind
+// CoexecPlanner (implemented by internal/sched, which imports sim; the
+// interface keeps the dependency one-way, like fault.Injector).
 
 import (
 	"fmt"
 
 	"hetbench/internal/sim/timing"
-	"hetbench/internal/trace"
 )
 
 // CoexecLaunch is one kernel launch eligible for CPU+accelerator
@@ -27,7 +26,7 @@ type CoexecLaunch struct {
 }
 
 // CoexecPlanner partitions a launch across the two devices of a machine.
-// Implementations call BeginCoexec, run chunks on the queue pair, and
+// Implementations call BeginQueues, run chunks on the queue pair, and
 // return the merged result.
 type CoexecPlanner interface {
 	LaunchSplit(m *Machine, l CoexecLaunch) timing.Result
@@ -71,116 +70,4 @@ func (m *Machine) LaunchKernelSplit(name string, accel, host timing.KernelCost) 
 		panic(fmt.Sprintf("sim: split launch %q costs disagree on items (%d vs %d)", name, accel.Items, host.Items))
 	}
 	return m.coexec.LaunchSplit(m, CoexecLaunch{Name: name, Accel: accel, Host: host}), true
-}
-
-// CoexecQueue is the pair of per-device virtual command queues backing one
-// co-executed launch. Both queues open at the machine clock; chunks run
-// back-to-back on their device's queue; Merge advances the machine clock
-// by the longer queue, so the two devices overlap in virtual time exactly
-// as the emitted spans show. A queue is used by one goroutine (the
-// launching runtime); the machine mutex guards the shared ledger.
-type CoexecQueue struct {
-	m       *Machine
-	startNs float64
-	busy    [2]float64 // indexed by Target
-	chunks  [2]int
-}
-
-// BeginCoexec opens a queue pair at the current virtual clock.
-func (m *Machine) BeginCoexec() *CoexecQueue {
-	m.mu.Lock()
-	q := &CoexecQueue{m: m, startNs: m.clockNs}
-	m.mu.Unlock()
-	return q
-}
-
-// StartNs returns the virtual time both queues opened at.
-func (q *CoexecQueue) StartNs() float64 { return q.startNs }
-
-// AvailNs returns when the target's queue next frees up, relative to the
-// queue-pair start.
-func (q *CoexecQueue) AvailNs(t Target) float64 { return q.busy[t] }
-
-// ChunkCount returns how many chunks have been booked on the target.
-func (q *CoexecQueue) ChunkCount(t Target) int { return q.chunks[t] }
-
-// chunkResult times a chunk on the target, applying the in-order queue's
-// pipelining: the fixed launch/fork overhead is exposed only on a queue's
-// first chunk — later chunks are enqueued while their predecessor runs, so
-// their issue cost hides under it.
-func (q *CoexecQueue) chunkResult(t Target, cost timing.KernelCost) timing.Result {
-	model := q.m.accelModel
-	if t == OnHost {
-		model = q.m.hostModel
-	}
-	r := model.Kernel(cost)
-	if q.chunks[t] > 0 {
-		r.TimeNs -= r.LaunchNs
-		r.LaunchNs = 0
-	}
-	return r
-}
-
-// ChunkTimeNs previews what a chunk would cost on the target right now
-// without booking it — the planner's look-ahead for earliest-finish
-// device selection.
-func (q *CoexecQueue) ChunkTimeNs(t Target, cost timing.KernelCost) float64 {
-	return q.chunkResult(t, cost).TimeNs
-}
-
-// RunChunk books one chunk at the tail of the target's queue and returns
-// its timing. The machine clock does not advance until Merge; the chunk's
-// span (when traced) is emitted at its queue position so host and
-// accelerator chunks of one launch overlap on the timeline.
-func (q *CoexecQueue) RunChunk(t Target, name string, cost timing.KernelCost) timing.Result {
-	r := q.chunkResult(t, cost)
-	m := q.m
-	m.mu.Lock()
-	start := q.startNs + q.busy[t]
-	q.busy[t] += r.TimeNs
-	q.chunks[t]++
-	// Characterization accumulators see every chunk; kernelNs (added at
-	// Merge) sees only the critical path, so IPC is mildly overweighted
-	// while two devices overlap — acceptable for a metric the co-execution
-	// experiment does not report.
-	m.ipcWeighted += r.IPC * r.TimeNs
-	if m.boundNs == nil {
-		m.boundNs = make(map[string]float64)
-	}
-	m.boundNs[r.Bound] += r.TimeNs - r.LaunchNs
-	if m.tracer != nil {
-		side := "acc"
-		if t == OnHost {
-			side = "cpu"
-		}
-		m.emitKernelLocked(t, fmt.Sprintf("%s#%s%d", name, side, q.chunks[t]-1), cost, r, start)
-	}
-	m.mu.Unlock()
-	return r
-}
-
-// Merge closes the queue pair: the machine clock and kernel split clock
-// advance by the longer device queue (the co-executed launch's makespan),
-// and the imbalance between the two queues is published as a counter.
-// Returns the makespan in ns.
-func (q *CoexecQueue) Merge() float64 {
-	wall := q.busy[OnHost]
-	if q.busy[OnAccelerator] > wall {
-		wall = q.busy[OnAccelerator]
-	}
-	m := q.m
-	m.mu.Lock()
-	m.clockNs += wall
-	m.kernelNs += wall
-	if m.tracer != nil {
-		reg := m.tracer.Metrics()
-		reg.Add(trace.CtrSchedSplits, 1)
-		imb := q.busy[OnHost] - q.busy[OnAccelerator]
-		if imb < 0 {
-			imb = -imb
-		}
-		reg.Add(trace.CtrSchedImbalanceNs, imb)
-	}
-	m.mu.Unlock()
-	return wall
 }

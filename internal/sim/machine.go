@@ -116,29 +116,6 @@ type ResilienceStats struct {
 	BackoffNs     float64 // virtual time spent in retry backoff
 }
 
-// defaultTracer, when set, is attached to every subsequently-constructed
-// machine — the hook behind `hetbench -trace out.json`, which must capture
-// machines the experiments construct internally.
-var (
-	defaultTracerMu sync.Mutex
-	defaultTracer   *trace.Tracer
-)
-
-// SetDefaultTracer installs (or, with nil, removes) a tracer that every
-// machine constructed afterwards attaches to.
-func SetDefaultTracer(t *trace.Tracer) {
-	defaultTracerMu.Lock()
-	defaultTracer = t
-	defaultTracerMu.Unlock()
-}
-
-// DefaultTracer returns the currently-installed default tracer, if any.
-func DefaultTracer() *trace.Tracer {
-	defaultTracerMu.Lock()
-	defer defaultTracerMu.Unlock()
-	return defaultTracer
-}
-
 // NewAPU returns the A10-7850K machine: 4 CPU cores + 8 GCN CUs on one die
 // with unified memory (no PCIe link, zero-cost "transfers").
 func NewAPU() *Machine {
@@ -169,7 +146,7 @@ func newMachine(name string, host, accel *device.Device, link *pcie.Link) *Machi
 			panic(fmt.Sprintf("sim: bad link: %v", err))
 		}
 	}
-	m := &Machine{
+	return &Machine{
 		name:       name,
 		host:       host,
 		accel:      accel,
@@ -177,10 +154,6 @@ func newMachine(name string, host, accel *device.Device, link *pcie.Link) *Machi
 		hostModel:  timing.NewModel(host),
 		accelModel: timing.NewModel(accel),
 	}
-	if t := DefaultTracer(); t != nil {
-		m.SetTracer(t)
-	}
-	return m
 }
 
 // Name returns the machine's display name.
@@ -576,20 +549,23 @@ func (m *Machine) TransferFromDevice(name string, bytes int64) float64 {
 // corruption rate still terminates.
 const maxRetransmits = 64
 
+// linkNs records one copy in the link's traffic ledger and returns its
+// link time in ns; on unified machines the copy is free.
+func (m *Machine) linkNs(kind EventKind, bytes int64) float64 {
+	if m.link == nil {
+		return 0
+	}
+	if kind == EvHostToDevice {
+		return m.link.ToDevice(bytes) * 1e3
+	}
+	return m.link.FromDevice(bytes) * 1e3
+}
+
 func (m *Machine) transfer(kind EventKind, name string, bytes int64) float64 {
 	if bytes < 0 {
 		panic(fmt.Sprintf("sim: negative transfer %d", bytes))
 	}
-	var ns float64
-	if m.link != nil {
-		var us float64
-		if kind == EvHostToDevice {
-			us = m.link.ToDevice(bytes)
-		} else {
-			us = m.link.FromDevice(bytes)
-		}
-		ns = us * 1e3
-	}
+	ns := m.linkNs(kind, bytes)
 	m.mu.Lock()
 	if m.faults != nil && m.link != nil {
 		// A DMA engine cannot move data while the device is gone: stall

@@ -320,13 +320,13 @@ func (ex *interp) dagIteration(planner *sched.DagPlanner) {
 	dr := planner.Run(ex.m, sched.DagLaunch{
 		Name:    ex.prog.Spec.Name,
 		Kernels: kernels,
-		Stage: func(q *sim.DagQueue, k int, t sim.Target, readyNs float64) float64 {
+		Stage: func(q *sim.QueuePair, k int, t sim.Target, readyNs float64) float64 {
 			for _, x := range ex.pre(k, t) {
 				readyNs = ex.bookQueued(q, t, k, x, readyNs)
 			}
 			return readyNs
 		},
-		OnKernel: func(q *sim.DagQueue, k int, t sim.Target, rebooked bool) {
+		OnKernel: func(q *sim.QueuePair, k int, t sim.Target, rebooked bool) {
 			// Region-exit copies land at the device queue's tail, right
 			// behind the kernel that just booked there.
 			for _, x := range ex.exit(k, t) {
@@ -343,7 +343,7 @@ func (ex *interp) dagIteration(planner *sched.DagPlanner) {
 
 // bookQueued pays one staging copy on a DAG device queue and returns its
 // completion time.
-func (ex *interp) bookQueued(q *sim.DagQueue, t sim.Target, k int, x xfer, readyNs float64) float64 {
+func (ex *interp) bookQueued(q *sim.QueuePair, t sim.Target, k int, x xfer, readyNs float64) float64 {
 	bytes := ex.prog.Spec.Buffers[x.buf].Bytes
 	done := q.RunTransfer(t, x.kind, ex.xferName(k, x), bytes, readyNs)
 	ex.res.Transfers++
