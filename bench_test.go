@@ -263,7 +263,7 @@ func benchSplitOn(b *testing.B) {
 
 // hetlintLoad memoizes the module load for BenchmarkHetlint: parsing and
 // type-checking are setup, not the measured phase — the benchmark times
-// the nine-analyzer parallel driver itself.
+// the six-analyzer parallel driver itself.
 var hetlintLoad struct {
 	once sync.Once
 	pkgs []*analysis.Package
@@ -340,7 +340,7 @@ func BenchmarkHistObserve(b *testing.B) {
 	b.Run("observe", benchHistObserve)
 }
 
-// BenchmarkHetlint measures the nine-analyzer parallel driver over the
+// BenchmarkHetlint measures the six-analyzer parallel driver over the
 // already-loaded module — the cost every CI run and pre-commit hook pays,
 // tracked in the BENCH trajectory alongside the simulator hot paths.
 func BenchmarkHetlint(b *testing.B) {

@@ -1,12 +1,11 @@
 // Command hetlint runs hetbench's domain static analyzers over the
-// module: detnondet (jobs-determinism hazards), spanleak (unbalanced
-// trace spans), launchcheck (mishandled fault events), counterkey
-// (malformed counter names), ctxflow (severed cancellation in service
-// packages), seedflow (seeds not derived from fault.SubSeed or a seed
-// parameter, checked interprocedurally), wallclock (wall-clock taint
-// reaching result paths through package-internal helpers), goroexit
-// (go statements without join accounting) and lockbalance (mutexes that
-// can exit locked). See internal/analysis for the rules and the
+// module: detnondet (jobs-determinism hazards, including wall-clock taint
+// laundered through package-internal helpers and seeds not derived from
+// fault.SubSeed or a seed parameter), spanleak (spans, and service/fleet
+// mutexes, not released on every path), launchcheck (mishandled fault
+// events), counterkey (malformed counter names), ctxflow (severed
+// cancellation in service packages) and goroexit (go statements without
+// join accounting). See internal/analysis for the rules and the
 // //hetlint:allow suppression directive.
 //
 // Usage:
@@ -35,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 
 	"hetbench/internal/analysis"
@@ -128,7 +128,8 @@ func run(stdout, stderr io.Writer, args []string) int {
 	return 0
 }
 
-// selectAnalyzers resolves the -only subset by name.
+// selectAnalyzers resolves the -only subset by name. A name listed twice
+// runs once.
 func selectAnalyzers(all []*analysis.Analyzer, only string) ([]*analysis.Analyzer, error) {
 	byName := make(map[string]*analysis.Analyzer, len(all))
 	for _, a := range all {
@@ -141,7 +142,9 @@ func selectAnalyzers(all []*analysis.Analyzer, only string) ([]*analysis.Analyze
 		if !ok {
 			return nil, fmt.Errorf("unknown analyzer %q", name)
 		}
-		out = append(out, a)
+		if !slices.Contains(out, a) {
+			out = append(out, a)
+		}
 	}
 	return out, nil
 }

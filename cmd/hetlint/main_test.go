@@ -49,8 +49,7 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("-list exited %d", code)
 	}
 	for _, name := range []string{
-		"detnondet", "spanleak", "launchcheck", "counterkey", "ctxflow",
-		"seedflow", "wallclock", "goroexit", "lockbalance",
+		"detnondet", "spanleak", "launchcheck", "counterkey", "ctxflow", "goroexit",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
@@ -58,13 +57,31 @@ func TestListAnalyzers(t *testing.T) {
 	}
 }
 
+// TestUnknownAnalyzerIsUsageError also covers the names of analyzers
+// folded into others (wallclock and seedflow into detnondet, lockbalance
+// into spanleak): they are no longer registered.
 func TestUnknownAnalyzerIsUsageError(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run(&out, &errb, []string{"-only", "nosuch", "../../..."}); code != 2 {
-		t.Fatalf("expected exit 2 for unknown analyzer, got %d", code)
+	for _, name := range []string{"nosuch", "wallclock"} {
+		var out, errb bytes.Buffer
+		if code := run(&out, &errb, []string{"-only", name, "../../..."}); code != 2 {
+			t.Fatalf("-only %s: expected exit 2 for unknown analyzer, got %d", name, code)
+		}
+		if !strings.Contains(errb.String(), "unknown analyzer") {
+			t.Errorf("-only %s: stderr missing diagnostic: %q", name, errb.String())
+		}
 	}
-	if !strings.Contains(errb.String(), "unknown analyzer") {
-		t.Errorf("stderr missing diagnostic: %q", errb.String())
+}
+
+// TestOnlyRepeatedNameRunsOnce pins that naming an analyzer twice in
+// -only runs it once, so no finding prints twice.
+func TestOnlyRepeatedNameRunsOnce(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run(&out, &errb, []string{"-only", "counterkey,counterkey", "../../internal/analysis/testdata/src/counterkey"})
+	if code != 1 {
+		t.Fatalf("expected exit 1 on findings, got %d\nstderr:\n%s", code, errb.String())
+	}
+	if n := strings.Count(out.String(), "\n"); n != 6 {
+		t.Errorf("expected the 6 counterkey findings once each, got %d lines:\n%s", n, out.String())
 	}
 }
 

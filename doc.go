@@ -44,9 +44,8 @@
 //	                  failure-injection harness: gated/panicking runs,
 //	                  goroutine-leak checker, slow reader
 //	internal/analysis hetlint's domain analyzers (detnondet, spanleak,
-//	                  launchcheck, counterkey, ctxflow, seedflow,
-//	                  wallclock, goroexit, lockbalance) and the parallel
-//	                  driver with text/json/sarif renderers
+//	                  launchcheck, counterkey, ctxflow, goroexit) and the
+//	                  parallel driver with text/json/sarif renderers
 //	cmd/hetbench      the experiment driver (-exp, -jobs, -trace, -metrics,
 //	                  -progress, -bench-out, -bench-delta)
 //	cmd/hetbenchd     the HTTP/JSON simulation daemon

@@ -1,12 +1,20 @@
 // Package analysis is hetlint's stdlib-only static-analysis driver. It
 // loads every package in the module (go/parser + go/types, no external
-// dependencies) and runs nine domain analyzers that turn the repo's
+// dependencies) and runs six domain analyzers that turn the repo's
 // load-bearing conventions into mechanically-checked rules:
 //
 //   - detnondet:   no wall-clock or global-PRNG nondeterminism in
 //     result-producing code (the TestGolden jobs-determinism contract);
-//   - spanleak:    every sim.ActiveSpan opened by StartSpan/StartRun/
-//     StartIteration is closed on all control-flow paths;
+//     in the result packages (sim, fleet, fault, workload, sched) a
+//     wall-clock value laundered through package-internal helpers or
+//     locals is reported where it reaches a return or ordered output,
+//     and every rand.NewSource/NewPCG seed and fault.SubSeed parent must
+//     flow from fault.SubSeed or an explicit seed parameter, checked
+//     interprocedurally;
+//   - spanleak:    every acquisition reaches its release on all
+//     control-flow paths: each sim.ActiveSpan opened by StartSpan/
+//     StartRun/StartIteration reaches End, and each sync.Mutex/RWMutex
+//     Lock in the service and fleet packages reaches its Unlock;
 //   - launchcheck: fault events from LaunchKernelChecked are never
 //     discarded, and fault-participating packages never bypass the
 //     injector with a bare accelerator LaunchKernel;
@@ -16,19 +24,10 @@
 //   - ctxflow:     request-handling code in service packages never
 //     conjures a fresh context.Background()/context.TODO() — contexts
 //     derive from the request so disconnects and deadlines propagate;
-//   - seedflow:    every rand.NewSource/NewPCG seed in the result
-//     packages flows from fault.SubSeed or an explicit seed parameter,
-//     never wall clock, global rand, or an ad-hoc literal — checked
-//     interprocedurally through package-internal seed parameters;
-//   - wallclock:   a package-internal helper whose return value derives
-//     from time.Now/time.Since taints every caller in a result package
-//     (the call-graph deepening of detnondet's per-function rule);
 //   - goroexit:    every go statement in the service and runner
 //     packages is join-accounted: WaitGroup Add/Done pairing with Done
 //     on all paths, a ctx.Done() select, or a channel handoff the
-//     spawner receives;
-//   - lockbalance: every sync.Mutex/RWMutex Lock in the service and
-//     fleet packages reaches its Unlock on all control-flow paths.
+//     spawner receives.
 //
 // Intentional violations are annotated in source with
 //
@@ -94,8 +93,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns hetlint's rule set in its fixed presentation order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DetNonDet, SpanLeak, LaunchCheck, CounterKey, CtxFlow,
-		SeedFlow, WallClock, GoroExit, LockBalance,
+		DetNonDet, SpanLeak, LaunchCheck, CounterKey, CtxFlow, GoroExit,
 	}
 }
 

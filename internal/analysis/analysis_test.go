@@ -33,10 +33,10 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"histkey", []*analysis.Analyzer{analysis.CounterKey}, 6},
 		{"service", []*analysis.Analyzer{analysis.CtxFlow}, 2},
 		{"ctxflowfree", []*analysis.Analyzer{analysis.CtxFlow}, 0},
-		{"seedflow", []*analysis.Analyzer{analysis.SeedFlow}, 8},
-		{"wallclock", []*analysis.Analyzer{analysis.WallClock}, 5},
+		{"seedflow", []*analysis.Analyzer{analysis.DetNonDet}, 11},
+		{"wallclock", []*analysis.Analyzer{analysis.DetNonDet}, 10},
 		{"goroexit", []*analysis.Analyzer{analysis.GoroExit}, 3},
-		{"lockbalance", []*analysis.Analyzer{analysis.LockBalance}, 3},
+		{"lockbalance", []*analysis.Analyzer{analysis.SpanLeak}, 3},
 	}
 	for _, tc := range tests {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -82,15 +82,14 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
-// TestAnalyzersOrder pins the registry: nine rules, fixed names.
+// TestAnalyzersOrder pins the registry: six rules, fixed names.
 func TestAnalyzersOrder(t *testing.T) {
 	var names []string
 	for _, a := range analysis.Analyzers() {
 		names = append(names, a.Name)
 	}
 	want := []string{
-		"detnondet", "spanleak", "launchcheck", "counterkey", "ctxflow",
-		"seedflow", "wallclock", "goroexit", "lockbalance",
+		"detnondet", "spanleak", "launchcheck", "counterkey", "ctxflow", "goroexit",
 	}
 	if len(names) != len(want) {
 		t.Fatalf("Analyzers() = %v, want %v", names, want)

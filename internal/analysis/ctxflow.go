@@ -42,17 +42,16 @@ func runCtxFlow(p *Pass) {
 }
 
 // scopedTo reports whether the package at path is inside a scoped
-// analyzer's territory: either some "/"-separated segment of the import
-// path equals one of the scope segments (internal/service and its
-// subpackages match "service"), or the package is an analysis fixture
-// directory named exactly after the analyzer (testdata/src/<analyzer>),
-// so fixture packages exercise scoped rules without masquerading as real
-// package paths. Fixtures with other names (ctxflowfree,
-// launchcheckfree, …) stay out of scope, which is how the out-of-scope
-// negative fixtures work.
-func scopedTo(path, analyzer string, segments ...string) bool {
+// rule's territory: either some "/"-separated segment of the import path
+// equals one of the scope segments (internal/service and its subpackages
+// match "service"), or the package is the rule's analysis fixture
+// directory (testdata/src/<fixture>), so fixture packages exercise scoped
+// rules without masquerading as real package paths. Fixtures with other
+// names (ctxflowfree, launchcheckfree, …) stay out of scope, which is how
+// the out-of-scope negative fixtures work.
+func scopedTo(path, fixture string, segments ...string) bool {
 	segs := strings.Split(path, "/")
-	if strings.Contains(path, "/testdata/src/") && segs[len(segs)-1] == analyzer {
+	if strings.Contains(path, "/testdata/src/") && segs[len(segs)-1] == fixture {
 		return true
 	}
 	for _, seg := range segs {

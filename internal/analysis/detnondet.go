@@ -6,9 +6,10 @@ import (
 	"strings"
 )
 
-// DetNonDet flags the nondeterminism hazards that would break the golden
-// suite's jobs-determinism contract (byte-identical output at any -jobs
-// under a fixed -seed):
+// DetNonDet is the determinism pass. It flags the nondeterminism hazards
+// that would break the golden suite's jobs-determinism contract
+// (byte-identical output at any -jobs under a fixed -seed). Three rules
+// apply in every package:
 //
 //   - wall-clock reads (time.Now, time.Since) in result-producing code —
 //     virtual-time experiments must derive every timestamp from the
@@ -19,12 +20,35 @@ import (
 //   - ranging over a map while feeding an ordered writer (fmt output,
 //     strings.Builder/bytes.Buffer writes, or appends to a slice that is
 //     never sorted) — map iteration order differs run to run.
+//
+// Two more apply in the result packages (any import-path segment equal
+// to sim, fleet, fault, workload or sched), both reading one per-package
+// index of each function's parameters and assignments:
+//
+//   - the flow rule: a package-internal helper whose return value
+//     derives from time.Now/Since — directly, through locals, or through
+//     other such helpers — taints its callers, and a laundered value is
+//     reported where it reaches a return or an ordered writer. A direct
+//     read is reported where it happens, so a //hetlint:allow on it does
+//     not silence the callers;
+//   - the seed rule (seed.go): PRNG seeds and fault.SubSeed parents must
+//     flow from fault.SubSeed, a seed-named source, or a seed parameter,
+//     checked interprocedurally.
+//
+// The index is package-local: calls into other packages and through
+// interfaces are not tracked, and the flow rule treats nested function
+// literals as opaque.
 var DetNonDet = &Analyzer{
 	Name:     "detnondet",
-	Doc:      "flags wall-clock, global-PRNG and map-order nondeterminism in result-producing code",
+	Doc:      "flags wall-clock, global-PRNG and map-order nondeterminism, wall-clock values laundered into results, and PRNG seeds not derived from a seed",
 	Severity: SeverityError,
 	Run:      runDetNonDet,
 }
+
+// resultPackages are the import-path segments of the packages whose
+// output must be a function of the seed and the virtual clocks; the flow
+// and seed rules are scoped to them.
+var resultPackages = []string{"sim", "fleet", "fault", "workload", "sched"}
 
 // globalRandFuncs are the math/rand package-level functions that draw
 // from the process-wide source. Constructors (New, NewSource, NewZipf)
@@ -41,26 +65,338 @@ var orderedWriterMethods = map[string]bool{
 	"WriteString": true, "WriteByte": true, "WriteRune": true,
 }
 
+// nondetRead classifies a callee as a wall-clock read or a global
+// math/rand draw: the one source test behind the direct, flow and seed
+// rules.
+type nondetRead int
+
+const (
+	noRead nondetRead = iota
+	clockRead
+	randRead
+)
+
+func readOf(obj types.Object) nondetRead {
+	switch {
+	case isPkgFunc(obj, "time", "Now", "Since"):
+		return clockRead
+	case isPkgFunc(obj, "math/rand", globalRandFuncs...), isPkgFunc(obj, "math/rand/v2", globalRandFuncs...):
+		return randRead
+	}
+	return noRead
+}
+
+// detFn is one function declaration in the package index.
+type detFn struct {
+	obj     *types.Func
+	results []types.Object              // named results
+	params  map[types.Object]bool       // parameters, incl. the receiver and nested literals'
+	assigns map[types.Object][]ast.Expr // local object -> every assigned right-hand side
+	returns []*ast.ReturnStmt           // outside nested function literals
+	calls   []detCall
+	clock   map[types.Object]bool // locals carrying wall-clock taint
+}
+
+// detCall is one call in a declaration, marked when it sits inside a
+// nested function literal.
+type detCall struct {
+	call  *ast.CallExpr
+	inLit bool
+}
+
+// paramRef locates a top-level declaration's parameter for call-site
+// propagation.
+type paramRef struct {
+	owner *types.Func
+	index int
+}
+
+// detScan is the determinism pass over one package.
+type detScan struct {
+	pass    *Pass
+	info    *types.Info
+	fns     []*detFn
+	paramAt map[types.Object]paramRef
+
+	clockFuncs map[*types.Func]bool // helpers whose return carries the clock
+
+	demanded map[types.Object]bool // parameters that must carry a flowed seed
+	queue    []types.Object
+}
+
 func runDetNonDet(p *Pass) {
-	info := p.Pkg.Info
+	d := &detScan{pass: p, info: p.Pkg.Info, paramAt: make(map[types.Object]paramRef)}
+	flow := scopedTo(p.Pkg.Path, "wallclock", resultPackages...)
+	seeds := scopedTo(p.Pkg.Path, "seedflow", resultPackages...)
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				obj := calleeObj(info, n)
-				if isPkgFunc(obj, "time", "Now", "Since") {
-					p.Reportf(n.Pos(), "time.%s reads the wall clock; results must be a function of the seed and the virtual clocks", obj.Name())
-				}
-				if isPkgFunc(obj, "math/rand", globalRandFuncs...) || isPkgFunc(obj, "math/rand/v2", globalRandFuncs...) {
-					p.Reportf(n.Pos(), "rand.%s draws from the global math/rand source; use a rand.New(rand.NewSource(seed)) owned by the run", obj.Name())
-				}
+				d.checkDirect(n)
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkMapRangeWriters(p, n.Body)
+					if flow || seeds {
+						d.index(n)
+					}
 				}
 			}
 			return true
 		})
+	}
+	if flow {
+		d.clockFixpoint()
+		d.reportClockFlow()
+	}
+	if seeds {
+		d.checkSeeds()
+	}
+}
+
+// checkDirect is the direct rule: a wall-clock read or global-PRNG draw
+// is reported where it happens.
+func (d *detScan) checkDirect(call *ast.CallExpr) {
+	obj := calleeObj(d.info, call)
+	switch readOf(obj) {
+	case clockRead:
+		d.pass.Reportf(call.Pos(), "time.%s reads the wall clock; results must be a function of the seed and the virtual clocks", obj.Name())
+	case randRead:
+		d.pass.Reportf(call.Pos(), "rand.%s draws from the global math/rand source; use a rand.New(rand.NewSource(seed)) owned by the run", obj.Name())
+	}
+}
+
+// index records one declaration's parameters, assignments, returns and
+// calls in a single walk.
+func (d *detScan) index(fd *ast.FuncDecl) {
+	obj, ok := d.info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return
+	}
+	fn := &detFn{obj: obj, params: make(map[types.Object]bool), assigns: make(map[types.Object][]ast.Expr)}
+	d.addParams(fn, fd.Recv)
+	d.addParams(fn, fd.Type.Params)
+	i := 0
+	for _, field := range fd.Type.Params.List {
+		if len(field.Names) == 0 {
+			i++
+		}
+		for _, name := range field.Names {
+			if o := d.info.Defs[name]; o != nil {
+				d.paramAt[o] = paramRef{owner: obj, index: i}
+			}
+			i++
+		}
+	}
+	if fd.Type.Results != nil {
+		for _, field := range fd.Type.Results.List {
+			for _, name := range field.Names {
+				if o := d.info.Defs[name]; o != nil {
+					fn.results = append(fn.results, o)
+				}
+			}
+		}
+	}
+	record := func(lhs, rhs ast.Expr) {
+		if id, ok := lhs.(*ast.Ident); ok {
+			if o := identObj(d.info, id); o != nil {
+				fn.assigns[o] = append(fn.assigns[o], rhs)
+			}
+		}
+	}
+	var visit func(inLit bool) func(ast.Node) bool
+	visit = func(inLit bool) func(ast.Node) bool {
+		return func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				// Literal parameters are trusted at the boundary: the
+				// values flowing in are classified where the literal is
+				// called or handed off.
+				d.addParams(fn, n.Type.Params)
+				ast.Inspect(n.Body, visit(true))
+				return false
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if len(n.Lhs) == len(n.Rhs) {
+						record(lhs, n.Rhs[i])
+						continue
+					}
+					for _, rhs := range n.Rhs {
+						record(lhs, rhs)
+					}
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if len(n.Values) == len(n.Names) {
+						record(name, n.Values[i])
+						continue
+					}
+					for _, v := range n.Values {
+						record(name, v)
+					}
+				}
+			case *ast.ReturnStmt:
+				if !inLit {
+					fn.returns = append(fn.returns, n)
+				}
+			case *ast.CallExpr:
+				fn.calls = append(fn.calls, detCall{n, inLit})
+			}
+			return true
+		}
+	}
+	ast.Inspect(fd.Body, visit(false))
+	d.fns = append(d.fns, fn)
+}
+
+func (d *detScan) addParams(fn *detFn, fl *ast.FieldList) {
+	if fl == nil {
+		return
+	}
+	for _, f := range fl.List {
+		for _, name := range f.Names {
+			if o := d.info.Defs[name]; o != nil {
+				fn.params[o] = true
+			}
+		}
+	}
+}
+
+// identObj resolves an identifier at a definition or a use.
+func identObj(info *types.Info, id *ast.Ident) types.Object {
+	if o := info.Defs[id]; o != nil {
+		return o
+	}
+	return info.Uses[id]
+}
+
+// clockFixpoint grows the set of clock-returning helpers until stable:
+// each round recomputes every other declaration's tainted locals against
+// the current set and adds it if a return carries the clock.
+func (d *detScan) clockFixpoint() {
+	d.clockFuncs = make(map[*types.Func]bool)
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range d.fns {
+			if d.clockFuncs[fn.obj] {
+				continue
+			}
+			d.clockLocals(fn)
+			if d.returnsClock(fn) {
+				d.clockFuncs[fn.obj] = true
+				changed = true
+			}
+		}
+	}
+	// One final round so every local set reflects the complete helper set
+	// when reporting.
+	for _, fn := range d.fns {
+		d.clockLocals(fn)
+	}
+}
+
+// clockLocals computes fn's clock-tainted locals to a local fixpoint over
+// its assignment chains (t := time.Now(); u := t; …).
+func (d *detScan) clockLocals(fn *detFn) {
+	fn.clock = make(map[types.Object]bool)
+	for stable := false; !stable; {
+		stable = true
+		for o, rhs := range fn.assigns {
+			if fn.clock[o] {
+				continue
+			}
+			for _, e := range rhs {
+				if _, tainted := d.clockTaint(e, fn.clock); tainted {
+					fn.clock[o] = true
+					stable = false
+					break
+				}
+			}
+		}
+	}
+}
+
+// namedResultClock reports whether a naked return in fn carries the
+// clock through a tainted named result.
+func (fn *detFn) namedResultClock() bool {
+	for _, o := range fn.results {
+		if fn.clock[o] {
+			return true
+		}
+	}
+	return false
+}
+
+// returnsClock reports whether some return path of fn carries the clock.
+func (d *detScan) returnsClock(fn *detFn) bool {
+	for _, ret := range fn.returns {
+		if len(ret.Results) == 0 && fn.namedResultClock() {
+			return true
+		}
+		for _, r := range ret.Results {
+			if _, tainted := d.clockTaint(r, fn.clock); tainted {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// clockTaint reports whether e carries wall-clock taint and, when the
+// taint arrives laundered — through a tainted local or a call to a
+// clock-returning helper — names the first such carrier. A direct
+// time.Now/Since in e taints without a carrier: the direct rule reports
+// it where it happens. Function literals are opaque.
+func (d *detScan) clockTaint(e ast.Expr, local map[types.Object]bool) (carrier string, tainted bool) {
+	inspectSkipFuncLits(e, func(n ast.Node) bool {
+		if carrier != "" {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			obj := calleeObj(d.info, n)
+			if readOf(obj) == clockRead {
+				tainted = true
+			} else if fn, ok := obj.(*types.Func); ok && d.clockFuncs[fn] {
+				carrier = fn.Name()
+			}
+		case *ast.Ident:
+			if obj := d.info.Uses[n]; obj != nil && local[obj] {
+				carrier = n.Name
+			}
+		}
+		return carrier == ""
+	})
+	return carrier, tainted || carrier != ""
+}
+
+// reportClockFlow is the flow rule: laundered clock values reaching a
+// return or an ordered writer.
+func (d *detScan) reportClockFlow() {
+	for _, fn := range d.fns {
+		for _, ret := range fn.returns {
+			if len(ret.Results) == 0 && fn.namedResultClock() {
+				d.pass.Reportf(ret.Pos(), "return carries a wall-clock-derived value (named result tainted via time.Now/Since); results must derive from the seed and the virtual clocks")
+			}
+			for _, r := range ret.Results {
+				if carrier, _ := d.clockTaint(r, fn.clock); carrier != "" {
+					d.pass.Reportf(r.Pos(), "return value derives from the wall clock through %s; results must derive from the seed and the virtual clocks", carrier)
+				}
+			}
+		}
+		for _, c := range fn.calls {
+			if c.inLit {
+				continue
+			}
+			sink, ok := orderedWriteCall(d.info, c.call)
+			if !ok {
+				continue
+			}
+			for _, arg := range c.call.Args {
+				if carrier, _ := d.clockTaint(arg, fn.clock); carrier != "" {
+					d.pass.Reportf(arg.Pos(), "%s argument derives from the wall clock through %s; result output must derive from the virtual clocks", sink, carrier)
+				}
+			}
+		}
 	}
 }
 
@@ -140,10 +476,7 @@ func reportUnsortedAppend(p *Pass, as *ast.AssignStmt, rng *ast.RangeStmt, sorte
 	if !ok {
 		return
 	}
-	obj := p.Pkg.Info.Uses[dst]
-	if obj == nil {
-		obj = p.Pkg.Info.Defs[dst]
-	}
+	obj := identObj(p.Pkg.Info, dst)
 	if obj == nil || sorted[obj] {
 		return
 	}

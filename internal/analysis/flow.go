@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the shared "closed on all paths" machinery behind
-// spanleak, lockbalance and goroexit: a resource is opened at one
+// spanleak (spans and mutexes) and goroexit: a resource is opened at one
 // statement (a span started, a mutex locked, a goroutine obligated to
 // call Done) and some closing call must be reached on every control-flow
 // path out of the region — either via defer, which covers every exit, or

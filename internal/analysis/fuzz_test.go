@@ -24,9 +24,9 @@ func FuzzAllowDirective(f *testing.F) {
 		"//hetlint:forbid detnondet no such verb",
 		"//hetlint:allow counterkey  double  spaced  reason",
 		"// an ordinary comment",
-		"//hetlint:allow seedflow причина по-русски",
-		"//hetlint:allow wallclock 理由",
-		"//hetlint:allow lockbalance reason\twith\ttabs",
+		"//hetlint:allow detnondet причина по-русски",
+		"//hetlint:allow counterkey 理由",
+		"//hetlint:allow spanleak reason\twith\ttabs",
 		"/*hetlint:allow goroexit block comment*/",
 		"//hetlint:allow nbsp weirdness",
 		"//HETLINT:ALLOW detnondet case matters",

@@ -1,6 +1,6 @@
-// Package lockbalance is the fixture for hetlint's mutex-balance
-// analyzer: a Lock/RLock must reach its matching Unlock/RUnlock on every
-// control-flow path out of the acquiring function.
+// Package lockbalance is the fixture for the mutex row of hetlint's
+// acquire/release pass: a Lock/RLock must reach its matching Unlock/RUnlock
+// on every control-flow path out of the acquiring function.
 package lockbalance
 
 import "sync"

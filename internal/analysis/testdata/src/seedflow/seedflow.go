@@ -1,5 +1,5 @@
-// Package seedflow is the fixture for hetlint's interprocedural
-// seed-derivation analyzer: PRNG seeds and fault.SubSeed parents must
+// Package seedflow is the fixture for the interprocedural seed rule of
+// hetlint's determinism pass: PRNG seeds and fault.SubSeed parents must
 // flow from SubSeed, seed-named sources, or seed parameters — and a
 // blessing that rests on a parameter moves the obligation to every
 // in-package caller.
@@ -17,7 +17,7 @@ type config struct {
 }
 
 func clockSeed() *rand.Rand {
-	return rand.New(rand.NewSource(time.Now().UnixNano())) // want `NewSource seed derives from the wall clock \(time.Now\)`
+	return rand.New(rand.NewSource(time.Now().UnixNano())) // want `NewSource seed derives from the wall clock \(time.Now\)` `time.Now reads the wall clock`
 }
 
 func literalSeed() rand.Source {
@@ -61,7 +61,7 @@ func goodCaller(cfg config) *rand.Rand {
 }
 
 func clockCaller() *rand.Rand {
-	return mk(time.Now().UnixNano()) // want `seed parameter "seed" of mk derives from the wall clock \(time.Now\)`
+	return mk(time.Now().UnixNano()) // want `seed parameter "seed" of mk derives from the wall clock \(time.Now\)` `time.Now reads the wall clock`
 }
 
 func literalCaller() *rand.Rand {
@@ -79,5 +79,5 @@ func deepClean(cfg config) *rand.Rand {
 }
 
 func deepDirty() *rand.Rand {
-	return wrap(rand.Int63()) // want `seed parameter "s" of wrap derives from the global math/rand source \(rand.Int63\)`
+	return wrap(rand.Int63()) // want `seed parameter "s" of wrap derives from the global math/rand source \(rand.Int63\)` `rand.Int63 draws from the global math/rand source`
 }

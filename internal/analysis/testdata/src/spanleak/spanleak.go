@@ -4,6 +4,7 @@ package spanleak
 
 import (
 	"errors"
+	"sync"
 
 	"hetbench/internal/analysis/testdata/src/sim"
 )
@@ -101,4 +102,14 @@ func allowedLeak(m *sim.Machine, fail bool) {
 		return
 	}
 	sp.End()
+}
+
+// unscopedLock leaks a mutex on the early return, but this package is
+// outside the mutex row's service/fleet scope: no finding.
+func unscopedLock(mu *sync.Mutex, fail bool) {
+	mu.Lock()
+	if fail {
+		return
+	}
+	mu.Unlock()
 }

@@ -1,7 +1,8 @@
-// Package wallclock is the fixture for hetlint's call-graph wall-clock
-// analyzer: a helper that reads time.Now/Since taints every value flowing
-// from it, and wallclock reports the flow-mediated sinks — returns and
-// ordered result output — that detnondet's per-expression rule misses.
+// Package wallclock is the fixture for the flow rule of hetlint's
+// determinism pass: a helper that reads time.Now/Since taints every value
+// flowing from it, and the flow rule reports the laundered values where
+// they reach returns and ordered result output. The direct reads are
+// reported where they happen.
 package wallclock
 
 import (
@@ -10,16 +11,15 @@ import (
 	"time"
 )
 
-// elapsed reads the wall clock directly. The time.Since call itself is
-// detnondet's finding; wallclock's contribution is tainting elapsed so
-// its callers below are caught.
+// elapsed reads the wall clock directly. The flow rule's contribution is
+// tainting elapsed so its callers below are caught.
 func elapsed(start time.Time) time.Duration {
-	return time.Since(start)
+	return time.Since(start) // want `time.Since reads the wall clock`
 }
 
 func viaLocal(start time.Time) time.Duration {
-	d := time.Since(start)
-	return d // want `return value derives from the wall clock through d`
+	d := time.Since(start) // want `time.Since reads the wall clock`
+	return d               // want `return value derives from the wall clock through d`
 }
 
 func viaHelper(start time.Time) time.Duration {
@@ -29,6 +29,13 @@ func viaHelper(start time.Time) time.Duration {
 func viaChain(start time.Time) float64 {
 	ms := float64(viaLocal(start).Milliseconds())
 	return ms // want `return value derives from the wall clock through ms`
+}
+
+// twoCarriers names the first carrier the value meets.
+func twoCarriers(start time.Time) time.Duration {
+	first := elapsed(start)
+	second := elapsed(start)
+	return first + second // want `return value derives from the wall clock through first;`
 }
 
 func report(w io.Writer, start time.Time) {
@@ -47,8 +54,22 @@ func cleanVirtual(nowNS int64) int64 {
 }
 
 // sideEffectOnly calls a tainted helper but never lets the value reach a
-// result path; wallclock stays quiet (the time.Since inside elapsed is
-// still detnondet's business).
+// result path, so the flow rule stays quiet.
 func sideEffectOnly(start time.Time) {
 	_ = elapsed(start)
+}
+
+// allowedStamp reads the wall clock under a suppression. The directive
+// silences only this read: the callers that launder the value into a
+// return or into output are still reported.
+func allowedStamp() time.Time {
+	return time.Now() //hetlint:allow detnondet fixture: a suppressed read still taints its callers
+}
+
+func returnsAllowed() time.Time {
+	return allowedStamp() // want `return value derives from the wall clock through allowedStamp`
+}
+
+func printsAllowed(w io.Writer) {
+	fmt.Fprintf(w, "at %v\n", allowedStamp()) // want `fmt.Fprintf argument derives from the wall clock through allowedStamp`
 }
