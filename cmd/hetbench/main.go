@@ -115,7 +115,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stderr, "invalid -seed %d: the seed must be a positive integer\n", *seed)
 		return 2
 	}
-	harness.SetSeed(*seed)
+	ctx = harness.WithSeed(ctx, *seed)
 	runner.SetJobs(*jobsFlag) // 0 restores the default (HETBENCH_JOBS or GOMAXPROCS)
 	runner.ResetStats()
 

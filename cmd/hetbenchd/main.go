@@ -36,7 +36,7 @@ func run(args []string) int {
 	maxQueue := fs.Int("max-queue", 8, "queued requests before shedding 429s")
 	cacheMB := fs.Int64("cache-mb", 64, "result cache budget in MiB")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "grace for in-flight runs at shutdown")
-	jobs := fs.Int("jobs", 0, "runner workers per experiment (0 = leave default)")
+	jobs := fs.Int("jobs", 0, "runner workers, shared by all in-flight runs (0 = leave default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -63,8 +63,9 @@ func (c CoexecCell) Speedup() float64 {
 
 // CoexecData sweeps readmem, LULESH and miniFE across the partitioners on
 // both machines. The partitioners draw no randomness, so the sweep is
-// bit-reproducible under any run-wide seed; Seed() is still threaded into
-// each scheduler so future stochastic policies inherit the contract.
+// bit-reproducible under any seed; the context's seed (SeedOf) is still
+// threaded into each scheduler so future stochastic policies inherit the
+// contract.
 func CoexecData(ctx context.Context, scale Scale) ([]CoexecCell, error) {
 	apps := []struct {
 		name string
@@ -105,7 +106,7 @@ func CoexecData(ctx context.Context, scale Scale) ([]CoexecCell, error) {
 				cell.Result = baseline
 			} else {
 				cfg := *p.Cfg
-				cfg.Seed = Seed()
+				cfg.Seed = SeedOf(cx.Context())
 				s := sched.New(cfg)
 				m := cx.Machine(mach.mk)
 				m.SetCoexec(s)
@@ -134,7 +135,7 @@ func RunCoexec(ctx context.Context, scale Scale, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "CPU+accelerator co-execution under OpenCL costs (seed %d; the partitioners are\n", Seed())
+	fmt.Fprintf(w, "CPU+accelerator co-execution under OpenCL costs (seed %d; the partitioners are\n", SeedOf(ctx))
 	fmt.Fprintln(w, "deterministic, so equal seeds give bit-identical sweeps). Irregular kernels —")
 	fmt.Fprintln(w, "miniFE's SpMV stays eligible here because OpenCL uses CSR-Adaptive — run split;")
 	fmt.Fprintln(w, "speedup is vs the same app on the accelerator alone.")

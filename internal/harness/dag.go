@@ -100,7 +100,7 @@ func dagPrograms() ([]*workload.Program, error) {
 // DagData sweeps the four shipped workload specs across the three GPU
 // models and the DAG schedules on both machines. The planner policies
 // draw no randomness; the only seeded element is the dyn+loss row's fault
-// stream, keyed off the run-wide seed with per-cell strides — so equal
+// stream, keyed off the context's seed with per-cell strides — so equal
 // seeds give bit-identical sweeps at any worker count.
 func DagData(ctx context.Context, scale Scale) ([]DagCell, error) {
 	machines := []struct {
@@ -138,7 +138,7 @@ func DagData(ctx context.Context, scale Scale) ([]DagCell, error) {
 				m := cx.Machine(mach.mk)
 				opt := workload.Options{Model: model, Iterations: iters}
 				if !sc.Serial {
-					opt.Planner = sched.NewDag(sched.Config{Policy: sc.Policy, Seed: Seed()})
+					opt.Planner = sched.NewDag(sched.Config{Policy: sc.Policy, Seed: SeedOf(cx.Context())})
 				}
 				var inj *fault.Injector
 				if sc.Loss {
@@ -146,7 +146,7 @@ func DagData(ctx context.Context, scale Scale) ([]DagCell, error) {
 					// run: kernels issued inside the window rebook on the
 					// host, later ones return to the accelerator.
 					inj = fault.New(fault.Config{
-						Seed:           cellSeed(combos[i].mach, combos[i].spec),
+						Seed:           cellSeed(SeedOf(cx.Context()), combos[i].mach, combos[i].spec),
 						DeviceLossRate: 0.5,
 						DeviceLossNs:   0.4 * baselineNs,
 					})
@@ -187,7 +187,7 @@ func RunDag(ctx context.Context, scale Scale, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "Declarative multi-kernel workloads (specs/*.json) under the DAG-aware scheduler\n")
-	fmt.Fprintf(w, "(seed %d; the planners are deterministic, so equal seeds give bit-identical\n", Seed())
+	fmt.Fprintf(w, "(seed %d; the planners are deterministic, so equal seeds give bit-identical\n", SeedOf(ctx))
 	fmt.Fprintln(w, "sweeps). serial runs every kernel on one device in topo order; the DAG policies")
 	fmt.Fprintln(w, "overlap independent kernels across both devices, staging priced per edge by each")
 	fmt.Fprintln(w, "model's transfer strategy. dyn+loss loses the accelerator at t=0 (Reb = kernels")

@@ -40,7 +40,7 @@ type FaultCell struct {
 	Model modelapi.Name
 	Rate  float64
 	// Seed is the cell's sub-seed, derived deterministically from the
-	// run-wide Seed so every cell draws an independent fault stream.
+	// run's seed (SeedOf) so every cell draws an independent fault stream.
 	Seed int64
 
 	// Result is the final (correct) run; CleanNs the model's fault-free
@@ -69,10 +69,10 @@ func (c FaultCell) OverheadPct() float64 {
 	return (c.TotalNs - c.CleanNs) / c.CleanNs * 100
 }
 
-// cellSeed spreads the run-wide seed across sweep cells with distinct odd
-// strides so no two cells share a fault stream.
-func cellSeed(mi, ri int) int64 {
-	return Seed() + int64(mi+1)*100003 + int64(ri+1)*9973
+// cellSeed spreads the run's base seed across sweep cells with distinct
+// odd strides so no two cells share a fault stream.
+func cellSeed(base int64, mi, ri int) int64 {
+	return base + int64(mi+1)*100003 + int64(ri+1)*9973
 }
 
 // FaultsData runs LULESH under each GPU model on the dGPU across the
@@ -95,7 +95,7 @@ func FaultsData(ctx context.Context, scale Scale) ([]FaultCell, error) {
 		cells := make([]FaultCell, 0, len(FaultRates))
 		for ri, rate := range FaultRates {
 			cell := FaultCell{
-				Model: model, Rate: rate, Seed: cellSeed(mi, ri),
+				Model: model, Rate: rate, Seed: cellSeed(SeedOf(cx.Context()), mi, ri),
 				CleanNs: clean.ElapsedNs, Correct: true,
 			}
 			if rate == 0 {
@@ -162,7 +162,7 @@ func RunFaults(ctx context.Context, scale Scale, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "LULESH on the R9 280X under seeded fault injection (seed %d, policy: %d attempts, %g µs watchdog).\n",
-		Seed(), fault.DefaultPolicy().MaxAttempts, fault.DefaultPolicy().WatchdogNs/1e3)
+		SeedOf(ctx), fault.DefaultPolicy().MaxAttempts, fault.DefaultPolicy().WatchdogNs/1e3)
 	fmt.Fprintln(w, "Every cell completes with the fault-free checksum; overhead is extra time vs the clean run.")
 	fmt.Fprintln(w)
 	t := report.NewTable("Resilience sweep",

@@ -48,13 +48,9 @@ func TestFaultsSweepCompletesWithGoldenChecksums(t *testing.T) {
 // Acceptance: the sweep is bit-reproducible under a fixed seed and
 // diverges under a different one.
 func TestFaultsReproducibleUnderSeed(t *testing.T) {
-	old := Seed()
-	defer SetSeed(old)
-
 	render := func(s int64) string {
-		SetSeed(s)
 		var buf bytes.Buffer
-		if err := RunFaults(bg, ScaleSmoke, &buf); err != nil {
+		if err := RunFaults(WithSeed(bg, s), ScaleSmoke, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -116,7 +116,7 @@ func FleetSweepData(ctx context.Context, scale Scale) ([]FleetCell, error) {
 		mix := mixes[ci/(nShapes*nLoads)]
 		shape := fleetShapes[(ci/nLoads)%nShapes]
 		load := FleetLoads[ci%nLoads]
-		seed := fault.SubSeed(Seed(), int64(100+ci))
+		seed := fault.SubSeed(SeedOf(cx.Context()), int64(100+ci))
 		rate := load * fleet.CapacityPerSec(mix.APUs, mix.DGPUs, fleetJobMix)
 		jobs := fleet.Generate(fleet.TraceSpec{
 			Shape: shape, Jobs: fleetJobCount(scale), RatePerSec: rate,
@@ -161,7 +161,7 @@ func FleetFaultsData(ctx context.Context, scale Scale) ([]FleetFaultCell, error)
 	mix := fleetMixes(scale)[1] // balanced
 	njobs := fleetJobCount(scale)
 	groups, err := runner.Map(ctx, "fleet-faults", len(FleetLossRates), func(cx *runner.Ctx, fi int) []FleetFaultCell {
-		seed := fault.SubSeed(Seed(), 500)
+		seed := fault.SubSeed(SeedOf(cx.Context()), 500)
 		rate := 0.7 * fleet.CapacityPerSec(mix.APUs, mix.DGPUs, fleetJobMix)
 		jobs := fleet.Generate(fleet.TraceSpec{
 			Shape: fleet.Poisson, Jobs: njobs, RatePerSec: rate,
@@ -196,7 +196,7 @@ func RunFleet(ctx context.Context, scale Scale, w io.Writer) error {
 	fmt.Fprintf(w, "Simulated fleets of mixed APU/dGPU nodes (%s: %d nodes, %s: %d) under seeded open-loop\n",
 		mixes[0].Name, mixes[0].APUs+mixes[0].DGPUs, mixes[1].Name, mixes[1].APUs+mixes[1].DGPUs)
 	fmt.Fprintf(w, "arrival traces of %d jobs (seed %d, mix stream:compute:irregular = 2:1:1). Load is the\n",
-		fleetJobCount(scale), Seed())
+		fleetJobCount(scale), SeedOf(ctx))
 	fmt.Fprintln(w, "arrival rate as a fraction of nominal fleet capacity; policies place whole jobs across")
 	fmt.Fprintln(w, "nodes with the same rules the in-machine scheduler uses to place chunks across devices.")
 	fmt.Fprintln(w)

@@ -1,7 +1,8 @@
 // Package harness wires the proxy applications, programming-model
 // runtimes and simulated machines into the paper's experiments: one
 // registered Experiment per table and figure (plus the ablations), each
-// regenerating its artifact as an ASCII table or series grid.
+// regenerating its artifact as an ASCII table or series grid. The run
+// seed travels on the context (WithSeed, SeedOf).
 package harness
 
 import (
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"hetbench/internal/apps/comd"
 	"hetbench/internal/apps/lulesh"
@@ -50,18 +52,34 @@ func ParseScale(s string) (Scale, error) {
 	}
 }
 
-// seed is the run-wide PRNG seed: every randomized subsystem (today the
-// fault injector; nothing else in the harness draws randomness) derives
-// its stream deterministically from it, so two runs with the same seed,
-// scale and experiment are bit-identical. The default matches the
-// documented `-seed 1`.
-var seed int64 = 1
+// seedKey is the context key WithSeed stores the run seed under.
+type seedKey struct{}
 
-// SetSeed installs the run-wide seed (the cmd/hetbench -seed flag).
-func SetSeed(s int64) { seed = s }
+// WithSeed returns ctx carrying the run seed. Every randomized subsystem
+// (today the fault injector; nothing else in the harness draws
+// randomness) derives its stream deterministically from it, so two runs
+// with the same seed, scale and experiment are bit-identical.
+func WithSeed(ctx context.Context, s int64) context.Context {
+	return context.WithValue(ctx, seedKey{}, s)
+}
 
-// Seed returns the run-wide seed.
-func Seed() int64 { return seed }
+// SeedOf returns the seed ctx carries, or the SetSeed fallback (1, the
+// documented `-seed 1`) when it carries none.
+func SeedOf(ctx context.Context) int64 {
+	if s, ok := ctx.Value(seedKey{}).(int64); ok {
+		return s
+	}
+	return fallbackSeed.Load()
+}
+
+var fallbackSeed atomic.Int64
+
+func init() { fallbackSeed.Store(1) }
+
+// SetSeed sets the fallback SeedOf returns for a context without a seed.
+// It exists only for the _perfbench benchmark, which sets its seed this
+// way; everything else uses WithSeed.
+func SetSeed(s int64) { fallbackSeed.Store(s) }
 
 // AppNames in paper order.
 var AppNames = []string{

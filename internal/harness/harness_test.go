@@ -3,6 +3,11 @@ package harness
 import (
 	"bytes"
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -65,6 +70,74 @@ func TestParseScale(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("ParseScale(%q) accepted, want error", c.in)
+		}
+	}
+}
+
+func TestSeedOf(t *testing.T) {
+	defer SetSeed(1)
+	cases := []struct {
+		name     string
+		fallback int64
+		ctx      context.Context
+		want     int64
+	}{
+		{"no value is the documented default", 1, bg, 1},
+		{"WithSeed round-trips", 1, WithSeed(bg, 42), 42},
+		{"context seed wins over the fallback", 5, WithSeed(bg, 3), 3},
+	}
+	for _, c := range cases {
+		SetSeed(c.fallback)
+		if got := SeedOf(c.ctx); got != c.want {
+			t.Errorf("%s: SeedOf = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestNoSetSeedCallers keeps the process-global seed from coming back:
+// the CLI and the service put the seed on the context, so no package
+// under internal/ or cmd/ may call harness.SetSeed.
+func TestNoSetSeedCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"../../internal", "../../cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			name := ""
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"hetbench/internal/harness"` {
+					name = "harness"
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+				}
+			}
+			if name == "" {
+				return nil
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "SetSeed" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+						t.Errorf("%s: calls harness.SetSeed; put the seed on the context with harness.WithSeed", fset.Position(sel.Pos()))
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 		clean := w.Lulesh().Run(m, modelapi.OpenCL)
 		mf := sim.NewDGPU()
 		mf.SetTracer(t)
-		inj := fault.New(faultConfig(perfBaselineFaultRate, cellSeed(7, 7)))
+		inj := fault.New(faultConfig(perfBaselineFaultRate, cellSeed(SeedOf(cx.Context()), 7, 7)))
 		mf.SetFaultInjector(inj, pol)
 		_, totalNs, _, _ := runResilient(mf, pol, clean.Checksum,
 			func() appcore.Result { return w.Lulesh().Run(mf, modelapi.OpenCL) })
@@ -80,7 +80,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 
 	cells = append(cells, runner.Cell{Label: "perfbaseline/coexec", Run: func(cx *runner.Ctx) error {
 		w := newWorkloads(scale, timing.Double)
-		cfg := sched.Config{Policy: sched.Dynamic, Seed: Seed()}
+		cfg := sched.Config{Policy: sched.Dynamic, Seed: SeedOf(cx.Context())}
 		s := sched.New(cfg)
 		m := sim.NewDGPU()
 		t := trace.New()

@@ -94,13 +94,16 @@ func (cx *Ctx) Machine(mk func() *sim.Machine) *sim.Machine {
 }
 
 // jobs/capture are run-wide knobs (the cmd/hetbench -jobs and -trace
-// flags). They are read once per Run call, so flipping them mid-run does
-// not tear a merge.
+// flags). capture is read once per Run call, so flipping it mid-run does
+// not tear a merge. jobs bounds the cells running across all Runs in the
+// process, so concurrent runs (the service's) share one pool.
 var (
-	mu      sync.Mutex
-	jobs    = DefaultJobs()
-	capture *trace.Tracer
-	total   Stats
+	mu       sync.Mutex
+	jobs     = DefaultJobs()
+	running  int // cells holding a pool slot, across all Runs
+	slotFree = sync.NewCond(&mu)
+	capture  *trace.Tracer
+	total    Stats
 )
 
 // DefaultJobs is the worker count used when none is configured: the
@@ -121,10 +124,28 @@ func SetJobs(n int) {
 	mu.Lock()
 	defer mu.Unlock()
 	if n < 1 {
-		jobs = DefaultJobs()
-		return
+		n = DefaultJobs()
 	}
 	jobs = n
+	slotFree.Broadcast()
+}
+
+// acquireSlot blocks until the process-wide pool has room for one more
+// cell; releaseSlot gives the slot back.
+func acquireSlot() {
+	mu.Lock()
+	for running >= jobs {
+		slotFree.Wait()
+	}
+	running++
+	mu.Unlock()
+}
+
+func releaseSlot() {
+	mu.Lock()
+	running--
+	mu.Unlock()
+	slotFree.Signal()
 }
 
 // Jobs returns the configured worker bound.
@@ -246,6 +267,9 @@ func safeRun(c Cell, cx *Ctx) (err error) {
 // concatenated into w (nil w discards output — the Map pattern, where
 // cells communicate through their closure), per-cell tracers fold into
 // the capture tracer, and the first error in cell order is returned.
+// The pool is shared by every Run in the process, so a cell must not
+// call Run itself: once outer cells hold every slot, the inner cells
+// could never start.
 //
 // Cancellation is cooperative at cell granularity: once ctx is canceled,
 // cells that have not yet started are skipped and fail with ctx.Err();
@@ -268,7 +292,6 @@ func Run(ctx context.Context, w io.Writer, cells []Cell) (Stats, error) {
 	// experiment result stays a function of the seed and virtual clocks.
 	start := time.Now() //hetlint:allow detnondet pool wall-clock stats are reported, never part of results
 	prog.runStart()
-	sem := make(chan struct{}, nJobs)
 	var wg sync.WaitGroup
 	for i := range cells {
 		cx := &Ctx{Index: i, Out: &bytes.Buffer{}, ctx: ctx}
@@ -279,8 +302,8 @@ func Run(ctx context.Context, w io.Writer, cells []Cell) (Stats, error) {
 		wg.Add(1)
 		go func(i int, cx *Ctx) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+			acquireSlot()
+			defer releaseSlot()
 			prog.cellStart(i, cells[i].Label)
 			if err := ctx.Err(); err != nil {
 				// Canceled before this cell started: fail it without

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,12 +67,11 @@ func TestRunMergesInCellOrder(t *testing.T) {
 	}
 }
 
-// The pool must never run more than the configured number of cells at
-// once.
-func TestRunBoundsConcurrency(t *testing.T) {
-	withJobs(t, 3)
+// peakCells returns n short cells that record the peak number of them
+// running at once.
+func peakCells(n int) ([]Cell, *atomic.Int64) {
 	var active, peak atomic.Int64
-	cells := make([]Cell, 24)
+	cells := make([]Cell, n)
 	for i := range cells {
 		cells[i] = Cell{Run: func(cx *Ctx) error {
 			cur := active.Add(1)
@@ -86,11 +86,40 @@ func TestRunBoundsConcurrency(t *testing.T) {
 			return nil
 		}}
 	}
+	return cells, &peak
+}
+
+// The pool must never run more than the configured number of cells at
+// once.
+func TestRunBoundsConcurrency(t *testing.T) {
+	withJobs(t, 3)
+	cells, peak := peakCells(24)
 	if _, err := Run(context.Background(), nil, cells); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 3 {
 		t.Errorf("observed %d concurrent cells, want at most 3", p)
+	}
+}
+
+// The bound is process-wide: concurrent Runs share the pool, so two of
+// them together still never run more than the configured number of cells.
+func TestRunBoundsConcurrencyAcrossRuns(t *testing.T) {
+	withJobs(t, 3)
+	cells, peak := peakCells(12)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Run(context.Background(), nil, cells); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p > 3 {
+		t.Errorf("observed %d concurrent cells across two runs, want at most 3", p)
 	}
 }
 

@@ -29,8 +29,9 @@ import (
 	"hetbench/internal/trace"
 )
 
-// RunFunc executes one experiment. The default implementation resolves
-// the id in harness.Registry; chaos tests inject their own.
+// RunFunc executes one experiment. It reads the request's seed with
+// harness.SeedOf(ctx). The default implementation resolves the id in
+// harness.Registry; chaos tests inject their own.
 type RunFunc func(ctx context.Context, experiment string, scale harness.Scale, w io.Writer) error
 
 // Options configures a Service. The zero value is usable: two concurrent
@@ -39,7 +40,8 @@ type RunFunc func(ctx context.Context, experiment string, scale harness.Scale, w
 type Options struct {
 	// MaxConcurrent bounds in-flight experiment runs (not HTTP
 	// connections); <= 0 means 2. Each run already parallelizes
-	// internally over the runner's worker pool.
+	// internally over the runner's worker pool, which concurrent runs
+	// share.
 	MaxConcurrent int
 	// MaxQueued bounds requests waiting for a run slot; beyond it the
 	// service sheds with ErrOverloaded. <= 0 means 8.
@@ -67,8 +69,6 @@ type Service struct {
 
 	inflight sync.WaitGroup
 	draining atomic.Bool
-
-	gate seedGate
 }
 
 // Sentinel errors the HTTP layer maps to statuses.
@@ -311,22 +311,17 @@ func (s *Service) finishFlight(key string, f *flight, res *Result, err error) {
 	s.mu.Unlock()
 }
 
-// execute runs the experiment under the seed gate and classifies the
-// outcome. Only clean results are cached.
+// execute runs the experiment with the request's seed on its context and
+// classifies the outcome. Runs with different seeds share no state, so
+// they proceed concurrently. Only clean results are cached.
 func (s *Service) execute(ctx context.Context, key string, req RunRequest) (*Result, error) {
-	if err := s.gate.acquire(ctx, req.Seed); err != nil {
-		s.reg.Add(trace.CtrServiceCanceled, 1)
-		return nil, err
-	}
-	defer s.gate.release()
-
 	scale, _ := harness.ParseScale(req.Scale)
 	run := s.opts.Run
 	if run == nil {
 		run = registryRun
 	}
 	var buf bytes.Buffer
-	err := run(ctx, req.Experiment, scale, &buf)
+	err := run(harness.WithSeed(ctx, req.Seed), req.Experiment, scale, &buf)
 	res := &Result{
 		Key: key, Experiment: req.Experiment, Scale: req.Scale, Seed: req.Seed,
 		Output: buf.String(),
@@ -378,49 +373,4 @@ func (s *Service) Close(ctx context.Context) error {
 	s.mu.Unlock()
 	<-done
 	return ctx.Err()
-}
-
-// seedGate serializes runs across seeds: the harness seed is a process
-// global, so runs under the same seed proceed concurrently while a
-// request for a different seed waits for the active set to drain before
-// flipping it. Within one seed the golden contract keeps concurrent runs
-// deterministic.
-type seedGate struct {
-	mu     sync.Mutex
-	seed   int64
-	active int
-	wake   chan struct{} // closed and replaced on each drain
-}
-
-func (g *seedGate) acquire(ctx context.Context, seed int64) error {
-	for {
-		g.mu.Lock()
-		if g.active == 0 || g.seed == seed {
-			g.seed = seed
-			harness.SetSeed(seed)
-			g.active++
-			g.mu.Unlock()
-			return nil
-		}
-		if g.wake == nil {
-			g.wake = make(chan struct{})
-		}
-		wake := g.wake
-		g.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-wake:
-		}
-	}
-}
-
-func (g *seedGate) release() {
-	g.mu.Lock()
-	g.active--
-	if g.active == 0 && g.wake != nil {
-		close(g.wake)
-		g.wake = nil
-	}
-	g.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -326,57 +327,88 @@ func TestCloseRefusesNewWork(t *testing.T) {
 	}
 }
 
-func TestSeedGateSerializesSeeds(t *testing.T) {
-	var g seedGate
-	ctx := context.Background()
-	if err := g.acquire(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.acquire(ctx, 1); err != nil {
-		t.Fatal(err) // same seed runs concurrently
-	}
-	acquired := make(chan struct{})
-	go func() {
-		if err := g.acquire(ctx, 2); err != nil {
-			t.Error(err)
+// Runs with different seeds share no state: the faults sweep at seeds 1,
+// 2 and 3, sent at once with room to run together, each match that
+// seed's cold run. Run under -race this also proves no seed is shared
+// between concurrent runs.
+func TestCrossSeedRunsMatchColdRuns(t *testing.T) {
+	bg := context.Background()
+	seeds := []int64{1, 2, 3}
+	cold := make([]string, len(seeds))
+	for i, seed := range seeds {
+		var buf bytes.Buffer
+		if err := harness.Registry()["faults"].Run(harness.WithSeed(bg, seed), harness.ScaleSmoke, &buf); err != nil {
+			t.Fatal(err)
 		}
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("seed 2 acquired while seed 1 was active")
-	case <-time.After(20 * time.Millisecond):
+		cold[i] = buf.String()
 	}
-	g.release()
-	select {
-	case <-acquired:
-		t.Fatal("seed 2 acquired while a seed-1 run remained")
-	case <-time.After(20 * time.Millisecond):
+	if cold[0] == cold[1] {
+		t.Fatal("seeds 1 and 2 render identically; the test cannot tell seeds apart")
 	}
-	g.release() // active drops to 0; seed 2 may proceed
-	select {
-	case <-acquired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("seed 2 never acquired after the seed-1 set drained")
+
+	s := New(Options{MaxConcurrent: 3})
+	res := make([]*Result, len(seeds))
+	errs := make([]error, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = s.Do(bg, RunRequest{Experiment: "faults", Scale: "smoke", Seed: seed})
+		}()
 	}
-	if got := harness.Seed(); got != 2 {
-		t.Fatalf("harness seed = %d, want 2", got)
+	wg.Wait()
+	for i, seed := range seeds {
+		if errs[i] != nil {
+			t.Fatalf("seed %d: %v", seed, errs[i])
+		}
+		if res[i].Output != cold[i] {
+			t.Errorf("seed %d: service output differs from its cold run", seed)
+		}
 	}
-	g.release()
-	harness.SetSeed(1) // restore the process default for other tests
 }
 
-func TestSeedGateAcquireHonorsCancellation(t *testing.T) {
-	var g seedGate
-	bg := context.Background()
-	if err := g.acquire(bg, 1); err != nil {
-		t.Fatal(err)
+// Requests with different seeds run concurrently: each run blocks until
+// runs for two different seeds are in flight at once.
+func TestDifferentSeedsOverlap(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[int64]bool{}
+	both := make(chan struct{})
+	run := func(ctx context.Context, experiment string, scale harness.Scale, w io.Writer) error {
+		seed := harness.SeedOf(ctx)
+		mu.Lock()
+		if !seen[seed] {
+			seen[seed] = true
+			if len(seen) == 2 {
+				close(both)
+			}
+		}
+		mu.Unlock()
+		select {
+		case <-both:
+			fmt.Fprintf(w, "seed %d", seed)
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
+	s := New(Options{Run: run})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := g.acquire(ctx, 2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked acquire: %v, want context.DeadlineExceeded", err)
+	var wg sync.WaitGroup
+	for _, seed := range []int64{1, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := s.Do(ctx, RunRequest{Experiment: "x", Seed: seed})
+			if err != nil {
+				t.Errorf("seed %d: %v (runs for different seeds never overlapped)", seed, err)
+				return
+			}
+			if want := fmt.Sprintf("seed %d", seed); res.Output != want {
+				t.Errorf("seed %d: run saw %q", seed, res.Output)
+			}
+		}()
 	}
-	g.release()
-	harness.SetSeed(1)
+	wg.Wait()
 }
