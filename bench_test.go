@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hetbench/internal/analysis"
+	"hetbench/internal/apps/minife"
 	"hetbench/internal/fault"
 	"hetbench/internal/harness"
 	"hetbench/internal/harness/runner"
@@ -292,6 +293,16 @@ func benchHetlintModule(b *testing.B) {
 	}
 }
 
+// benchMinifeAssemble builds miniFE's CSR system at the small-scale mesh
+// (48³ elements, 117,649 rows), the set-up every miniFE cell pays.
+func benchMinifeAssemble(b *testing.B) {
+	cfg := minife.Config{Nx: 48, Ny: 48, Nz: 48, MaxIters: 30}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		minife.Assemble(cfg)
+	}
+}
+
 func benchHistObserve(b *testing.B) {
 	reg := &trace.Registry{}
 	reg.Observe(trace.HistKernelNs, 1)
@@ -338,6 +349,12 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // every traced launch now pays per distribution sample.
 func BenchmarkHistObserve(b *testing.B) {
 	b.Run("observe", benchHistObserve)
+}
+
+// BenchmarkMinifeAssemble measures miniFE's sparse-matrix assembly, the
+// largest per-cell set-up cost in the figure sweeps.
+func BenchmarkMinifeAssemble(b *testing.B) {
+	b.Run("small", benchMinifeAssemble)
 }
 
 // BenchmarkHetlint measures the six-analyzer parallel driver over the
@@ -396,6 +413,7 @@ func TestWriteBenchHotpath(t *testing.T) {
 		{"split/on", benchSplitOn},
 		{"hist/observe", benchHistObserve},
 		{"hetlint/module", benchHetlintModule},
+		{"minife/assemble", benchMinifeAssemble},
 	}
 	for _, leaf := range leaves {
 		r := testing.Benchmark(leaf.fn)

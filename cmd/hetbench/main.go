@@ -14,6 +14,7 @@
 //	hetbench -exp fig8 -jobs 8 -v          # parallel cells + runner stats
 //	hetbench -exp all -progress            # live one-line progress on stderr
 //	hetbench -exp fig9 -metrics m.csv      # counters + histogram quantiles as CSV
+//	hetbench -exp fig9 -cpuprofile cpu.out # pprof CPU profile (-memprofile: heap)
 //	hetbench -exp perfbaseline -bench-out BENCH_runner.json
 //	hetbench -bench-delta old.json,new.json -bench-threshold 0.2
 //
@@ -44,6 +45,7 @@ import (
 
 	"hetbench/internal/harness"
 	"hetbench/internal/harness/runner"
+	"hetbench/internal/profiling"
 	"hetbench/internal/report"
 	"hetbench/internal/trace"
 )
@@ -74,6 +76,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	benchOut := fs.String("bench-out", "", "write the runner's wall-clock stats as a BENCH_*.json snapshot to this file")
 	benchDelta := fs.String("bench-delta", "", "compare two BENCH_*.json snapshots (OLD,NEW) and exit; nonzero on regression")
 	benchThreshold := fs.Float64("bench-threshold", 0.2, "tolerated fractional ns/op growth for -bench-delta (0 disables the time gate)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file when the run ends")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -115,7 +119,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stderr, "invalid -seed %d: the seed must be a positive integer\n", *seed)
 		return 2
 	}
-	ctx = harness.WithSeed(ctx, *seed)
+	// One characterization memo for the whole invocation: -exp all
+	// measures each (app, device) once across every experiment.
+	ctx = harness.WithMemo(harness.WithSeed(ctx, *seed))
+
+	stopProfile, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(stderr, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 	runner.SetJobs(*jobsFlag) // 0 restores the default (HETBENCH_JOBS or GOMAXPROCS)
 	runner.ResetStats()
 

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -156,5 +158,44 @@ func TestRunFleetSeedDeterminism(t *testing.T) {
 	}
 	if render("3") == a {
 		t.Fatal("-seed 3 reproduced -seed 1's output exactly")
+	}
+}
+
+// -cpuprofile and -memprofile write non-empty pprof files and leave
+// stdout byte-identical to a run without them.
+func TestRunProfilesLeaveOutputUnchanged(t *testing.T) {
+	args := []string{"-exp", "fig9", "-scale", "smoke", "-seed", "1"}
+	var plain, stderr bytes.Buffer
+	if code := run(context.Background(), args, &plain, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr: %s", args, code, stderr.String())
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	var profiled bytes.Buffer
+	stderr.Reset()
+	pargs := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...)
+	if code := run(context.Background(), pargs, &profiled, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr: %s", pargs, code, stderr.String())
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Errorf("stdout differs with profiling on:\n--- without\n%s\n--- with\n%s", plain.String(), profiled.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", path, err)
+		}
+	}
+}
+
+// An unwritable profile path is a runtime failure, reported before any
+// experiment runs.
+func TestRunProfileUnwritable(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-exp", "table2", "-scale", "smoke", "-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.out")}
+	if code := run(context.Background(), args, &stdout, &stderr); code != 1 {
+		t.Fatalf("run(%v) = %d, want 1", args, code)
+	}
+	if !strings.Contains(stderr.String(), "cpuprofile") || stdout.Len() != 0 {
+		t.Errorf("stdout %q, stderr %q: want only a cpuprofile error", stdout.String(), stderr.String())
 	}
 }

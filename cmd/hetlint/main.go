@@ -10,7 +10,8 @@
 //
 // Usage:
 //
-//	hetlint [-list] [-only analyzer[,analyzer]] [-format text|json|sarif] [-jobs n] [packages]
+//	hetlint [-list] [-only analyzer[,analyzer]] [-format text|json|sarif] [-jobs n]
+//	        [-cpuprofile file] [-memprofile file] [packages]
 //
 // Packages default to ./... resolved against the enclosing module.
 // Packages are analyzed on a bounded worker pool (-jobs, default
@@ -23,8 +24,11 @@
 // sarif prints a SARIF 2.1.0 log with module-root-relative paths for
 // code-scanning upload.
 //
+// -cpuprofile and -memprofile write pprof profiles of the run; the
+// findings are the same with or without them.
+//
 // Exit status: 0 when no findings survive suppression, 1 when findings
-// are reported, 2 on usage or load errors.
+// are reported, 2 on usage, load or profile-writing errors.
 package main
 
 import (
@@ -38,21 +42,24 @@ import (
 	"strings"
 
 	"hetbench/internal/analysis"
+	"hetbench/internal/profiling"
 )
 
 func main() {
 	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-func run(stdout, stderr io.Writer, args []string) int {
+func run(stdout, stderr io.Writer, args []string) (code int) {
 	fs := flag.NewFlagSet("hetlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "packages analyzed in parallel (findings are identical at any value)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the load and analysis to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file when the analysis ends")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: hetlint [-list] [-only analyzer[,analyzer]] [-format text|json|sarif] [-jobs n] [packages]")
+		fmt.Fprintln(stderr, "usage: hetlint [-list] [-only analyzer[,analyzer]] [-format text|json|sarif] [-jobs n] [-cpuprofile file] [-memprofile file] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -77,6 +84,18 @@ func run(stdout, stderr io.Writer, args []string) int {
 			return 2
 		}
 	}
+
+	stopProfile, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(stderr, "hetlint: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(stderr, "hetlint: %v\n", err)
+			code = 2
+		}
+	}()
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -223,5 +225,30 @@ func TestFindingsDeterministicAcrossJobs(t *testing.T) {
 	}
 	if strings.Count(outputs[0], "\n") == 0 {
 		t.Error("fixture tree produced no findings; determinism test is vacuous")
+	}
+}
+
+// -cpuprofile and -memprofile write non-empty pprof files and leave the
+// findings byte-identical to a run without them.
+func TestProfilesLeaveFindingsUnchanged(t *testing.T) {
+	args := []string{"-only", "counterkey", "../../internal/analysis/testdata/src/counterkey"}
+	var plain, errb bytes.Buffer
+	if code := run(&plain, &errb, args); code != 1 {
+		t.Fatalf("exit %d, want 1 (fixture has findings); stderr: %s", code, errb.String())
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	var profiled bytes.Buffer
+	errb.Reset()
+	if code := run(&profiled, &errb, append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...)); code != 1 {
+		t.Fatalf("profiled exit %d, want 1; stderr: %s", code, errb.String())
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Errorf("findings differ with profiling on:\n--- without\n%s\n--- with\n%s", plain.String(), profiled.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", path, err)
+		}
 	}
 }

@@ -1,12 +1,14 @@
 // Package appcore holds the vocabulary shared by the proxy applications:
 // the run-result record every implementation returns, precision helpers,
-// and the conversion from cache-simulator measurements to the timing
-// model's (MissRate, Coalesce) memory traits.
+// the conversion from cache-simulator measurements to the timing model's
+// (MissRate, Coalesce) memory traits, and the run-scoped memo those
+// characterizations are shared through.
 package appcore
 
 import (
 	"fmt"
 
+	"hetbench/internal/memo"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim/cache"
 	"hetbench/internal/sim/device"
@@ -81,6 +83,36 @@ func Flops(p timing.Precision, n float64) (sp, dp float64) {
 // serial walk.
 func Streams(dev *device.Device) int {
 	return dev.ComputeUnits * 8
+}
+
+// Memo is a run's characterization memo. Each app keys it with its own
+// unexported key type holding the inputs that determine its address
+// traces: app config, precision and the device Geometry. Values stored in
+// it are shared by every cell of the run and must never be mutated.
+type Memo = memo.Map[any, any]
+
+// Characterize returns compute's result for key, computing it at most
+// once per memo. A nil memo computes every time.
+func Characterize[K comparable, V any](m *Memo, key K, compute func() V) V {
+	return m.Get(key, func() any { return compute() }).(V)
+}
+
+// Geometry is every device field a characterization reads: the LLC shape
+// Traits replays through, and the compute-unit count Streams derives
+// trace interleaving from. It keys characterization memos, so two devices
+// with equal Geometry share one characterization.
+type Geometry struct {
+	L2SizeBytes, L2Ways, CacheLineBytes, ComputeUnits int
+}
+
+// GeometryOf extracts dev's Geometry.
+func GeometryOf(dev *device.Device) Geometry {
+	return Geometry{
+		L2SizeBytes:    dev.L2SizeBytes,
+		L2Ways:         dev.L2Ways,
+		CacheLineBytes: dev.CacheLineBytes,
+		ComputeUnits:   dev.ComputeUnits,
+	}
 }
 
 // Traits replays a sampled address trace (byte addresses, each touching

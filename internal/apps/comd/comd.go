@@ -347,33 +347,45 @@ func (s *State) forceTrace(elt, streams int) []uint64 {
 	return trace
 }
 
-// Specs builds the three kernel specs with traits measured on the
-// machine's accelerator LLC from the real link-cell gather pattern.
-func (s *State) Specs(m *sim.Machine, prec timing.Precision) map[string]modelapi.KernelSpec {
+// characterization is the measured LLC behaviour of the three kernels
+// on one device: the force-gather replay (miss rate, coalescing and
+// per-access miss rate) and the streaming replay of the integrators.
+type characterization struct {
+	forceMiss, forceCoalesce, forceAccessMiss float64
+	streamMiss, streamCoalesce                float64
+}
+
+func (s *State) characterize(m *sim.Machine, prec timing.Precision) (c characterization) {
 	elt := int(appcore.EltBytes(prec))
 	trace := s.forceTrace(elt, concurrentStreams(m))
-	fMiss, fCoal, _ := appcore.Traits(m.Accelerator(), trace, 3*elt)
+	c.forceMiss, c.forceCoalesce, c.forceAccessMiss = appcore.Traits(m.Accelerator(), trace, 3*elt)
 
 	stream := make([]uint64, 1<<15)
 	for i := range stream {
 		stream[i] = uint64(i * elt)
 	}
-	sMiss, sCoal, _ := appcore.Traits(m.Accelerator(), stream, elt)
+	c.streamMiss, c.streamCoalesce, _ = appcore.Traits(m.Accelerator(), stream, elt)
+	return c
+}
 
+func (c characterization) specs() map[string]modelapi.KernelSpec {
 	return map[string]modelapi.KernelSpec{
-		KForce:    {Name: KForce, Class: modelapi.Irregular, MissRate: fMiss, Coalesce: fCoal},
-		KVelocity: {Name: KVelocity, Class: modelapi.Streaming, MissRate: sMiss, Coalesce: sCoal},
-		KPosition: {Name: KPosition, Class: modelapi.Streaming, MissRate: sMiss, Coalesce: sCoal},
+		KForce:    {Name: KForce, Class: modelapi.Irregular, MissRate: c.forceMiss, Coalesce: c.forceCoalesce},
+		KVelocity: {Name: KVelocity, Class: modelapi.Streaming, MissRate: c.streamMiss, Coalesce: c.streamCoalesce},
+		KPosition: {Name: KPosition, Class: modelapi.Streaming, MissRate: c.streamMiss, Coalesce: c.streamCoalesce},
 	}
+}
+
+// Specs builds the three kernel specs with traits measured on the
+// machine's accelerator LLC from the real link-cell gather pattern.
+func (s *State) Specs(m *sim.Machine, prec timing.Precision) map[string]modelapi.KernelSpec {
+	return s.characterize(m, prec).specs()
 }
 
 // MeasuredMissRate reports the per-access LLC miss rate of the force
 // gather (the Table I number: 26%).
 func (s *State) MeasuredMissRate(m *sim.Machine, prec timing.Precision) float64 {
-	elt := int(appcore.EltBytes(prec))
-	trace := s.forceTrace(elt, concurrentStreams(m))
-	_, _, acc := appcore.Traits(m.Accelerator(), trace, 3*elt)
-	return acc
+	return s.characterize(m, prec).forceAccessMiss
 }
 
 // concurrentStreams approximates how many independent wavefront positions

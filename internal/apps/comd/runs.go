@@ -24,6 +24,41 @@ const rebuildEvery = 10
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
+	// Memo, when set, shares the characterization with every problem of
+	// the same Cfg and Precision in the run; nil measures on every call.
+	Memo *appcore.Memo
+}
+
+// charKey keys the characterization in a run memo: the initial lattice,
+// the element size and the LLC geometry (stream count included) are
+// everything the traces depend on.
+type charKey struct {
+	cfg  Config
+	prec timing.Precision
+	geom appcore.Geometry
+}
+
+// characterize returns the characterization on the machine's
+// accelerator, measured once per run memo. s must be a fresh
+// NewState(p.Cfg); nil builds one if the memo misses.
+func (p *Problem) characterize(m *sim.Machine, s *State) characterization {
+	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(m.Accelerator())}
+	return appcore.Characterize(p.Memo, key, func() characterization {
+		if s == nil {
+			s = NewState(p.Cfg)
+		}
+		return s.characterize(m, p.Precision)
+	})
+}
+
+func (p *Problem) specs(m *sim.Machine, s *State) map[string]modelapi.KernelSpec {
+	return p.characterize(m, s).specs()
+}
+
+// MeasuredMissRate reports the force gather's per-access LLC miss rate
+// on the machine (the Table I number), measured once per run memo.
+func (p *Problem) MeasuredMissRate(m *sim.Machine) float64 {
+	return p.characterize(m, nil).forceAccessMiss
 }
 
 // NewProblem validates and wraps a configuration.
@@ -202,7 +237,7 @@ func (p *Problem) result(m *sim.Machine, model modelapi.Name, s *State) appcore.
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
 	s := NewState(p.Cfg)
-	p.run(m, s, s.Specs(m, p.Precision), &ompDriver{rt: openmp.New(m)}, false)
+	p.run(m, s, p.specs(m, s), &ompDriver{rt: openmp.New(m)}, false)
 	return p.result(m, modelapi.OpenMP, s)
 }
 
@@ -220,7 +255,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 			cells = buf
 		}
 	}
-	p.run(m, s, s.Specs(m, p.Precision), &clDriver{q: q, cells: cells}, true)
+	p.run(m, s, p.specs(m, s), &clDriver{q: q, cells: cells}, true)
 	q.EnqueueReadBuffer(ctx.CreateBuffer("comd.force", p.groups(s)[2].bytes))
 	q.Finish()
 	return p.result(m, modelapi.OpenCL, s)
@@ -241,7 +276,7 @@ func (p *Problem) RunOpenCLFlat(m *sim.Machine) appcore.Result {
 			cells = buf
 		}
 	}
-	p.run(m, s, s.Specs(m, p.Precision), &clDriver{q: q, cells: cells}, false)
+	p.run(m, s, p.specs(m, s), &clDriver{q: q, cells: cells}, false)
 	return p.result(m, modelapi.OpenCL, s)
 }
 
@@ -260,7 +295,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 			cells = v
 		}
 	}
-	p.run(m, s, s.Specs(m, p.Precision), &ampDriver{rt: rt, views: views, cells: cells}, true)
+	p.run(m, s, p.specs(m, s), &ampDriver{rt: rt, views: views, cells: cells}, true)
 	views[2].Synchronize() // forces + energies
 	return p.result(m, modelapi.CppAMP, s)
 }
@@ -277,7 +312,7 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 		clauses = append(clauses, openacc.Copy(g.name, g.bytes))
 	}
 	region := rt.Data(clauses...)
-	p.run(m, s, s.Specs(m, p.Precision), &accDriver{rt: rt}, false)
+	p.run(m, s, p.specs(m, s), &accDriver{rt: rt}, false)
 	region.End()
 	return p.result(m, modelapi.OpenACC, s)
 }

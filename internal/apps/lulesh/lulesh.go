@@ -11,6 +11,7 @@ import (
 	"hetbench/internal/models/opencl"
 	"hetbench/internal/models/openmp"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
@@ -23,6 +24,9 @@ type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	Mesh      *Mesh
+	// Memo, when set, shares the characterization with every problem of
+	// the same Cfg and Precision in the run; nil measures on every call.
+	Memo *appcore.Memo
 }
 
 // NewProblem builds the mesh for a configuration.
@@ -68,11 +72,35 @@ func (p *Problem) group(name string) arrayGroup {
 // ---------------------------------------------------------------------
 // Characterization: kernel specs with traits measured on the machine.
 
-// specs builds the per-kernel memory traits by replaying realistic address
-// traces (built from the actual mesh connectivity) through the
-// accelerator's LLC model.
+// specsKey keys the kernel specs in a run memo: the mesh, the element
+// size and the LLC geometry are everything the traces depend on.
+type specsKey struct {
+	cfg  Config
+	prec timing.Precision
+	geom appcore.Geometry
+}
+
+// missKey keys the Table I miss rate, which replays a different trace.
+type missKey specsKey
+
+func (p *Problem) key(dev *device.Device) specsKey {
+	return specsKey{p.Cfg, p.Precision, appcore.GeometryOf(dev)}
+}
+
+// specs returns the per-kernel memory traits on the machine's
+// accelerator, measured once per run memo. Each call gets its own copy.
 func (p *Problem) specs(m *sim.Machine) *[NumKernels]modelapi.KernelSpec {
 	dev := m.Accelerator()
+	out := appcore.Characterize(p.Memo, p.key(dev), func() [NumKernels]modelapi.KernelSpec {
+		return p.measureSpecs(dev)
+	})
+	return &out
+}
+
+// measureSpecs builds the per-kernel memory traits by replaying realistic
+// address traces (built from the actual mesh connectivity) through the
+// accelerator's LLC model.
+func (p *Problem) measureSpecs(dev *device.Device) (out [NumKernels]modelapi.KernelSpec) {
 	elt := int(appcore.EltBytes(p.Precision))
 	mesh := p.Mesh
 	ne, nn := mesh.NumElem, mesh.NumNode
@@ -121,7 +149,6 @@ func (p *Problem) specs(m *sim.Machine) *[NumKernels]modelapi.KernelSpec {
 	}
 	sMiss, sCoal, _ := appcore.Traits(dev, stream, elt)
 
-	var out [NumKernels]modelapi.KernelSpec
 	for id := KernelID(0); id < NumKernels; id++ {
 		meta := Kernels[id]
 		spec := modelapi.KernelSpec{Name: meta.Name, Class: meta.Class}
@@ -135,14 +162,18 @@ func (p *Problem) specs(m *sim.Machine) *[NumKernels]modelapi.KernelSpec {
 		}
 		out[id] = spec
 	}
-	return &out
+	return out
 }
 
 // MeasuredTraits reports the aggregate per-access LLC miss rate of the
 // application's dominant access patterns on a device — the Table I
-// characterization number.
+// characterization number — measured once per run memo.
 func (p *Problem) MeasuredTraits(m *sim.Machine) (missRate float64) {
 	dev := m.Accelerator()
+	return appcore.Characterize(p.Memo, missKey(p.key(dev)), func() float64 { return p.measureMiss(dev) })
+}
+
+func (p *Problem) measureMiss(dev *device.Device) float64 {
 	elt := int(appcore.EltBytes(p.Precision))
 	mesh := p.Mesh
 	sample := mesh.NumElem

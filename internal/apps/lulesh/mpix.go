@@ -41,7 +41,7 @@ func (p *Problem) RunMPIX(c *mpix.Cluster) MPIXResult {
 	rec.EnableCostLog()
 	fnCfg := p.Cfg
 	fnCfg.Iters, fnCfg.FunctionalIters = 1, 1
-	fn := &Problem{Cfg: fnCfg, Precision: p.Precision, Mesh: p.Mesh}
+	fn := &Problem{Cfg: fnCfg, Precision: p.Precision, Mesh: p.Mesh, Memo: p.Memo}
 	fn.RunOpenCL(rec)
 	log := rec.CostLog()
 

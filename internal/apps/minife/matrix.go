@@ -120,59 +120,102 @@ const massShift = 0.1
 // contributions (the "generated and assembled into a sparse matrix"
 // phase of miniFE) plus a mass shift on the diagonal. b is the unit
 // source vector.
+//
+// Every node couples to the in-bounds nodes of its 3×3×3 neighbourhood,
+// so the row structure is known before any element is visited: a row's
+// columns, in ascending order, are its neighbour offsets in (z, y, x)
+// lexicographic order. Each element then adds its 8×8 stiffness into
+// fixed slots, elements in z-, y-, x-major order, so every value is the
+// same floating-point sum an entry-by-entry accumulation would produce.
 func Assemble(cfg Config) (*CSR, []float64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return assemble(cfg)
+}
+
+// assemble is Assemble without validation; any mesh of at least one
+// element per dimension assembles.
+func assemble(cfg Config) (*CSR, []float64) {
 	npx, npy := cfg.Nx+1, cfg.Ny+1
 	rows := cfg.NumRows()
-	node := func(i, j, k int) int32 { return int32((k*npy+j)*npx + i) }
-
-	dx := [8]int{0, 1, 1, 0, 0, 1, 1, 0}
-	dy := [8]int{0, 0, 1, 1, 0, 0, 1, 1}
-	dz := [8]int{0, 0, 0, 0, 1, 1, 1, 1}
-
-	// Structured 27-point stencil: build per-row column sets directly.
-	type entry struct {
-		col int32
-		val float64
+	// Per dimension, the nodes' in-bounds neighbour counts sum to 3n+1.
+	nnz := (3*cfg.Nx + 1) * (3*cfg.Ny + 1) * (3*cfg.Nz + 1)
+	a := &CSR{
+		NumRows: rows,
+		RowPtr:  make([]int32, rows+1),
+		Cols:    make([]int32, 0, nnz),
+		Vals:    make([]float64, nnz),
 	}
-	rowsAcc := make([]map[int32]float64, rows)
-	for r := range rowsAcc {
-		rowsAcc[r] = make(map[int32]float64, 27)
+	// span returns the lowest neighbour offset of coordinate c on an axis
+	// of n elements, and how many offsets are in bounds.
+	span := func(c, n int) (lo, cnt int) {
+		lo, cnt = -1, 3
+		if c == 0 {
+			lo, cnt = 0, 2
+		}
+		if c == n {
+			cnt--
+		}
+		return lo, cnt
 	}
+	r := 0
+	for z := 0; z <= cfg.Nz; z++ {
+		loZ, nZ := span(z, cfg.Nz)
+		for y := 0; y <= cfg.Ny; y++ {
+			loY, nY := span(y, cfg.Ny)
+			for x := 0; x <= cfg.Nx; x++ {
+				loX, nX := span(x, cfg.Nx)
+				for dz := loZ; dz < loZ+nZ; dz++ {
+					for dy := loY; dy < loY+nY; dy++ {
+						for dx := loX; dx < loX+nX; dx++ {
+							a.Cols = append(a.Cols, int32(r+(dz*npy+dy)*npx+dx))
+						}
+					}
+				}
+				r++
+				a.RowPtr[r] = int32(len(a.Cols))
+			}
+		}
+	}
+
+	// Element corners in the stiffness matrix's local order.
+	cx := [8]int{0, 1, 1, 0, 0, 1, 1, 0}
+	cy := [8]int{0, 0, 1, 1, 0, 0, 1, 1}
+	cz := [8]int{0, 0, 0, 0, 1, 1, 1, 1}
 	for ez := 0; ez < cfg.Nz; ez++ {
 		for ey := 0; ey < cfg.Ny; ey++ {
 			for ex := 0; ex < cfg.Nx; ex++ {
-				var n [8]int32
-				for c := 0; c < 8; c++ {
-					n[c] = node(ex+dx[c], ey+dy[c], ez+dz[c])
-				}
 				for i := 0; i < 8; i++ {
-					acc := rowsAcc[n[i]]
+					x, y, z := ex+cx[i], ey+cy[i], ez+cz[i]
+					loX, nX := span(x, cfg.Nx)
+					loY, nY := span(y, cfg.Ny)
+					loZ, _ := span(z, cfg.Nz)
+					// Corner j's slot in corner i's row is the rank of
+					// their offset among the row's in-bounds offsets.
+					sy, sz := nX, nX*nY
+					base := int(a.RowPtr[(z*npy+y)*npx+x]) -
+						(cz[i]+loZ)*sz - (cy[i]+loY)*sy - (cx[i] + loX)
+					row := a.Vals[base:]
 					for j := 0; j < 8; j++ {
-						acc[n[j]] += hexStiffness[i][j]
+						row[cz[j]*sz+cy[j]*sy+cx[j]] += hexStiffness[i][j]
 					}
 				}
 			}
 		}
 	}
-
-	a := &CSR{NumRows: rows, RowPtr: make([]int32, rows+1)}
-	for r := 0; r < rows; r++ {
-		acc := rowsAcc[r]
-		acc[int32(r)] += massShift
-		// Deterministic column order.
-		cols := make([]int32, 0, len(acc))
-		for c := range acc {
-			cols = append(cols, c)
+	// The diagonal is the centre offset of each row.
+	r = 0
+	for z := 0; z <= cfg.Nz; z++ {
+		loZ, _ := span(z, cfg.Nz)
+		for y := 0; y <= cfg.Ny; y++ {
+			loY, nY := span(y, cfg.Ny)
+			for x := 0; x <= cfg.Nx; x++ {
+				loX, nX := span(x, cfg.Nx)
+				a.Vals[int(a.RowPtr[r])-(loZ*nY+loY)*nX-loX] += massShift
+				r++
+			}
 		}
-		sortInt32(cols)
-		for _, c := range cols {
-			a.Cols = append(a.Cols, c)
-			a.Vals = append(a.Vals, acc[c])
-		}
-		a.RowPtr[r+1] = int32(len(a.Cols))
 	}
 
 	// Spatially varying source (a constant b would be an eigenvector of
@@ -182,19 +225,6 @@ func Assemble(cfg Config) (*CSR, []float64) {
 		b[i] = 1 + 0.5*math.Sin(float64(i)*0.37)
 	}
 	return a, b
-}
-
-func sortInt32(s []int32) {
-	// insertion sort: rows have ≤27 entries
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }
 
 // Residual returns ‖b − A·x‖₂.

@@ -1,7 +1,10 @@
 package minife
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -71,6 +74,84 @@ func TestAssembly(t *testing.T) {
 		for i := a.RowPtr[r] + 1; i < a.RowPtr[r+1]; i++ {
 			if a.Cols[i-1] >= a.Cols[i] {
 				t.Fatalf("row %d columns unsorted", r)
+			}
+		}
+	}
+}
+
+// assembleWithMaps is the reference assembly: per-row maps accumulate
+// each element's stiffness in element order, then every row's columns
+// are sorted. Assemble must reproduce it bit for bit.
+func assembleWithMaps(cfg Config) *CSR {
+	npx, npy := cfg.Nx+1, cfg.Ny+1
+	rows := cfg.NumRows()
+	node := func(i, j, k int) int32 { return int32((k*npy+j)*npx + i) }
+	dx := [8]int{0, 1, 1, 0, 0, 1, 1, 0}
+	dy := [8]int{0, 0, 1, 1, 0, 0, 1, 1}
+	dz := [8]int{0, 0, 0, 0, 1, 1, 1, 1}
+	acc := make([]map[int32]float64, rows)
+	for r := range acc {
+		acc[r] = make(map[int32]float64, 27)
+	}
+	for ez := 0; ez < cfg.Nz; ez++ {
+		for ey := 0; ey < cfg.Ny; ey++ {
+			for ex := 0; ex < cfg.Nx; ex++ {
+				var n [8]int32
+				for c := range n {
+					n[c] = node(ex+dx[c], ey+dy[c], ez+dz[c])
+				}
+				for i := 0; i < 8; i++ {
+					for j := 0; j < 8; j++ {
+						acc[n[i]][n[j]] += hexStiffness[i][j]
+					}
+				}
+			}
+		}
+	}
+	a := &CSR{NumRows: rows, RowPtr: make([]int32, rows+1)}
+	for r := 0; r < rows; r++ {
+		acc[r][int32(r)] += massShift
+		cols := make([]int32, 0, len(acc[r]))
+		for c := range acc[r] {
+			cols = append(cols, c)
+		}
+		sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
+		for _, c := range cols {
+			a.Cols = append(a.Cols, c)
+			a.Vals = append(a.Vals, acc[r][c])
+		}
+		a.RowPtr[r+1] = int32(len(a.Cols))
+	}
+	return a
+}
+
+func TestAssembleMatchesMapReference(t *testing.T) {
+	for _, c := range []Config{
+		{Nx: 1, Ny: 1, Nz: 1},
+		{Nx: 2, Ny: 2, Nz: 2},
+		{Nx: 3, Ny: 5, Nz: 2},
+		{Nx: 1, Ny: 4, Nz: 7},
+		{Nx: 6, Ny: 1, Nz: 3},
+		{Nx: 24, Ny: 24, Nz: 24},
+	} {
+		got, b := assemble(c)
+		want := assembleWithMaps(c)
+		name := fmt.Sprintf("%dx%dx%d", c.Nx, c.Ny, c.Nz)
+		if got.NumRows != want.NumRows || len(b) != want.NumRows {
+			t.Fatalf("%s: %d rows (b %d), want %d", name, got.NumRows, len(b), want.NumRows)
+		}
+		if !slices.Equal(got.RowPtr, want.RowPtr) {
+			t.Fatalf("%s: RowPtr differs from the map reference", name)
+		}
+		if !slices.Equal(got.Cols, want.Cols) {
+			t.Fatalf("%s: Cols differ from the map reference", name)
+		}
+		if len(got.Vals) != len(want.Vals) {
+			t.Fatalf("%s: %d values, want %d", name, len(got.Vals), len(want.Vals))
+		}
+		for i := range want.Vals {
+			if math.Float64bits(got.Vals[i]) != math.Float64bits(want.Vals[i]) {
+				t.Fatalf("%s: Vals[%d] = %v, want %v bit for bit", name, i, got.Vals[i], want.Vals[i])
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"hetbench/internal/models/opencl"
 	"hetbench/internal/models/openmp"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
@@ -45,6 +46,9 @@ type Problem struct {
 	Precision timing.Precision
 	A         *CSR
 	B         []float64
+	// Memo, when set, shares the characterization with every problem of
+	// the same Cfg and Precision in the run; nil measures on every call.
+	Memo *appcore.Memo
 }
 
 // NewProblem assembles the FE system.
@@ -60,11 +64,32 @@ type SolveResult struct {
 	Residual   float64
 }
 
-// specs builds kernel specs with traits measured on the machine;
-// adaptive selects the CSR-Adaptive SpMV (OpenCL/C++ AMP) versus the
-// scalar row-per-thread form (OpenACC, OpenMP host loop).
-func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.KernelSpec {
+// charKey keys the characterization in a run memo: the matrix structure,
+// the element size and the LLC geometry (stream count included) are
+// everything the traces depend on.
+type charKey struct {
+	cfg  Config
+	prec timing.Precision
+	geom appcore.Geometry
+}
+
+// characterization is the measured LLC behaviour of the solver's kernels
+// on one device: the SpMV trace replay (miss rate and per-access miss
+// rate) and the vector-stream replay shared by axpy and dot.
+type characterization struct {
+	spmvMiss, spmvAccessMiss float64
+	vecMiss, vecCoalesce     float64
+}
+
+// characterize returns the characterization on the machine's
+// accelerator, measured once per run memo.
+func (p *Problem) characterize(m *sim.Machine) characterization {
 	dev := m.Accelerator()
+	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(dev)}
+	return appcore.Characterize(p.Memo, key, func() characterization { return p.measure(dev) })
+}
+
+func (p *Problem) measure(dev *device.Device) (c characterization) {
 	elt := int(appcore.EltBytes(p.Precision))
 	streams := appcore.Streams(dev)
 
@@ -92,15 +117,23 @@ func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.Kerne
 			}
 		}
 	}
-	sMiss, _, _ := appcore.Traits(dev, trace, elt)
+	c.spmvMiss, _, c.spmvAccessMiss = appcore.Traits(dev, trace, elt)
 
 	stream := make([]uint64, 1<<15)
 	for i := range stream {
 		stream[i] = uint64(i * elt)
 	}
-	vMiss, vCoal, _ := appcore.Traits(dev, stream, elt)
+	c.vecMiss, c.vecCoalesce, _ = appcore.Traits(dev, stream, elt)
+	return c
+}
 
-	spmv := modelapi.KernelSpec{Name: KSpMV, MissRate: sMiss}
+// specs builds kernel specs with traits measured on the machine;
+// adaptive selects the CSR-Adaptive SpMV (OpenCL/C++ AMP) versus the
+// scalar row-per-thread form (OpenACC, OpenMP host loop). The traces do
+// not depend on adaptive, so both forms share one characterization.
+func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.KernelSpec {
+	c := p.characterize(m)
+	spmv := modelapi.KernelSpec{Name: KSpMV, MissRate: c.spmvMiss}
 	if adaptive {
 		spmv.Class, spmv.Coalesce = modelapi.Regular, coalesceAdaptive
 	} else {
@@ -108,37 +141,14 @@ func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.Kerne
 	}
 	return map[string]modelapi.KernelSpec{
 		KSpMV: spmv,
-		KAxpy: {Name: KAxpy, Class: modelapi.Streaming, MissRate: vMiss, Coalesce: vCoal},
-		KDot:  {Name: KDot, Class: modelapi.Streaming, MissRate: vMiss, Coalesce: vCoal},
+		KAxpy: {Name: KAxpy, Class: modelapi.Streaming, MissRate: c.vecMiss, Coalesce: c.vecCoalesce},
+		KDot:  {Name: KDot, Class: modelapi.Streaming, MissRate: c.vecMiss, Coalesce: c.vecCoalesce},
 	}
 }
 
 // MeasuredMissRate reports the SpMV per-access LLC miss rate (Table I: 39%).
 func (p *Problem) MeasuredMissRate(m *sim.Machine) float64 {
-	dev := m.Accelerator()
-	elt := int(appcore.EltBytes(p.Precision))
-	streams := appcore.Streams(dev)
-	rows := p.A.NumRows
-	perStream := rows / streams
-	if perStream == 0 {
-		perStream = 1
-	}
-	var trace []uint64
-	for step := 0; step < perStream && len(trace) < 1<<19; step++ {
-		for w := 0; w < streams; w++ {
-			r := w*perStream + step
-			if r >= rows {
-				continue
-			}
-			for i := p.A.RowPtr[r]; i < p.A.RowPtr[r+1]; i++ {
-				trace = append(trace, uint64(i)*uint64(elt))
-				trace = append(trace, (uint64(1)<<33)+uint64(i)*4)
-				trace = append(trace, (uint64(1)<<34)+uint64(p.A.Cols[i])*uint64(elt))
-			}
-		}
-	}
-	_, _, acc := appcore.Traits(dev, trace, elt)
-	return acc
+	return p.characterize(m).spmvAccessMiss
 }
 
 // driver abstracts per-model launching plus the per-iteration readback of

@@ -18,6 +18,7 @@ import (
 	"hetbench/internal/models/opencl"
 	"hetbench/internal/models/openmp"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
@@ -50,6 +51,9 @@ func (c Config) Validate() error {
 type Problem struct {
 	Cfg Config
 	In  []float64
+	// Memo, when set, shares the kernel spec with every problem of the
+	// same Cfg in the run; nil measures on every call.
+	Memo *appcore.Memo
 }
 
 // NewProblem builds a deterministic instance.
@@ -86,9 +90,22 @@ func checksum(out []float64) float64 {
 	return s
 }
 
+// specKey keys the kernel spec in a run memo.
+type specKey struct {
+	cfg  Config
+	geom appcore.Geometry
+}
+
 // spec builds the kernel spec with traits measured on the machine's
-// accelerator LLC: a pure streaming pass.
+// accelerator LLC (a pure streaming pass), once per run memo.
 func (p *Problem) spec(m *sim.Machine) modelapi.KernelSpec {
+	dev := m.Accelerator()
+	return appcore.Characterize(p.Memo, specKey{p.Cfg, appcore.GeometryOf(dev)}, func() modelapi.KernelSpec {
+		return p.measureSpec(dev)
+	})
+}
+
+func (p *Problem) measureSpec(dev *device.Device) modelapi.KernelSpec {
 	elt := int(appcore.EltBytes(p.Cfg.Precision))
 	// Sampled trace: one pass over (a window of) the input.
 	const sample = 1 << 16
@@ -96,7 +113,7 @@ func (p *Problem) spec(m *sim.Machine) modelapi.KernelSpec {
 	for i := range addrs {
 		addrs[i] = uint64(i * elt)
 	}
-	miss, coal, _ := appcore.Traits(m.Accelerator(), addrs, elt)
+	miss, coal, _ := appcore.Traits(dev, addrs, elt)
 	return modelapi.KernelSpec{Name: "read-blocksum", Class: modelapi.Streaming, MissRate: miss, Coalesce: coal}
 }
 

@@ -101,6 +101,9 @@ func (c Config) TableBytes(prec timing.Precision) int64 {
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
+	// Memo, when set, shares the characterization with every problem of
+	// the same Cfg and Precision in the run; nil measures on every call.
+	Memo *appcore.Memo
 
 	// NuclideEnergy[n][g] is nuclide n's sorted energy grid;
 	// NuclideXS[n][g*NumXS+c] its cross sections.
@@ -342,17 +345,37 @@ func (p *Problem) Trace(samples int) []uint64 {
 	return trace
 }
 
+// charKey keys the characterization in a run memo: the data set, the
+// element size and the LLC geometry are everything the trace depends on.
+type charKey struct {
+	cfg  Config
+	prec timing.Precision
+	geom appcore.Geometry
+}
+
+// traits is one replay of the lookup trace: the timing traits and the
+// per-access miss rate together.
+type traits struct{ miss, coalesce, accessMiss float64 }
+
+// characterize replays the lookup trace through the machine's
+// accelerator LLC, once per run memo.
+func (p *Problem) characterize(m *sim.Machine) traits {
+	dev := m.Accelerator()
+	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(dev)}
+	return appcore.Characterize(p.Memo, key, func() (t traits) {
+		t.miss, t.coalesce, t.accessMiss = appcore.Traits(dev, p.Trace(4096), int(appcore.EltBytes(p.Precision)))
+		return t
+	})
+}
+
 // Specs builds the single kernel's spec from a trace replay on the
 // machine's accelerator LLC.
 func (p *Problem) Specs(m *sim.Machine) modelapi.KernelSpec {
-	elt := int(appcore.EltBytes(p.Precision))
-	miss, coal, _ := appcore.Traits(m.Accelerator(), p.Trace(4096), elt)
-	return modelapi.KernelSpec{Name: "macroXSLookup", Class: modelapi.Irregular, MissRate: miss, Coalesce: coal}
+	t := p.characterize(m)
+	return modelapi.KernelSpec{Name: "macroXSLookup", Class: modelapi.Irregular, MissRate: t.miss, Coalesce: t.coalesce}
 }
 
 // MeasuredMissRate reports the per-access LLC miss rate (Table I: 53%).
 func (p *Problem) MeasuredMissRate(m *sim.Machine) float64 {
-	elt := int(appcore.EltBytes(p.Precision))
-	_, _, acc := appcore.Traits(m.Accelerator(), p.Trace(4096), elt)
-	return acc
+	return p.characterize(m).accessMiss
 }

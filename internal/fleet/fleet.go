@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hetbench/internal/fault"
+	"hetbench/internal/memo"
 	"hetbench/internal/sched"
 	"hetbench/internal/sim"
 	"hetbench/internal/trace"
@@ -173,7 +174,7 @@ type Cluster struct {
 	bal      balancer
 	seq      int
 	events   bookingHeap
-	svcCache map[svcKey]float64
+	svcCache memo.Map[svcKey, float64]
 
 	queueHist   *trace.Histogram
 	sojournHist *trace.Histogram
@@ -217,7 +218,6 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:         cfg,
-		svcCache:    make(map[svcKey]float64),
 		queueHist:   &trace.Histogram{},
 		sojournHist: &trace.Histogram{},
 	}
@@ -265,12 +265,7 @@ func machineServiceNs(m *sim.Machine, j Job) float64 {
 // nodes of one kind price a job identically.
 func (c *Cluster) serviceNs(n *Node, j Job) float64 {
 	key := svcKey{kind: n.Kind, class: j.Class, items: j.Items}
-	if t, ok := c.svcCache[key]; ok {
-		return t
-	}
-	t := machineServiceNs(n.Machine, j)
-	c.svcCache[key] = t
-	return t
+	return c.svcCache.Get(key, func() float64 { return machineServiceNs(n.Machine, j) })
 }
 
 // CapacityPerSec estimates the aggregate service capacity (jobs per

@@ -46,7 +46,7 @@ func AblationHCData(ctx context.Context, scale Scale) ([]HCCell, error) {
 	}
 	return runner.Map(ctx, "hc", len(combos), func(cx *runner.Ctx, i int) HCCell {
 		c := combos[i]
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		r := c.run(w, cx.Machine(sim.NewDGPU))
 		return HCCell{
 			App: c.app, Model: c.model,
@@ -82,6 +82,7 @@ func AblationTilesData(ctx context.Context, scale Scale) (flatMs, tiledMs float6
 	// but the (immutable) problem configuration.
 	ms, err := runner.Map(ctx, "tiles", 2, func(cx *runner.Ctx, i int) float64 {
 		p := comd.NewProblem(cfg, timing.Single)
+		p.Memo = memoOf(cx.Context())
 		m := cx.Machine(sim.NewDGPU)
 		if i == 0 {
 			return p.RunOpenCLFlat(m).KernelNs / 1e6
@@ -133,6 +134,7 @@ func AblationGridTypeData(ctx context.Context, scale Scale) ([]GridTypeCell, err
 		cfg := base
 		cfg.Grid = grids[i]
 		p := xsbench.NewProblem(cfg, timing.Double)
+		p.Memo = memoOf(cx.Context())
 		r := p.RunOpenCL(cx.Machine(sim.NewDGPU))
 		return GridTypeCell{
 			Grid:       grids[i].String(),
@@ -166,7 +168,7 @@ func RunAblationGridType(ctx context.Context, scale Scale, w io.Writer) error {
 func AblationDataRegionData(ctx context.Context, scale Scale) (withMs, withoutMs float64, withMB, withoutMB float64, err error) {
 	type cell struct{ ms, mb float64 }
 	out, err := runner.Map(ctx, "dataregion", 2, func(cx *runner.Ctx, i int) cell {
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		m := cx.Machine(sim.NewDGPU)
 		var r appcore.Result
 		if i == 0 {

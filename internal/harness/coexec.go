@@ -94,7 +94,7 @@ func CoexecData(ctx context.Context, scale Scale) ([]CoexecCell, error) {
 	}
 	groups, err := runner.Map(ctx, "coexec", len(combos), func(cx *runner.Ctx, i int) []CoexecCell {
 		mach, app := machines[combos[i].mach], apps[combos[i].app]
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		baseline := app.run(w, cx.Machine(mach.mk))
 		var cells []CoexecCell
 		for _, p := range coexecPartitioners() {

@@ -44,7 +44,7 @@ func EnergyData(ctx context.Context, scale Scale) ([]EnergyRow, error) {
 		}
 	}
 	return runner.Map(ctx, "energy", len(combos), func(cx *runner.Ctx, i int) EnergyRow {
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		r, _ := w.runnerByName(combos[i].app)
 		m := cx.Machine(combos[i].mk)
 		m.EnableCostLog()

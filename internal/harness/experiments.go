@@ -52,7 +52,7 @@ func (w *workloads) runners() []appRunner {
 		{
 			name:     "CoMD",
 			run:      func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Comd().Run(m, md) },
-			missRate: func(m *sim.Machine) float64 { return comdMiss(w, m) },
+			missRate: func(m *sim.Machine) float64 { return w.Comd().MeasuredMissRate(m) },
 			kernels:  3,
 		},
 		{
@@ -80,11 +80,6 @@ func (w *workloads) runnerByName(name string) (appRunner, bool) {
 	return appRunner{}, false
 }
 
-func comdMiss(w *workloads, m *sim.Machine) float64 {
-	s := comd.NewState(w.Comd().Cfg)
-	return s.MeasuredMissRate(m, w.Comd().Precision)
-}
-
 // ---------------------------------------------------------------------
 // Table I.
 
@@ -103,12 +98,12 @@ type Table1Row struct {
 // exceed the 768 KB L2 regardless of the timing-run scale, because a
 // cache-resident toy instance would report vacuous 0% rates.
 func Table1Data(ctx context.Context, scale Scale) ([]Table1Row, error) {
-	char := characterizationMissRates()
+	char := characterizationMissRates(memoOf(ctx))
 	// Table I lists only the four proxy applications (not read-benchmark);
 	// one runner cell per app, each with its own workloads and machine.
 	apps := []string{"LULESH", "CoMD", "XSBench", "miniFE"}
 	return runner.Map(ctx, "table1", len(apps), func(cx *runner.Ctx, i int) Table1Row {
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		r, _ := w.runnerByName(apps[i])
 		m := cx.Machine(sim.NewDGPU)
 		res := r.run(m, modelapi.OpenCL)
@@ -124,14 +119,19 @@ func Table1Data(ctx context.Context, scale Scale) ([]Table1Row, error) {
 
 // characterizationMissRates measures per-access LLC miss rates on
 // paper-representative footprints (trace replay only — no timing runs).
-func characterizationMissRates() map[string]float64 {
+func characterizationMissRates(memo *appcore.Memo) map[string]float64 {
 	m := sim.NewDGPU()
-	out := map[string]float64{}
-	out["LULESH"] = lulesh.NewProblem(lulesh.Config{S: 48, Iters: 1}, timing.Double).MeasuredTraits(m)
-	out["CoMD"] = comd.NewState(comd.Config{Nx: 24, Ny: 24, Nz: 24, Iters: 1}).MeasuredMissRate(m, timing.Double)
-	out["XSBench"] = xsbench.NewProblem(xsbench.Config{Nuclides: 32, GridPoints: 4096, Lookups: 1}, timing.Double).MeasuredMissRate(m)
-	out["miniFE"] = minife.NewProblem(minife.Config{Nx: 40, Ny: 40, Nz: 40, MaxIters: 1}, timing.Double).MeasuredMissRate(m)
-	return out
+	lu := lulesh.NewProblem(lulesh.Config{S: 48, Iters: 1}, timing.Double)
+	co := comd.NewProblem(comd.Config{Nx: 24, Ny: 24, Nz: 24, Iters: 1}, timing.Double)
+	xs := xsbench.NewProblem(xsbench.Config{Nuclides: 32, GridPoints: 4096, Lookups: 1}, timing.Double)
+	mf := minife.NewProblem(minife.Config{Nx: 40, Ny: 40, Nz: 40, MaxIters: 1}, timing.Double)
+	lu.Memo, co.Memo, xs.Memo, mf.Memo = memo, memo, memo, memo
+	return map[string]float64{
+		"LULESH":  lu.MeasuredTraits(m),
+		"CoMD":    co.MeasuredMissRate(m),
+		"XSBench": xs.MeasuredMissRate(m),
+		"miniFE":  mf.MeasuredMissRate(m),
+	}
 }
 
 // RunTable1 renders Table I.

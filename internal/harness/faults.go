@@ -90,7 +90,7 @@ func FaultsData(ctx context.Context, scale Scale) ([]FaultCell, error) {
 	// so the streams are identical to the serial sweep's.
 	groups, err := runner.Map(ctx, "faults", len(models), func(cx *runner.Ctx, mi int) []FaultCell {
 		model := models[mi]
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		clean := w.Lulesh().Run(cx.Machine(sim.NewDGPU), model)
 		cells := make([]FaultCell, 0, len(FaultRates))
 		for ri, rate := range FaultRates {

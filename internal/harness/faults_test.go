@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"hetbench/internal/apps/appcore"
@@ -69,7 +70,7 @@ func TestFaultsReproducibleUnderSeed(t *testing.T) {
 // injector as a last resort — completion with correct numerics is
 // guaranteed.
 func TestRunResilientRedoesSilentCorruption(t *testing.T) {
-	w := newWorkloads(ScaleSmoke, timing.Double)
+	w := newWorkloads(context.Background(), ScaleSmoke, timing.Double)
 	golden := w.Readmem().RunOpenCL(sim.NewDGPU()).Checksum
 	pol := fault.DefaultPolicy()
 
@@ -96,7 +97,7 @@ func TestRunResilientRedoesSilentCorruption(t *testing.T) {
 
 // The smoke scale builds complete (toy-sized) workloads on demand.
 func TestSmokeWorkloads(t *testing.T) {
-	w := newWorkloads(ScaleSmoke, timing.Double)
+	w := newWorkloads(context.Background(), ScaleSmoke, timing.Double)
 	if w.Readmem() == nil || w.Lulesh() == nil || w.Comd() == nil || w.Xsbench() == nil || w.Minife() == nil {
 		t.Fatal("smoke workloads incomplete")
 	}
@@ -105,7 +106,7 @@ func TestSmokeWorkloads(t *testing.T) {
 // Lazy workloads build each app exactly once and honor the per-app config
 // overrides the Figure 7 sweep installs.
 func TestWorkloadsLazyAndOverridable(t *testing.T) {
-	w := newWorkloads(ScaleSmoke, timing.Double)
+	w := newWorkloads(context.Background(), ScaleSmoke, timing.Double)
 	if w.lulesh != nil || w.comd != nil {
 		t.Fatal("workloads built apps eagerly")
 	}
@@ -116,7 +117,7 @@ func TestWorkloadsLazyAndOverridable(t *testing.T) {
 		t.Error("Lulesh() built CoMD as a side effect")
 	}
 
-	f7 := fig7Workloads(ScaleSmoke)
+	f7 := fig7Workloads(context.Background(), ScaleSmoke)
 	if got := f7.Lulesh().Cfg.Iters; got != 2 {
 		t.Errorf("fig7 LULESH override not applied: Iters = %d, want 2", got)
 	}

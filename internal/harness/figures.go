@@ -23,8 +23,8 @@ var (
 // fig7Workloads builds the sweep instances: few iterations (only relative
 // kernel time matters) but large enough bodies that launch overhead does
 // not flatten the curves.
-func fig7Workloads(scale Scale) *workloads {
-	w := newWorkloads(scale, timing.Single)
+func fig7Workloads(ctx context.Context, scale Scale) *workloads {
+	w := newWorkloads(ctx, scale, timing.Single)
 	lcfg := luleshConfig(scale)
 	lcfg.Iters, lcfg.FunctionalIters = 2, 1
 	w.luleshCfg = &lcfg
@@ -58,7 +58,7 @@ func Fig7Data(scale Scale, app string) ([]*report.Series, error) {
 // The clock-point replays are cheap relative to the recording run, so
 // they stay inside the app's cell rather than fanning out further.
 func fig7Data(cx *runner.Ctx, scale Scale, app string) ([]*report.Series, error) {
-	w := fig7Workloads(scale)
+	w := fig7Workloads(cx.Context(), scale)
 	target, ok := w.runnerByName(app)
 	if !ok {
 		return nil, fmt.Errorf("harness: fig7: unknown app %q", app)
@@ -154,7 +154,7 @@ func SpeedupData(ctx context.Context, scale Scale, newMachine func() *sim.Machin
 	}
 	groups, err := runner.Map(ctx, "speedup", len(combos), func(cx *runner.Ctx, i int) []SpeedupCell {
 		c := combos[i]
-		w := newWorkloads(scale, c.prec)
+		w := newWorkloads(cx.Context(), scale, c.prec)
 		r, _ := w.runnerByName(c.app)
 		base := r.run(cx.Machine(sim.NewAPU), modelapi.OpenMP)
 		baseT := base.ElapsedNs
@@ -256,7 +256,7 @@ func ProductivityData(ctx context.Context, scale Scale, newMachine func() *sim.M
 		lines[r.App] = r
 	}
 	return runner.Map(ctx, "productivity", len(AppNames), func(cx *runner.Ctx, i int) ProductivityRow {
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		r, _ := w.runnerByName(AppNames[i])
 		base := r.run(cx.Machine(sim.NewAPU), modelapi.OpenMP)
 		baseT := base.ElapsedNs

@@ -2,7 +2,8 @@
 // runtimes and simulated machines into the paper's experiments: one
 // registered Experiment per table and figure (plus the ablations), each
 // regenerating its artifact as an ASCII table or series grid. The run
-// seed travels on the context (WithSeed, SeedOf).
+// seed travels on the context (WithSeed, SeedOf), and so does the run's
+// characterization memo (WithMemo).
 package harness
 
 import (
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/comd"
 	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/apps/minife"
@@ -80,6 +82,26 @@ func init() { fallbackSeed.Store(1) }
 // It exists only for the _perfbench benchmark, which sets its seed this
 // way; everything else uses WithSeed.
 func SetSeed(s int64) { fallbackSeed.Store(s) }
+
+// memoKey is the context key WithMemo stores the characterization memo
+// under.
+type memoKey struct{}
+
+// WithMemo returns ctx carrying a fresh characterization memo. Every
+// experiment run under ctx measures each app's LLC characterization once
+// per (app config, precision, device geometry) and shares the numbers
+// across its cells and experiments. The CLI installs one per invocation
+// and the service one per request, so nothing outlives its run.
+func WithMemo(ctx context.Context) context.Context {
+	return context.WithValue(ctx, memoKey{}, &appcore.Memo{})
+}
+
+// memoOf returns the memo ctx carries, or nil: without one every
+// characterization is measured afresh.
+func memoOf(ctx context.Context) *appcore.Memo {
+	m, _ := ctx.Value(memoKey{}).(*appcore.Memo)
+	return m
+}
 
 // AppNames in paper order.
 var AppNames = []string{
@@ -158,10 +180,12 @@ func minifeConfig(scale Scale) minife.Config {
 // one app pays construction (and, at paper scale, memory) for one app
 // only. A workloads value belongs to a single goroutine (one experiment
 // cell); it is not safe for concurrent use, and the parallel runner gives
-// every cell its own instead of sharing one.
+// every cell its own instead of sharing one. What the cells do share is
+// the run's characterization memo, which every Problem built here gets.
 type workloads struct {
 	scale Scale
 	prec  timing.Precision
+	memo  *appcore.Memo
 
 	// Optional per-app config overrides applied at first build (the
 	// Figure 7 sweep trims iteration counts); nil means the scale default.
@@ -176,19 +200,20 @@ type workloads struct {
 	minife  *minife.Problem
 }
 
-func newWorkloads(scale Scale, prec timing.Precision) *workloads {
+func newWorkloads(ctx context.Context, scale Scale, prec timing.Precision) *workloads {
 	switch scale {
 	case ScaleSmoke, ScaleSmall, ScaleDefault, ScalePaper:
 	default:
 		panic(fmt.Sprintf("harness: unknown scale %d", scale))
 	}
-	return &workloads{scale: scale, prec: prec}
+	return &workloads{scale: scale, prec: prec, memo: memoOf(ctx)}
 }
 
 // Readmem returns the read-benchmark instance, building it on first use.
 func (w *workloads) Readmem() *readmem.Problem {
 	if w.readmem == nil {
 		w.readmem = readmem.NewProblem(readmemConfig(w.scale, w.prec))
+		w.readmem.Memo = w.memo
 	}
 	return w.readmem
 }
@@ -201,6 +226,7 @@ func (w *workloads) Lulesh() *lulesh.Problem {
 			cfg = *w.luleshCfg
 		}
 		w.lulesh = lulesh.NewProblem(cfg, w.prec)
+		w.lulesh.Memo = w.memo
 	}
 	return w.lulesh
 }
@@ -213,6 +239,7 @@ func (w *workloads) Comd() *comd.Problem {
 			cfg = *w.comdCfg
 		}
 		w.comd = comd.NewProblem(cfg, w.prec)
+		w.comd.Memo = w.memo
 	}
 	return w.comd
 }
@@ -221,6 +248,7 @@ func (w *workloads) Comd() *comd.Problem {
 func (w *workloads) Xsbench() *xsbench.Problem {
 	if w.xsbench == nil {
 		w.xsbench = xsbench.NewProblem(xsbenchConfig(w.scale), w.prec)
+		w.xsbench.Memo = w.memo
 	}
 	return w.xsbench
 }
@@ -233,6 +261,7 @@ func (w *workloads) Minife() *minife.Problem {
 			cfg = *w.minifeCfg
 		}
 		w.minife = minife.NewProblem(cfg, w.prec)
+		w.minife.Memo = w.memo
 	}
 	return w.minife
 }

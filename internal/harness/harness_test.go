@@ -399,7 +399,7 @@ func TestCLIHelpers(t *testing.T) {
 }
 
 func TestRunAppRenders(t *testing.T) {
-	w := newWorkloads(ScaleSmall, timing.Double)
+	w := newWorkloads(context.Background(), ScaleSmall, timing.Double)
 	var buf bytes.Buffer
 	machines, _ := Machines("both")
 	err := RunApp(bg, &buf, "read-benchmark", machines, func(m *sim.Machine, md modelapi.Name) appcore.Result {
@@ -417,7 +417,7 @@ func TestRunAppRenders(t *testing.T) {
 }
 
 func TestProfileData(t *testing.T) {
-	p := ProfileData(ScaleSmall, modelapi.CppAMP)
+	p := ProfileData(context.Background(), ScaleSmall, modelapi.CppAMP)
 	if p.KernelNs <= 0 || len(p.Kernels) < 10 {
 		t.Fatalf("profile: %d kernel rows, kernel total %g", len(p.Kernels), p.KernelNs)
 	}
@@ -528,7 +528,8 @@ func TestEnergyData(t *testing.T) {
 // Every experiment renders without error and produces output.
 func TestRunAllRenders(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(bg, ScaleSmall, &buf); err != nil {
+	// One memo for the whole pass, as `hetbench -exp all` runs it.
+	if err := RunAll(WithMemo(bg), ScaleSmall, &buf); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	out := buf.String()

@@ -1,0 +1,127 @@
+package harness
+
+import (
+	"slices"
+	"testing"
+
+	"hetbench/internal/apps/appcore"
+	"hetbench/internal/harness/runner"
+	"hetbench/internal/models/modelapi"
+	"hetbench/internal/sim"
+	"hetbench/internal/sim/device"
+	"hetbench/internal/sim/pcie"
+	"hetbench/internal/sim/timing"
+)
+
+// charOutcome is everything a cell observes of an app's characterization:
+// the Table I miss rate, and timed runs whose kernel specs come from it
+// (OpenCL takes miniFE's CSR-Adaptive specs, OpenACC its scalar ones).
+type charOutcome struct {
+	miss    float64
+	results []appcore.Result
+}
+
+func observeCharacterization(w *workloads, app string, mk func() *sim.Machine) charOutcome {
+	r, _ := w.runnerByName(app)
+	o := charOutcome{miss: r.missRate(mk())}
+	for _, model := range []modelapi.Name{modelapi.OpenCL, modelapi.OpenACC} {
+		o.results = append(o.results, r.run(mk(), model))
+	}
+	return o
+}
+
+// A memoized characterization equals a fresh, uncached one for every app
+// × machine × precision at smoke scale. Each combination runs in two
+// runner cells that share the run memo, so under -race the two race for
+// the same key and one of them reads the other's value.
+func TestMemoizedCharacterizationMatchesFresh(t *testing.T) {
+	type combo struct {
+		app  string
+		mk   func() *sim.Machine
+		prec timing.Precision
+	}
+	var combos []combo
+	for _, app := range AppNames {
+		for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
+			for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+				combos = append(combos, combo{app, mk, prec})
+			}
+		}
+	}
+	ctx := WithMemo(bg)
+	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) charOutcome {
+		c := combos[i%len(combos)]
+		return observeCharacterization(newWorkloads(cx.Context(), ScaleSmoke, c.prec), c.app, c.mk)
+	}))
+	if memoOf(ctx).Len() == 0 {
+		t.Fatal("no characterization went through the run memo")
+	}
+	for i, c := range combos {
+		fresh := observeCharacterization(newWorkloads(bg, ScaleSmoke, c.prec), c.app, c.mk)
+		name := c.app + "/" + c.mk().Name() + "/" + c.prec.String()
+		for _, got := range []charOutcome{memoized[i], memoized[i+len(combos)]} {
+			if !sameOutcome(got, fresh) {
+				t.Errorf("%s: memoized %+v, fresh %+v", name, got, fresh)
+			}
+		}
+	}
+}
+
+func sameOutcome(a, b charOutcome) bool {
+	return a.miss == b.miss && slices.Equal(a.results, b.results)
+}
+
+// The memo key holds every device field a characterization reads: a
+// machine that differs from another in one Geometry field alone never
+// gets the other's numbers. The base machine's 16 KB LLC is small enough
+// that every field changes some app's smoke-scale miss rate.
+func TestMemoKeyCoversGeometry(t *testing.T) {
+	machine := func(edit func(*device.Device)) func() *sim.Machine {
+		return func() *sim.Machine {
+			d := device.R9280X()
+			d.L2SizeBytes = 16 << 10
+			edit(d)
+			return sim.NewCustom("dGPU (16 KB LLC)", device.HostCPU(), d, pcie.Default())
+		}
+	}
+	base := machine(func(*device.Device) {})
+	variants := []struct {
+		field string
+		edit  func(*device.Device)
+	}{
+		{"L2SizeBytes", func(d *device.Device) { d.L2SizeBytes = 32 << 10 }},
+		{"L2Ways", func(d *device.Device) { d.L2Ways = 2 }},
+		{"CacheLineBytes", func(d *device.Device) { d.CacheLineBytes = 128 }},
+		{"ComputeUnits", func(d *device.Device) { d.ComputeUnits = 4 }},
+	}
+	for _, v := range variants {
+		vary := machine(v.edit)
+		matters := false
+		for _, app := range AppNames {
+			ctx := WithMemo(bg)
+			before := observeCharacterization(newWorkloads(ctx, ScaleSmoke, timing.Double), app, base)
+			got := observeCharacterization(newWorkloads(ctx, ScaleSmoke, timing.Double), app, vary)
+			fresh := observeCharacterization(newWorkloads(bg, ScaleSmoke, timing.Double), app, vary)
+			if !sameOutcome(got, fresh) {
+				t.Errorf("%s, %s changed: memoized %+v, fresh %+v", app, v.field, got, fresh)
+			}
+			matters = matters || before.miss != fresh.miss
+		}
+		if !matters {
+			t.Errorf("%s: no app's miss rate depends on it here, so this case checks nothing", v.field)
+		}
+	}
+}
+
+func TestMemoOf(t *testing.T) {
+	if memoOf(bg) != nil {
+		t.Error("a bare context carries a memo")
+	}
+	ctx := WithMemo(bg)
+	if memoOf(ctx) == nil || memoOf(ctx) != memoOf(WithSeed(ctx, 3)) {
+		t.Error("WithMemo's memo does not survive a derived context")
+	}
+	if memoOf(WithMemo(ctx)) == memoOf(ctx) {
+		t.Error("each WithMemo must install a fresh memo")
+	}
+}

@@ -38,7 +38,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 	for _, app := range apps {
 		app := app
 		cells = append(cells, runner.Cell{Label: "perfbaseline/" + app, Run: func(cx *runner.Ctx) error {
-			w := newWorkloads(scale, timing.Double)
+			w := newWorkloads(cx.Context(), scale, timing.Double)
 			r, ok := w.runnerByName(app)
 			if !ok {
 				return fmt.Errorf("unknown app %q", app)
@@ -57,7 +57,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 	}
 
 	cells = append(cells, runner.Cell{Label: "perfbaseline/faults", Run: func(cx *runner.Ctx) error {
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		pol := fault.DefaultPolicy()
 		m := sim.NewDGPU()
 		t := trace.New()
@@ -79,7 +79,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 	}})
 
 	cells = append(cells, runner.Cell{Label: "perfbaseline/coexec", Run: func(cx *runner.Ctx) error {
-		w := newWorkloads(scale, timing.Double)
+		w := newWorkloads(cx.Context(), scale, timing.Double)
 		cfg := sched.Config{Policy: sched.Dynamic, Seed: SeedOf(cx.Context())}
 		s := sched.New(cfg)
 		m := sim.NewDGPU()

@@ -54,8 +54,8 @@ func profileRows(aggs []trace.Agg) []KernelProfileRow {
 // attached and aggregates per-kernel and per-transfer time separately —
 // the drill-down that exposes, e.g., the C++ AMP CPU-fallback kernel and
 // the per-iteration round trips it induces.
-func ProfileData(scale Scale, model modelapi.Name) Profile {
-	w := newWorkloads(scale, timing.Double)
+func ProfileData(ctx context.Context, scale Scale, model modelapi.Name) Profile {
+	w := newWorkloads(ctx, scale, timing.Double)
 	// The profile aggregates a dedicated tracer rather than the cell's
 	// capture tracer: its spans are measurement scaffolding, not run
 	// output (the machine carries one tracer, and the dedicated one wins
@@ -95,7 +95,7 @@ func RunProfile(ctx context.Context, scale Scale, w io.Writer) error {
 	for i, model := range models {
 		model := model
 		cells[i] = runner.Cell{Label: "profile/" + string(model), Run: func(cx *runner.Ctx) error {
-			p := ProfileData(scale, model)
+			p := ProfileData(cx.Context(), scale, model)
 			if err := profileTable(cx.Out,
 				fmt.Sprintf("LULESH on the R9 280X under %s — top kernels (kernel total %.2f ms)", model, p.KernelNs/1e6),
 				p.Kernels, 10); err != nil {
@@ -132,7 +132,7 @@ type RooflineRow struct {
 // the classic roofline: attainable = min(peak, intensity × bandwidth).
 func RooflineData(ctx context.Context, scale Scale) ([]RooflineRow, error) {
 	return runner.Map(ctx, "roofline", len(AppNames), func(cx *runner.Ctx, i int) RooflineRow {
-		w := newWorkloads(scale, timing.Single)
+		w := newWorkloads(cx.Context(), scale, timing.Single)
 		r, _ := w.runnerByName(AppNames[i])
 		m := cx.Machine(sim.NewDGPU)
 		m.EnableCostLog()

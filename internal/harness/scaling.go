@@ -31,6 +31,7 @@ func ScalingData(ctx context.Context, scale Scale) ([]lulesh.MPIXResult, error) 
 	// its own problem and machines, so the sweep scales with host cores.
 	return runner.Map(ctx, "scaling", len(scalingRankCounts), func(cx *runner.Ctx, i int) lulesh.MPIXResult {
 		p := lulesh.NewProblem(cfg, timing.Double)
+		p.Memo = memoOf(cx.Context())
 		mk := func() *sim.Machine { return cx.Machine(sim.NewDGPU) }
 		return p.StrongScaling([]int{scalingRankCounts[i]}, mk, mpix.DefaultFabric())[0]
 	})

@@ -25,8 +25,8 @@ type ModelTrace struct {
 // modelTrace runs LULESH under one GPU model on the dGPU with a fresh
 // dedicated tracer, the unit of both TraceData and the trace experiment's
 // runner cells.
-func modelTrace(scale Scale, model modelapi.Name) ModelTrace {
-	w := newWorkloads(scale, timing.Double)
+func modelTrace(ctx context.Context, scale Scale, model modelapi.Name) ModelTrace {
+	w := newWorkloads(ctx, scale, timing.Double)
 	m := sim.NewDGPU()
 	t := trace.New()
 	m.SetTracer(t)
@@ -39,7 +39,7 @@ func modelTrace(scale Scale, model modelapi.Name) ModelTrace {
 func TraceData(ctx context.Context, scale Scale) ([]ModelTrace, error) {
 	models := modelapi.All()
 	return runner.Map(ctx, "trace", len(models), func(cx *runner.Ctx, i int) ModelTrace {
-		return modelTrace(scale, models[i])
+		return modelTrace(cx.Context(), scale, models[i])
 	})
 }
 
@@ -105,7 +105,7 @@ func RunTrace(ctx context.Context, scale Scale, w io.Writer) error {
 	for i, model := range models {
 		model := model
 		cells[i] = runner.Cell{Label: "trace/" + string(model), Run: func(cx *runner.Ctx) error {
-			mt := modelTrace(scale, model)
+			mt := modelTrace(cx.Context(), scale, model)
 			out := cx.Out
 			spans := mt.Tracer.Spans()
 			fmt.Fprintf(out, "--- LULESH on the R9 280X under %s: %.3f ms elapsed (kernel %.3f ms, transfer %.3f ms) ---\n\n",

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // across a Figure 8-style sweep (every app × GPU model on the APU at
 // small scale): the two are independent tallies of the same virtual clock.
 func TestRegistryMatchesMachineCounters(t *testing.T) {
-	w := newWorkloads(ScaleSmall, timing.Double)
+	w := newWorkloads(context.Background(), ScaleSmall, timing.Double)
 	for _, r := range w.runners() {
 		for _, model := range modelapi.All() {
 			m := sim.NewAPU()
