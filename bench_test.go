@@ -443,14 +443,15 @@ func BenchmarkRunnerSpeedup(b *testing.B) {
 			old := runner.Jobs()
 			runner.SetJobs(jobs)
 			defer runner.SetJobs(old)
-			runner.ResetStats()
+			sc := &runner.Scope{}
+			ctx := runner.WithScope(context.Background(), sc)
 			for i := 0; i < b.N; i++ {
-				cells := bmust(harness.SpeedupData(context.Background(), harness.ScaleSmall, sim.NewDGPU))
+				cells := bmust(harness.SpeedupData(ctx, harness.ScaleSmall, sim.NewDGPU))
 				if len(cells) == 0 {
 					b.Fatal("empty sweep")
 				}
 			}
-			st := runner.TotalStats()
+			st := sc.Stats()
 			b.ReportMetric(st.Speedup(), "pool-speedup")
 		}
 	}

@@ -15,7 +15,6 @@
 //	hetbench -exp all -progress            # live one-line progress on stderr
 //	hetbench -exp fig9 -metrics m.csv      # counters + histogram quantiles as CSV
 //	hetbench -exp fig9 -cpuprofile cpu.out # pprof CPU profile (-memprofile: heap)
-//	hetbench -exp perfbaseline -bench-out BENCH_runner.json
 //	hetbench -bench-delta old.json,new.json -bench-threshold 0.2
 //
 // Experiment ids: table1 table2 table3 table4 fig7 fig8 fig9 fig10 fig11
@@ -26,9 +25,10 @@
 // Experiments run their independent cells on a bounded worker pool
 // (-jobs, default GOMAXPROCS) and merge results in deterministic cell
 // order: the output is byte-identical at any -jobs under the same -seed.
-// Progress output (-progress, -progress-log) and BENCH snapshots
-// (-bench-out) carry wall-clock durations and go to stderr or dedicated
-// files, so stdout keeps that guarantee.
+// Progress output (-progress, -progress-log) and runner statistics (-v)
+// carry wall-clock durations and go to stderr or a dedicated file, so
+// stdout keeps that guarantee. The flags build one runner.Scope that
+// every cell of the invocation runs under.
 package main
 
 import (
@@ -38,10 +38,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"hetbench/internal/harness"
 	"hetbench/internal/harness/runner"
@@ -73,7 +71,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	progress := fs.Bool("progress", false, "render live cell progress (done/running/failed, cell quantiles, ETA) as one stderr line")
 	progressLog := fs.String("progress-log", "", "append progress events as JSON lines to this file")
 	metricsOut := fs.String("metrics", "", "write the run's counters and histogram quantiles as CSV to this file")
-	benchOut := fs.String("bench-out", "", "write the runner's wall-clock stats as a BENCH_*.json snapshot to this file")
 	benchDelta := fs.String("bench-delta", "", "compare two BENCH_*.json snapshots (OLD,NEW) and exit; nonzero on regression")
 	benchThreshold := fs.Float64("bench-threshold", 0.2, "tolerated fractional ns/op growth for -bench-delta (0 disables the time gate)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -119,6 +116,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stderr, "invalid -seed %d: the seed must be a positive integer\n", *seed)
 		return 2
 	}
+	runExp := harness.RunAll
+	if *exp != "all" {
+		e, ok := reg[*exp]
+		if !ok {
+			fmt.Fprintf(stderr, "unknown experiment %q; try -list\n", *exp)
+			return 2
+		}
+		runExp = func(ctx context.Context, scale harness.Scale, w io.Writer) error {
+			fmt.Fprintf(w, "=== %s — %s ===\n", e.ID, e.Title)
+			return e.Run(ctx, scale, w)
+		}
+	}
 	// One characterization memo for the whole invocation: -exp all
 	// measures each (app, device) once across every experiment.
 	ctx = harness.WithMemo(harness.WithSeed(ctx, *seed))
@@ -137,17 +146,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		}
 	}()
 	runner.SetJobs(*jobsFlag) // 0 restores the default (HETBENCH_JOBS or GOMAXPROCS)
-	runner.ResetStats()
 
 	// With -trace or -metrics, every cell records into a private tracer
-	// that folds into this capture in deterministic cell order; the
-	// combined span set (and merged counter/histogram registry) is
+	// that folds into the scope's capture in deterministic cell order;
+	// the combined span set (and merged counter/histogram registry) is
 	// written on exit and is identical at any -jobs.
-	var tracer *trace.Tracer
+	sc := &runner.Scope{}
 	if *traceOut != "" || *metricsOut != "" {
-		tracer = trace.New()
-		runner.SetCapture(tracer)
-		defer runner.SetCapture(nil)
+		sc.Capture = trace.New()
 	}
 
 	// Progress sinks watch the pool live; they carry wall-clock numbers
@@ -164,10 +170,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		}
 		// Flush and close on every exit path — error and early returns
 		// included — so a killed or failed run still leaves a complete
-		// JSONL file behind. The deferred SetProgress(nil) below runs
-		// first (LIFO), so no sink writes race the close. A close failure
-		// on an otherwise-clean run flips the exit code: silently dropped
-		// progress records would defeat the log's purpose.
+		// JSONL file behind. Every Run has returned, and so stopped
+		// emitting, before this runs. A close failure on an otherwise-clean
+		// run flips the exit code: silently dropped progress records would
+		// defeat the log's purpose.
 		defer func() {
 			ferr := f.Sync()
 			if cerr := f.Close(); ferr == nil {
@@ -183,31 +189,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		sinks = append(sinks, &runner.JSONLSink{W: f})
 	}
 	if len(sinks) > 0 {
-		runner.SetProgress(sinks)
-		defer runner.SetProgress(nil)
+		sc.Progress = sinks
 	}
 
-	if *exp == "all" {
-		err = harness.RunAll(ctx, scale, stdout)
-	} else {
-		e, ok := reg[*exp]
-		if !ok {
-			fmt.Fprintf(stderr, "unknown experiment %q; try -list\n", *exp)
-			return 2
-		}
-		fmt.Fprintf(stdout, "=== %s — %s ===\n", e.ID, e.Title)
-		err = e.Run(ctx, scale, stdout)
-	}
-	if err != nil {
+	if err := runExp(runner.WithScope(ctx, sc), scale, stdout); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if *verbose {
 		// Stats go to stderr so stdout stays byte-comparable across runs.
-		fmt.Fprintln(stderr, runner.TotalStats())
+		fmt.Fprintln(stderr, sc.Stats())
 	}
 
-	if tracer != nil && *traceOut != "" {
+	tracer := sc.Capture
+	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -225,7 +220,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stdout, "wrote %s (%d spans, %d machines) — open at https://ui.perfetto.dev\n",
 			*traceOut, tracer.Len(), len(tracer.Processes()))
 	}
-	if tracer != nil && *metricsOut != "" {
+	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -243,51 +238,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stdout, "wrote %s (%d counters, %d histograms)\n",
 			*metricsOut, len(tracer.Metrics().Names()), len(tracer.Metrics().HistNames()))
 	}
-	if *benchOut != "" {
-		if err := writeRunnerBench(*benchOut); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "wrote %s (runner suite)\n", *benchOut)
-	}
 	return 0
-}
-
-// writeRunnerBench snapshots the accumulated runner stats as the
-// "runner" BENCH suite. Commit metadata comes from HETBENCH_COMMIT (CI
-// passes GITHUB_SHA); the numbers are wall-clock, so the snapshot is a
-// trajectory point, not a deterministic artifact.
-func writeRunnerBench(path string) error {
-	s := runner.TotalStats()
-	if s.Cells == 0 {
-		return fmt.Errorf("bench-out: no runner cells executed")
-	}
-	commit := os.Getenv("HETBENCH_COMMIT")
-	if commit == "" {
-		commit = os.Getenv("GITHUB_SHA")
-	}
-	f := &report.BenchFile{
-		Suite:  "runner",
-		Commit: commit,
-		Date:   time.Now().UTC().Format(time.RFC3339), //hetlint:allow detnondet BENCH metadata timestamps the snapshot, never experiment output
-		Go:     runtime.Version(),
-		Jobs:   s.Jobs,
-		Entries: []report.BenchEntry{
-			{Name: "runner/wall", NsPerOp: float64(s.Wall), AllocsPerOp: -1, Count: 1},
-			{Name: "runner/serial-estimate", NsPerOp: float64(s.Serial), AllocsPerOp: -1, Count: 1},
-			{
-				Name:        "runner/cell",
-				NsPerOp:     float64(s.Serial) / float64(s.Cells),
-				AllocsPerOp: -1,
-				Count:       int64(s.Cells),
-				P50Ns:       s.CellNs.Quantile(0.50),
-				P95Ns:       s.CellNs.Quantile(0.95),
-				P99Ns:       s.CellNs.Quantile(0.99),
-				MaxNs:       s.CellNs.Max(),
-			},
-		},
-	}
-	return report.WriteBenchFile(path, f)
 }
 
 // runBenchDelta is the -bench-delta mode: compare OLD,NEW snapshots,

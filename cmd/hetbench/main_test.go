@@ -25,9 +25,21 @@ func TestRunUsageErrors(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"positional args", []string{"table2"}, "unexpected arguments"},
 		{"list with trace", []string{"-list", "-trace", "out.json"}, "cannot be combined"},
+		{"unknown experiment with output files", []string{"-exp", "nosuch", "-progress-log", "p.jsonl", "-cpuprofile", "cpu.out"}, "unknown experiment"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// Usage errors are reported before any side effect: run in an
+			// empty directory and require it to stay empty.
+			dir := t.TempDir()
+			wd, err := os.Getwd()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chdir(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer os.Chdir(wd)
 			var stdout, stderr bytes.Buffer
 			if code := run(context.Background(), tc.args, &stdout, &stderr); code != 2 {
 				t.Fatalf("run(%v) = %d, want exit code 2", tc.args, code)
@@ -37,6 +49,9 @@ func TestRunUsageErrors(t *testing.T) {
 			firstLine, _, _ := strings.Cut(stderr.String(), "\n")
 			if !strings.Contains(firstLine, tc.want) {
 				t.Fatalf("stderr first line %q does not mention %q", firstLine, tc.want)
+			}
+			if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+				t.Errorf("usage error left files behind: %v (err %v)", left, err)
 			}
 		})
 	}

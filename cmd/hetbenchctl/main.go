@@ -6,14 +6,13 @@
 //
 //	hetbenchctl -addr http://localhost:8080 -exp table1 -scale small [-seed 1] [-timeout-ms 0]
 //	hetbenchctl -addr ... -loadgen [-n 40] [-c 4] [-exps table1,table2] [-chaos-cancel 0.2]
-//	hetbenchctl -addr ... -loadgen -arrivals poisson -rate 50 [-bench-out BENCH_service.json]
+//	hetbenchctl -addr ... -loadgen -arrivals poisson -rate 50
 //	hetbenchctl -addr ... -metricz
 //
 // -arrivals replays a seeded fleet arrival trace (poisson or bursty)
 // against the live daemon: the same generator that drives `hetbench
 // -exp fleet` paces the requests open-loop, so simulated and measured
-// tail latency come from identical workloads. -bench-out snapshots the
-// hit/miss latency distributions as the "service" BENCH suite.
+// tail latency come from identical workloads.
 package main
 
 import (
@@ -24,17 +23,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"hetbench/internal/fleet"
-	"hetbench/internal/report"
 	"hetbench/internal/service"
 	"hetbench/internal/service/client"
-	"hetbench/internal/trace"
 
 	"flag"
 )
@@ -62,7 +58,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	chaosAfter := fs.Duration("chaos-after", time.Millisecond, "loadgen: chaos requests' lifetime")
 	arrivals := fs.String("arrivals", "none", "loadgen: open-loop arrival trace (none|poisson|bursty), seeded by -seed")
 	rate := fs.Float64("rate", 50, "loadgen: mean arrival rate in requests/sec for -arrivals")
-	benchOut := fs.String("bench-out", "", "loadgen: write hit/miss latency stats as a BENCH_*.json snapshot to this file")
 	metricz := fs.Bool("metricz", false, "print the daemon's /metricz counters as 'name value' lines")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -103,13 +98,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "hetbenchctl: %d requests failed\n", rep.Errors)
 			return 1
 		}
-		if *benchOut != "" {
-			if err := writeServiceBench(*benchOut, rep); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "wrote %s (service suite)\n", *benchOut)
-		}
 		return 0
 	}
 
@@ -142,47 +130,6 @@ func buildArrivals(shape string, n int, rate float64, seed int64) ([]time.Durati
 		return nil, fmt.Errorf("-arrivals: %w", err)
 	}
 	return fleet.ArrivalOffsets(spec), nil
-}
-
-// writeServiceBench snapshots a loadgen report as the "service" BENCH
-// suite: one entry per outcome class (hit, miss) carrying the measured
-// latency distribution. Commit metadata comes from HETBENCH_COMMIT (CI
-// passes GITHUB_SHA); the numbers are wall-clock, so the snapshot is a
-// trajectory point, not a deterministic artifact.
-func writeServiceBench(path string, rep *client.LoadgenReport) error {
-	commit := os.Getenv("HETBENCH_COMMIT")
-	if commit == "" {
-		commit = os.Getenv("GITHUB_SHA")
-	}
-	f := &report.BenchFile{
-		Suite:  "service",
-		Commit: commit,
-		Date:   time.Now().UTC().Format(time.RFC3339), //hetlint:allow detnondet BENCH metadata timestamps the snapshot, never experiment output
-		Go:     runtime.Version(),
-	}
-	for _, c := range []struct {
-		name  string
-		count int
-		hist  *trace.Histogram
-	}{{"service/hit", rep.Hits, rep.HitNs}, {"service/miss", rep.Misses, rep.MissNs}} {
-		if c.count == 0 || c.hist.Count() == 0 {
-			continue
-		}
-		f.Entries = append(f.Entries, report.BenchEntry{
-			Name:        c.name,
-			NsPerOp:     c.hist.Mean(),
-			AllocsPerOp: -1,
-			Count:       int64(c.count),
-			P50Ns:       c.hist.Quantile(0.50),
-			P95Ns:       c.hist.Quantile(0.95),
-			P99Ns:       c.hist.Quantile(0.99),
-			MaxNs:       c.hist.Max(),
-		})
-	}
-	if len(f.Entries) == 0 {
-		return fmt.Errorf("bench-out: loadgen produced no latency samples")
-	}
-	return report.WriteBenchFile(path, f)
 }
 
 // buildMix expands -exps into the loadgen request pool.

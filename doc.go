@@ -31,7 +31,8 @@
 //	internal/harness  one Experiment per table/figure/ablation/extension
 //	internal/harness/runner
 //	                  bounded worker pool: cell-order-deterministic merge,
-//	                  Stats with per-cell quantiles, ProgressSink events
+//	                  a run Scope (capture, progress sink, Stats with
+//	                  per-cell quantiles) carried on the context
 //	internal/report   ASCII tables, series, CSV, and the hetbench-bench/v1
 //	                  BENCH_*.json schema with the PerfDelta gate
 //	internal/service  hetbenchd's core: content-addressed result cache,
@@ -47,7 +48,7 @@
 //	                  launchcheck, counterkey, ctxflow, goroexit) and the
 //	                  parallel driver with text/json/sarif renderers
 //	cmd/hetbench      the experiment driver (-exp, -jobs, -trace, -metrics,
-//	                  -progress, -bench-out, -bench-delta)
+//	                  -progress, -bench-delta)
 //	cmd/hetbenchd     the HTTP/JSON simulation daemon
 //	cmd/hetbenchctl   its client: single runs, -loadgen (closed-loop or
 //	                  fleet-trace -arrivals replay), -metricz
@@ -55,8 +56,8 @@
 //	specs/            shipped workload specs (sobel, canny, 3mm, mlp),
 //	                  embedded as hetbench.SpecFS for the dag experiment
 //
-// Perf baselines BENCH_hotpath.json, BENCH_runner.json and
-// BENCH_service.json live at the repo root; bench_test.go regenerates
-// the hotpath suite when HETBENCH_BENCH_OUT is set, and the service
-// suite comes from `hetbenchctl -loadgen -arrivals poisson -bench-out`.
+// The perf baseline BENCH_hotpath.json lives at the repo root;
+// bench_test.go regenerates it when HETBENCH_BENCH_OUT is set. The
+// wall-clock runner and service numbers come from the benchmark driver
+// under _perfbench (BENCHMARK.json).
 package hetbench

@@ -321,7 +321,7 @@ func Registry() map[string]Experiment {
 		{"coexec", "Extension: CPU+accelerator co-execution",
 			"readmem, LULESH and miniFE split across host CPU and accelerator on both machines under static, dynamic and HGuided partitioning, vs the accelerator alone", RunCoexec},
 		{"perfbaseline", "Extension: perf baseline and latency distributions",
-			"per-app kernel/transfer latency quantiles plus fault-recovery and chunk-service distributions; the runner workout behind BENCH_runner.json (-bench-out)", RunPerfBaseline},
+			"per-app kernel/transfer latency quantiles plus fault-recovery and chunk-service distributions; a representative runner workout (run with -v for the pool's wall-clock stats)", RunPerfBaseline},
 		{"dag", "Extension: declarative DAG workloads",
 			"the four shipped workload specs (sobel, canny, 3mm, mlp) under spec × model × machine × schedule: serialized baseline vs the DAG-aware planner overlapping independent kernels on both devices, with staging priced per edge and device-loss rebooking", RunDag},
 		{"fleet", "Extension: cluster-scale fleet simulation",

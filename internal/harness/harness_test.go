@@ -94,10 +94,17 @@ func TestSeedOf(t *testing.T) {
 	}
 }
 
-// TestNoSetSeedCallers keeps the process-global seed from coming back:
-// the CLI and the service put the seed on the context, so no package
-// under internal/ or cmd/ may call harness.SetSeed.
-func TestNoSetSeedCallers(t *testing.T) {
+// TestNoFallbackCallers keeps the process globals from coming back. The
+// CLI and the service carry the seed and the runner scope on the
+// context; the fallbacks below remain only for the benchmark driver
+// under _perfbench, so no package under internal/ or cmd/ may call them.
+func TestNoFallbackCallers(t *testing.T) {
+	forbidden := []struct{ importPath, name, instead string }{
+		{"hetbench/internal/harness", "SetSeed", "put the seed on the context with harness.WithSeed"},
+		{"hetbench/internal/harness/runner", "SetCapture", "set Capture on a runner.Scope"},
+		{"hetbench/internal/harness/runner", "TotalStats", "read runner.Scope.Stats"},
+		{"hetbench/internal/harness/runner", "ResetStats", "start a fresh runner.Scope"},
+	}
 	fset := token.NewFileSet()
 	for _, dir := range []string{"../../internal", "../../cmd"} {
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
@@ -114,22 +121,27 @@ func TestNoSetSeedCallers(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			name := ""
+			// Local name of each imported package in this file.
+			names := map[string]string{}
 			for _, imp := range f.Imports {
-				if imp.Path.Value == `"hetbench/internal/harness"` {
-					name = "harness"
-					if imp.Name != nil {
-						name = imp.Name.Name
-					}
+				p := strings.Trim(imp.Path.Value, `"`)
+				names[p] = p[strings.LastIndex(p, "/")+1:]
+				if imp.Name != nil {
+					names[p] = imp.Name.Name
 				}
 			}
-			if name == "" {
-				return nil
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "SetSeed" {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
-						t.Errorf("%s: calls harness.SetSeed; put the seed on the context with harness.WithSeed", fset.Position(sel.Pos()))
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				x, ok := sel.X.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				for _, fb := range forbidden {
+					if name, ok := names[fb.importPath]; ok && x.Name == name && sel.Sel.Name == fb.name {
+						t.Errorf("%s: calls %s.%s; %s", fset.Position(sel.Pos()), name, fb.name, fb.instead)
 					}
 				}
 				return true

@@ -27,7 +27,7 @@ const perfBaselineFaultRate = 0.05
 // Everything on stdout derives from virtual clocks and merged histogram
 // buckets, so the output is byte-identical at any -jobs — while the
 // run itself is a representative runner workout whose wall-clock stats
-// feed BENCH_runner.json via `hetbench -exp perfbaseline -bench-out`.
+// `hetbench -exp perfbaseline -v` prints to stderr.
 func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 	fmt.Fprintln(w, "Latency distributions per cell (virtual-clock ns, log-bucketed histograms; quantiles are")
 	fmt.Fprintln(w, "bucket upper bounds clamped to the observed range, deterministic at any -jobs).")

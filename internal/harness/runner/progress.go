@@ -45,28 +45,10 @@ type Event struct {
 // ProgressSink receives pool progress events. Emit is called from the
 // worker goroutines under the tracker's lock, so implementations need
 // no further synchronization against each other but must not block for
-// long. A nil sink (the default) costs the hot path nothing.
+// long. A run's sink is its Scope's Progress; a nil sink (the default)
+// costs the hot path nothing.
 type ProgressSink interface {
 	Emit(Event)
-}
-
-// progress is the run-wide sink, installed by cmd/hetbench's -progress
-// and -progress-log flags.
-var progress ProgressSink
-
-// SetProgress installs (or, with nil, removes) the run-wide progress
-// sink. Like SetJobs/SetCapture it is read once per Run call.
-func SetProgress(s ProgressSink) {
-	mu.Lock()
-	defer mu.Unlock()
-	progress = s
-}
-
-// Progress returns the installed progress sink, if any.
-func Progress() ProgressSink {
-	mu.Lock()
-	defer mu.Unlock()
-	return progress
 }
 
 // progTracker serializes event emission for one Run and maintains the
@@ -140,7 +122,10 @@ func (p *progTracker) cellStart(i int, label string) {
 	p.mu.Unlock()
 }
 
-func (p *progTracker) cellDone(i int, label string, d time.Duration, err error) {
+// cellDone records a finished cell. A cell skipped by cancellation
+// (ran false) counts as done and failed but, as in Stats, stays out of
+// the histogram and so out of the quantiles and the ETA.
+func (p *progTracker) cellDone(i int, label string, d time.Duration, err error, ran bool) {
 	if p == nil {
 		return
 	}
@@ -149,7 +134,9 @@ func (p *progTracker) cellDone(i int, label string, d time.Duration, err error) 
 	if err != nil {
 		p.failed++
 	}
-	p.hist.Observe(float64(d))
+	if ran {
+		p.hist.Observe(float64(d))
+	}
 	ev := Event{Type: "cell-done", Cell: i, Label: label, CellDur: d, Err: err}
 	p.fill(&ev)
 	p.sink.Emit(ev)

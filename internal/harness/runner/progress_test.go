@@ -25,17 +25,15 @@ func (s *recordSink) Emit(ev Event) {
 	s.mu.Unlock()
 }
 
-// withProgress installs a sink for one test and removes it after.
-func withProgress(t *testing.T, s ProgressSink) {
-	t.Helper()
-	SetProgress(s)
-	t.Cleanup(func() { SetProgress(nil) })
+// withProgress returns a context whose runs report to s.
+func withProgress(s ProgressSink) context.Context {
+	return WithScope(context.Background(), &Scope{Progress: s})
 }
 
 func TestProgressEventSequence(t *testing.T) {
 	withJobs(t, 2)
 	sink := &recordSink{}
-	withProgress(t, sink)
+	ctx := withProgress(sink)
 	failure := errors.New("boom")
 	cells := make([]Cell, 5)
 	for i := range cells {
@@ -48,7 +46,7 @@ func TestProgressEventSequence(t *testing.T) {
 			return nil
 		}}
 	}
-	if _, err := Run(context.Background(), nil, cells); !errors.Is(err, failure) {
+	if _, err := Run(ctx, nil, cells); !errors.Is(err, failure) {
 		t.Fatalf("Run error = %v, want %v", err, failure)
 	}
 	evs := sink.events
@@ -91,12 +89,12 @@ func TestProgressEventSequence(t *testing.T) {
 func TestTTYSinkRendersLine(t *testing.T) {
 	withJobs(t, 1)
 	var buf bytes.Buffer
-	withProgress(t, &TTYSink{W: &buf})
+	ctx := withProgress(&TTYSink{W: &buf})
 	cells := []Cell{
 		{Label: "a", Run: func(cx *Ctx) error { time.Sleep(time.Millisecond); return nil }},
 		{Label: "b", Run: func(cx *Ctx) error { return nil }},
 	}
-	if _, err := Run(context.Background(), nil, cells); err != nil {
+	if _, err := Run(ctx, nil, cells); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -114,7 +112,7 @@ func TestTTYSinkRendersLine(t *testing.T) {
 func TestJSONLSinkEmitsParsableLines(t *testing.T) {
 	withJobs(t, 4)
 	var buf bytes.Buffer
-	withProgress(t, &JSONLSink{W: &buf})
+	ctx := withProgress(&JSONLSink{W: &buf})
 	cells := make([]Cell, 3)
 	for i := range cells {
 		cells[i] = Cell{Label: fmt.Sprintf("c%d", i), Run: func(cx *Ctx) error {
@@ -122,7 +120,7 @@ func TestJSONLSinkEmitsParsableLines(t *testing.T) {
 			return nil
 		}}
 	}
-	if _, err := Run(context.Background(), nil, cells); err != nil {
+	if _, err := Run(ctx, nil, cells); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -149,8 +147,8 @@ func TestJSONLSinkEmitsParsableLines(t *testing.T) {
 func TestMultiSinkFansOut(t *testing.T) {
 	withJobs(t, 1)
 	a, b := &recordSink{}, &recordSink{}
-	withProgress(t, MultiSink{a, b})
-	if _, err := Run(context.Background(), nil, []Cell{{Run: func(cx *Ctx) error { return nil }}}); err != nil {
+	ctx := withProgress(MultiSink{a, b})
+	if _, err := Run(ctx, nil, []Cell{{Run: func(cx *Ctx) error { return nil }}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.events) == 0 || len(a.events) != len(b.events) {
@@ -165,7 +163,7 @@ func TestNilProgressTrackerAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() {
 		p.runStart()
 		p.cellStart(0, "label")
-		p.cellDone(0, "label", time.Millisecond, nil)
+		p.cellDone(0, "label", time.Millisecond, nil, true)
 		p.runDone()
 	}); avg != 0 {
 		t.Errorf("nil progress tracker allocates %.1f/op, want 0", avg)
@@ -175,8 +173,8 @@ func TestNilProgressTrackerAllocs(t *testing.T) {
 // Stats carries the per-cell wall-time distribution and renders its
 // quantiles.
 func TestStatsCellQuantiles(t *testing.T) {
-	ResetStats()
 	withJobs(t, 2)
+	sc := &Scope{}
 	cells := make([]Cell, 6)
 	for i := range cells {
 		cells[i] = Cell{Run: func(cx *Ctx) error {
@@ -184,7 +182,7 @@ func TestStatsCellQuantiles(t *testing.T) {
 			return nil
 		}}
 	}
-	stats, err := Run(context.Background(), nil, cells)
+	stats, err := Run(WithScope(context.Background(), sc), nil, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +195,40 @@ func TestStatsCellQuantiles(t *testing.T) {
 	if s := stats.String(); !strings.Contains(s, "cell p50") || !strings.Contains(s, "p99") {
 		t.Errorf("Stats.String() lacks cell quantiles: %q", s)
 	}
-	if tot := TotalStats(); tot.CellNs.Count() != 6 {
-		t.Errorf("TotalStats().CellNs.Count() = %d, want 6", tot.CellNs.Count())
+	if tot := sc.Stats(); tot.CellNs.Count() != 6 {
+		t.Errorf("Scope.Stats().CellNs.Count() = %d, want 6", tot.CellNs.Count())
+	}
+}
+
+// Cells skipped by cancellation count as done and failed in progress
+// events, but like Stats the quantiles and the ETA's mean describe only
+// cells that ran: the run-done p50 is the one cell's time, not a 0 ns
+// skip.
+func TestProgressSkipsCanceledCells(t *testing.T) {
+	withJobs(t, 1)
+	sink := &recordSink{}
+	ctx, cancel := context.WithCancel(withProgress(sink))
+	defer cancel()
+	cells := make([]Cell, 8)
+	for i := range cells {
+		cells[i] = Cell{Label: fmt.Sprintf("cell-%d", i), Run: func(cx *Ctx) error {
+			time.Sleep(5 * time.Millisecond)
+			cancel()
+			return nil
+		}}
+	}
+	stats, err := Run(ctx, nil, cells)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run error = %v, want context.Canceled", err)
+	}
+	if stats.CellNs.Count() != 1 {
+		t.Fatalf("stats counted %d cells, want the 1 that ran", stats.CellNs.Count())
+	}
+	final := sink.events[len(sink.events)-1]
+	if final.Type != "run-done" || final.Done != 8 || final.Failed != 7 {
+		t.Errorf("run-done = %+v, want done 8, failed 7", final)
+	}
+	if want := stats.CellQuantile(0.5); final.P50 != want {
+		t.Errorf("run-done p50 = %v, want the ran cell's %v", final.P50, want)
 	}
 }

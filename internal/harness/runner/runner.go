@@ -62,8 +62,8 @@ type Ctx struct {
 	// Context so client disconnects and deadlines cancel in-flight work.
 	ctx context.Context
 
-	// tracer is the cell's private tracer, non-nil only while a run-wide
-	// capture is installed (the -trace flag).
+	// tracer is the cell's private tracer, non-nil only when the run's
+	// Scope has a Capture (the -trace and -metrics flags).
 	tracer *trace.Tracer
 }
 
@@ -78,11 +78,11 @@ func (cx *Ctx) Context() context.Context {
 	return cx.ctx
 }
 
-// Machine builds one cell-private machine. When a run-wide trace capture
-// is active the machine attaches to the cell's private tracer (folded
-// into the capture in cell order at merge time) instead of a tracer
-// shared across concurrent cells — that sharing is exactly what would
-// make span order depend on goroutine interleaving. A nil receiver is
+// Machine builds one cell-private machine. When the run captures a trace
+// the machine attaches to the cell's private tracer (folded into the
+// capture in cell order at merge time) instead of a tracer shared across
+// concurrent cells — that sharing is exactly what would make span order
+// depend on goroutine interleaving. A nil receiver is
 // allowed so experiment helpers can run outside any cell (direct calls
 // from tests); it degenerates to plain construction.
 func (cx *Ctx) Machine(mk func() *sim.Machine) *sim.Machine {
@@ -93,17 +93,14 @@ func (cx *Ctx) Machine(mk func() *sim.Machine) *sim.Machine {
 	return m
 }
 
-// jobs/capture are run-wide knobs (the cmd/hetbench -jobs and -trace
-// flags). capture is read once per Run call, so flipping it mid-run does
-// not tear a merge. jobs bounds the cells running across all Runs in the
-// process, so concurrent runs (the service's) share one pool.
+// jobs bounds the cells running across all Runs in the process (the
+// cmd/hetbench -jobs flag), so concurrent runs (the service's) share one
+// pool. Everything else a run carries lives on its Scope.
 var (
 	mu       sync.Mutex
 	jobs     = DefaultJobs()
 	running  int // cells holding a pool slot, across all Runs
 	slotFree = sync.NewCond(&mu)
-	capture  *trace.Tracer
-	total    Stats
 )
 
 // DefaultJobs is the worker count used when none is configured: the
@@ -155,23 +152,93 @@ func Jobs() int {
 	return jobs
 }
 
-// SetCapture installs (or, with nil, removes) the run-wide tracer that
-// cell tracers fold into. While a capture is installed, every Ctx gets a
-// private tracer and Ctx.Machine attaches machines to it.
+// Scope is what one run carries besides its cells: the capture tracer
+// that cell tracers fold into (the -trace and -metrics flags), the
+// progress sink, and the totals of every Run made under it. Install it
+// with WithScope; Run reads it from its context once. Set Capture and
+// Progress before the first Run and leave them alone while runs are in
+// flight.
+type Scope struct {
+	// Capture, when non-nil, gives every cell a private tracer that Run
+	// folds into Capture in cell order.
+	Capture *trace.Tracer
+	// Progress, when non-nil, receives the pool's lifecycle events.
+	Progress ProgressSink
+
+	mu    sync.Mutex
+	stats Stats
+}
+
+type scopeKey struct{}
+
+// WithScope returns ctx carrying sc: every Run under the returned
+// context captures into sc, reports progress to it, and adds its Stats
+// to sc's totals.
+func WithScope(ctx context.Context, sc *Scope) context.Context {
+	return context.WithValue(ctx, scopeKey{}, sc)
+}
+
+// fallback is the Scope of runs whose context carries none. Only the
+// SetCapture, TotalStats and ResetStats shims reach it; they remain for
+// the benchmark driver under _perfbench, which predates Scope.
+var fallback Scope
+
+func scopeOf(ctx context.Context) *Scope {
+	if sc, ok := ctx.Value(scopeKey{}).(*Scope); ok && sc != nil {
+		return sc
+	}
+	return &fallback
+}
+
+// Stats returns the totals of every Run made under the scope so far;
+// Wall sums the pools' elapsed times (the CLI's Runs do not overlap, so
+// the sum is the invocation's runner time).
+func (sc *Scope) Stats() Stats {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.stats
+}
+
+// sinks returns the scope's capture tracer and progress sink.
+func (sc *Scope) sinks() (*trace.Tracer, ProgressSink) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.Capture, sc.Progress
+}
+
+// add folds one Run's stats into the scope's totals.
+func (sc *Scope) add(s *Stats) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	t := &sc.stats
+	t.Cells += s.Cells
+	t.Panics += s.Panics
+	t.Wall += s.Wall
+	t.Serial += s.Serial
+	t.Jobs = max(t.Jobs, s.Jobs)
+	t.CellNs.Merge(&s.CellNs)
+}
+
+// SetCapture installs (or, with nil, removes) the capture tracer of runs
+// whose context carries no Scope. New code puts a Scope on the context.
 func SetCapture(t *trace.Tracer) {
-	mu.Lock()
-	defer mu.Unlock()
-	capture = t
+	fallback.mu.Lock()
+	defer fallback.mu.Unlock()
+	fallback.Capture = t
 }
 
-// Capture returns the installed run-wide tracer, if any.
-func Capture() *trace.Tracer {
-	mu.Lock()
-	defer mu.Unlock()
-	return capture
+// TotalStats returns the totals of the runs whose context carries no
+// Scope, since ResetStats.
+func TotalStats() Stats { return fallback.Stats() }
+
+// ResetStats clears TotalStats.
+func ResetStats() {
+	fallback.mu.Lock()
+	defer fallback.mu.Unlock()
+	fallback.stats = Stats{}
 }
 
-// Stats summarizes one Run (or, via TotalStats, all runs so far).
+// Stats summarizes one Run, or every Run under a Scope.
 type Stats struct {
 	Cells int
 	Jobs  int
@@ -186,7 +253,7 @@ type Stats struct {
 	// CellNs is the distribution of per-cell wall times. It is observed
 	// directly (never through a trace.Registry), because wall-clock
 	// samples must stay out of the deterministic capture path; like Wall
-	// and Serial it only ever reaches stderr reports and BENCH files.
+	// and Serial it only ever reaches stderr reports and benchmark metrics.
 	CellNs trace.Histogram
 }
 
@@ -221,35 +288,6 @@ func (s Stats) String() string {
 	return line
 }
 
-func addTotal(s Stats) {
-	mu.Lock()
-	defer mu.Unlock()
-	total.Cells += s.Cells
-	total.Panics += s.Panics
-	total.Wall += s.Wall
-	total.Serial += s.Serial
-	if s.Jobs > total.Jobs {
-		total.Jobs = s.Jobs
-	}
-	total.CellNs.Merge(&s.CellNs)
-}
-
-// TotalStats returns stats accumulated over every Run since ResetStats;
-// Wall sums the pools' elapsed times (Run calls do not overlap in the
-// CLI, so the sum is the experiment's runner-time).
-func TotalStats() Stats {
-	mu.Lock()
-	defer mu.Unlock()
-	return total
-}
-
-// ResetStats clears the run-wide accumulator.
-func ResetStats() {
-	mu.Lock()
-	defer mu.Unlock()
-	total = Stats{}
-}
-
 // safeRun invokes one cell with panic containment: a panic becomes an
 // ErrCellPanic-wrapped error carrying the panic value and stack, failing
 // the one cell while the rest of the pool keeps running.
@@ -282,8 +320,9 @@ func Run(ctx context.Context, w io.Writer, cells []Cell) (Stats, error) {
 		ctx = context.Background()
 	}
 	nJobs := Jobs()
-	capTracer := Capture()
-	prog := newProgTracker(Progress(), len(cells), nJobs)
+	sc := scopeOf(ctx)
+	capTracer, sink := sc.sinks()
+	prog := newProgTracker(sink, len(cells), nJobs)
 	ctxs := make([]*Ctx, len(cells))
 	errs := make([]error, len(cells))
 	durs := make([]time.Duration, len(cells))
@@ -310,14 +349,14 @@ func Run(ctx context.Context, w io.Writer, cells []Cell) (Stats, error) {
 				// invoking it, but still emit the progress event so the
 				// sink's tallies stay balanced.
 				errs[i] = err
-				prog.cellDone(i, cells[i].Label, 0, err)
+				prog.cellDone(i, cells[i].Label, 0, err, false)
 				return
 			}
 			ran[i] = true
 			t0 := time.Now() //hetlint:allow detnondet per-cell wall time feeds the serial-estimate stat only
 			errs[i] = safeRun(cells[i], cx)
 			durs[i] = time.Since(t0) //hetlint:allow detnondet per-cell wall time feeds the serial-estimate stat only
-			prog.cellDone(i, cells[i].Label, durs[i], errs[i])
+			prog.cellDone(i, cells[i].Label, durs[i], errs[i], true)
 		}(i, cx)
 	}
 	wg.Wait()
@@ -333,7 +372,7 @@ func Run(ctx context.Context, w io.Writer, cells []Cell) (Stats, error) {
 			stats.Panics++
 		}
 	}
-	addTotal(stats)
+	sc.add(&stats)
 
 	// Replay effects in cell order. Every executed cell's tracer folds
 	// into the capture — failed cells included, whose partial spans and

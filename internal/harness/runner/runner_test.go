@@ -151,8 +151,7 @@ func TestRunFirstErrorInCellOrder(t *testing.T) {
 func TestRunErrorCellStillFoldsTracerAndCounts(t *testing.T) {
 	withJobs(t, 2)
 	cap := trace.New()
-	SetCapture(cap)
-	defer SetCapture(nil)
+	ctx := WithScope(context.Background(), &Scope{Capture: cap})
 	boom := errors.New("boom")
 	cells := []Cell{
 		{Label: "ok", Run: func(cx *Ctx) error {
@@ -171,7 +170,7 @@ func TestRunErrorCellStillFoldsTracerAndCounts(t *testing.T) {
 			return nil
 		}},
 	}
-	stats, err := Run(context.Background(), nil, cells)
+	stats, err := Run(ctx, nil, cells)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want %v", err, boom)
 	}
@@ -332,8 +331,7 @@ func TestCaptureFoldsDeterministically(t *testing.T) {
 	render := func(jobs int) ([]trace.Span, []string, map[string]float64, string) {
 		withJobs(t, jobs)
 		cap := trace.New()
-		SetCapture(cap)
-		defer SetCapture(nil)
+		ctx := WithScope(context.Background(), &Scope{Capture: cap})
 		cells := make([]Cell, 6)
 		for i := range cells {
 			i := i
@@ -343,7 +341,7 @@ func TestCaptureFoldsDeterministically(t *testing.T) {
 				return nil
 			}}
 		}
-		if _, err := Run(context.Background(), nil, cells); err != nil {
+		if _, err := Run(ctx, nil, cells); err != nil {
 			t.Fatal(err)
 		}
 		return cap.Spans(), cap.Processes(), cap.Metrics().Snapshot(), histSummary(cap.Metrics())
@@ -399,13 +397,62 @@ func TestSetJobsDefaultAndStats(t *testing.T) {
 	if !strings.Contains(s.String(), "4 cells") {
 		t.Errorf("Stats.String() = %q", s.String())
 	}
+}
 
-	ResetStats()
+// oneCell is a run of a single cell that builds one traced-capable
+// machine.
+func oneCell() []Cell {
+	return []Cell{{Run: func(cx *Ctx) error {
+		cx.Machine(sim.NewDGPU).LaunchKernel(sim.OnAccelerator, "k", kernelCost(1000))
+		return nil
+	}}}
+}
+
+// Runs under a Scope add their stats to it, capture into its tracer, and
+// leave the fallback scope alone.
+func TestScopeCollectsItsRuns(t *testing.T) {
 	withJobs(t, 2)
-	Run(context.Background(), nil, []Cell{{Run: func(cx *Ctx) error { return nil }}})
-	Run(context.Background(), nil, []Cell{{Run: func(cx *Ctx) error { return nil }}})
+	ResetStats()
+	sc := &Scope{Capture: trace.New()}
+	ctx := WithScope(context.Background(), sc)
+	for range 2 {
+		if _, err := Run(ctx, nil, oneCell()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sc.Stats(); st.Cells != 2 || st.Jobs != 2 || st.CellNs.Count() != 2 {
+		t.Errorf("Scope.Stats() = %+v, want 2 cells on 2 workers", st)
+	}
+	if sc.Capture.Len() == 0 {
+		t.Error("scoped runs left the scope's capture empty")
+	}
+	if tot := TotalStats(); tot.Cells != 0 {
+		t.Errorf("TotalStats().Cells = %d after scoped runs, want 0", tot.Cells)
+	}
+}
+
+// Runs without a Scope use the fallback that SetCapture, TotalStats and
+// ResetStats reach; the benchmark driver under _perfbench depends on it.
+func TestFallbackScope(t *testing.T) {
+	withJobs(t, 2)
+	ResetStats()
+	cap := trace.New()
+	SetCapture(cap)
+	defer SetCapture(nil)
+	for range 2 {
+		if _, err := Run(context.Background(), nil, oneCell()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if tot := TotalStats(); tot.Cells != 2 {
 		t.Errorf("TotalStats().Cells = %d after two 1-cell runs", tot.Cells)
+	}
+	if cap.Len() == 0 {
+		t.Error("SetCapture's tracer captured nothing")
+	}
+	ResetStats()
+	if tot := TotalStats(); tot.Cells != 0 {
+		t.Errorf("TotalStats().Cells = %d after ResetStats", tot.Cells)
 	}
 }
 

@@ -14,33 +14,26 @@ import (
 const BenchSchema = "hetbench-bench/v1"
 
 // BenchEntry is one named measurement in a BENCH file: mean ns/op plus,
-// when the producer measured them, allocations per op and the ns
-// distribution quantiles.
+// when the producer measured them, allocations per op.
 type BenchEntry struct {
 	Name    string  `json:"name"`
 	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is -1 when the producer did not measure allocations
-	// (e.g. the runner suite); 0 is a meaningful measured value the CI
-	// gate relies on.
+	// AllocsPerOp is -1 when the producer did not measure allocations;
+	// 0 is a meaningful measured value the CI gate relies on.
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	Count       int64   `json:"count,omitempty"` // ops or cells measured
-	P50Ns       float64 `json:"p50_ns,omitempty"`
-	P95Ns       float64 `json:"p95_ns,omitempty"`
-	P99Ns       float64 `json:"p99_ns,omitempty"`
-	MaxNs       float64 `json:"max_ns,omitempty"`
+	Count       int64   `json:"count,omitempty"` // ops measured
 }
 
 // BenchFile is the machine-readable perf-trajectory snapshot committed
-// at the repo root (BENCH_hotpath.json, BENCH_runner.json). Commit
-// metadata comes from the producer's arguments (CI passes GITHUB_SHA),
-// never from inside the library, so the schema stays host-agnostic.
+// at the repo root (BENCH_hotpath.json). Commit metadata comes from the
+// producer's arguments (CI passes GITHUB_SHA), never from inside the
+// library, so the schema stays host-agnostic.
 type BenchFile struct {
 	Schema  string       `json:"schema"`
-	Suite   string       `json:"suite"` // "hotpath" or "runner"
+	Suite   string       `json:"suite"` // "hotpath"
 	Commit  string       `json:"commit,omitempty"`
 	Date    string       `json:"date,omitempty"` // ISO 8601, producer-supplied
 	Go      string       `json:"go,omitempty"`
-	Jobs    int          `json:"jobs,omitempty"`
 	Entries []BenchEntry `json:"entries"`
 }
 
@@ -153,7 +146,7 @@ func (r *BenchDeltaReport) Regressions() []string {
 // PerfDelta compares two BENCH snapshots entry by entry, sorted by
 // name. threshold is the tolerated fractional ns/op growth (0.2 = 20%);
 // threshold <= 0 disables the time gate (report-only mode for noisy
-// suites like the runner's wall-clock numbers). Allocation counts are
+// wall-clock suites). Allocation counts are
 // deterministic, so any allocs/op increase between measured entries is
 // flagged regardless of threshold.
 func PerfDelta(old, cur *BenchFile, threshold float64) *BenchDeltaReport {
