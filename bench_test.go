@@ -262,24 +262,28 @@ func benchSplitOn(b *testing.B) {
 	}
 }
 
-// hetlintLoad memoizes the module load for BenchmarkHetlint: parsing and
-// type-checking are setup, not the measured phase — the benchmark times
-// the six-analyzer parallel driver itself.
+// hetlintLoad memoizes the module load for benchHetlintModule, which
+// times the six-analyzer parallel driver alone. What a hetlint run pays
+// before its analyzers start, parsing and type-checking the module, is
+// benchHetlintLoad's measure.
 var hetlintLoad struct {
 	once sync.Once
 	pkgs []*analysis.Package
 	err  error
 }
 
+// loadModule parses and type-checks every package of the module through a
+// fresh Loader, as one hetlint ./... run does.
+func loadModule() ([]*analysis.Package, error) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		return nil, err
+	}
+	return loader.Load(".", []string{"./..."})
+}
+
 func benchHetlintModule(b *testing.B) {
-	hetlintLoad.once.Do(func() {
-		loader, err := analysis.NewLoader(".")
-		if err != nil {
-			hetlintLoad.err = err
-			return
-		}
-		hetlintLoad.pkgs, hetlintLoad.err = loader.Load(".", []string{"./..."})
-	})
+	hetlintLoad.once.Do(func() { hetlintLoad.pkgs, hetlintLoad.err = loadModule() })
 	if hetlintLoad.err != nil {
 		b.Fatal(hetlintLoad.err)
 	}
@@ -289,6 +293,18 @@ func benchHetlintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if findings := analysis.RunAnalyzersParallel(hetlintLoad.pkgs, analyzers, runtime.GOMAXPROCS(0)); len(findings) != 0 {
 			b.Fatalf("module is not hetlint-clean: %v", findings)
+		}
+	}
+}
+
+// benchHetlintLoad times one whole-module load per op: a fresh Loader,
+// its `go list -export` run and the type check of every module package
+// against the standard library's export data.
+func benchHetlintLoad(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := loadModule(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -357,10 +373,12 @@ func BenchmarkMinifeAssemble(b *testing.B) {
 	b.Run("small", benchMinifeAssemble)
 }
 
-// BenchmarkHetlint measures the six-analyzer parallel driver over the
-// already-loaded module — the cost every CI run and pre-commit hook pays,
-// tracked in the BENCH trajectory alongside the simulator hot paths.
+// BenchmarkHetlint measures the two halves of a hetlint ./... run: the
+// whole-module load ("load") and the six-analyzer parallel driver over
+// the already-loaded module ("module"). Both are tracked in the BENCH
+// trajectory alongside the simulator hot paths.
 func BenchmarkHetlint(b *testing.B) {
+	b.Run("load", benchHetlintLoad)
 	b.Run("module", benchHetlintModule)
 }
 
@@ -412,6 +430,7 @@ func TestWriteBenchHotpath(t *testing.T) {
 		{"split/off", benchSplitOff},
 		{"split/on", benchSplitOn},
 		{"hist/observe", benchHistObserve},
+		{"hetlint/load", benchHetlintLoad},
 		{"hetlint/module", benchHetlintModule},
 		{"minife/assemble", benchMinifeAssemble},
 	}

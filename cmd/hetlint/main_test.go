@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"hetbench/internal/analysis/analysistest"
 )
 
 // TestRepoIsClean is the acceptance gate in test form: hetlint over the
@@ -21,6 +23,27 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("expected no findings, got:\n%s", out.String())
+	}
+}
+
+// TestSourceFallbackMatchesExportData runs hetlint -format json over the
+// module twice: once reading the standard library from compiler export
+// data, once with go off PATH so the loader type-checks it from source.
+// The two outputs must be byte-identical.
+func TestSourceFallbackMatchesExportData(t *testing.T) {
+	args := []string{"-format", "json", "../../..."}
+	var exported, errb bytes.Buffer
+	if code := run(&exported, &errb, args); code != 0 {
+		t.Fatalf("export-data run exited %d\nstderr:\n%s", code, errb.String())
+	}
+	analysistest.WithoutGo(t)
+	var fromSource bytes.Buffer
+	errb.Reset()
+	if code := run(&fromSource, &errb, args); code != 0 {
+		t.Fatalf("source run exited %d\nstderr:\n%s", code, errb.String())
+	}
+	if !bytes.Equal(exported.Bytes(), fromSource.Bytes()) {
+		t.Errorf("json differs between importers:\n--- export data\n%s\n--- source\n%s", exported.String(), fromSource.String())
 	}
 }
 
@@ -208,11 +231,15 @@ func TestSARIFFormat(t *testing.T) {
 // TestFindingsDeterministicAcrossJobs is the parallel driver's contract
 // test: the rendered finding list over the full fixture tree (every
 // analyzer, plus directive diagnostics) must be byte-identical at one
-// worker and at eight. Run under -race in CI, this also shakes out data
-// races in the worker pool.
+// worker and at eight, and again at eight with the standard library
+// type-checked from source instead of read from export data. Run under
+// -race in CI, this also shakes out data races in the worker pool.
 func TestFindingsDeterministicAcrossJobs(t *testing.T) {
-	outputs := make([]string, 0, 2)
-	for _, jobs := range []string{"1", "8"} {
+	outputs := make([]string, 0, 3)
+	for i, jobs := range []string{"1", "8", "8"} {
+		if i == 2 {
+			analysistest.WithoutGo(t)
+		}
 		var out, errb bytes.Buffer
 		code := run(&out, &errb, []string{"-jobs", jobs, "../../internal/analysis/testdata/src/..."})
 		if code != 1 {
@@ -222,6 +249,9 @@ func TestFindingsDeterministicAcrossJobs(t *testing.T) {
 	}
 	if outputs[0] != outputs[1] {
 		t.Errorf("findings differ between -jobs 1 and -jobs 8:\n--- jobs=1\n%s\n--- jobs=8\n%s", outputs[0], outputs[1])
+	}
+	if outputs[1] != outputs[2] {
+		t.Errorf("findings differ between importers:\n--- export data\n%s\n--- source\n%s", outputs[1], outputs[2])
 	}
 	if strings.Count(outputs[0], "\n") == 0 {
 		t.Error("fixture tree produced no findings; determinism test is vacuous")

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hetbench/internal/analysis"
@@ -15,7 +16,10 @@ func fixture(name string) string {
 
 // TestAnalyzerFixtures runs each analyzer over its fixture package and
 // asserts the exact `// want` diagnostics (position and message) plus
-// the surviving-finding count, so a silently dead rule fails loudly.
+// the surviving-finding count, so a silently dead rule fails loudly. Each
+// fixture loads twice: from compiler export data, then with go off PATH
+// through the source importer. Both loads must fire every `// want` and
+// report the same findings.
 func TestAnalyzerFixtures(t *testing.T) {
 	tests := []struct {
 		fixture string
@@ -43,6 +47,10 @@ func TestAnalyzerFixtures(t *testing.T) {
 			findings := analysistest.Run(t, fixture(tc.fixture), tc.run)
 			if len(findings) != tc.want {
 				t.Errorf("got %d findings, want %d:\n%v", len(findings), tc.want, findings)
+			}
+			analysistest.WithoutGo(t)
+			if fromSource := analysistest.Run(t, fixture(tc.fixture), tc.run); !reflect.DeepEqual(fromSource, findings) {
+				t.Errorf("findings differ between importers:\n--- export data\n%v\n--- source\n%v", findings, fromSource)
 			}
 		})
 	}

@@ -17,6 +17,7 @@ package analysistest
 
 import (
 	"fmt"
+	"go/build"
 	"regexp"
 	"strconv"
 	"strings"
@@ -30,6 +31,20 @@ var wantRE = regexp.MustCompile(`// want(\+)? (.*)$`)
 
 // patternRE captures one double-quoted or backquoted pattern.
 var patternRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
+
+// WithoutGo takes the go command off PATH for the rest of the test, so a
+// Loader cannot list export data and falls back to the source importer.
+// It also turns cgo off, as in a process started with CGO_ENABLED=0: with
+// nothing on PATH there is no C compiler either, and the source importer
+// would run cgo over net's C files. go/build reads CGO_ENABLED once at
+// start-up, so the switch is made on build.Default and undone at cleanup.
+func WithoutGo(t *testing.T) {
+	t.Helper()
+	t.Setenv("PATH", t.TempDir())
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+}
 
 // expectation is one `// want` pattern anchored to a fixture line.
 type expectation struct {
