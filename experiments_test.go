@@ -23,11 +23,25 @@ var cellSepRE = regexp.MustCompile(`\s{2,}`)
 // dataregionRE matches the dataregion ablation's headline sentence.
 var dataregionRE = regexp.MustCompile(num + `× more PCIe traffic \(` + num + ` GB vs ` + num + ` MB\) and ` + num + `× the runtime`)
 
+// table1RE matches one Table I row's measured column: miss %, IPC, kernel
+// count and boundedness.
+var table1RE = regexp.MustCompile(`(?m)^\| (LULESH|CoMD|XSBench|miniFE) +\|[^|]*\| ` +
+	`(\d+)% / ` + num + ` / (?:\*\*)?(\d+)(?:\*\*)? / (?:\*\*)?(\w+)(?:\*\*)? \|`)
+
+// hcRE matches the hc ablation's XSBench sentence: the four models'
+// elapsed times and HC's unhidden transfer time.
+var hcRE = regexp.MustCompile(`OpenCL ` + num + ` ms, C\+\+ AMP ` + num + ` ms, OpenACC ` + num +
+	` ms, HC ` + num + ` ms .* only ` + num + ` ms of transfer time is left unhidden`)
+
+// tilesRE matches the tiles ablation's default-scale speedup.
+var tilesRE = regexp.MustCompile(`staging: ` + num + `× at the default scale`)
+
 // TestPublishedNumbersMatchResults pins the default-scale numbers that
 // EXPERIMENTS.md quotes to results_default.txt, which CI regenerates
-// byte for byte: every Figure 8/9 speedup triple and the dataregion
-// ablation's traffic and runtime penalties must read, rounded to the
-// precision quoted, as the committed output does.
+// byte for byte: every Figure 8/9 speedup triple, Table I's measured
+// column, the hc ablation's XSBench times, the tiles speedup and the
+// dataregion ablation's traffic and runtime penalties must read, rounded
+// to the precision quoted, as the committed output does.
 func TestPublishedNumbersMatchResults(t *testing.T) {
 	doc := readText(t, "EXPERIMENTS.md")
 	results := readText(t, "results_default.txt")
@@ -80,6 +94,61 @@ func TestPublishedNumbersMatchResults(t *testing.T) {
 	expectQuoted(t, "dataregion per-region traffic (GB)", m[2], copies[1], 1000)
 	expectQuoted(t, "dataregion data-region traffic (MB)", m[3], region[1], 1)
 	expectQuoted(t, "dataregion runtime penalty", m[4], strings.TrimSuffix(penalty[0], "x"), 1)
+
+	table1 := map[string][]string{}
+	for _, f := range tableRows(section(t, results, "table1")) {
+		table1[f[0]] = f[1:]
+	}
+	rows := table1RE.FindAllStringSubmatch(doc, -1)
+	if len(rows) != 4 {
+		t.Fatalf("table1: found %d of the 4 applications' measured columns in EXPERIMENTS.md", len(rows))
+	}
+	for _, q := range rows {
+		got := table1[q[1]]
+		if len(got) < 4 {
+			t.Errorf("table1: no %s row in results_default.txt", q[1])
+			continue
+		}
+		expectQuoted(t, "table1 "+q[1]+" miss %", q[2], strings.TrimSuffix(got[0], "%"), 1)
+		expectQuoted(t, "table1 "+q[1]+" IPC", q[3], got[1], 1)
+		expectQuoted(t, "table1 "+q[1]+" kernels", q[4], got[2], 1)
+		if q[5] != got[3] {
+			t.Errorf("table1 %s boundedness: EXPERIMENTS.md quotes %s, results_default.txt has %s", q[1], q[5], got[3])
+		}
+	}
+
+	m = hcRE.FindStringSubmatch(paragraph(t, doc, "XSBench on the dGPU:"))
+	if m == nil {
+		t.Fatal("hc: no XSBench sentence in EXPERIMENTS.md")
+	}
+	xs := map[string][]string{}
+	for _, f := range tableRows(section(t, results, "hc")) {
+		if f[0] == "XSBench" && len(f) == 5 {
+			xs[f[1]] = f[2:]
+		}
+	}
+	for i, model := range []string{"OpenCL", "C++ AMP", "OpenACC", "HC"} {
+		if len(xs[model]) != 3 {
+			t.Fatalf("hc: no XSBench %s row in results_default.txt", model)
+		}
+		expectQuoted(t, "hc XSBench "+model+" elapsed ms", m[1+i], xs[model][0], 1)
+	}
+	expectQuoted(t, "hc XSBench HC unhidden transfer ms", m[5], xs["HC"][2], 1)
+
+	m = tilesRE.FindStringSubmatch(paragraph(t, doc, "CoMD force kernel, flat gather"))
+	if m == nil {
+		t.Fatal("tiles: no default-scale speedup sentence in EXPERIMENTS.md")
+	}
+	var tiled []string
+	for _, f := range tableRows(section(t, results, "tiles")) {
+		if strings.HasPrefix(f[0], "tiled") {
+			tiled = f
+		}
+	}
+	if len(tiled) != 3 {
+		t.Fatalf("tiles: no tiled row in results_default.txt")
+	}
+	expectQuoted(t, "tiles speedup", m[1], tiled[2], 1)
 }
 
 func readText(t *testing.T, name string) string {

@@ -14,7 +14,6 @@ package cppamp
 import (
 	"fmt"
 
-	"hetbench/internal/fault"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/exec"
@@ -23,37 +22,20 @@ import (
 
 // Runtime binds the AMP model to a machine (an accelerator_view).
 type Runtime struct {
-	machine *sim.Machine
-	profile *modelapi.Profile
-	cache   map[string]exec.Counters
-	corrupt fault.Corruptor
-	coexec  bool
+	*modelapi.Runtime
 }
 
 // New returns an AMP runtime for the machine.
 func New(machine *sim.Machine) *Runtime {
-	return &Runtime{
-		machine: machine,
-		profile: modelapi.ProfileOn(modelapi.CppAMP, machine.Unified()),
-		cache:   make(map[string]exec.Counters),
-	}
+	return &Runtime{modelapi.NewRuntime(machine, modelapi.CppAMP)}
 }
 
-// Machine returns the bound machine.
-func (r *Runtime) Machine() *sim.Machine { return r.machine }
-
-// WithCoexec opts this runtime's streaming and regular kernels into
-// CPU+accelerator co-execution whenever a planner is attached to the
-// machine (sim.Machine.SetCoexec); without one, launches are unchanged.
-// Irregular kernels always stay single-device.
+// WithCoexec opts this runtime into co-execution (see
+// modelapi.Runtime.EnableCoexec).
 func (r *Runtime) WithCoexec() *Runtime {
-	r.coexec = true
+	r.EnableCoexec()
 	return r
 }
-
-// Bind registers an output array as a silent-corruption target (see
-// fault.Corruptor). Apps re-bind per run.
-func (r *Runtime) Bind(name string, data []float64) { r.corrupt.Bind(name, data) }
 
 // Extent is a 1-D iteration domain (extent<1> in AMP).
 type Extent struct{ Size int }
@@ -112,16 +94,13 @@ func (v *ArrayView) Synchronize() float64 {
 		return 0
 	}
 	v.onDevice = false
-	return v.rt.machine.TransferFromDevice(v.name, v.bytes)
+	return v.rt.Machine().TransferFromDevice(v.name, v.bytes)
 }
 
 // HostWrite marks the host copy as modified (CPU code wrote through the
 // view), forcing the next capturing kernel to re-copy it to the device.
 // It synchronizes first if the fresh copy is on the device.
-func (v *ArrayView) HostWrite() float64 {
-	t := v.Synchronize()
-	return t
-}
+func (v *ArrayView) HostWrite() float64 { return v.Synchronize() }
 
 // stageIn copies the view to the device if the fresh copy is on the host.
 func (v *ArrayView) stageIn() float64 {
@@ -129,7 +108,7 @@ func (v *ArrayView) stageIn() float64 {
 		return 0
 	}
 	v.onDevice = true
-	return v.rt.machine.TransferToDevice(v.name, v.bytes)
+	return v.rt.Machine().TransferToDevice(v.name, v.bytes)
 }
 
 // ParallelForEach launches a simple kernel over the extent
@@ -137,23 +116,16 @@ func (v *ArrayView) stageIn() float64 {
 // ArrayView the lambda captures; each is staged to the device as needed
 // and left device-fresh afterwards (conservatively assumed written).
 func (r *Runtime) ParallelForEach(spec modelapi.KernelSpec, ext Extent, views []*ArrayView, body func(*exec.WorkItem)) timing.Result {
-	r.stageAll(views)
-	res := exec.Run(ext.Size, body)
-	per := res.Counters.PerItem(ext.Size)
-	r.cache[spec.Name] = per
-	cost := spec.Cost(r.profile, ext.Size, per)
-	return r.launchResilient(spec, ext.Size, per, cost, views)
+	return r.Launch(spec, ext, views, true, body)
 }
 
 // Launch runs the kernel functionally when functional is true (or when no
 // cost is cached), otherwise replays the cached cost with the same view-
 // staging semantics.
 func (r *Runtime) Launch(spec modelapi.KernelSpec, ext Extent, views []*ArrayView, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per, ok := r.cache[spec.Name]
-	if functional || !ok {
-		return r.ParallelForEach(spec, ext, views, body)
-	}
-	return r.Replay(spec, ext.Size, views, per)
+	r.stageAll(views)
+	per := r.Measure(spec.Name, ext.Size, functional, func() exec.Result { return exec.Run(ext.Size, body) })
+	return r.launch(spec, ext.Size, per, views)
 }
 
 // ParallelForEachTiled launches a tiled kernel with tile_static storage of
@@ -161,17 +133,10 @@ func (r *Runtime) Launch(spec modelapi.KernelSpec, ext Extent, views []*ArrayVie
 // (tiled_index + tile_barrier in AMP).
 func (r *Runtime) ParallelForEachTiled(spec modelapi.KernelSpec, ext TiledExtent, ldsFloats int, views []*ArrayView, phases ...exec.Phase) timing.Result {
 	r.stageAll(views)
-	res := exec.RunTiled(ext.Size, ext.Tile, ldsFloats, phases...)
-	per := res.Counters.PerItem(ext.Size)
-	cost := spec.Cost(r.profile, ext.Size, per)
-	return r.launchResilient(spec, ext.Size, per, cost, views)
-}
-
-// Replay charges another launch with previously measured per-item counters
-// (views are still staged, preserving transfer semantics).
-func (r *Runtime) Replay(spec modelapi.KernelSpec, n int, views []*ArrayView, per exec.Counters) timing.Result {
-	r.stageAll(views)
-	return r.launchResilient(spec, n, per, spec.Cost(r.profile, n, per), views)
+	per := r.Measure(spec.Name, ext.Size, true, func() exec.Result {
+		return exec.RunTiled(ext.Size, ext.Tile, ldsFloats, phases...)
+	})
+	return r.launch(spec, ext.Size, per, views)
 }
 
 func (r *Runtime) stageAll(views []*ArrayView) {
@@ -186,8 +151,8 @@ func syncAll(views []*ArrayView) {
 	}
 }
 
-// launchResilient issues one device launch through the shared driver
-// (modelapi.LaunchResilient). AMP's recovery cost follows its
+// launch issues one device launch through the shared driver
+// (modelapi.Runtime.LaunchResilient). AMP's recovery cost follows its
 // conservative data management: after a failed launch the runtime cannot
 // prove which captured views the aborted kernel dirtied, so every
 // captured view's device copy is invalidated and re-staged before the
@@ -195,9 +160,9 @@ func syncAll(views []*ArrayView) {
 // needed (compare the OpenCL runtime, which re-stages only staged
 // argument buffers). The host fallback synchronizes every view back and
 // leaves the next device kernel to pay the re-staging.
-func (r *Runtime) launchResilient(spec modelapi.KernelSpec, n int, per exec.Counters, cost timing.KernelCost, views []*ArrayView) timing.Result {
-	return modelapi.LaunchResilient(r.machine, &r.corrupt, &modelapi.Launch{
-		Spec: spec, Items: n, Per: per, Cost: cost, Coexec: r.coexec,
+func (r *Runtime) launch(spec modelapi.KernelSpec, n int, per exec.Counters, views []*ArrayView) timing.Result {
+	return r.LaunchResilient(&modelapi.Launch{
+		Spec: spec, Items: n, Per: per, Cost: r.Cost(spec, n, per),
 	}, modelapi.Recovery{
 		Restage: func() {
 			for _, v := range views {
@@ -219,23 +184,14 @@ func (r *Runtime) launchResilient(spec modelapi.KernelSpec, n int, per exec.Coun
 // runs, then the host copies are stale-on-device so the next GPU kernel
 // pays host→device again (handled by stageIn).
 func (r *Runtime) HostFallback(spec modelapi.KernelSpec, n int, views []*ArrayView, body func(*exec.WorkItem)) timing.Result {
-	syncAll(views)
-	res := exec.Run(n, body)
-	per := res.Counters.PerItem(n)
-	r.cache["host:"+spec.Name] = per
-	cost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), n, per)
-	return r.machine.LaunchKernel(sim.OnHost, spec.Name+"(cpu-fallback)", cost)
+	return r.LaunchHostFallback(spec, n, views, true, body)
 }
 
 // LaunchHostFallback is the launch-or-replay form of HostFallback; replays
 // still pay the view round-trips every call (the whole point of the
 // paper's LULESH observation).
 func (r *Runtime) LaunchHostFallback(spec modelapi.KernelSpec, n int, views []*ArrayView, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per, ok := r.cache["host:"+spec.Name]
-	if functional || !ok {
-		return r.HostFallback(spec, n, views, body)
-	}
 	syncAll(views)
-	cost := spec.Cost(modelapi.ProfileFor(modelapi.OpenMP), n, per)
-	return r.machine.LaunchKernel(sim.OnHost, spec.Name+"(cpu-fallback)", cost)
+	per := r.Measure("host:"+spec.Name, n, functional, func() exec.Result { return exec.Run(n, body) })
+	return r.LaunchOnHost(spec.Name+"(cpu-fallback)", spec, n, per)
 }

@@ -1,6 +1,7 @@
 package cppamp
 
 import (
+	"sync"
 	"testing"
 
 	"hetbench/internal/models/modelapi"
@@ -145,15 +146,30 @@ func TestReplayPreservesStaging(t *testing.T) {
 	m := sim.NewDGPU()
 	rt := New(m)
 	v := rt.NewArrayView("v", 4096)
+	views := []*ArrayView{v}
 	per := exec.Counters{SPFlops: 2, LoadBytes: 8, Instrs: 4}
-	rt.Replay(spec(), 1024, []*ArrayView{v}, per)
-	if m.Link().Stats().TransfersToDevice != 1 {
-		t.Error("Replay did not stage the view")
+	rt.ParallelForEach(spec(), NewExtent(1024), views, func(w *exec.WorkItem) { w.Tally(per) })
+	v.Synchronize()
+	rt.Launch(spec(), NewExtent(1024), views, false, replayOnly(t))
+	if got := m.Link().Stats().TransfersToDevice; got != 2 {
+		t.Errorf("replay after a host sync made %d h2d copies in total, want 2", got)
 	}
 	before := m.ElapsedNs()
-	rt.Replay(spec(), 1024, []*ArrayView{v}, per)
+	rt.Launch(spec(), NewExtent(1024), views, false, replayOnly(t))
 	if m.ElapsedNs() <= before {
-		t.Error("Replay charged no kernel time")
+		t.Error("replay charged no kernel time")
+	}
+	if got := m.Link().Stats().TransfersToDevice; got != 2 {
+		t.Errorf("replay re-staged a device-fresh view: %d h2d copies, want 2", got)
+	}
+}
+
+// replayOnly is the body of a launch that must replay: it fails the test
+// if the runtime runs it.
+func replayOnly(t *testing.T) func(*exec.WorkItem) {
+	var once sync.Once
+	return func(*exec.WorkItem) {
+		once.Do(func() { t.Error("replayed launch ran its body") })
 	}
 }
 

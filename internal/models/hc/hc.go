@@ -21,33 +21,24 @@ import (
 
 // Runtime binds the HC model to a machine.
 type Runtime struct {
-	machine *sim.Machine
-	profile *modelapi.Profile
+	*modelapi.Runtime
 	// pendingNs is banked async-transfer time not yet hidden or charged.
 	pendingNs float64
-	cache     map[string]exec.Counters
 }
 
 // New returns an HC runtime for the machine.
 func New(machine *sim.Machine) *Runtime {
-	return &Runtime{
-		machine: machine,
-		profile: modelapi.ProfileFor(modelapi.HC),
-		cache:   make(map[string]exec.Counters),
-	}
+	return &Runtime{Runtime: modelapi.NewRuntime(machine, modelapi.HC)}
 }
-
-// Machine returns the bound machine.
-func (r *Runtime) Machine() *sim.Machine { return r.machine }
 
 // Copy synchronously moves bytes to the device (am_copy).
 func (r *Runtime) Copy(name string, bytes int64) float64 {
-	return r.machine.TransferToDevice(name, bytes)
+	return r.Machine().TransferToDevice(name, bytes)
 }
 
 // CopyBack synchronously moves bytes to the host.
 func (r *Runtime) CopyBack(name string, bytes int64) float64 {
-	return r.machine.TransferFromDevice(name, bytes)
+	return r.Machine().TransferFromDevice(name, bytes)
 }
 
 // CopyAsync starts a host→device transfer that overlaps subsequent kernel
@@ -57,37 +48,26 @@ func (r *Runtime) CopyAsync(name string, bytes int64) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("hc: negative async copy %d", bytes))
 	}
-	if r.machine.Unified() {
+	if r.Machine().Unified() {
 		return
 	}
 	// Record traffic on the ledger without advancing the machine clock:
 	// ask the link directly.
-	us := r.machine.Link().ToDevice(bytes)
+	us := r.Machine().Link().ToDevice(bytes)
 	r.pendingNs += us * 1e3
 }
 
 // Launch runs a kernel; its execution hides banked async-transfer time.
 func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, body func(*exec.WorkItem)) timing.Result {
-	res := exec.Run(n, body)
-	per := res.Counters.PerItem(n)
-	r.cache[spec.Name] = per
-	return r.charge(spec, n, per)
+	return r.LaunchCached(spec, n, true, body)
 }
 
 // LaunchCached is the launch-or-replay form used by iterative apps:
 // functional calls execute the body and refresh the cached cost, replay
 // calls charge the cached cost. Both hide pending async transfers.
 func (r *Runtime) LaunchCached(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per, ok := r.cache[spec.Name]
-	if functional || !ok {
-		return r.Launch(spec, n, body)
-	}
-	return r.charge(spec, n, per)
-}
-
-func (r *Runtime) charge(spec modelapi.KernelSpec, n int, per exec.Counters) timing.Result {
-	cost := spec.Cost(r.profile, n, per)
-	result := r.machine.LaunchKernel(sim.OnAccelerator, spec.Name, cost)
+	per := r.Measure(spec.Name, n, functional, func() exec.Result { return exec.Run(n, body) })
+	result := r.Machine().LaunchKernel(sim.OnAccelerator, spec.Name, r.Cost(spec, n, per))
 	r.pendingNs -= result.TimeNs
 	if r.pendingNs < 0 {
 		r.pendingNs = 0
@@ -101,7 +81,7 @@ func (r *Runtime) Wait() float64 {
 	t := r.pendingNs
 	r.pendingNs = 0
 	if t > 0 {
-		r.machine.AddTransferTime("hc-async-wait", t)
+		r.Machine().AddTransferTime("hc-async-wait", t)
 	}
 	return t
 }

@@ -15,12 +15,6 @@ type Launch struct {
 	Items int
 	Per   exec.Counters
 	Cost  timing.KernelCost
-
-	// Coexec offers the launch to the machine's co-execution planner
-	// (sim.Machine.SetCoexec). Irregular kernels always stay
-	// single-device, matching the paper's observation that generated
-	// code quality collapses on them.
-	Coexec bool
 }
 
 // Recovery holds the hooks through which a runtime's transfer strategy
@@ -40,54 +34,49 @@ type Recovery struct {
 }
 
 // LaunchResilient issues one accelerator launch under the machine's fault
-// policy — the launch path the GPU runtimes share. An eligible launch goes
-// to the co-execution planner when one is attached. Otherwise transient
-// failures (launch rejection, watchdog-killed hang, device loss) are
-// retried with exponential backoff, calling rec.Restage before each
-// retry; a silent bit flip is routed to corrupt (detected later by
-// end-to-end checksum); and once the retry budget is spent the launch
-// degrades to the host CPU between rec.Sync and, with rec.RoundTrip,
-// rec.Restage. With no injector attached this is LaunchKernel plus one
-// nil check.
-func LaunchResilient(m *sim.Machine, corrupt *fault.Corruptor, l *Launch, rec Recovery) timing.Result {
-	if l.Coexec && l.Spec.Class != Irregular {
-		if res, ok := m.LaunchKernelSplit(l.Spec.Name, l.Cost, l.hostCost()); ok {
+// policy — the launch path the GPU runtimes share. With the co-execution
+// opt-in set, an eligible launch goes to the co-execution planner when
+// one is attached. Otherwise transient failures (launch rejection,
+// watchdog-killed hang, device loss) are retried with exponential
+// backoff, calling rec.Restage before each retry; a silent bit flip is
+// routed to the bound corruption targets (detected later by end-to-end
+// checksum); and once the retry budget is spent the launch degrades to
+// the host CPU between rec.Sync and, with rec.RoundTrip, rec.Restage.
+// With no injector attached this is LaunchKernel plus one nil check.
+func (r *Runtime) LaunchResilient(l *Launch, rec Recovery) timing.Result {
+	m := r.machine
+	if r.coexec && l.Spec.Class != Irregular {
+		if res, ok := m.LaunchKernelSplit(l.Spec.Name, l.Cost, l.Spec.Cost(r.host, l.Items, l.Per)); ok {
 			return res
 		}
 	}
-	r, ev := m.LaunchKernelChecked(sim.OnAccelerator, l.Spec.Name, l.Cost)
+	res, ev := m.LaunchKernelChecked(sim.OnAccelerator, l.Spec.Name, l.Cost)
 	if ev == nil {
-		return r
+		return res
 	}
 	pol := m.FaultPolicy()
 	for attempt := 1; ; attempt++ {
 		if ev.Kind == fault.BitFlip {
 			// The launch completed; the corruption surfaces at the run's
 			// end-to-end checksum, not here.
-			corrupt.Corrupt(m.FaultInjector())
-			return r
+			r.corrupt.Corrupt(m.FaultInjector())
+			return res
 		}
 		if attempt >= pol.MaxAttempts {
 			break
 		}
 		m.ChargeBackoffNs(l.Spec.Name, pol.BackoffNs(attempt))
 		rec.Restage()
-		r, ev = m.LaunchKernelChecked(sim.OnAccelerator, l.Spec.Name, l.Cost)
+		res, ev = m.LaunchKernelChecked(sim.OnAccelerator, l.Spec.Name, l.Cost)
 		if ev == nil {
-			return r
+			return res
 		}
 	}
 	m.NoteFallback(l.Spec.Name)
 	rec.Sync()
-	r = m.LaunchKernel(sim.OnHost, l.Spec.Name+"(cpu-fallback)", l.hostCost())
+	res = r.LaunchOnHost(l.Spec.Name+"(cpu-fallback)", l.Spec, l.Items, l.Per)
 	if rec.RoundTrip {
 		rec.Restage()
 	}
-	return r
-}
-
-// hostCost is the launch costed for the host CPU: the co-executed CPU
-// share and the host fallback both run the OpenMP build of the kernel.
-func (l *Launch) hostCost() timing.KernelCost {
-	return l.Spec.Cost(ProfileFor(OpenMP), l.Items, l.Per)
+	return res
 }

@@ -1,8 +1,11 @@
 // Package modelapi defines the vocabulary shared by all programming-model
-// runtimes: model names, kernel classes, compiler profiles (the calibrated
-// per-compiler code-generation quality and data-management strategy), the
-// Figure 11 optimization-feature matrix, and the resilient launch driver
-// the GPU runtimes share (LaunchResilient).
+// runtimes — model names, kernel classes, compiler profiles (the
+// calibrated per-compiler code-generation quality and data-management
+// strategy) and the Figure 11 optimization-feature matrix — and the
+// runtime core every model runtime embeds (Runtime): machine and profile
+// binding, one measure-or-replay counter cache (Measure), the corruption
+// targets, the co-execution opt-in and the resilient launch driver the
+// GPU runtimes share (Runtime.LaunchResilient).
 package modelapi
 
 import "fmt"

@@ -1,0 +1,77 @@
+package modelapi
+
+import (
+	"hetbench/internal/fault"
+	"hetbench/internal/sim"
+	"hetbench/internal/sim/exec"
+	"hetbench/internal/sim/timing"
+)
+
+// Runtime is the core every model runtime embeds. It binds a model to a
+// machine and holds what all five runtimes share: the model's profile on
+// that machine, the OpenMP host profile that co-executed CPU shares and
+// host fallbacks run under, one name-keyed measure-or-replay cache of
+// per-item counters, the silent-corruption targets and the co-execution
+// opt-in. A runtime adds only its data-management idiom and the Recovery
+// hooks that price it.
+type Runtime struct {
+	machine *sim.Machine
+	profile *Profile
+	host    *Profile
+	cache   map[string]exec.Counters
+	corrupt fault.Corruptor
+	coexec  bool
+}
+
+// NewRuntime binds model n to a machine, with n's profile adjusted for
+// the machine's memory architecture (ProfileOn).
+func NewRuntime(machine *sim.Machine, n Name) *Runtime {
+	return &Runtime{
+		machine: machine,
+		profile: ProfileOn(n, machine.Unified()),
+		host:    ProfileFor(OpenMP),
+		cache:   make(map[string]exec.Counters),
+	}
+}
+
+// Machine returns the bound machine.
+func (r *Runtime) Machine() *sim.Machine { return r.machine }
+
+// Cost is spec's timing-model input for n items of per-item work per,
+// compiled by this runtime's profile.
+func (r *Runtime) Cost(spec KernelSpec, n int, per exec.Counters) timing.KernelCost {
+	return spec.Cost(r.profile, n, per)
+}
+
+// EnableCoexec opts the runtime's streaming and regular kernels into
+// CPU+accelerator co-execution whenever a planner is attached to the
+// machine (sim.Machine.SetCoexec); without one, launches are unchanged.
+// Irregular kernels always stay single-device, matching the paper's
+// observation that generated code quality collapses on them.
+func (r *Runtime) EnableCoexec() { r.coexec = true }
+
+// Bind registers an output array as a silent-corruption target: when the
+// fault injector flips a bit in a kernel's output, the flip lands in a
+// bound slice (see fault.Corruptor). Apps re-bind per run.
+func (r *Runtime) Bind(name string, data []float64) { r.corrupt.Bind(name, data) }
+
+// Measure returns the per-item counters of the kernel cached under key,
+// for a launch of n items. When functional is set or nothing is cached
+// under key yet, it calls run — the kernel's functional execution — and
+// caches the per-item counters of its result; otherwise it replays the
+// cached counters without calling run. Iterative apps execute a
+// functional sample of iterations and replay the rest.
+func (r *Runtime) Measure(key string, n int, functional bool, run func() exec.Result) exec.Counters {
+	if per, ok := r.cache[key]; ok && !functional {
+		return per
+	}
+	per := run().Counters.PerItem(n)
+	r.cache[key] = per
+	return per
+}
+
+// LaunchOnHost charges a launch named name of spec over n items on the
+// host CPU, compiled by the OpenMP host profile.
+func (r *Runtime) LaunchOnHost(name string, spec KernelSpec, n int, per exec.Counters) timing.Result {
+	return r.machine.LaunchKernel(sim.OnHost, name, spec.Cost(r.host, n, per))
+}

@@ -17,7 +17,6 @@ package openacc
 import (
 	"fmt"
 
-	"hetbench/internal/fault"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/exec"
@@ -26,41 +25,25 @@ import (
 
 // Runtime binds the OpenACC model to a machine.
 type Runtime struct {
-	machine *sim.Machine
-	profile *modelapi.Profile
+	*modelapi.Runtime
 	// open data regions, innermost last; arrays present in any open
 	// region are device-resident and not re-copied by kernels regions.
 	regions []*DataRegion
-	cache   map[string]exec.Counters
-	corrupt fault.Corruptor
-	coexec  bool
 }
 
 // New returns an OpenACC runtime for the machine.
 func New(machine *sim.Machine) *Runtime {
-	return &Runtime{
-		machine: machine,
-		profile: modelapi.ProfileOn(modelapi.OpenACC, machine.Unified()),
-		cache:   make(map[string]exec.Counters),
-	}
+	return &Runtime{Runtime: modelapi.NewRuntime(machine, modelapi.OpenACC)}
 }
 
-// Machine returns the bound machine.
-func (r *Runtime) Machine() *sim.Machine { return r.machine }
-
-// WithCoexec opts this runtime's streaming and regular loops into
-// CPU+accelerator co-execution whenever a planner is attached to the
-// machine (sim.Machine.SetCoexec); without one, launches are unchanged.
-// Irregular loops always stay single-device — the directive compiler's
-// scalar fallback makes the host share worthless there.
+// WithCoexec opts this runtime into co-execution (see
+// modelapi.Runtime.EnableCoexec). Irregular loops always stay
+// single-device — the directive compiler's scalar fallback makes the
+// host share worthless there.
 func (r *Runtime) WithCoexec() *Runtime {
-	r.coexec = true
+	r.EnableCoexec()
 	return r
 }
-
-// Bind registers an output array as a silent-corruption target (see
-// fault.Corruptor). Apps re-bind per run.
-func (r *Runtime) Bind(name string, data []float64) { r.corrupt.Bind(name, data) }
 
 // Intent is a data clause kind.
 type Intent int
@@ -107,6 +90,18 @@ func (c Clause) validate() error {
 	return nil
 }
 
+// copiesIn reports whether the clause copies its array to the device on
+// entry (copy, copyin).
+func (c Clause) copiesIn() bool { return c.Intent == IntentCopy || c.Intent == IntentCopyin }
+
+// copiesOut reports whether the clause copies its array back on exit
+// (copy, copyout).
+func (c Clause) copiesOut() bool { return c.Intent == IntentCopy || c.Intent == IntentCopyout }
+
+// copies reports whether the clause moves its array at all (every intent
+// but create).
+func (c Clause) copies() bool { return c.Intent != IntentCreate }
+
 // DataRegion is an open `#pragma acc data` structured region.
 type DataRegion struct {
 	rt      *Runtime
@@ -120,8 +115,8 @@ func (r *Runtime) Data(clauses ...Clause) *DataRegion {
 		if err := c.validate(); err != nil {
 			panic(err)
 		}
-		if c.Intent == IntentCopy || c.Intent == IntentCopyin {
-			r.machine.TransferToDevice(c.Name, c.Bytes)
+		if c.copiesIn() {
+			r.Machine().TransferToDevice(c.Name, c.Bytes)
 		}
 	}
 	reg := &DataRegion{rt: r, clauses: clauses}
@@ -142,8 +137,8 @@ func (d *DataRegion) End() {
 	r.regions = r.regions[:len(r.regions)-1]
 	d.closed = true
 	for _, c := range d.clauses {
-		if c.Intent == IntentCopy || c.Intent == IntentCopyout {
-			r.machine.TransferFromDevice(c.Name, c.Bytes)
+		if c.copiesOut() {
+			r.Machine().TransferFromDevice(c.Name, c.Bytes)
 		}
 	}
 }
@@ -166,26 +161,14 @@ func (r *Runtime) present(name string) bool {
 // copied in before and out after the launch (the compiler cannot prove
 // read-onlyness across the region).
 func (r *Runtime) Loop(spec modelapi.KernelSpec, n int, uses []Clause, body func(*exec.WorkItem)) timing.Result {
-	res := exec.Run(n, body)
-	per := res.Counters.PerItem(n)
-	r.cache[spec.Name] = per
-	return r.finishLoop(spec, n, uses, per, 1)
+	return r.Launch(spec, n, uses, true, body)
 }
 
 // Launch runs the loop functionally when functional is true (or when no
 // cost is cached), otherwise replays the cached cost with the same
 // per-region transfer semantics.
 func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, uses []Clause, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per, ok := r.cache[spec.Name]
-	if functional || !ok {
-		return r.Loop(spec, n, uses, body)
-	}
-	return r.Replay(spec, n, uses, per)
-}
-
-// Replay charges another launch with previously measured per-item
-// counters, preserving the per-region transfer semantics.
-func (r *Runtime) Replay(spec modelapi.KernelSpec, n int, uses []Clause, per exec.Counters) timing.Result {
+	per := r.Measure(spec.Name, n, functional, func() exec.Result { return exec.Run(n, body) })
 	return r.finishLoop(spec, n, uses, per, 1)
 }
 
@@ -202,11 +185,9 @@ func (r *Runtime) LoopGV(spec modelapi.KernelSpec, n, gang, vector int, uses []C
 	if gang*vector < n {
 		panic(fmt.Sprintf("openacc: gang(%d)×vector(%d) < loop count %d", gang, vector, n))
 	}
-	res := exec.Run(n, body)
-	per := res.Counters.PerItem(n)
-	r.cache[spec.Name] = per
+	per := r.Measure(spec.Name, n, true, func() exec.Result { return exec.Run(n, body) })
 
-	wf := r.machine.Accelerator().WavefrontSize
+	wf := r.Machine().Accelerator().WavefrontSize
 	rounded := (vector + wf - 1) / wf * wf
 	util := float64(vector) / float64(rounded)
 	return r.finishLoop(spec, n, uses, per, util)
@@ -217,76 +198,60 @@ func (r *Runtime) LoopGV(spec modelapi.KernelSpec, n, gang, vector int, uses []C
 // util (the filled share of each wavefront's lanes; 1 for a plain loop),
 // and non-present output clauses copy out.
 //
-// The launch goes through the shared driver (modelapi.LaunchResilient)
-// with the coarsest recovery granularity of the three runtimes: the
-// generated runtime tracks data at region scope, so after a failed launch
-// it re-establishes the whole kernels region — every copy/copyin clause
-// of every open data region plus the loop's own non-present input
-// clauses is copied to the device again before the retry. The host
+// The launch goes through the shared driver
+// (modelapi.Runtime.LaunchResilient) with the coarsest recovery
+// granularity of the three runtimes: the generated runtime tracks data at
+// region scope, so after a failed launch it re-establishes the whole
+// kernels region — every copy/copyin clause of every open data region
+// plus the loop's own non-present input clauses is copied to the device
+// again before the retry. The host
 // fallback round-trips the full region: all device-resident region arrays
 // come back to the host, the loop runs on the CPU, and the region's
 // inputs are pushed down again to restore device residency.
 func (r *Runtime) finishLoop(spec modelapi.KernelSpec, n int, uses []Clause, per exec.Counters, util float64) timing.Result {
+	m := r.Machine()
 	for _, c := range uses {
 		if err := c.validate(); err != nil {
 			panic(err)
 		}
-		if !r.present(c.Name) && (c.Intent == IntentCopy || c.Intent == IntentCopyin) {
-			r.machine.TransferToDevice(c.Name, c.Bytes)
+		if !r.present(c.Name) && c.copiesIn() {
+			m.TransferToDevice(c.Name, c.Bytes)
 		}
 	}
-	cost := spec.Cost(r.profile, n, per)
+	cost := r.Cost(spec, n, per)
 	if util > 0 && util < 1 {
 		// Idle lanes inside partially-filled wavefronts.
 		cost.VecEff *= util
 	}
-	result := modelapi.LaunchResilient(r.machine, &r.corrupt, &modelapi.Launch{
-		Spec: spec, Items: n, Per: per, Cost: cost, Coexec: r.coexec,
+	result := r.LaunchResilient(&modelapi.Launch{
+		Spec: spec, Items: n, Per: per, Cost: cost,
 	}, modelapi.Recovery{
-		Restage:   func() { r.restageRegion(uses) },
-		Sync:      func() { r.syncRegion(uses) },
+		Restage:   func() { r.moveRegion(uses, Clause.copiesIn, m.TransferToDevice, "(restage)") },
+		Sync:      func() { r.moveRegion(uses, Clause.copies, m.TransferFromDevice, "(fallback-sync)") },
 		RoundTrip: true,
 	})
 	for _, c := range uses {
-		if !r.present(c.Name) && (c.Intent == IntentCopy || c.Intent == IntentCopyout) {
-			r.machine.TransferFromDevice(c.Name, c.Bytes)
+		if !r.present(c.Name) && c.copiesOut() {
+			m.TransferFromDevice(c.Name, c.Bytes)
 		}
 	}
 	return result
 }
 
-// restageRegion re-copies the whole kernels region to the device: every
-// input clause (copy/copyin) of every open data region plus the loop's own
-// non-present input clauses.
-func (r *Runtime) restageRegion(uses []Clause) {
+// moveRegion copies the whole kernels region one way, tagging each copy
+// with suffix: every clause that moves selects, of every open data region
+// and of the loop's own non-present clauses.
+func (r *Runtime) moveRegion(uses []Clause, moves func(Clause) bool, move func(name string, bytes int64) float64, suffix string) {
 	for _, reg := range r.regions {
 		for _, c := range reg.clauses {
-			if c.Intent == IntentCopy || c.Intent == IntentCopyin {
-				r.machine.TransferToDevice(c.Name+"(restage)", c.Bytes)
+			if moves(c) {
+				move(c.Name+suffix, c.Bytes)
 			}
 		}
 	}
 	for _, c := range uses {
-		if !r.present(c.Name) && (c.Intent == IntentCopy || c.Intent == IntentCopyin) {
-			r.machine.TransferToDevice(c.Name+"(restage)", c.Bytes)
-		}
-	}
-}
-
-// syncRegion copies the whole kernels region back to the host: every
-// non-create clause of every open data region plus the loop's own
-// non-present non-create clauses.
-func (r *Runtime) syncRegion(uses []Clause) {
-	for _, reg := range r.regions {
-		for _, c := range reg.clauses {
-			if c.Intent != IntentCreate {
-				r.machine.TransferFromDevice(c.Name+"(fallback-sync)", c.Bytes)
-			}
-		}
-	}
-	for _, c := range uses {
-		if !r.present(c.Name) && c.Intent != IntentCreate {
-			r.machine.TransferFromDevice(c.Name+"(fallback-sync)", c.Bytes)
+		if !r.present(c.Name) && moves(c) {
+			move(c.Name+suffix, c.Bytes)
 		}
 	}
 }
@@ -298,7 +263,7 @@ func (r *Runtime) UpdateHost(name string, bytes int64) float64 {
 	if bytes < 0 {
 		panic(fmt.Sprintf("openacc: negative update host size %d", bytes))
 	}
-	return r.machine.TransferFromDevice(name, bytes)
+	return r.Machine().TransferFromDevice(name, bytes)
 }
 
 // UpdateDevice is `#pragma acc update device(...)`.
@@ -306,7 +271,7 @@ func (r *Runtime) UpdateDevice(name string, bytes int64) float64 {
 	if bytes < 0 {
 		panic(fmt.Sprintf("openacc: negative update device size %d", bytes))
 	}
-	return r.machine.TransferToDevice(name, bytes)
+	return r.Machine().TransferToDevice(name, bytes)
 }
 
 // OpenRegions returns the number of open data regions (for tests).

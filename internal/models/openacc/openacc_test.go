@@ -1,6 +1,7 @@
 package openacc
 
 import (
+	"sync"
 	"testing"
 
 	"hetbench/internal/models/modelapi"
@@ -119,11 +120,22 @@ func TestRegionLIFO(t *testing.T) {
 func TestReplayKeepsTransferSemantics(t *testing.T) {
 	m := sim.NewDGPU()
 	rt := New(m)
-	per := exec.Counters{SPFlops: 1, StoreBytes: 8, Instrs: 3}
-	rt.Replay(spec(), 1024, []Clause{Copy("x", 8192)}, per)
+	uses := []Clause{Copy("x", 8192)}
+	rt.Loop(spec(), 1024, uses, body(make([]float64, 1024)))
+	rt.Launch(spec(), 1024, uses, false, replayOnly(t))
 	st := m.Link().Stats()
-	if st.TransfersToDevice != 1 || st.TransfersFromDevice != 1 {
-		t.Error("Replay skipped region copies")
+	if st.TransfersToDevice != 2 || st.TransfersFromDevice != 2 {
+		t.Errorf("replay skipped region copies: %d h2d, %d d2h after two loops, want 2/2",
+			st.TransfersToDevice, st.TransfersFromDevice)
+	}
+}
+
+// replayOnly is the body of a launch that must replay: it fails the test
+// if the runtime runs it.
+func replayOnly(t *testing.T) func(*exec.WorkItem) {
+	var once sync.Once
+	return func(*exec.WorkItem) {
+		once.Do(func() { t.Error("replayed launch ran its body") })
 	}
 }
 

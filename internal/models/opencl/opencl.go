@@ -11,7 +11,6 @@ package opencl
 import (
 	"fmt"
 
-	"hetbench/internal/fault"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/exec"
@@ -20,40 +19,21 @@ import (
 
 // Context owns buffers and kernels for one machine, as in clCreateContext.
 type Context struct {
-	machine *sim.Machine
-	profile *modelapi.Profile
-	cache   map[string]exec.Counters
-	corrupt fault.Corruptor
-	coexec  bool
+	*modelapi.Runtime
 }
 
 // NewContext initializes the runtime for a machine (the InitCl() of
 // Figure 4a collapses to this).
 func NewContext(machine *sim.Machine) *Context {
-	return &Context{
-		machine: machine,
-		profile: modelapi.ProfileOn(modelapi.OpenCL, machine.Unified()),
-		cache:   make(map[string]exec.Counters),
-	}
+	return &Context{modelapi.NewRuntime(machine, modelapi.OpenCL)}
 }
 
-// Machine returns the bound machine.
-func (c *Context) Machine() *sim.Machine { return c.machine }
-
-// WithCoexec opts this context's streaming and regular kernels into
-// CPU+accelerator co-execution whenever a planner is attached to the
-// machine (sim.Machine.SetCoexec); without one, launches are unchanged.
-// Irregular kernels always stay single-device, matching the paper's
-// observation that generated code quality collapses on them.
+// WithCoexec opts this context into co-execution (see
+// modelapi.Runtime.EnableCoexec).
 func (c *Context) WithCoexec() *Context {
-	c.coexec = true
+	c.EnableCoexec()
 	return c
 }
-
-// Bind registers an output array as a silent-corruption target: when the
-// fault injector flips a bit in a kernel's output, the flip lands in a
-// bound slice (see fault.Corruptor). Apps re-bind per run.
-func (c *Context) Bind(name string, data []float64) { c.corrupt.Bind(name, data) }
 
 // Buffer is a device allocation (cl_mem). The simulator keeps one copy of
 // the data (the Go slice owned by the application); Buffer tracks the
@@ -95,12 +75,12 @@ func (c *Context) NewQueue() *Queue { return &Queue{ctx: c} }
 // data" advantage).
 func (q *Queue) EnqueueWriteBuffer(b *Buffer) float64 {
 	b.staged = true
-	return q.ctx.machine.TransferToDevice(b.name, b.bytes)
+	return q.ctx.Machine().TransferToDevice(b.name, b.bytes)
 }
 
 // EnqueueReadBuffer copies a buffer's contents back to the host.
 func (q *Queue) EnqueueReadBuffer(b *Buffer) float64 {
-	return q.ctx.machine.TransferFromDevice(b.name, b.bytes)
+	return q.ctx.Machine().TransferFromDevice(b.name, b.bytes)
 }
 
 // Finish blocks until the queue drains (a no-op on the synchronous
@@ -124,11 +104,6 @@ type Kernel struct {
 	// args are the buffers bound with SetArgs; the resilience layer
 	// re-stages the staged ones between retry attempts.
 	args []*Buffer
-
-	// lastPer holds the most recent functional launch's per-item
-	// counters so ReplayNDRange can re-charge without re-executing.
-	lastPer   exec.Counters
-	lastValid bool
 }
 
 // SetArgs binds the kernel's buffer arguments (clSetKernelArg). Argument
@@ -169,70 +144,42 @@ func (k *Kernel) Spec() modelapi.KernelSpec { return k.spec }
 // the work-group size for tiled kernels; simple kernels ignore it) and
 // returns the simulated timing.
 func (q *Queue) EnqueueNDRange(k *Kernel, global, local int) timing.Result {
-	var res exec.Result
-	if k.phases != nil {
-		res = exec.RunTiled(global, local, k.lds, k.phases...)
-	} else {
-		res = exec.Run(global, k.body)
-	}
-	per := res.Counters.PerItem(global)
+	per := q.ctx.Measure(k.spec.Name, global, true, func() exec.Result {
+		if k.phases != nil {
+			return exec.RunTiled(global, local, k.lds, k.phases...)
+		}
+		return exec.Run(global, k.body)
+	})
 	if k.Unroll {
 		// Hand-unrolling removes loop-control overhead: fewer dynamic
 		// instructions for the same flops/bytes.
 		per.Instrs *= 0.75
 	}
-	k.lastPer, k.lastValid = per, true
-	cost := k.spec.Cost(q.ctx.profile, global, per)
-	return q.ctx.launchResilient(k.spec, global, per, cost, k.args)
+	return q.ctx.launch(k.spec, global, per, k.args)
 }
 
-// Launch runs the kernel functionally when functional is true (or when it
-// has never executed), otherwise replays its measured cost.
-func (q *Queue) Launch(k *Kernel, global, local int, functional bool) timing.Result {
-	if functional || !k.lastValid {
-		return q.EnqueueNDRange(k, global, local)
-	}
-	return q.ReplayNDRange(k, global)
-}
-
-// LaunchFunc is the closure-per-call form of Launch for kernels whose body
-// captures loop-varying state (e.g. the timestep): the cost cache is keyed
-// by spec name on the context, and non-functional calls replay it.
+// LaunchFunc launches a kernel given as a closure, for bodies that
+// capture loop-varying state (e.g. the timestep): functional calls (and
+// the first call for a spec name) execute body, later calls replay the
+// counters it measured.
 func (q *Queue) LaunchFunc(spec modelapi.KernelSpec, global int, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per, ok := q.ctx.cache[spec.Name]
-	if functional || !ok {
-		res := exec.Run(global, body)
-		per = res.Counters.PerItem(global)
-		q.ctx.cache[spec.Name] = per
-	}
-	cost := spec.Cost(q.ctx.profile, global, per)
-	return q.ctx.launchResilient(spec, global, per, cost, nil)
-}
-
-// ReplayNDRange charges another launch with the counters measured by the
-// most recent EnqueueNDRange, without functional re-execution. It panics
-// if the kernel has never run functionally.
-func (q *Queue) ReplayNDRange(k *Kernel, global int) timing.Result {
-	if !k.lastValid {
-		panic(fmt.Sprintf("opencl: ReplayNDRange(%s) before any functional launch", k.spec.Name))
-	}
-	cost := k.spec.Cost(q.ctx.profile, global, k.lastPer)
-	return q.ctx.launchResilient(k.spec, global, k.lastPer, cost, k.args)
+	per := q.ctx.Measure(spec.Name, global, functional, func() exec.Result { return exec.Run(global, body) })
+	return q.ctx.launch(spec, global, per, nil)
 }
 
 // ---------------------------------------------------------------------
 // Resilience.
 
-// launchResilient issues one device launch through the shared driver
-// (modelapi.LaunchResilient). The explicit model's recovery cost is
-// exactly the buffers the programmer staged, no more: a retry restages
-// the kernel's staged argument buffers, and the host fallback round-trips
-// them — results must land back on the device so subsequent kernels see
-// them.
-func (c *Context) launchResilient(spec modelapi.KernelSpec, global int, per exec.Counters, cost timing.KernelCost, args []*Buffer) timing.Result {
-	m := c.machine
-	return modelapi.LaunchResilient(m, &c.corrupt, &modelapi.Launch{
-		Spec: spec, Items: global, Per: per, Cost: cost, Coexec: c.coexec,
+// launch issues one device launch through the shared driver
+// (modelapi.Runtime.LaunchResilient). The explicit model's recovery cost
+// is exactly the buffers the programmer staged, no more: a retry
+// restages the kernel's staged argument buffers, and the host fallback
+// round-trips them — results must land back on the device so subsequent
+// kernels see them.
+func (c *Context) launch(spec modelapi.KernelSpec, global int, per exec.Counters, args []*Buffer) timing.Result {
+	m := c.Machine()
+	return c.LaunchResilient(&modelapi.Launch{
+		Spec: spec, Items: global, Per: per, Cost: c.Cost(spec, global, per),
 	}, modelapi.Recovery{
 		Restage:   func() { moveStaged(args, m.TransferToDevice, "(restage)") },
 		Sync:      func() { moveStaged(args, m.TransferFromDevice, "(fallback-sync)") },

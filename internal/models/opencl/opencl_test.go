@@ -1,6 +1,7 @@
 package opencl
 
 import (
+	"sync"
 	"testing"
 
 	"hetbench/internal/models/modelapi"
@@ -120,28 +121,23 @@ func TestUnrollReducesIssuePressure(t *testing.T) {
 }
 
 func TestReplayMatchesFunctionalLaunch(t *testing.T) {
-	ctx := NewContext(sim.NewAPU())
-	q := ctx.NewQueue()
-	k := ctx.CreateKernel(spec(), func(w *exec.WorkItem) {
+	q := NewContext(sim.NewAPU()).NewQueue()
+	r1 := q.LaunchFunc(spec(), 4096, true, func(w *exec.WorkItem) {
 		w.Tally(exec.Counters{SPFlops: 4, LoadBytes: 32, Instrs: 8})
 	})
-	r1 := q.EnqueueNDRange(k, 4096, 64)
-	r2 := q.ReplayNDRange(k, 4096)
+	r2 := q.LaunchFunc(spec(), 4096, false, replayOnly(t))
 	if r1.TimeNs != r2.TimeNs {
 		t.Errorf("replay time %g != functional time %g", r2.TimeNs, r1.TimeNs)
 	}
 }
 
-func TestReplayBeforeRunPanics(t *testing.T) {
-	ctx := NewContext(sim.NewAPU())
-	q := ctx.NewQueue()
-	k := ctx.CreateKernel(spec(), func(w *exec.WorkItem) {})
-	defer func() {
-		if recover() == nil {
-			t.Error("replay-before-run did not panic")
-		}
-	}()
-	q.ReplayNDRange(k, 64)
+// replayOnly is the body of a launch that must replay: it fails the test
+// if the runtime runs it.
+func replayOnly(t *testing.T) func(*exec.WorkItem) {
+	var once sync.Once
+	return func(*exec.WorkItem) {
+		once.Do(func() { t.Error("replayed launch ran its body") })
+	}
 }
 
 func TestConstructorPanics(t *testing.T) {

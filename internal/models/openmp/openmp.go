@@ -14,32 +14,19 @@ import (
 
 // Runtime executes OpenMP-style parallel loops on a machine's host CPU.
 type Runtime struct {
-	machine *sim.Machine
-	profile *modelapi.Profile
-	cache   map[string]exec.Counters
+	*modelapi.Runtime
 }
 
 // New returns a runtime bound to the machine's host CPU.
 func New(machine *sim.Machine) *Runtime {
-	return &Runtime{
-		machine: machine,
-		profile: modelapi.ProfileFor(modelapi.OpenMP),
-		cache:   make(map[string]exec.Counters),
-	}
+	return &Runtime{modelapi.NewRuntime(machine, modelapi.OpenMP)}
 }
-
-// Machine returns the bound machine.
-func (r *Runtime) Machine() *sim.Machine { return r.machine }
 
 // ParallelFor runs body for i in [0, n) across the host cores — the
 // one-pragma port of a serial loop (paper Figure 3b) — and returns the
 // timing result. The body tallies its work on the WorkItem.
 func (r *Runtime) ParallelFor(spec modelapi.KernelSpec, n int, body func(*exec.WorkItem)) timing.Result {
-	res := exec.Run(n, body)
-	per := res.Counters.PerItem(n)
-	r.cache[spec.Name] = per
-	cost := spec.Cost(r.profile, n, per)
-	return r.machine.LaunchKernel(sim.OnHost, spec.Name, cost)
+	return r.Launch(spec, n, true, body)
 }
 
 // Launch runs the loop functionally when functional is true (or when no
@@ -47,18 +34,8 @@ func (r *Runtime) ParallelFor(spec modelapi.KernelSpec, n int, body func(*exec.W
 // cost — the iterative-application fast path for iterations beyond the
 // functional sample.
 func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per, ok := r.cache[spec.Name]
-	if functional || !ok {
-		return r.ParallelFor(spec, n, body)
-	}
-	return r.Replay(spec, n, per)
-}
-
-// Replay charges the host for another launch with previously measured
-// per-item counters, without functional re-execution. Iterative apps use
-// it for iterations beyond the functional sample.
-func (r *Runtime) Replay(spec modelapi.KernelSpec, n int, per exec.Counters) timing.Result {
-	return r.machine.LaunchKernel(sim.OnHost, spec.Name, spec.Cost(r.profile, n, per))
+	per := r.Measure(spec.Name, n, functional, func() exec.Result { return exec.Run(n, body) })
+	return r.LaunchOnHost(spec.Name, spec, n, per)
 }
 
 // Serial runs body(i) for i in [0, n) on one core: the un-annotated loop.
@@ -66,14 +43,14 @@ func (r *Runtime) Replay(spec modelapi.KernelSpec, n int, per exec.Counters) tim
 func (r *Runtime) Serial(spec modelapi.KernelSpec, n int, body func(*exec.WorkItem)) timing.Result {
 	res := exec.Run(n, body) // functionally parallel, logically serial
 	per := res.Counters.PerItem(n)
-	cost := spec.Cost(r.profile, n, per)
+	cost := r.Cost(spec, n, per)
 	cost.SerialFraction = 0
 	// One core: scale the modeled work up by the core count so the
 	// timing model's full-device rate yields single-core time.
-	host := r.machine.Host()
+	host := r.Machine().Host()
 	scale := float64(host.ComputeUnits * host.LanesPerCU)
 	cost.SPFlops *= scale
 	cost.DPFlops *= scale
 	cost.Instrs *= float64(host.ComputeUnits)
-	return r.machine.LaunchKernel(sim.OnHost, spec.Name, cost)
+	return r.Machine().LaunchKernel(sim.OnHost, spec.Name, cost)
 }

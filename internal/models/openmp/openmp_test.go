@@ -1,6 +1,7 @@
 package openmp
 
 import (
+	"sync"
 	"testing"
 
 	"hetbench/internal/models/modelapi"
@@ -50,11 +51,20 @@ func TestSerialSlowerThanParallel(t *testing.T) {
 
 func TestReplayMatchesParallelFor(t *testing.T) {
 	per := exec.Counters{SPFlops: 10, LoadBytes: 16, Instrs: 14}
-	m1, m2 := sim.NewAPU(), sim.NewAPU()
-	r1 := New(m1).ParallelFor(spec(), 2048, func(w *exec.WorkItem) { w.Tally(per) })
-	r2 := New(m2).Replay(spec(), 2048, per)
+	rt := New(sim.NewAPU())
+	r1 := rt.ParallelFor(spec(), 2048, func(w *exec.WorkItem) { w.Tally(per) })
+	r2 := rt.Launch(spec(), 2048, false, replayOnly(t))
 	if r1.TimeNs != r2.TimeNs {
 		t.Errorf("replay %g != functional %g", r2.TimeNs, r1.TimeNs)
+	}
+}
+
+// replayOnly is the body of a launch that must replay: it fails the test
+// if the runtime runs it.
+func replayOnly(t *testing.T) func(*exec.WorkItem) {
+	var once sync.Once
+	return func(*exec.WorkItem) {
+		once.Do(func() { t.Error("replayed launch ran its body") })
 	}
 }
 
