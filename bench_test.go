@@ -23,14 +23,12 @@ import (
 	"hetbench/internal/report"
 	"hetbench/internal/sched"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 	"hetbench/internal/sloc"
 	"hetbench/internal/trace"
 )
 
-// hotCost is the kernel shape every hot-path guard launches: large
-// enough to exercise the full timing model, identical across the guards
-// so their ns/op compare.
 // bmust unwraps a (value, error) Data-sweep pair inside a benchmark; the
 // context is never canceled, so an error is a setup failure worth a panic.
 func bmust[T any](v T, err error) T {
@@ -40,6 +38,9 @@ func bmust[T any](v T, err error) T {
 	return v
 }
 
+// hotCost is the kernel shape every hot-path guard launches: large
+// enough to exercise the full timing model, identical across the guards
+// so their ns/op compare.
 var hotCost = timing.KernelCost{
 	Items: 1 << 16, SPFlops: 32, LoadBytes: 24, StoreBytes: 8,
 	Instrs: 48, MissRate: 0.2, Coalesce: 0.9,
@@ -262,6 +263,18 @@ func benchSplitOn(b *testing.B) {
 	}
 }
 
+// benchExecTally runs one functional launch of hotCost's shape whose
+// every item tallies its own work: the executor's per-item accounting,
+// which data-dependent kernels (SpMV, CoMD force, XSBench) still pay.
+func benchExecTally(b *testing.B) {
+	per := exec.Counters{SPFlops: hotCost.SPFlops, LoadBytes: hotCost.LoadBytes, StoreBytes: hotCost.StoreBytes, Instrs: hotCost.Instrs}
+	kernel := func(w *exec.WorkItem) { w.Tally(per) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		exec.Run(hotCost.Items, kernel)
+	}
+}
+
 // hetlintLoad memoizes the module load for benchHetlintModule, which
 // times the six-analyzer parallel driver alone. What a hetlint run pays
 // before its analyzers start, parsing and type-checking the module, is
@@ -360,6 +373,12 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("on", benchLaunchTraced)
 }
 
+// BenchmarkExecTally measures a functional launch's per-item counter
+// accounting over a body that does nothing else.
+func BenchmarkExecTally(b *testing.B) {
+	b.Run("tally", benchExecTally)
+}
+
 // BenchmarkHistObserve measures the steady-state histogram observation
 // path (bucket index + counter bump under the registry lock), the cost
 // every traced launch now pays per distribution sample.
@@ -429,6 +448,7 @@ func TestWriteBenchHotpath(t *testing.T) {
 		{"launch/checked-on", benchLaunchCheckedOn},
 		{"split/off", benchSplitOff},
 		{"split/on", benchSplitOn},
+		{"exec/tally", benchExecTally},
 		{"hist/observe", benchHistObserve},
 		{"hetlint/load", benchHetlintLoad},
 		{"hetlint/module", benchHetlintModule},

@@ -133,16 +133,16 @@ func (p *Problem) bodies(s *State, tiled bool) (force, velHalf, position func(*e
 		})
 	}
 	dt := dtStep
-	velHalf = func(w *exec.WorkItem) {
-		i := w.Global
+	velPer := exec.Counters{LoadBytes: 6 * elt, StoreBytes: 3 * elt, Instrs: 16}
+	velPer.SPFlops, velPer.DPFlops = appcore.Flops(p.Precision, 9)
+	velHalf = exec.Uniform(velPer, func(i int) {
 		s.Vx[i] += 0.5 * dt * s.Fx[i]
 		s.Vy[i] += 0.5 * dt * s.Fy[i]
 		s.Vz[i] += 0.5 * dt * s.Fz[i]
-		sp, dp := appcore.Flops(p.Precision, 9)
-		w.Tally(exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: 6 * elt, StoreBytes: 3 * elt, Instrs: 16})
-	}
-	position = func(w *exec.WorkItem) {
-		i := w.Global
+	})
+	posPer := exec.Counters{LoadBytes: 6 * elt, StoreBytes: 3 * elt, Instrs: 24}
+	posPer.SPFlops, posPer.DPFlops = appcore.Flops(p.Precision, 12)
+	position = exec.Uniform(posPer, func(i int) {
 		wrap := func(x, l float64) float64 {
 			x = math.Mod(x, l)
 			if x < 0 {
@@ -153,9 +153,7 @@ func (p *Problem) bodies(s *State, tiled bool) (force, velHalf, position func(*e
 		s.X[i] = wrap(s.X[i]+dt*s.Vx[i], s.Lx)
 		s.Y[i] = wrap(s.Y[i]+dt*s.Vy[i], s.Ly)
 		s.Z[i] = wrap(s.Z[i]+dt*s.Vz[i], s.Lz)
-		sp, dp := appcore.Flops(p.Precision, 12)
-		w.Tally(exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: 6 * elt, StoreBytes: 3 * elt, Instrs: 24})
-	}
+	})
 	return force, velHalf, position
 }
 

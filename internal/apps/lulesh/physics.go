@@ -147,15 +147,12 @@ func (st *stepper) step(d driver) {
 	// ---------------- Lagrange nodal phase ----------------
 
 	// 1. Stress from pressure and viscosity.
-	d.launch(KInitStress, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KInitStress, ne, exec.Uniform(st.tally(2, 2, 1, 6), func(e int) {
 		s.Sig[e] = -s.P[e] - s.Q[e]
-		w.Tally(st.tally(2, 2, 1, 6))
-	})
+	}))
 
 	// 2. Integrate stress: corner forces from face-area vectors.
-	d.launch(KIntegrateStress, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KIntegrateStress, ne, exec.Uniform(st.tally(160, 26, 24, 260), func(e int) {
 		nl := m.Nodelist[e*8 : e*8+8]
 		var px, py, pz [8]float64
 		for c := 0; c < 8; c++ {
@@ -188,12 +185,10 @@ func (st *stepper) step(d driver) {
 			s.FyElem[e*8+c] = fy[c]
 			s.FzElem[e*8+c] = fz[c]
 		}
-		w.Tally(st.tally(160, 26, 24, 260))
-	})
+	}))
 
 	// 3. Hourglass control A: element-average velocity.
-	d.launch(KHourglassA, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KHourglassA, ne, exec.Uniform(st.tally(27, 25, 3, 60), func(e int) {
 		nl := m.Nodelist[e*8 : e*8+8]
 		var ax, ay, az float64
 		for c := 0; c < 8; c++ {
@@ -205,12 +200,10 @@ func (st *stepper) step(d driver) {
 		s.VelAvgX[e] = ax / 8
 		s.VelAvgY[e] = ay / 8
 		s.VelAvgZ[e] = az / 8
-		w.Tally(st.tally(27, 25, 3, 60))
-	})
+	}))
 
 	// 4. Hourglass control B: damping corner forces toward the mean.
-	d.launch(KHourglassB, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KHourglassB, ne, exec.Uniform(st.tally(75, 55, 24, 130), func(e int) {
 		nl := m.Nodelist[e*8 : e*8+8]
 		mc := hgCoef * s.ElemMass[e] / 8 / dt
 		for c := 0; c < 8; c++ {
@@ -219,12 +212,10 @@ func (st *stepper) step(d driver) {
 			s.FyElem[e*8+c] -= mc * (s.Yd[n] - s.VelAvgY[e])
 			s.FzElem[e*8+c] -= mc * (s.Zd[n] - s.VelAvgZ[e])
 		}
-		w.Tally(st.tally(75, 55, 24, 130))
-	})
+	}))
 
 	// 5. Gather corner forces to nodes.
-	d.launch(KAddNodeForces, nn, func(w *exec.WorkItem) {
-		n := w.Global
+	d.launch(KAddNodeForces, nn, exec.Uniform(st.tally(24, 26, 3, 60), func(n int) {
 		lo, hi := m.NodeElemStart[n], m.NodeElemStart[n+1]
 		var fx, fy, fz float64
 		for i := lo; i < hi; i++ {
@@ -234,22 +225,18 @@ func (st *stepper) step(d driver) {
 			fz += s.FzElem[c]
 		}
 		s.Fx[n], s.Fy[n], s.Fz[n] = fx, fy, fz
-		w.Tally(st.tally(24, 26, 3, 60))
-	})
+	}))
 
 	// 6. Acceleration.
-	d.launch(KAcceleration, nn, func(w *exec.WorkItem) {
-		n := w.Global
+	d.launch(KAcceleration, nn, exec.Uniform(st.tally(4, 4, 3, 10), func(n int) {
 		im := 1 / s.NodalMass[n]
 		s.Xdd[n] = s.Fx[n] * im
 		s.Ydd[n] = s.Fy[n] * im
 		s.Zdd[n] = s.Fz[n] * im
-		w.Tally(st.tally(4, 4, 3, 10))
-	})
+	}))
 
 	// 7. Symmetry-plane boundary conditions.
-	d.launch(KAccelerationBC, len(m.SymmX)+len(m.SymmY)+len(m.SymmZ), func(w *exec.WorkItem) {
-		i := w.Global
+	d.launch(KAccelerationBC, len(m.SymmX)+len(m.SymmY)+len(m.SymmZ), exec.Uniform(st.tally(0, 1, 1, 5), func(i int) {
 		switch {
 		case i < len(m.SymmX):
 			s.Xdd[m.SymmX[i]] = 0
@@ -258,65 +245,51 @@ func (st *stepper) step(d driver) {
 		default:
 			s.Zdd[m.SymmZ[i-len(m.SymmX)-len(m.SymmY)]] = 0
 		}
-		w.Tally(st.tally(0, 1, 1, 5))
-	})
+	}))
 
 	// 8. Velocity update.
-	d.launch(KVelocity, nn, func(w *exec.WorkItem) {
-		n := w.Global
+	d.launch(KVelocity, nn, exec.Uniform(st.tally(6, 6, 3, 12), func(n int) {
 		s.Xd[n] += s.Xdd[n] * dt
 		s.Yd[n] += s.Ydd[n] * dt
 		s.Zd[n] += s.Zdd[n] * dt
-		w.Tally(st.tally(6, 6, 3, 12))
-	})
+	}))
 
 	// 9. Position update.
-	d.launch(KPosition, nn, func(w *exec.WorkItem) {
-		n := w.Global
+	d.launch(KPosition, nn, exec.Uniform(st.tally(6, 6, 3, 12), func(n int) {
 		s.X[n] += s.Xd[n] * dt
 		s.Y[n] += s.Yd[n] * dt
 		s.Z[n] += s.Zd[n] * dt
-		w.Tally(st.tally(6, 6, 3, 12))
-	})
+	}))
 
 	// ---------------- Lagrange element phase ----------------
 
 	// 10. Kinematics: new volumes.
-	d.launch(KKinematicsVolume, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KKinematicsVolume, ne, exec.Uniform(st.tally(110, 26, 2, 180), func(e int) {
 		vol := s.elemVolume(e)
 		vn := vol / s.Volo[e]
 		s.Delv[e] = vn - s.V[e]
 		s.Vnew[e] = vn
-		w.Tally(st.tally(110, 26, 2, 180))
-	})
+	}))
 
 	// 11. Characteristic length.
-	d.launch(KCharLength, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KCharLength, ne, exec.Uniform(st.tally(8, 2, 1, 14), func(e int) {
 		s.Arealg[e] = math.Cbrt(s.Vnew[e] * s.Volo[e])
-		w.Tally(st.tally(8, 2, 1, 14))
-	})
+	}))
 
 	// 12. Volume derivative (strain-rate trace).
-	d.launch(KStrainRate, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KStrainRate, ne, exec.Uniform(st.tally(2, 2, 1, 8), func(e int) {
 		s.Vdov[e] = s.Delv[e] / (s.Vnew[e] * dt)
-		w.Tally(st.tally(2, 2, 1, 8))
-	})
+	}))
 
 	// 13. Part 2: snap near-unity volumes.
-	d.launch(KLagrangePart2, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KLagrangePart2, ne, exec.Uniform(st.tally(1, 1, 1, 6), func(e int) {
 		if math.Abs(s.Vnew[e]-1) < vCut {
 			s.Vnew[e] = 1
 		}
-		w.Tally(st.tally(1, 1, 1, 6))
-	})
+	}))
 
 	// 14. Monotonic Q gradients: face-to-face velocity differences.
-	d.launch(KQGradients, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KQGradients, ne, exec.Uniform(st.tally(21, 26, 3, 60), func(e int) {
 		nl := m.Nodelist[e*8 : e*8+8]
 		faceAvg := func(f [4]int, v []float64) float64 {
 			return (v[nl[f[0]]] + v[nl[f[1]]] + v[nl[f[2]]] + v[nl[f[3]]]) / 4
@@ -324,8 +297,7 @@ func (st *stepper) step(d driver) {
 		s.DelvXi[e] = faceAvg(hexFaces[5], s.Xd) - faceAvg(hexFaces[4], s.Xd)
 		s.DelvEta[e] = faceAvg(hexFaces[3], s.Yd) - faceAvg(hexFaces[2], s.Yd)
 		s.DelvZeta[e] = faceAvg(hexFaces[1], s.Zd) - faceAvg(hexFaces[0], s.Zd)
-		w.Tally(st.tally(21, 26, 3, 60))
-	})
+	}))
 
 	// 15. Monotonic Q limiter from face neighbors. (This is the kernel
 	// that fell back to the CPU under the CLAMP compiler bug on the
@@ -346,17 +318,14 @@ func (st *stepper) step(d driver) {
 		}
 		return phi
 	}
-	d.launch(KQRegion, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KQRegion, ne, exec.Uniform(st.tally(24, 15, 3, 60), func(e int) {
 		s.PhiXi[e] = limiter(s.DelvXi[e], s.DelvXi[m.Lxim[e]], s.DelvXi[m.Lxip[e]])
 		s.PhiEta[e] = limiter(s.DelvEta[e], s.DelvEta[m.Letam[e]], s.DelvEta[m.Letap[e]])
 		s.PhiZeta[e] = limiter(s.DelvZeta[e], s.DelvZeta[m.Lzetam[e]], s.DelvZeta[m.Lzetap[e]])
-		w.Tally(st.tally(24, 15, 3, 60))
-	})
+	}))
 
 	// 16. Artificial viscosity.
-	d.launch(KQForElems, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KQForElems, ne, exec.Uniform(st.tally(12, 8, 1, 26), func(e int) {
 		if s.Vdov[e] < 0 {
 			rho := 1 / s.Vnew[e]
 			l := s.Arealg[e]
@@ -366,85 +335,61 @@ func (st *stepper) step(d driver) {
 		} else {
 			s.Q[e] = 0
 		}
-		w.Tally(st.tally(12, 8, 1, 26))
-	})
+	}))
 
 	// 17–24. EOS pipeline.
-	d.launch(KEOSCopy, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KEOSCopy, ne, exec.Uniform(st.tally(0, 3, 3, 8), func(e int) {
 		s.EOld[e], s.POld[e], s.QOld[e] = s.E[e], s.P[e], s.Q[e]
-		w.Tally(st.tally(0, 3, 3, 8))
-	})
-	d.launch(KEnergy1, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	}))
+	d.launch(KEnergy1, ne, exec.Uniform(st.tally(5, 4, 1, 12), func(e int) {
 		en := s.EOld[e] - 0.5*s.Delv[e]*(s.POld[e]+s.QOld[e])
 		s.E[e] = math.Max(en, eMin)
-		w.Tally(st.tally(5, 4, 1, 12))
-	})
-	d.launch(KPressure1, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	}))
+	d.launch(KPressure1, ne, exec.Uniform(st.tally(5, 3, 1, 12), func(e int) {
 		vhalf := 0.5 * (s.V[e] + s.Vnew[e])
 		s.PHalf[e] = math.Max((gammaEOS-1)*s.E[e]/vhalf, pMin)
-		w.Tally(st.tally(5, 3, 1, 12))
-	})
-	d.launch(KEnergy2, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	}))
+	d.launch(KEnergy2, ne, exec.Uniform(st.tally(6, 4, 1, 12), func(e int) {
 		en := s.E[e] - 0.5*s.Delv[e]*(s.PHalf[e]-s.POld[e])*0.5
 		s.E[e] = math.Max(en, eMin)
-		w.Tally(st.tally(6, 4, 1, 12))
-	})
-	d.launch(KPressure2, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	}))
+	d.launch(KPressure2, ne, exec.Uniform(st.tally(4, 2, 1, 10), func(e int) {
 		s.P[e] = math.Max((gammaEOS-1)*s.E[e]/s.Vnew[e], pMin)
-		w.Tally(st.tally(4, 2, 1, 10))
-	})
-	d.launch(KEnergy3, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	}))
+	d.launch(KEnergy3, ne, exec.Uniform(st.tally(2, 1, 1, 8), func(e int) {
 		if math.Abs(s.E[e]) < 1e-30 {
 			s.E[e] = 0
 		}
 		s.E[e] = math.Max(s.E[e], eMin)
-		w.Tally(st.tally(2, 1, 1, 8))
-	})
-	d.launch(KPressure3, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	}))
+	d.launch(KPressure3, ne, exec.Uniform(st.tally(4, 2, 1, 10), func(e int) {
 		s.P[e] = math.Max((gammaEOS-1)*s.E[e]/s.Vnew[e], pMin)
-		w.Tally(st.tally(4, 2, 1, 10))
-	})
-	d.launch(KSoundSpeed, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	}))
+	d.launch(KSoundSpeed, ne, exec.Uniform(st.tally(7, 2, 1, 14), func(e int) {
 		s.SS[e] = math.Sqrt(math.Max(gammaEOS*s.P[e]*s.Vnew[e], ssMin))
-		w.Tally(st.tally(7, 2, 1, 14))
-	})
+	}))
 
 	// 25. Commit volumes.
-	d.launch(KUpdateVolumes, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KUpdateVolumes, ne, exec.Uniform(st.tally(1, 1, 1, 6), func(e int) {
 		v := s.Vnew[e]
 		if math.Abs(v-1) < vCut {
 			v = 1
 		}
 		s.V[e] = v
-		w.Tally(st.tally(1, 1, 1, 6))
-	})
+	}))
 
 	// ---------------- Time constraints ----------------
 
 	// 26–27. Per-element constraints.
-	d.launch(KCourant, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	d.launch(KCourant, ne, exec.Uniform(st.tally(2, 2, 1, 8), func(e int) {
 		s.DtCour[e] = s.Arealg[e] / math.Max(s.SS[e], 1e-20)
-		w.Tally(st.tally(2, 2, 1, 8))
-	})
-	d.launch(KHydro, ne, func(w *exec.WorkItem) {
-		e := w.Global
+	}))
+	d.launch(KHydro, ne, exec.Uniform(st.tally(3, 1, 1, 8), func(e int) {
 		s.DtHydro[e] = dvovMax / (math.Abs(s.Vdov[e]) + 1e-20)
-		w.Tally(st.tally(3, 1, 1, 8))
-	})
+	}))
 
 	// 28. Block-min reduction into partials, then host min.
-	d.launch(KReduceConstraints, st.nPartials, func(w *exec.WorkItem) {
-		i := w.Global
+	d.launch(KReduceConstraints, st.nPartials, exec.Uniform(st.tally(3*reduceBlk, 2*reduceBlk, 1, 4*reduceBlk), func(i int) {
 		lo := i * reduceBlk
 		hi := lo + reduceBlk
 		if hi > ne {
@@ -458,8 +403,7 @@ func (st *stepper) step(d driver) {
 			}
 		}
 		st.partials[i] = mn
-		w.Tally(st.tally(3*reduceBlk, 2*reduceBlk, 1, 4*reduceBlk))
-	})
+	}))
 
 	// Per-iteration readback of the partial mins (small).
 	d.readback(int64(st.nPartials) * int64(st.elt))

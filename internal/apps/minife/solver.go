@@ -250,9 +250,13 @@ func (p *Problem) solve(m *sim.Machine, d driver, specs map[string]modelapi.Kern
 		}
 		w.Tally(exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: loads, StoreBytes: elt, LDSBytes: lds, Instrs: instrs})
 	}
+	// Every dot block (a short last one included) and every axpy item
+	// is charged the same work, so those kernels are Uniform.
+	dotPer := exec.Counters{LoadBytes: 2 * dotBlock * elt, StoreBytes: elt, Instrs: 3 * dotBlock}
+	dotPer.SPFlops, dotPer.DPFlops = appcore.Flops(p.Precision, 2*dotBlock)
 	dotBody := func(v1, v2 []float64) func(*exec.WorkItem) {
-		return func(w *exec.WorkItem) {
-			lo := w.Global * dotBlock
+		return exec.Uniform(dotPer, func(b int) {
+			lo := b * dotBlock
 			hi := lo + dotBlock
 			if hi > n {
 				hi = n
@@ -261,18 +265,12 @@ func (p *Problem) solve(m *sim.Machine, d driver, specs map[string]modelapi.Kern
 			for i := lo; i < hi; i++ {
 				s += v1[i] * v2[i]
 			}
-			partial[w.Global] = s
-			sp, dp := appcore.Flops(p.Precision, 2*dotBlock)
-			w.Tally(exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: 2 * dotBlock * elt, StoreBytes: elt, Instrs: 3 * dotBlock})
-		}
+			partial[b] = s
+		})
 	}
-	axpyBody := func(f func(i int)) func(*exec.WorkItem) {
-		return func(w *exec.WorkItem) {
-			f(w.Global)
-			sp, dp := appcore.Flops(p.Precision, 2)
-			w.Tally(exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: 2 * elt, StoreBytes: elt, Instrs: 6})
-		}
-	}
+	axpyPer := exec.Counters{LoadBytes: 2 * elt, StoreBytes: elt, Instrs: 6}
+	axpyPer.SPFlops, axpyPer.DPFlops = appcore.Flops(p.Precision, 2)
+	axpyBody := func(f func(i int)) func(*exec.WorkItem) { return exec.Uniform(axpyPer, f) }
 
 	fn := p.Cfg.functionalIters()
 

@@ -123,20 +123,20 @@ func (p *Problem) measureSpec(dev *device.Device) modelapi.KernelSpec {
 func (p *Problem) body(out []float64) func(*exec.WorkItem) {
 	elt := appcore.EltBytes(p.Cfg.Precision)
 	sp, dp := appcore.Flops(p.Cfg.Precision, BlockSize)
-	return func(w *exec.WorkItem) {
+	per := exec.Counters{
+		SPFlops: sp, DPFlops: dp,
+		LoadBytes:  elt * BlockSize,
+		StoreBytes: elt,
+		Instrs:     2*BlockSize + 4,
+	}
+	return exec.Uniform(per, func(b int) {
 		sum := 0.0
-		st := w.Global * BlockSize
+		st := b * BlockSize
 		for j := 0; j < BlockSize; j++ {
 			sum += p.In[st+j]
 		}
-		out[w.Global] = sum
-		w.Tally(exec.Counters{
-			SPFlops: sp, DPFlops: dp,
-			LoadBytes:  elt * BlockSize,
-			StoreBytes: elt,
-			Instrs:     2*BlockSize + 4,
-		})
-	}
+		out[b] = sum
+	})
 }
 
 func (p *Problem) bytesIn() int64 {

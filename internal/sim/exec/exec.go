@@ -15,8 +15,18 @@
 //     semantics (all items complete phase k before any starts k+1) without
 //     per-item goroutines. Run with RunTiled.
 //
-// Counters are sharded per worker goroutine and merged at the end, so
-// kernels may tally without atomics.
+// Each worker goroutine owns the counters it tallies into: they live in
+// its WorkItem or Group, are written to the worker's slot of the launch
+// once when its chunk is done, and are merged in worker order after all
+// workers finish. Kernels therefore tally without atomics, and no two
+// workers write the same cache line while they run.
+//
+// A kernel whose per-item work does not depend on the data (the same
+// Counters for every item of the launch) is built with Uniform, which
+// charges that work once per worker chunk instead of once per item. The
+// apps charge only integers below 2^53 this way, so per × n equals the
+// n-term sum bit for bit and the chunking (and so GOMAXPROCS) never
+// reaches the totals.
 package exec
 
 import (
@@ -52,7 +62,11 @@ func (c Counters) PerItem(n int) Counters {
 	if n <= 0 {
 		return Counters{}
 	}
-	f := 1 / float64(n)
+	return c.scaled(1 / float64(n))
+}
+
+// scaled multiplies every field by f.
+func (c Counters) scaled(f float64) Counters {
 	return Counters{
 		SPFlops:    c.SPFlops * f,
 		DPFlops:    c.DPFlops * f,
@@ -63,16 +77,37 @@ func (c Counters) PerItem(n int) Counters {
 	}
 }
 
-// WorkItem is the per-item context handed to simple kernels.
+// WorkItem is the per-item context handed to simple kernels. One
+// WorkItem serves a worker's whole chunk of items.
 type WorkItem struct {
-	// Global is the work item's global index.
+	// Global is the work item's global index. Kernels read it; only
+	// Uniform moves it, to the end of its chunk.
 	Global int
-	// counters points at this worker's shard.
-	counters *Counters
+	// end bounds the worker's chunk: items [Global, end) remain.
+	end int
+	// counters are the worker's own totals.
+	counters Counters
 }
 
-// Tally accumulates this item's work into the launch counters.
+// Tally accumulates this item's work into the worker's counters.
 func (w *WorkItem) Tally(c Counters) { w.counters.Add(c) }
+
+// Uniform builds a simple kernel whose every item does the same work:
+// body(i) runs once for each global index i, and per is charged once per
+// worker chunk as per × (items in the chunk). Use it when an item's
+// tally is launch-invariant; a tally that depends on the data belongs in
+// a per-item Tally. The kernel must be launched by Run itself, not
+// called from another kernel: each call runs the rest of its chunk.
+func Uniform(per Counters, body func(i int)) func(*WorkItem) {
+	return func(w *WorkItem) {
+		lo, hi := w.Global, w.end
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+		w.counters.Add(per.scaled(float64(hi - lo)))
+		w.Global = hi - 1 // Run's increment then ends the chunk
+	}
+}
 
 // Group is the per-work-group context handed to tiled kernel phases.
 type Group struct {
@@ -82,11 +117,12 @@ type Group struct {
 	// once per group with the size requested at launch.
 	LDS []float64
 
-	counters *Counters
+	// counters are the worker's own totals.
+	counters Counters
 }
 
-// Tally accumulates work into the launch counters. Tiled kernels usually
-// tally once per phase per group.
+// Tally accumulates work into the worker's counters. Tiled kernels
+// usually tally once per phase per group.
 func (g *Group) Tally(c Counters) { g.counters.Add(c) }
 
 // GlobalID returns the global index of local item l in this group.
@@ -139,11 +175,11 @@ func Run(global int, kernel func(*WorkItem)) Result {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			item := WorkItem{counters: &shards[w]}
-			for i := lo; i < hi; i++ {
-				item.Global = i
+			item := WorkItem{end: hi}
+			for item.Global = lo; item.Global < hi; item.Global++ {
 				kernel(&item)
 			}
+			shards[w] = item.counters
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -190,7 +226,7 @@ func RunTiled(global, local, ldsFloats int, phases ...Phase) Result {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			g := Group{Size: local, counters: &shards[w]}
+			g := Group{Size: local}
 			if ldsFloats > 0 {
 				g.LDS = make([]float64, ldsFloats)
 			}
@@ -202,6 +238,7 @@ func RunTiled(global, local, ldsFloats int, phases ...Phase) Result {
 					}
 				}
 			}
+			shards[w] = g.counters
 		}(w, lo, hi)
 	}
 	wg.Wait()

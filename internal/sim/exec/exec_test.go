@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -190,6 +192,46 @@ func TestCountersAdd(t *testing.T) {
 	want := Counters{SPFlops: 2, DPFlops: 4, LoadBytes: 6, StoreBytes: 8, LDSBytes: 10, Instrs: 12}
 	if c != want {
 		t.Errorf("Add = %+v, want %+v", c, want)
+	}
+}
+
+// perItem is an integer-valued tally, as every app kernel's is.
+var perItem = Counters{SPFlops: 3, DPFlops: 5, LoadBytes: 24, StoreBytes: 8, LDSBytes: 16, Instrs: 41}
+
+// TestTotalsIndependentOfWorkers pins the accounting contract: whatever
+// the worker count, and so the chunking, per-item Tally, Uniform and
+// RunTiled all total exactly per × global. The sizes include globals
+// below the worker count and globals that do not divide evenly.
+func TestTotalsIndependentOfWorkers(t *testing.T) {
+	for _, procs := range []int{1, 2, 3, 8} {
+		for _, global := range []int{1, 2, 3, 5, 7, 8, 1000, 4099} {
+			t.Run(fmt.Sprintf("procs=%d/global=%d", procs, global), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				want := perItem.scaled(float64(global))
+				seen := make([]int32, global)
+				forms := []struct {
+					name string
+					res  Result
+				}{
+					{"tally", Run(global, func(w *WorkItem) { w.Tally(perItem) })},
+					{"uniform", Run(global, Uniform(perItem, func(i int) { atomic.AddInt32(&seen[i], 1) }))},
+					{"tiled", RunTiled(global, 1, 0, func(g *Group, _ int) { g.Tally(perItem) })},
+				}
+				for _, f := range forms {
+					if f.res.Counters != want {
+						t.Errorf("%s total = %+v, want %+v", f.name, f.res.Counters, want)
+					}
+					if f.res.Items != global {
+						t.Errorf("%s Items = %d, want %d", f.name, f.res.Items, global)
+					}
+				}
+				for i, c := range seen {
+					if c != 1 {
+						t.Fatalf("uniform body ran item %d %d times, want exactly 1", i, c)
+					}
+				}
+			})
+		}
 	}
 }
 
