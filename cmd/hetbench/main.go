@@ -128,8 +128,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			return e.Run(ctx, scale, w)
 		}
 	}
-	// One characterization memo for the whole invocation: -exp all
-	// measures each (app, device) once across every experiment.
+	// One run memo for the whole invocation: -exp all characterizes each
+	// (app, device) and executes each app's functional pass once across
+	// every experiment.
 	ctx = harness.WithMemo(harness.WithSeed(ctx, *seed))
 
 	stopProfile, err := profiling.Start(*cpuProfile, *memProfile)

@@ -1,8 +1,10 @@
 // Package appcore holds the vocabulary shared by the proxy applications:
 // the run-result record every implementation returns, precision helpers,
 // the conversion from cache-simulator measurements to the timing model's
-// (MissRate, Coalesce) memory traits, and the run-scoped memo those
-// characterizations are shared through.
+// (MissRate, Coalesce) memory traits, the split of a run into a
+// functional pass and a pricing pass (Recorder, Tape, Play), and the
+// run-scoped memo characterizations and functional passes are shared
+// through.
 package appcore
 
 import (
@@ -85,14 +87,17 @@ func Streams(dev *device.Device) int {
 	return dev.ComputeUnits * 8
 }
 
-// Memo is a run's characterization memo. Each app keys it with its own
-// unexported key type holding the inputs that determine its address
-// traces: app config, precision and the device Geometry. Values stored in
-// it are shared by every cell of the run and must never be mutated.
+// Memo is a run's memo of pure work. Each app keys it with its own
+// unexported key types: a characterization on the inputs that determine
+// its address traces (app config, precision and the device Geometry), a
+// functional pass on app config, precision and kernel variant. Values
+// stored in it are shared by every cell of the run and must never be
+// mutated.
 type Memo = memo.Map[any, any]
 
 // Characterize returns compute's result for key, computing it at most
-// once per memo. A nil memo computes every time.
+// once per memo. A nil memo computes every time. Play stores functional
+// passes through it too.
 func Characterize[K comparable, V any](m *Memo, key K, compute func() V) V {
 	return m.Get(key, func() any { return compute() }).(V)
 }

@@ -1,0 +1,169 @@
+package appcore
+
+import (
+	"hetbench/internal/models/modelapi"
+	"hetbench/internal/sim"
+	"hetbench/internal/sim/exec"
+)
+
+// An app run is two passes. The functional pass executes the kernel
+// bodies on a Recorder and yields what they computed: the ordered
+// per-launch counters (a Tape) and the app's result digest. It reads no
+// device field, so it is a pure function of the app config, precision
+// and kernel variant, and a run memo shares it across every model ×
+// machine cell. The pricing pass replays the Tape through one model's
+// driver on the cell's machine. Play joins the two.
+
+// transferOp marks an op that is a transfer, not a launch.
+const transferOp = -1
+
+// op is one step of a functional pass that the pricing pass books: a
+// kernel launch of items work items whose measured per-item work is per,
+// or a transfer of items bytes.
+type op struct {
+	// kernel indexes the app's kernel table; transferOp for a transfer.
+	kernel int
+	items  int
+	per    exec.Counters
+}
+
+// Pricer books a run's ops under one model on one machine: an app's
+// per-model driver.
+type Pricer struct {
+	// Launch books a launch of kernel over items work items.
+	Launch func(kernel, items int, per exec.Counters)
+	// Transfer books the app's one kind of mid-run data movement (a
+	// readback of partial results, a re-upload of a rebuilt table); nil
+	// for a model that moves no data mid-run.
+	Transfer func(bytes int64)
+}
+
+// Tape is a functional pass's ordered ops plus the bounds of each
+// iteration's ops. A recorded Tape is never modified: the run memo hands
+// one Tape to every cell, and cells only Replay it.
+type Tape struct {
+	ops   []op
+	iters [][2]int // [lo, hi) of each iteration's ops
+}
+
+// Replay books every op through p, opening an iteration span on m around
+// each iteration's ops, exactly as the functional pass issued them.
+func (t *Tape) Replay(m *sim.Machine, p *Pricer) {
+	pos := 0
+	for it, b := range t.iters {
+		play(p, t.ops[pos:b[0]])
+		sp := m.StartIteration(it)
+		play(p, t.ops[b[0]:b[1]])
+		sp.End()
+		pos = b[1]
+	}
+	play(p, t.ops[pos:])
+}
+
+func play(p *Pricer, ops []op) {
+	for i := range ops {
+		price(p, &ops[i])
+	}
+}
+
+func price(p *Pricer, o *op) {
+	switch {
+	case o.kernel != transferOp:
+		p.Launch(o.kernel, o.items, o.per)
+	case p.Transfer != nil:
+		p.Transfer(int64(o.items))
+	}
+}
+
+// Recorder is the functional pass's driver. It records every launch and
+// transfer onto a Tape. A launch executes its body (measuring per-item
+// counters) when it is in the functional sample or its kernel has not
+// run yet; otherwise it re-uses the kernel's last measurement, so
+// iterative apps execute a sample of iterations and replay the rest.
+//
+// A live Recorder also prices each op as it records it, through the
+// cell's driver on the cell's machine, and binds output arrays as the
+// runtime's silent-corruption targets: a bit flip then lands in real
+// state mid-run, as it would on hardware.
+type Recorder struct {
+	tape Tape
+	last map[int]exec.Counters
+	// live is the cell's driver and runtime core, nil in a memoized pass.
+	live *Pricer
+	core *modelapi.Runtime
+}
+
+// Launch records a launch of kernel over n items, executing body when
+// functional is set or kernel has no measurement yet.
+func (r *Recorder) Launch(kernel, n int, functional bool, body func(*exec.WorkItem)) {
+	per, ok := r.last[kernel]
+	if functional || !ok {
+		per = exec.Measure(n, body)
+		if r.last == nil {
+			r.last = make(map[int]exec.Counters)
+		}
+		r.last[kernel] = per
+	}
+	r.record(op{kernel: kernel, items: n, per: per})
+}
+
+// Transfer records the app's mid-run transfer of bytes.
+func (r *Recorder) Transfer(bytes int64) {
+	r.record(op{kernel: transferOp, items: int(bytes)})
+}
+
+func (r *Recorder) record(o op) {
+	r.tape.ops = append(r.tape.ops, o)
+	if r.live != nil {
+		price(r.live, &o)
+	}
+}
+
+// Iteration records step as the next iteration; a live Recorder wraps it
+// in an iteration span on the cell's machine.
+func (r *Recorder) Iteration(step func()) {
+	lo := len(r.tape.ops)
+	if r.live != nil {
+		sp := r.core.Machine().StartIteration(len(r.tape.iters))
+		step()
+		sp.End()
+	} else {
+		step()
+	}
+	r.tape.iters = append(r.tape.iters, [2]int{lo, len(r.tape.ops)})
+}
+
+// Bind registers data as a silent-corruption target of a live
+// Recorder's runtime; a memoized pass has no runtime and ignores it.
+func (r *Recorder) Bind(name string, data []float64) {
+	if r.core != nil {
+		r.core.Bind(name, data)
+	}
+}
+
+// outcome is a memoized functional pass: the Tape and the app's digest
+// of what the kernels computed. R must be plain numbers.
+type outcome[R any] struct {
+	tape *Tape
+	res  R
+}
+
+// Play books one app run on core's machine through the cell's driver d
+// and returns the functional pass's result digest. Without a fault
+// injector it replays the outcome the memo holds under key, running
+// execute on a fresh Recorder if no cell has yet. A machine with an
+// injector bypasses the memo: execute runs on a live Recorder, so faults
+// strike between real kernel executions. key must hold every input the
+// functional pass depends on (app config, precision, kernel variant).
+func Play[K comparable, R any](memo *Memo, key K, core *modelapi.Runtime, d Pricer, execute func(*Recorder) R) R {
+	if core.Machine().FaultInjector() != nil {
+		return execute(&Recorder{live: &d, core: core})
+	}
+	o := Characterize(memo, key, func() outcome[R] {
+		var rec Recorder
+		res := execute(&rec)
+		return outcome[R]{&rec.tape, res}
+	})
+	o.tape.Replay(core.Machine(), &d)
+	return o.res
+}

@@ -143,20 +143,23 @@ func NewState(cfg Config) *State {
 		s.Vz[i] -= mz / float64(n)
 	}
 
-	s.NCx = max(3, int(s.Lx/cutoff))
-	s.NCy = max(3, int(s.Ly/cutoff))
-	s.NCz = max(3, int(s.Lz/cutoff))
+	s.NCx, s.NCy, s.NCz = cfg.cells()
 	s.CellOf = make([]int32, n)
 	s.buildNeighborTable()
 	s.RebuildCells()
 	return s
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// cells returns the link-cell grid: cells at least one cutoff wide, and
+// at least three per dimension.
+func (c Config) cells() (x, y, z int) {
+	fit := func(n int) int { return max(3, int(float64(n)*latticeA/cutoff)) }
+	return fit(c.Nx), fit(c.Ny), fit(c.Nz)
+}
+
+func (c Config) numCells() int {
+	x, y, z := c.cells()
+	return x * y * z
 }
 
 func (s *State) numCells() int { return s.NCx * s.NCy * s.NCz }
@@ -368,18 +371,20 @@ func (s *State) characterize(m *sim.Machine, prec timing.Precision) (c character
 	return c
 }
 
-func (c characterization) specs() map[string]modelapi.KernelSpec {
-	return map[string]modelapi.KernelSpec{
-		KForce:    {Name: KForce, Class: modelapi.Irregular, MissRate: c.forceMiss, Coalesce: c.forceCoalesce},
-		KVelocity: {Name: KVelocity, Class: modelapi.Streaming, MissRate: c.streamMiss, Coalesce: c.streamCoalesce},
-		KPosition: {Name: KPosition, Class: modelapi.Streaming, MissRate: c.streamMiss, Coalesce: c.streamCoalesce},
-	}
-}
+// The kernels in functional-pass order; they index a run's specs.
+const (
+	kForce = iota
+	kVelocity
+	kPosition
+)
 
-// Specs builds the three kernel specs with traits measured on the
-// machine's accelerator LLC from the real link-cell gather pattern.
-func (s *State) Specs(m *sim.Machine, prec timing.Precision) map[string]modelapi.KernelSpec {
-	return s.characterize(m, prec).specs()
+// specs returns the three kernel specs, indexed by kernel.
+func (c characterization) specs() *[3]modelapi.KernelSpec {
+	return &[3]modelapi.KernelSpec{
+		kForce:    {Name: KForce, Class: modelapi.Irregular, MissRate: c.forceMiss, Coalesce: c.forceCoalesce},
+		kVelocity: {Name: KVelocity, Class: modelapi.Streaming, MissRate: c.streamMiss, Coalesce: c.streamCoalesce},
+		kPosition: {Name: KPosition, Class: modelapi.Streaming, MissRate: c.streamMiss, Coalesce: c.streamCoalesce},
+	}
 }
 
 // MeasuredMissRate reports the per-access LLC miss rate of the force

@@ -4,9 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/modelapi"
-	"hetbench/internal/models/opencl"
-	"hetbench/internal/models/openmp"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
@@ -68,16 +67,14 @@ func TestFCCEquilibriumForcesSmall(t *testing.T) {
 
 func TestEnergyConservation(t *testing.T) {
 	p := NewProblem(Config{Nx: 4, Ny: 4, Nz: 4, Iters: 50}, timing.Double)
-	m := sim.NewAPU()
 	s := NewState(p.Cfg)
-	specs := s.Specs(m, p.Precision)
 	// Need initial PE for the t=0 energy: compute forces once.
 	for i := range s.X {
 		fx, fy, fz, pe, _ := s.ljForceAtom(i)
 		s.Fx[i], s.Fy[i], s.Fz[i], s.PE[i] = fx, fy, fz, pe
 	}
 	e0 := s.TotalEnergy()
-	p.run(m, s, specs, &ompDriver{rt: openmp.New(m)}, false)
+	p.run(new(appcore.Recorder), s, false)
 	e1 := s.TotalEnergy()
 	drift := math.Abs(e1-e0) / math.Abs(e0)
 	if drift > 0.01 {
@@ -90,18 +87,16 @@ func TestEnergyConservation(t *testing.T) {
 
 func TestAllModelsAgree(t *testing.T) {
 	p := NewProblem(smallCfg(), timing.Double)
-	var ref float64
-	models := []modelapi.Name{modelapi.OpenMP, modelapi.OpenCL, modelapi.CppAMP, modelapi.OpenACC}
-	for i, model := range models {
-		m := sim.NewDGPU()
-		r := p.Run(m, model)
-		if r.Kernels != 3 {
-			t.Errorf("%s: kernels = %d, want 3 (Table I)", model, r.Kernels)
-		}
-		if i == 0 {
-			ref = r.Checksum
-		} else if math.Abs(r.Checksum-ref) > 1e-9*math.Abs(ref) {
-			t.Errorf("%s: checksum %g, want %g", model, r.Checksum, ref)
+	ref := p.Run(sim.NewAPU(), modelapi.OpenMP).Checksum
+	for _, model := range []modelapi.Name{modelapi.OpenMP, modelapi.OpenCL, modelapi.CppAMP, modelapi.OpenACC} {
+		for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
+			r := p.Run(mk(), model)
+			if r.Kernels != 3 {
+				t.Errorf("%s: kernels = %d, want 3 (Table I)", model, r.Kernels)
+			}
+			if r.Checksum != ref {
+				t.Errorf("%s on %s: checksum %g, want %g", model, r.Machine, r.Checksum, ref)
+			}
 		}
 	}
 }
@@ -150,18 +145,8 @@ func TestTilingAblation(t *testing.T) {
 	cfg := Config{Nx: 16, Ny: 16, Nz: 16, Iters: 2}
 	p := NewProblem(cfg, timing.Single)
 
-	run := func(tiled bool) float64 {
-		m := sim.NewDGPU()
-		s := NewState(cfg)
-		specs := s.Specs(m, p.Precision)
-		ctx := opencl.NewContext(m)
-		q := ctx.NewQueue()
-		cells := ctx.CreateBuffer("comd.cells", p.groups(s)[3].bytes)
-		p.run(m, s, specs, &clDriver{q: q, cells: cells}, tiled)
-		return m.KernelNs()
-	}
-	flat := run(false)
-	tiled := run(true)
+	flat := p.RunOpenCLFlat(sim.NewDGPU()).KernelNs
+	tiled := p.RunOpenCL(sim.NewDGPU()).KernelNs
 	if speedup := flat / tiled; speedup < 1.5 {
 		t.Errorf("tiling speedup = %.2f×, want substantial (paper ≈3×)", speedup)
 	}

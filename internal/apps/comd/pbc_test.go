@@ -5,8 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hetbench/internal/models/openmp"
-	"hetbench/internal/sim"
+	"hetbench/internal/apps/appcore"
 	"hetbench/internal/sim/timing"
 )
 
@@ -83,10 +82,8 @@ func TestCellIndexWraps(t *testing.T) {
 // Positions stay in the box after many integration steps.
 func TestPositionsStayInBox(t *testing.T) {
 	p := NewProblem(Config{Nx: 4, Ny: 4, Nz: 4, Iters: 30}, timing.Double)
-	m := sim.NewAPU()
 	s := NewState(p.Cfg)
-	specs := s.Specs(m, p.Precision)
-	p.run(m, s, specs, &ompDriver{rt: openmp.New(m)}, false)
+	p.run(new(appcore.Recorder), s, false)
 	for i := range s.X {
 		if s.X[i] < 0 || s.X[i] >= s.Lx || s.Y[i] < 0 || s.Y[i] >= s.Ly || s.Z[i] < 0 || s.Z[i] >= s.Lz {
 			t.Fatalf("atom %d escaped the box: (%g,%g,%g)", i, s.X[i], s.Y[i], s.Z[i])

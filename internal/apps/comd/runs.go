@@ -39,26 +39,23 @@ type charKey struct {
 }
 
 // characterize returns the characterization on the machine's
-// accelerator, measured once per run memo. s must be a fresh
-// NewState(p.Cfg); nil builds one if the memo misses.
-func (p *Problem) characterize(m *sim.Machine, s *State) characterization {
+// accelerator, measured once per run memo on the initial lattice.
+func (p *Problem) characterize(m *sim.Machine) characterization {
 	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(m.Accelerator())}
 	return appcore.Characterize(p.Memo, key, func() characterization {
-		if s == nil {
-			s = NewState(p.Cfg)
-		}
-		return s.characterize(m, p.Precision)
+		return NewState(p.Cfg).characterize(m, p.Precision)
 	})
 }
 
-func (p *Problem) specs(m *sim.Machine, s *State) map[string]modelapi.KernelSpec {
-	return p.characterize(m, s).specs()
+// specs returns the kernel specs on the machine, indexed by kernel.
+func (p *Problem) specs(m *sim.Machine) *[3]modelapi.KernelSpec {
+	return p.characterize(m).specs()
 }
 
 // MeasuredMissRate reports the force gather's per-access LLC miss rate
 // on the machine (the Table I number), measured once per run memo.
 func (p *Problem) MeasuredMissRate(m *sim.Machine) float64 {
-	return p.characterize(m, nil).forceAccessMiss
+	return p.characterize(m).forceAccessMiss
 }
 
 // NewProblem validates and wraps a configuration.
@@ -74,9 +71,9 @@ type arrayGroup struct {
 	bytes int64
 }
 
-func (p *Problem) groups(s *State) []arrayGroup {
-	n := int64(len(s.X))
-	nc := int64(s.numCells())
+func (p *Problem) groups() []arrayGroup {
+	n := int64(p.Cfg.NumAtoms())
+	nc := int64(p.Cfg.numCells())
 	elt := int64(appcore.EltBytes(p.Precision))
 	return []arrayGroup{
 		{"comd.pos", 3 * n * elt},
@@ -157,145 +154,128 @@ func (p *Problem) bodies(s *State, tiled bool) (force, velHalf, position func(*e
 	return force, velHalf, position
 }
 
-// driver abstracts per-model launching and the periodic cell re-upload.
-type driver interface {
-	launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem))
-	uploadCells(bytes int64)
+// runKey keys the functional pass in a run memo: the lattice, the
+// precision and the force kernel's form are everything it reads.
+type runKey struct {
+	cfg   Config
+	prec  timing.Precision
+	tiled bool
 }
 
-type ompDriver struct{ rt *openmp.Runtime }
-
-func (d *ompDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	d.rt.Launch(spec, n, functional, body)
-}
-func (d *ompDriver) uploadCells(int64) {}
-
-type clDriver struct {
-	q     *opencl.Queue
-	cells *opencl.Buffer
-}
-
-func (d *clDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	d.q.LaunchFunc(spec, n, functional, body)
-}
-func (d *clDriver) uploadCells(int64) { d.q.EnqueueWriteBuffer(d.cells) }
-
-type ampDriver struct {
-	rt    *cppamp.Runtime
-	views []*cppamp.ArrayView
-	cells *cppamp.ArrayView
-}
-
-func (d *ampDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	d.rt.Launch(spec, cppamp.NewExtent(n), d.views, functional, body)
-}
-func (d *ampDriver) uploadCells(int64) { d.cells.HostWrite() } // restaged at next launch
-
-type accDriver struct{ rt *openacc.Runtime }
-
-func (d *accDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	d.rt.Launch(spec, n, nil, functional, body)
-}
-func (d *accDriver) uploadCells(bytes int64) { d.rt.UpdateDevice("comd.cells", bytes) }
-
-// run executes the velocity-Verlet loop under the given driver. Each
-// timestep is wrapped in an iteration span on the machine's tracer.
-func (p *Problem) run(m *sim.Machine, s *State, specs map[string]modelapi.KernelSpec, d driver, tiled bool) {
+// run executes the velocity-Verlet loop on s as a functional pass: the
+// leading FunctionalIters steps execute the physics (rebuilding link
+// cells every rebuildEvery steps), the rest replay measured kernel costs.
+func (p *Problem) run(rec *appcore.Recorder, s *State, tiled bool) {
 	force, velHalf, position := p.bodies(s, tiled)
 	n := len(s.X)
 	fn := p.Cfg.functionalIters()
-	cellBytes := p.groups(s)[3].bytes
+	cellBytes := p.groups()[3].bytes
 
 	// Initial forces.
-	d.launch(specs[KForce], n, true, force)
+	rec.Launch(kForce, n, true, force)
 	for it := 0; it < p.Cfg.Iters; it++ {
 		functional := it < fn
-		sp := m.StartIteration(it)
-		d.launch(specs[KVelocity], n, functional, velHalf)
-		d.launch(specs[KPosition], n, functional, position)
-		if functional && it%rebuildEvery == rebuildEvery-1 {
-			s.RebuildCells()
-			d.uploadCells(cellBytes)
-		}
-		d.launch(specs[KForce], n, functional, force)
-		d.launch(specs[KVelocity], n, functional, velHalf)
-		sp.End()
+		rec.Iteration(func() {
+			rec.Launch(kVelocity, n, functional, velHalf)
+			rec.Launch(kPosition, n, functional, position)
+			if functional && it%rebuildEvery == rebuildEvery-1 {
+				s.RebuildCells()
+				rec.Transfer(cellBytes)
+			}
+			rec.Launch(kForce, n, functional, force)
+			rec.Launch(kVelocity, n, functional, velHalf)
+		})
 	}
 }
 
-func (p *Problem) result(m *sim.Machine, model modelapi.Name, s *State) appcore.Result {
+// play books the run through the model driver d and returns the total
+// energy (see appcore.Play); tiled selects the force kernel's form. d's
+// Transfer prices the periodic re-upload of the rebuilt link cells.
+func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer, tiled bool) float64 {
+	return appcore.Play(p.Memo, runKey{p.Cfg, p.Precision, tiled}, core, d, func(rec *appcore.Recorder) float64 {
+		s := NewState(p.Cfg)
+		p.run(rec, s, tiled)
+		return s.TotalEnergy()
+	})
+}
+
+func (p *Problem) result(m *sim.Machine, model modelapi.Name, energy float64) appcore.Result {
 	return appcore.Result{
 		App: AppName, Model: model, Machine: m.Name(), Precision: p.Precision,
 		ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
-		Checksum: s.TotalEnergy(), Kernels: 3,
+		Checksum: energy, Kernels: 3,
 	}
 }
 
 // RunOpenMP is the 4-core CPU baseline (flat force loop).
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	s := NewState(p.Cfg)
-	p.run(m, s, p.specs(m, s), &ompDriver{rt: openmp.New(m)}, false)
-	return p.result(m, modelapi.OpenMP, s)
+	rt := openmp.New(m)
+	specs := p.specs(m)
+	energy := p.play(rt.Runtime, appcore.Pricer{
+		Launch: func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
+	}, false)
+	return p.result(m, modelapi.OpenMP, energy)
 }
 
-// RunOpenCL stages atoms once and uses the tiled, LDS-staged force kernel.
-func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
+// runOpenCL stages atoms once and runs the force kernel in the given
+// form.
+func (p *Problem) runOpenCL(m *sim.Machine, tiled bool) (*opencl.Context, float64) {
 	m.ResetClock()
-	s := NewState(p.Cfg)
 	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 	var cells *opencl.Buffer
-	for _, g := range p.groups(s) {
+	for _, g := range p.groups() {
 		buf := ctx.CreateBuffer(g.name, g.bytes)
 		q.EnqueueWriteBuffer(buf)
 		if g.name == "comd.cells" {
 			cells = buf
 		}
 	}
-	p.run(m, s, p.specs(m, s), &clDriver{q: q, cells: cells}, true)
-	q.EnqueueReadBuffer(ctx.CreateBuffer("comd.force", p.groups(s)[2].bytes))
+	specs := p.specs(m)
+	return ctx, p.play(ctx.Runtime, appcore.Pricer{
+		Launch:   func(k, n int, per exec.Counters) { q.Launch(specs[k], n, per) },
+		Transfer: func(int64) { q.EnqueueWriteBuffer(cells) },
+	}, tiled)
+}
+
+// RunOpenCL stages atoms once and uses the tiled, LDS-staged force kernel.
+func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
+	ctx, energy := p.runOpenCL(m, true)
+	q := ctx.NewQueue()
+	q.EnqueueReadBuffer(ctx.CreateBuffer("comd.force", p.groups()[2].bytes))
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, s)
+	return p.result(m, modelapi.OpenCL, energy)
 }
 
 // RunOpenCLFlat is the un-tiled OpenCL variant (no LDS staging), kept for
 // the Section VI-C tiling ablation.
 func (p *Problem) RunOpenCLFlat(m *sim.Machine) appcore.Result {
-	m.ResetClock()
-	s := NewState(p.Cfg)
-	ctx := opencl.NewContext(m)
-	q := ctx.NewQueue()
-	var cells *opencl.Buffer
-	for _, g := range p.groups(s) {
-		buf := ctx.CreateBuffer(g.name, g.bytes)
-		q.EnqueueWriteBuffer(buf)
-		if g.name == "comd.cells" {
-			cells = buf
-		}
-	}
-	p.run(m, s, p.specs(m, s), &clDriver{q: q, cells: cells}, false)
-	return p.result(m, modelapi.OpenCL, s)
+	_, energy := p.runOpenCL(m, false)
+	return p.result(m, modelapi.OpenCL, energy)
 }
 
 // RunCppAMP uses tile_static staging for the force kernel (the 3×
 // improvement the paper credits to tiling, Section VI-C).
 func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	s := NewState(p.Cfg)
 	rt := cppamp.New(m)
 	var views []*cppamp.ArrayView
 	var cells *cppamp.ArrayView
-	for _, g := range p.groups(s) {
+	for _, g := range p.groups() {
 		v := rt.NewArrayView(g.name, g.bytes)
 		views = append(views, v)
 		if g.name == "comd.cells" {
 			cells = v
 		}
 	}
-	p.run(m, s, p.specs(m, s), &ampDriver{rt: rt, views: views, cells: cells}, true)
+	specs := p.specs(m)
+	energy := p.play(rt.Runtime, appcore.Pricer{
+		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], cppamp.NewExtent(n), views, per) },
+		Transfer: func(int64) { cells.HostWrite() }, // restaged at next launch
+	}, true)
 	views[2].Synchronize() // forces + energies
-	return p.result(m, modelapi.CppAMP, s)
+	return p.result(m, modelapi.CppAMP, energy)
 }
 
 // RunOpenACC annotates the flat loops; the compiler cannot tile or use the
@@ -303,16 +283,19 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 // scalar code (Section VI-A's CoMD result).
 func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	s := NewState(p.Cfg)
 	rt := openacc.New(m)
 	var clauses []openacc.Clause
-	for _, g := range p.groups(s) {
+	for _, g := range p.groups() {
 		clauses = append(clauses, openacc.Copy(g.name, g.bytes))
 	}
 	region := rt.Data(clauses...)
-	p.run(m, s, p.specs(m, s), &accDriver{rt: rt}, false)
+	specs := p.specs(m)
+	energy := p.play(rt.Runtime, appcore.Pricer{
+		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, nil, per) },
+		Transfer: func(bytes int64) { rt.UpdateDevice("comd.cells", bytes) },
+	}, false)
 	region.End()
-	return p.result(m, modelapi.OpenACC, s)
+	return p.result(m, modelapi.OpenACC, energy)
 }
 
 // Run dispatches by model name, wrapping the whole run in a trace span.

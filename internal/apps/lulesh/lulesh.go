@@ -2,6 +2,7 @@ package lulesh
 
 import (
 	"fmt"
+	"sync"
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/cppamp"
@@ -20,13 +21,19 @@ import (
 const AppName = "LULESH"
 
 // Problem is a generated Sedov instance ready to run under any model.
+// NewProblem builds its mesh; a Problem literal with Cfg, Precision (and
+// Memo) set builds it on first need, so a run whose characterization and
+// functional pass both hit the run memo never builds one.
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	Mesh      *Mesh
-	// Memo, when set, shares the characterization with every problem of
-	// the same Cfg and Precision in the run; nil measures on every call.
+	// Memo, when set, shares the characterization and the functional pass
+	// with every problem of the same Cfg and Precision in the run; nil
+	// computes on every call.
 	Memo *appcore.Memo
+
+	build sync.Once
 }
 
 // NewProblem builds the mesh for a configuration.
@@ -34,7 +41,19 @@ func NewProblem(cfg Config, prec timing.Precision) *Problem {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Problem{Cfg: cfg, Precision: prec, Mesh: NewMesh(cfg.S)}
+	p := &Problem{Cfg: cfg, Precision: prec}
+	p.mesh()
+	return p
+}
+
+// mesh returns the mesh, building it on first need.
+func (p *Problem) mesh() *Mesh {
+	p.build.Do(func() {
+		if p.Mesh == nil {
+			p.Mesh = NewMesh(p.Cfg.S)
+		}
+	})
+	return p.Mesh
 }
 
 // ---------------------------------------------------------------------
@@ -46,7 +65,8 @@ type arrayGroup struct {
 }
 
 func (p *Problem) groups() []arrayGroup {
-	nn, ne := int64(p.Mesh.NumNode), int64(p.Mesh.NumElem)
+	s, np := int64(p.Cfg.S), int64(p.Cfg.S+1)
+	nn, ne := np*np*np, s*s*s
 	elt := int64(appcore.EltBytes(p.Precision))
 	nPart := (ne + reduceBlk - 1) / reduceBlk
 	return []arrayGroup{
@@ -102,7 +122,7 @@ func (p *Problem) specs(m *sim.Machine) *[NumKernels]modelapi.KernelSpec {
 // accelerator's LLC model.
 func (p *Problem) measureSpecs(dev *device.Device) (out [NumKernels]modelapi.KernelSpec) {
 	elt := int(appcore.EltBytes(p.Precision))
-	mesh := p.Mesh
+	mesh := p.mesh()
 	ne, nn := mesh.NumElem, mesh.NumNode
 
 	// Distinct base addresses per array keep the trace honest about
@@ -175,7 +195,7 @@ func (p *Problem) MeasuredTraits(m *sim.Machine) (missRate float64) {
 
 func (p *Problem) measureMiss(dev *device.Device) float64 {
 	elt := int(appcore.EltBytes(p.Precision))
-	mesh := p.Mesh
+	mesh := p.mesh()
 	sample := mesh.NumElem
 	if sample > 1<<15 {
 		sample = 1 << 15
@@ -195,108 +215,74 @@ func (p *Problem) measureMiss(dev *device.Device) float64 {
 }
 
 // ---------------------------------------------------------------------
-// Per-model drivers.
+// Functional pass.
 
-type ompDriver struct {
-	rt         *openmp.Runtime
-	specs      *[NumKernels]modelapi.KernelSpec
+// runKey keys the functional pass in a run memo: every model runs the
+// same 28 kernel bodies, so the config and precision are all it reads.
+type runKey struct {
+	cfg  Config
+	prec timing.Precision
+}
+
+// recDriver feeds one timestep's kernel launches and data movement to a
+// functional-pass Recorder.
+type recDriver struct {
+	rec        *appcore.Recorder
 	functional bool
 }
 
-func (d *ompDriver) launch(id KernelID, n int, body func(*exec.WorkItem)) {
-	d.rt.Launch(d.specs[id], n, d.functional, body)
-}
-func (d *ompDriver) readback(int64) {}
-
-type clDriver struct {
-	q          *opencl.Queue
-	specs      *[NumKernels]modelapi.KernelSpec
-	partials   *opencl.Buffer
-	functional bool
+// launch runs (or replays) kernel id over n items.
+func (d *recDriver) launch(id KernelID, n int, body func(*exec.WorkItem)) {
+	d.rec.Launch(int(id), n, d.functional, body)
 }
 
-func (d *clDriver) launch(id KernelID, n int, body func(*exec.WorkItem)) {
-	d.q.LaunchFunc(d.specs[id], n, d.functional, body)
-}
-func (d *clDriver) readback(int64) { d.q.EnqueueReadBuffer(d.partials) }
+// readback records the per-iteration device→host copy of the
+// time-constraint partials.
+func (d *recDriver) readback(bytes int64) { d.rec.Transfer(bytes) }
 
-type ampDriver struct {
-	rt         *cppamp.Runtime
-	specs      *[NumKernels]modelapi.KernelSpec
-	all        []*cppamp.ArrayView
-	qgradViews []*cppamp.ArrayView // the CPU-fallback kernel's capture set
-	partials   *cppamp.ArrayView
-	fallback   bool // true on machines where the CLAMP bug bites (dGPU)
-	functional bool
-}
-
-func (d *ampDriver) launch(id KernelID, n int, body func(*exec.WorkItem)) {
-	if id == KQRegion && d.fallback {
-		// The 28th kernel that CLAMP v0.6 could not compile for the
-		// discrete GPU: runs on the CPU, forcing its captured views to
-		// round-trip every iteration.
-		d.rt.LaunchHostFallback(d.specs[id], n, d.qgradViews, d.functional, body)
-		return
+// execute is the functional pass: the timestep loop over a fresh Sedov
+// state, digested by its total energy. The leading FunctionalIters steps
+// execute the physics; the rest replay measured kernel costs.
+func (p *Problem) execute(rec *appcore.Recorder) float64 {
+	s := NewState(p.mesh())
+	rec.Bind("lulesh.e", s.E)
+	st := newStepper(s, p.Precision)
+	d := &recDriver{rec: rec}
+	fn := p.Cfg.functionalIters()
+	for it := 0; it < p.Cfg.Iters; it++ {
+		d.functional = it < fn
+		rec.Iteration(func() { st.step(d) })
 	}
-	d.rt.Launch(d.specs[id], cppamp.NewExtent(n), d.all, d.functional, body)
-}
-func (d *ampDriver) readback(int64) { d.partials.Synchronize() }
-
-type accDriver struct {
-	rt         *openacc.Runtime
-	specs      *[NumKernels]modelapi.KernelSpec
-	partBytes  int64
-	functional bool
+	return s.TotalEnergy()
 }
 
-func (d *accDriver) launch(id KernelID, n int, body func(*exec.WorkItem)) {
-	// Arrays are device-resident via the enclosing data region.
-	d.rt.Launch(d.specs[id], n, nil, d.functional, body)
+// play books the run's timesteps through the model driver d and returns
+// the checksum (see appcore.Play). d's Transfer prices the per-iteration
+// readback of the time-constraint partials.
+func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer) float64 {
+	return appcore.Play(p.Memo, runKey{p.Cfg, p.Precision}, core, d, p.execute)
 }
-func (d *accDriver) readback(bytes int64) { d.rt.UpdateHost("lulesh.partials", bytes) }
 
 // ---------------------------------------------------------------------
 // Run functions, one per model.
 
-type runDriver interface {
-	driver
-	setFunctional(bool)
-}
-
-func (d *ompDriver) setFunctional(f bool) { d.functional = f }
-func (d *clDriver) setFunctional(f bool)  { d.functional = f }
-func (d *ampDriver) setFunctional(f bool) { d.functional = f }
-func (d *accDriver) setFunctional(f bool) { d.functional = f }
-
-// iterate runs the timestep loop: the leading FunctionalIters steps
-// execute the physics, the rest replay measured kernel costs. Each
-// timestep is wrapped in an iteration span on the machine's tracer.
-func (p *Problem) iterate(m *sim.Machine, st *stepper, d runDriver) {
-	fn := p.Cfg.functionalIters()
-	for it := 0; it < p.Cfg.Iters; it++ {
-		d.setFunctional(it < fn)
-		sp := m.StartIteration(it)
-		st.step(d)
-		sp.End()
-	}
-}
-
-func (p *Problem) result(m *sim.Machine, model modelapi.Name, s *State) appcore.Result {
+func (p *Problem) result(m *sim.Machine, model modelapi.Name, sum float64) appcore.Result {
 	return appcore.Result{
 		App: AppName, Model: model, Machine: m.Name(), Precision: p.Precision,
 		ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
-		Checksum: s.TotalEnergy(), Kernels: int(NumKernels),
+		Checksum: sum, Kernels: int(NumKernels),
 	}
 }
 
 // RunOpenMP runs the 4-core CPU baseline.
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	s := NewState(p.Mesh)
-	st := newStepper(s, p.Precision)
-	d := &ompDriver{rt: openmp.New(m), specs: p.specs(m)}
-	p.iterate(m, st, d)
-	return p.result(m, modelapi.OpenMP, s)
+	rt := openmp.New(m)
+	specs := p.specs(m)
+	sum := p.play(rt.Runtime, appcore.Pricer{
+		Launch: func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
+	})
+	return p.result(m, modelapi.OpenMP, sum)
 }
 
 // RunOpenCL stages the state explicitly, runs 28 NDRange launches per
@@ -305,11 +291,8 @@ func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 // OpenCL's discrete-GPU wins.
 func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	s := NewState(p.Mesh)
-	st := newStepper(s, p.Precision)
 	ctx := opencl.NewContext(m).WithCoexec()
 	q := ctx.NewQueue()
-	ctx.Bind("lulesh.e", s.E)
 
 	var partials *opencl.Buffer
 	for _, g := range p.groups() {
@@ -323,13 +306,16 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 			q.EnqueueWriteBuffer(buf)
 		}
 	}
-	d := &clDriver{q: q, specs: p.specs(m), partials: partials}
-	p.iterate(m, st, d)
+	specs := p.specs(m)
+	sum := p.play(ctx.Runtime, appcore.Pricer{
+		Launch:   func(k, n int, per exec.Counters) { q.Launch(specs[k], n, per) },
+		Transfer: func(int64) { q.EnqueueReadBuffer(partials) },
+	})
 	// Final results home.
 	q.EnqueueReadBuffer(ctx.CreateBuffer("lulesh.elem", p.group("lulesh.elem").bytes))
 	q.EnqueueReadBuffer(ctx.CreateBuffer("lulesh.nodal", p.group("lulesh.nodal").bytes))
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, s)
+	return p.result(m, modelapi.OpenCL, sum)
 }
 
 // RunCppAMP wraps the state in array_views. On the APU everything is
@@ -338,10 +324,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 // round-trip every iteration (Section VI-A's LULESH discussion).
 func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	s := NewState(p.Mesh)
-	st := newStepper(s, p.Precision)
 	rt := cppamp.New(m).WithCoexec()
-	rt.Bind("lulesh.e", s.E)
 
 	views := map[string]*cppamp.ArrayView{}
 	var all []*cppamp.ArrayView
@@ -350,18 +333,24 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 		views[g.name] = v
 		all = append(all, v)
 	}
-	d := &ampDriver{
-		rt:         rt,
-		specs:      p.specs(m),
-		all:        all,
-		qgradViews: []*cppamp.ArrayView{views["lulesh.qgrad"], views["lulesh.phi"]},
-		partials:   views["lulesh.partials"],
-		fallback:   !m.Unified(),
-	}
-	p.iterate(m, st, d)
+	specs := p.specs(m)
+	qgradViews := []*cppamp.ArrayView{views["lulesh.qgrad"], views["lulesh.phi"]} // the fallback kernel's capture set
+	sum := p.play(rt.Runtime, appcore.Pricer{
+		Launch: func(k, n int, per exec.Counters) {
+			if KernelID(k) == KQRegion && !m.Unified() {
+				// The 28th kernel that CLAMP v0.6 could not compile for
+				// the discrete GPU: runs on the CPU, forcing its captured
+				// views to round-trip every iteration.
+				rt.LaunchHostFallback(specs[k], n, qgradViews, per)
+				return
+			}
+			rt.Launch(specs[k], cppamp.NewExtent(n), all, per)
+		},
+		Transfer: func(int64) { views["lulesh.partials"].Synchronize() },
+	})
 	views["lulesh.elem"].Synchronize()
 	views["lulesh.nodal"].Synchronize()
-	return p.result(m, modelapi.CppAMP, s)
+	return p.result(m, modelapi.CppAMP, sum)
 }
 
 // RunOpenACC uses a structured data region around the whole timestep loop
@@ -369,10 +358,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 // iteration `update host` of the constraint partials.
 func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	s := NewState(p.Mesh)
-	st := newStepper(s, p.Precision)
 	rt := openacc.New(m).WithCoexec()
-	rt.Bind("lulesh.e", s.E)
 
 	var clauses []openacc.Clause
 	for _, g := range p.groups() {
@@ -386,27 +372,15 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 		}
 	}
 	region := rt.Data(clauses...)
-	d := &accDriver{rt: rt, specs: p.specs(m), partBytes: p.group("lulesh.partials").bytes}
-	p.iterate(m, st, d)
+	specs := p.specs(m)
+	sum := p.play(rt.Runtime, appcore.Pricer{
+		// Arrays are device-resident via the enclosing data region.
+		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, nil, per) },
+		Transfer: func(bytes int64) { rt.UpdateHost("lulesh.partials", bytes) },
+	})
 	region.End()
-	return p.result(m, modelapi.OpenACC, s)
+	return p.result(m, modelapi.OpenACC, sum)
 }
-
-// hcDriver launches through the Heterogeneous Compute runtime: single
-// source like AMP, but explicit raw-pointer data management like OpenCL,
-// plus async staging that overlaps the first timesteps.
-type hcDriver struct {
-	rt         *hc.Runtime
-	specs      *[NumKernels]modelapi.KernelSpec
-	partBytes  int64
-	functional bool
-}
-
-func (d *hcDriver) launch(id KernelID, n int, body func(*exec.WorkItem)) {
-	d.rt.LaunchCached(d.specs[id], n, d.functional, body)
-}
-func (d *hcDriver) readback(bytes int64) { d.rt.CopyBack("lulesh.partials", bytes) }
-func (d *hcDriver) setFunctional(f bool) { d.functional = f }
 
 // RunHC is the Section VII model: the initial state upload is
 // asynchronous and hides behind the first timesteps' kernels, the
@@ -415,8 +389,6 @@ func (d *hcDriver) setFunctional(f bool) { d.functional = f }
 // the paper closes with.
 func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	s := NewState(p.Mesh)
-	st := newStepper(s, p.Precision)
 	rt := hc.New(m)
 	for _, g := range p.groups() {
 		switch g.name {
@@ -426,13 +398,15 @@ func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 			rt.CopyAsync(g.name, g.bytes)
 		}
 	}
-	d := &hcDriver{rt: rt, specs: p.specs(m), partBytes: p.group("lulesh.partials").bytes}
-	p.iterate(m, st, d)
+	specs := p.specs(m)
+	sum := p.play(rt.Runtime, appcore.Pricer{
+		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
+		Transfer: func(bytes int64) { rt.CopyBack("lulesh.partials", bytes) },
+	})
 	rt.Wait()
 	rt.CopyBack("lulesh.elem", p.group("lulesh.elem").bytes)
 	rt.CopyBack("lulesh.nodal", p.group("lulesh.nodal").bytes)
-	r := p.result(m, modelapi.HC, s)
-	return r
+	return p.result(m, modelapi.HC, sum)
 }
 
 // Run dispatches by model name, wrapping the whole run in a trace span.

@@ -101,16 +101,6 @@ var Kernels = [NumKernels]KernelMeta{
 	KReduceConstraints: {"ReduceTimeConstraints", modelapi.Streaming, false},
 }
 
-// driver abstracts the per-model launch and data-movement glue so one
-// step() implementation serves every programming model.
-type driver interface {
-	// launch runs (or replays) kernel id over n items.
-	launch(id KernelID, n int, body func(*exec.WorkItem))
-	// readback charges the per-iteration device→host copy of the
-	// time-constraint partials (free on OpenMP/APU).
-	readback(bytes int64)
-}
-
 // stepper binds state, precision and the tally helpers.
 type stepper struct {
 	s    *State
@@ -138,7 +128,7 @@ func (st *stepper) tally(flops, loadWords, storeWords, instrs float64) exec.Coun
 }
 
 // step advances one timestep through the 28 kernels.
-func (st *stepper) step(d driver) {
+func (st *stepper) step(d *recDriver) {
 	s := st.s
 	m := s.Mesh
 	ne, nn := m.NumElem, m.NumNode

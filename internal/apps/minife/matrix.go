@@ -53,6 +53,10 @@ func (c Config) functionalIters() int {
 // NumRows returns the unknown count ((nx+1)(ny+1)(nz+1) nodes).
 func (c Config) NumRows() int { return (c.Nx + 1) * (c.Ny + 1) * (c.Nz + 1) }
 
+// nnz returns the stored entry count: per dimension, the nodes' in-bounds
+// neighbour counts sum to 3n+1.
+func (c Config) nnz() int { return (3*c.Nx + 1) * (3*c.Ny + 1) * (3*c.Nz + 1) }
+
 // CSR is a compressed-sparse-row matrix.
 type CSR struct {
 	NumRows int
@@ -138,9 +142,7 @@ func Assemble(cfg Config) (*CSR, []float64) {
 // element per dimension assembles.
 func assemble(cfg Config) (*CSR, []float64) {
 	npx, npy := cfg.Nx+1, cfg.Ny+1
-	rows := cfg.NumRows()
-	// Per dimension, the nodes' in-bounds neighbour counts sum to 3n+1.
-	nnz := (3*cfg.Nx + 1) * (3*cfg.Ny + 1) * (3*cfg.Nz + 1)
+	rows, nnz := cfg.NumRows(), cfg.nnz()
 	a := &CSR{
 		NumRows: rows,
 		RowPtr:  make([]int32, rows+1),

@@ -200,18 +200,17 @@ func TestCGConverges(t *testing.T) {
 
 func TestAllModelsAgree(t *testing.T) {
 	p := NewProblem(smallCfg(), timing.Double)
-	var ref SolveResult
-	for i, model := range []modelapi.Name{modelapi.OpenMP, modelapi.OpenCL, modelapi.CppAMP, modelapi.OpenACC} {
-		r := p.Run(sim.NewDGPU(), model)
-		if i == 0 {
-			ref = r
-			continue
-		}
-		if r.Iterations != ref.Iterations {
-			t.Errorf("%s: %d iterations, want %d", model, r.Iterations, ref.Iterations)
-		}
-		if math.Abs(r.Checksum-ref.Checksum) > 1e-9*math.Abs(ref.Checksum) {
-			t.Errorf("%s: checksum %g, want %g", model, r.Checksum, ref.Checksum)
+	ref := p.Run(sim.NewAPU(), modelapi.OpenMP)
+	for _, model := range []modelapi.Name{modelapi.OpenMP, modelapi.OpenCL, modelapi.CppAMP, modelapi.OpenACC} {
+		for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
+			r := p.Run(mk(), model)
+			if r.Iterations != ref.Iterations {
+				t.Errorf("%s on %s: %d iterations, want %d", model, r.Machine, r.Iterations, ref.Iterations)
+			}
+			if r.Checksum != ref.Checksum || r.Residual != ref.Residual {
+				t.Errorf("%s on %s: checksum %g, residual %g; want %g, %g",
+					model, r.Machine, r.Checksum, r.Residual, ref.Checksum, ref.Residual)
+			}
 		}
 	}
 }

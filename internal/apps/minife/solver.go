@@ -3,6 +3,7 @@ package minife
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/cppamp"
@@ -29,6 +30,13 @@ const (
 	KDot  = "dot"
 )
 
+// The kernels as a run's specs index them.
+const (
+	kSpMV = iota
+	kAxpy
+	kDot
+)
+
 // Coalescing constants for the two SpMV strategies. CSR-Adaptive reads
 // row data in coalesced blocks (Greathouse & Daga, SC'14 — reference [15]
 // of the paper); the scalar row-per-thread CSR that directive compilers
@@ -41,20 +49,41 @@ const (
 )
 
 // Problem is an assembled system ready to solve under any model.
+// NewProblem assembles it; a Problem literal with Cfg, Precision (and
+// Memo) set assembles it on first need, so a run whose characterization
+// and functional pass both hit the run memo never builds the matrix.
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	A         *CSR
 	B         []float64
-	// Memo, when set, shares the characterization with every problem of
-	// the same Cfg and Precision in the run; nil measures on every call.
+	// Memo, when set, shares the characterization and the functional pass
+	// with every problem of the same Cfg and Precision in the run; nil
+	// computes on every call.
 	Memo *appcore.Memo
+
+	build sync.Once
 }
 
 // NewProblem assembles the FE system.
 func NewProblem(cfg Config, prec timing.Precision) *Problem {
-	a, b := Assemble(cfg)
-	return &Problem{Cfg: cfg, Precision: prec, A: a, B: b}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	p := &Problem{Cfg: cfg, Precision: prec}
+	p.system()
+	return p
+}
+
+// system returns the matrix and right-hand side, assembling them on
+// first need.
+func (p *Problem) system() (*CSR, []float64) {
+	p.build.Do(func() {
+		if p.A == nil {
+			p.A, p.B = assemble(p.Cfg)
+		}
+	})
+	return p.A, p.B
 }
 
 // SolveResult captures the solver outcome alongside the timing result.
@@ -92,10 +121,11 @@ func (p *Problem) characterize(m *sim.Machine) characterization {
 func (p *Problem) measure(dev *device.Device) (c characterization) {
 	elt := int(appcore.EltBytes(p.Precision))
 	streams := appcore.Streams(dev)
+	a, _ := p.system()
 
 	// SpMV trace: interleaved row walks (val/col streams) plus x-vector
 	// gathers through the real column structure.
-	rows := p.A.NumRows
+	rows := a.NumRows
 	perStream := rows / streams
 	if perStream == 0 {
 		perStream = 1
@@ -110,10 +140,10 @@ func (p *Problem) measure(dev *device.Device) (c characterization) {
 			if r >= rows {
 				continue
 			}
-			for i := p.A.RowPtr[r]; i < p.A.RowPtr[r+1]; i++ {
+			for i := a.RowPtr[r]; i < a.RowPtr[r+1]; i++ {
 				trace = append(trace, valBase+uint64(i)*uint64(elt))
 				trace = append(trace, colBase+uint64(i)*4)
-				trace = append(trace, xBase+uint64(p.A.Cols[i])*uint64(elt))
+				trace = append(trace, xBase+uint64(a.Cols[i])*uint64(elt))
 			}
 		}
 	}
@@ -127,11 +157,12 @@ func (p *Problem) measure(dev *device.Device) (c characterization) {
 	return c
 }
 
-// specs builds kernel specs with traits measured on the machine;
-// adaptive selects the CSR-Adaptive SpMV (OpenCL/C++ AMP) versus the
-// scalar row-per-thread form (OpenACC, OpenMP host loop). The traces do
-// not depend on adaptive, so both forms share one characterization.
-func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.KernelSpec {
+// specs builds kernel specs, indexed by kernel, with traits measured on
+// the machine; adaptive selects the CSR-Adaptive SpMV (OpenCL/C++ AMP)
+// versus the scalar row-per-thread form (OpenACC, OpenMP host loop). The
+// traces do not depend on adaptive, so both forms share one
+// characterization.
+func (p *Problem) specs(m *sim.Machine, adaptive bool) *[3]modelapi.KernelSpec {
 	c := p.characterize(m)
 	spmv := modelapi.KernelSpec{Name: KSpMV, MissRate: c.spmvMiss}
 	if adaptive {
@@ -139,10 +170,10 @@ func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.Kerne
 	} else {
 		spmv.Class, spmv.Coalesce = modelapi.Irregular, coalesceScalar
 	}
-	return map[string]modelapi.KernelSpec{
-		KSpMV: spmv,
-		KAxpy: {Name: KAxpy, Class: modelapi.Streaming, MissRate: c.vecMiss, Coalesce: c.vecCoalesce},
-		KDot:  {Name: KDot, Class: modelapi.Streaming, MissRate: c.vecMiss, Coalesce: c.vecCoalesce},
+	return &[3]modelapi.KernelSpec{
+		kSpMV: spmv,
+		kAxpy: {Name: KAxpy, Class: modelapi.Streaming, MissRate: c.vecMiss, Coalesce: c.vecCoalesce},
+		kDot:  {Name: KDot, Class: modelapi.Streaming, MissRate: c.vecMiss, Coalesce: c.vecCoalesce},
 	}
 }
 
@@ -150,48 +181,6 @@ func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.Kerne
 func (p *Problem) MeasuredMissRate(m *sim.Machine) float64 {
 	return p.characterize(m).spmvAccessMiss
 }
-
-// driver abstracts per-model launching plus the per-iteration readback of
-// dot partials.
-type driver interface {
-	launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem))
-	readback(bytes int64)
-}
-
-type ompDriver struct{ rt *openmp.Runtime }
-
-func (d *ompDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	d.rt.Launch(spec, n, functional, body)
-}
-func (d *ompDriver) readback(int64) {}
-
-type clDriver struct {
-	q        *opencl.Queue
-	partials *opencl.Buffer
-}
-
-func (d *clDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	d.q.LaunchFunc(spec, n, functional, body)
-}
-func (d *clDriver) readback(int64) { d.q.EnqueueReadBuffer(d.partials) }
-
-type ampDriver struct {
-	rt       *cppamp.Runtime
-	views    []*cppamp.ArrayView
-	partials *cppamp.ArrayView
-}
-
-func (d *ampDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	d.rt.Launch(spec, cppamp.NewExtent(n), d.views, functional, body)
-}
-func (d *ampDriver) readback(int64) { d.partials.Synchronize() }
-
-type accDriver struct{ rt *openacc.Runtime }
-
-func (d *accDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	d.rt.Launch(spec, n, nil, functional, body)
-}
-func (d *accDriver) readback(bytes int64) { d.rt.UpdateHost("minife.partials", bytes) }
 
 // spmvForm selects the SpMV tally form: CSR-Adaptive with LDS staging
 // (OpenCL/C++ AMP), the lane-divergent scalar row walk a directive
@@ -204,10 +193,34 @@ const (
 	spmvHost
 )
 
-// solve runs CG through the given driver. form picks the SpMV tally
-// variant. Returns (iterations, final residual norm, x checksum).
-func (p *Problem) solve(m *sim.Machine, d driver, specs map[string]modelapi.KernelSpec, form spmvForm) (int, float64, float64) {
-	a := p.A
+// solution is the functional pass's digest of a CG solve.
+type solution struct {
+	iters    int
+	residual float64 // final residual norm
+	sum      float64 // x checksum
+}
+
+// runKey keys the functional pass in a run memo: the system, the
+// precision and the SpMV tally form are everything it reads.
+type runKey struct {
+	cfg  Config
+	prec timing.Precision
+	form spmvForm
+}
+
+// play books the solve through the model driver d (see appcore.Play).
+// d's Transfer prices the per-iteration readback of dot partials.
+func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer, form spmvForm) solution {
+	return appcore.Play(p.Memo, runKey{p.Cfg, p.Precision, form}, core, d, func(rec *appcore.Recorder) solution {
+		return p.solve(rec, form)
+	})
+}
+
+// solve is the functional pass: CG on the assembled system. form picks
+// the SpMV tally variant. The leading FunctionalIters iterations execute
+// the kernels; the rest replay measured kernel costs.
+func (p *Problem) solve(rec *appcore.Recorder, form spmvForm) solution {
+	a, b := p.system()
 	n := a.NumRows
 	elt := appcore.EltBytes(p.Precision)
 	nPart := (n + dotBlock - 1) / dotBlock
@@ -219,7 +232,7 @@ func (p *Problem) solve(m *sim.Machine, d driver, specs map[string]modelapi.Kern
 	ap := make([]float64, n)
 	partial := make([]float64, nPart)
 
-	copy(r, p.B) // x0 = 0 → r = b
+	copy(r, b) // x0 = 0 → r = b
 	copy(pv, r)
 
 	hostSum := func() float64 {
@@ -275,73 +288,75 @@ func (p *Problem) solve(m *sim.Machine, d driver, specs map[string]modelapi.Kern
 	fn := p.Cfg.functionalIters()
 
 	// Initial rr.
-	d.launch(specs[KDot], nPart, true, dotBody(r, r))
-	d.readback(partBytes)
+	rec.Launch(kDot, nPart, true, dotBody(r, r))
+	rec.Transfer(partBytes)
 	rr := hostSum()
 	rr0 := rr
 
 	iters := 0
-	for it := 0; it < p.Cfg.MaxIters; it++ {
+	converged := false
+	for it := 0; it < p.Cfg.MaxIters && !converged; it++ {
 		functional := it < fn
 		iters++
-
-		sp := m.StartIteration(it)
-		converged := func() bool {
-			d.launch(specs[KSpMV], n, functional, spmv)
-			d.launch(specs[KDot], nPart, functional, dotBody(pv, ap))
-			d.readback(partBytes)
+		rec.Iteration(func() {
+			rec.Launch(kSpMV, n, functional, spmv)
+			rec.Launch(kDot, nPart, functional, dotBody(pv, ap))
+			rec.Transfer(partBytes)
 			pap := hostSum()
 			if pap == 0 {
-				return true
+				converged = true
+				return
 			}
 			alpha := rr / pap
 
-			d.launch(specs[KAxpy], n, functional, axpyBody(func(i int) { x[i] += alpha * pv[i] }))
-			d.launch(specs[KAxpy], n, functional, axpyBody(func(i int) { r[i] -= alpha * ap[i] }))
+			rec.Launch(kAxpy, n, functional, axpyBody(func(i int) { x[i] += alpha * pv[i] }))
+			rec.Launch(kAxpy, n, functional, axpyBody(func(i int) { r[i] -= alpha * ap[i] }))
 
-			d.launch(specs[KDot], nPart, functional, dotBody(r, r))
-			d.readback(partBytes)
+			rec.Launch(kDot, nPart, functional, dotBody(r, r))
+			rec.Transfer(partBytes)
 			rrNew := hostSum()
 
 			if functional && p.Cfg.Tol > 0 && math.Sqrt(rrNew) <= p.Cfg.Tol*math.Sqrt(rr0) {
 				rr = rrNew
-				return true
+				converged = true
+				return
 			}
 			beta := rrNew / rr
 			rr = rrNew
-			d.launch(specs[KAxpy], n, functional, axpyBody(func(i int) { pv[i] = r[i] + beta*pv[i] }))
-			return false
-		}()
-		sp.End()
-		if converged {
-			break
-		}
+			rec.Launch(kAxpy, n, functional, axpyBody(func(i int) { pv[i] = r[i] + beta*pv[i] }))
+		})
 	}
 
 	sum := 0.0
 	for _, v := range x {
 		sum += v
 	}
-	return iters, math.Sqrt(rr), sum
+	return solution{iters, math.Sqrt(rr), sum}
 }
 
-func (p *Problem) result(m *sim.Machine, model modelapi.Name, iters int, res, sum float64) SolveResult {
+func (p *Problem) result(m *sim.Machine, model modelapi.Name, s solution) SolveResult {
 	return SolveResult{
 		Result: appcore.Result{
 			App: AppName, Model: model, Machine: m.Name(), Precision: p.Precision,
 			ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
-			Checksum: sum, Kernels: 3,
+			Checksum: s.sum, Kernels: 3,
 		},
-		Iterations: iters,
-		Residual:   res,
+		Iterations: s.iters,
+		Residual:   s.residual,
 	}
 }
 
 func (p *Problem) matrixBytes() (mat, vecs int64) {
 	elt := int64(appcore.EltBytes(p.Precision))
-	mat = int64(p.A.NNZ())*(4+elt) + int64(p.A.NumRows+1)*4
-	vecs = 4 * int64(p.A.NumRows) * elt // x, r, p, Ap
+	rows := int64(p.Cfg.NumRows())
+	mat = int64(p.Cfg.nnz())*(4+elt) + (rows+1)*4
+	vecs = 4 * rows * elt // x, r, p, Ap
 	return mat, vecs
+}
+
+func (p *Problem) partialsBytes() int64 {
+	nPart := int64((p.Cfg.NumRows() + dotBlock - 1) / dotBlock)
+	return nPart * int64(appcore.EltBytes(p.Precision))
 }
 
 // RunOpenMP is the CPU baseline. The host row loop streams each row's
@@ -350,9 +365,12 @@ func (p *Problem) matrixBytes() (mat, vecs int64) {
 // with the flat tally form.
 func (p *Problem) RunOpenMP(m *sim.Machine) SolveResult {
 	m.ResetClock()
+	rt := openmp.New(m)
 	specs := p.specs(m, true)
-	iters, res, sum := p.solve(m, &ompDriver{rt: openmp.New(m)}, specs, spmvHost)
-	return p.result(m, modelapi.OpenMP, iters, res, sum)
+	s := p.play(rt.Runtime, appcore.Pricer{
+		Launch: func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
+	}, spmvHost)
+	return p.result(m, modelapi.OpenMP, s)
 }
 
 // RunOpenCL uses the CSR-Adaptive SpMV with explicit staging.
@@ -363,13 +381,16 @@ func (p *Problem) RunOpenCL(m *sim.Machine) SolveResult {
 	mat, vecs := p.matrixBytes()
 	q.EnqueueWriteBuffer(ctx.CreateBuffer("minife.matrix", mat))
 	q.EnqueueWriteBuffer(ctx.CreateBuffer("minife.vectors", vecs))
+	partials := ctx.CreateBuffer("minife.partials", p.partialsBytes())
+	specs := p.specs(m, true)
+	s := p.play(ctx.Runtime, appcore.Pricer{
+		Launch:   func(k, n int, per exec.Counters) { q.Launch(specs[k], n, per) },
+		Transfer: func(int64) { q.EnqueueReadBuffer(partials) },
+	}, spmvAdaptive)
 	elt := int64(appcore.EltBytes(p.Precision))
-	nPart := int64((p.A.NumRows + dotBlock - 1) / dotBlock)
-	partials := ctx.CreateBuffer("minife.partials", nPart*elt)
-	iters, res, sum := p.solve(m, &clDriver{q: q, partials: partials}, p.specs(m, true), spmvAdaptive)
-	q.EnqueueReadBuffer(ctx.CreateBuffer("minife.x", int64(p.A.NumRows)*elt))
+	q.EnqueueReadBuffer(ctx.CreateBuffer("minife.x", int64(p.Cfg.NumRows())*elt))
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, iters, res, sum)
+	return p.result(m, modelapi.OpenCL, s)
 }
 
 // RunCppAMP uses tiled CSR-Adaptive via tile_static staging.
@@ -377,19 +398,20 @@ func (p *Problem) RunCppAMP(m *sim.Machine) SolveResult {
 	m.ResetClock()
 	rt := cppamp.New(m).WithCoexec()
 	mat, vecs := p.matrixBytes()
-	elt := int64(appcore.EltBytes(p.Precision))
-	nPart := int64((p.A.NumRows + dotBlock - 1) / dotBlock)
 	views := []*cppamp.ArrayView{
 		rt.NewArrayView("minife.matrix", mat),
 		rt.NewArrayView("minife.vectors", vecs),
-		rt.NewArrayView("minife.partials", nPart*elt),
+		rt.NewArrayView("minife.partials", p.partialsBytes()),
 	}
-	d := &ampDriver{rt: rt, views: views, partials: views[2]}
-	iters, res, sum := p.solve(m, d, p.specs(m, true), spmvAdaptive)
+	specs := p.specs(m, true)
+	s := p.play(rt.Runtime, appcore.Pricer{
+		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], cppamp.NewExtent(n), views, per) },
+		Transfer: func(int64) { views[2].Synchronize() },
+	}, spmvAdaptive)
 	for _, v := range views {
 		v.Synchronize()
 	}
-	return p.result(m, modelapi.CppAMP, iters, res, sum)
+	return p.result(m, modelapi.CppAMP, s)
 }
 
 // RunOpenACC uses a data region; the compiler generates scalar
@@ -400,58 +422,46 @@ func (p *Problem) RunOpenACC(m *sim.Machine) SolveResult {
 	m.ResetClock()
 	rt := openacc.New(m).WithCoexec()
 	mat, vecs := p.matrixBytes()
-	elt := int64(appcore.EltBytes(p.Precision))
-	nPart := int64((p.A.NumRows + dotBlock - 1) / dotBlock)
 	region := rt.Data(
 		openacc.Copyin("minife.matrix", mat),
 		openacc.Copy("minife.vectors", vecs),
-		openacc.Create("minife.partials", nPart*elt),
+		openacc.Create("minife.partials", p.partialsBytes()),
 	)
-	iters, res, sum := p.solve(m, &accDriver{rt: rt}, p.specs(m, false), spmvScalarGPU)
+	specs := p.specs(m, false)
+	s := p.play(rt.Runtime, appcore.Pricer{
+		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, nil, per) },
+		Transfer: func(bytes int64) { rt.UpdateHost("minife.partials", bytes) },
+	}, spmvScalarGPU)
 	region.End()
-	return p.result(m, modelapi.OpenACC, iters, res, sum)
+	return p.result(m, modelapi.OpenACC, s)
 }
-
-// accConservativeDriver launches every kernels region with its own data
-// clauses and no enclosing data region: the PGI-era default the paper
-// describes in Section III-B, where each region conservatively copies its
-// arrays in and out. Kept for the data-directive ablation.
-type accConservativeDriver struct {
-	rt       *openacc.Runtime
-	matrix   openacc.Clause
-	vectors  openacc.Clause
-	partials openacc.Clause
-}
-
-func (d *accConservativeDriver) launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) {
-	uses := []openacc.Clause{d.vectors}
-	if spec.Name == KSpMV {
-		uses = append(uses, d.matrix)
-	}
-	if spec.Name == KDot {
-		uses = append(uses, d.partials)
-	}
-	d.rt.Launch(spec, n, uses, functional, body)
-}
-func (d *accConservativeDriver) readback(bytes int64) { d.rt.UpdateHost("minife.partials", bytes) }
 
 // RunOpenACCConservative runs the CG solve without the hand-placed data
-// region: every kernels region pays its own copies (Section III-B's
-// motivation for the data directive).
+// region — the PGI-era default the paper describes in Section III-B:
+// every kernels region conservatively copies its arrays in and out
+// (the motivation for the data directive; kept for the ablation).
 func (p *Problem) RunOpenACCConservative(m *sim.Machine) SolveResult {
 	m.ResetClock()
 	rt := openacc.New(m)
 	mat, vecs := p.matrixBytes()
-	elt := int64(appcore.EltBytes(p.Precision))
-	nPart := int64((p.A.NumRows + dotBlock - 1) / dotBlock)
-	d := &accConservativeDriver{
-		rt:       rt,
-		matrix:   openacc.Copyin("minife.matrix", mat),
-		vectors:  openacc.Copy("minife.vectors", vecs),
-		partials: openacc.Copyout("minife.partials", nPart*elt),
-	}
-	iters, res, sum := p.solve(m, d, p.specs(m, false), spmvScalarGPU)
-	return p.result(m, modelapi.OpenACC, iters, res, sum)
+	matrix := openacc.Copyin("minife.matrix", mat)
+	vectors := openacc.Copy("minife.vectors", vecs)
+	partials := openacc.Copyout("minife.partials", p.partialsBytes())
+	specs := p.specs(m, false)
+	s := p.play(rt.Runtime, appcore.Pricer{
+		Launch: func(k, n int, per exec.Counters) {
+			uses := []openacc.Clause{vectors}
+			switch k {
+			case kSpMV:
+				uses = append(uses, matrix)
+			case kDot:
+				uses = append(uses, partials)
+			}
+			rt.Launch(specs[k], n, uses, per)
+		},
+		Transfer: func(bytes int64) { rt.UpdateHost("minife.partials", bytes) },
+	}, spmvScalarGPU)
+	return p.result(m, modelapi.OpenACC, s)
 }
 
 // Run dispatches by model name.

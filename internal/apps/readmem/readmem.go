@@ -10,6 +10,7 @@ package readmem
 
 import (
 	"fmt"
+	"sync"
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/cppamp"
@@ -47,13 +48,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Problem is a generated instance.
+// Problem is a generated instance. NewProblem builds its input; a
+// Problem literal with Cfg (and Memo) set builds it on first need, so a
+// run whose kernel spec and functional pass both hit the run memo never
+// builds one.
 type Problem struct {
 	Cfg Config
 	In  []float64
-	// Memo, when set, shares the kernel spec with every problem of the
-	// same Cfg in the run; nil measures on every call.
+	// Memo, when set, shares the kernel spec and the functional pass with
+	// every problem of the same Cfg in the run; nil computes on every call.
 	Memo *appcore.Memo
+
+	build sync.Once
 }
 
 // NewProblem builds a deterministic instance.
@@ -61,20 +67,33 @@ func NewProblem(cfg Config) *Problem {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	in := make([]float64, cfg.Blocks*BlockSize)
-	for i := range in {
-		in[i] = float64(i%17) * 0.25
-	}
-	return &Problem{Cfg: cfg, In: in}
+	p := &Problem{Cfg: cfg}
+	p.input()
+	return p
+}
+
+// input returns the input buffer, building it on first need.
+func (p *Problem) input() []float64 {
+	p.build.Do(func() {
+		if p.In != nil {
+			return
+		}
+		p.In = make([]float64, p.Cfg.Blocks*BlockSize)
+		for i := range p.In {
+			p.In[i] = float64(i%17) * 0.25
+		}
+	})
+	return p.In
 }
 
 // ReferenceSums computes the expected output serially (Figure 3a).
 func (p *Problem) ReferenceSums() []float64 {
+	in := p.input()
 	out := make([]float64, p.Cfg.Blocks)
-	for i := 0; i < len(p.In); i += BlockSize {
+	for i := 0; i < len(in); i += BlockSize {
 		sum := 0.0
 		for j := 0; j < BlockSize; j++ {
-			sum += p.In[i+j]
+			sum += in[i+j]
 		}
 		out[i/BlockSize] = sum
 	}
@@ -117,10 +136,14 @@ func (p *Problem) measureSpec(dev *device.Device) modelapi.KernelSpec {
 	return modelapi.KernelSpec{Name: "read-blocksum", Class: modelapi.Streaming, MissRate: miss, Coalesce: coal}
 }
 
-// body is the common kernel body: one work item sums one block
-// (Figure 4b). The tally charges BlockSize loads plus one store at the
-// configured precision.
-func (p *Problem) body(out []float64) func(*exec.WorkItem) {
+// execute is the functional pass: one launch of the block-sum kernel
+// (Figure 4b) into a fresh output vector, digested by its checksum. The
+// tally charges BlockSize loads plus one store at the configured
+// precision.
+func (p *Problem) execute(rec *appcore.Recorder) float64 {
+	in := p.input()
+	out := make([]float64, p.Cfg.Blocks)
+	rec.Bind("read.out", out)
 	elt := appcore.EltBytes(p.Cfg.Precision)
 	sp, dp := appcore.Flops(p.Cfg.Precision, BlockSize)
 	per := exec.Counters{
@@ -129,18 +152,30 @@ func (p *Problem) body(out []float64) func(*exec.WorkItem) {
 		StoreBytes: elt,
 		Instrs:     2*BlockSize + 4,
 	}
-	return exec.Uniform(per, func(b int) {
+	rec.Launch(0, p.Cfg.Blocks, true, exec.Uniform(per, func(b int) {
 		sum := 0.0
 		st := b * BlockSize
 		for j := 0; j < BlockSize; j++ {
-			sum += p.In[st+j]
+			sum += in[st+j]
 		}
 		out[b] = sum
-	})
+	}))
+	return checksum(out)
+}
+
+// runKey keys the functional pass in a run memo.
+type runKey struct{ cfg Config }
+
+// play books the run's one launch through launch and returns the checksum
+// (see appcore.Play).
+func (p *Problem) play(core *modelapi.Runtime, launch func(n int, per exec.Counters)) float64 {
+	return appcore.Play(p.Memo, runKey{p.Cfg}, core, appcore.Pricer{
+		Launch: func(_, n int, per exec.Counters) { launch(n, per) },
+	}, p.execute)
 }
 
 func (p *Problem) bytesIn() int64 {
-	return int64(len(p.In)) * int64(appcore.EltBytes(p.Cfg.Precision))
+	return int64(p.Cfg.Blocks*BlockSize) * int64(appcore.EltBytes(p.Cfg.Precision))
 }
 
 func (p *Problem) bytesOut() int64 {
@@ -159,9 +194,9 @@ func (p *Problem) result(m *sim.Machine, model modelapi.Name, sum float64) appco
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
 	rt := openmp.New(m)
-	out := make([]float64, p.Cfg.Blocks)
-	rt.ParallelFor(p.spec(m), p.Cfg.Blocks, p.body(out))
-	return p.result(m, modelapi.OpenMP, checksum(out))
+	spec := p.spec(m)
+	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, per) })
+	return p.result(m, modelapi.OpenMP, sum)
 }
 
 // RunOpenCL is the Figure 4 implementation: explicit buffers, staging and
@@ -173,13 +208,11 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	bufIn := ctx.CreateBuffer("read.in", p.bytesIn())
 	bufOut := ctx.CreateBuffer("read.out", p.bytesOut())
 	q.EnqueueWriteBuffer(bufIn)
-	out := make([]float64, p.Cfg.Blocks)
-	ctx.Bind("read.out", out)
-	k := ctx.CreateKernel(p.spec(m), p.body(out)).SetArgs(bufIn, bufOut)
-	q.EnqueueNDRange(k, p.Cfg.Blocks, BlockSize)
+	spec := p.spec(m)
+	sum := p.play(ctx.Runtime, func(n int, per exec.Counters) { q.Launch(spec, n, per, bufIn, bufOut) })
 	q.EnqueueReadBuffer(bufOut)
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, checksum(out))
+	return p.result(m, modelapi.OpenCL, sum)
 }
 
 // RunCppAMP is the Figure 6 implementation: array_views and a
@@ -189,12 +222,11 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	rt := cppamp.New(m).WithCoexec()
 	avIn := rt.NewArrayView("read.in", p.bytesIn())
 	avOut := rt.NewArrayView("read.out", p.bytesOut())
-	out := make([]float64, p.Cfg.Blocks)
-	rt.Bind("read.out", out)
-	ext := cppamp.NewExtent(p.Cfg.Blocks)
-	rt.ParallelForEach(p.spec(m), ext, []*cppamp.ArrayView{avIn, avOut}, p.body(out))
+	views := []*cppamp.ArrayView{avIn, avOut}
+	spec := p.spec(m)
+	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, cppamp.NewExtent(n), views, per) })
 	avOut.Synchronize()
-	return p.result(m, modelapi.CppAMP, checksum(out))
+	return p.result(m, modelapi.CppAMP, sum)
 }
 
 // RunOpenACC is the Figure 5 implementation: a kernels-loop with the
@@ -203,15 +235,14 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	m.ResetClock()
 	rt := openacc.New(m).WithCoexec()
-	out := make([]float64, p.Cfg.Blocks)
-	rt.Bind("read.out", out)
 	uses := []openacc.Clause{
 		openacc.Copyin("read.in", p.bytesIn()),
 		openacc.Copyout("read.out", p.bytesOut()),
 	}
 	gang := (p.Cfg.Blocks + BlockSize - 1) / BlockSize
-	rt.LoopGV(p.spec(m), p.Cfg.Blocks, gang, BlockSize, uses, p.body(out))
-	return p.result(m, modelapi.OpenACC, checksum(out))
+	spec := p.spec(m)
+	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.LaunchGV(spec, n, gang, BlockSize, uses, per) })
+	return p.result(m, modelapi.OpenACC, sum)
 }
 
 // Run dispatches by model name.

@@ -13,6 +13,7 @@ import (
 	"hetbench/internal/models/openmp"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/exec"
+	"hetbench/internal/sim/timing"
 )
 
 // lookupsPerItem batches queries per work item so functional execution of
@@ -20,14 +21,17 @@ import (
 // charged per lookup.
 const lookupsPerItem = 8
 
-// body returns the lookup kernel body: each work item performs
-// lookupsPerItem queries and accumulates a verification sum, tallying the
-// binary-search probes and nuclide gathers it actually performed.
-func (p *Problem) body(partial []float64) func(*exec.WorkItem) {
+// execute is the functional pass: one launch of the lookup kernel, in
+// which each work item performs lookupsPerItem queries, accumulates a
+// verification sum and tallies the binary-search probes and nuclide
+// gathers it actually performed. The digest is the sum over items.
+func (p *Problem) execute(rec *appcore.Recorder) float64 {
+	p.data()
+	partial := make([]float64, p.items())
 	elt := appcore.EltBytes(p.Precision)
 	logUnion := math.Log2(float64(len(p.UnionEnergy)))
 	logNuclide := math.Log2(float64(p.Cfg.GridPoints))
-	return func(w *exec.WorkItem) {
+	rec.Launch(0, p.items(), true, func(w *exec.WorkItem) {
 		var out [NumXS]float64
 		sum := 0.0
 		visited := 0
@@ -57,7 +61,8 @@ func (p *Problem) body(partial []float64) func(*exec.WorkItem) {
 			StoreBytes: elt,
 			Instrs:     probes*6 + float64(visited)*30,
 		})
-	}
+	})
+	return p.checksum(partial)
 }
 
 func (p *Problem) items() int {
@@ -72,6 +77,21 @@ func (p *Problem) checksum(partial []float64) float64 {
 	return s
 }
 
+// runKey keys the functional pass in a run memo: every model runs the
+// same lookups, so the data set's config and precision are all it reads.
+type runKey struct {
+	cfg  Config
+	prec timing.Precision
+}
+
+// play books the run's one launch through launch and returns the checksum
+// (see appcore.Play).
+func (p *Problem) play(core *modelapi.Runtime, launch func(n int, per exec.Counters)) float64 {
+	return appcore.Play(p.Memo, runKey{p.Cfg, p.Precision}, core, appcore.Pricer{
+		Launch: func(_, n int, per exec.Counters) { launch(n, per) },
+	}, p.execute)
+}
+
 func (p *Problem) result(m *sim.Machine, model modelapi.Name, sum float64) appcore.Result {
 	return appcore.Result{
 		App: AppName, Model: model, Machine: m.Name(), Precision: p.Precision,
@@ -84,9 +104,9 @@ func (p *Problem) result(m *sim.Machine, model modelapi.Name, sum float64) appco
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
 	rt := openmp.New(m)
-	partial := make([]float64, p.items())
-	rt.ParallelFor(p.Specs(m), p.items(), p.body(partial))
-	return p.result(m, modelapi.OpenMP, p.checksum(partial))
+	spec := p.Specs(m)
+	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, per) })
+	return p.result(m, modelapi.OpenMP, sum)
 }
 
 // RunOpenCL stages the lookup table once (the dominant transfer on the
@@ -99,12 +119,11 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	table := ctx.CreateBuffer("xs.table", p.Cfg.TableBytes(p.Precision))
 	results := ctx.CreateBuffer("xs.results", int64(p.items())*int64(appcore.EltBytes(p.Precision)))
 	q.EnqueueWriteBuffer(table)
-	partial := make([]float64, p.items())
-	k := ctx.CreateKernel(p.Specs(m), p.body(partial))
-	q.EnqueueNDRange(k, p.items(), 64)
+	spec := p.Specs(m)
+	sum := p.play(ctx.Runtime, func(n int, per exec.Counters) { q.Launch(spec, n, per) })
 	q.EnqueueReadBuffer(results)
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, p.checksum(partial))
+	return p.result(m, modelapi.OpenCL, sum)
 }
 
 // RunCppAMP wraps the table in an array_view. CLAMP v0.6 performs no
@@ -117,14 +136,14 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	rt := cppamp.New(m)
 	table := rt.NewArrayView("xs.table", p.Cfg.TableBytes(p.Precision))
 	results := rt.NewArrayView("xs.results", int64(p.items())*int64(appcore.EltBytes(p.Precision)))
-	partial := make([]float64, p.items())
 	views := []*cppamp.ArrayView{table, results}
-	rt.ParallelForEach(p.Specs(m), cppamp.NewExtent(p.items()), views, p.body(partial))
+	spec := p.Specs(m)
+	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, cppamp.NewExtent(n), views, per) })
 	// Host reads results → every captured view synchronizes.
 	for _, v := range views {
 		v.Synchronize()
 	}
-	return p.result(m, modelapi.CppAMP, p.checksum(partial))
+	return p.result(m, modelapi.CppAMP, sum)
 }
 
 // RunOpenACC uses a data region with copyin for the table (the hand-tuned
@@ -137,10 +156,10 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 		openacc.Copyin("xs.table", p.Cfg.TableBytes(p.Precision)),
 		openacc.Copyout("xs.results", int64(p.items())*int64(appcore.EltBytes(p.Precision))),
 	)
-	partial := make([]float64, p.items())
-	rt.Loop(p.Specs(m), p.items(), nil, p.body(partial))
+	spec := p.Specs(m)
+	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, nil, per) })
 	region.End()
-	return p.result(m, modelapi.OpenACC, p.checksum(partial))
+	return p.result(m, modelapi.OpenACC, sum)
 }
 
 // RunHC runs the Section VII Heterogeneous Compute model: single-source
@@ -150,12 +169,12 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 	m.ResetClock()
 	rt := hc.New(m)
-	partial := make([]float64, p.items())
 	rt.CopyAsync("xs.table", p.Cfg.TableBytes(p.Precision))
-	rt.Launch(p.Specs(m), p.items(), p.body(partial))
+	spec := p.Specs(m)
+	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, per) })
 	rt.Wait()
 	rt.CopyBack("xs.results", int64(p.items())*int64(appcore.EltBytes(p.Precision)))
-	return p.result(m, modelapi.HC, p.checksum(partial))
+	return p.result(m, modelapi.HC, sum)
 }
 
 // Run dispatches by model name.

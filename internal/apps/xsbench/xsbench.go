@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/modelapi"
@@ -97,13 +98,19 @@ func (c Config) TableBytes(prec timing.Precision) int64 {
 	return nuclideGrids + unionEnergies + indexGrid
 }
 
-// Problem holds the generated data set.
+// Problem holds the generated data set. NewProblem generates it; a
+// Problem literal with Cfg, Precision (and Memo) set generates it on first
+// need, so a run whose characterization and functional pass both hit the
+// run memo never builds the cross-section table.
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
-	// Memo, when set, shares the characterization with every problem of
-	// the same Cfg and Precision in the run; nil measures on every call.
+	// Memo, when set, shares the characterization and the functional pass
+	// with every problem of the same Cfg and Precision in the run; nil
+	// computes on every call.
 	Memo *appcore.Memo
+
+	build sync.Once
 
 	// NuclideEnergy[n][g] is nuclide n's sorted energy grid;
 	// NuclideXS[n][g*NumXS+c] its cross sections.
@@ -124,6 +131,22 @@ func NewProblem(cfg Config, prec timing.Precision) *Problem {
 		panic(err)
 	}
 	p := &Problem{Cfg: cfg, Precision: prec}
+	p.data()
+	return p
+}
+
+// data generates the data set on first need; LookupMacroXS and the
+// kernel body read it afterwards.
+func (p *Problem) data() {
+	p.build.Do(func() {
+		if p.UnionEnergy == nil {
+			p.generate()
+		}
+	})
+}
+
+func (p *Problem) generate() {
+	cfg := p.Cfg
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() float64 {
 		rng ^= rng << 13
@@ -190,7 +213,6 @@ func NewProblem(cfg Config, prec timing.Precision) *Problem {
 		p.MatNuclides[m] = ids
 		p.MatDensity[m] = dens
 	}
-	return p
 }
 
 // materialSizes apportions nuclide counts across the 12 materials in
@@ -288,6 +310,7 @@ func (p *Problem) lookupInputs(i int) (float64, int) {
 // characterization: the binary-search probes of the union grid plus the
 // scattered index-grid and nuclide-grid reads.
 func (p *Problem) Trace(samples int) []uint64 {
+	p.data()
 	elt := uint64(appcore.EltBytes(p.Precision))
 	nGrid := uint64(p.Cfg.Nuclides) * uint64(p.Cfg.GridPoints)
 	unionBase := uint64(0)

@@ -117,16 +117,16 @@ func TestPaperSmallTableIs240MB(t *testing.T) {
 
 func TestAllModelsAgree(t *testing.T) {
 	p := NewProblem(smallCfg(), timing.Double)
-	var ref float64
-	for i, model := range []modelapi.Name{modelapi.OpenMP, modelapi.OpenCL, modelapi.CppAMP, modelapi.OpenACC} {
-		r := p.Run(sim.NewDGPU(), model)
-		if r.Kernels != 1 {
-			t.Errorf("%s: kernels = %d, want 1 (Table I)", model, r.Kernels)
-		}
-		if i == 0 {
-			ref = r.Checksum
-		} else if math.Abs(r.Checksum-ref) > 1e-9*math.Abs(ref) {
-			t.Errorf("%s: checksum %g, want %g", model, r.Checksum, ref)
+	ref := p.Run(sim.NewAPU(), modelapi.OpenMP).Checksum
+	for _, model := range []modelapi.Name{modelapi.OpenMP, modelapi.OpenCL, modelapi.CppAMP, modelapi.OpenACC} {
+		for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
+			r := p.Run(mk(), model)
+			if r.Kernels != 1 {
+				t.Errorf("%s: kernels = %d, want 1 (Table I)", model, r.Kernels)
+			}
+			if r.Checksum != ref {
+				t.Errorf("%s on %s: checksum %g, want %g", model, r.Machine, r.Checksum, ref)
+			}
 		}
 	}
 }

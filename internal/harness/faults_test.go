@@ -95,6 +95,27 @@ func TestRunResilientRedoesSilentCorruption(t *testing.T) {
 	}
 }
 
+// A machine with a fault injector bypasses the run memo: the run
+// executes functionally, so a silent bit flip lands in the real output
+// and the checksum can diverge from the clean one before any redo. A
+// memoized replay would always report the clean checksum.
+func TestFaultInjectedRunsBypassTheMemo(t *testing.T) {
+	w := newWorkloads(WithMemo(bg), ScaleSmoke, timing.Double)
+	clean := w.Readmem().RunOpenCL(sim.NewDGPU()).Checksum
+	diverged := false
+	for s := int64(1); s <= 8 && !diverged; s++ {
+		m := sim.NewDGPU()
+		m.SetFaultInjector(fault.New(fault.Config{Seed: s, BitFlipRate: 0.75}), fault.DefaultPolicy())
+		diverged = w.Readmem().RunOpenCL(m).Checksum != clean
+	}
+	if !diverged {
+		t.Error("no seed in 1..8 diverged from the clean checksum at a 0.75 bit-flip rate")
+	}
+	if got := w.Readmem().RunOpenCL(sim.NewDGPU()).Checksum; got != clean {
+		t.Errorf("clean run after faulty ones: checksum %g, want %g", got, clean)
+	}
+}
+
 // The smoke scale builds complete (toy-sized) workloads on demand.
 func TestSmokeWorkloads(t *testing.T) {
 	w := newWorkloads(context.Background(), ScaleSmoke, timing.Double)

@@ -2,8 +2,8 @@
 // runtimes and simulated machines into the paper's experiments: one
 // registered Experiment per table and figure (plus the ablations), each
 // regenerating its artifact as an ASCII table or series grid. The run
-// seed travels on the context (WithSeed, SeedOf), and so does the run's
-// characterization memo (WithMemo).
+// seed travels on the context (WithSeed, SeedOf), and so does the run
+// memo (WithMemo).
 package harness
 
 import (
@@ -83,13 +83,13 @@ func init() { fallbackSeed.Store(1) }
 // way; everything else uses WithSeed.
 func SetSeed(s int64) { fallbackSeed.Store(s) }
 
-// memoKey is the context key WithMemo stores the characterization memo
-// under.
+// memoKey is the context key WithMemo stores the run memo under.
 type memoKey struct{}
 
-// WithMemo returns ctx carrying a fresh characterization memo. Every
-// experiment run under ctx measures each app's LLC characterization once
-// per (app config, precision, device geometry) and shares the numbers
+// WithMemo returns ctx carrying a fresh run memo. Every experiment run
+// under ctx measures each app's LLC characterization once per (app
+// config, precision, device geometry) and executes each app's functional
+// pass once per (app config, precision, kernel variant), and shares them
 // across its cells and experiments. The CLI installs one per invocation
 // and the service one per request, so nothing outlives its run.
 func WithMemo(ctx context.Context) context.Context {
@@ -97,7 +97,7 @@ func WithMemo(ctx context.Context) context.Context {
 }
 
 // memoOf returns the memo ctx carries, or nil: without one every
-// characterization is measured afresh.
+// characterization and functional pass is computed afresh.
 func memoOf(ctx context.Context) *appcore.Memo {
 	m, _ := ctx.Value(memoKey{}).(*appcore.Memo)
 	return m
@@ -175,13 +175,14 @@ func minifeConfig(scale Scale) minife.Config {
 	}
 }
 
-// workloads builds the five apps at a scale and precision, constructing
-// each app's Problem lazily on first use — an experiment cell that runs
-// one app pays construction (and, at paper scale, memory) for one app
-// only. A workloads value belongs to a single goroutine (one experiment
-// cell); it is not safe for concurrent use, and the parallel runner gives
-// every cell its own instead of sharing one. What the cells do share is
-// the run's characterization memo, which every Problem built here gets.
+// workloads holds the five apps at a scale and precision. Each Problem
+// is a literal that builds its data (mesh, matrix, cross-section table)
+// only when its characterization or functional pass misses the run memo,
+// so a cell whose runs all hit never builds one. A workloads value
+// belongs to a single goroutine (one experiment cell); it is not safe for
+// concurrent use, and the parallel runner gives every cell its own
+// instead of sharing one. What the cells do share is the run memo, which
+// every Problem here gets.
 type workloads struct {
 	scale Scale
 	prec  timing.Precision
@@ -209,59 +210,54 @@ func newWorkloads(ctx context.Context, scale Scale, prec timing.Precision) *work
 	return &workloads{scale: scale, prec: prec, memo: memoOf(ctx)}
 }
 
-// Readmem returns the read-benchmark instance, building it on first use.
+// Readmem returns the read-benchmark instance.
 func (w *workloads) Readmem() *readmem.Problem {
 	if w.readmem == nil {
-		w.readmem = readmem.NewProblem(readmemConfig(w.scale, w.prec))
-		w.readmem.Memo = w.memo
+		w.readmem = &readmem.Problem{Cfg: readmemConfig(w.scale, w.prec), Memo: w.memo}
 	}
 	return w.readmem
 }
 
-// Lulesh returns the LULESH instance, building it on first use.
+// Lulesh returns the LULESH instance.
 func (w *workloads) Lulesh() *lulesh.Problem {
 	if w.lulesh == nil {
 		cfg := luleshConfig(w.scale)
 		if w.luleshCfg != nil {
 			cfg = *w.luleshCfg
 		}
-		w.lulesh = lulesh.NewProblem(cfg, w.prec)
-		w.lulesh.Memo = w.memo
+		w.lulesh = &lulesh.Problem{Cfg: cfg, Precision: w.prec, Memo: w.memo}
 	}
 	return w.lulesh
 }
 
-// Comd returns the CoMD instance, building it on first use.
+// Comd returns the CoMD instance.
 func (w *workloads) Comd() *comd.Problem {
 	if w.comd == nil {
 		cfg := comdConfig(w.scale)
 		if w.comdCfg != nil {
 			cfg = *w.comdCfg
 		}
-		w.comd = comd.NewProblem(cfg, w.prec)
-		w.comd.Memo = w.memo
+		w.comd = &comd.Problem{Cfg: cfg, Precision: w.prec, Memo: w.memo}
 	}
 	return w.comd
 }
 
-// Xsbench returns the XSBench instance, building it on first use.
+// Xsbench returns the XSBench instance.
 func (w *workloads) Xsbench() *xsbench.Problem {
 	if w.xsbench == nil {
-		w.xsbench = xsbench.NewProblem(xsbenchConfig(w.scale), w.prec)
-		w.xsbench.Memo = w.memo
+		w.xsbench = &xsbench.Problem{Cfg: xsbenchConfig(w.scale), Precision: w.prec, Memo: w.memo}
 	}
 	return w.xsbench
 }
 
-// Minife returns the miniFE instance, building it on first use.
+// Minife returns the miniFE instance.
 func (w *workloads) Minife() *minife.Problem {
 	if w.minife == nil {
 		cfg := minifeConfig(w.scale)
 		if w.minifeCfg != nil {
 			cfg = *w.minifeCfg
 		}
-		w.minife = minife.NewProblem(cfg, w.prec)
-		w.minife.Memo = w.memo
+		w.minife = &minife.Problem{Cfg: cfg, Precision: w.prec, Memo: w.memo}
 	}
 	return w.minife
 }

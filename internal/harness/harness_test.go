@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"hetbench/internal/apps/appcore"
@@ -239,19 +240,41 @@ func TestFig7Shapes(t *testing.T) {
 	}
 }
 
+// figures89 is Figures 8 and 9 at one scale, computed once per test
+// binary under one run memo.
+type figures89 struct {
+	once      sync.Once
+	apu, dgpu []SpeedupCell
+}
+
+var small89, default89 figures89
+
+func (f *figures89) get(scale Scale) (apu, dgpu []SpeedupCell) {
+	f.once.Do(func() {
+		ctx := WithMemo(bg)
+		f.apu = must(SpeedupData(ctx, scale, sim.NewAPU))
+		f.dgpu = must(SpeedupData(ctx, scale, sim.NewDGPU))
+	})
+	return f.apu, f.dgpu
+}
+
+func findSpeedup(t *testing.T, cells []SpeedupCell, app string, model modelapi.Name, prec timing.Precision) SpeedupCell {
+	t.Helper()
+	for _, c := range cells {
+		if c.App == app && c.Model == model && c.Precision == prec {
+			return c
+		}
+	}
+	t.Fatalf("cell %s/%s/%v missing", app, model, prec)
+	return SpeedupCell{}
+}
+
 // Figures 8/9 headline orderings.
 func TestSpeedupShapes(t *testing.T) {
-	apu := must(SpeedupData(bg, ScaleSmall, sim.NewAPU))
-	dgpu := must(SpeedupData(bg, ScaleSmall, sim.NewDGPU))
-
+	apu, dgpu := small89.get(ScaleSmall)
 	find := func(cells []SpeedupCell, app string, model modelapi.Name, prec timing.Precision) SpeedupCell {
-		for _, c := range cells {
-			if c.App == app && c.Model == model && c.Precision == prec {
-				return c
-			}
-		}
-		t.Fatalf("cell %s/%s/%v missing", app, model, prec)
-		return SpeedupCell{}
+		t.Helper()
+		return findSpeedup(t, cells, app, model, prec)
 	}
 
 	// Every dGPU OpenCL SP speedup ≥ its APU counterpart for the
@@ -286,6 +309,60 @@ func TestSpeedupShapes(t *testing.T) {
 			if dp > sp*1.1 {
 				t.Errorf("dGPU %s/%s: DP speedup %.2f above SP %.2f", app, model, dp, sp)
 			}
+		}
+	}
+}
+
+// "C++ AMP outperformed OpenACC in most cases": at the default scale
+// AMP's speedup beats OpenACC's for every app on both machines at both
+// precisions, except LULESH on the dGPU, where the CPU-fallback kernel's
+// view round trips sink AMP (the paper's result too). At small scale
+// the XSBench table transfer still dominates the dGPU run and OpenACC
+// edges ahead, so the claim is checked where EXPERIMENTS.md makes it.
+func TestAMPBeatsOpenACCExceptLULESHOnDGPU(t *testing.T) {
+	apu, dgpu := default89.get(ScaleDefault)
+	for _, mach := range []struct {
+		name  string
+		cells []SpeedupCell
+	}{{"APU", apu}, {"dGPU", dgpu}} {
+		for _, app := range AppNames {
+			for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+				amp := findSpeedup(t, mach.cells, app, modelapi.CppAMP, prec).Speedup
+				acc := findSpeedup(t, mach.cells, app, modelapi.OpenACC, prec).Speedup
+				if exception := app == "LULESH" && mach.name == "dGPU"; (amp > acc) == exception {
+					t.Errorf("%s %s %v: C++ AMP %.2f vs OpenACC %.2f; AMP should win unless LULESH on the dGPU",
+						mach.name, app, prec, amp, acc)
+				}
+			}
+		}
+	}
+}
+
+// CoMD's SP/DP speedup gap is larger on the APU (1/16 DP rate) than on
+// the dGPU (1/4) under every GPU model.
+func TestCoMDPrecisionGapLargerOnAPU(t *testing.T) {
+	apu, dgpu := small89.get(ScaleSmall)
+	gap := func(cells []SpeedupCell, model modelapi.Name) float64 {
+		return findSpeedup(t, cells, "CoMD", model, timing.Single).Speedup /
+			findSpeedup(t, cells, "CoMD", model, timing.Double).Speedup
+	}
+	for _, model := range modelapi.All() {
+		if a, d := gap(apu, model), gap(dgpu, model); a <= d {
+			t.Errorf("CoMD %s: SP/DP gap %.2f on the APU not above %.2f on the dGPU", model, a, d)
+		}
+	}
+}
+
+// C++ AMP's dGPU XSBench run pays the lookup table's PCIe transfer
+// twice: the conservative view synchronization drags the table back
+// after the kernel, so its transfer time is about 2× OpenCL's.
+func TestAMPXSBenchTransferTwiceOpenCLOnDGPU(t *testing.T) {
+	_, dgpu := small89.get(ScaleSmall)
+	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+		amp := findSpeedup(t, dgpu, "XSBench", modelapi.CppAMP, prec).TransferMs
+		cl := findSpeedup(t, dgpu, "XSBench", modelapi.OpenCL, prec).TransferMs
+		if r := amp / cl; r < 1.9 || r > 2.1 {
+			t.Errorf("dGPU XSBench %v: AMP transfer %.3f ms is %.2f× OpenCL's %.3f ms, want ≈2×", prec, amp, r, cl)
 		}
 	}
 }

@@ -113,6 +113,66 @@ func TestMemoKeyCoversGeometry(t *testing.T) {
 	}
 }
 
+// runObservation is everything a cell observes of one app run: the
+// Result (checksum included) and the cost of every launch in order,
+// whose per-item counters come from the functional pass.
+type runObservation struct {
+	res   appcore.Result
+	costs []sim.LoggedCost
+}
+
+func observeRun(w *workloads, app string, model modelapi.Name, mk func() *sim.Machine) runObservation {
+	r, _ := w.runnerByName(app)
+	m := mk()
+	m.EnableCostLog()
+	res := r.run(m, model)
+	return runObservation{res, m.CostLog()}
+}
+
+// A memoized cell prices exactly the functional pass a fresh, memo-less
+// cell executes: for every app × model × machine × precision at smoke
+// scale, the per-launch costs, the Result and its checksum are
+// identical. Each combination runs in two runner cells that share the
+// run memo, so under -race they race for the same outcome.
+func TestMemoizedRunMatchesFresh(t *testing.T) {
+	type combo struct {
+		app   string
+		model modelapi.Name
+		mk    func() *sim.Machine
+		prec  timing.Precision
+	}
+	var combos []combo
+	for _, app := range AppNames {
+		for _, model := range []modelapi.Name{modelapi.OpenMP, modelapi.OpenCL, modelapi.CppAMP, modelapi.OpenACC} {
+			for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
+				for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+					combos = append(combos, combo{app, model, mk, prec})
+				}
+			}
+		}
+	}
+	ctx := WithMemo(bg)
+	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) runObservation {
+		c := combos[i%len(combos)]
+		return observeRun(newWorkloads(cx.Context(), ScaleSmoke, c.prec), c.app, c.model, c.mk)
+	}))
+	for i, c := range combos {
+		fresh := observeRun(newWorkloads(bg, ScaleSmoke, c.prec), c.app, c.model, c.mk)
+		name := c.app + "/" + string(c.model) + "/" + c.mk().Name() + "/" + c.prec.String()
+		if len(fresh.costs) == 0 {
+			t.Fatalf("%s: no launches logged", name)
+		}
+		for _, got := range []runObservation{memoized[i], memoized[i+len(combos)]} {
+			if got.res != fresh.res {
+				t.Errorf("%s: memoized result %+v, fresh %+v", name, got.res, fresh.res)
+			}
+			if !slices.Equal(got.costs, fresh.costs) {
+				t.Errorf("%s: memoized run's launch costs differ from a fresh run's", name)
+			}
+		}
+	}
+}
+
 func TestMemoOf(t *testing.T) {
 	if memoOf(bg) != nil {
 		t.Error("a bare context carries a memo")

@@ -116,15 +116,13 @@ func (v *ArrayView) stageIn() float64 {
 // ArrayView the lambda captures; each is staged to the device as needed
 // and left device-fresh afterwards (conservatively assumed written).
 func (r *Runtime) ParallelForEach(spec modelapi.KernelSpec, ext Extent, views []*ArrayView, body func(*exec.WorkItem)) timing.Result {
-	return r.Launch(spec, ext, views, true, body)
+	return r.Launch(spec, ext, views, exec.Measure(ext.Size, body))
 }
 
-// Launch runs the kernel functionally when functional is true (or when no
-// cost is cached), otherwise replays the cached cost with the same view-
-// staging semantics.
-func (r *Runtime) Launch(spec modelapi.KernelSpec, ext Extent, views []*ArrayView, functional bool, body func(*exec.WorkItem)) timing.Result {
+// Launch prices a parallel_for_each over the extent whose measured
+// per-item work is per, with ParallelForEach's view-staging semantics.
+func (r *Runtime) Launch(spec modelapi.KernelSpec, ext Extent, views []*ArrayView, per exec.Counters) timing.Result {
 	r.stageAll(views)
-	per := r.Measure(spec.Name, ext.Size, functional, func() exec.Result { return exec.Run(ext.Size, body) })
 	return r.launch(spec, ext.Size, per, views)
 }
 
@@ -132,10 +130,8 @@ func (r *Runtime) Launch(spec modelapi.KernelSpec, ext Extent, views []*ArrayVie
 // ldsFloats float64 words and barrier-delimited phases
 // (tiled_index + tile_barrier in AMP).
 func (r *Runtime) ParallelForEachTiled(spec modelapi.KernelSpec, ext TiledExtent, ldsFloats int, views []*ArrayView, phases ...exec.Phase) timing.Result {
+	per := exec.RunTiled(ext.Size, ext.Tile, ldsFloats, phases...).Counters.PerItem(ext.Size)
 	r.stageAll(views)
-	per := r.Measure(spec.Name, ext.Size, true, func() exec.Result {
-		return exec.RunTiled(ext.Size, ext.Tile, ldsFloats, phases...)
-	})
 	return r.launch(spec, ext.Size, per, views)
 }
 
@@ -184,14 +180,13 @@ func (r *Runtime) launch(spec modelapi.KernelSpec, n int, per exec.Counters, vie
 // runs, then the host copies are stale-on-device so the next GPU kernel
 // pays host→device again (handled by stageIn).
 func (r *Runtime) HostFallback(spec modelapi.KernelSpec, n int, views []*ArrayView, body func(*exec.WorkItem)) timing.Result {
-	return r.LaunchHostFallback(spec, n, views, true, body)
+	return r.LaunchHostFallback(spec, n, views, exec.Measure(n, body))
 }
 
-// LaunchHostFallback is the launch-or-replay form of HostFallback; replays
-// still pay the view round-trips every call (the whole point of the
-// paper's LULESH observation).
-func (r *Runtime) LaunchHostFallback(spec modelapi.KernelSpec, n int, views []*ArrayView, functional bool, body func(*exec.WorkItem)) timing.Result {
+// LaunchHostFallback prices HostFallback for measured per-item work per;
+// every call pays the view round-trips (the whole point of the paper's
+// LULESH observation).
+func (r *Runtime) LaunchHostFallback(spec modelapi.KernelSpec, n int, views []*ArrayView, per exec.Counters) timing.Result {
 	syncAll(views)
-	per := r.Measure("host:"+spec.Name, n, functional, func() exec.Result { return exec.Run(n, body) })
 	return r.LaunchOnHost(spec.Name+"(cpu-fallback)", spec, n, per)
 }

@@ -57,16 +57,9 @@ func (r *Runtime) CopyAsync(name string, bytes int64) {
 	r.pendingNs += us * 1e3
 }
 
-// Launch runs a kernel; its execution hides banked async-transfer time.
-func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, body func(*exec.WorkItem)) timing.Result {
-	return r.LaunchCached(spec, n, true, body)
-}
-
-// LaunchCached is the launch-or-replay form used by iterative apps:
-// functional calls execute the body and refresh the cached cost, replay
-// calls charge the cached cost. Both hide pending async transfers.
-func (r *Runtime) LaunchCached(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per := r.Measure(spec.Name, n, functional, func() exec.Result { return exec.Run(n, body) })
+// Launch prices a kernel of n items whose measured per-item work is per;
+// its execution hides banked async-transfer time.
+func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, per exec.Counters) timing.Result {
 	result := r.Machine().LaunchKernel(sim.OnAccelerator, spec.Name, r.Cost(spec, n, per))
 	r.pendingNs -= result.TimeNs
 	if r.pendingNs < 0 {

@@ -12,9 +12,8 @@ func spec() modelapi.KernelSpec {
 	return modelapi.KernelSpec{Name: "hck", Class: modelapi.Regular, MissRate: 0.3, Coalesce: 1}
 }
 
-func heavyBody(w *exec.WorkItem) {
-	w.Tally(exec.Counters{SPFlops: 500, LoadBytes: 16, Instrs: 520})
-}
+// heavy is a compute-heavy kernel's per-item work.
+var heavy = exec.Counters{SPFlops: 500, LoadBytes: 16, Instrs: 520}
 
 func TestSyncCopiesChargeClock(t *testing.T) {
 	m := sim.NewDGPU()
@@ -40,7 +39,7 @@ func TestAsyncOverlapHidesTransferTime(t *testing.T) {
 	rtSync := New(mSync)
 	rtSync.Copy("table", bytes)
 	for i := 0; i < 30; i++ {
-		rtSync.Launch(spec(), 1<<20, heavyBody)
+		rtSync.Launch(spec(), 1<<20, heavy)
 	}
 	syncTotal := mSync.ElapsedNs()
 
@@ -48,7 +47,7 @@ func TestAsyncOverlapHidesTransferTime(t *testing.T) {
 	rtAsync := New(mAsync)
 	rtAsync.CopyAsync("table", bytes)
 	for i := 0; i < 30; i++ {
-		rtAsync.Launch(spec(), 1<<20, heavyBody)
+		rtAsync.Launch(spec(), 1<<20, heavy)
 	}
 	hidden := rtAsync.Wait()
 	asyncTotal := mAsync.ElapsedNs()
@@ -69,7 +68,7 @@ func TestUnhiddenRemainderCharged(t *testing.T) {
 	m := sim.NewDGPU()
 	rt := New(m)
 	rt.CopyAsync("big", 512<<20) // ≈85 ms of PCIe time
-	rt.Launch(spec(), 1<<12, heavyBody)
+	rt.Launch(spec(), 1<<12, heavy)
 	left := rt.Wait()
 	if left <= 0 {
 		t.Fatal("tiny kernel hid an 85 ms transfer")

@@ -3,9 +3,11 @@
 // calibrated per-compiler code-generation quality and data-management
 // strategy) and the Figure 11 optimization-feature matrix — and the
 // runtime core every model runtime embeds (Runtime): machine and profile
-// binding, one measure-or-replay counter cache (Measure), the corruption
-// targets, the co-execution opt-in and the resilient launch driver the
-// GPU runtimes share (Runtime.LaunchResilient).
+// binding, the corruption targets, the co-execution opt-in and the
+// resilient launch driver the GPU runtimes share
+// (Runtime.LaunchResilient). Runtimes price measured work: every launch
+// takes per-item exec.Counters from a functional pass, so one pass serves
+// every model × machine cell of a run.
 package modelapi
 
 import "fmt"

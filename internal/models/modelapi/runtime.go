@@ -10,15 +10,19 @@ import (
 // Runtime is the core every model runtime embeds. It binds a model to a
 // machine and holds what all five runtimes share: the model's profile on
 // that machine, the OpenMP host profile that co-executed CPU shares and
-// host fallbacks run under, one name-keyed measure-or-replay cache of
-// per-item counters, the silent-corruption targets and the co-execution
-// opt-in. A runtime adds only its data-management idiom and the Recovery
-// hooks that price it.
+// host fallbacks run under, the silent-corruption targets and the
+// co-execution opt-in. A runtime adds only its data-management idiom and
+// the Recovery hooks that price it.
+//
+// A runtime prices work; it does not decide what a kernel computes. Its
+// launch methods take the per-item counters a functional pass measured
+// (the apps record them once per run, see appcore.Recorder); the
+// body-taking conveniences (ParallelFor, EnqueueNDRange, ...) measure
+// their body with exec.Measure and price the result the same way.
 type Runtime struct {
 	machine *sim.Machine
 	profile *Profile
 	host    *Profile
-	cache   map[string]exec.Counters
 	corrupt fault.Corruptor
 	coexec  bool
 }
@@ -30,7 +34,6 @@ func NewRuntime(machine *sim.Machine, n Name) *Runtime {
 		machine: machine,
 		profile: ProfileOn(n, machine.Unified()),
 		host:    ProfileFor(OpenMP),
-		cache:   make(map[string]exec.Counters),
 	}
 }
 
@@ -52,23 +55,9 @@ func (r *Runtime) EnableCoexec() { r.coexec = true }
 
 // Bind registers an output array as a silent-corruption target: when the
 // fault injector flips a bit in a kernel's output, the flip lands in a
-// bound slice (see fault.Corruptor). Apps re-bind per run.
+// bound slice (see fault.Corruptor). Apps bind their real output arrays
+// when a run executes under a fault injector.
 func (r *Runtime) Bind(name string, data []float64) { r.corrupt.Bind(name, data) }
-
-// Measure returns the per-item counters of the kernel cached under key,
-// for a launch of n items. When functional is set or nothing is cached
-// under key yet, it calls run — the kernel's functional execution — and
-// caches the per-item counters of its result; otherwise it replays the
-// cached counters without calling run. Iterative apps execute a
-// functional sample of iterations and replay the rest.
-func (r *Runtime) Measure(key string, n int, functional bool, run func() exec.Result) exec.Counters {
-	if per, ok := r.cache[key]; ok && !functional {
-		return per
-	}
-	per := run().Counters.PerItem(n)
-	r.cache[key] = per
-	return per
-}
 
 // LaunchOnHost charges a launch named name of spec over n items on the
 // host CPU, compiled by the OpenMP host profile.

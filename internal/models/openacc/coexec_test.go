@@ -26,7 +26,7 @@ func TestCoexecRouting(t *testing.T) {
 	const n = 1 << 12
 	out := make([]float64, n)
 	uses := []Clause{Copyout("coexec.out", int64(n)*8)}
-	rt.Launch(spec(), n, uses, true, coexecBody(out))
+	rt.Loop(spec(), n, uses, coexecBody(out))
 	if st := s.Stats(); st.Splits != 1 || st.HostItems+st.AccelItems != n {
 		t.Fatalf("streaming loop not split: %+v", st)
 	}
@@ -37,7 +37,7 @@ func TestCoexecRouting(t *testing.T) {
 	}
 
 	irr := modelapi.KernelSpec{Name: "spmv", Class: modelapi.Irregular, MissRate: 0.9, Coalesce: 0.25}
-	rt.Launch(irr, n, uses, true, coexecBody(out))
+	rt.Loop(irr, n, uses, coexecBody(out))
 	if st := s.Stats(); st.Splits != 1 {
 		t.Fatalf("irregular loop was split: %+v", st)
 	}
@@ -53,7 +53,7 @@ func TestCoexecWithoutPlannerIsIdentical(t *testing.T) {
 		}
 		const n = 1 << 12
 		out := make([]float64, n)
-		rt.Launch(spec(), n, []Clause{Copyout("coexec.out", int64(n)*8)}, true, coexecBody(out))
+		rt.Loop(spec(), n, []Clause{Copyout("coexec.out", int64(n)*8)}, coexecBody(out))
 		return m.ElapsedNs()
 	}
 	if a, b := run(false), run(true); a != b {

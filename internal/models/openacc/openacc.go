@@ -161,14 +161,12 @@ func (r *Runtime) present(name string) bool {
 // copied in before and out after the launch (the compiler cannot prove
 // read-onlyness across the region).
 func (r *Runtime) Loop(spec modelapi.KernelSpec, n int, uses []Clause, body func(*exec.WorkItem)) timing.Result {
-	return r.Launch(spec, n, uses, true, body)
+	return r.Launch(spec, n, uses, exec.Measure(n, body))
 }
 
-// Launch runs the loop functionally when functional is true (or when no
-// cost is cached), otherwise replays the cached cost with the same
-// per-region transfer semantics.
-func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, uses []Clause, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per := r.Measure(spec.Name, n, functional, func() exec.Result { return exec.Run(n, body) })
+// Launch prices a kernels-loop of n items whose measured per-item work is
+// per, with Loop's per-region transfer semantics.
+func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, uses []Clause, per exec.Counters) timing.Result {
 	return r.finishLoop(spec, n, uses, per, 1)
 }
 
@@ -179,14 +177,17 @@ func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, uses []Clause, functio
 // challenging in terms of mapping the parallelism to appropriately use
 // GPU vector cores". gang×vector must cover n.
 func (r *Runtime) LoopGV(spec modelapi.KernelSpec, n, gang, vector int, uses []Clause, body func(*exec.WorkItem)) timing.Result {
+	return r.LaunchGV(spec, n, gang, vector, uses, exec.Measure(n, body))
+}
+
+// LaunchGV prices LoopGV's kernels-loop for measured per-item work per.
+func (r *Runtime) LaunchGV(spec modelapi.KernelSpec, n, gang, vector int, uses []Clause, per exec.Counters) timing.Result {
 	if gang <= 0 || vector <= 0 {
 		panic(fmt.Sprintf("openacc: gang(%d) vector(%d) must be positive", gang, vector))
 	}
 	if gang*vector < n {
 		panic(fmt.Sprintf("openacc: gang(%d)×vector(%d) < loop count %d", gang, vector, n))
 	}
-	per := r.Measure(spec.Name, n, true, func() exec.Result { return exec.Run(n, body) })
-
 	wf := r.Machine().Accelerator().WavefrontSize
 	rounded := (vector + wf - 1) / wf * wf
 	util := float64(vector) / float64(rounded)

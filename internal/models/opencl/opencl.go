@@ -144,12 +144,12 @@ func (k *Kernel) Spec() modelapi.KernelSpec { return k.spec }
 // the work-group size for tiled kernels; simple kernels ignore it) and
 // returns the simulated timing.
 func (q *Queue) EnqueueNDRange(k *Kernel, global, local int) timing.Result {
-	per := q.ctx.Measure(k.spec.Name, global, true, func() exec.Result {
-		if k.phases != nil {
-			return exec.RunTiled(global, local, k.lds, k.phases...)
-		}
-		return exec.Run(global, k.body)
-	})
+	var per exec.Counters
+	if k.phases != nil {
+		per = exec.RunTiled(global, local, k.lds, k.phases...).Counters.PerItem(global)
+	} else {
+		per = exec.Measure(global, k.body)
+	}
 	if k.Unroll {
 		// Hand-unrolling removes loop-control overhead: fewer dynamic
 		// instructions for the same flops/bytes.
@@ -158,13 +158,11 @@ func (q *Queue) EnqueueNDRange(k *Kernel, global, local int) timing.Result {
 	return q.ctx.launch(k.spec, global, per, k.args)
 }
 
-// LaunchFunc launches a kernel given as a closure, for bodies that
-// capture loop-varying state (e.g. the timestep): functional calls (and
-// the first call for a spec name) execute body, later calls replay the
-// counters it measured.
-func (q *Queue) LaunchFunc(spec modelapi.KernelSpec, global int, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per := q.ctx.Measure(spec.Name, global, functional, func() exec.Result { return exec.Run(global, body) })
-	return q.ctx.launch(spec, global, per, nil)
+// Launch prices an NDRange of global items whose measured per-item work
+// is per — the form apps use to book a recorded functional pass. args
+// are the kernel's buffer arguments, as SetArgs would bind them.
+func (q *Queue) Launch(spec modelapi.KernelSpec, global int, per exec.Counters, args ...*Buffer) timing.Result {
+	return q.ctx.launch(spec, global, per, args)
 }
 
 // ---------------------------------------------------------------------

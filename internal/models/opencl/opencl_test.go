@@ -1,7 +1,6 @@
 package opencl
 
 import (
-	"sync"
 	"testing"
 
 	"hetbench/internal/models/modelapi"
@@ -121,22 +120,13 @@ func TestUnrollReducesIssuePressure(t *testing.T) {
 }
 
 func TestReplayMatchesFunctionalLaunch(t *testing.T) {
-	q := NewContext(sim.NewAPU()).NewQueue()
-	r1 := q.LaunchFunc(spec(), 4096, true, func(w *exec.WorkItem) {
-		w.Tally(exec.Counters{SPFlops: 4, LoadBytes: 32, Instrs: 8})
-	})
-	r2 := q.LaunchFunc(spec(), 4096, false, replayOnly(t))
+	ctx := NewContext(sim.NewAPU())
+	q := ctx.NewQueue()
+	per := exec.Counters{SPFlops: 4, LoadBytes: 32, Instrs: 8}
+	r1 := q.EnqueueNDRange(ctx.CreateKernel(spec(), func(w *exec.WorkItem) { w.Tally(per) }), 4096, 64)
+	r2 := q.Launch(spec(), 4096, per)
 	if r1.TimeNs != r2.TimeNs {
 		t.Errorf("replay time %g != functional time %g", r2.TimeNs, r1.TimeNs)
-	}
-}
-
-// replayOnly is the body of a launch that must replay: it fails the test
-// if the runtime runs it.
-func replayOnly(t *testing.T) func(*exec.WorkItem) {
-	var once sync.Once
-	return func(*exec.WorkItem) {
-		once.Do(func() { t.Error("replayed launch ran its body") })
 	}
 }
 

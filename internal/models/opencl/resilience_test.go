@@ -115,24 +115,20 @@ func TestBitFlipCorruptsBoundOutput(t *testing.T) {
 	}
 }
 
-// The LaunchFunc path (no bound args) retries with zero restaging.
-func TestLaunchFuncRetriesWithoutRestage(t *testing.T) {
+// A Launch with no bound args retries with zero restaging.
+func TestLaunchRetriesWithoutRestage(t *testing.T) {
 	ctx, _, m := newFaulty(fault.Config{Seed: 7, LaunchFailRate: 0.5})
 	q := ctx.NewQueue()
 	const n = 128
-	out := make([]float64, n)
 	sp := modelapi.KernelSpec{Name: "fn", Class: modelapi.Streaming, MissRate: 0.5, Coalesce: 1}
 	h2dBefore := m.Link().Stats().TransfersToDevice
 	for i := 0; i < 40; i++ {
-		q.LaunchFunc(sp, n, i == 0, func(w *exec.WorkItem) {
-			out[w.Global] = 2
-			w.Tally(exec.Counters{StoreBytes: 8, Instrs: 1})
-		})
+		q.Launch(sp, n, exec.Counters{StoreBytes: 8, Instrs: 1})
 	}
 	if m.Resilience().Retries == 0 {
 		t.Fatal("no retries at a 0.5 launch-failure rate")
 	}
 	if got := m.Link().Stats().TransfersToDevice - h2dBefore; got != 0 {
-		t.Errorf("LaunchFunc retries staged %d buffers, want 0", got)
+		t.Errorf("Launch retries staged %d buffers, want 0", got)
 	}
 }

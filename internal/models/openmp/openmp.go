@@ -26,15 +26,12 @@ func New(machine *sim.Machine) *Runtime {
 // one-pragma port of a serial loop (paper Figure 3b) — and returns the
 // timing result. The body tallies its work on the WorkItem.
 func (r *Runtime) ParallelFor(spec modelapi.KernelSpec, n int, body func(*exec.WorkItem)) timing.Result {
-	return r.Launch(spec, n, true, body)
+	return r.Launch(spec, n, exec.Measure(n, body))
 }
 
-// Launch runs the loop functionally when functional is true (or when no
-// cost has been measured yet), and otherwise replays the cached per-item
-// cost — the iterative-application fast path for iterations beyond the
-// functional sample.
-func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, functional bool, body func(*exec.WorkItem)) timing.Result {
-	per := r.Measure(spec.Name, n, functional, func() exec.Result { return exec.Run(n, body) })
+// Launch prices a parallel loop of n items whose measured per-item work
+// is per — the form apps use to book a recorded functional pass.
+func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, per exec.Counters) timing.Result {
 	return r.LaunchOnHost(spec.Name, spec, n, per)
 }
 

@@ -321,8 +321,8 @@ func (s *Service) execute(ctx context.Context, key string, req RunRequest) (*Res
 		run = registryRun
 	}
 	var buf bytes.Buffer
-	// A fresh characterization memo per request: the daemon retains
-	// nothing between runs beyond the result cache.
+	// A fresh run memo per request: the daemon retains nothing between
+	// runs beyond the result cache.
 	err := run(harness.WithMemo(harness.WithSeed(ctx, req.Seed)), req.Experiment, scale, &buf)
 	res := &Result{
 		Key: key, Experiment: req.Experiment, Scale: req.Scale, Seed: req.Seed,

@@ -191,6 +191,12 @@ func Run(global int, kernel func(*WorkItem)) Result {
 	return Result{Items: global, Groups: 1, Counters: total}
 }
 
+// Measure runs a simple kernel over global work items and returns its
+// per-item counters: the measurement a runtime prices a launch from.
+func Measure(global int, kernel func(*WorkItem)) Counters {
+	return Run(global, kernel).Counters.PerItem(global)
+}
+
 // RunTiled executes a tiled kernel: groups of `local` items each, with
 // ldsFloats float64 scratch words per group, running the given phases with
 // barrier semantics between them. global must be a multiple of local
