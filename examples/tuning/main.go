@@ -1,26 +1,18 @@
-// Tuning: the optimization surface of Section VI-C. Two experiments on
-// the discrete GPU:
-//
-//  1. CoMD force kernel with and without LDS tiling (the "almost 3×"
-//     C++ AMP observation — only OpenCL and C++ AMP can express tiles,
-//     Figure 11).
-//  2. An explicitly unrolled OpenCL kernel vs the plain one (OpenCL-only
-//     knob per Figure 11).
+// Tuning: the tiling optimization of Section VI-C on the discrete GPU.
+// CoMD's force kernel runs with and without LDS tiling (the "almost 3×"
+// C++ AMP observation — only OpenCL and C++ AMP can express tiles,
+// Figure 11).
 package main
 
 import (
 	"fmt"
 
 	"hetbench/internal/apps/comd"
-	"hetbench/internal/models/modelapi"
-	"hetbench/internal/models/opencl"
 	"hetbench/internal/sim"
-	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
 
 func main() {
-	// 1. Tiling.
 	p := comd.NewProblem(comd.Config{Nx: 16, Ny: 16, Nz: 16, Iters: 3, FunctionalIters: 1}, timing.Single)
 	flat := p.RunOpenCLFlat(sim.NewDGPU())
 	tiled := p.RunOpenCL(sim.NewDGPU())
@@ -28,22 +20,6 @@ func main() {
 	fmt.Printf("  flat gather     : %8.3f ms\n", flat.KernelNs/1e6)
 	fmt.Printf("  LDS-tiled       : %8.3f ms   (%.2f× — paper: ≈3×)\n\n",
 		tiled.KernelNs/1e6, flat.KernelNs/tiled.KernelNs)
-
-	// 2. Explicit unrolling.
-	ctx := opencl.NewContext(sim.NewDGPU())
-	q := ctx.NewQueue()
-	spec := modelapi.KernelSpec{Name: "axpy-like", Class: modelapi.Regular, MissRate: 0.05, Coalesce: 1}
-	body := func(w *exec.WorkItem) {
-		w.Tally(exec.Counters{SPFlops: 8, LoadBytes: 16, StoreBytes: 8, Instrs: 64})
-	}
-	plain := ctx.CreateKernel(spec, body)
-	unrolled := ctx.CreateKernel(spec, body)
-	unrolled.Unroll = true
-	tPlain := q.EnqueueNDRange(plain, 1<<20, 64).TimeNs
-	tUnrolled := q.EnqueueNDRange(unrolled, 1<<20, 64).TimeNs
-	fmt.Println("Issue-bound OpenCL kernel, hand-unrolled (#pragma unroll equivalent):")
-	fmt.Printf("  plain    : %8.3f ms\n", tPlain/1e6)
-	fmt.Printf("  unrolled : %8.3f ms   (%.2f×)\n", tUnrolled/1e6, tPlain/tUnrolled)
-	fmt.Println("\nOpenACC exposes neither knob (Figure 11) — its CoMD force loop also")
+	fmt.Println("OpenACC cannot express tiles (Figure 11) — its CoMD force loop also")
 	fmt.Println("falls back to mostly-scalar code, the paper's worst result.")
 }

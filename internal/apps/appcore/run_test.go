@@ -9,6 +9,7 @@ import (
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/exec"
+	"hetbench/internal/trace"
 )
 
 // tally is a body charging flops per item.
@@ -69,7 +70,7 @@ func TestTapeReplayKeepsOrderAndIterations(t *testing.T) {
 		t.Fatalf("tape has %d ops and %d iterations, want 7 and 3", len(tape.ops), len(tape.iters))
 	}
 	m := sim.NewDGPU()
-	m.EnableEventLog(true)
+	m.SetTracer(trace.New())
 	var got []string
 	tape.Replay(m, logPricer(&got))
 	want := []string{"launch 0×8 1"}

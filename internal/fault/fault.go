@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -45,11 +44,6 @@ const (
 	// launches and transfers during the window fail immediately.
 	DeviceLost Kind = "device-lost"
 )
-
-// Kinds lists the injectable fault kinds in presentation order.
-func Kinds() []Kind {
-	return []Kind{LaunchFail, Hang, BitFlip, TransferCorrupt, DeviceLost}
-}
 
 // Event reports one injected fault to the caller that suffered it.
 type Event struct {
@@ -254,25 +248,4 @@ func (i *Injector) Total() int64 {
 		n += v
 	}
 	return n
-}
-
-// Counts returns the per-kind injection tally in a deterministic order.
-func (i *Injector) Counts() []struct {
-	Kind  Kind
-	Count int64
-} {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make([]struct {
-		Kind  Kind
-		Count int64
-	}, 0, len(i.counts))
-	for k, v := range i.counts {
-		out = append(out, struct {
-			Kind  Kind
-			Count int64
-		}{k, v})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Kind < out[b].Kind })
-	return out
 }

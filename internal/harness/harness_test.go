@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/comd"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
@@ -396,6 +397,46 @@ func TestProductivityShapes(t *testing.T) {
 	for _, r := range apu {
 		if r.App == "XSBench" && r.CppAMP < 2*r.OpenCL {
 			t.Errorf("APU XSBench productivity: AMP %.2f not ≫ OpenCL %.2f", r.CppAMP, r.OpenCL)
+		}
+	}
+}
+
+// Figure 11's Local Data Store column gates real behaviour: on both
+// machines, CoMD's force launch carries LDS traffic exactly under the
+// models whose profile has the feature — OpenCL and C++ AMP, not OpenACC
+// or the OpenMP baseline.
+func TestForceUsesLDSExactlyWhereFigure11Allows(t *testing.T) {
+	p := comd.NewProblem(comd.Config{Nx: 4, Ny: 4, Nz: 4, Iters: 10}, timing.Single)
+	for _, tc := range []struct {
+		model modelapi.Name
+		lds   bool
+	}{
+		{modelapi.OpenMP, false},
+		{modelapi.OpenCL, true},
+		{modelapi.CppAMP, true},
+		{modelapi.OpenACC, false},
+	} {
+		if got := modelapi.ProfileFor(tc.model).Features.LocalDataStore; got != tc.lds {
+			t.Fatalf("%s profile LocalDataStore = %v, want %v (Figure 11)", tc.model, got, tc.lds)
+		}
+		for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
+			m := mk()
+			m.EnableCostLog()
+			p.Run(m, tc.model)
+			forces := 0
+			for _, c := range m.CostLog() {
+				if c.Name != comd.KForce {
+					continue
+				}
+				forces++
+				if got := c.Cost.LDSBytes > 0; got != tc.lds {
+					t.Errorf("%s on %s: force launch LDS bytes %g, want LDS use %v",
+						tc.model, m.Name(), c.Cost.LDSBytes, tc.lds)
+				}
+			}
+			if forces == 0 {
+				t.Errorf("%s on %s: no %s launch in the cost log", tc.model, m.Name(), comd.KForce)
+			}
 		}
 	}
 }

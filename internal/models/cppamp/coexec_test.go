@@ -26,7 +26,7 @@ func TestCoexecRouting(t *testing.T) {
 	const n = 1 << 12
 	out := make([]float64, n)
 	av := rt.NewArrayView("coexec.out", int64(n)*8)
-	rt.ParallelForEach(spec(), NewExtent(n), []*ArrayView{av}, coexecBody(out))
+	rt.Launch(spec(), NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out)))
 	if st := s.Stats(); st.Splits != 1 || st.HostItems+st.AccelItems != n {
 		t.Fatalf("streaming kernel not split: %+v", st)
 	}
@@ -37,7 +37,7 @@ func TestCoexecRouting(t *testing.T) {
 	}
 
 	irr := modelapi.KernelSpec{Name: "gather", Class: modelapi.Irregular, MissRate: 0.9, Coalesce: 0.25}
-	rt.ParallelForEach(irr, NewExtent(n), []*ArrayView{av}, coexecBody(out))
+	rt.Launch(irr, NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out)))
 	if st := s.Stats(); st.Splits != 1 {
 		t.Fatalf("irregular kernel was split: %+v", st)
 	}
@@ -54,7 +54,7 @@ func TestCoexecWithoutPlannerIsIdentical(t *testing.T) {
 		const n = 1 << 12
 		out := make([]float64, n)
 		av := rt.NewArrayView("coexec.out", int64(n)*8)
-		rt.ParallelForEach(spec(), NewExtent(n), []*ArrayView{av}, coexecBody(out))
+		rt.Launch(spec(), NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out)))
 		return m.ElapsedNs()
 	}
 	if a, b := run(false), run(true); a != b {

@@ -1,5 +1,8 @@
-// Package cppamp is the C++ AMP-like runtime: extents, tiles,
-// parallel_for_each with closure capture, and array_view data management.
+// Package cppamp is the C++ AMP-like runtime: extents, parallel_for_each
+// with closure capture, and array_view data management. Tiling with
+// tile_static storage is a property of the kernel body (CoMD's tiled force
+// kernel tallies the LDS traffic its tiles cause); the launch prices
+// those counters.
 //
 // The data-management semantics are the crux of the paper's discrete-GPU
 // findings: an ArrayView copies itself to the device when a kernel captures
@@ -46,21 +49,6 @@ func NewExtent(n int) Extent {
 		panic(fmt.Sprintf("cppamp: invalid extent %d", n))
 	}
 	return Extent{Size: n}
-}
-
-// TiledExtent is an extent divided into tiles (extent.tile<N>()).
-type TiledExtent struct {
-	Extent
-	Tile int
-}
-
-// TileBy divides the extent into tiles of the given size; the extent must
-// be tile-divisible, as AMP requires.
-func (e Extent) TileBy(tile int) TiledExtent {
-	if tile <= 0 || e.Size%tile != 0 {
-		panic(fmt.Sprintf("cppamp: extent %d not divisible into tiles of %d", e.Size, tile))
-	}
-	return TiledExtent{Extent: e, Tile: tile}
 }
 
 // ArrayView wraps host data for device use (array_view<T,1>). The tracked
@@ -111,30 +99,6 @@ func (v *ArrayView) stageIn() float64 {
 	return v.rt.Machine().TransferToDevice(v.name, v.bytes)
 }
 
-// ParallelForEach launches a simple kernel over the extent
-// (parallel_for_each with a restrict(amp) lambda). views lists every
-// ArrayView the lambda captures; each is staged to the device as needed
-// and left device-fresh afterwards (conservatively assumed written).
-func (r *Runtime) ParallelForEach(spec modelapi.KernelSpec, ext Extent, views []*ArrayView, body func(*exec.WorkItem)) timing.Result {
-	return r.Launch(spec, ext, views, exec.Measure(ext.Size, body))
-}
-
-// Launch prices a parallel_for_each over the extent whose measured
-// per-item work is per, with ParallelForEach's view-staging semantics.
-func (r *Runtime) Launch(spec modelapi.KernelSpec, ext Extent, views []*ArrayView, per exec.Counters) timing.Result {
-	r.stageAll(views)
-	return r.launch(spec, ext.Size, per, views)
-}
-
-// ParallelForEachTiled launches a tiled kernel with tile_static storage of
-// ldsFloats float64 words and barrier-delimited phases
-// (tiled_index + tile_barrier in AMP).
-func (r *Runtime) ParallelForEachTiled(spec modelapi.KernelSpec, ext TiledExtent, ldsFloats int, views []*ArrayView, phases ...exec.Phase) timing.Result {
-	per := exec.RunTiled(ext.Size, ext.Tile, ldsFloats, phases...).Counters.PerItem(ext.Size)
-	r.stageAll(views)
-	return r.launch(spec, ext.Size, per, views)
-}
-
 func (r *Runtime) stageAll(views []*ArrayView) {
 	for _, v := range views {
 		v.stageIn()
@@ -147,7 +111,12 @@ func syncAll(views []*ArrayView) {
 	}
 }
 
-// launch issues one device launch through the shared driver
+// Launch prices a parallel_for_each over the extent (a restrict(amp)
+// lambda) whose measured per-item work is per. views lists every
+// ArrayView the lambda captures; each is staged to the device as needed
+// and left device-fresh afterwards (conservatively assumed written).
+//
+// The launch goes through the shared driver
 // (modelapi.Runtime.LaunchResilient). AMP's recovery cost follows its
 // conservative data management: after a failed launch the runtime cannot
 // prove which captured views the aborted kernel dirtied, so every
@@ -156,7 +125,9 @@ func syncAll(views []*ArrayView) {
 // needed (compare the OpenCL runtime, which re-stages only staged
 // argument buffers). The host fallback synchronizes every view back and
 // leaves the next device kernel to pay the re-staging.
-func (r *Runtime) launch(spec modelapi.KernelSpec, n int, per exec.Counters, views []*ArrayView) timing.Result {
+func (r *Runtime) Launch(spec modelapi.KernelSpec, ext Extent, views []*ArrayView, per exec.Counters) timing.Result {
+	r.stageAll(views)
+	n := ext.Size
 	return r.LaunchResilient(&modelapi.Launch{
 		Spec: spec, Items: n, Per: per, Cost: r.Cost(spec, n, per),
 	}, modelapi.Recovery{
@@ -170,22 +141,15 @@ func (r *Runtime) launch(spec modelapi.KernelSpec, n int, per exec.Counters, vie
 	})
 }
 
-// HostFallback runs a kernel on the host CPU instead of the GPU — the
-// paper's LULESH situation, where one of 28 kernels would not compile
-// under CLAMP on the discrete GPU ("we were able to implement only 27 out
-// of the 28 kernels ... one kernel was implemented on the CPU which led to
-// data-transfer overhead").
+// LaunchHostFallback runs a kernel of measured per-item work per on the
+// host CPU instead of the GPU — the paper's LULESH situation, where one of
+// 28 kernels would not compile under CLAMP on the discrete GPU ("we were
+// able to implement only 27 out of the 28 kernels ... one kernel was
+// implemented on the CPU which led to data-transfer overhead").
 //
-// Every captured view must round-trip: device→host before the CPU code
-// runs, then the host copies are stale-on-device so the next GPU kernel
-// pays host→device again (handled by stageIn).
-func (r *Runtime) HostFallback(spec modelapi.KernelSpec, n int, views []*ArrayView, body func(*exec.WorkItem)) timing.Result {
-	return r.LaunchHostFallback(spec, n, views, exec.Measure(n, body))
-}
-
-// LaunchHostFallback prices HostFallback for measured per-item work per;
-// every call pays the view round-trips (the whole point of the paper's
-// LULESH observation).
+// Every captured view must round-trip on every call: device→host before
+// the CPU code runs, then the host copies are stale-on-device so the next
+// GPU kernel pays host→device again (handled by stageIn).
 func (r *Runtime) LaunchHostFallback(spec modelapi.KernelSpec, n int, views []*ArrayView, per exec.Counters) timing.Result {
 	syncAll(views)
 	return r.LaunchOnHost(spec.Name+"(cpu-fallback)", spec, n, per)

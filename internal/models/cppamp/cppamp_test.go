@@ -35,7 +35,7 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 		w.Tally(exec.Counters{SPFlops: 64, LoadBytes: 512, StoreBytes: 8, Instrs: 130})
 	}
 
-	rt.ParallelForEach(spec(), NewExtent(n), []*ArrayView{in, out}, body)
+	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body))
 	if !in.OnDevice() || !out.OnDevice() {
 		t.Fatal("views not device-fresh after launch")
 	}
@@ -45,7 +45,7 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 	}
 
 	// Second launch: no re-staging (device already fresh).
-	rt.ParallelForEach(spec(), NewExtent(n), []*ArrayView{in, out}, body)
+	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body))
 	if m.Link().Stats().TransfersToDevice != 2 {
 		t.Error("second launch re-staged device-fresh views")
 	}
@@ -67,7 +67,7 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 
 	// Host write invalidates: next launch re-stages.
 	in.HostWrite()
-	rt.ParallelForEach(spec(), NewExtent(n), []*ArrayView{in, out}, body)
+	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body))
 	if m.Link().Stats().TransfersToDevice < 4 {
 		t.Error("host-dirty views not re-staged")
 	}
@@ -76,9 +76,7 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 func TestAPUCopiesFree(t *testing.T) {
 	rt := New(sim.NewAPU())
 	v := rt.NewArrayView("v", 1<<20)
-	rt.ParallelForEach(spec(), NewExtent(256), []*ArrayView{v}, func(w *exec.WorkItem) {
-		w.Tally(exec.Counters{SPFlops: 1, Instrs: 1})
-	})
+	rt.Launch(spec(), NewExtent(256), []*ArrayView{v}, exec.Counters{SPFlops: 1, Instrs: 1})
 	if v.Synchronize() != 0 {
 		t.Error("APU synchronize cost time")
 	}
@@ -87,34 +85,22 @@ func TestAPUCopiesFree(t *testing.T) {
 	}
 }
 
+// A tiled parallel_for_each's body tallies the tile_static traffic its
+// tiles cause; the launch charges that traffic as LDS time and still
+// stages the captured views.
 func TestTiledParallelForEach(t *testing.T) {
-	rt := New(sim.NewAPU())
+	m := sim.NewDGPU()
+	rt := New(m)
 	const tile, groups = 64, 8
-	ext := NewExtent(tile * groups).TileBy(tile)
-	out := make([]float64, tile*groups)
-	r := rt.ParallelForEachTiled(
-		modelapi.KernelSpec{Name: "tiled", Class: modelapi.Regular, MissRate: 0.3, Coalesce: 1},
-		ext, tile, nil,
-		func(g *exec.Group, l int) {
-			g.LDS[l] = 1
-			g.Tally(exec.Counters{LDSBytes: 8, Instrs: 1})
-		},
-		func(g *exec.Group, l int) {
-			s := 0.0
-			for i := 0; i < g.Size; i++ {
-				s += g.LDS[i]
-			}
-			out[g.GlobalID(l)] = s
-			g.Tally(exec.Counters{SPFlops: tile, LDSBytes: 8 * tile, StoreBytes: 8, Instrs: tile})
-		},
-	)
-	for i, v := range out {
-		if v != tile {
-			t.Fatalf("out[%d] = %g, want %d (barrier broken)", i, v, tile)
-		}
+	v := rt.NewArrayView("v", tile*groups*8)
+	per := exec.Counters{SPFlops: tile, LoadBytes: 8, LDSBytes: 8 * (tile + 1), StoreBytes: 8, Instrs: tile}
+	r := rt.Launch(modelapi.KernelSpec{Name: "tiled", Class: modelapi.Regular, MissRate: 0.3, Coalesce: 1},
+		NewExtent(tile*groups), []*ArrayView{v}, per)
+	if r.TimeNs <= 0 || r.LDSNs <= 0 {
+		t.Errorf("tiled launch charged %g ns, %g ns of it LDS; want both positive", r.TimeNs, r.LDSNs)
 	}
-	if r.TimeNs <= 0 {
-		t.Error("no time charged")
+	if !v.OnDevice() || m.Link().Stats().TransfersToDevice != 1 {
+		t.Error("tiled launch did not stage its captured view")
 	}
 }
 
@@ -125,13 +111,11 @@ func TestHostFallbackForcesRoundTrips(t *testing.T) {
 	rt := New(m)
 	v := rt.NewArrayView("forces", 8<<20)
 
-	gpu := func(w *exec.WorkItem) { w.Tally(exec.Counters{SPFlops: 10, Instrs: 10}) }
-	cpu := func(w *exec.WorkItem) { w.Tally(exec.Counters{SPFlops: 10, Instrs: 10}) }
-
+	per := exec.Counters{SPFlops: 10, Instrs: 10}
 	views := []*ArrayView{v}
 	for iter := 0; iter < 3; iter++ {
-		rt.ParallelForEach(spec(), NewExtent(1024), views, gpu)
-		rt.HostFallback(modelapi.KernelSpec{Name: "k28", Class: modelapi.Regular, MissRate: 0.2, Coalesce: 1}, 1024, views, cpu)
+		rt.Launch(spec(), NewExtent(1024), views, per)
+		rt.LaunchHostFallback(modelapi.KernelSpec{Name: "k28", Class: modelapi.Regular, MissRate: 0.2, Coalesce: 1}, 1024, views, per)
 	}
 	st := m.Link().Stats()
 	// Each iteration: h2d before the GPU kernel (view host-fresh after
@@ -147,7 +131,7 @@ func TestReplayPreservesStaging(t *testing.T) {
 	v := rt.NewArrayView("v", 4096)
 	views := []*ArrayView{v}
 	per := exec.Counters{SPFlops: 2, LoadBytes: 8, Instrs: 4}
-	rt.ParallelForEach(spec(), NewExtent(1024), views, func(w *exec.WorkItem) { w.Tally(per) })
+	rt.Launch(spec(), NewExtent(1024), views, exec.Measure(1024, func(w *exec.WorkItem) { w.Tally(per) }))
 	v.Synchronize()
 	rt.Launch(spec(), NewExtent(1024), views, per)
 	if got := m.Link().Stats().TransfersToDevice; got != 2 {
@@ -167,8 +151,6 @@ func TestConstructorPanics(t *testing.T) {
 	rt := New(sim.NewAPU())
 	cases := []func(){
 		func() { NewExtent(0) },
-		func() { NewExtent(100).TileBy(7) }, // not divisible
-		func() { NewExtent(100).TileBy(0) },
 		func() { rt.NewArrayView("v", -1) },
 	}
 	for i, f := range cases {

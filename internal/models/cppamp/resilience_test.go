@@ -23,10 +23,10 @@ func TestRetryResyncsAllCapturedViews(t *testing.T) {
 	}
 	h2dBefore := m.Link().Stats().TransfersToDevice
 	for i := 0; i < 40; i++ {
-		rt.ParallelForEach(spec(), NewExtent(n), views, func(w *exec.WorkItem) {
+		rt.Launch(spec(), NewExtent(n), views, exec.Measure(n, func(w *exec.WorkItem) {
 			out[w.Global] = 3
 			w.Tally(exec.Counters{StoreBytes: 8, Instrs: 1})
-		})
+		}))
 	}
 	rs := m.Resilience()
 	if rs.Retries == 0 {
@@ -54,10 +54,10 @@ func TestFallbackSynchronizesViews(t *testing.T) {
 	out := make([]float64, n)
 	v := rt.NewArrayView("v", n*8)
 	for i := 0; i < 50 && m.Resilience().Fallbacks == 0; i++ {
-		r := rt.ParallelForEach(spec(), NewExtent(n), []*ArrayView{v}, func(w *exec.WorkItem) {
+		r := rt.Launch(spec(), NewExtent(n), []*ArrayView{v}, exec.Measure(n, func(w *exec.WorkItem) {
 			out[w.Global] = 1
 			w.Tally(exec.Counters{StoreBytes: 8, Instrs: 1})
-		})
+		}))
 		if r.TimeNs <= 0 {
 			t.Fatal("resilient launch returned a zero result")
 		}
@@ -80,10 +80,10 @@ func TestBitFlipHitsBoundArray(t *testing.T) {
 	rt.Bind("out", out)
 	inj := m.FaultInjector()
 	for i := 0; i < 100 && inj.Count(fault.BitFlip) == 0; i++ {
-		rt.ParallelForEach(spec(), NewExtent(n), nil, func(w *exec.WorkItem) {
+		rt.Launch(spec(), NewExtent(n), nil, exec.Measure(n, func(w *exec.WorkItem) {
 			out[w.Global] = 1
 			w.Tally(exec.Counters{StoreBytes: 8, Instrs: 1})
-		})
+		}))
 	}
 	if inj.Count(fault.BitFlip) == 0 {
 		t.Fatal("no bit flip drawn")

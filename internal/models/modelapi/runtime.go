@@ -15,10 +15,9 @@ import (
 // the Recovery hooks that price it.
 //
 // A runtime prices work; it does not decide what a kernel computes. Its
-// launch methods take the per-item counters a functional pass measured
-// (the apps record them once per run, see appcore.Recorder); the
-// body-taking conveniences (ParallelFor, EnqueueNDRange, ...) measure
-// their body with exec.Measure and price the result the same way.
+// launch methods take the per-item counters a functional pass measured:
+// the apps record them once per run (see appcore.Recorder), and a caller
+// with a single kernel body measures it with exec.Measure.
 type Runtime struct {
 	machine *sim.Machine
 	profile *Profile

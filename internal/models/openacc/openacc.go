@@ -155,32 +155,21 @@ func (r *Runtime) present(name string) bool {
 	return false
 }
 
-// Loop is a kernels-loop region: `#pragma acc kernels loop gang(G)
-// vector(V)` over n iterations. uses declares the arrays the loop
-// touches; any not covered by an open data region are conservatively
-// copied in before and out after the launch (the compiler cannot prove
-// read-onlyness across the region).
-func (r *Runtime) Loop(spec modelapi.KernelSpec, n int, uses []Clause, body func(*exec.WorkItem)) timing.Result {
-	return r.Launch(spec, n, uses, exec.Measure(n, body))
-}
-
-// Launch prices a kernels-loop of n items whose measured per-item work is
-// per, with Loop's per-region transfer semantics.
+// Launch prices a kernels-loop region, `#pragma acc kernels loop`, over
+// n iterations whose measured per-item work is per. uses declares the
+// arrays the loop touches; any not covered by an open data region are
+// conservatively copied in before and out after the launch (the compiler
+// cannot prove read-onlyness across the region).
 func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, uses []Clause, per exec.Counters) timing.Result {
 	return r.finishLoop(spec, n, uses, per, 1)
 }
 
-// LoopGV is a kernels-loop with explicit `gang(G) vector(V)` clauses
-// (Figure 5's `gang(size/BLOCKSIZE) vector(BLOCKSIZE)`). The vector
-// length maps to wavefront lanes: a V that is not a multiple of the
-// 64-lane wavefront leaves lanes idle — the paper's "OpenACC also proved
+// LaunchGV is Launch with explicit `gang(G) vector(V)` clauses (Figure
+// 5's `gang(size/BLOCKSIZE) vector(BLOCKSIZE)`). The vector length maps
+// to wavefront lanes: a V that is not a multiple of the 64-lane
+// wavefront leaves lanes idle — the paper's "OpenACC also proved
 // challenging in terms of mapping the parallelism to appropriately use
 // GPU vector cores". gang×vector must cover n.
-func (r *Runtime) LoopGV(spec modelapi.KernelSpec, n, gang, vector int, uses []Clause, body func(*exec.WorkItem)) timing.Result {
-	return r.LaunchGV(spec, n, gang, vector, uses, exec.Measure(n, body))
-}
-
-// LaunchGV prices LoopGV's kernels-loop for measured per-item work per.
 func (r *Runtime) LaunchGV(spec modelapi.KernelSpec, n, gang, vector int, uses []Clause, per exec.Counters) timing.Result {
 	if gang <= 0 || vector <= 0 {
 		panic(fmt.Sprintf("openacc: gang(%d) vector(%d) must be positive", gang, vector))

@@ -27,7 +27,7 @@ func TestConservativeRegionCopies(t *testing.T) {
 	out := make([]float64, 1024)
 	uses := []Clause{Copy("out", 8192)}
 	for i := 0; i < 3; i++ {
-		rt.Loop(spec(), len(out), uses, body(out))
+		rt.Launch(spec(), len(out), uses, exec.Measure(len(out), body(out)))
 	}
 	st := m.Link().Stats()
 	if st.TransfersToDevice != 3 || st.TransfersFromDevice != 3 {
@@ -47,7 +47,7 @@ func TestDataRegionHoistsCopies(t *testing.T) {
 
 	region := rt.Data(Copy("out", 8192))
 	for i := 0; i < 5; i++ {
-		rt.Loop(spec(), len(out), []Clause{Copy("out", 8192)}, body(out))
+		rt.Launch(spec(), len(out), []Clause{Copy("out", 8192)}, exec.Measure(len(out), body(out)))
 	}
 	region.End()
 
@@ -69,7 +69,7 @@ func TestClauseIntents(t *testing.T) {
 		Copyout("res", 512),
 		Create("scratch", 1<<20),
 	}
-	rt.Loop(spec(), 64, uses, body(out))
+	rt.Launch(spec(), 64, uses, exec.Measure(64, body(out)))
 	st := m.Link().Stats()
 	if st.TransfersToDevice != 1 {
 		t.Errorf("copyin count = %d, want 1 (create/copyout must not copy in)", st.TransfersToDevice)
@@ -86,7 +86,7 @@ func TestAPUCopiesFree(t *testing.T) {
 	m := sim.NewAPU()
 	rt := New(m)
 	out := make([]float64, 64)
-	rt.Loop(spec(), 64, []Clause{Copy("out", 512)}, body(out))
+	rt.Launch(spec(), 64, []Clause{Copy("out", 512)}, exec.Measure(64, body(out)))
 	if m.TransferNs() != 0 {
 		t.Error("APU charged transfer time")
 	}
@@ -116,12 +116,15 @@ func TestRegionLIFO(t *testing.T) {
 	}()
 }
 
+// Replaying measured counters, with no body run, still pays the loop's
+// per-region copies.
 func TestReplayKeepsTransferSemantics(t *testing.T) {
 	m := sim.NewDGPU()
 	rt := New(m)
 	uses := []Clause{Copy("x", 8192)}
-	rt.Loop(spec(), 1024, uses, body(make([]float64, 1024)))
-	rt.Launch(spec(), 1024, uses, exec.Measure(1024, body(make([]float64, 1024))))
+	per := exec.Measure(1024, body(make([]float64, 1024)))
+	rt.Launch(spec(), 1024, uses, per)
+	rt.Launch(spec(), 1024, uses, per)
 	st := m.Link().Stats()
 	if st.TransfersToDevice != 2 || st.TransfersFromDevice != 2 {
 		t.Errorf("replay skipped region copies: %d h2d, %d d2h after two loops, want 2/2",
@@ -138,7 +141,7 @@ func TestScalarFallbackSlowsIrregularLoops(t *testing.T) {
 		w.Tally(exec.Counters{SPFlops: 200, LoadBytes: 64, Instrs: 250})
 	}
 	irr := modelapi.KernelSpec{Name: "force", Class: modelapi.Irregular, MissRate: 0.26, Coalesce: 0.5}
-	rt.Loop(irr, 1<<16, nil, work)
+	rt.Launch(irr, 1<<16, nil, exec.Measure(1<<16, work))
 	accTime := m1.ElapsedNs()
 
 	// Reference: identical cost under the OpenCL profile.
@@ -159,7 +162,7 @@ func TestLoopGVVectorMapping(t *testing.T) {
 	run := func(vector int) float64 {
 		m := sim.NewDGPU()
 		rt := New(m)
-		rt.LoopGV(s, n, (n+vector-1)/vector, vector, nil, work)
+		rt.LaunchGV(s, n, (n+vector-1)/vector, vector, nil, exec.Measure(n, work))
 		return m.KernelNs()
 	}
 	full := run(64)   // full wavefronts
@@ -175,12 +178,12 @@ func TestLoopGVVectorMapping(t *testing.T) {
 
 func TestLoopGVPanics(t *testing.T) {
 	rt := New(sim.NewDGPU())
-	body := func(*exec.WorkItem) {}
+	var per exec.Counters
 	s := spec()
 	cases := []func(){
-		func() { rt.LoopGV(s, 64, 0, 64, nil, body) },
-		func() { rt.LoopGV(s, 64, 1, 0, nil, body) },
-		func() { rt.LoopGV(s, 1024, 2, 64, nil, body) }, // 2×64 < 1024
+		func() { rt.LaunchGV(s, 64, 0, 64, nil, per) },
+		func() { rt.LaunchGV(s, 64, 1, 0, nil, per) },
+		func() { rt.LaunchGV(s, 1024, 2, 64, nil, per) }, // 2×64 < 1024
 	}
 	for i, f := range cases {
 		func() {
@@ -210,7 +213,7 @@ func TestClauseValidation(t *testing.T) {
 				t.Error("negative clause size did not panic")
 			}
 		}()
-		rt.Loop(spec(), 64, []Clause{{Name: "x", Bytes: -1, Intent: IntentCopy}}, func(w *exec.WorkItem) {})
+		rt.Launch(spec(), 64, []Clause{{Name: "x", Bytes: -1, Intent: IntentCopy}}, exec.Counters{})
 	}()
 }
 

@@ -28,8 +28,7 @@ func TestCoexecRoutesStreamingKernel(t *testing.T) {
 	q := ctx.NewQueue()
 	const n = 1 << 12
 	out := make([]float64, n)
-	k := ctx.CreateKernel(spec(), coexecBody(out))
-	q.EnqueueNDRange(k, n, 64)
+	q.Launch(spec(), n, exec.Measure(n, coexecBody(out)))
 	if st := s.Stats(); st.Splits != 1 || st.HostItems+st.AccelItems != n {
 		t.Fatalf("streaming kernel not split: %+v", st)
 	}
@@ -49,8 +48,7 @@ func TestCoexecSkipsIrregularKernel(t *testing.T) {
 	q := ctx.NewQueue()
 	out := make([]float64, 1<<10)
 	irr := modelapi.KernelSpec{Name: "gather", Class: modelapi.Irregular, MissRate: 0.9, Coalesce: 0.25}
-	k := ctx.CreateKernel(irr, coexecBody(out))
-	q.EnqueueNDRange(k, len(out), 64)
+	q.Launch(irr, len(out), exec.Measure(len(out), coexecBody(out)))
 	if st := s.Stats(); st.Splits != 0 {
 		t.Fatalf("irregular kernel was split: %+v", st)
 	}
@@ -67,7 +65,7 @@ func TestCoexecWithoutPlannerIsIdentical(t *testing.T) {
 		}
 		q := ctx.NewQueue()
 		out := make([]float64, 1<<12)
-		q.EnqueueNDRange(ctx.CreateKernel(spec(), coexecBody(out)), len(out), 64)
+		q.Launch(spec(), len(out), exec.Measure(len(out), coexecBody(out)))
 		return m.ElapsedNs()
 	}
 	if a, b := run(false), run(true); a != b {

@@ -1,11 +1,13 @@
 // Package opencl is the explicit, low-level runtime: contexts, command
 // queues, buffers with programmer-managed staging, and NDRange kernel
-// launches with optional work-group tiling and local-data-store use — the
-// traditional model the paper treats as the performance yardstick.
+// launches — the traditional model the paper treats as the performance
+// yardstick. Work-group tiling is a property of the kernel body (CoMD's
+// tiled force kernel tallies the LDS traffic its tiles cause); the launch
+// prices those counters.
 //
 // The API mirrors the host-side structure of Figure 4a: create buffers,
 // copy data to the device (a real PCIe cost on the discrete machine, free
-// on the APU), set arguments by closure capture, launch, and copy back.
+// on the APU), launch with the kernel's buffer arguments, and copy back.
 package opencl
 
 import (
@@ -87,94 +89,20 @@ func (q *Queue) EnqueueReadBuffer(b *Buffer) float64 {
 // simulator, present for API fidelity).
 func (q *Queue) Finish() {}
 
-// Kernel is a compiled device function. Exactly one of body or phases is
-// set: simple kernels give a per-item body; tiled kernels give barrier-
-// delimited phases with an LDS allocation.
-type Kernel struct {
-	ctx    *Context
-	spec   modelapi.KernelSpec
-	body   func(*exec.WorkItem)
-	phases []exec.Phase
-	lds    int
-
-	// Unroll marks the kernel as hand-unrolled (an OpenCL-only tuning
-	// knob per Figure 11): the dynamic instruction count drops.
-	Unroll bool
-
-	// args are the buffers bound with SetArgs; the resilience layer
-	// re-stages the staged ones between retry attempts.
-	args []*Buffer
-}
-
-// SetArgs binds the kernel's buffer arguments (clSetKernelArg). Argument
-// binding is what lets the resilience layer re-stage precisely the failed
-// kernel's staged inputs — and nothing else — after a transient fault.
-func (k *Kernel) SetArgs(bufs ...*Buffer) *Kernel {
-	k.args = bufs
-	return k
-}
-
-// CreateKernel compiles a simple (non-tiled) kernel.
-func (c *Context) CreateKernel(spec modelapi.KernelSpec, body func(*exec.WorkItem)) *Kernel {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
-	if body == nil {
-		panic("opencl: nil kernel body")
-	}
-	return &Kernel{ctx: c, spec: spec, body: body}
-}
-
-// CreateTiledKernel compiles a kernel that uses work-group local memory
-// (ldsFloats float64 words per group) and barrier-delimited phases.
-func (c *Context) CreateTiledKernel(spec modelapi.KernelSpec, ldsFloats int, phases ...exec.Phase) *Kernel {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
-	if len(phases) == 0 {
-		panic("opencl: tiled kernel needs phases")
-	}
-	return &Kernel{ctx: c, spec: spec, phases: phases, lds: ldsFloats}
-}
-
-// Spec returns the kernel's spec.
-func (k *Kernel) Spec() modelapi.KernelSpec { return k.spec }
-
-// EnqueueNDRange launches the kernel over global work items (local sets
-// the work-group size for tiled kernels; simple kernels ignore it) and
-// returns the simulated timing.
-func (q *Queue) EnqueueNDRange(k *Kernel, global, local int) timing.Result {
-	var per exec.Counters
-	if k.phases != nil {
-		per = exec.RunTiled(global, local, k.lds, k.phases...).Counters.PerItem(global)
-	} else {
-		per = exec.Measure(global, k.body)
-	}
-	if k.Unroll {
-		// Hand-unrolling removes loop-control overhead: fewer dynamic
-		// instructions for the same flops/bytes.
-		per.Instrs *= 0.75
-	}
-	return q.ctx.launch(k.spec, global, per, k.args)
-}
-
 // Launch prices an NDRange of global items whose measured per-item work
-// is per — the form apps use to book a recorded functional pass. args
-// are the kernel's buffer arguments, as SetArgs would bind them.
-func (q *Queue) Launch(spec modelapi.KernelSpec, global int, per exec.Counters, args ...*Buffer) timing.Result {
-	return q.ctx.launch(spec, global, per, args)
-}
-
-// ---------------------------------------------------------------------
-// Resilience.
-
-// launch issues one device launch through the shared driver
+// is per (from a recorded functional pass or exec.Measure). args are the
+// kernel's buffer arguments (clSetKernelArg); binding them is what lets
+// the resilience layer re-stage precisely the failed kernel's staged
+// inputs — and nothing else — after a transient fault.
+//
+// The launch goes through the shared driver
 // (modelapi.Runtime.LaunchResilient). The explicit model's recovery cost
 // is exactly the buffers the programmer staged, no more: a retry
 // restages the kernel's staged argument buffers, and the host fallback
 // round-trips them — results must land back on the device so subsequent
 // kernels see them.
-func (c *Context) launch(spec modelapi.KernelSpec, global int, per exec.Counters, args []*Buffer) timing.Result {
+func (q *Queue) Launch(spec modelapi.KernelSpec, global int, per exec.Counters, args ...*Buffer) timing.Result {
+	c := q.ctx
 	m := c.Machine()
 	return c.LaunchResilient(&modelapi.Launch{
 		Spec: spec, Items: global, Per: per, Cost: c.Cost(spec, global, per),

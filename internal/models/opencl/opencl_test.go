@@ -35,7 +35,7 @@ func TestFigure4Flow(t *testing.T) {
 		bufOut := ctx.CreateBuffer("out", int64(len(out)*8))
 		wcost := q.EnqueueWriteBuffer(bufIn)
 
-		k := ctx.CreateKernel(spec(), func(w *exec.WorkItem) {
+		per := exec.Measure(n, func(w *exec.WorkItem) {
 			sum := 0.0
 			st := w.Global * block
 			for j := 0; j < block; j++ {
@@ -44,7 +44,7 @@ func TestFigure4Flow(t *testing.T) {
 			out[w.Global] = sum
 			w.Tally(exec.Counters{SPFlops: block, LoadBytes: 8 * block, StoreBytes: 8, Instrs: 2 * block})
 		})
-		r := q.EnqueueNDRange(k, n, 64)
+		r := q.Launch(spec(), n, per, bufIn, bufOut)
 		rcost := q.EnqueueReadBuffer(bufOut)
 		q.Finish()
 
@@ -68,62 +68,32 @@ func TestFigure4Flow(t *testing.T) {
 	}
 }
 
+// A tiled kernel's body tallies the local-data-store traffic its tile
+// staging causes; the launch charges that traffic, and only that, as LDS
+// time.
 func TestTiledKernelUsesLDS(t *testing.T) {
-	ctx := NewContext(sim.NewDGPU())
-	q := ctx.NewQueue()
+	q := NewContext(sim.NewDGPU()).NewQueue()
+	sp := modelapi.KernelSpec{Name: "tiled", Class: modelapi.Regular, MissRate: 0.2, Coalesce: 1}
 	const local, groups = 64, 16
-	out := make([]float64, local*groups)
-	k := ctx.CreateTiledKernel(
-		modelapi.KernelSpec{Name: "tiled", Class: modelapi.Regular, MissRate: 0.2, Coalesce: 1},
-		local,
-		func(g *exec.Group, l int) {
-			g.LDS[l] = float64(l)
-			g.Tally(exec.Counters{LDSBytes: 8, Instrs: 2})
-		},
-		func(g *exec.Group, l int) {
-			sum := 0.0
-			for i := 0; i < g.Size; i++ {
-				sum += g.LDS[i]
-			}
-			out[g.GlobalID(l)] = sum
-			g.Tally(exec.Counters{SPFlops: float64(g.Size), LDSBytes: float64(8 * g.Size), StoreBytes: 8, Instrs: float64(g.Size)})
-		},
-	)
-	r := q.EnqueueNDRange(k, local*groups, local)
-	want := float64(local*(local-1)) / 2
-	for i, v := range out {
-		if v != want {
-			t.Fatalf("out[%d] = %g, want %g", i, v, want)
-		}
-	}
-	if r.LDSNs <= 0 {
+	flat := exec.Counters{SPFlops: local, LoadBytes: 8 * local, StoreBytes: 8, Instrs: local}
+	tiled := flat
+	tiled.LoadBytes = 8
+	tiled.LDSBytes = 8 * (local + 1)
+	if r := q.Launch(sp, local*groups, tiled); r.LDSNs <= 0 {
 		t.Error("tiled kernel charged no LDS time")
 	}
-}
-
-func TestUnrollReducesIssuePressure(t *testing.T) {
-	run := func(unroll bool) float64 {
-		ctx := NewContext(sim.NewDGPU())
-		q := ctx.NewQueue()
-		k := ctx.CreateKernel(
-			modelapi.KernelSpec{Name: "issue-bound", Class: modelapi.Regular, MissRate: 0.01, Coalesce: 1},
-			func(w *exec.WorkItem) {
-				w.Tally(exec.Counters{SPFlops: 1, Instrs: 400})
-			})
-		k.Unroll = unroll
-		return q.EnqueueNDRange(k, 1<<20, 64).TimeNs
-	}
-	plain, unrolled := run(false), run(true)
-	if unrolled >= plain {
-		t.Errorf("unrolled %g ns not faster than plain %g ns", unrolled, plain)
+	if r := q.Launch(sp, local*groups, flat); r.LDSNs != 0 {
+		t.Errorf("flat kernel charged %g ns of LDS time", r.LDSNs)
 	}
 }
 
+// Pricing the counters a body measures equals pricing the same counters
+// replayed without running the body.
 func TestReplayMatchesFunctionalLaunch(t *testing.T) {
 	ctx := NewContext(sim.NewAPU())
 	q := ctx.NewQueue()
 	per := exec.Counters{SPFlops: 4, LoadBytes: 32, Instrs: 8}
-	r1 := q.EnqueueNDRange(ctx.CreateKernel(spec(), func(w *exec.WorkItem) { w.Tally(per) }), 4096, 64)
+	r1 := q.Launch(spec(), 4096, exec.Measure(4096, func(w *exec.WorkItem) { w.Tally(per) }))
 	r2 := q.Launch(spec(), 4096, per)
 	if r1.TimeNs != r2.TimeNs {
 		t.Errorf("replay time %g != functional time %g", r2.TimeNs, r1.TimeNs)
@@ -134,9 +104,7 @@ func TestConstructorPanics(t *testing.T) {
 	ctx := NewContext(sim.NewAPU())
 	cases := []func(){
 		func() { ctx.CreateBuffer("b", -1) },
-		func() { ctx.CreateKernel(spec(), nil) },
-		func() { ctx.CreateKernel(modelapi.KernelSpec{}, func(w *exec.WorkItem) {}) },
-		func() { ctx.CreateTiledKernel(spec(), 8) },
+		func() { ctx.NewQueue().Launch(modelapi.KernelSpec{}, 64, exec.Counters{}) },
 	}
 	for i, f := range cases {
 		func() {

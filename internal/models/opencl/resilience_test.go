@@ -17,11 +17,11 @@ func newFaulty(cfg fault.Config) (*Context, *Queue, *sim.Machine) {
 	return ctx, ctx.NewQueue(), m
 }
 
-func copyKernel(ctx *Context, in, out []float64) *Kernel {
-	return ctx.CreateKernel(spec(), func(w *exec.WorkItem) {
+func copyKernel(in, out []float64) func(*exec.WorkItem) {
+	return func(w *exec.WorkItem) {
 		out[w.Global] = in[w.Global] + 1
 		w.Tally(exec.Counters{SPFlops: 1, LoadBytes: 8, StoreBytes: 8, Instrs: 2})
-	})
+	}
 }
 
 // Transient launch failures are retried with backoff, restaging only the
@@ -34,11 +34,11 @@ func TestRetryRestagesOnlyStagedArgs(t *testing.T) {
 	bufIn := ctx.CreateBuffer("in", int64(n*8))
 	bufOut := ctx.CreateBuffer("out", int64(n*8)) // never staged: output-only
 	q.EnqueueWriteBuffer(bufIn)
-	k := copyKernel(ctx, in, out).SetArgs(bufIn, bufOut)
+	k := copyKernel(in, out)
 
 	h2dBefore := m.Link().Stats().TransfersToDevice
 	for i := 0; i < 40; i++ {
-		q.EnqueueNDRange(k, n, 64)
+		q.Launch(spec(), n, exec.Measure(n, k), bufIn, bufOut)
 	}
 	rs := m.Resilience()
 	if rs.Retries == 0 {
@@ -67,12 +67,12 @@ func TestRetryRestagesOnlyStagedArgs(t *testing.T) {
 // A persistent device loss exhausts the retry budget and degrades to the
 // host CPU; the launch still returns a positive host-side result.
 func TestFallbackAfterPersistentDeviceLoss(t *testing.T) {
-	ctx, q, m := newFaulty(fault.Config{Seed: 1, DeviceLossRate: 0.75, DeviceLossNs: 1e15})
+	_, q, m := newFaulty(fault.Config{Seed: 1, DeviceLossRate: 0.75, DeviceLossNs: 1e15})
 	const n = 128
 	in, out := make([]float64, n), make([]float64, n)
-	k := copyKernel(ctx, in, out).SetArgs()
+	k := copyKernel(in, out)
 	for i := 0; i < 50 && m.Resilience().Fallbacks == 0; i++ {
-		if r := q.EnqueueNDRange(k, n, 64); r.TimeNs <= 0 {
+		if r := q.Launch(spec(), n, exec.Measure(n, k)); r.TimeNs <= 0 {
 			t.Fatal("resilient launch returned a zero result")
 		}
 	}
@@ -93,10 +93,10 @@ func TestBitFlipCorruptsBoundOutput(t *testing.T) {
 	const n = 64
 	in, out := make([]float64, n), make([]float64, n)
 	ctx.Bind("out", out)
-	k := copyKernel(ctx, in, out)
+	k := copyKernel(in, out)
 	inj := m.FaultInjector()
 	for i := 0; i < 100 && inj.Count(fault.BitFlip) == 0; i++ {
-		q.EnqueueNDRange(k, n, 64)
+		q.Launch(spec(), n, exec.Measure(n, k))
 	}
 	if inj.Count(fault.BitFlip) == 0 {
 		t.Fatal("no bit flip drawn")

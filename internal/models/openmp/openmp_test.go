@@ -14,13 +14,12 @@ func spec() modelapi.KernelSpec {
 
 func TestParallelForRunsOnHost(t *testing.T) {
 	m := sim.NewAPU()
-	m.EnableEventLog(true)
 	rt := New(m)
 	out := make([]float64, 4096)
-	r := rt.ParallelFor(spec(), len(out), func(w *exec.WorkItem) {
+	r := rt.Launch(spec(), len(out), exec.Measure(len(out), func(w *exec.WorkItem) {
 		out[w.Global] = 1
 		w.Tally(exec.Counters{SPFlops: 1, StoreBytes: 8, Instrs: 2})
-	})
+	}))
 	if r.TimeNs <= 0 {
 		t.Fatal("no time charged")
 	}
@@ -34,24 +33,12 @@ func TestParallelForRunsOnHost(t *testing.T) {
 	}
 }
 
-func TestSerialSlowerThanParallel(t *testing.T) {
-	work := func(w *exec.WorkItem) {
-		w.Tally(exec.Counters{SPFlops: 100, LoadBytes: 8, Instrs: 120})
-	}
-	mp, ms := sim.NewAPU(), sim.NewAPU()
-	par := New(mp).ParallelFor(spec(), 1<<16, work).TimeNs
-	ser := New(ms).Serial(spec(), 1<<16, work).TimeNs
-	// 4 cores × SIMD: the serial loop must be several times slower on
-	// this compute-bound kernel.
-	if ser < 3*par {
-		t.Errorf("serial/parallel = %.2f, want ≥3 (4 cores + SIMD)", ser/par)
-	}
-}
-
+// A parallel for priced from its measured body equals the same counters
+// replayed without running the body.
 func TestReplayMatchesParallelFor(t *testing.T) {
 	per := exec.Counters{SPFlops: 10, LoadBytes: 16, Instrs: 14}
 	rt := New(sim.NewAPU())
-	r1 := rt.ParallelFor(spec(), 2048, func(w *exec.WorkItem) { w.Tally(per) })
+	r1 := rt.Launch(spec(), 2048, exec.Measure(2048, func(w *exec.WorkItem) { w.Tally(per) }))
 	r2 := rt.Launch(spec(), 2048, per)
 	if r1.TimeNs != r2.TimeNs {
 		t.Errorf("replay %g != functional %g", r2.TimeNs, r1.TimeNs)
@@ -68,14 +55,11 @@ func TestMachineAccessor(t *testing.T) {
 // The paper's premise: the GPU beats 4 CPU cores on parallel work. Check
 // a bandwidth-bound kernel on the dGPU machine (its GDDR5 vs host DDR3).
 func TestGPUBeatsOpenMPOnStreaming(t *testing.T) {
-	work := func(w *exec.WorkItem) {
-		w.Tally(exec.Counters{SPFlops: 64, LoadBytes: 512, StoreBytes: 8, Instrs: 130})
-	}
-	mCPU := sim.NewDGPU()
-	tCPU := New(mCPU).ParallelFor(spec(), 1<<18, work).TimeNs
+	per := exec.Counters{SPFlops: 64, LoadBytes: 512, StoreBytes: 8, Instrs: 130}
+	tCPU := New(sim.NewDGPU()).Launch(spec(), 1<<18, per).TimeNs
 
 	mGPU := sim.NewDGPU()
-	cost := spec().Cost(modelapi.ProfileFor(modelapi.OpenCL), 1<<18, exec.Counters{SPFlops: 64, LoadBytes: 512, StoreBytes: 8, Instrs: 130})
+	cost := spec().Cost(modelapi.ProfileFor(modelapi.OpenCL), 1<<18, per)
 	tGPU := mGPU.LaunchKernel(sim.OnAccelerator, "k", cost).TimeNs
 	speedup := tCPU / tGPU
 	if speedup < 5 {

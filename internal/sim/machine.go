@@ -8,9 +8,8 @@
 // Radeon R9 280X across PCIe.
 //
 // Observability: a Machine emits structured spans and counters into an
-// attached trace.Tracer (see SetTracer and the internal/trace package).
-// The legacy Event log is a thin view over those spans; with no tracer
-// attached the hot paths pay only a nil check.
+// attached trace.Tracer (see SetTracer and the internal/trace package);
+// with no tracer attached the hot paths pay only a nil check.
 package sim
 
 import (
@@ -36,26 +35,14 @@ const (
 	OnAccelerator
 )
 
-// EventKind classifies entries in the machine's event log.
+// EventKind is a transfer's direction.
 type EventKind string
 
-// Event kinds recorded in the log.
+// Transfer directions.
 const (
-	EvKernel       EventKind = "kernel"
 	EvHostToDevice EventKind = "h2d"
 	EvDeviceToHost EventKind = "d2h"
 )
-
-// Event is one logged operation with its simulated duration. It is the
-// legacy flat view; the span log underneath (Machine.Tracer) carries the
-// full hierarchy and attributes.
-type Event struct {
-	Kind   EventKind
-	Name   string
-	TimeNs float64
-	Bytes  int64
-	Bound  string // limiting resource for kernels
-}
 
 // Machine is one simulated heterogeneous platform. Methods are safe for
 // concurrent use; the virtual clock serializes additions.
@@ -85,11 +72,10 @@ type Machine struct {
 	costLog     []LoggedCost
 
 	// Tracing state (all guarded by mu). proc is this machine's process
-	// index in the tracer; spanMark scopes the Events view to the current
-	// run; spanStack holds the open phase spans kernels parent under.
+	// index in the tracer; spanStack holds the open phase spans kernels
+	// parent under.
 	tracer    *trace.Tracer
 	proc      int
-	spanMark  int
 	spanStack []uint64
 
 	// Fault-injection state (guarded by mu). With faults nil the launch
@@ -190,7 +176,6 @@ func (m *Machine) SetTracer(t *trace.Tracer) {
 	m.mu.Lock()
 	m.tracer = t
 	m.proc = proc
-	m.spanMark = t.Len()
 	m.spanStack = nil
 	m.mu.Unlock()
 }
@@ -200,21 +185,6 @@ func (m *Machine) Tracer() *trace.Tracer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.tracer
-}
-
-// Traced reports whether a tracer is attached.
-func (m *Machine) Traced() bool { return m.Tracer() != nil }
-
-// EnableEventLog turns on per-operation event recording by attaching an
-// internal tracer if none is present (off by default to keep long sweeps
-// cheap). The Events view reads back from the tracer's span log.
-func (m *Machine) EnableEventLog(on bool) {
-	if !on {
-		return
-	}
-	if m.Tracer() == nil {
-		m.SetTracer(trace.New())
-	}
 }
 
 // ActiveSpan is an open hierarchical span on a machine's virtual clock.
@@ -599,31 +569,6 @@ func (m *Machine) transfer(kind EventKind, name string, bytes int64) float64 {
 	return ns
 }
 
-// AddHostTime advances the clock for host-side serial work (e.g. the AMP
-// LULESH kernel that fell back to the CPU).
-func (m *Machine) AddHostTime(name string, ns float64) {
-	if ns < 0 {
-		panic(fmt.Sprintf("sim: negative host time %g", ns))
-	}
-	m.mu.Lock()
-	start := m.clockNs
-	m.clockNs += ns
-	m.kernelNs += ns
-	if m.tracer != nil {
-		m.tracer.Emit(trace.Span{
-			Parent: m.parentLocked(), Proc: m.proc,
-			Track: trace.TrackHost, Name: name, Kind: trace.KindKernel,
-			StartNs: start, DurNs: ns,
-			Device: m.host.Name, Bound: "host",
-		})
-		reg := m.tracer.Metrics()
-		reg.Add(trace.CtrKernelLaunches, 1)
-		reg.Add(trace.CtrKernelNs, ns)
-		reg.Observe(trace.HistKernelNs, ns)
-	}
-	m.mu.Unlock()
-}
-
 // AddTransferTime advances the clock for data movement accounted outside
 // the link helpers (e.g. the un-hidden remainder of an asynchronous
 // transfer in the HC model).
@@ -748,38 +693,8 @@ func (m *Machine) TransferNs() float64 {
 	return m.transferNs
 }
 
-// Events returns the legacy flat event view: this machine's kernel and
-// transfer spans since the last reset, in emission order. Empty unless a
-// tracer is attached (see EnableEventLog / SetTracer).
-func (m *Machine) Events() []Event {
-	m.mu.Lock()
-	t, proc, mark := m.tracer, m.proc, m.spanMark
-	m.mu.Unlock()
-	if t == nil {
-		return nil
-	}
-	var out []Event
-	for _, s := range t.SpansSince(mark) {
-		if s.Proc != proc {
-			continue
-		}
-		switch s.Kind {
-		case trace.KindKernel:
-			out = append(out, Event{Kind: EvKernel, Name: s.Name, TimeNs: s.DurNs, Bound: s.Bound})
-		case trace.KindTransfer:
-			kind := EvHostToDevice
-			if s.Dir == "d2h" {
-				kind = EvDeviceToHost
-			}
-			out = append(out, Event{Kind: kind, Name: s.Name, TimeNs: s.DurNs, Bytes: s.Bytes})
-		}
-	}
-	return out
-}
-
-// ResetClock zeroes the virtual clock, split clocks and the Events view
-// (the PCIe ledger is left to the caller, who may want cumulative
-// traffic). Spans already emitted stay in the tracer; open phase spans
+// ResetClock zeroes the virtual clock and split clocks (the PCIe ledger
+// is left to the caller, who may want cumulative traffic). Spans already emitted stay in the tracer; open phase spans
 // survive a reset.
 func (m *Machine) ResetClock() {
 	m.mu.Lock()
@@ -791,9 +706,6 @@ func (m *Machine) ResetClock() {
 		// the clock without closing the window would leak the outage into
 		// the next (re-zeroed) run.
 		m.faults.ResetWindow()
-	}
-	if m.tracer != nil {
-		m.spanMark = m.tracer.Len()
 	}
 	if m.costLog != nil {
 		m.costLog = m.costLog[:0]

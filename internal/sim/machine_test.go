@@ -6,6 +6,7 @@ import (
 
 	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/timing"
+	"hetbench/internal/trace"
 )
 
 func cost() timing.KernelCost {
@@ -85,40 +86,32 @@ func TestHostVsAcceleratorTargets(t *testing.T) {
 	}
 }
 
+// The tracer's span log records each kernel and transfer as it happens:
+// kind, direction, name and limiting bound, in issue order. ResetClock
+// zeroes the clock and leaves the log alone.
 func TestEventLog(t *testing.T) {
 	m := NewDGPU()
-	m.EnableEventLog(true)
+	tr := trace.New()
+	m.SetTracer(tr)
 	m.TransferToDevice("in", 4096)
 	m.LaunchKernel(OnAccelerator, "work", cost())
 	m.TransferFromDevice("out", 4096)
-	ev := m.Events()
-	if len(ev) != 3 {
-		t.Fatalf("logged %d events, want 3", len(ev))
+	sp := tr.Spans()
+	if len(sp) != 3 {
+		t.Fatalf("logged %d spans, want 3", len(sp))
 	}
-	if ev[0].Kind != EvHostToDevice || ev[1].Kind != EvKernel || ev[2].Kind != EvDeviceToHost {
-		t.Errorf("event kinds = %v %v %v", ev[0].Kind, ev[1].Kind, ev[2].Kind)
+	if sp[0].Kind != trace.KindTransfer || sp[0].Dir != "h2d" || sp[0].Bytes != 4096 ||
+		sp[1].Kind != trace.KindKernel ||
+		sp[2].Kind != trace.KindTransfer || sp[2].Dir != "d2h" {
+		t.Errorf("spans = %+v, want h2d, kernel, d2h", sp)
 	}
-	if ev[1].Name != "work" || ev[1].Bound == "" {
-		t.Error("kernel event missing name/bound")
+	if sp[1].Name != "work" || sp[1].Bound == "" {
+		t.Error("kernel span missing name/bound")
 	}
 	m.ResetClock()
-	if m.ElapsedNs() != 0 || len(m.Events()) != 0 {
-		t.Error("ResetClock incomplete")
+	if m.ElapsedNs() != 0 || tr.Len() != 3 {
+		t.Errorf("ResetClock: clock %g ns, %d spans, want 0 and 3", m.ElapsedNs(), tr.Len())
 	}
-}
-
-func TestAddHostTime(t *testing.T) {
-	m := NewAPU()
-	m.AddHostTime("serial part", 1234)
-	if m.ElapsedNs() != 1234 || m.KernelNs() != 1234 {
-		t.Error("AddHostTime not accounted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative host time did not panic")
-		}
-	}()
-	m.AddHostTime("bad", -1)
 }
 
 func TestNegativeTransferPanics(t *testing.T) {

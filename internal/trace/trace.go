@@ -121,8 +121,7 @@ func (t *Tracer) Emit(s Span) {
 }
 
 // Len returns the number of spans emitted so far. It doubles as a
-// watermark for SpansSince (the Machine's event-log view uses it to scope
-// spans to the current run).
+// watermark for SpansSince.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

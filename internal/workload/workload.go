@@ -107,16 +107,6 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// ParseFrom reads and parses one spec from a reader (a file, an embedded
-// FS entry, an HTTP body).
-func ParseFrom(r io.Reader) (*Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	return Parse(data)
-}
-
 // Program is a compiled spec: resolved indices, the derived dependency
 // graph and a deterministic topological order, ready for the interpreter
 // and the DAG planner.
