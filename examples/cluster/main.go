@@ -11,14 +11,13 @@ import (
 
 	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/models/mpix"
-	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
 
 func main() {
 	p := lulesh.NewProblem(lulesh.Config{S: 64, Iters: 20, FunctionalIters: 1}, timing.Double)
 	ranks := []int{1, 2, 4, 8, 16}
-	results := p.StrongScaling(ranks, sim.NewDGPU, mpix.DefaultFabric())
+	results := p.StrongScaling(ranks, mpix.DefaultFabric())
 	speedups := lulesh.Speedups(results)
 
 	fmt.Printf("LULESH -s %d, %d steps, MPI+OpenCL over %s\n\n", p.Cfg.S, p.Cfg.Iters, mpix.DefaultFabric().Name)

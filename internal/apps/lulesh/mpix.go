@@ -5,7 +5,9 @@ import (
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/mpix"
+	"hetbench/internal/models/opencl"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/exec"
 )
 
 // MPIXResult summarizes a multi-node MPI+OpenCL run.
@@ -15,8 +17,7 @@ type MPIXResult struct {
 	ElapsedNs float64
 	// ComputeNs and CommNs split one rank's time.
 	ComputeNs, CommNs float64
-	// Efficiency is T(1)·1 / (T(P)·P) when a single-rank reference is
-	// supplied to Efficiency(); zero otherwise.
+	// HaloBytes is the payload of one face exchange.
 	HaloBytes int64
 }
 
@@ -26,32 +27,27 @@ type MPIXResult struct {
 // layer with its face neighbors each timestep, and joins the global
 // minimum-timestep allreduce.
 //
-// Per-rank kernel time comes from replaying the measured global kernel
-// costs at 1/P of the items (the kernels are element- or node-parallel,
-// so the split is exact up to the surface layers); communication is
-// simulated message by message on the cluster fabric.
+// Per-rank kernel time comes from repricing the global problem's
+// one-step functional pass through an OpenCL queue on a dGPU at 1/P of
+// each launch's items (the kernels are element- or node-parallel, so the
+// split is exact up to the surface layers); communication is simulated
+// message by message on the cluster fabric.
 func (p *Problem) RunMPIX(c *mpix.Cluster) MPIXResult {
 	ranks := c.Size()
 	if p.Cfg.S%ranks != 0 && ranks > 1 {
 		panic(fmt.Sprintf("lulesh: S=%d not divisible into %d slabs", p.Cfg.S, ranks))
 	}
 
-	// Record the global problem's launch costs once (functional run).
-	rec := sim.NewDGPU()
-	rec.EnableCostLog()
 	fnCfg := p.Cfg
 	fnCfg.Iters, fnCfg.FunctionalIters = 1, 1
 	fn := &Problem{Cfg: fnCfg, Precision: p.Precision, Mesh: p.Mesh, Memo: p.Memo}
-	fn.RunOpenCL(rec)
-	log := rec.CostLog()
-
-	// One iteration of per-rank kernel time at 1/P items.
 	iter := sim.NewDGPU()
-	for _, lc := range log {
-		cost := lc.Cost
-		cost.Items = (cost.Items + ranks - 1) / ranks
-		iter.LaunchKernel(lc.Target, lc.Name, cost)
-	}
+	ctx := opencl.NewContext(iter)
+	q := ctx.NewQueue()
+	specs := fn.specs(iter)
+	fn.play(ctx.Runtime, appcore.Pricer{
+		Launch: func(k, n int, per exec.Counters) { q.Launch(specs[k], (n+ranks-1)/ranks, per) },
+	})
 	iterNs := iter.KernelNs()
 
 	// Ghost layer per face: coordinates + velocities for one node plane
@@ -112,10 +108,10 @@ func (r MPIXResult) CommFraction() float64 {
 
 // StrongScaling runs the problem at every rank count and returns the
 // results (the harness `scaling` experiment).
-func (p *Problem) StrongScaling(rankCounts []int, newMachine func() *sim.Machine, fabric mpix.Fabric) []MPIXResult {
+func (p *Problem) StrongScaling(rankCounts []int, fabric mpix.Fabric) []MPIXResult {
 	var out []MPIXResult
 	for _, n := range rankCounts {
-		c := mpix.NewCluster(n, newMachine, fabric)
+		c := mpix.NewCluster(n, fabric)
 		out = append(out, p.RunMPIX(c))
 	}
 	return out

@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"hetbench/internal/models/mpix"
-	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
 
 func TestMPIXStrongScaling(t *testing.T) {
 	p := NewProblem(Config{S: 32, Iters: 10, FunctionalIters: 1}, timing.Double)
-	results := p.StrongScaling([]int{1, 2, 4, 8}, sim.NewDGPU, mpix.DefaultFabric())
+	results := p.StrongScaling([]int{1, 2, 4, 8}, mpix.DefaultFabric())
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -52,7 +51,7 @@ func TestMPIXPanicsOnIndivisibleSlabs(t *testing.T) {
 			t.Error("indivisible slab count did not panic")
 		}
 	}()
-	p.RunMPIX(mpix.NewCluster(3, sim.NewDGPU, mpix.DefaultFabric()))
+	p.RunMPIX(mpix.NewCluster(3, mpix.DefaultFabric()))
 }
 
 func TestMPIXDegenerateHelpers(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/power"
 	"hetbench/internal/sim/timing"
+	"hetbench/internal/trace"
 )
 
 // EnergyRow is one (app, device) energy-to-solution measurement.
@@ -46,24 +47,15 @@ func EnergyData(ctx context.Context, scale Scale) ([]EnergyRow, error) {
 	return runner.Map(ctx, "energy", len(combos), func(cx *runner.Ctx, i int) EnergyRow {
 		w := newWorkloads(cx.Context(), scale, timing.Double)
 		r, _ := w.runnerByName(combos[i].app)
-		m := cx.Machine(combos[i].mk)
-		m.EnableCostLog()
+		m := tracedMachine(cx, combos[i].mk)
 		res := r.run(m, modelapi.OpenCL)
 
 		dev := m.Accelerator()
 		prof := power.ProfileFor(dev)
-		model := timing.NewModel(dev)
-
-		// Replay kernel costs for busy time and DRAM traffic.
-		var busyNs, dramBytes float64
-		for _, lc := range m.CostLog() {
-			if lc.Target != sim.OnAccelerator {
-				continue
-			}
-			kr := model.Kernel(lc.Cost)
-			busyNs += kr.TimeNs
-			dramBytes += kr.DRAMBytes
-		}
+		// OpenCL runs launch only on the accelerator, so all kernel time
+		// is device busy time and all DRAM traffic is the device's.
+		busyNs := res.KernelNs
+		dramBytes := m.Tracer().Metrics().Get(trace.CtrDRAMBytes)
 		energy := prof.KernelEnergyJ(busyNs, dev.CoreClockMHz, dev.CoreClockMHz, dramBytes)
 		// Idle power while not computing (transfers, host phases).
 		idleNs := res.ElapsedNs - busyNs

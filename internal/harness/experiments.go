@@ -26,9 +26,6 @@ type appRunner struct {
 	// kernelOnly marks apps the paper compares by kernel time (the
 	// read-benchmark: "data-transfer times, if any, were left out").
 	kernelOnly bool
-	// missRate measures the app's per-access LLC miss rate on a machine.
-	missRate func(m *sim.Machine) float64
-	kernels  int
 }
 
 func (w *workloads) runners() []appRunner {
@@ -37,35 +34,22 @@ func (w *workloads) runners() []appRunner {
 			name:       "read-benchmark",
 			run:        func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Readmem().Run(m, md) },
 			kernelOnly: true,
-			missRate: func(m *sim.Machine) float64 {
-				// Streaming: per-access miss is elt/line by construction.
-				return appcore.EltBytes(w.Readmem().Cfg.Precision) / float64(m.Accelerator().CacheLineBytes)
-			},
-			kernels: 1,
 		},
 		{
-			name:     "LULESH",
-			run:      func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Lulesh().Run(m, md) },
-			missRate: func(m *sim.Machine) float64 { return w.Lulesh().MeasuredTraits(m) },
-			kernels:  28,
+			name: "LULESH",
+			run:  func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Lulesh().Run(m, md) },
 		},
 		{
-			name:     "CoMD",
-			run:      func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Comd().Run(m, md) },
-			missRate: func(m *sim.Machine) float64 { return w.Comd().MeasuredMissRate(m) },
-			kernels:  3,
+			name: "CoMD",
+			run:  func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Comd().Run(m, md) },
 		},
 		{
-			name:     "XSBench",
-			run:      func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Xsbench().Run(m, md) },
-			missRate: func(m *sim.Machine) float64 { return w.Xsbench().MeasuredMissRate(m) },
-			kernels:  1,
+			name: "XSBench",
+			run:  func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Xsbench().Run(m, md) },
 		},
 		{
-			name:     "miniFE",
-			run:      func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Minife().Run(m, md).Result },
-			missRate: func(m *sim.Machine) float64 { return w.Minife().MeasuredMissRate(m) },
-			kernels:  3,
+			name: "miniFE",
+			run:  func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Minife().Run(m, md).Result },
 		},
 	}
 }

@@ -48,36 +48,37 @@ func comdFig7Cfg(scale Scale) comd.Config {
 // per memory frequency, x = core MHz, y = performance normalized to the
 // (200 MHz, 480 MHz) corner. Performance is kernel-rate (the paper holds
 // the PCIe path constant across the sweep). The app executes functionally
-// once to record its launch-cost log, which is then replayed against each
+// once; the run memo then reprices its recorded Tape on a dGPU at each
 // clock pair — kernel costs do not depend on clocks, only their times do.
 func Fig7Data(scale Scale, app string) ([]*report.Series, error) {
 	return fig7Data(nil, scale, app)
 }
 
 // fig7Data is Fig7Data inside one runner cell (nil cx = direct call).
-// The clock-point replays are cheap relative to the recording run, so
-// they stay inside the app's cell rather than fanning out further.
+// The clock-point runs only reprice the memoized Tape, cheap relative to
+// the nominal run that records it, so they stay inside the app's cell
+// rather than fanning out further.
 func fig7Data(cx *runner.Ctx, scale Scale, app string) ([]*report.Series, error) {
-	w := fig7Workloads(cx.Context(), scale)
+	ctx := cx.Context()
+	if memoOf(ctx) == nil {
+		// Without a memo every clock point would re-execute the app.
+		ctx = WithMemo(ctx)
+	}
+	w := fig7Workloads(ctx, scale)
 	target, ok := w.runnerByName(app)
 	if !ok {
 		return nil, fmt.Errorf("harness: fig7: unknown app %q", app)
 	}
 
-	rec := cx.Machine(sim.NewDGPU)
-	rec.EnableCostLog()
-	target.run(rec, modelapi.OpenCL)
-	log := rec.CostLog()
+	// The nominal-clock run on the cell's machine fills the memo (and is
+	// the run a -trace capture sees).
+	target.run(cx.Machine(sim.NewDGPU), modelapi.OpenCL)
 
 	timeAt := func(core, mem int) float64 {
 		m := sim.NewDGPU()
 		m.AcceleratorModel().SetCoreClock(core)
 		m.AcceleratorModel().SetMemClock(mem)
-		for _, lc := range log {
-			// Replay machines never carry an injector: the clock sweep
-			// re-charges recorded costs, it does not re-run the workload.
-			m.LaunchKernel(lc.Target, lc.Name, lc.Cost) //hetlint:allow launchcheck fault-free replay of a recorded cost log
-		}
+		target.run(m, modelapi.OpenCL)
 		return m.KernelNs()
 	}
 

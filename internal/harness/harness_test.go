@@ -17,6 +17,7 @@ import (
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
+	"hetbench/internal/trace"
 )
 
 // bg is the context threaded through Data calls in tests; none of these
@@ -404,7 +405,8 @@ func TestProductivityShapes(t *testing.T) {
 // Figure 11's Local Data Store column gates real behaviour: on both
 // machines, CoMD's force launch carries LDS traffic exactly under the
 // models whose profile has the feature — OpenCL and C++ AMP, not OpenACC
-// or the OpenMP baseline.
+// or the OpenMP baseline. The force body is CoMD's only LDS tally and a
+// run uses one form of it, so the run's LDS counter is the force's.
 func TestForceUsesLDSExactlyWhereFigure11Allows(t *testing.T) {
 	p := comd.NewProblem(comd.Config{Nx: 4, Ny: 4, Nz: 4, Iters: 10}, timing.Single)
 	for _, tc := range []struct {
@@ -421,21 +423,20 @@ func TestForceUsesLDSExactlyWhereFigure11Allows(t *testing.T) {
 		}
 		for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
 			m := mk()
-			m.EnableCostLog()
+			tr := trace.New()
+			m.SetTracer(tr)
 			p.Run(m, tc.model)
 			forces := 0
-			for _, c := range m.CostLog() {
-				if c.Name != comd.KForce {
-					continue
-				}
-				forces++
-				if got := c.Cost.LDSBytes > 0; got != tc.lds {
-					t.Errorf("%s on %s: force launch LDS bytes %g, want LDS use %v",
-						tc.model, m.Name(), c.Cost.LDSBytes, tc.lds)
+			for _, s := range tr.Spans() {
+				if s.Kind == trace.KindKernel && s.Name == comd.KForce {
+					forces++
 				}
 			}
 			if forces == 0 {
-				t.Errorf("%s on %s: no %s launch in the cost log", tc.model, m.Name(), comd.KForce)
+				t.Errorf("%s on %s: no %s kernel span", tc.model, m.Name(), comd.KForce)
+			}
+			if lds := tr.Metrics().Get(trace.CtrLDSBytes); (lds > 0) != tc.lds {
+				t.Errorf("%s on %s: LDS bytes %g, want LDS use %v", tc.model, m.Name(), lds, tc.lds)
 			}
 		}
 	}
@@ -652,6 +653,33 @@ func TestEnergyData(t *testing.T) {
 	}
 	if comdDGPU >= comdAPU {
 		t.Errorf("CoMD energy: dGPU %.3f J not below APU %.3f J", comdDGPU, comdAPU)
+	}
+}
+
+// An OpenCL run launches every kernel on the accelerator, at either
+// precision on either machine. EnergyData counts all of an OpenCL run's
+// kernel time as device busy time, and RooflineData all of its flops
+// and DRAM bytes as the device's, on the strength of this.
+func TestOpenCLLaunchesOnlyOnAccelerator(t *testing.T) {
+	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+		for _, r := range newWorkloads(WithMemo(bg), ScaleSmoke, prec).runners() {
+			for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
+				m := mk()
+				tr := trace.New()
+				m.SetTracer(tr)
+				r.run(m, modelapi.OpenCL)
+				kernels := map[string]int{}
+				for _, s := range tr.Spans() {
+					if s.Kind == trace.KindKernel {
+						kernels[s.Track]++
+					}
+				}
+				if kernels[trace.TrackHost] > 0 || kernels[trace.TrackAccelerator] == 0 {
+					t.Errorf("%s/%s on %s: kernel spans per track %v, want accelerator only",
+						r.name, prec, m.Name(), kernels)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/pcie"
 	"hetbench/internal/sim/timing"
+	"hetbench/internal/trace"
 )
 
 // charOutcome is everything a cell observes of an app's characterization:
@@ -23,7 +25,7 @@ type charOutcome struct {
 
 func observeCharacterization(w *workloads, app string, mk func() *sim.Machine) charOutcome {
 	r, _ := w.runnerByName(app)
-	o := charOutcome{miss: r.missRate(mk())}
+	o := charOutcome{miss: measuredMissRate(w, app, mk())}
 	for _, model := range []modelapi.Name{modelapi.OpenCL, modelapi.OpenACC} {
 		o.results = append(o.results, r.run(mk(), model))
 	}
@@ -65,6 +67,22 @@ func TestMemoizedCharacterizationMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// measuredMissRate is app's Table I miss rate on m. read-benchmark
+// measures none: its streaming miss rate is fixed by construction.
+func measuredMissRate(w *workloads, app string, m *sim.Machine) float64 {
+	switch app {
+	case "LULESH":
+		return w.Lulesh().MeasuredTraits(m)
+	case "CoMD":
+		return w.Comd().MeasuredMissRate(m)
+	case "XSBench":
+		return w.Xsbench().MeasuredMissRate(m)
+	case "miniFE":
+		return w.Minife().MeasuredMissRate(m)
+	}
+	return 0
 }
 
 func sameOutcome(a, b charOutcome) bool {
@@ -114,24 +132,26 @@ func TestMemoKeyCoversGeometry(t *testing.T) {
 }
 
 // runObservation is everything a cell observes of one app run: the
-// Result (checksum included) and the cost of every launch in order,
-// whose per-item counters come from the functional pass.
+// Result (checksum included), every traced span in order and the full
+// counter snapshot, whose per-launch work comes from the functional pass.
 type runObservation struct {
-	res   appcore.Result
-	costs []sim.LoggedCost
+	res      appcore.Result
+	spans    []trace.Span
+	counters map[string]float64
 }
 
 func observeRun(w *workloads, app string, model modelapi.Name, mk func() *sim.Machine) runObservation {
 	r, _ := w.runnerByName(app)
 	m := mk()
-	m.EnableCostLog()
+	tr := trace.New()
+	m.SetTracer(tr)
 	res := r.run(m, model)
-	return runObservation{res, m.CostLog()}
+	return runObservation{res, tr.Spans(), tr.Metrics().Snapshot()}
 }
 
 // A memoized cell prices exactly the functional pass a fresh, memo-less
 // cell executes: for every app × model × machine × precision at smoke
-// scale, the per-launch costs, the Result and its checksum are
+// scale, every span, every counter, the Result and its checksum are
 // identical. Each combination runs in two runner cells that share the
 // run memo, so under -race they race for the same outcome.
 func TestMemoizedRunMatchesFresh(t *testing.T) {
@@ -159,15 +179,18 @@ func TestMemoizedRunMatchesFresh(t *testing.T) {
 	for i, c := range combos {
 		fresh := observeRun(newWorkloads(bg, ScaleSmoke, c.prec), c.app, c.model, c.mk)
 		name := c.app + "/" + string(c.model) + "/" + c.mk().Name() + "/" + c.prec.String()
-		if len(fresh.costs) == 0 {
-			t.Fatalf("%s: no launches logged", name)
+		if fresh.counters[trace.CtrKernelLaunches] == 0 {
+			t.Fatalf("%s: no launches traced", name)
 		}
 		for _, got := range []runObservation{memoized[i], memoized[i+len(combos)]} {
 			if got.res != fresh.res {
 				t.Errorf("%s: memoized result %+v, fresh %+v", name, got.res, fresh.res)
 			}
-			if !slices.Equal(got.costs, fresh.costs) {
-				t.Errorf("%s: memoized run's launch costs differ from a fresh run's", name)
+			if !slices.Equal(got.spans, fresh.spans) {
+				t.Errorf("%s: memoized run's spans differ from a fresh run's", name)
+			}
+			if !maps.Equal(got.counters, fresh.counters) {
+				t.Errorf("%s: memoized counters %v, fresh %v", name, got.counters, fresh.counters)
 			}
 		}
 	}

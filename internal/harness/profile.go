@@ -55,16 +55,10 @@ func profileRows(aggs []trace.Agg) []KernelProfileRow {
 // the drill-down that exposes, e.g., the C++ AMP CPU-fallback kernel and
 // the per-iteration round trips it induces.
 func ProfileData(ctx context.Context, scale Scale, model modelapi.Name) Profile {
-	w := newWorkloads(ctx, scale, timing.Double)
 	// The profile aggregates a dedicated tracer rather than the cell's
 	// capture tracer: its spans are measurement scaffolding, not run
-	// output (the machine carries one tracer, and the dedicated one wins
-	// exactly as in the serial harness).
-	m := sim.NewDGPU()
-	m.SetTracer(trace.New())
-	w.Lulesh().Run(m, model)
-
-	spans := m.Tracer().Spans()
+	// output.
+	spans := modelTrace(ctx, scale, model).Tracer.Spans()
 	kernels := trace.Aggregate(spans, trace.KindKernel)
 	transfers := trace.Aggregate(spans, trace.KindTransfer)
 	return Profile{
@@ -128,29 +122,19 @@ type RooflineRow struct {
 	Bound string
 }
 
-// RooflineData replays each app's cost log on the dGPU and places it on
-// the classic roofline: attainable = min(peak, intensity × bandwidth).
+// RooflineData runs each app under OpenCL on the dGPU and places it on
+// the classic roofline from the run's flop and DRAM-byte counters:
+// attainable = min(peak, intensity × bandwidth).
 func RooflineData(ctx context.Context, scale Scale) ([]RooflineRow, error) {
 	return runner.Map(ctx, "roofline", len(AppNames), func(cx *runner.Ctx, i int) RooflineRow {
 		w := newWorkloads(cx.Context(), scale, timing.Single)
 		r, _ := w.runnerByName(AppNames[i])
-		m := cx.Machine(sim.NewDGPU)
-		m.EnableCostLog()
+		m := tracedMachine(cx, sim.NewDGPU)
 		r.run(m, modelapi.OpenCL)
 
-		var flops, dram float64
-		for _, lc := range m.CostLog() {
-			if lc.Target != sim.OnAccelerator {
-				continue
-			}
-			items := float64(lc.Cost.Items)
-			flops += items * (lc.Cost.SPFlops + lc.Cost.DPFlops)
-			coal := lc.Cost.Coalesce
-			if coal == 0 {
-				coal = 1
-			}
-			dram += items * (lc.Cost.LoadBytes + lc.Cost.StoreBytes) * lc.Cost.MissRate / coal
-		}
+		reg := m.Tracer().Metrics()
+		flops := reg.Get(trace.CtrSPFlops) + reg.Get(trace.CtrDPFlops)
+		dram := reg.Get(trace.CtrDRAMBytes)
 		if dram == 0 {
 			dram = 1
 		}

@@ -9,7 +9,6 @@ import (
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/mpix"
 	"hetbench/internal/report"
-	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
 
@@ -32,8 +31,7 @@ func ScalingData(ctx context.Context, scale Scale) ([]lulesh.MPIXResult, error) 
 	return runner.Map(ctx, "scaling", len(scalingRankCounts), func(cx *runner.Ctx, i int) lulesh.MPIXResult {
 		p := lulesh.NewProblem(cfg, timing.Double)
 		p.Memo = memoOf(cx.Context())
-		mk := func() *sim.Machine { return cx.Machine(sim.NewDGPU) }
-		return p.StrongScaling([]int{scalingRankCounts[i]}, mk, mpix.DefaultFabric())[0]
+		return p.StrongScaling([]int{scalingRankCounts[i]}, mpix.DefaultFabric())[0]
 	})
 }
 

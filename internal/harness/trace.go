@@ -34,6 +34,17 @@ func modelTrace(ctx context.Context, scale Scale, model modelapi.Name) ModelTrac
 	return ModelTrace{Model: model, Result: res, Tracer: t}
 }
 
+// tracedMachine builds a cell's machine with a tracer attached: the
+// cell's capture tracer when the run captures one, else a dedicated one,
+// so the cell can read its run's counters back.
+func tracedMachine(cx *runner.Ctx, mk func() *sim.Machine) *sim.Machine {
+	m := cx.Machine(mk)
+	if m.Tracer() == nil {
+		m.SetTracer(trace.New())
+	}
+	return m
+}
+
 // TraceData runs LULESH under each GPU model on the dGPU with a fresh
 // tracer per model, so the three span sets can be compared side by side.
 func TraceData(ctx context.Context, scale Scale) ([]ModelTrace, error) {

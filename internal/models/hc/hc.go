@@ -78,6 +78,3 @@ func (r *Runtime) Wait() float64 {
 	}
 	return t
 }
-
-// Pending returns the banked, not-yet-hidden async transfer time (tests).
-func (r *Runtime) Pending() float64 { return r.pendingNs }

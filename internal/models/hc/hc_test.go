@@ -76,7 +76,7 @@ func TestUnhiddenRemainderCharged(t *testing.T) {
 	if m.TransferNs() < left {
 		t.Error("un-hidden remainder not charged to the clock")
 	}
-	if rt.Pending() != 0 {
+	if rt.pendingNs != 0 {
 		t.Error("pending not cleared by Wait")
 	}
 }
@@ -85,7 +85,7 @@ func TestAsyncFreeOnAPU(t *testing.T) {
 	m := sim.NewAPU()
 	rt := New(m)
 	rt.CopyAsync("x", 1<<20)
-	if rt.Pending() != 0 {
+	if rt.pendingNs != 0 {
 		t.Error("APU banked async transfer time")
 	}
 	if rt.Wait() != 0 {

@@ -2,10 +2,11 @@
 // (Section I: "Heterogeneous computing systems are programmed using a
 // combination of programming models referred to as MPI+X"). The paper
 // studies the X on a single node; this package supplies the inter-node
-// substrate so the repository covers the whole stack: a cluster of
-// simulated machines joined by a fabric, with per-rank virtual clocks and
-// the message-passing primitives HPC codes actually use — point-to-point
-// sends, neighbor exchange, allreduce and barrier.
+// substrate so the repository covers the whole stack: a cluster of ranks
+// joined by a fabric, with per-rank virtual clocks and the
+// message-passing primitives HPC codes actually use — point-to-point
+// sends, neighbor exchange, allreduce and barrier. A rank's local work
+// enters as time (AdvanceNs), priced by the caller on its own machine.
 //
 // Clock semantics are discrete-event: a message completes no earlier than
 // both endpoints have reached its start, plus fabric latency and payload
@@ -17,8 +18,6 @@ package mpix
 import (
 	"fmt"
 	"math"
-
-	"hetbench/internal/sim"
 )
 
 // Fabric is the inter-node network.
@@ -49,7 +48,9 @@ func (f Fabric) transferNs(bytes int64) float64 {
 	return f.LatencyUs*1e3 + float64(bytes)/f.BandwidthGBs
 }
 
-// Cluster is a set of ranks, each bound to its own simulated machine.
+// Cluster is a set of ranks joined by one fabric. A rank carries only its
+// virtual clock: callers price each rank's compute and add it with
+// AdvanceNs.
 type Cluster struct {
 	fabric Fabric
 	ranks  []*Rank
@@ -58,15 +59,11 @@ type Cluster struct {
 	bytesSent int64
 }
 
-// Rank is one MPI process with its node and virtual clock.
+// Rank is one MPI process and its virtual clock.
 type Rank struct {
 	ID      int
-	machine *sim.Machine
 	clockNs float64
 }
-
-// Machine returns the rank's node.
-func (r *Rank) Machine() *sim.Machine { return r.machine }
 
 // TimeNs returns the rank's virtual clock.
 func (r *Rank) TimeNs() float64 { return r.clockNs }
@@ -79,8 +76,8 @@ func (r *Rank) AdvanceNs(ns float64) {
 	r.clockNs += ns
 }
 
-// NewCluster builds n ranks whose machines come from newMachine.
-func NewCluster(n int, newMachine func() *sim.Machine, fabric Fabric) *Cluster {
+// NewCluster builds n ranks joined by fabric.
+func NewCluster(n int, fabric Fabric) *Cluster {
 	if n <= 0 {
 		panic(fmt.Sprintf("mpix: cluster size %d must be positive", n))
 	}
@@ -89,7 +86,7 @@ func NewCluster(n int, newMachine func() *sim.Machine, fabric Fabric) *Cluster {
 	}
 	c := &Cluster{fabric: fabric}
 	for i := 0; i < n; i++ {
-		c.ranks = append(c.ranks, &Rank{ID: i, machine: newMachine()})
+		c.ranks = append(c.ranks, &Rank{ID: i})
 	}
 	return c
 }

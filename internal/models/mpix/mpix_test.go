@@ -4,11 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"hetbench/internal/sim"
 )
 
-func cluster(n int) *Cluster { return NewCluster(n, sim.NewDGPU, DefaultFabric()) }
+func cluster(n int) *Cluster { return NewCluster(n, DefaultFabric()) }
 
 func TestConstruction(t *testing.T) {
 	c := cluster(4)
@@ -17,7 +15,7 @@ func TestConstruction(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		r := c.Rank(i)
-		if r.ID != i || r.Machine() == nil || r.TimeNs() != 0 {
+		if r.ID != i || r.TimeNs() != 0 {
 			t.Errorf("rank %d malformed", i)
 		}
 	}
@@ -28,9 +26,9 @@ func TestConstruction(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	cases := []func(){
-		func() { NewCluster(0, sim.NewAPU, DefaultFabric()) },
-		func() { NewCluster(2, sim.NewAPU, Fabric{LatencyUs: -1, BandwidthGBs: 1}) },
-		func() { NewCluster(2, sim.NewAPU, Fabric{LatencyUs: 1, BandwidthGBs: 0}) },
+		func() { NewCluster(0, DefaultFabric()) },
+		func() { NewCluster(2, Fabric{LatencyUs: -1, BandwidthGBs: 1}) },
+		func() { NewCluster(2, Fabric{LatencyUs: 1, BandwidthGBs: 0}) },
 		func() { cluster(2).Rank(5) },
 		func() { cluster(2).Send(0, 0, 8) },
 		func() { cluster(2).Send(0, 1, -8) },

@@ -263,6 +263,3 @@ func (r *Runtime) UpdateDevice(name string, bytes int64) float64 {
 	}
 	return r.Machine().TransferToDevice(name, bytes)
 }
-
-// OpenRegions returns the number of open data regions (for tests).
-func (r *Runtime) OpenRegions() int { return len(r.regions) }

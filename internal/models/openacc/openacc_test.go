@@ -55,7 +55,7 @@ func TestDataRegionHoistsCopies(t *testing.T) {
 	if st.TransfersToDevice != 1 || st.TransfersFromDevice != 1 {
 		t.Errorf("with data region: %d in / %d out, want 1/1", st.TransfersToDevice, st.TransfersFromDevice)
 	}
-	if rt.OpenRegions() != 0 {
+	if len(rt.regions) != 0 {
 		t.Error("region still open after End")
 	}
 }

@@ -69,7 +69,6 @@ type Machine struct {
 	// IPC and per-bound kernel time.
 	ipcWeighted float64
 	boundNs     map[string]float64
-	costLog     []LoggedCost
 
 	// Tracing state (all guarded by mu). proc is this machine's process
 	// index in the tracer; spanStack holds the open phase spans kernels
@@ -348,7 +347,7 @@ func (m *Machine) LaunchKernel(target Target, name string, cost timing.KernelCos
 }
 
 // chargeKernelLocked books a successful kernel launch on the clocks,
-// characterization accumulators, cost log and tracer (mu held).
+// characterization accumulators and tracer (mu held).
 func (m *Machine) chargeKernelLocked(target Target, name string, cost timing.KernelCost, r timing.Result) {
 	start := m.clockNs
 	m.clockNs += r.TimeNs
@@ -360,9 +359,6 @@ func (m *Machine) chargeKernelLocked(target Target, name string, cost timing.Ker
 	// Weight boundedness by the limiting term itself so fixed launch
 	// overhead on small kernels does not masquerade as a resource bound.
 	m.boundNs[r.Bound] += r.TimeNs - r.LaunchNs
-	if m.costLog != nil {
-		m.costLog = append(m.costLog, LoggedCost{Target: target, Name: name, Cost: cost})
-	}
 	if m.tracer != nil {
 		m.emitKernelLocked(target, name, cost, r, start)
 	}
@@ -436,33 +432,6 @@ func (m *Machine) chargeFaultLocked(track, name string, ns float64) {
 		reg.Add(trace.CtrFaultNs, ns)
 		reg.Observe(trace.HistFaultNs, ns)
 	}
-}
-
-// LoggedCost is one recorded kernel launch (see EnableCostLog).
-type LoggedCost struct {
-	Target Target
-	Name   string
-	Cost   timing.KernelCost
-}
-
-// EnableCostLog starts recording every kernel launch's cost so sweeps can
-// replay the same launch sequence against different clock settings
-// without functional re-execution (the Figure 7 driver).
-func (m *Machine) EnableCostLog() {
-	m.mu.Lock()
-	if m.costLog == nil {
-		m.costLog = make([]LoggedCost, 0, 256)
-	}
-	m.mu.Unlock()
-}
-
-// CostLog returns a copy of the recorded launches.
-func (m *Machine) CostLog() []LoggedCost {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]LoggedCost, len(m.costLog))
-	copy(out, m.costLog)
-	return out
 }
 
 // IPC returns the time-weighted mean instructions-per-cycle of all
@@ -706,9 +675,6 @@ func (m *Machine) ResetClock() {
 		// the clock without closing the window would leak the outage into
 		// the next (re-zeroed) run.
 		m.faults.ResetWindow()
-	}
-	if m.costLog != nil {
-		m.costLog = m.costLog[:0]
 	}
 	m.mu.Unlock()
 }

@@ -171,35 +171,6 @@ func TestIPCAndBoundedness(t *testing.T) {
 	}
 }
 
-func TestCostLogReplayMatchesClock(t *testing.T) {
-	rec := NewDGPU()
-	rec.EnableCostLog()
-	c := cost()
-	rec.LaunchKernel(OnAccelerator, "a", c)
-	rec.LaunchKernel(OnHost, "b", c)
-	log := rec.CostLog()
-	if len(log) != 2 || log[0].Name != "a" || log[1].Target != OnHost {
-		t.Fatalf("cost log = %+v", log)
-	}
-	// Replaying on an identical machine reproduces the kernel clock.
-	replay := NewDGPU()
-	for _, lc := range log {
-		replay.LaunchKernel(lc.Target, lc.Name, lc.Cost)
-	}
-	if replay.KernelNs() != rec.KernelNs() {
-		t.Errorf("replayed clock %g != recorded %g", replay.KernelNs(), rec.KernelNs())
-	}
-	// ResetClock clears the log but keeps logging enabled.
-	rec.ResetClock()
-	if len(rec.CostLog()) != 0 {
-		t.Error("ResetClock did not clear cost log")
-	}
-	rec.LaunchKernel(OnAccelerator, "c", c)
-	if len(rec.CostLog()) != 1 {
-		t.Error("cost logging disabled after ResetClock")
-	}
-}
-
 func TestNewCustomValidates(t *testing.T) {
 	bad := device.R9280X()
 	bad.ComputeUnits = 0

@@ -120,8 +120,7 @@ func (t *Tracer) Emit(s Span) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of spans emitted so far. It doubles as a
-// watermark for SpansSince.
+// Len returns the number of spans emitted so far.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -130,21 +129,11 @@ func (t *Tracer) Len() int {
 
 // Spans returns a copy of all emitted spans in emission order (children
 // precede the parents that enclose them, since parents emit at End).
-func (t *Tracer) Spans() []Span { return t.SpansSince(0) }
-
-// SpansSince returns a copy of the spans emitted at or after the given
-// watermark (a previous Len result).
-func (t *Tracer) SpansSince(mark int) []Span {
+func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if mark < 0 {
-		mark = 0
-	}
-	if mark > len(t.spans) {
-		mark = len(t.spans)
-	}
-	out := make([]Span, len(t.spans)-mark)
-	copy(out, t.spans[mark:])
+	out := make([]Span, len(t.spans))
+	copy(out, t.spans)
 	return out
 }
 

@@ -47,14 +47,19 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 }
 
-func TestSpansSince(t *testing.T) {
+// Spans returns the spans in emission order, as a copy the caller may
+// modify without touching the tracer's record.
+func TestSpansReturnsCopy(t *testing.T) {
 	tr := New()
 	tr.Emit(Span{Name: "a"})
-	mark := tr.Len()
 	tr.Emit(Span{Name: "b"})
-	got := tr.SpansSince(mark)
-	if len(got) != 1 || got[0].Name != "b" {
-		t.Errorf("SpansSince(%d) = %+v", mark, got)
+	got := tr.Spans()
+	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
+		t.Fatalf("Spans() = %+v", got)
+	}
+	got[0].Name = "changed"
+	if tr.Spans()[0].Name != "a" {
+		t.Error("modifying Spans' result changed the tracer's spans")
 	}
 }
 
