@@ -78,7 +78,7 @@ func main() {
 			base := workload.Execute(machine(), prog, workload.Options{Model: model})
 			// The DAG planner books ready kernels on whichever device
 			// finishes them earliest; the two filters overlap.
-			planner := sched.NewDag(sched.Config{Policy: sched.Dynamic})
+			planner := sched.NewDag(sched.Dynamic)
 			dag := workload.Execute(machine(), prog, workload.Options{Model: model, Planner: planner})
 			fmt.Printf("  %-8s serial %7.3f ms  dag %7.3f ms  (%d host / %d accel kernels, %d copies)  speedup %4.2f×\n",
 				model, base.ElapsedNs/1e6, dag.ElapsedNs/1e6,

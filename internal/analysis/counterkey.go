@@ -9,7 +9,7 @@ import (
 )
 
 // CounterKey enforces the counter-registry naming discipline: every name
-// passed to trace.Registry.Add / SetGauge must be a lowercase dotted
+// passed to trace.Registry.Add must be a lowercase dotted
 // string constant whose first segment is one of the established
 // namespaces, and every name passed to trace.Registry.Observe must be a
 // lowercase dotted string constant in the "hist." namespace (see the
@@ -53,7 +53,7 @@ func runCounterKey(p *Pass) {
 				checkHistName(p, call.Args[0])
 				return true
 			}
-			if !isMethodOn(obj, "Registry", "Add", "SetGauge") || len(call.Args) < 1 {
+			if !isMethodOn(obj, "Registry", "Add") || len(call.Args) < 1 {
 				return true
 			}
 			checkCounterName(p, call.Args[0])

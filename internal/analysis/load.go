@@ -84,9 +84,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's file set (shared by all loaded packages).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // ModuleRoot returns the absolute directory of the enclosing module —
 // the base SARIF output resolves artifact URIs against, so code-scanning
 // annotations land on repository-relative paths regardless of where

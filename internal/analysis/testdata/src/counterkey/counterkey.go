@@ -15,7 +15,6 @@ const ctrSchedSteal = "sched.steal-count"
 func good(r *trace.Registry, kind fault.Kind) {
 	r.Add(trace.CtrKernelNs, 1)
 	r.Add(ctrSchedSteal, 1)
-	r.SetGauge("resilience.overhead", 0.5)
 	r.Add(trace.CtrFaultPrefix+string(kind), 1)
 }
 

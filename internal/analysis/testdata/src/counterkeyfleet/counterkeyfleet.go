@@ -20,7 +20,6 @@ func good(r *trace.Registry, node string) {
 	r.Add(ctrFleetSubmitted, 1)
 	r.Add(ctrFleetBusyNs, 1e6)
 	r.Add("fleet.jobs.migrated", 1)
-	r.SetGauge("fleet.node.losses", 2)
 	r.Add("fleet."+node, 1)
 	r.Observe(histFleetQueueNs, 1e3)
 	r.Observe(histFleetJobNs, 2e3)

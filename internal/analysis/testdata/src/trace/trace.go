@@ -16,9 +16,6 @@ type Registry struct{}
 // Add accumulates v into the named counter.
 func (r *Registry) Add(name string, v float64) {}
 
-// SetGauge records a point-in-time value.
-func (r *Registry) SetGauge(name string, v float64) {}
-
 // HistKernelNs is a histogram-name constant, as in the real registry.
 const HistKernelNs = "hist.kernel.ns"
 

@@ -114,12 +114,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Enabled reports whether any fault can ever fire.
-func (c Config) Enabled() bool {
-	return c.LaunchFailRate > 0 || c.HangRate > 0 || c.BitFlipRate > 0 ||
-		c.DeviceLossRate > 0 || c.TransferCorruptRate > 0
-}
-
 func (c Config) deviceLossNs() float64 {
 	if c.DeviceLossNs > 0 {
 		return c.DeviceLossNs
@@ -149,13 +143,6 @@ func New(cfg Config) *Injector {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		counts: make(map[Kind]int64),
 	}
-}
-
-// Config returns the injector's configuration.
-func (i *Injector) Config() Config {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.cfg
 }
 
 // Launch draws the fate of one accelerator kernel launch at virtual time

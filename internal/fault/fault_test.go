@@ -26,12 +26,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// A zero Config never fires; any nonzero rate does.
 func TestConfigEnabled(t *testing.T) {
-	if (Config{}).Enabled() {
-		t.Fatal("zero config reports enabled")
+	off, on := New(Config{}), New(Config{HangRate: 0.1})
+	for n := 0; n < 1000; n++ {
+		off.Launch(0)
+		off.Transfer(0)
+		on.Launch(0)
 	}
-	if !(Config{HangRate: 0.1}).Enabled() {
-		t.Fatal("nonzero hang rate reports disabled")
+	if off.Total() != 0 {
+		t.Fatalf("zero config fired %d faults", off.Total())
+	}
+	if on.Total() == 0 {
+		t.Fatal("nonzero hang rate fired no fault in 1000 launches")
 	}
 }
 

@@ -244,9 +244,6 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Nodes exposes the cluster's nodes (for tests and reporting).
-func (c *Cluster) Nodes() []*Node { return c.nodes }
-
 // machineServiceNs prices job j on machine m: the accelerator roofline
 // on the job's kernel cost, plus PCIe staging of the working set on
 // discrete machines. Pure.

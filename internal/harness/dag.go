@@ -138,7 +138,7 @@ func DagData(ctx context.Context, scale Scale) ([]DagCell, error) {
 				m := cx.Machine(mach.mk)
 				opt := workload.Options{Model: model, Iterations: iters}
 				if !sc.Serial {
-					opt.Planner = sched.NewDag(sched.Config{Policy: sc.Policy, Seed: SeedOf(cx.Context())})
+					opt.Planner = sched.NewDag(sc.Policy)
 				}
 				var inj *fault.Injector
 				if sc.Loss {

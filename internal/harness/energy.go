@@ -50,17 +50,15 @@ func EnergyData(ctx context.Context, scale Scale) ([]EnergyRow, error) {
 		m := tracedMachine(cx, combos[i].mk)
 		res := r.run(m, modelapi.OpenCL)
 
-		dev := m.Accelerator()
-		prof := power.ProfileFor(dev)
-		// OpenCL runs launch only on the accelerator, so all kernel time
-		// is device busy time and all DRAM traffic is the device's.
-		busyNs := res.KernelNs
-		dramBytes := m.Tracer().Metrics().Get(trace.CtrDRAMBytes)
-		energy := prof.KernelEnergyJ(busyNs, dev.CoreClockMHz, dev.CoreClockMHz, dramBytes)
+		// The machine prices every launch's compute and DRAM energy as it
+		// books it. OpenCL runs launch only on the accelerator, so that
+		// counter is the device's kernel energy and all kernel time is
+		// device busy time.
+		energy := m.Tracer().Metrics().Get(trace.CtrEnergyJ)
 		// Idle power while not computing (transfers, host phases).
-		idleNs := res.ElapsedNs - busyNs
+		idleNs := res.ElapsedNs - res.KernelNs
 		if idleNs > 0 {
-			energy += prof.IdleW * idleNs / 1e9
+			energy += power.ProfileFor(m.Accelerator()).IdleW * idleNs / 1e9
 		}
 		if !m.Unified() {
 			st := m.Link().Stats()

@@ -139,6 +139,13 @@ type SpeedupCell struct {
 // baseline on the given machine constructor (Figure 8: sim.NewAPU,
 // Figure 9: sim.NewDGPU).
 func SpeedupData(ctx context.Context, scale Scale, newMachine func() *sim.Machine) ([]SpeedupCell, error) {
+	return speedups(ctx, scale, newMachine, timing.Single, timing.Double)
+}
+
+// speedups runs 3 models × 5 apps against the OpenMP baseline at each of
+// precs, precision-major and in paper app order, models in modelapi.All
+// order within an app.
+func speedups(ctx context.Context, scale Scale, newMachine func() *sim.Machine, precs ...timing.Precision) ([]SpeedupCell, error) {
 	// One runner cell per (precision, app): the cell runs the OpenMP
 	// baseline plus all three models, so the baseline is computed once per
 	// app without sharing state across cells. Cell order (precision-major,
@@ -148,7 +155,7 @@ func SpeedupData(ctx context.Context, scale Scale, newMachine func() *sim.Machin
 		app  string
 	}
 	var combos []combo
-	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+	for _, prec := range precs {
 		for _, app := range AppNames {
 			combos = append(combos, combo{prec, app})
 		}
@@ -249,50 +256,34 @@ type ProductivityRow struct {
 	OpenCL, CppAMP, OpenACC float64
 }
 
-// ProductivityData computes Figure 10 for one machine: Eq. 1 with
-// double-precision runtimes and the paper's Table IV line counts.
+// ProductivityData computes Figure 10 for one machine: Eq. 1 over the
+// double-precision speedups of Figures 8/9 and the paper's Table IV line
+// counts.
 func ProductivityData(ctx context.Context, scale Scale, newMachine func() *sim.Machine) ([]ProductivityRow, error) {
+	cells, err := speedups(ctx, scale, newMachine, timing.Double)
+	if err != nil {
+		return nil, err
+	}
 	lines := map[string]sloc.Table4Row{}
 	for _, r := range sloc.Table4() {
 		lines[r.App] = r
 	}
-	return runner.Map(ctx, "productivity", len(AppNames), func(cx *runner.Ctx, i int) ProductivityRow {
-		w := newWorkloads(cx.Context(), scale, timing.Double)
-		r, _ := w.runnerByName(AppNames[i])
-		base := r.run(cx.Machine(sim.NewAPU), modelapi.OpenMP)
-		baseT := base.ElapsedNs
-		if r.kernelOnly {
-			baseT = base.KernelNs
+	var rows []ProductivityRow
+	for _, c := range cells {
+		if len(rows) == 0 || rows[len(rows)-1].App != c.App {
+			rows = append(rows, ProductivityRow{App: c.App})
 		}
-		l := lines[r.name]
-		row := ProductivityRow{App: r.name}
-		for _, model := range modelapi.All() {
-			res := r.run(cx.Machine(newMachine), model)
-			t := res.ElapsedNs
-			if r.kernelOnly {
-				t = res.KernelNs
-			}
-			var ml int
-			switch model {
-			case modelapi.OpenCL:
-				ml = l.OpenCL
-			case modelapi.CppAMP:
-				ml = l.CppAMP
-			case modelapi.OpenACC:
-				ml = l.OpenACC
-			}
-			p := sloc.Productivity(baseT, t, ml, l.OpenMP)
-			switch model {
-			case modelapi.OpenCL:
-				row.OpenCL = p
-			case modelapi.CppAMP:
-				row.CppAMP = p
-			case modelapi.OpenACC:
-				row.OpenACC = p
-			}
+		row, l := &rows[len(rows)-1], lines[c.App]
+		switch c.Model {
+		case modelapi.OpenCL:
+			row.OpenCL = sloc.Productivity(c.Speedup, l.OpenCL, l.OpenMP)
+		case modelapi.CppAMP:
+			row.CppAMP = sloc.Productivity(c.Speedup, l.CppAMP, l.OpenMP)
+		case modelapi.OpenACC:
+			row.OpenACC = sloc.Productivity(c.Speedup, l.OpenACC, l.OpenMP)
 		}
-		return row
-	})
+	}
+	return rows, nil
 }
 
 // HarmonicMeans returns the per-model harmonic means of a productivity

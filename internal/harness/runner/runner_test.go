@@ -317,13 +317,13 @@ func TestMapReturnsPoolError(t *testing.T) {
 // merged span set is identical at any worker count.
 func TestCaptureFoldsDeterministically(t *testing.T) {
 	// histSummary renders the merged histograms bit-for-bit (quantiles,
-	// sums, counts) so any worker-count-dependent fold order shows up.
+	// means, counts) so any worker-count-dependent fold order shows up.
 	histSummary := func(reg *trace.Registry) string {
 		var b strings.Builder
 		for _, name := range reg.HistNames() {
 			h := reg.Hist(name)
-			fmt.Fprintf(&b, "%s: n=%d sum=%b min=%b max=%b q50=%b q95=%b q99=%b\n",
-				name, h.Count(), h.Sum(), h.Min(), h.Max(),
+			fmt.Fprintf(&b, "%s: n=%d mean=%b min=%b max=%b q50=%b q95=%b q99=%b\n",
+				name, h.Count(), h.Mean(), h.Quantile(0), h.Max(),
 				h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
 		}
 		return b.String()

@@ -23,8 +23,8 @@ type ModelTrace struct {
 }
 
 // modelTrace runs LULESH under one GPU model on the dGPU with a fresh
-// dedicated tracer, the unit of both TraceData and the trace experiment's
-// runner cells.
+// dedicated tracer, the unit of the trace and profile experiments' runner
+// cells.
 func modelTrace(ctx context.Context, scale Scale, model modelapi.Name) ModelTrace {
 	w := newWorkloads(ctx, scale, timing.Double)
 	m := sim.NewDGPU()
@@ -43,15 +43,6 @@ func tracedMachine(cx *runner.Ctx, mk func() *sim.Machine) *sim.Machine {
 		m.SetTracer(trace.New())
 	}
 	return m
-}
-
-// TraceData runs LULESH under each GPU model on the dGPU with a fresh
-// tracer per model, so the three span sets can be compared side by side.
-func TraceData(ctx context.Context, scale Scale) ([]ModelTrace, error) {
-	models := modelapi.All()
-	return runner.Map(ctx, "trace", len(models), func(cx *runner.Ctx, i int) ModelTrace {
-		return modelTrace(cx.Context(), scale, models[i])
-	})
 }
 
 // lastIteration returns the last completed iteration span, the timeline's

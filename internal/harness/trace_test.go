@@ -65,14 +65,11 @@ func TestRunTrace(t *testing.T) {
 	}
 }
 
-// TraceData gives each model its own tracer with a full span hierarchy:
+// modelTrace gives each model its own tracer with a full span hierarchy:
 // run → iteration → kernel/transfer.
 func TestTraceData(t *testing.T) {
-	data := must(TraceData(bg, ScaleSmall))
-	if len(data) != len(modelapi.All()) {
-		t.Fatalf("TraceData returned %d models", len(data))
-	}
-	for _, mt := range data {
+	for _, model := range modelapi.All() {
+		mt := modelTrace(bg, ScaleSmall, model)
 		spans := mt.Tracer.Spans()
 		kinds := map[trace.Kind]int{}
 		for _, s := range spans {

@@ -69,12 +69,6 @@ func (r *Runtime) NewArrayView(name string, bytes int64) *ArrayView {
 	return &ArrayView{rt: r, name: name, bytes: bytes}
 }
 
-// Bytes returns the wrapped allocation size.
-func (v *ArrayView) Bytes() int64 { return v.bytes }
-
-// OnDevice reports where the fresh copy currently lives.
-func (v *ArrayView) OnDevice() bool { return v.onDevice }
-
 // Synchronize brings the data back to the host (array_view::synchronize),
 // paying a device-to-host transfer if the device copy is fresh.
 func (v *ArrayView) Synchronize() float64 {

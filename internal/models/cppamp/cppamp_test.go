@@ -36,7 +36,7 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 	}
 
 	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body))
-	if !in.OnDevice() || !out.OnDevice() {
+	if !in.onDevice || !out.onDevice {
 		t.Fatal("views not device-fresh after launch")
 	}
 	st := m.Link().Stats()
@@ -55,7 +55,7 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 	if tns := out.Synchronize(); tns <= 0 {
 		t.Error("synchronize of device-fresh view cost nothing on dGPU")
 	}
-	if out.OnDevice() {
+	if out.onDevice {
 		t.Error("view still device-fresh after Synchronize")
 	}
 	if out.Synchronize() != 0 {
@@ -99,7 +99,7 @@ func TestTiledParallelForEach(t *testing.T) {
 	if r.TimeNs <= 0 || r.LDSNs <= 0 {
 		t.Errorf("tiled launch charged %g ns, %g ns of it LDS; want both positive", r.TimeNs, r.LDSNs)
 	}
-	if !v.OnDevice() || m.Link().Stats().TransfersToDevice != 1 {
+	if !v.onDevice || m.Link().Stats().TransfersToDevice != 1 {
 		t.Error("tiled launch did not stage its captured view")
 	}
 }
@@ -172,7 +172,7 @@ func TestAccessors(t *testing.T) {
 		t.Error("Machine() wrong")
 	}
 	v := rt.NewArrayView("v", 128)
-	if v.Bytes() != 128 {
-		t.Error("Bytes() wrong")
+	if v.bytes != 128 {
+		t.Error("view size wrong")
 	}
 }

@@ -65,7 +65,7 @@ func TestFallbackSynchronizesViews(t *testing.T) {
 	if m.Resilience().Fallbacks == 0 {
 		t.Fatal("persistent device loss never fell back to the host")
 	}
-	if v.OnDevice() {
+	if v.onDevice {
 		t.Error("view still device-fresh after host fallback")
 	}
 }

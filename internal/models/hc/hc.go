@@ -31,11 +31,6 @@ func New(machine *sim.Machine) *Runtime {
 	return &Runtime{Runtime: modelapi.NewRuntime(machine, modelapi.HC)}
 }
 
-// Copy synchronously moves bytes to the device (am_copy).
-func (r *Runtime) Copy(name string, bytes int64) float64 {
-	return r.Machine().TransferToDevice(name, bytes)
-}
-
 // CopyBack synchronously moves bytes to the host.
 func (r *Runtime) CopyBack(name string, bytes int64) float64 {
 	return r.Machine().TransferFromDevice(name, bytes)

@@ -18,7 +18,7 @@ var heavy = exec.Counters{SPFlops: 500, LoadBytes: 16, Instrs: 520}
 func TestSyncCopiesChargeClock(t *testing.T) {
 	m := sim.NewDGPU()
 	rt := New(m)
-	rt.Copy("in", 1<<20)
+	m.TransferToDevice("in", 1<<20)
 	rt.CopyBack("out", 1<<20)
 	if m.TransferNs() <= 0 {
 		t.Error("sync copies charged nothing")
@@ -37,7 +37,7 @@ func TestAsyncOverlapHidesTransferTime(t *testing.T) {
 
 	mSync := sim.NewDGPU()
 	rtSync := New(mSync)
-	rtSync.Copy("table", bytes)
+	mSync.TransferToDevice("table", bytes)
 	for i := 0; i < 30; i++ {
 		rtSync.Launch(spec(), 1<<20, heavy)
 	}

@@ -3,16 +3,17 @@
 // combination of programming models referred to as MPI+X"). The paper
 // studies the X on a single node; this package supplies the inter-node
 // substrate so the repository covers the whole stack: a cluster of ranks
-// joined by a fabric, with per-rank virtual clocks and the
-// message-passing primitives HPC codes actually use — point-to-point
-// sends, neighbor exchange, allreduce and barrier. A rank's local work
-// enters as time (AdvanceNs), priced by the caller on its own machine.
+// joined by a fabric, with per-rank virtual clocks and the primitives a
+// slab-decomposed code needs: neighbor exchange, allreduce, and the
+// job's elapsed time as the slowest rank's clock (MaxTimeNs). A rank's
+// local work enters as time (AdvanceNs), priced by the caller on its own
+// machine.
 //
-// Clock semantics are discrete-event: a message completes no earlier than
-// both endpoints have reached its start, plus fabric latency and payload
-// time; collectives synchronize to the slowest participant. That is
-// enough to study strong scaling and the surface-to-volume communication
-// costs of domain decomposition.
+// Clock semantics are discrete-event: an exchange completes no earlier
+// than both endpoints have reached its start, plus fabric latency and
+// payload time; an allreduce synchronizes to the slowest participant.
+// That is enough to study strong scaling and the surface-to-volume
+// communication costs of domain decomposition.
 package mpix
 
 import (
@@ -54,9 +55,6 @@ func (f Fabric) transferNs(bytes int64) float64 {
 type Cluster struct {
 	fabric Fabric
 	ranks  []*Rank
-	// stats
-	messages  int64
-	bytesSent int64
 }
 
 // Rank is one MPI process and its virtual clock.
@@ -64,9 +62,6 @@ type Rank struct {
 	ID      int
 	clockNs float64
 }
-
-// TimeNs returns the rank's virtual clock.
-func (r *Rank) TimeNs() float64 { return r.clockNs }
 
 // AdvanceNs adds local work time (compute, I/O) to the rank's clock.
 func (r *Rank) AdvanceNs(ns float64) {
@@ -102,34 +97,6 @@ func (c *Cluster) Rank(i int) *Rank {
 	return c.ranks[i]
 }
 
-// Fabric returns the network description.
-func (c *Cluster) Fabric() Fabric { return c.fabric }
-
-// Messages and BytesSent report fabric traffic since construction.
-func (c *Cluster) Messages() int64 { return c.messages }
-
-// BytesSent reports total payload bytes.
-func (c *Cluster) BytesSent() int64 { return c.bytesSent }
-
-// Send moves bytes from rank `from` to rank `to`. The matching receive
-// completes when both sides have arrived and the wire time has passed;
-// the sender proceeds after handing the message off (eager/rendezvous
-// blend: sender pays latency, receiver pays latency + payload).
-func (c *Cluster) Send(from, to int, bytes int64) {
-	if bytes < 0 {
-		panic(fmt.Sprintf("mpix: negative message size %d", bytes))
-	}
-	if from == to {
-		panic("mpix: self-send")
-	}
-	s, r := c.Rank(from), c.Rank(to)
-	start := math.Max(s.clockNs, r.clockNs)
-	s.clockNs = start + c.fabric.LatencyUs*1e3
-	r.clockNs = start + c.fabric.transferNs(bytes)
-	c.messages++
-	c.bytesSent += bytes
-}
-
 // Sendrecv is the symmetric neighbor exchange (MPI_Sendrecv): both ranks
 // send `bytes` to each other; both complete at the same instant. The two
 // payloads share the duplex fabric, so the cost is one latency plus one
@@ -145,8 +112,6 @@ func (c *Cluster) Sendrecv(a, b int, bytes int64) {
 	start := math.Max(ra.clockNs, rb.clockNs)
 	done := start + c.fabric.transferNs(bytes)
 	ra.clockNs, rb.clockNs = done, done
-	c.messages += 2
-	c.bytesSent += 2 * bytes
 }
 
 // Allreduce combines `bytes` across all ranks (recursive doubling:
@@ -166,32 +131,13 @@ func (c *Cluster) Allreduce(bytes int64) {
 	for _, r := range c.ranks {
 		r.clockNs = done
 	}
-	if n > 1 {
-		c.messages += int64(rounds) * int64(n)
-		c.bytesSent += int64(rounds) * int64(n) * bytes
-	}
 }
-
-// Barrier synchronizes all ranks (an allreduce of nothing).
-func (c *Cluster) Barrier() { c.Allreduce(0) }
 
 // MaxTimeNs returns the slowest rank's clock — the job's elapsed time.
 func (c *Cluster) MaxTimeNs() float64 {
 	t := 0.0
 	for _, r := range c.ranks {
 		t = math.Max(t, r.clockNs)
-	}
-	return t
-}
-
-// MinTimeNs returns the fastest rank's clock (for imbalance metrics).
-func (c *Cluster) MinTimeNs() float64 {
-	if len(c.ranks) == 0 {
-		return 0
-	}
-	t := math.Inf(1)
-	for _, r := range c.ranks {
-		t = math.Min(t, r.clockNs)
 	}
 	return t
 }

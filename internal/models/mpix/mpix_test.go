@@ -15,11 +15,11 @@ func TestConstruction(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		r := c.Rank(i)
-		if r.ID != i || r.TimeNs() != 0 {
+		if r.ID != i || r.clockNs != 0 {
 			t.Errorf("rank %d malformed", i)
 		}
 	}
-	if c.Fabric().Name == "" {
+	if c.fabric.Name == "" {
 		t.Error("fabric unnamed")
 	}
 }
@@ -30,8 +30,7 @@ func TestConstructorPanics(t *testing.T) {
 		func() { NewCluster(2, Fabric{LatencyUs: -1, BandwidthGBs: 1}) },
 		func() { NewCluster(2, Fabric{LatencyUs: 1, BandwidthGBs: 0}) },
 		func() { cluster(2).Rank(5) },
-		func() { cluster(2).Send(0, 0, 8) },
-		func() { cluster(2).Send(0, 1, -8) },
+		func() { cluster(2).Sendrecv(0, 1, -8) },
 		func() { cluster(2).Sendrecv(1, 1, 8) },
 		func() { cluster(2).Allreduce(-1) },
 		func() { cluster(2).Rank(0).AdvanceNs(-1) },
@@ -50,26 +49,21 @@ func TestConstructorPanics(t *testing.T) {
 
 func TestSendClockSemantics(t *testing.T) {
 	c := cluster(2)
-	c.Rank(0).AdvanceNs(1000) // sender is behind nothing; receiver at 0
-	c.Send(0, 1, 6000)        // 6 KB at 6 GB/s = 1000 ns + 1300 ns latency
-	// Receiver completes at max(1000,0) + 1300 + 1000 = 3300.
-	if got := c.Rank(1).TimeNs(); math.Abs(got-3300) > 1 {
-		t.Errorf("receiver clock = %g, want 3300", got)
-	}
-	// Sender proceeds after latency only.
-	if got := c.Rank(0).TimeNs(); math.Abs(got-2300) > 1 {
-		t.Errorf("sender clock = %g, want 2300", got)
-	}
-	if c.Messages() != 1 || c.BytesSent() != 6000 {
-		t.Errorf("stats = %d msgs / %d bytes", c.Messages(), c.BytesSent())
+	c.Rank(0).AdvanceNs(1000) // rank 0 is ahead; rank 1 at 0
+	c.Sendrecv(0, 1, 6000)    // 6 KB at 6 GB/s = 1000 ns + 1300 ns latency
+	// Both complete at max(1000,0) + 1300 + 1000 = 3300.
+	for i := 0; i < 2; i++ {
+		if got := c.Rank(i).clockNs; math.Abs(got-3300) > 1 {
+			t.Errorf("rank %d clock = %g, want 3300", i, got)
+		}
 	}
 }
 
 func TestSendWaitsForLateReceiver(t *testing.T) {
 	c := cluster(2)
 	c.Rank(1).AdvanceNs(10_000) // receiver busy
-	c.Send(0, 1, 0)
-	if got := c.Rank(1).TimeNs(); got < 10_000+1300-1 {
+	c.Sendrecv(0, 1, 0)
+	if got := c.Rank(1).clockNs; got < 10_000+1300-1 {
 		t.Errorf("receiver clock = %g, message arrived before it was ready", got)
 	}
 }
@@ -78,7 +72,7 @@ func TestSendrecvSymmetric(t *testing.T) {
 	c := cluster(2)
 	c.Rank(0).AdvanceNs(500)
 	c.Sendrecv(0, 1, 6000)
-	a, b := c.Rank(0).TimeNs(), c.Rank(1).TimeNs()
+	a, b := c.Rank(0).clockNs, c.Rank(1).clockNs
 	if a != b {
 		t.Errorf("exchange left clocks unequal: %g vs %g", a, b)
 	}
@@ -93,7 +87,7 @@ func TestAllreduceSynchronizesToSlowest(t *testing.T) {
 	c.Allreduce(8)
 	want := 50_000 + 3*(1300+8.0/6.0) // log2(8)=3 rounds
 	for i := 0; i < 8; i++ {
-		if got := c.Rank(i).TimeNs(); math.Abs(got-want) > 1 {
+		if got := c.Rank(i).clockNs; math.Abs(got-want) > 1 {
 			t.Fatalf("rank %d clock = %g, want %g", i, got, want)
 		}
 	}
@@ -112,12 +106,14 @@ func TestAllreduceRoundsScaleLogarithmically(t *testing.T) {
 func TestBarrierAndMinMax(t *testing.T) {
 	c := cluster(4)
 	c.Rank(2).AdvanceNs(7000)
-	if c.MinTimeNs() != 0 || c.MaxTimeNs() != 7000 {
-		t.Errorf("min/max = %g/%g", c.MinTimeNs(), c.MaxTimeNs())
+	if c.MaxTimeNs() != 7000 {
+		t.Errorf("max = %g, want the slowest rank's 7000", c.MaxTimeNs())
 	}
-	c.Barrier()
-	if c.MinTimeNs() != c.MaxTimeNs() {
-		t.Error("barrier left ranks unsynchronized")
+	c.Allreduce(0) // a barrier
+	for i := 0; i < 4; i++ {
+		if got := c.Rank(i).clockNs; got != c.MaxTimeNs() || got < 7000 {
+			t.Errorf("rank %d clock = %g after the barrier, max %g", i, got, c.MaxTimeNs())
+		}
 	}
 }
 
@@ -127,16 +123,13 @@ func TestQuickClocksNeverRegress(t *testing.T) {
 		prev := make([]float64, 4)
 		for _, op := range ops {
 			a, b := int(op)%4, (int(op)/4)%4
-			switch {
-			case op%3 == 0 && a != b:
-				c.Send(a, b, int64(op)*64)
-			case op%3 == 1 && a != b:
+			if op%2 == 0 && a != b {
 				c.Sendrecv(a, b, int64(op)*64)
-			default:
+			} else {
 				c.Allreduce(8)
 			}
 			for i := 0; i < 4; i++ {
-				now := c.Rank(i).TimeNs()
+				now := c.Rank(i).clockNs
 				if now < prev[i]-1e-9 {
 					return false
 				}

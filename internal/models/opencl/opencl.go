@@ -58,9 +58,6 @@ func (c *Context) CreateBuffer(name string, bytes int64) *Buffer {
 	return &Buffer{ctx: c, name: name, bytes: bytes}
 }
 
-// Bytes returns the allocation size.
-func (b *Buffer) Bytes() int64 { return b.bytes }
-
 // Queue is an in-order command queue. The simulated machine is synchronous,
 // so enqueue operations complete (and charge time) immediately; Finish is
 // kept for API fidelity.

@@ -62,7 +62,7 @@ func TestFigure4Flow(t *testing.T) {
 		if !tc.freeCopy && (wcost <= 0 || rcost <= 0) {
 			t.Errorf("%s: transfers cost %g/%g ns, want positive", tc.machine.Name(), wcost, rcost)
 		}
-		if bufIn.Bytes() != int64(len(in)*8) {
+		if bufIn.bytes != int64(len(in)*8) {
 			t.Error("buffer size wrong")
 		}
 	}

@@ -1,6 +1,6 @@
 // Package report renders experiment results as aligned ASCII tables,
-// normalized series (the paper's figure format), and CSV for downstream
-// plotting.
+// figure grids of (x, y) series (the paper's figure format) and ASCII
+// timelines, and reads and writes the BENCH_*.json snapshots.
 package report
 
 import (
@@ -103,59 +103,12 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values (quoting cells that
-// contain commas or quotes).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteString(`"` + strings.ReplaceAll(c, `"`, `""`) + `"`)
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // Series is one named line of (x, y) points — the paper's figure format
 // (e.g. one memory-frequency series in Figure 7).
 type Series struct {
 	Name string
 	X    []float64
 	Y    []float64
-}
-
-// Normalize divides all Y by the series' first Y (the paper's
-// "normalized performance" convention). No-op for empty or zero-leading
-// series.
-func (s *Series) Normalize() {
-	if len(s.Y) == 0 || s.Y[0] == 0 {
-		return
-	}
-	base := s.Y[0]
-	for i := range s.Y {
-		s.Y[i] /= base
-	}
-}
-
-// NormalizeBy divides all Y by base.
-func (s *Series) NormalizeBy(base float64) {
-	if base == 0 {
-		return
-	}
-	for i := range s.Y {
-		s.Y[i] /= base
-	}
 }
 
 // Figure is a set of series sharing an x-axis, rendered as a grid.

@@ -49,36 +49,6 @@ func TestShortRowsPadded(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tb := NewTable("", "name", "value")
-	tb.AddRow("plain", "1")
-	tb.AddRow("with,comma", `has "quotes"`)
-	csv := tb.CSV()
-	lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
-	if lines[0] != "name,value" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[2] != `"with,comma","has ""quotes"""` {
-		t.Errorf("quoted row = %q", lines[2])
-	}
-}
-
-func TestSeriesNormalize(t *testing.T) {
-	s := &Series{Name: "s", X: []float64{1, 2, 3}, Y: []float64{2, 4, 8}}
-	s.Normalize()
-	if s.Y[0] != 1 || s.Y[1] != 2 || s.Y[2] != 4 {
-		t.Errorf("normalized = %v", s.Y)
-	}
-	s.NormalizeBy(2)
-	if s.Y[2] != 2 {
-		t.Errorf("NormalizeBy = %v", s.Y)
-	}
-	// Degenerate cases are no-ops, not panics.
-	(&Series{}).Normalize()
-	(&Series{Y: []float64{0, 1}}).Normalize()
-	s.NormalizeBy(0)
-}
-
 func TestFigureRendering(t *testing.T) {
 	f := &Figure{
 		Title:  "Fig 7a",

@@ -57,9 +57,6 @@ func (tl *Timeline) Add(track, label string, startNs, durNs float64) {
 	tl.bars = append(tl.bars, TimelineBar{Track: track, Label: label, StartNs: startNs, DurNs: durNs})
 }
 
-// Len returns the number of bars added.
-func (tl *Timeline) Len() int { return len(tl.bars) }
-
 // WriteTo renders the chart.
 func (tl *Timeline) WriteTo(w io.Writer) (int64, error) {
 	width := tl.Width

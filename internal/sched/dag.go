@@ -31,7 +31,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
@@ -102,9 +101,8 @@ type DagLaunch struct {
 	OnKernel func(q *sim.QueuePair, k int, t sim.Target, rebooked bool)
 }
 
-// DagStats tallies DAG scheduling decisions over a planner's lifetime.
+// DagStats tallies the DAG scheduling decisions of one launch.
 type DagStats struct {
-	Launches     int     // DAG workloads planned
 	Kernels      int     // kernels booked on either device
 	Edges        int     // dependency edges honored
 	HostKernels  int     // kernels run on the host CPU
@@ -121,39 +119,21 @@ type DagResult struct {
 	MakespanNs float64
 	Target     []sim.Target
 	FinishNs   []float64
-	Stats      DagStats // this launch only
+	Stats      DagStats
 }
 
-// DagPlanner schedules DAG launches on a machine's queue pair. One
-// planner may serve many launches (and machines); Stats accumulate
-// across all of them. Config is reused from the chunk scheduler: only
-// Policy matters here — the chunking knobs (HostFraction, Chunks,
-// MinChunkItems) apply to iteration-space splitting, not to whole-kernel
-// placement, and are ignored.
+// DagPlanner schedules DAG launches on a machine's queue pair under one
+// policy. It holds no other state, so one planner may serve many
+// launches (and machines) at once.
 type DagPlanner struct {
-	cfg Config
-
-	mu    sync.Mutex
-	stats DagStats
+	policy Policy
 }
 
-// NewDag builds a DAG planner, panicking on an invalid config.
-func NewDag(cfg Config) *DagPlanner {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &DagPlanner{cfg: cfg}
-}
+// NewDag builds a DAG planner for the policy.
+func NewDag(p Policy) *DagPlanner { return &DagPlanner{policy: p} }
 
-// Config returns the planner's configuration.
-func (p *DagPlanner) Config() Config { return p.cfg }
-
-// Stats returns the lifetime decision tallies.
-func (p *DagPlanner) Stats() DagStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
+// Policy returns the planner's policy.
+func (p *DagPlanner) Policy() Policy { return p.policy }
 
 // Run schedules one DAG launch on the machine's queue pair and returns
 // the schedule. The machine clock advances by the makespan.
@@ -194,7 +174,7 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 	// topological sweep using Kahn order from the sinks. Simpler: since
 	// the graph is acyclic, a memoized recursion is exact and cheap.
 	var prio []float64
-	if p.cfg.Policy == HGuided {
+	if p.policy == HGuided {
 		prio = make([]float64, n)
 		state := make([]int, n) // 0 unvisited, 1 in progress, 2 done
 		var bottom func(k int) float64
@@ -231,7 +211,7 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 	target := make([]sim.Target, n)
 	booked := make([]bool, n)
 	var st DagStats
-	st.Launches, st.Kernels, st.Edges = 1, n, edges
+	st.Kernels, st.Edges = n, edges
 
 	for done := 0; done < n; done++ {
 		// Pick the next ready kernel deterministically: lowest index, or
@@ -303,18 +283,6 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 	st.IdleNs = q.IdleNs(sim.OnHost) + q.IdleNs(sim.OnAccelerator)
 	wall := q.Merge()
 
-	p.mu.Lock()
-	p.stats.Launches += st.Launches
-	p.stats.Kernels += st.Kernels
-	p.stats.Edges += st.Edges
-	p.stats.HostKernels += st.HostKernels
-	p.stats.AccelKernels += st.AccelKernels
-	p.stats.Rebooked += st.Rebooked
-	p.stats.HostNs += st.HostNs
-	p.stats.AccelNs += st.AccelNs
-	p.stats.IdleNs += st.IdleNs
-	p.mu.Unlock()
-
 	if tr := m.Tracer(); tr != nil {
 		reg := tr.Metrics()
 		reg.Add(trace.CtrDagLaunches, 1)
@@ -341,7 +309,7 @@ func (p *DagPlanner) placeDag(q *sim.QueuePair, kern DagKernel, ready, hostNs, a
 	case PlaceAccel:
 		return sim.OnAccelerator
 	}
-	switch p.cfg.Policy {
+	switch p.policy {
 	case Static:
 		items := float64(kern.Accel.Items)
 		shares := Shares([]float64{items / hostNs, items / accelNs})
@@ -362,6 +330,6 @@ func (p *DagPlanner) placeDag(q *sim.QueuePair, kern DagKernel, ready, hostNs, a
 		}
 		return sim.OnAccelerator
 	default:
-		panic(fmt.Sprintf("sched: unknown policy %v", p.cfg.Policy))
+		panic(fmt.Sprintf("sched: unknown policy %v", p.policy))
 	}
 }

@@ -66,7 +66,7 @@ func TestDagProperties(t *testing.T) {
 				}
 			}
 			m := mk()
-			p := NewDag(Config{Policy: pol})
+			p := NewDag(pol)
 			res := p.Run(m, l)
 
 			if len(order) != n {
@@ -150,7 +150,7 @@ func TestDagDeterministic(t *testing.T) {
 		l := randomDag(rng, 10)
 		var first DagResult
 		for i := 0; i < 5; i++ {
-			res := NewDag(Config{Policy: pol}).Run(sim.NewDGPU(), l)
+			res := NewDag(pol).Run(sim.NewDGPU(), l)
 			if i == 0 {
 				first = res
 				continue
@@ -202,7 +202,7 @@ func TestDagRebooking(t *testing.T) {
 			rebooked bool
 		}{k, tg, rebooked})
 	}
-	res := NewDag(Config{Policy: Dynamic}).Run(m, l)
+	res := NewDag(Dynamic).Run(m, l)
 
 	if res.Stats.Rebooked == 0 {
 		t.Fatal("no kernel rebooked despite the open loss window")

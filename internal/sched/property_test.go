@@ -2,11 +2,12 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
-	"hetbench/internal/fault"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
+	"hetbench/internal/trace"
 )
 
 // randomCost draws a valid kernel-cost shape: anything from tiny
@@ -28,18 +29,35 @@ func randomCost(rng *rand.Rand, items int) timing.KernelCost {
 	}
 }
 
-// recordedChunk is one OnChunk observation.
-type recordedChunk struct {
-	t        sim.Target
-	n        int
-	migrated bool
+// bookedChunk is one chunk as the machine traced it: its device, from the
+// span's track, and its item count.
+type bookedChunk struct {
+	t sim.Target
+	n int
+}
+
+// tracedChunks returns the chunks of the split launch name, in booking
+// order, from the kernel spans named "name#acc<n>" and "name#cpu<n>".
+func tracedChunks(tr *trace.Tracer, name string) []bookedChunk {
+	var out []bookedChunk
+	for _, sp := range tr.Spans() {
+		if sp.Kind != trace.KindKernel || !strings.HasPrefix(sp.Name, name+"#") {
+			continue
+		}
+		c := bookedChunk{t: sim.OnAccelerator, n: sp.Items}
+		if sp.Track == trace.TrackHost {
+			c.t = sim.OnHost
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // TestPartitionProperties drives every policy over random kernel shapes and
 // checks the invariants the co-execution results rest on:
 //
 //   - exact coverage: the booked chunks partition the iteration space (no
-//     item lost, none run twice), and Stats agrees with the OnChunk stream;
+//     item lost, none run twice), and Stats agrees with the traced chunks;
 //   - wavefront alignment: at most one chunk per launch carries a partial
 //     wavefront (the remainder), whenever the launch spans at least one;
 //   - bounded makespan: the merged wall time never exceeds the slower
@@ -55,19 +73,19 @@ func TestPartitionProperties(t *testing.T) {
 		mk := machines[rng.Intn(len(machines))]
 		cost := randomCost(rng, items)
 		for _, pol := range policies {
-			var chunks []recordedChunk
-			s := New(Config{Policy: pol, OnChunk: func(tg sim.Target, n int, mig bool) {
-				chunks = append(chunks, recordedChunk{tg, n, mig})
-			}})
+			s := New(Config{Policy: pol})
 			m := mk()
+			tr := trace.New()
+			m.SetTracer(tr)
 			m.SetCoexec(s)
 			r, ok := m.LaunchKernelSplit("prop", cost, cost)
 			if !ok {
 				t.Fatalf("trial %d %v: split launch not routed", trial, pol)
 			}
+			chunks := tracedChunks(tr, "prop")
 
 			// Coverage: chunks partition the launch exactly, per device and
-			// in total, and the observer saw every booking.
+			// in total, and the trace shows every booking.
 			var sum int
 			byTarget := map[sim.Target]int64{}
 			offWave := 0
@@ -75,9 +93,6 @@ func TestPartitionProperties(t *testing.T) {
 			for _, c := range chunks {
 				if c.n <= 0 {
 					t.Fatalf("trial %d %v: empty chunk booked: %+v", trial, pol, c)
-				}
-				if c.migrated {
-					t.Fatalf("trial %d %v: chunk migrated with no fault injector", trial, pol)
 				}
 				sum += c.n
 				byTarget[c.t] += int64(c.n)
@@ -89,14 +104,17 @@ func TestPartitionProperties(t *testing.T) {
 				t.Fatalf("trial %d %v (%d items): chunks sum to %d", trial, pol, items, sum)
 			}
 			st := s.Stats()
+			if st.Migrated != 0 {
+				t.Fatalf("trial %d %v: %d chunks migrated with no fault injector", trial, pol, st.Migrated)
+			}
 			if st.HostItems != byTarget[sim.OnHost] || st.AccelItems != byTarget[sim.OnAccelerator] {
-				t.Fatalf("trial %d %v: stats %+v disagree with observed chunks %v", trial, pol, st, byTarget)
+				t.Fatalf("trial %d %v: stats %+v disagree with traced chunks %v", trial, pol, st, byTarget)
 			}
 			if st.HostItems+st.AccelItems != int64(items) {
 				t.Fatalf("trial %d %v: stats cover %d of %d items", trial, pol, st.HostItems+st.AccelItems, items)
 			}
 			if st.Chunks != len(chunks) {
-				t.Fatalf("trial %d %v: OnChunk saw %d bookings, stats counted %d", trial, pol, len(chunks), st.Chunks)
+				t.Fatalf("trial %d %v: %d chunk spans traced, stats counted %d", trial, pol, len(chunks), st.Chunks)
 			}
 
 			// Alignment: only the remainder may be off-wavefront.
@@ -122,37 +140,6 @@ func TestPartitionProperties(t *testing.T) {
 				t.Errorf("trial %d %v (%d items): makespan %g ns exceeds bound %g ns (alone %g, %d chunks)",
 					trial, pol, items, r.TimeNs, bound, worstAlone, st.Chunks)
 			}
-		}
-	}
-}
-
-// The OnChunk observer also reports migrations: with the accelerator inside
-// a loss window, every observed chunk lands on the host flagged migrated.
-func TestOnChunkReportsMigration(t *testing.T) {
-	m := sim.NewDGPU()
-	inj := fault.New(fault.Config{Seed: 1, DeviceLossRate: 0.75, DeviceLossNs: 1e12})
-	m.SetFaultInjector(inj, fault.DefaultPolicy())
-	opened := false
-	for i := 0; i < 1000 && !opened; i++ {
-		opened = inj.Launch(0) == fault.DeviceLost
-	}
-	if !opened {
-		t.Fatal("no device loss drawn in 1000 tries at a 0.75 rate")
-	}
-	var chunks []recordedChunk
-	s := New(Config{Policy: Dynamic, OnChunk: func(tg sim.Target, n int, mig bool) {
-		chunks = append(chunks, recordedChunk{tg, n, mig})
-	}})
-	m.SetCoexec(s)
-	if _, ok := m.LaunchKernelSplit("k", streamCost(1<<12), streamCost(1<<12)); !ok {
-		t.Fatal("not routed")
-	}
-	if len(chunks) == 0 {
-		t.Fatal("observer saw no chunks")
-	}
-	for _, c := range chunks {
-		if c.t != sim.OnHost || !c.migrated {
-			t.Fatalf("chunk %+v ran off-host or unflagged during a loss window", c)
 		}
 	}
 }

@@ -7,14 +7,14 @@
 //     default, by the ratio of the two devices' roofline rates on this
 //     exact kernel (each device's timing model evaluated on the full
 //     launch — the same roofline the rest of the simulator runs on).
-//   - Dynamic: the launch is carved into equal wavefront-aligned chunks
-//     pulled from a shared queue; each chunk goes to whichever device's
-//     virtual command queue finishes it earliest, so a slow device steals
-//     proportionally less work.
+//   - Dynamic: the launch is carved into 12 equal wavefront-aligned
+//     chunks pulled from a shared queue; each chunk goes to whichever
+//     device's virtual command queue finishes it earliest, so a slow
+//     device steals proportionally less work.
 //   - HGuided: like Dynamic but chunks shrink as the queue drains
 //     (half the device's proportional share of the remainder, floored at
-//     a minimum), giving big low-overhead chunks early and fine-grained
-//     load balancing at the tail.
+//     one accelerator wavefront), giving big low-overhead chunks early
+//     and fine-grained load balancing at the tail.
 //
 // The scheduler is fault-aware: when the machine's injector has the
 // accelerator inside a device-loss window at the moment a chunk would be
@@ -59,20 +59,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy maps a flag string to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "static":
-		return Static, nil
-	case "dynamic":
-		return Dynamic, nil
-	case "hguided":
-		return HGuided, nil
-	default:
-		return 0, fmt.Errorf("sched: unknown policy %q (static|dynamic|hguided)", s)
-	}
-}
-
 // Config parameterizes a Scheduler. The zero value is a valid Static
 // scheduler with the roofline-derived fraction.
 type Config struct {
@@ -83,23 +69,9 @@ type Config struct {
 	// the other policies.
 	HostFraction float64
 
-	// Chunks is the dynamic policy's target chunk count; the launch is cut
-	// into ceil(items/Chunks) wavefront-aligned pieces. Defaults to 12.
-	Chunks int
-
-	// MinChunkItems floors the HGuided policy's shrinking chunks. Defaults
-	// to one accelerator wavefront.
-	MinChunkItems int
-
 	// Seed is reserved for stochastic policies; the three shipped policies
 	// are deterministic and never draw from it.
 	Seed int64
-
-	// OnChunk, when non-nil, observes every chunk the scheduler books, in
-	// booking order: the device it ran on, its item count, and whether a
-	// device-loss window rerouted it to the host. Observers must not block;
-	// they run inside the planning loop.
-	OnChunk func(t sim.Target, items int, migrated bool)
 }
 
 // Validate reports unusable configurations.
@@ -107,19 +79,14 @@ func (c Config) Validate() error {
 	if c.HostFraction > 1 {
 		return fmt.Errorf("sched: HostFraction %g must be at most 1", c.HostFraction)
 	}
-	if c.Chunks < 0 {
-		return fmt.Errorf("sched: Chunks %d must not be negative", c.Chunks)
-	}
-	if c.MinChunkItems < 0 {
-		return fmt.Errorf("sched: MinChunkItems %d must not be negative", c.MinChunkItems)
-	}
 	return nil
 }
 
-// defaultChunks is the dynamic policy's chunk-count default: enough pieces
-// for the fast device to steal at a fine grain, few enough that per-chunk
+// dynamicChunks is the dynamic policy's chunk count: the launch is cut
+// into ceil(items/dynamicChunks) wavefront-aligned pieces, enough for the
+// fast device to steal at a fine grain, few enough that per-chunk
 // bookkeeping stays negligible.
-const defaultChunks = 12
+const dynamicChunks = 12
 
 // Shares normalizes device throughput rates into proportional work
 // shares summing to 1 — the static-partitioning rule shared by every
@@ -186,14 +153,8 @@ func New(cfg Config) *Scheduler {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Chunks == 0 {
-		cfg.Chunks = defaultChunks
-	}
 	return &Scheduler{cfg: cfg}
 }
-
-// Config returns the scheduler's (defaulted) configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
 
 // Stats returns the lifetime decision tallies.
 func (s *Scheduler) Stats() Stats {
@@ -253,9 +214,6 @@ func (s *Scheduler) LaunchSplit(m *sim.Machine, l sim.CoexecLaunch) timing.Resul
 		}
 		if c.migrated {
 			st.Migrated++
-		}
-		if s.cfg.OnChunk != nil {
-			s.cfg.OnChunk(c.t, c.n, c.migrated)
 		}
 	}
 	switch s.cfg.Policy {
@@ -346,7 +304,7 @@ func (s *Scheduler) runStatic(m *sim.Machine, q *sim.QueuePair, items int, hostR
 // plan time because the simulated queues are clairvoyant about duration.
 func (s *Scheduler) runDynamic(m *sim.Machine, q *sim.QueuePair, l sim.CoexecLaunch, items int, run func(chunk)) {
 	wf := m.Accelerator().WavefrontSize
-	size := roundUp((items+s.cfg.Chunks-1)/s.cfg.Chunks, wf)
+	size := roundUp((items+dynamicChunks-1)/dynamicChunks, wf)
 	for remaining := items; remaining > 0; {
 		n := size
 		if n > remaining {
@@ -369,14 +327,10 @@ func (s *Scheduler) runDynamic(m *sim.Machine, q *sim.QueuePair, l sim.CoexecLau
 
 // runHGuided assigns shrinking chunks: whenever a device frees up it
 // takes half its rate-proportional share of the remaining items, floored
-// at MinChunkItems — coarse chunks early (low bookkeeping), fine chunks
-// at the tail (low imbalance).
+// at one accelerator wavefront — coarse chunks early (low bookkeeping),
+// fine chunks at the tail (low imbalance).
 func (s *Scheduler) runHGuided(m *sim.Machine, q *sim.QueuePair, items int, hostRate, accelRate float64, run func(chunk)) {
 	wf := m.Accelerator().WavefrontSize
-	minChunk := s.cfg.MinChunkItems
-	if minChunk == 0 {
-		minChunk = wf
-	}
 	shares := Shares([]float64{hostRate, accelRate})
 	share := map[sim.Target]float64{
 		sim.OnHost:        shares[0],
@@ -390,8 +344,8 @@ func (s *Scheduler) runHGuided(m *sim.Machine, q *sim.QueuePair, items int, host
 			c.t = sim.OnHost
 		}
 		n := roundUp(int(float64(remaining)*share[c.t]/2), wf)
-		if n < minChunk {
-			n = minChunk
+		if n < wf {
+			n = wf
 		}
 		if n > remaining {
 			n = remaining

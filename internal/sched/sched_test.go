@@ -43,18 +43,6 @@ func machines() map[string]func() *sim.Machine {
 	return map[string]func() *sim.Machine{"APU": sim.NewAPU, "dGPU": sim.NewDGPU}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{Static, Dynamic, HGuided} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("round-robin"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
-	}
-}
-
 // Static with the roofline-derived fraction must give both devices work
 // and finish no later than either device alone.
 func TestStaticRooflineSplit(t *testing.T) {
@@ -188,7 +176,9 @@ func TestSchedulerDeterminism(t *testing.T) {
 }
 
 // With the accelerator inside a device-loss window, pending chunks migrate
-// to the host instead of triggering the whole-launch fallback path.
+// to the host instead of triggering the whole-launch fallback path: every
+// chunk span lands on the host track, and Stats counts each chunk taken
+// from the accelerator as migrated.
 func TestDeviceLossMigratesChunksToHost(t *testing.T) {
 	for _, pol := range []Policy{Static, Dynamic, HGuided} {
 		m := sim.NewDGPU()
@@ -203,16 +193,33 @@ func TestDeviceLossMigratesChunksToHost(t *testing.T) {
 			t.Fatal("no device loss drawn in 1000 tries at a 0.75 rate")
 		}
 		s := New(Config{Policy: pol})
+		tr := trace.New()
+		m.SetTracer(tr)
 		m.SetCoexec(s)
 		if _, ok := m.LaunchKernelSplit("k", streamCost(1<<12), streamCost(1<<12)); !ok {
 			t.Fatal("not routed")
 		}
 		st := s.Stats()
+		chunks := tracedChunks(tr, "k")
+		if len(chunks) == 0 {
+			t.Fatalf("%v: no chunk spans traced", pol)
+		}
+		for _, c := range chunks {
+			if c.t != sim.OnHost {
+				t.Errorf("%v: chunk %+v ran off-host during a loss window", pol, c)
+			}
+		}
+		// Static books the host's own share as well; only the
+		// accelerator's chunk migrates.
+		want := len(chunks)
+		if pol == Static {
+			want = 1
+		}
+		if st.Migrated != want {
+			t.Errorf("%v: %d of %d chunks recorded as migrated, want %d", pol, st.Migrated, len(chunks), want)
+		}
 		if st.AccelItems != 0 {
 			t.Errorf("%v: %d items ran on a lost accelerator", pol, st.AccelItems)
-		}
-		if st.Migrated == 0 {
-			t.Errorf("%v: no chunks recorded as migrated", pol)
 		}
 		if st.HostItems != 1<<12 {
 			t.Errorf("%v: host ran %d items, want all %d", pol, st.HostItems, 1<<12)
@@ -244,8 +251,6 @@ func TestSchedCounters(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	for _, bad := range []Config{
 		{HostFraction: 1.5},
-		{Chunks: -1},
-		{MinChunkItems: -4},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)

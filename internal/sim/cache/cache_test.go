@@ -112,15 +112,9 @@ func TestWorkingSetFitsAfterWarmup(t *testing.T) {
 			c.Access(addr)
 		}
 	}
-	c2 := New(small())
-	// warm
-	for addr := uint64(0); addr < 2048; addr += 64 {
-		c2.Access(addr)
-	}
-	c2.Reset()
-	// Reset must clear contents:
-	if c2.Access(0) {
-		t.Error("hit after Reset; want cold miss")
+	// A fresh cache starts cold.
+	if New(small()).Access(0) {
+		t.Error("hit on a fresh cache; want cold miss")
 	}
 
 	s := c.Stats()
@@ -148,29 +142,36 @@ func TestAccessRange(t *testing.T) {
 	}
 }
 
-func TestReplayMissRate(t *testing.T) {
+func TestStreamingReplayMissesEveryLine(t *testing.T) {
 	trace := make([]uint64, 4096)
 	for i := range trace {
 		trace[i] = uint64(i) * 64
 	}
+	replay := func(trace []uint64) float64 {
+		c := New(small())
+		for _, a := range trace {
+			c.AccessRange(a, 8)
+		}
+		return c.Stats().MissRate()
+	}
 	// Streaming 64-byte lines over 256 KB with a 4 KB cache: all miss.
-	if got := ReplayMissRate(small(), trace, 8); got != 1.0 {
+	if got := replay(trace); got != 1.0 {
 		t.Errorf("streaming replay miss rate = %g, want 1.0", got)
 	}
 	// Empty trace.
-	if got := ReplayMissRate(small(), nil, 8); got != 0 {
+	if got := replay(nil); got != 0 {
 		t.Errorf("empty replay miss rate = %g, want 0", got)
 	}
 }
 
 func TestStatsRates(t *testing.T) {
 	var s Stats
-	if s.MissRate() != 0 || s.HitRate() != 0 {
-		t.Error("zero stats must have zero rates")
+	if s.MissRate() != 0 {
+		t.Error("zero stats must have a zero miss rate")
 	}
 	s = Stats{Accesses: 10, Hits: 7, Misses: 3}
-	if s.MissRate() != 0.3 || s.HitRate() != 0.7 {
-		t.Errorf("rates = %g/%g, want 0.3/0.7", s.MissRate(), s.HitRate())
+	if s.MissRate() != 0.3 {
+		t.Errorf("miss rate = %g, want 0.3", s.MissRate())
 	}
 }
 
@@ -207,11 +208,11 @@ func TestQuickCacheInvariants(t *testing.T) {
 
 func TestSetsAndConfigAccessors(t *testing.T) {
 	c := New(small())
-	if c.Sets() != 16 {
-		t.Errorf("Sets() = %d, want 16", c.Sets())
+	if c.sets != 16 {
+		t.Errorf("sets = %d, want 16", c.sets)
 	}
-	if c.Config() != small() {
-		t.Errorf("Config() = %+v, want %+v", c.Config(), small())
+	if c.cfg != small() {
+		t.Errorf("cfg = %+v, want %+v", c.cfg, small())
 	}
 }
 

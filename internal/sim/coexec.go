@@ -33,29 +33,14 @@ type CoexecPlanner interface {
 }
 
 // SetCoexec attaches a co-execution planner; eligible launches routed via
-// LaunchKernelSplit are split across host and accelerator. Panics on nil;
-// use ClearCoexec to detach.
+// LaunchKernelSplit are split across host and accelerator. Panics on nil.
 func (m *Machine) SetCoexec(p CoexecPlanner) {
 	if p == nil {
-		panic("sim: SetCoexec(nil); use ClearCoexec")
+		panic("sim: SetCoexec(nil)")
 	}
 	m.mu.Lock()
 	m.coexec = p
 	m.mu.Unlock()
-}
-
-// ClearCoexec detaches the planner; subsequent launches are single-device.
-func (m *Machine) ClearCoexec() {
-	m.mu.Lock()
-	m.coexec = nil
-	m.mu.Unlock()
-}
-
-// Coexec returns the attached planner, or nil.
-func (m *Machine) Coexec() CoexecPlanner {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.coexec
 }
 
 // LaunchKernelSplit routes one accelerator launch through the attached

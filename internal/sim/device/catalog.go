@@ -97,18 +97,3 @@ func HostCPU() *Device {
 		KernelLaunchOverheadUs: 0.5, // thread-team fork/join
 	}
 }
-
-// Catalog returns all stock devices keyed by a short identifier usable on
-// command lines ("r9-280x", "a10-7850k", "cpu").
-func Catalog() map[string]*Device {
-	return map[string]*Device{
-		"r9-280x":   R9280X(),
-		"a10-7850k": A10_7850K(),
-		"cpu":       HostCPU(),
-	}
-}
-
-// Lookup returns the stock device with the given identifier, or nil.
-func Lookup(id string) *Device {
-	return Catalog()[id]
-}

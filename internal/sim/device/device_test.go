@@ -7,10 +7,17 @@ import (
 	"testing/quick"
 )
 
+// The stock devices validate, and each constructor returns a fresh copy:
+// mutating one must not affect the next.
 func TestCatalogValidates(t *testing.T) {
-	for id, d := range Catalog() {
+	for _, mk := range []func() *Device{R9280X, A10_7850K, HostCPU} {
+		d := mk()
 		if err := d.Validate(); err != nil {
-			t.Errorf("catalog device %q invalid: %v", id, err)
+			t.Errorf("stock device %q invalid: %v", d.Name, err)
+		}
+		d.CoreClockMHz = 1
+		if mk().CoreClockMHz == 1 {
+			t.Errorf("%s constructor returns aliased devices", d.Name)
 		}
 	}
 }
@@ -104,21 +111,6 @@ func TestPeakGflopsMonotoneInClock(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLookup(t *testing.T) {
-	if Lookup("r9-280x") == nil {
-		t.Error("Lookup(r9-280x) = nil")
-	}
-	if Lookup("nonexistent") != nil {
-		t.Error("Lookup(nonexistent) != nil")
-	}
-	// Constructors return fresh copies: mutating one must not affect the next.
-	a := Lookup("cpu")
-	a.CoreClockMHz = 1
-	if Lookup("cpu").CoreClockMHz == 1 {
-		t.Error("Lookup returns aliased devices")
 	}
 }
 

@@ -144,9 +144,6 @@ func newMachine(name string, host, accel *device.Device, link *pcie.Link) *Machi
 // Name returns the machine's display name.
 func (m *Machine) Name() string { return m.name }
 
-// Host returns the CPU device description.
-func (m *Machine) Host() *device.Device { return m.host }
-
 // Accelerator returns the GPU device description.
 func (m *Machine) Accelerator() *device.Device { return m.accel }
 

@@ -31,7 +31,7 @@ func TestStockMachines(t *testing.T) {
 	if apu.Name() == "" || dgpu.Name() == "" {
 		t.Error("machines must be named")
 	}
-	if dgpu.Host().Kind != device.KindCPU || dgpu.Accelerator().Kind != device.KindDiscreteGPU {
+	if dgpu.host.Kind != device.KindCPU || dgpu.Accelerator().Kind != device.KindDiscreteGPU {
 		t.Error("dGPU machine device kinds wrong")
 	}
 }

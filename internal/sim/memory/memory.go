@@ -39,9 +39,6 @@ func (s *System) SetMemClock(mhz int) {
 	s.memClockMHz = mhz
 }
 
-// MemClock returns the active memory clock in MHz.
-func (s *System) MemClock() int { return s.memClockMHz }
-
 // PeakBandwidthGBs returns the raw DRAM bandwidth at the active clock.
 func (s *System) PeakBandwidthGBs() float64 {
 	return s.dev.BandwidthAt(s.memClockMHz)

@@ -10,7 +10,7 @@ import (
 func TestPeakScalesWithMemClock(t *testing.T) {
 	s := NewSystem(device.R9280X())
 	base := s.PeakBandwidthGBs()
-	s.SetMemClock(s.MemClock() / 2)
+	s.SetMemClock(s.memClockMHz / 2)
 	if got := s.PeakBandwidthGBs(); got >= base {
 		t.Errorf("halving clock left bandwidth %g >= %g", got, base)
 	}

@@ -92,10 +92,3 @@ func (l *Link) Stats() Stats {
 	defer l.mu.Unlock()
 	return l.stats
 }
-
-// Reset clears the ledger.
-func (l *Link) Reset() {
-	l.mu.Lock()
-	l.stats = Stats{}
-	l.mu.Unlock()
-}

@@ -66,10 +66,6 @@ func TestLedger(t *testing.T) {
 	if s.TotalTimeUs <= 0 {
 		t.Error("total time not accumulated")
 	}
-	l.Reset()
-	if l.Stats() != (Stats{}) {
-		t.Error("Reset did not clear ledger")
-	}
 }
 
 func TestConcurrentLedger(t *testing.T) {

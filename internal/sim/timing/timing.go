@@ -143,15 +143,6 @@ func (m *Model) SetMemClock(mhz int) { m.mem.SetMemClock(mhz) }
 // CoreClock returns the active core clock in MHz.
 func (m *Model) CoreClock() int { return m.core }
 
-// MemClock returns the active memory clock in MHz.
-func (m *Model) MemClock() int { return m.mem.MemClock() }
-
-// Device returns the device being modeled.
-func (m *Model) Device() *device.Device { return m.dev }
-
-// Memory exposes the memory system (for transfer-free bandwidth queries).
-func (m *Model) Memory() *memory.System { return m.mem }
-
 // Kernel computes the time for one launch with the given aggregate cost.
 // Precision selects which flop class dominates the DP derate; both SP and
 // DP work are always accounted.

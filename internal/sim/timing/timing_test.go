@@ -277,19 +277,19 @@ func TestQuickMemEffMonotone(t *testing.T) {
 
 func TestAccessorsAndPrecisionString(t *testing.T) {
 	m := NewModel(device.R9280X())
-	if m.Device().Name != device.R9280X().Name {
-		t.Error("Device() accessor wrong")
+	if m.dev.Name != device.R9280X().Name {
+		t.Error("model built for the wrong device")
 	}
 	m.SetCoreClock(500)
 	m.SetMemClock(700)
-	if m.CoreClock() != 500 || m.MemClock() != 700 {
-		t.Error("clock accessors wrong")
+	if m.CoreClock() != 500 || m.mem.PeakBandwidthGBs() != device.R9280X().BandwidthAt(700) {
+		t.Error("clock overrides not applied")
 	}
 	if Single.String() != "single" || Double.String() != "double" {
 		t.Error("Precision.String wrong")
 	}
-	if m.Memory() == nil {
-		t.Error("Memory() accessor nil")
+	if m.mem == nil {
+		t.Error("model has no memory system")
 	}
 }
 

@@ -159,11 +159,10 @@ func Table4() []Table4Row {
 // Productivity computes Eq. 1: speedup over OpenMP divided by the
 // relative line count. Returns 0 for degenerate inputs rather than
 // propagating NaN into reports.
-func Productivity(timeOMP, timeModel float64, linesModel, linesOMP int) float64 {
-	if timeModel <= 0 || timeOMP <= 0 || linesModel <= 0 || linesOMP <= 0 {
+func Productivity(speedup float64, linesModel, linesOMP int) float64 {
+	if speedup <= 0 || linesModel <= 0 || linesOMP <= 0 {
 		return 0
 	}
-	speedup := timeOMP / timeModel
 	relLines := float64(linesModel) / float64(linesOMP)
 	return speedup / relLines
 }

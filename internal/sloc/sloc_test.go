@@ -97,8 +97,8 @@ func TestTable4MatchesPaper(t *testing.T) {
 
 func TestProductivity(t *testing.T) {
 	// Same speedup, fewer lines → higher productivity.
-	pFew := Productivity(100, 10, 40, 3)
-	pMany := Productivity(100, 10, 181, 3)
+	pFew := Productivity(10, 40, 3)
+	pMany := Productivity(10, 181, 3)
 	if pFew <= pMany {
 		t.Errorf("fewer lines not more productive: %g <= %g", pFew, pMany)
 	}
@@ -109,10 +109,10 @@ func TestProductivity(t *testing.T) {
 	}
 	// Degenerate inputs are 0, not NaN.
 	for _, p := range []float64{
-		Productivity(0, 10, 40, 3),
-		Productivity(100, 0, 40, 3),
-		Productivity(100, 10, 0, 3),
-		Productivity(100, 10, 40, 0),
+		Productivity(0, 40, 3),
+		Productivity(-1, 40, 3),
+		Productivity(10, 0, 3),
+		Productivity(10, 40, 0),
 	} {
 		if p != 0 || math.IsNaN(p) {
 			t.Errorf("degenerate productivity = %g, want 0", p)
@@ -121,12 +121,13 @@ func TestProductivity(t *testing.T) {
 }
 
 func TestQuickProductivityScaleInvariance(t *testing.T) {
-	// Scaling both times by the same factor leaves productivity fixed.
+	// Scaling both line counts by the same factor leaves productivity
+	// fixed.
 	f := func(a, b uint16, k uint8) bool {
-		tOMP, tM := float64(a)+1, float64(b)+1
-		scale := float64(k) + 1
-		p1 := Productivity(tOMP, tM, 100, 10)
-		p2 := Productivity(tOMP*scale, tM*scale, 100, 10)
+		lM, lOMP := int(a)+1, int(b)+1
+		scale := int(k) + 1
+		p1 := Productivity(2.5, lM, lOMP)
+		p2 := Productivity(2.5, lM*scale, lOMP*scale)
 		return math.Abs(p1-p2) < 1e-9*p1+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {

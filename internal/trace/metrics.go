@@ -95,14 +95,12 @@ const (
 // CtrFaultPrefix prefixes the per-kind injected-fault counters.
 const CtrFaultPrefix = "fault."
 
-// Registry is a concurrent map of monotonically-accumulating counters,
-// last-write-wins gauges and log-bucketed histograms. The zero value is
-// ready to use.
+// Registry is a concurrent map of monotonically-accumulating counters
+// and log-bucketed histograms. The zero value is ready to use.
 type Registry struct {
-	mu     sync.Mutex
-	c      map[string]float64
-	gauges map[string]float64
-	hists  map[string]*Histogram
+	mu    sync.Mutex
+	c     map[string]float64
+	hists map[string]*Histogram
 }
 
 // Add accumulates v into the named counter.
@@ -120,23 +118,6 @@ func (r *Registry) Get(name string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.c[name]
-}
-
-// SetGauge records a point-in-time value (e.g. an active clock).
-func (r *Registry) SetGauge(name string, v float64) {
-	r.mu.Lock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]float64)
-	}
-	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// Gauge returns the named gauge's last value.
-func (r *Registry) Gauge(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
 }
 
 // Observe adds one value to the named histogram, creating it on first
@@ -191,8 +172,8 @@ func (r *Registry) Histograms() map[string]*Histogram {
 	return out
 }
 
-// Merge folds another registry into r: counters accumulate, gauges take
-// the source's last value, histogram buckets add. Merging per-cell
+// Merge folds another registry into r: counters accumulate, histogram
+// buckets add. Merging per-cell
 // registries into the run-wide one in a fixed cell order yields
 // bit-identical totals at any worker count, because each counter's
 // additions happen in the same sequence.
@@ -205,10 +186,6 @@ func (r *Registry) Merge(src *Registry) {
 	for k, v := range src.c {
 		counters[k] = v
 	}
-	gauges := make(map[string]float64, len(src.gauges))
-	for k, v := range src.gauges {
-		gauges[k] = v
-	}
 	hists := make(map[string]*Histogram, len(src.hists))
 	for k, h := range src.hists {
 		hists[k] = h.Clone()
@@ -220,12 +197,6 @@ func (r *Registry) Merge(src *Registry) {
 	}
 	for k, v := range counters {
 		r.c[k] += v
-	}
-	if r.gauges == nil && len(gauges) > 0 {
-		r.gauges = make(map[string]float64, len(gauges))
-	}
-	for k, v := range gauges {
-		r.gauges[k] = v
 	}
 	if r.hists == nil && len(hists) > 0 {
 		r.hists = make(map[string]*Histogram, len(hists))
@@ -262,11 +233,4 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Reset clears all counters, gauges and histograms.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.c, r.gauges, r.hists = nil, nil, nil
-	r.mu.Unlock()
 }

@@ -143,22 +143,6 @@ func TestWriteChromeMonotone(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	tr := New()
-	p := tr.RegisterProcess("m,0") // comma forces quoting
-	tr.Emit(Span{Proc: p, Track: TrackHost, Kind: KindKernel, Name: "k", StartNs: 10, DurNs: 5})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	for _, want := range []string{"proc,track,kind,name", `"m,0"`, "host,kernel,k,10.0,5.0"} {
-		if !bytes.Contains([]byte(got), []byte(want)) {
-			t.Errorf("CSV missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	spans := []Span{
 		{Kind: KindKernel, Name: "a", DurNs: 10, Bound: "mem"},
@@ -189,16 +173,11 @@ func TestRegistry(t *testing.T) {
 	var r Registry // zero value usable
 	r.Add(CtrDRAMBytes, 100)
 	r.Add(CtrDRAMBytes, 28)
-	r.SetGauge("clock.mhz", 850)
-	if r.Get(CtrDRAMBytes) != 128 || r.Gauge("clock.mhz") != 850 {
+	if r.Get(CtrDRAMBytes) != 128 {
 		t.Errorf("registry: %v", r.Snapshot())
 	}
 	if names := r.Names(); len(names) != 1 || names[0] != CtrDRAMBytes {
 		t.Errorf("names = %v", names)
-	}
-	r.Reset()
-	if r.Get(CtrDRAMBytes) != 0 || len(r.Snapshot()) != 0 {
-		t.Error("reset incomplete")
 	}
 }
 
@@ -217,7 +196,6 @@ func TestFold(t *testing.T) {
 	child.Emit(Span{ID: kid, Parent: parent, Proc: proc, Name: "kernel", Kind: KindKernel, DurNs: 5})
 	child.Emit(Span{ID: parent, Proc: proc, Name: "run", Kind: KindRun, DurNs: 9})
 	child.Metrics().Add(CtrKernelLaunches, 1)
-	child.Metrics().SetGauge("clock.mhz", 925)
 
 	dst.Fold(child)
 
@@ -247,7 +225,7 @@ func TestFold(t *testing.T) {
 	if next == fk.ID || next == fr.ID || next == rootID {
 		t.Errorf("NewSpanID %d collides with folded IDs", next)
 	}
-	if dst.Metrics().Get(CtrKernelLaunches) != 1 || dst.Metrics().Gauge("clock.mhz") != 925 {
+	if dst.Metrics().Get(CtrKernelLaunches) != 1 {
 		t.Error("metrics not merged on fold")
 	}
 
@@ -259,15 +237,12 @@ func TestFold(t *testing.T) {
 	}
 }
 
-// Merge accumulates counters and overwrites gauges; merged-in-order
-// registries are bit-identical regardless of source construction order.
+// Merge accumulates counters; merged-in-order registries are bit-identical regardless of source construction order.
 func TestRegistryMerge(t *testing.T) {
 	var a, b, dst Registry
 	a.Add(CtrKernelNs, 100)
-	a.SetGauge("g", 1)
 	b.Add(CtrKernelNs, 28)
 	b.Add(CtrTransferNs, 7)
-	b.SetGauge("g", 2)
 	dst.Add(CtrKernelNs, 1)
 	dst.Merge(&a)
 	dst.Merge(&b)
@@ -276,9 +251,6 @@ func TestRegistryMerge(t *testing.T) {
 	}
 	if got := dst.Get(CtrTransferNs); got != 7 {
 		t.Errorf("merged counter = %g, want 7", got)
-	}
-	if got := dst.Gauge("g"); got != 2 {
-		t.Errorf("merged gauge = %g, want last-writer 2", got)
 	}
 	dst.Merge(nil)
 	dst.Merge(&dst)

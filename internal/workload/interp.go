@@ -33,8 +33,6 @@ package workload
 // not share.
 
 import (
-	"fmt"
-
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sched"
 	"hetbench/internal/sim"
@@ -373,7 +371,7 @@ func (ex *interp) finalSync() {
 func (o Options) String() string {
 	pol := "serial"
 	if o.Planner != nil {
-		pol = fmt.Sprint(o.Planner.Config().Policy)
+		pol = o.Planner.Policy().String()
 	}
 	return string(o.Model) + "/" + pol
 }

@@ -81,7 +81,7 @@ func TestDagBeatsSerial(t *testing.T) {
 	serial := Execute(sim.NewAPU(), prog, Options{Model: modelapi.OpenCL})
 	dag := Execute(sim.NewAPU(), prog, Options{
 		Model:   modelapi.OpenCL,
-		Planner: sched.NewDag(sched.Config{Policy: sched.Dynamic}),
+		Planner: sched.NewDag(sched.Dynamic),
 	})
 	if dag.ElapsedNs >= serial.ElapsedNs {
 		t.Errorf("DAG schedule (%.0f ns) did not beat serial (%.0f ns)",
@@ -101,7 +101,7 @@ func TestExecuteDeterministic(t *testing.T) {
 			prog := mustProgram(t, validSpec)
 			opt := Options{Model: modelapi.CppAMP}
 			if planner {
-				opt.Planner = sched.NewDag(sched.Config{Policy: sched.HGuided})
+				opt.Planner = sched.NewDag(sched.HGuided)
 			}
 			res := Execute(sim.NewDGPU(), prog, opt)
 			if i == 0 {
@@ -148,7 +148,7 @@ func TestHostPinnedKernelStaysHome(t *testing.T) {
 		prog := mustProgram(t, src)
 		opt := Options{Model: modelapi.OpenCL}
 		if planner {
-			opt.Planner = sched.NewDag(sched.Config{Policy: sched.Static})
+			opt.Planner = sched.NewDag(sched.Static)
 		}
 		res := Execute(sim.NewDGPU(), prog, opt)
 		if res.HostKernels != 1 {
