@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hetbench/internal/analysis"
+	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/minife"
 	"hetbench/internal/fault"
 	"hetbench/internal/harness"
@@ -332,6 +333,25 @@ func benchMinifeAssemble(b *testing.B) {
 	}
 }
 
+// benchCacheReplay streams 2^19 scattered 8-byte reads (an LCG over
+// 256 MB) through appcore.Traits at the dGPU's LLC geometry (768 sets ×
+// 16 ways): the characterization replay each app pays once per config,
+// precision and device geometry.
+func benchCacheReplay(b *testing.B) {
+	dev := sim.NewDGPU().Accelerator()
+	trace := func(touch func(uint64)) {
+		s := uint64(1)
+		for i := 0; i < 1<<19; i++ {
+			s = s*6364136223846793005 + 1442695040888963407
+			touch(s >> 36 &^ 7)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		appcore.Traits(dev, 8, trace)
+	}
+}
+
 func benchHistObserve(b *testing.B) {
 	reg := &trace.Registry{}
 	reg.Observe(trace.HistKernelNs, 1)
@@ -390,6 +410,11 @@ func BenchmarkHistObserve(b *testing.B) {
 // largest per-cell set-up cost in the figure sweeps.
 func BenchmarkMinifeAssemble(b *testing.B) {
 	b.Run("small", benchMinifeAssemble)
+}
+
+// BenchmarkCacheReplay measures one LLC characterization replay.
+func BenchmarkCacheReplay(b *testing.B) {
+	b.Run("dgpu", benchCacheReplay)
 }
 
 // BenchmarkHetlint measures the two halves of a hetlint ./... run: the
@@ -453,6 +478,7 @@ func TestWriteBenchHotpath(t *testing.T) {
 		{"hetlint/load", benchHetlintLoad},
 		{"hetlint/module", benchHetlintModule},
 		{"minife/assemble", benchMinifeAssemble},
+		{"cache/replay", benchCacheReplay},
 	}
 	for _, leaf := range leaves {
 		r := testing.Benchmark(leaf.fn)

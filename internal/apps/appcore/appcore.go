@@ -1,10 +1,11 @@
 // Package appcore holds the vocabulary shared by the proxy applications:
 // the run-result record every implementation returns, precision helpers,
 // the conversion from cache-simulator measurements to the timing model's
-// (MissRate, Coalesce) memory traits, the split of a run into a
-// functional pass and a pricing pass (Recorder, Tape, Play), and the
-// run-scoped memo characterizations and functional passes are shared
-// through.
+// (MissRate, Coalesce) memory traits (Traits, which streams an app's
+// generated address trace through the simulated LLC without holding it),
+// the split of a run into a functional pass and a pricing pass (Recorder,
+// Tape, Play), and the run-scoped memo characterizations and functional
+// passes are shared through.
 package appcore
 
 import (
@@ -120,27 +121,35 @@ func GeometryOf(dev *device.Device) Geometry {
 	}
 }
 
-// Traits replays a sampled address trace (byte addresses, each touching
-// accessBytes) through the device's last-level cache and converts the
-// outcome into the timing model's memory traits:
+// Traits replays a sampled address trace through the device's last-level
+// cache and converts the outcome into the timing model's memory traits.
+// trace generates the trace: it calls touch with each access's byte
+// address, in order, and each access touches accessBytes. The addresses
+// stream straight into the cache; no trace is ever materialized. The
+// traits are:
 //
 //   - missRate: the fraction of requested bytes that DRAM must supply,
 //   - coalesce: the efficiency lost to fetching whole lines for partial
 //     use (scattered accesses fetch 64 bytes to deliver 8).
 //
 // The per-access cache miss rate is also returned for Table I reporting.
-func Traits(dev *device.Device, addrs []uint64, accessBytes int) (missRate, coalesce, accessMissRate float64) {
-	if len(addrs) == 0 || accessBytes <= 0 {
+func Traits(dev *device.Device, accessBytes int, trace func(touch func(addr uint64))) (missRate, coalesce, accessMissRate float64) {
+	if accessBytes <= 0 {
 		return 0, 1, 0
 	}
 	cfg := cache.Config{SizeBytes: dev.L2SizeBytes, LineBytes: dev.CacheLineBytes, Ways: dev.L2Ways}
 	c := cache.New(cfg)
-	for _, a := range addrs {
-		c.AccessRange(a, accessBytes)
+	n := 0
+	trace(func(addr uint64) {
+		c.AccessRange(addr, accessBytes)
+		n++
+	})
+	if n == 0 {
+		return 0, 1, 0
 	}
 	st := c.Stats()
 	accessMissRate = st.MissRate()
-	requested := float64(len(addrs) * accessBytes)
+	requested := float64(n * accessBytes)
 	fetched := float64(st.Misses) * float64(dev.CacheLineBytes)
 	ratio := fetched / requested
 	if ratio <= 1 {

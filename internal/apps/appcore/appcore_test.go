@@ -28,11 +28,11 @@ func TestTraitsStreaming(t *testing.T) {
 	dev := device.R9280X()
 	// Pure streaming at 8 B: every byte requested reaches DRAM once →
 	// missRate 1, coalesce 1.
-	trace := make([]uint64, 1<<16)
-	for i := range trace {
-		trace[i] = uint64(i * 8)
-	}
-	miss, coal, acc := Traits(dev, trace, 8)
+	miss, coal, acc := Traits(dev, 8, func(touch func(uint64)) {
+		for i := uint64(0); i < 1<<16; i++ {
+			touch(i * 8)
+		}
+	})
 	if math.Abs(miss-1) > 0.02 || coal != 1 {
 		t.Errorf("streaming traits = %g/%g, want 1/1", miss, coal)
 	}
@@ -46,11 +46,11 @@ func TestTraitsScatteredGather(t *testing.T) {
 	dev := device.R9280X()
 	// Strided 8 B reads, one per 4 KB page over a region far beyond the
 	// L2: every access fetches a whole line for 8 useful bytes.
-	trace := make([]uint64, 1<<15)
-	for i := range trace {
-		trace[i] = uint64(i) * 4096
-	}
-	miss, coal, acc := Traits(dev, trace, 8)
+	miss, coal, acc := Traits(dev, 8, func(touch func(uint64)) {
+		for i := uint64(0); i < 1<<15; i++ {
+			touch(i * 4096)
+		}
+	})
 	if miss != 1 {
 		t.Errorf("scattered missRate = %g, want 1", miss)
 	}
@@ -66,13 +66,13 @@ func TestTraitsCacheResident(t *testing.T) {
 	dev := device.R9280X()
 	// A 64 KB working set hammered repeatedly: after warmup everything
 	// hits → low missRate.
-	var trace []uint64
-	for pass := 0; pass < 8; pass++ {
-		for a := uint64(0); a < 64<<10; a += 8 {
-			trace = append(trace, a)
+	miss, coal, _ := Traits(dev, 8, func(touch func(uint64)) {
+		for pass := 0; pass < 8; pass++ {
+			for a := uint64(0); a < 64<<10; a += 8 {
+				touch(a)
+			}
 		}
-	}
-	miss, coal, _ := Traits(dev, trace, 8)
+	})
 	if miss > 0.2 {
 		t.Errorf("resident missRate = %g, want small", miss)
 	}
@@ -83,24 +83,48 @@ func TestTraitsCacheResident(t *testing.T) {
 
 func TestTraitsDegenerate(t *testing.T) {
 	dev := device.R9280X()
-	if m, c, a := Traits(dev, nil, 8); m != 0 || c != 1 || a != 0 {
+	if m, c, a := Traits(dev, 8, func(func(uint64)) {}); m != 0 || c != 1 || a != 0 {
 		t.Error("empty trace traits wrong")
 	}
-	if m, c, _ := Traits(dev, []uint64{0}, 0); m != 0 || c != 1 {
+	if m, c, _ := Traits(dev, 0, func(touch func(uint64)) { touch(0) }); m != 0 || c != 1 {
 		t.Error("zero access size traits wrong")
+	}
+}
+
+// scattered generates n pseudo-random 8-byte-aligned addresses over
+// 256 MB, far beyond either LLC.
+func scattered(n int) func(touch func(uint64)) {
+	return func(touch func(uint64)) {
+		s := uint64(1)
+		for i := 0; i < n; i++ {
+			s = s*6364136223846793005 + 1442695040888963407
+			touch(s >> 36 &^ 7)
+		}
+	}
+}
+
+// TestTraitsAllocatesOnlyTheCache guards the streamed replay: one Traits
+// call allocates the simulated cache (its header and two way arrays) and
+// the touch closure, never the trace, however long the trace runs.
+func TestTraitsAllocatesOnlyTheCache(t *testing.T) {
+	dev := device.R9280X()
+	trace := scattered(1 << 19)
+	allocs := testing.AllocsPerRun(3, func() { Traits(dev, 8, trace) })
+	if allocs > 5 {
+		t.Errorf("one Traits replay of 2^19 addresses allocates %v times, want ≤ 5 (the cache and the touch closure)", allocs)
 	}
 }
 
 func TestQuickTraitsBounds(t *testing.T) {
 	dev := device.A10_7850K()
 	f := func(seed int64, n uint8) bool {
-		trace := make([]uint64, int(n)+1)
-		s := uint64(seed)
-		for i := range trace {
-			s = s*6364136223846793005 + 1
-			trace[i] = s % (1 << 26)
-		}
-		miss, coal, acc := Traits(dev, trace, 8)
+		miss, coal, acc := Traits(dev, 8, func(touch func(uint64)) {
+			s := uint64(seed)
+			for i := 0; i <= int(n); i++ {
+				s = s*6364136223846793005 + 1
+				touch(s % (1 << 26))
+			}
+		})
 		return miss >= 0 && miss <= 1 && coal > 0 && coal <= 1 && acc >= 0 && acc <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -311,11 +311,11 @@ const (
 	KPosition = "advancePosition"
 )
 
-// forceTrace builds the force kernel's address trace: the neighbor-cell
+// forceTrace generates the force kernel's address trace: the neighbor-cell
 // position reads of a sample of atoms, interleaved across `streams`
 // concurrent positions to mimic the compute units walking distant parts of
 // the box simultaneously (what actually determines GPU LLC behaviour).
-func (s *State) forceTrace(elt, streams int) []uint64 {
+func (s *State) forceTrace(elt, streams int, touch func(uint64)) {
 	n := len(s.X)
 	perStream := n / streams
 	if perStream == 0 {
@@ -325,8 +325,8 @@ func (s *State) forceTrace(elt, streams int) []uint64 {
 	if sample > n {
 		sample = n
 	}
-	var trace []uint64
-	for step := 0; len(trace) < sample*80; step++ {
+	touched := 0
+	for step := 0; touched < sample*80; step++ {
 		emitted := false
 		for w := 0; w < streams; w++ {
 			idx := w*perStream + step
@@ -339,15 +339,15 @@ func (s *State) forceTrace(elt, streams int) []uint64 {
 			for k := 0; k < 27; k++ {
 				cell := s.CellNeighbors[int(c)*27+k]
 				for b := s.CellStart[cell]; b < s.CellStart[cell+1]; b++ {
-					trace = append(trace, uint64(s.CellAtoms[b])*uint64(3*elt))
+					touch(uint64(s.CellAtoms[b]) * uint64(3*elt))
 				}
+				touched += int(s.CellStart[cell+1] - s.CellStart[cell])
 			}
 		}
 		if !emitted {
 			break
 		}
 	}
-	return trace
 }
 
 // characterization is the measured LLC behaviour of the three kernels
@@ -360,14 +360,15 @@ type characterization struct {
 
 func (s *State) characterize(m *sim.Machine, prec timing.Precision) (c characterization) {
 	elt := int(appcore.EltBytes(prec))
-	trace := s.forceTrace(elt, concurrentStreams(m))
-	c.forceMiss, c.forceCoalesce, c.forceAccessMiss = appcore.Traits(m.Accelerator(), trace, 3*elt)
-
-	stream := make([]uint64, 1<<15)
-	for i := range stream {
-		stream[i] = uint64(i * elt)
-	}
-	c.streamMiss, c.streamCoalesce, _ = appcore.Traits(m.Accelerator(), stream, elt)
+	streams := concurrentStreams(m)
+	c.forceMiss, c.forceCoalesce, c.forceAccessMiss = appcore.Traits(m.Accelerator(), 3*elt, func(touch func(uint64)) {
+		s.forceTrace(elt, streams, touch)
+	})
+	c.streamMiss, c.streamCoalesce, _ = appcore.Traits(m.Accelerator(), elt, func(touch func(uint64)) {
+		for i := 0; i < 1<<15; i++ {
+			touch(uint64(i * elt))
+		}
+	})
 	return c
 }
 

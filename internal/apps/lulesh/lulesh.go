@@ -136,38 +136,38 @@ func (p *Problem) measureSpecs(dev *device.Device) (out [NumKernels]modelapi.Ker
 
 	// Gather trace: element loop reading 8 nodes from 3 coordinate
 	// arrays plus its own element record.
-	var gather []uint64
-	for e := 0; e < sampleElems; e++ {
-		for c := 0; c < 8; c++ {
-			n := uint64(mesh.Nodelist[e*8+c])
-			gather = append(gather, base(0)+n*uint64(elt))
-			gather = append(gather, base(1)+n*uint64(elt))
-			gather = append(gather, base(2)+n*uint64(elt))
+	gMiss, gCoal, _ := appcore.Traits(dev, elt, func(touch func(uint64)) {
+		for e := 0; e < sampleElems; e++ {
+			for c := 0; c < 8; c++ {
+				n := uint64(mesh.Nodelist[e*8+c])
+				touch(base(0) + n*uint64(elt))
+				touch(base(1) + n*uint64(elt))
+				touch(base(2) + n*uint64(elt))
+			}
+			touch(base(3) + uint64(e)*uint64(elt))
 		}
-		gather = append(gather, base(3)+uint64(e)*uint64(elt))
-	}
-	gMiss, gCoal, _ := appcore.Traits(dev, gather, elt)
+	})
 
 	// Node-gather trace (AddNodeForces): node loop reading its corners.
-	var nodeGather []uint64
 	sampleNodes := nn
 	if sampleNodes > 1<<15 {
 		sampleNodes = 1 << 15
 	}
-	for n := 0; n < sampleNodes; n++ {
-		lo, hi := mesh.NodeElemStart[n], mesh.NodeElemStart[n+1]
-		for i := lo; i < hi; i++ {
-			nodeGather = append(nodeGather, base(4)+uint64(mesh.NodeElemCorner[i])*uint64(elt))
+	nMiss, nCoal, _ := appcore.Traits(dev, elt, func(touch func(uint64)) {
+		for n := 0; n < sampleNodes; n++ {
+			lo, hi := mesh.NodeElemStart[n], mesh.NodeElemStart[n+1]
+			for i := lo; i < hi; i++ {
+				touch(base(4) + uint64(mesh.NodeElemCorner[i])*uint64(elt))
+			}
 		}
-	}
-	nMiss, nCoal, _ := appcore.Traits(dev, nodeGather, elt)
+	})
 
 	// Streaming trace.
-	stream := make([]uint64, 1<<16)
-	for i := range stream {
-		stream[i] = base(5) + uint64(i*elt)
-	}
-	sMiss, sCoal, _ := appcore.Traits(dev, stream, elt)
+	sMiss, sCoal, _ := appcore.Traits(dev, elt, func(touch func(uint64)) {
+		for i := 0; i < 1<<16; i++ {
+			touch(base(5) + uint64(i*elt))
+		}
+	})
 
 	for id := KernelID(0); id < NumKernels; id++ {
 		meta := Kernels[id]
@@ -200,17 +200,17 @@ func (p *Problem) measureMiss(dev *device.Device) float64 {
 	if sample > 1<<15 {
 		sample = 1 << 15
 	}
-	var trace []uint64
 	base := func(i int) uint64 { return uint64(i) * 64 << 20 }
-	for e := 0; e < sample; e++ {
-		for c := 0; c < 8; c++ {
-			n := uint64(mesh.Nodelist[e*8+c])
-			trace = append(trace, base(0)+n*uint64(elt))
+	_, _, acc := appcore.Traits(dev, elt, func(touch func(uint64)) {
+		for e := 0; e < sample; e++ {
+			for c := 0; c < 8; c++ {
+				n := uint64(mesh.Nodelist[e*8+c])
+				touch(base(0) + n*uint64(elt))
+			}
+			touch(base(1) + uint64(e)*uint64(elt))
+			touch(base(2) + uint64(e)*uint64(elt))
 		}
-		trace = append(trace, base(1)+uint64(e)*uint64(elt))
-		trace = append(trace, base(2)+uint64(e)*uint64(elt))
-	}
-	_, _, acc := appcore.Traits(dev, trace, elt)
+	})
 	return acc
 }
 

@@ -57,6 +57,65 @@ func (c Config) NumRows() int { return (c.Nx + 1) * (c.Ny + 1) * (c.Nz + 1) }
 // neighbour counts sum to 3n+1.
 func (c Config) nnz() int { return (3*c.Nx + 1) * (3*c.Ny + 1) * (3*c.Nz + 1) }
 
+// The assembled system's row structure is its stencil: every node couples
+// to the in-bounds nodes of its 3×3×3 neighbourhood, so a row's columns,
+// in ascending order, are its in-bounds neighbour offsets in (z, y, x)
+// lexicographic order. span, rowStart and appendRow give it without
+// assembling anything.
+
+// span returns the lowest neighbour offset of coordinate c on an axis of n
+// elements, and how many offsets are in bounds: 2 at either end, else 3.
+func span(c, n int) (lo, cnt int) {
+	lo, cnt = -1, 3
+	if c == 0 {
+		lo, cnt = 0, 2
+	}
+	if c == n {
+		cnt--
+	}
+	return lo, cnt
+}
+
+// spanBefore returns the in-bounds offsets of coordinates 0..c-1 on an
+// axis of n elements: 2 for the first and 3 for each interior one, up to
+// the axis total 3n+1.
+func spanBefore(c, n int) int { return max(0, min(3*c-1, 3*n+1)) }
+
+// coords returns row r's node coordinates.
+func (c Config) coords(r int) (x, y, z int) {
+	npx, npy := c.Nx+1, c.Ny+1
+	return r % npx, r / npx % npy, r / (npx * npy)
+}
+
+// rowStart returns the index of row r's first stored entry, RowPtr[r] of
+// the assembled CSR, for r in [0, NumRows]: the rows before r in z-, y-,
+// x-major order, each holding the product of its axes' spans.
+func (c Config) rowStart(r int) int {
+	x, y, z := c.coords(r)
+	_, nY := span(y, c.Ny)
+	_, nZ := span(z, c.Nz)
+	tx, ty := 3*c.Nx+1, 3*c.Ny+1
+	return spanBefore(z, c.Nz)*ty*tx + nZ*(spanBefore(y, c.Ny)*tx+nY*spanBefore(x, c.Nx))
+}
+
+// appendRow appends the columns of node (x, y, z)'s row, ascending, to
+// dst.
+func (c Config) appendRow(dst []int32, x, y, z int) []int32 {
+	npx, npy := c.Nx+1, c.Ny+1
+	r := (z*npy+y)*npx + x
+	loX, nX := span(x, c.Nx)
+	loY, nY := span(y, c.Ny)
+	loZ, nZ := span(z, c.Nz)
+	for dz := loZ; dz < loZ+nZ; dz++ {
+		for dy := loY; dy < loY+nY; dy++ {
+			for dx := loX; dx < loX+nX; dx++ {
+				dst = append(dst, int32(r+(dz*npy+dy)*npx+dx))
+			}
+		}
+	}
+	return dst
+}
+
 // CSR is a compressed-sparse-row matrix.
 type CSR struct {
 	NumRows int
@@ -125,12 +184,10 @@ const massShift = 0.1
 // phase of miniFE) plus a mass shift on the diagonal. b is the unit
 // source vector.
 //
-// Every node couples to the in-bounds nodes of its 3×3×3 neighbourhood,
-// so the row structure is known before any element is visited: a row's
-// columns, in ascending order, are its neighbour offsets in (z, y, x)
-// lexicographic order. Each element then adds its 8×8 stiffness into
-// fixed slots, elements in z-, y-, x-major order, so every value is the
-// same floating-point sum an entry-by-entry accumulation would produce.
+// The row structure is the stencil (appendRow), known before any element
+// is visited. Each element then adds its 8×8 stiffness into fixed slots,
+// elements in z-, y-, x-major order, so every value is the same
+// floating-point sum an entry-by-entry accumulation would produce.
 func Assemble(cfg Config) (*CSR, []float64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -149,32 +206,11 @@ func assemble(cfg Config) (*CSR, []float64) {
 		Cols:    make([]int32, 0, nnz),
 		Vals:    make([]float64, nnz),
 	}
-	// span returns the lowest neighbour offset of coordinate c on an axis
-	// of n elements, and how many offsets are in bounds.
-	span := func(c, n int) (lo, cnt int) {
-		lo, cnt = -1, 3
-		if c == 0 {
-			lo, cnt = 0, 2
-		}
-		if c == n {
-			cnt--
-		}
-		return lo, cnt
-	}
 	r := 0
 	for z := 0; z <= cfg.Nz; z++ {
-		loZ, nZ := span(z, cfg.Nz)
 		for y := 0; y <= cfg.Ny; y++ {
-			loY, nY := span(y, cfg.Ny)
 			for x := 0; x <= cfg.Nx; x++ {
-				loX, nX := span(x, cfg.Nx)
-				for dz := loZ; dz < loZ+nZ; dz++ {
-					for dy := loY; dy < loY+nY; dy++ {
-						for dx := loX; dx < loX+nX; dx++ {
-							a.Cols = append(a.Cols, int32(r+(dz*npy+dy)*npx+dx))
-						}
-					}
-				}
+				a.Cols = cfg.appendRow(a.Cols, x, y, z)
 				r++
 				a.RowPtr[r] = int32(len(a.Cols))
 			}

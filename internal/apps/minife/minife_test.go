@@ -157,6 +157,35 @@ func TestAssembleMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestStencilMatchesAssemble holds the row-structure helpers the
+// characterization reads to the CSR assemble builds: RowPtr from
+// rowStart's arithmetic, and each row's columns from appendRow.
+func TestStencilMatchesAssemble(t *testing.T) {
+	for _, c := range []Config{
+		{Nx: 1, Ny: 1, Nz: 1},
+		{Nx: 3, Ny: 5, Nz: 2},
+		{Nx: 1, Ny: 4, Nz: 7},
+		{Nx: 6, Ny: 1, Nz: 3},
+		{Nx: 24, Ny: 24, Nz: 24},
+	} {
+		a, _ := assemble(c)
+		name := fmt.Sprintf("%dx%dx%d", c.Nx, c.Ny, c.Nz)
+		for r := 0; r <= a.NumRows; r++ {
+			if got := c.rowStart(r); got != int(a.RowPtr[r]) {
+				t.Fatalf("%s: rowStart(%d) = %d, RowPtr %d", name, r, got, a.RowPtr[r])
+			}
+		}
+		var cols []int32
+		for r := 0; r < a.NumRows; r++ {
+			x, y, z := c.coords(r)
+			cols = c.appendRow(cols[:0], x, y, z)
+			if want := a.Cols[a.RowPtr[r]:a.RowPtr[r+1]]; !slices.Equal(cols, want) {
+				t.Fatalf("%s: row %d columns %v, assembled %v", name, r, cols, want)
+			}
+		}
+	}
+}
+
 func TestQuickSpMVMatchesDense(t *testing.T) {
 	a, _ := Assemble(Config{Nx: 3, Ny: 3, Nz: 3, MaxIters: 1})
 	n := a.NumRows

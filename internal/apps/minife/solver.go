@@ -50,8 +50,9 @@ const (
 
 // Problem is an assembled system ready to solve under any model.
 // NewProblem assembles it; a Problem literal with Cfg, Precision (and
-// Memo) set assembles it on first need, so a run whose characterization
-// and functional pass both hit the run memo never builds the matrix.
+// Memo) set assembles it on first need, so a run whose functional pass
+// hits the run memo never builds the matrix. Characterization reads the
+// stencil, never the matrix.
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
@@ -93,8 +94,8 @@ type SolveResult struct {
 	Residual   float64
 }
 
-// charKey keys the characterization in a run memo: the matrix structure,
-// the element size and the LLC geometry (stream count included) are
+// charKey keys the characterization in a run memo: the stencil, the
+// element size and the LLC geometry (stream count included) are
 // everything the traces depend on.
 type charKey struct {
 	cfg  Config
@@ -119,13 +120,13 @@ func (p *Problem) characterize(m *sim.Machine) characterization {
 }
 
 func (p *Problem) measure(dev *device.Device) (c characterization) {
-	elt := int(appcore.EltBytes(p.Precision))
+	elt := uint64(appcore.EltBytes(p.Precision))
 	streams := appcore.Streams(dev)
-	a, _ := p.system()
 
 	// SpMV trace: interleaved row walks (val/col streams) plus x-vector
-	// gathers through the real column structure.
-	rows := a.NumRows
+	// gathers through the stencil's columns, the structure of the matrix
+	// the functional pass assembles.
+	rows := p.Cfg.NumRows()
 	perStream := rows / streams
 	if perStream == 0 {
 		perStream = 1
@@ -133,27 +134,33 @@ func (p *Problem) measure(dev *device.Device) (c characterization) {
 	valBase := uint64(0)
 	colBase := uint64(1) << 33
 	xBase := uint64(1) << 34
-	var trace []uint64
-	for step := 0; step < perStream && len(trace) < 1<<19; step++ {
-		for w := 0; w < streams; w++ {
-			r := w*perStream + step
-			if r >= rows {
-				continue
-			}
-			for i := a.RowPtr[r]; i < a.RowPtr[r+1]; i++ {
-				trace = append(trace, valBase+uint64(i)*uint64(elt))
-				trace = append(trace, colBase+uint64(i)*4)
-				trace = append(trace, xBase+uint64(a.Cols[i])*uint64(elt))
+	c.spmvMiss, _, c.spmvAccessMiss = appcore.Traits(dev, int(elt), func(touch func(uint64)) {
+		cols := make([]int32, 0, 27)
+		for step, n := 0, 0; step < perStream && n < 1<<19; step++ {
+			for w := 0; w < streams; w++ {
+				r := w*perStream + step
+				if r >= rows {
+					continue
+				}
+				i := uint64(p.Cfg.rowStart(r))
+				x, y, z := p.Cfg.coords(r)
+				cols = p.Cfg.appendRow(cols[:0], x, y, z)
+				for _, col := range cols {
+					touch(valBase + i*elt)
+					touch(colBase + i*4)
+					touch(xBase + uint64(col)*elt)
+					i++
+				}
+				n += 3 * len(cols)
 			}
 		}
-	}
-	c.spmvMiss, _, c.spmvAccessMiss = appcore.Traits(dev, trace, elt)
+	})
 
-	stream := make([]uint64, 1<<15)
-	for i := range stream {
-		stream[i] = uint64(i * elt)
-	}
-	c.vecMiss, c.vecCoalesce, _ = appcore.Traits(dev, stream, elt)
+	c.vecMiss, c.vecCoalesce, _ = appcore.Traits(dev, int(elt), func(touch func(uint64)) {
+		for i := uint64(0); i < 1<<15; i++ {
+			touch(i * elt)
+		}
+	})
 	return c
 }
 

@@ -128,11 +128,11 @@ func (p *Problem) measureSpec(dev *device.Device) modelapi.KernelSpec {
 	elt := int(appcore.EltBytes(p.Cfg.Precision))
 	// Sampled trace: one pass over (a window of) the input.
 	const sample = 1 << 16
-	addrs := make([]uint64, sample)
-	for i := range addrs {
-		addrs[i] = uint64(i * elt)
-	}
-	miss, coal, _ := appcore.Traits(dev, addrs, elt)
+	miss, coal, _ := appcore.Traits(dev, elt, func(touch func(uint64)) {
+		for i := 0; i < sample; i++ {
+			touch(uint64(i * elt))
+		}
+	})
 	return modelapi.KernelSpec{Name: "read-blocksum", Class: modelapi.Streaming, MissRate: miss, Coalesce: coal}
 }
 

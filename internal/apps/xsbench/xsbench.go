@@ -306,10 +306,11 @@ func (p *Problem) lookupInputs(i int) (float64, int) {
 	return energy, m
 }
 
-// Trace builds a sampled address trace of the lookup kernel for LLC
-// characterization: the binary-search probes of the union grid plus the
-// scattered index-grid and nuclide-grid reads.
-func (p *Problem) Trace(samples int) []uint64 {
+// Trace generates a sampled address trace of the lookup kernel for LLC
+// characterization, calling touch with each address: the binary-search
+// probes of the union grid plus the scattered index-grid and nuclide-grid
+// reads.
+func (p *Problem) Trace(samples int, touch func(uint64)) {
 	p.data()
 	elt := uint64(appcore.EltBytes(p.Precision))
 	nGrid := uint64(p.Cfg.Nuclides) * uint64(p.Cfg.GridPoints)
@@ -317,7 +318,6 @@ func (p *Problem) Trace(samples int) []uint64 {
 	indexBase := nGrid * elt
 	nuclideBase := indexBase + nGrid*uint64(p.Cfg.Nuclides)*4
 
-	var trace []uint64
 	for i := 0; i < samples; i++ {
 		energy, mat := p.lookupInputs(i)
 		rec := (1 + NumXS) * elt
@@ -326,7 +326,7 @@ func (p *Problem) Trace(samples int) []uint64 {
 			lo, hi := 0, len(p.UnionEnergy)
 			for lo < hi {
 				mid := (lo + hi) / 2
-				trace = append(trace, unionBase+uint64(mid)*elt)
+				touch(unionBase + uint64(mid)*elt)
 				if p.UnionEnergy[mid] < energy {
 					lo = mid + 1
 				} else {
@@ -339,10 +339,11 @@ func (p *Problem) Trace(samples int) []uint64 {
 			}
 			for _, n := range p.MatNuclides[mat] {
 				// index-grid pointer
-				trace = append(trace, indexBase+(uint64(u)*uint64(p.Cfg.Nuclides)+uint64(n))*4)
+				touch(indexBase + (uint64(u)*uint64(p.Cfg.Nuclides)+uint64(n))*4)
 				g := uint64(p.UnionIndex[u*p.Cfg.Nuclides+int(n)])
 				off := nuclideBase + uint64(n)*uint64(p.Cfg.GridPoints)*rec
-				trace = append(trace, off+g*rec, off+(g+1)*rec)
+				touch(off + g*rec)
+				touch(off + (g+1)*rec)
 			}
 			continue
 		}
@@ -354,7 +355,7 @@ func (p *Problem) Trace(samples int) []uint64 {
 			lo, hi := 0, len(eg)
 			for lo < hi {
 				mid := (lo + hi) / 2
-				trace = append(trace, off+uint64(mid)*rec)
+				touch(off + uint64(mid)*rec)
 				if eg[mid] < energy {
 					lo = mid + 1
 				} else {
@@ -362,10 +363,10 @@ func (p *Problem) Trace(samples int) []uint64 {
 				}
 			}
 			g := uint64(p.nuclideLowerBound(int(n), energy))
-			trace = append(trace, off+g*rec, off+(g+1)*rec)
+			touch(off + g*rec)
+			touch(off + (g+1)*rec)
 		}
 	}
-	return trace
 }
 
 // charKey keys the characterization in a run memo: the data set, the
@@ -386,7 +387,9 @@ func (p *Problem) characterize(m *sim.Machine) traits {
 	dev := m.Accelerator()
 	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(dev)}
 	return appcore.Characterize(p.Memo, key, func() (t traits) {
-		t.miss, t.coalesce, t.accessMiss = appcore.Traits(dev, p.Trace(4096), int(appcore.EltBytes(p.Precision)))
+		t.miss, t.coalesce, t.accessMiss = appcore.Traits(dev, int(appcore.EltBytes(p.Precision)), func(touch func(uint64)) {
+			p.Trace(4096, touch)
+		})
 		return t
 	})
 }
