@@ -1,12 +1,10 @@
 // Command hetlint runs hetbench's domain static analyzers over the
 // module: detnondet (jobs-determinism hazards, including wall-clock taint
 // laundered through package-internal helpers and seeds not derived from
-// fault.SubSeed or a seed parameter), spanleak (spans, and service/fleet
-// mutexes, not released on every path), launchcheck (mishandled fault
-// events), counterkey (malformed counter names), ctxflow (severed
-// cancellation in service packages) and goroexit (go statements without
-// join accounting). See internal/analysis for the rules and the
-// //hetlint:allow suppression directive.
+// fault.SubSeed or a seed parameter), counterkey (malformed counter
+// names) and ctxflow (severed cancellation in service packages). See
+// internal/analysis for the rules and the //hetlint:allow suppression
+// directive.
 //
 // Usage:
 //

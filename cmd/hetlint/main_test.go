@@ -73,20 +73,24 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run(&out, &errb, []string{"-list"}); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{
-		"detnondet", "spanleak", "launchcheck", "counterkey", "ctxflow", "goroexit",
-	} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	want := []string{"detnondet", "counterkey", "ctxflow"}
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(want), out.String())
+	}
+	for i, name := range want {
+		if f := strings.Fields(lines[i]); len(f) == 0 || f[0] != name {
+			t.Errorf("-list line %d = %q, want analyzer %s", i, lines[i], name)
 		}
 	}
 }
 
 // TestUnknownAnalyzerIsUsageError also covers the names of analyzers
-// folded into others (wallclock and seedflow into detnondet, lockbalance
-// into spanleak): they are no longer registered.
+// that are no longer registered: wallclock was folded into detnondet, and
+// launchcheck was deleted because the resilience tests catch what it
+// checked.
 func TestUnknownAnalyzerIsUsageError(t *testing.T) {
-	for _, name := range []string{"nosuch", "wallclock"} {
+	for _, name := range []string{"nosuch", "wallclock", "launchcheck"} {
 		var out, errb bytes.Buffer
 		if code := run(&out, &errb, []string{"-only", name, "../../..."}); code != 2 {
 			t.Fatalf("-only %s: expected exit 2 for unknown analyzer, got %d", name, code)

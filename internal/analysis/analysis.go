@@ -1,7 +1,7 @@
 // Package analysis is hetlint's stdlib-only static-analysis driver. It
 // loads every package in the module (go/parser + go/types, no external
-// dependencies) and runs six domain analyzers that turn the repo's
-// load-bearing conventions into mechanically-checked rules:
+// dependencies) and runs three domain analyzers, each guarding a
+// convention that no test or type checks:
 //
 //   - detnondet:   no wall-clock or global-PRNG nondeterminism in
 //     result-producing code (the TestGolden jobs-determinism contract);
@@ -11,23 +11,17 @@
 //     and every rand.NewSource/NewPCG seed and fault.SubSeed parent must
 //     flow from fault.SubSeed or an explicit seed parameter, checked
 //     interprocedurally;
-//   - spanleak:    every acquisition reaches its release on all
-//     control-flow paths: each sim.ActiveSpan opened by StartSpan/
-//     StartRun/StartIteration reaches End, and each sync.Mutex/RWMutex
-//     Lock in the service and fleet packages reaches its Unlock;
-//   - launchcheck: fault events from LaunchKernelChecked are never
-//     discarded, and fault-participating packages never bypass the
-//     injector with a bare accelerator LaunchKernel;
 //   - counterkey:  trace counter names are lowercase dotted string
 //     constants in the established namespaces, never formatted at
 //     runtime on the launch hot path;
 //   - ctxflow:     request-handling code in service packages never
 //     conjures a fresh context.Background()/context.TODO() — contexts
-//     derive from the request so disconnects and deadlines propagate;
-//   - goroexit:    every go statement in the service and runner
-//     packages is join-accounted: WaitGroup Add/Done pairing with Done
-//     on all paths, a ctx.Done() select, or a channel handoff the
-//     spawner receives.
+//     derive from the request so disconnects and deadlines propagate.
+//
+// Rules the tree enforces another way are not here: sim.Machine's
+// closure-scoped spans cannot be left open, and the resilience and
+// service tests fail when a fault event is dropped or a goroutine or
+// mutex is not released.
 //
 // Intentional violations are annotated in source with
 //
@@ -93,7 +87,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns hetlint's rule set in its fixed presentation order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DetNonDet, SpanLeak, LaunchCheck, CounterKey, CtxFlow, GoroExit,
+		DetNonDet, CounterKey, CtxFlow,
 	}
 }
 
@@ -242,7 +236,7 @@ func isPkgFunc(obj types.Object, pkgPath string, names ...string) bool {
 // isMethodOn reports whether obj is a method with the given name on a
 // (possibly pointer-to) named type with the given type name. Matching is
 // by name so the testdata fixture stubs exercise the analyzers exactly
-// like the real sim/trace packages do.
+// like the real trace package does.
 func isMethodOn(obj types.Object, typeName string, methods ...string) bool {
 	fn, ok := obj.(*types.Func)
 	if !ok {
@@ -270,38 +264,6 @@ func namedTypeName(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// buildParents maps every node under root to its enclosing node.
-func buildParents(root ast.Node) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// enclosingFunc returns the innermost function (FuncDecl body or FuncLit
-// body) containing n, using a parents map.
-func enclosingFunc(parents map[ast.Node]ast.Node, n ast.Node) *ast.BlockStmt {
-	for cur := n; cur != nil; cur = parents[cur] {
-		switch f := cur.(type) {
-		case *ast.FuncDecl:
-			return f.Body
-		case *ast.FuncLit:
-			return f.Body
-		}
-	}
-	return nil
 }
 
 // inspectSkipFuncLits walks n calling fn, without descending into nested

@@ -27,10 +27,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		want    int
 	}{
 		{"detnondet", []*analysis.Analyzer{analysis.DetNonDet}, 6},
-		{"spanleak", []*analysis.Analyzer{analysis.SpanLeak}, 5},
-		{"launchcheck", []*analysis.Analyzer{analysis.LaunchCheck}, 3},
-		{"launchcheckcorr", []*analysis.Analyzer{analysis.LaunchCheck}, 1},
-		{"launchcheckfree", []*analysis.Analyzer{analysis.LaunchCheck}, 0},
 		{"counterkey", []*analysis.Analyzer{analysis.CounterKey}, 6},
 		{"counterkeyfleet", []*analysis.Analyzer{analysis.CounterKey}, 6},
 		{"counterkeydag", []*analysis.Analyzer{analysis.CounterKey}, 6},
@@ -39,8 +35,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"ctxflowfree", []*analysis.Analyzer{analysis.CtxFlow}, 0},
 		{"seedflow", []*analysis.Analyzer{analysis.DetNonDet}, 11},
 		{"wallclock", []*analysis.Analyzer{analysis.DetNonDet}, 10},
-		{"goroexit", []*analysis.Analyzer{analysis.GoroExit}, 3},
-		{"lockbalance", []*analysis.Analyzer{analysis.SpanLeak}, 3},
 	}
 	for _, tc := range tests {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -58,8 +52,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 
 // TestDirectiveDiagnostics is the negative test for the suppression
 // grammar: unused, misspelled, verbless and reasonless //hetlint
-// directives are themselves reported, attributed to the "directive"
-// pseudo-analyzer, while the one valid directive suppresses silently.
+// directives, and directives naming a deleted analyzer, are themselves
+// reported, attributed to the "directive" pseudo-analyzer, while the one
+// valid directive suppresses silently.
 func TestDirectiveDiagnostics(t *testing.T) {
 	findings := analysistest.Run(t, fixture("directives"), analysis.Analyzers())
 	for _, f := range findings {
@@ -67,12 +62,13 @@ func TestDirectiveDiagnostics(t *testing.T) {
 			t.Errorf("non-directive finding leaked through: %s", f)
 		}
 	}
-	if len(findings) != 4 {
-		t.Errorf("got %d directive findings, want 4:\n%v", len(findings), findings)
+	if len(findings) != 5 {
+		t.Errorf("got %d directive findings, want 5:\n%v", len(findings), findings)
 	}
 	analysistest.MustContain(t, findings, `unused //hetlint:allow counterkey`)
 	analysistest.MustContain(t, findings, `unknown analyzer "detnodnet"`)
-	analysistest.MustContain(t, findings, `//hetlint:allow spanleak has no reason`)
+	analysistest.MustContain(t, findings, `unknown analyzer "spanleak"`)
+	analysistest.MustContain(t, findings, `//hetlint:allow ctxflow has no reason`)
 	analysistest.MustContain(t, findings, `unknown hetlint directive "forbid"`)
 }
 
@@ -80,25 +76,23 @@ func TestDirectiveDiagnostics(t *testing.T) {
 func TestFindingString(t *testing.T) {
 	f := analysis.Finding{
 		Pos:      token.Position{Filename: "internal/sim/machine.go", Line: 42},
-		Analyzer: "spanleak",
-		Message:  "span sp from StartSpan is not closed on every path",
+		Analyzer: "counterkey",
+		Message:  "counter name is formatted at runtime",
 	}
 	got := f.String()
-	want := "internal/sim/machine.go:42: [spanleak] span sp from StartSpan is not closed on every path"
+	want := "internal/sim/machine.go:42: [counterkey] counter name is formatted at runtime"
 	if got != want {
 		t.Errorf("Finding.String() = %q, want %q", got, want)
 	}
 }
 
-// TestAnalyzersOrder pins the registry: six rules, fixed names.
+// TestAnalyzersOrder pins the registry: three rules, fixed names.
 func TestAnalyzersOrder(t *testing.T) {
 	var names []string
 	for _, a := range analysis.Analyzers() {
 		names = append(names, a.Name)
 	}
-	want := []string{
-		"detnondet", "spanleak", "launchcheck", "counterkey", "ctxflow", "goroexit",
-	}
+	want := []string{"detnondet", "counterkey", "ctxflow"}
 	if len(names) != len(want) {
 		t.Fatalf("Analyzers() = %v, want %v", names, want)
 	}

@@ -47,8 +47,8 @@ func runCtxFlow(p *Pass) {
 // match "service"), or the package is the rule's analysis fixture
 // directory (testdata/src/<fixture>), so fixture packages exercise scoped
 // rules without masquerading as real package paths. Fixtures with other
-// names (ctxflowfree, launchcheckfree, …) stay out of scope, which is how
-// the out-of-scope negative fixtures work.
+// names (ctxflowfree, …) stay out of scope, which is how the
+// out-of-scope negative fixtures work.
 func scopedTo(path, fixture string, segments ...string) bool {
 	segs := strings.Split(path, "/")
 	if strings.Contains(path, "/testdata/src/") && segs[len(segs)-1] == fixture {

@@ -21,8 +21,12 @@ func clean() {}
 // want+ `\[directive\] //hetlint:allow names unknown analyzer "detnodnet"`
 //hetlint:allow detnodnet suppress the typo analyzer
 
-// want+ `\[directive\] //hetlint:allow spanleak has no reason`
-//hetlint:allow spanleak
+// want+ `\[directive\] //hetlint:allow ctxflow has no reason`
+//hetlint:allow ctxflow
+
+// A directive naming a deleted analyzer is as unknown as a typo.
+// want+ `\[directive\] //hetlint:allow names unknown analyzer "spanleak"`
+//hetlint:allow spanleak span closed by a deferred End
 
 // want+ `\[directive\] unknown hetlint directive "forbid"`
 //hetlint:forbid detnondet no such verb

@@ -5,25 +5,6 @@ package fault
 // Kind names one injected fault class.
 type Kind string
 
-// BitFlip mirrors the real silent-corruption kind.
-const BitFlip Kind = "bit-flip"
-
-// Event reports one injected fault.
-type Event struct {
-	Kind Kind
-	Op   string
-}
-
-// Injector stands in for the seeded fault injector.
-type Injector struct{}
-
-// Policy stands in for the resilience policy.
-type Policy struct{}
-
-// Corruptor stands in for the SDC corruptor runtimes wire up; its use
-// marks a package as fault-participating for launchcheck.
-type Corruptor struct{}
-
 // SubSeed mirrors the real splitmix-style child-seed derivation seedflow
 // blesses; the stub just needs the (parent, stream) shape.
 func SubSeed(parent, stream int64) int64 {

@@ -52,9 +52,7 @@ func (t *Tape) Replay(m *sim.Machine, p *Pricer) {
 	pos := 0
 	for it, b := range t.iters {
 		play(p, t.ops[pos:b[0]])
-		sp := m.StartIteration(it)
-		play(p, t.ops[b[0]:b[1]])
-		sp.End()
+		m.InIteration(it, func() { play(p, t.ops[b[0]:b[1]]) })
 		pos = b[1]
 	}
 	play(p, t.ops[pos:])
@@ -124,9 +122,7 @@ func (r *Recorder) record(o op) {
 func (r *Recorder) Iteration(step func()) {
 	lo := len(r.tape.ops)
 	if r.live != nil {
-		sp := r.core.Machine().StartIteration(len(r.tape.iters))
-		step()
-		sp.End()
+		r.core.Machine().InIteration(len(r.tape.iters), step)
 	} else {
 		step()
 	}

@@ -410,20 +410,21 @@ func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 }
 
 // Run dispatches by model name, wrapping the whole run in a trace span.
-func (p *Problem) Run(m *sim.Machine, model modelapi.Name) appcore.Result {
+func (p *Problem) Run(m *sim.Machine, model modelapi.Name) (r appcore.Result) {
 	m.ResetClock()
-	sp := m.StartRun(AppName + "/" + string(model))
-	defer sp.End()
-	switch model {
-	case modelapi.OpenMP:
-		return p.RunOpenMP(m)
-	case modelapi.OpenCL:
-		return p.RunOpenCL(m)
-	case modelapi.CppAMP:
-		return p.RunCppAMP(m)
-	case modelapi.OpenACC:
-		return p.RunOpenACC(m)
-	default:
-		panic(fmt.Sprintf("lulesh: no implementation for %s", model))
-	}
+	m.InRun(AppName+"/"+string(model), func() {
+		switch model {
+		case modelapi.OpenMP:
+			r = p.RunOpenMP(m)
+		case modelapi.OpenCL:
+			r = p.RunOpenCL(m)
+		case modelapi.CppAMP:
+			r = p.RunCppAMP(m)
+		case modelapi.OpenACC:
+			r = p.RunOpenACC(m)
+		default:
+			panic(fmt.Sprintf("lulesh: no implementation for %s", model))
+		}
+	})
+	return r
 }

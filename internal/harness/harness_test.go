@@ -402,10 +402,40 @@ func TestProductivityShapes(t *testing.T) {
 	}
 }
 
+// fig11For returns model's Figure 11 row; a model the figure does not
+// list (the OpenMP baseline) allows none of the optimizations.
+func fig11For(model modelapi.Name) fig11Row {
+	for _, row := range fig11 {
+		if row.model == model {
+			return row
+		}
+	}
+	return fig11Row{model: model}
+}
+
+// Figure 11 quoted row by row.
+func TestFeatureMatrixMatchesFigure11(t *testing.T) {
+	if len(fig11) != 3 {
+		t.Fatalf("feature matrix has %d rows, want 3", len(fig11))
+	}
+	ocl := fig11For(modelapi.OpenCL)
+	if !(ocl.vectorization && ocl.localDataStore && ocl.fineGrainedSync && ocl.explicitUnroll && ocl.reduceCodeMotion) {
+		t.Errorf("OpenCL row = %+v, want all ✓", ocl)
+	}
+	acc := fig11For(modelapi.OpenACC)
+	if !(acc.vectorization && !acc.localDataStore && !acc.fineGrainedSync && !acc.explicitUnroll && !acc.reduceCodeMotion) {
+		t.Errorf("OpenACC row = %+v, want ✓ only vectorization", acc)
+	}
+	amp := fig11For(modelapi.CppAMP)
+	if !(amp.vectorization && amp.localDataStore && amp.fineGrainedSync && !amp.explicitUnroll && !amp.reduceCodeMotion) {
+		t.Errorf("C++ AMP row = %+v, want ✓✓✓✗✗", amp)
+	}
+}
+
 // Figure 11's Local Data Store column gates real behaviour: on both
 // machines, CoMD's force launch carries LDS traffic exactly under the
-// models whose profile has the feature — OpenCL and C++ AMP, not OpenACC
-// or the OpenMP baseline. The force body is CoMD's only LDS tally and a
+// models whose row has the feature — OpenCL and C++ AMP, not OpenACC or
+// the OpenMP baseline. The force body is CoMD's only LDS tally and a
 // run uses one form of it, so the run's LDS counter is the force's.
 func TestForceUsesLDSExactlyWhereFigure11Allows(t *testing.T) {
 	p := comd.NewProblem(comd.Config{Nx: 4, Ny: 4, Nz: 4, Iters: 10}, timing.Single)
@@ -418,8 +448,8 @@ func TestForceUsesLDSExactlyWhereFigure11Allows(t *testing.T) {
 		{modelapi.CppAMP, true},
 		{modelapi.OpenACC, false},
 	} {
-		if got := modelapi.ProfileFor(tc.model).Features.LocalDataStore; got != tc.lds {
-			t.Fatalf("%s profile LocalDataStore = %v, want %v (Figure 11)", tc.model, got, tc.lds)
+		if got := fig11For(tc.model).localDataStore; got != tc.lds {
+			t.Fatalf("%s Figure 11 Local Data Store = %v, want %v", tc.model, got, tc.lds)
 		}
 		for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
 			m := mk()

@@ -80,8 +80,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 
 	cells = append(cells, runner.Cell{Label: "perfbaseline/coexec", Run: func(cx *runner.Ctx) error {
 		w := newWorkloads(cx.Context(), scale, timing.Double)
-		cfg := sched.Config{Policy: sched.Dynamic, Seed: SeedOf(cx.Context())}
-		s := sched.New(cfg)
+		s := sched.New(sched.Config{Policy: sched.Dynamic})
 		m := sim.NewDGPU()
 		t := trace.New()
 		m.SetTracer(t)

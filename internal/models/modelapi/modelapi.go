@@ -92,19 +92,10 @@ func (t TransferStrategy) String() string {
 	}
 }
 
-// Features is the Figure 11 optimization matrix for one model.
-type Features struct {
-	Vectorization    bool
-	LocalDataStore   bool
-	FineGrainedSync  bool
-	ExplicitUnroll   bool
-	ReduceCodeMotion bool
-}
-
 // Profile is the calibrated description of one model's compiler/runtime.
-// Every constant here is either a paper-documented behaviour (features,
-// strategies, fallbacks) or a calibration to a paper-measured ratio,
-// annotated with its source.
+// Every constant here is either a paper-documented behaviour (strategies,
+// fallbacks) or a calibration to a paper-measured ratio, annotated with
+// its source.
 type Profile struct {
 	Name     Name
 	Compiler string // Table III entry
@@ -122,7 +113,6 @@ type Profile struct {
 	ScalarFallback map[KernelClass]float64 // class → serial fraction
 
 	Strategy TransferStrategy
-	Features Features
 }
 
 // VecEffFor returns the ALU efficiency for a kernel class (default 1).
@@ -159,7 +149,6 @@ func (p *Profile) SerialFractionFor(c KernelClass) float64 {
 //   - miniFE: "specialized sparse matrix operations cannot be easily
 //     expressed ... compiler unable to recognize the complicated access
 //     patterns" → OpenACC Irregular MemEff low.
-//   - Figure 11 reproduces the feature matrix verbatim.
 func Profiles() map[Name]*Profile {
 	return map[Name]*Profile{
 		OpenMP: {
@@ -168,7 +157,6 @@ func Profiles() map[Name]*Profile {
 			VecEff:   map[KernelClass]float64{Streaming: 1, Regular: 0.9, Irregular: 0.7},
 			MemEff:   map[KernelClass]float64{},
 			Strategy: NoTransfers,
-			Features: Features{Vectorization: true},
 		},
 		OpenCL: {
 			Name:     OpenCL,
@@ -176,10 +164,6 @@ func Profiles() map[Name]*Profile {
 			VecEff:   map[KernelClass]float64{Streaming: 1, Regular: 1, Irregular: 1},
 			MemEff:   map[KernelClass]float64{Streaming: 1, Regular: 1, Irregular: 1},
 			Strategy: ExplicitTransfers,
-			Features: Features{
-				Vectorization: true, LocalDataStore: true, FineGrainedSync: true,
-				ExplicitUnroll: true, ReduceCodeMotion: true,
-			},
 		},
 		CppAMP: {
 			Name:     CppAMP,
@@ -187,9 +171,6 @@ func Profiles() map[Name]*Profile {
 			VecEff:   map[KernelClass]float64{Streaming: 0.95, Regular: 0.85, Irregular: 0.75},
 			MemEff:   map[KernelClass]float64{Streaming: 0.77, Regular: 0.8, Irregular: 0.8},
 			Strategy: ViewSyncTransfers,
-			Features: Features{
-				Vectorization: true, LocalDataStore: true, FineGrainedSync: true,
-			},
 		},
 		OpenACC: {
 			Name:     OpenACC,
@@ -202,7 +183,6 @@ func Profiles() map[Name]*Profile {
 				Irregular: 0.85,
 			},
 			Strategy: RegionCopyTransfers,
-			Features: Features{Vectorization: true},
 		},
 		HC: {
 			Name:     HC,
@@ -210,10 +190,6 @@ func Profiles() map[Name]*Profile {
 			VecEff:   map[KernelClass]float64{Streaming: 1, Regular: 0.95, Irregular: 0.9},
 			MemEff:   map[KernelClass]float64{Streaming: 0.95, Regular: 0.95, Irregular: 0.9},
 			Strategy: ExplicitTransfers,
-			Features: Features{
-				Vectorization: true, LocalDataStore: true, FineGrainedSync: true,
-				ReduceCodeMotion: true,
-			},
 		},
 	}
 }
@@ -253,22 +229,4 @@ func ProfileOn(n Name, unified bool) *Profile {
 		p.MemEff[Irregular] = 0.8
 	}
 	return p
-}
-
-// FeatureMatrix returns Figure 11's rows in paper order:
-// OpenCL, OpenACC, C++ AMP.
-func FeatureMatrix() []struct {
-	Model Name
-	Features
-} {
-	rows := []Name{OpenCL, OpenACC, CppAMP}
-	out := make([]struct {
-		Model Name
-		Features
-	}, len(rows))
-	for i, n := range rows {
-		out[i].Model = n
-		out[i].Features = ProfileFor(n).Features
-	}
-	return out
 }

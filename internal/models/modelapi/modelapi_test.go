@@ -72,30 +72,6 @@ func TestCompilerQualityOrdering(t *testing.T) {
 	}
 }
 
-// Figure 11 feature matrix, row by row.
-func TestFeatureMatrixMatchesFigure11(t *testing.T) {
-	rows := FeatureMatrix()
-	if len(rows) != 3 {
-		t.Fatalf("feature matrix has %d rows, want 3", len(rows))
-	}
-	byName := map[Name]Features{}
-	for _, r := range rows {
-		byName[r.Model] = r.Features
-	}
-	ocl := byName[OpenCL]
-	if !(ocl.Vectorization && ocl.LocalDataStore && ocl.FineGrainedSync && ocl.ExplicitUnroll && ocl.ReduceCodeMotion) {
-		t.Errorf("OpenCL row = %+v, want all ✓", ocl)
-	}
-	acc := byName[OpenACC]
-	if !(acc.Vectorization && !acc.LocalDataStore && !acc.FineGrainedSync && !acc.ExplicitUnroll && !acc.ReduceCodeMotion) {
-		t.Errorf("OpenACC row = %+v, want ✓ only vectorization", acc)
-	}
-	amp := byName[CppAMP]
-	if !(amp.Vectorization && amp.LocalDataStore && amp.FineGrainedSync && !amp.ExplicitUnroll && !amp.ReduceCodeMotion) {
-		t.Errorf("C++ AMP row = %+v, want ✓✓✓✗✗", amp)
-	}
-}
-
 func TestTransferStrategies(t *testing.T) {
 	want := map[Name]TransferStrategy{
 		OpenCL:  ExplicitTransfers,

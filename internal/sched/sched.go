@@ -22,8 +22,7 @@
 // host instead of triggering the runtimes' whole-launch fallback path.
 //
 // All three policies are deterministic: they draw no randomness, so a run
-// is bit-reproducible under any -seed (Config.Seed is reserved for future
-// stochastic policies).
+// is bit-reproducible under any -seed (no policy reads Config.Seed).
 package sched
 
 import (
@@ -69,8 +68,10 @@ type Config struct {
 	// the other policies.
 	HostFraction float64
 
-	// Seed is reserved for stochastic policies; the three shipped policies
-	// are deterministic and never draw from it.
+	// Seed is read by no policy: the three shipped policies are
+	// deterministic and never draw from it. It stays only because the
+	// benchmark driver's traced run (_perfbench/traced.go) still sets it;
+	// it goes when that driver next changes.
 	Seed int64
 }
 

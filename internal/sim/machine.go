@@ -183,10 +183,29 @@ func (m *Machine) Tracer() *trace.Tracer {
 	return m.tracer
 }
 
-// ActiveSpan is an open hierarchical span on a machine's virtual clock.
-// The zero value (returned when no tracer is attached) is a no-op.
-type ActiveSpan struct {
-	m       *Machine
+// InRun runs body inside the app-run span name ("LULESH/OpenCL"). Spans
+// emitted while body runs (iterations, kernels, transfers) parent under
+// it. The span closes when body returns or panics, so none is left open.
+func (m *Machine) InRun(name string, body func()) {
+	defer m.closeSpan(m.openSpan(trace.KindRun, name))
+	body()
+}
+
+// InIteration runs body inside timestep/solver-iteration i's span, like
+// InRun. The label is only formatted when a tracer is attached, keeping
+// untraced loops free.
+func (m *Machine) InIteration(i int, body func()) {
+	if m.Tracer() == nil {
+		body()
+		return
+	}
+	defer m.closeSpan(m.openSpan(trace.KindIteration, fmt.Sprintf("iter %d", i)))
+	body()
+}
+
+// phaseSpan is a run or iteration span between openSpan and closeSpan.
+// The zero value (opened with no tracer attached) closes as a no-op.
+type phaseSpan struct {
 	id      uint64
 	parent  uint64
 	kind    trace.Kind
@@ -194,17 +213,15 @@ type ActiveSpan struct {
 	startNs float64
 }
 
-// StartSpan opens a phase-hierarchy span (run/iteration/phase) starting at
-// the current virtual clock. Spans emitted until End — kernels, transfers,
-// nested phases — parent under it. Close in LIFO order.
-func (m *Machine) StartSpan(kind trace.Kind, name string) ActiveSpan {
+// openSpan takes a span ID and pushes the span at the current virtual
+// clock, so IDs follow the order spans open.
+func (m *Machine) openSpan(kind trace.Kind, name string) phaseSpan {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.tracer == nil {
-		return ActiveSpan{}
+		return phaseSpan{}
 	}
-	sp := ActiveSpan{
-		m:       m,
+	sp := phaseSpan{
 		id:      m.tracer.NewSpanID(),
 		parent:  m.parentLocked(),
 		kind:    kind,
@@ -215,26 +232,11 @@ func (m *Machine) StartSpan(kind trace.Kind, name string) ActiveSpan {
 	return sp
 }
 
-// StartRun opens the app-run span ("LULESH/OpenCL").
-func (m *Machine) StartRun(name string) ActiveSpan {
-	return m.StartSpan(trace.KindRun, name)
-}
-
-// StartIteration opens one timestep/solver-iteration span. The label is
-// only formatted when a tracer is attached, keeping untraced loops free.
-func (m *Machine) StartIteration(i int) ActiveSpan {
-	if m.Tracer() == nil {
-		return ActiveSpan{}
-	}
-	return m.StartSpan(trace.KindIteration, fmt.Sprintf("iter %d", i))
-}
-
-// End closes the span at the current virtual clock and emits it.
-func (s ActiveSpan) End() {
-	if s.m == nil {
+// closeSpan pops s and emits it, ending at the current virtual clock.
+func (m *Machine) closeSpan(s phaseSpan) {
+	if s.id == 0 {
 		return
 	}
-	m := s.m
 	m.mu.Lock()
 	dur := m.clockNs - s.startNs
 	if dur < 0 {
@@ -251,9 +253,6 @@ func (s ActiveSpan) End() {
 	}
 	t, proc := m.tracer, m.proc
 	m.mu.Unlock()
-	if t == nil {
-		return
-	}
 	t.Emit(trace.Span{
 		ID: s.id, Parent: s.parent, Proc: proc,
 		Track: trace.TrackPhases, Name: s.name, Kind: s.kind,

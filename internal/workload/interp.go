@@ -121,18 +121,18 @@ func Execute(m *sim.Machine, prog *Program, opt Options) Result {
 	}
 
 	elapsed0, kernel0, transfer0 := m.ElapsedNs(), m.KernelNs(), m.TransferNs()
-	run := m.StartRun(prog.Spec.Name + "/" + string(opt.Model))
-	for it := 0; it < iters; it++ {
-		iter := m.StartIteration(it)
-		if opt.Planner == nil {
-			ex.serialIteration()
-		} else {
-			ex.dagIteration(opt.Planner)
+	m.InRun(prog.Spec.Name+"/"+string(opt.Model), func() {
+		for it := 0; it < iters; it++ {
+			m.InIteration(it, func() {
+				if opt.Planner == nil {
+					ex.serialIteration()
+				} else {
+					ex.dagIteration(opt.Planner)
+				}
+			})
 		}
-		iter.End()
-	}
-	ex.finalSync()
-	run.End()
+		ex.finalSync()
+	})
 
 	ex.res.Kernels = iters * n
 	ex.res.ElapsedNs = m.ElapsedNs() - elapsed0
