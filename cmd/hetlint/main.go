@@ -1,10 +1,9 @@
 // Command hetlint runs hetbench's domain static analyzers over the
 // module: detnondet (jobs-determinism hazards, including wall-clock taint
 // laundered through package-internal helpers and seeds not derived from
-// fault.SubSeed or a seed parameter), counterkey (malformed counter
-// names) and ctxflow (severed cancellation in service packages). See
-// internal/analysis for the rules and the //hetlint:allow suppression
-// directive.
+// fault.SubSeed or a seed parameter) and ctxflow (severed cancellation in
+// service packages). See internal/analysis for the rules and the
+// //hetlint:allow suppression directive.
 //
 // Usage:
 //

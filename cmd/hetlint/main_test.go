@@ -14,8 +14,8 @@ import (
 
 // TestRepoIsClean is the acceptance gate in test form: hetlint over the
 // whole module must exit 0 with no output. Any new violation of the
-// determinism, span, fault or counter invariants fails this test before
-// it ever reaches CI's dedicated hetlint step.
+// determinism or cancellation invariants fails this test before it ever
+// reaches CI's dedicated hetlint step.
 func TestRepoIsClean(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(&out, &errb, []string{"../../..."}); code != 0 {
@@ -52,7 +52,7 @@ func TestSourceFallbackMatchesExportData(t *testing.T) {
 // the exit status 1 contract CI relies on.
 func TestFindingOutputFormat(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run(&out, &errb, []string{"-only", "counterkey", "../../internal/analysis/testdata/src/counterkey"})
+	code := run(&out, &errb, []string{"-only", "detnondet", "../../internal/analysis/testdata/src/detnondet"})
 	if code != 1 {
 		t.Fatalf("expected exit 1 on findings, got %d\nstderr:\n%s", code, errb.String())
 	}
@@ -60,7 +60,7 @@ func TestFindingOutputFormat(t *testing.T) {
 	if len(lines) != 6 {
 		t.Fatalf("expected 6 findings, got %d:\n%s", len(lines), out.String())
 	}
-	lineRE := regexp.MustCompile(`^.+\.go:\d+: \[counterkey\] .+$`)
+	lineRE := regexp.MustCompile(`^.+\.go:\d+: \[detnondet\] .+$`)
 	for _, l := range lines {
 		if !lineRE.MatchString(l) {
 			t.Errorf("malformed finding line: %q", l)
@@ -74,7 +74,7 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("-list exited %d", code)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	want := []string{"detnondet", "counterkey", "ctxflow"}
+	want := []string{"detnondet", "ctxflow"}
 	if len(lines) != len(want) {
 		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(want), out.String())
 	}
@@ -86,11 +86,12 @@ func TestListAnalyzers(t *testing.T) {
 }
 
 // TestUnknownAnalyzerIsUsageError also covers the names of analyzers
-// that are no longer registered: wallclock was folded into detnondet, and
+// that are no longer registered: wallclock was folded into detnondet,
 // launchcheck was deleted because the resilience tests catch what it
-// checked.
+// checked, and counterkey because the trace registry checks its names
+// on export.
 func TestUnknownAnalyzerIsUsageError(t *testing.T) {
-	for _, name := range []string{"nosuch", "wallclock", "launchcheck"} {
+	for _, name := range []string{"nosuch", "wallclock", "launchcheck", "counterkey"} {
 		var out, errb bytes.Buffer
 		if code := run(&out, &errb, []string{"-only", name, "../../..."}); code != 2 {
 			t.Fatalf("-only %s: expected exit 2 for unknown analyzer, got %d", name, code)
@@ -105,12 +106,12 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 // -only runs it once, so no finding prints twice.
 func TestOnlyRepeatedNameRunsOnce(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run(&out, &errb, []string{"-only", "counterkey,counterkey", "../../internal/analysis/testdata/src/counterkey"})
+	code := run(&out, &errb, []string{"-only", "detnondet,detnondet", "../../internal/analysis/testdata/src/detnondet"})
 	if code != 1 {
 		t.Fatalf("expected exit 1 on findings, got %d\nstderr:\n%s", code, errb.String())
 	}
 	if n := strings.Count(out.String(), "\n"); n != 6 {
-		t.Errorf("expected the 6 counterkey findings once each, got %d lines:\n%s", n, out.String())
+		t.Errorf("expected the 6 detnondet findings once each, got %d lines:\n%s", n, out.String())
 	}
 }
 
@@ -128,7 +129,7 @@ func TestUnknownFormatIsUsageError(t *testing.T) {
 // known findings.
 func TestJSONFormat(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run(&out, &errb, []string{"-only", "counterkey", "-format", "json", "../../internal/analysis/testdata/src/counterkey"})
+	code := run(&out, &errb, []string{"-only", "detnondet", "-format", "json", "../../internal/analysis/testdata/src/detnondet"})
 	if code != 1 {
 		t.Fatalf("expected exit 1 on findings, got %d\nstderr:\n%s", code, errb.String())
 	}
@@ -146,7 +147,7 @@ func TestJSONFormat(t *testing.T) {
 		t.Fatalf("expected 6 findings, got %d", len(findings))
 	}
 	for _, f := range findings {
-		if f.File == "" || f.Line == 0 || f.Analyzer != "counterkey" ||
+		if f.File == "" || f.Line == 0 || f.Analyzer != "detnondet" ||
 			f.Severity != "error" || f.Message == "" {
 			t.Errorf("malformed json finding: %+v", f)
 		}
@@ -158,7 +159,7 @@ func TestJSONFormat(t *testing.T) {
 // paths — the contract the CI code-scanning upload relies on.
 func TestSARIFFormat(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run(&out, &errb, []string{"-only", "counterkey", "-format", "sarif", "../../internal/analysis/testdata/src/counterkey"})
+	code := run(&out, &errb, []string{"-only", "detnondet", "-format", "sarif", "../../internal/analysis/testdata/src/detnondet"})
 	if code != 1 {
 		t.Fatalf("expected exit 1 on findings, got %d\nstderr:\n%s", code, errb.String())
 	}
@@ -204,7 +205,7 @@ func TestSARIFFormat(t *testing.T) {
 	if run0.Tool.Driver.Name != "hetlint" {
 		t.Errorf("driver name = %q, want hetlint", run0.Tool.Driver.Name)
 	}
-	// -only counterkey: one analyzer rule plus the directive pseudo-rule.
+	// -only detnondet: one analyzer rule plus the directive pseudo-rule.
 	if len(run0.Tool.Driver.Rules) != 2 {
 		t.Errorf("expected 2 rules, got %d", len(run0.Tool.Driver.Rules))
 	}
@@ -212,7 +213,7 @@ func TestSARIFFormat(t *testing.T) {
 		t.Fatalf("expected 6 results, got %d", len(run0.Results))
 	}
 	for _, r := range run0.Results {
-		if r.RuleID != "counterkey" || r.Level != "error" || r.Message.Text == "" {
+		if r.RuleID != "detnondet" || r.Level != "error" || r.Message.Text == "" {
 			t.Errorf("malformed result: %+v", r)
 		}
 		if len(r.Locations) != 1 {
@@ -220,7 +221,7 @@ func TestSARIFFormat(t *testing.T) {
 		}
 		loc := r.Locations[0].PhysicalLocation
 		uri := loc.ArtifactLocation.URI
-		if !strings.HasPrefix(uri, "internal/analysis/testdata/src/counterkey/") {
+		if !strings.HasPrefix(uri, "internal/analysis/testdata/src/detnondet/") {
 			t.Errorf("artifact URI %q is not module-root-relative", uri)
 		}
 		if strings.Contains(uri, "\\") {
@@ -265,7 +266,7 @@ func TestFindingsDeterministicAcrossJobs(t *testing.T) {
 // -cpuprofile and -memprofile write non-empty pprof files and leave the
 // findings byte-identical to a run without them.
 func TestProfilesLeaveFindingsUnchanged(t *testing.T) {
-	args := []string{"-only", "counterkey", "../../internal/analysis/testdata/src/counterkey"}
+	args := []string{"-only", "detnondet", "../../internal/analysis/testdata/src/detnondet"}
 	var plain, errb bytes.Buffer
 	if code := run(&plain, &errb, args); code != 1 {
 		t.Fatalf("exit %d, want 1 (fixture has findings); stderr: %s", code, errb.String())

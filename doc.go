@@ -44,9 +44,9 @@
 //	internal/service/chaostest
 //	                  failure-injection harness: gated/panicking runs,
 //	                  goroutine-leak checker, slow reader
-//	internal/analysis hetlint's domain analyzers (detnondet, counterkey,
-//	                  ctxflow) and the parallel driver with
-//	                  text/json/sarif renderers
+//	internal/analysis hetlint's domain analyzers (detnondet, ctxflow)
+//	                  and the parallel driver with text/json/sarif
+//	                  renderers
 //	cmd/hetbench      the experiment driver (-exp, -jobs, -trace, -metrics,
 //	                  -progress, -bench-delta)
 //	cmd/hetbenchd     the HTTP/JSON simulation daemon

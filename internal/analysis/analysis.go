@@ -1,6 +1,6 @@
 // Package analysis is hetlint's stdlib-only static-analysis driver. It
 // loads every package in the module (go/parser + go/types, no external
-// dependencies) and runs three domain analyzers, each guarding a
+// dependencies) and runs two domain analyzers, each guarding a
 // convention that no test or type checks:
 //
 //   - detnondet:   no wall-clock or global-PRNG nondeterminism in
@@ -11,17 +11,15 @@
 //     and every rand.NewSource/NewPCG seed and fault.SubSeed parent must
 //     flow from fault.SubSeed or an explicit seed parameter, checked
 //     interprocedurally;
-//   - counterkey:  trace counter names are lowercase dotted string
-//     constants in the established namespaces, never formatted at
-//     runtime on the launch hot path;
 //   - ctxflow:     request-handling code in service packages never
 //     conjures a fresh context.Background()/context.TODO() — contexts
 //     derive from the request so disconnects and deadlines propagate.
 //
 // Rules the tree enforces another way are not here: sim.Machine's
-// closure-scoped spans cannot be left open, and the resilience and
-// service tests fail when a fault event is dropped or a goroutine or
-// mutex is not released.
+// closure-scoped spans cannot be left open; the resilience and service
+// tests fail when a fault event is dropped or a goroutine or mutex is
+// not released; and trace.Registry takes typed counter and histogram
+// names and checks each one when it exports it.
 //
 // Intentional violations are annotated in source with
 //
@@ -45,18 +43,11 @@ import (
 	"sync"
 )
 
-// Severity levels, mapped onto SARIF's level vocabulary by WriteSARIF.
-const (
-	SeverityError   = "error"
-	SeverityWarning = "warning"
-)
-
 // Finding is one diagnostic: an invariant violation, or a problem with a
 // suppression directive (Analyzer == DirectiveName).
 type Finding struct {
 	Pos      token.Position
 	Analyzer string
-	Severity string
 	Message  string
 }
 
@@ -67,10 +58,9 @@ func (f Finding) String() string {
 
 // Analyzer is one named rule run over each loaded package.
 type Analyzer struct {
-	Name     string
-	Doc      string
-	Severity string
-	Run      func(*Pass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // Pass carries one (package, analyzer) run; analyzers report through it.
@@ -87,7 +77,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns hetlint's rule set in its fixed presentation order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DetNonDet, CounterKey, CtxFlow,
+		DetNonDet, CtxFlow,
 	}
 }
 
@@ -174,9 +164,9 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, known, running map[stri
 	var raw []Finding
 	for _, a := range analyzers {
 		pass := &Pass{Pkg: pkg}
-		name, sev := a.Name, a.Severity
+		name := a.Name
 		pass.report = func(pos token.Pos, msg string) {
-			raw = append(raw, Finding{Pos: pkg.Fset.Position(pos), Analyzer: name, Severity: sev, Message: msg})
+			raw = append(raw, Finding{Pos: pkg.Fset.Position(pos), Analyzer: name, Message: msg})
 		}
 		a.Run(pass)
 	}
@@ -192,7 +182,6 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, known, running map[stri
 			out = append(out, Finding{
 				Pos:      token.Position{Filename: d.file, Line: d.line},
 				Analyzer: DirectiveName,
-				Severity: SeverityWarning,
 				Message: fmt.Sprintf("unused //hetlint:allow %s directive: no %s finding on this or the next line",
 					d.analyzer, d.analyzer),
 			})
@@ -227,27 +216,6 @@ func isPkgFunc(obj types.Object, pkgPath string, names ...string) bool {
 	}
 	for _, n := range names {
 		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
-// isMethodOn reports whether obj is a method with the given name on a
-// (possibly pointer-to) named type with the given type name. Matching is
-// by name so the testdata fixture stubs exercise the analyzers exactly
-// like the real trace package does.
-func isMethodOn(obj types.Object, typeName string, methods ...string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil || namedTypeName(sig.Recv().Type()) != typeName {
-		return false
-	}
-	for _, m := range methods {
-		if fn.Name() == m {
 			return true
 		}
 	}

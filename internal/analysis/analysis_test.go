@@ -27,10 +27,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		want    int
 	}{
 		{"detnondet", []*analysis.Analyzer{analysis.DetNonDet}, 6},
-		{"counterkey", []*analysis.Analyzer{analysis.CounterKey}, 6},
-		{"counterkeyfleet", []*analysis.Analyzer{analysis.CounterKey}, 6},
-		{"counterkeydag", []*analysis.Analyzer{analysis.CounterKey}, 6},
-		{"histkey", []*analysis.Analyzer{analysis.CounterKey}, 6},
 		{"service", []*analysis.Analyzer{analysis.CtxFlow}, 2},
 		{"ctxflowfree", []*analysis.Analyzer{analysis.CtxFlow}, 0},
 		{"seedflow", []*analysis.Analyzer{analysis.DetNonDet}, 11},
@@ -65,7 +61,7 @@ func TestDirectiveDiagnostics(t *testing.T) {
 	if len(findings) != 5 {
 		t.Errorf("got %d directive findings, want 5:\n%v", len(findings), findings)
 	}
-	analysistest.MustContain(t, findings, `unused //hetlint:allow counterkey`)
+	analysistest.MustContain(t, findings, `unused //hetlint:allow detnondet`)
 	analysistest.MustContain(t, findings, `unknown analyzer "detnodnet"`)
 	analysistest.MustContain(t, findings, `unknown analyzer "spanleak"`)
 	analysistest.MustContain(t, findings, `//hetlint:allow ctxflow has no reason`)
@@ -76,23 +72,23 @@ func TestDirectiveDiagnostics(t *testing.T) {
 func TestFindingString(t *testing.T) {
 	f := analysis.Finding{
 		Pos:      token.Position{Filename: "internal/sim/machine.go", Line: 42},
-		Analyzer: "counterkey",
-		Message:  "counter name is formatted at runtime",
+		Analyzer: "detnondet",
+		Message:  "time.Now reads the wall clock",
 	}
 	got := f.String()
-	want := "internal/sim/machine.go:42: [counterkey] counter name is formatted at runtime"
+	want := "internal/sim/machine.go:42: [detnondet] time.Now reads the wall clock"
 	if got != want {
 		t.Errorf("Finding.String() = %q, want %q", got, want)
 	}
 }
 
-// TestAnalyzersOrder pins the registry: three rules, fixed names.
+// TestAnalyzersOrder pins the registry: two rules, fixed names.
 func TestAnalyzersOrder(t *testing.T) {
 	var names []string
 	for _, a := range analysis.Analyzers() {
 		names = append(names, a.Name)
 	}
-	want := []string{"detnondet", "counterkey", "ctxflow"}
+	want := []string{"detnondet", "ctxflow"}
 	if len(names) != len(want) {
 		t.Fatalf("Analyzers() = %v, want %v", names, want)
 	}

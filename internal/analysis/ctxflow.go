@@ -15,10 +15,9 @@ import (
 // the request via context.WithoutCancel, or carries a
 // //hetlint:allow ctxflow directive naming why.
 var CtxFlow = &Analyzer{
-	Name:     "ctxflow",
-	Doc:      "flags context.Background()/context.TODO() in service request-handling packages",
-	Severity: SeverityError,
-	Run:      runCtxFlow,
+	Name: "ctxflow",
+	Doc:  "flags context.Background()/context.TODO() in service request-handling packages",
+	Run:  runCtxFlow,
 }
 
 func runCtxFlow(p *Pass) {

@@ -39,10 +39,9 @@ import (
 // interfaces are not tracked, and the flow rule treats nested function
 // literals as opaque.
 var DetNonDet = &Analyzer{
-	Name:     "detnondet",
-	Doc:      "flags wall-clock, global-PRNG and map-order nondeterminism, wall-clock values laundered into results, and PRNG seeds not derived from a seed",
-	Severity: SeverityError,
-	Run:      runDetNonDet,
+	Name: "detnondet",
+	Doc:  "flags wall-clock, global-PRNG and map-order nondeterminism, wall-clock values laundered into results, and PRNG seeds not derived from a seed",
+	Run:  runDetNonDet,
 }
 
 // resultPackages are the import-path segments of the packages whose

@@ -76,7 +76,7 @@ func parseDirectives(pkg *Package, known map[string]bool, out *[]Finding) []*dir
 
 // directiveFinding builds one DirectiveName finding at pos.
 func directiveFinding(pos token.Position, msg string) Finding {
-	return Finding{Pos: pos, Analyzer: DirectiveName, Severity: SeverityWarning, Message: msg}
+	return Finding{Pos: pos, Analyzer: DirectiveName, Message: msg}
 }
 
 // matchDirective returns the directive suppressing f, if any: same

@@ -47,7 +47,7 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 			Line:     f.Pos.Line,
 			Column:   f.Pos.Column,
 			Analyzer: f.Analyzer,
-			Severity: severityOrDefault(f.Severity),
+			Severity: severity(f),
 			Message:  f.Message,
 		})
 	}
@@ -130,7 +130,7 @@ func WriteSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer) error {
 	for _, f := range findings {
 		results = append(results, sarifResult{
 			RuleID:  f.Analyzer,
-			Level:   severityOrDefault(f.Severity),
+			Level:   severity(f),
 			Message: sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysicalLocation{
@@ -154,11 +154,11 @@ func WriteSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer) error {
 	return enc.Encode(log)
 }
 
-// severityOrDefault maps a finding severity onto the SARIF level
-// vocabulary, defaulting to warning.
-func severityOrDefault(s string) string {
-	if s == "" {
-		return SeverityWarning
+// severity is a finding's level in SARIF's vocabulary: every analyzer
+// finding is an error, a problem with a suppression directive a warning.
+func severity(f Finding) string {
+	if f.Analyzer == DirectiveName {
+		return "warning"
 	}
-	return s
+	return "error"
 }

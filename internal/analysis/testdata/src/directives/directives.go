@@ -15,8 +15,8 @@ func allowedClock() time.Time {
 
 func clean() {}
 
-// want+ `\[directive\] unused //hetlint:allow counterkey directive: no counterkey finding`
-//hetlint:allow counterkey nothing nearby is flagged
+// want+ `\[directive\] unused //hetlint:allow detnondet directive: no detnondet finding`
+//hetlint:allow detnondet nothing nearby is flagged
 
 // want+ `\[directive\] //hetlint:allow names unknown analyzer "detnodnet"`
 //hetlint:allow detnodnet suppress the typo analyzer

@@ -88,9 +88,10 @@ type memoKey struct{}
 
 // WithMemo returns ctx carrying a fresh run memo. Every experiment run
 // under ctx measures each app's LLC characterization once per (app
-// config, precision, device geometry) and executes each app's functional
-// pass once per (app config, precision, kernel variant), and shares them
-// across its cells and experiments. The CLI installs one per invocation
+// config, precision, device geometry), executes each app's functional
+// pass once per (app config, precision, kernel variant) and the profile
+// and trace experiments' traced LULESH run once per (scale, model), and
+// shares them across its cells and experiments. The CLI installs one per invocation
 // and the service one per request, so nothing outlives its run.
 func WithMemo(ctx context.Context) context.Context {
 	return context.WithValue(ctx, memoKey{}, &appcore.Memo{})
@@ -273,9 +274,10 @@ type Experiment struct {
 	Run         func(ctx context.Context, scale Scale, w io.Writer) error
 }
 
-// Registry returns all experiments keyed by ID.
-func Registry() map[string]Experiment {
-	exps := []Experiment{
+// experiments returns every experiment in presentation order, the order
+// RunAll runs them in.
+func experiments() []Experiment {
+	return []Experiment{
 		{"table1", "Table I: Characteristics of Proxy Applications",
 			"LLC miss rate, IPC, kernel count and boundedness, measured on the simulated R9 280X", RunTable1},
 		{"table2", "Table II: Hardware Specification of Accelerators",
@@ -316,13 +318,18 @@ func Registry() map[string]Experiment {
 			"LULESH under each GPU model on the dGPU across a seeded fault-rate sweep: completed-run rate, recovery overhead, retries, watchdog kills and host fallbacks per model", RunFaults},
 		{"coexec", "Extension: CPU+accelerator co-execution",
 			"readmem, LULESH and miniFE split across host CPU and accelerator on both machines under static, dynamic and HGuided partitioning, vs the accelerator alone", RunCoexec},
-		{"perfbaseline", "Extension: perf baseline and latency distributions",
-			"per-app kernel/transfer latency quantiles plus fault-recovery and chunk-service distributions; a representative runner workout (run with -v for the pool's wall-clock stats)", RunPerfBaseline},
 		{"dag", "Extension: declarative DAG workloads",
 			"the four shipped workload specs (sobel, canny, 3mm, mlp) under spec × model × machine × schedule: serialized baseline vs the DAG-aware planner overlapping independent kernels on both devices, with staging priced per edge and device-loss rebooking", RunDag},
+		{"perfbaseline", "Extension: perf baseline and latency distributions",
+			"per-app kernel/transfer latency quantiles plus fault-recovery and chunk-service distributions; a representative runner workout (run with -v for the pool's wall-clock stats)", RunPerfBaseline},
 		{"fleet", "Extension: cluster-scale fleet simulation",
 			"fleets of mixed APU/dGPU nodes under seeded arrival traces: arrival rate × placement policy × fleet mix with p50/p95/p99 tail latency, node utilization and device-loss migration", RunFleet},
 	}
+}
+
+// Registry returns all experiments keyed by ID.
+func Registry() map[string]Experiment {
+	exps := experiments()
 	m := make(map[string]Experiment, len(exps))
 	for _, e := range exps {
 		m[e.ID] = e
@@ -330,7 +337,7 @@ func Registry() map[string]Experiment {
 	return m
 }
 
-// IDs returns the experiment ids in presentation order.
+// IDs returns the experiment ids sorted.
 func IDs() []string {
 	ids := make([]string, 0)
 	for id := range Registry() {
@@ -340,19 +347,16 @@ func IDs() []string {
 	return ids
 }
 
-// RunAll executes every experiment in order, stopping at the first
-// failure or once ctx is canceled.
+// RunAll executes every experiment in presentation order, stopping at
+// the first failure or once ctx is canceled.
 func RunAll(ctx context.Context, scale Scale, w io.Writer) error {
-	order := []string{"table1", "table2", "table3", "table4", "fig7", "fig8", "fig9", "fig10", "fig11", "hc", "tiles", "dataregion", "gridtype", "scaling", "profile", "roofline", "energy", "trace", "faults", "coexec", "dag", "perfbaseline", "fleet"}
-	reg := Registry()
-	for _, id := range order {
+	for _, e := range experiments() {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("harness: %s: %w", id, err)
+			return fmt.Errorf("harness: %s: %w", e.ID, err)
 		}
-		e := reg[id]
 		fmt.Fprintf(w, "=== %s — %s ===\n", e.ID, e.Title)
 		if err := e.Run(ctx, scale, w); err != nil {
-			return fmt.Errorf("harness: %s: %w", id, err)
+			return fmt.Errorf("harness: %s: %w", e.ID, err)
 		}
 		fmt.Fprintln(w)
 	}

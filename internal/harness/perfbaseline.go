@@ -48,7 +48,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 			m.SetTracer(t)
 			res := r.run(m, modelapi.OpenCL)
 			fmt.Fprintf(cx.Out, "--- %s (OpenCL, dGPU): %.3f ms elapsed ---\n", app, res.ElapsedNs/1e6)
-			if err := histTable(cx.Out, fmt.Sprintf("%s — latency distributions", app), t.Metrics()); err != nil {
+			if err := histTable(cx.Out, fmt.Sprintf("%s — latency distributions", app), t.Metrics().Histograms()); err != nil {
 				return err
 			}
 			fmt.Fprintln(cx.Out)
@@ -71,7 +71,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 			func() appcore.Result { return w.Lulesh().Run(mf, modelapi.OpenCL) })
 		fmt.Fprintf(cx.Out, "--- LULESH under fault rate %.2f (OpenCL, dGPU): %.3f ms total, %d faults injected ---\n",
 			perfBaselineFaultRate, totalNs/1e6, inj.Total())
-		if err := histTable(cx.Out, "faults — latency distributions", t.Metrics()); err != nil {
+		if err := histTable(cx.Out, "faults — latency distributions", t.Metrics().Histograms()); err != nil {
 			return err
 		}
 		fmt.Fprintln(cx.Out)
@@ -87,7 +87,7 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 		m.SetCoexec(s)
 		res := w.Lulesh().Run(m, modelapi.OpenCL)
 		fmt.Fprintf(cx.Out, "--- LULESH co-executed (dynamic split, dGPU): %.3f ms elapsed ---\n", res.ElapsedNs/1e6)
-		if err := histTable(cx.Out, "coexec — latency distributions", t.Metrics()); err != nil {
+		if err := histTable(cx.Out, "coexec — latency distributions", t.Metrics().Histograms()); err != nil {
 			return err
 		}
 		fmt.Fprintln(cx.Out)

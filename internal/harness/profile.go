@@ -50,15 +50,15 @@ func profileRows(aggs []trace.Agg) []KernelProfileRow {
 	return rows
 }
 
-// ProfileData runs LULESH under one model on the dGPU with a fresh tracer
-// attached and aggregates per-kernel and per-transfer time separately —
-// the drill-down that exposes, e.g., the C++ AMP CPU-fallback kernel and
-// the per-iteration round trips it induces.
+// ProfileData aggregates per-kernel and per-transfer time separately over
+// the traced LULESH run under one model on the dGPU (the run the trace
+// experiment renders) — the drill-down that exposes, e.g., the C++ AMP
+// CPU-fallback kernel and the per-iteration round trips it induces.
 func ProfileData(ctx context.Context, scale Scale, model modelapi.Name) Profile {
 	// The profile aggregates a dedicated tracer rather than the cell's
 	// capture tracer: its spans are measurement scaffolding, not run
 	// output.
-	spans := modelTrace(ctx, scale, model).Tracer.Spans()
+	spans := modelTrace(ctx, scale, model).Spans
 	kernels := trace.Aggregate(spans, trace.KindKernel)
 	transfers := trace.Aggregate(spans, trace.KindTransfer)
 	return Profile{

@@ -15,23 +15,39 @@ import (
 	"hetbench/internal/trace"
 )
 
-// ModelTrace is one model's fully-traced LULESH run on the dGPU.
+// ModelTrace is one model's fully-traced LULESH run on the dGPU: what the
+// run's tracer recorded, copied out of it. It is shared through the run
+// memo and must never be mutated.
 type ModelTrace struct {
-	Model  modelapi.Name
-	Result appcore.Result
-	Tracer *trace.Tracer
+	Model    modelapi.Name
+	Result   appcore.Result
+	Spans    []trace.Span
+	Counters map[string]float64
+	Hists    map[string]*trace.Histogram
+}
+
+// modelTraceKey keys a traced run in the run memo.
+type modelTraceKey struct {
+	scale Scale
+	model modelapi.Name
 }
 
 // modelTrace runs LULESH under one GPU model on the dGPU with a fresh
 // dedicated tracer, the unit of the trace and profile experiments' runner
-// cells.
+// cells. Both experiments read the same run, so it executes once per
+// (scale, model) under a run memo.
 func modelTrace(ctx context.Context, scale Scale, model modelapi.Name) ModelTrace {
-	w := newWorkloads(ctx, scale, timing.Double)
-	m := sim.NewDGPU()
-	t := trace.New()
-	m.SetTracer(t)
-	res := w.Lulesh().Run(m, model)
-	return ModelTrace{Model: model, Result: res, Tracer: t}
+	return appcore.Characterize(memoOf(ctx), modelTraceKey{scale, model}, func() ModelTrace {
+		w := newWorkloads(ctx, scale, timing.Double)
+		m := sim.NewDGPU()
+		t := trace.New()
+		m.SetTracer(t)
+		res := w.Lulesh().Run(m, model)
+		return ModelTrace{
+			Model: model, Result: res, Spans: t.Spans(),
+			Counters: t.Metrics().Snapshot(), Hists: t.Metrics().Histograms(),
+		}
+	})
 }
 
 // tracedMachine builds a cell's machine with a tracer attached: the
@@ -109,7 +125,7 @@ func RunTrace(ctx context.Context, scale Scale, w io.Writer) error {
 		cells[i] = runner.Cell{Label: "trace/" + string(model), Run: func(cx *runner.Ctx) error {
 			mt := modelTrace(cx.Context(), scale, model)
 			out := cx.Out
-			spans := mt.Tracer.Spans()
+			spans := mt.Spans
 			fmt.Fprintf(out, "--- LULESH on the R9 280X under %s: %.3f ms elapsed (kernel %.3f ms, transfer %.3f ms) ---\n\n",
 				mt.Model, mt.Result.ElapsedNs/1e6, mt.Result.KernelNs/1e6, mt.Result.TransferNs/1e6)
 
@@ -133,10 +149,10 @@ func RunTrace(ctx context.Context, scale Scale, w io.Writer) error {
 				}
 			}
 
-			if err := counterTable(out, fmt.Sprintf("%s — run counters", mt.Model), mt.Tracer.Metrics()); err != nil {
+			if err := counterTable(out, fmt.Sprintf("%s — run counters", mt.Model), mt.Counters); err != nil {
 				return err
 			}
-			if err := histTable(out, fmt.Sprintf("%s — latency distributions", mt.Model), mt.Tracer.Metrics()); err != nil {
+			if err := histTable(out, fmt.Sprintf("%s — latency distributions", mt.Model), mt.Hists); err != nil {
 				return err
 			}
 			fmt.Fprintln(out)
@@ -200,15 +216,18 @@ var histLabels = []struct{ name, label string }{
 	{trace.HistFaultNs, "fault recovery"},
 }
 
-// histTable renders the registry's latency histograms as quantile rows.
-// The quantiles are pure functions of merged bucket counts over
-// virtual-clock durations, so the table is deterministic at any worker
-// count.
-func histTable(w io.Writer, title string, reg *trace.Registry) error {
-	names := reg.HistNames()
-	if len(names) == 0 {
+// histTable renders a run's latency histograms as quantile rows. The
+// quantiles are pure functions of merged bucket counts over virtual-clock
+// durations, so the table is deterministic at any worker count.
+func histTable(w io.Writer, title string, hists map[string]*trace.Histogram) error {
+	if len(hists) == 0 {
 		return nil
 	}
+	names := make([]string, 0, len(hists))
+	for name := range hists {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	label := make(map[string]string, len(histLabels))
 	order := make(map[string]int, len(histLabels))
 	for i, h := range histLabels {
@@ -228,8 +247,8 @@ func histTable(w io.Writer, title string, reg *trace.Registry) error {
 	})
 	t := report.NewTable(title, "Distribution", "Count", "p50 ms", "p95 ms", "p99 ms", "Max ms")
 	for _, name := range names {
-		h := reg.Hist(name)
-		if h == nil || h.Count() == 0 {
+		h := hists[name]
+		if h.Count() == 0 {
 			continue
 		}
 		lbl := label[name]
@@ -246,10 +265,10 @@ func histTable(w io.Writer, title string, reg *trace.Registry) error {
 	return err
 }
 
-func counterTable(w io.Writer, title string, reg *trace.Registry) error {
+func counterTable(w io.Writer, title string, counters map[string]float64) error {
 	t := report.NewTable(title, "Counter", "Value")
 	for _, c := range counterRows {
-		v := reg.Get(c.name)
+		v := counters[c.name]
 		if v == 0 {
 			continue
 		}

@@ -3,10 +3,12 @@ package harness
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
+	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
@@ -70,7 +72,7 @@ func TestRunTrace(t *testing.T) {
 func TestTraceData(t *testing.T) {
 	for _, model := range modelapi.All() {
 		mt := modelTrace(bg, ScaleSmall, model)
-		spans := mt.Tracer.Spans()
+		spans := mt.Spans
 		kinds := map[trace.Kind]int{}
 		for _, s := range spans {
 			kinds[s.Kind]++
@@ -94,5 +96,36 @@ func TestTraceData(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// The profile and trace experiments share one traced LULESH run per
+// model through the run memo: RunProfile leaves the three runs there, and
+// RunTrace renders what the memo holds instead of running again, so
+// `-exp all` executes three traced runs, not six.
+func TestProfileAndTraceShareTracedRuns(t *testing.T) {
+	ctx := WithMemo(bg)
+	if err := RunProfile(ctx, ScaleSmoke, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range modelapi.All() {
+		memoOf(ctx).Get(modelTraceKey{ScaleSmoke, model}, func() any {
+			t.Errorf("RunProfile left no traced %s run in the memo", model)
+			return ModelTrace{Model: model}
+		})
+	}
+
+	stub := WithMemo(bg)
+	for _, model := range modelapi.All() {
+		memoOf(stub).Get(modelTraceKey{ScaleSmoke, model}, func() any {
+			return ModelTrace{Model: model, Result: appcore.Result{ElapsedNs: 42e6}}
+		})
+	}
+	var buf bytes.Buffer
+	if err := RunTrace(stub, ScaleSmoke, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), ": 42.000 ms elapsed"); got != len(modelapi.All()) {
+		t.Errorf("RunTrace rendered the memoized run for %d of %d models:\n%s", got, len(modelapi.All()), buf.String())
 	}
 }

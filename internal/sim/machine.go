@@ -71,8 +71,8 @@ type Machine struct {
 	boundNs     map[string]float64
 
 	// Tracing state (all guarded by mu). proc is this machine's process
-	// index in the tracer; spanStack holds the open phase spans kernels
-	// parent under.
+	// index in the tracer; spanStack holds the open run and iteration
+	// spans kernels parent under.
 	tracer    *trace.Tracer
 	proc      int
 	spanStack []uint64
@@ -163,7 +163,8 @@ func (m *Machine) HostModel() *timing.Model { return m.hostModel }
 // Tracing.
 
 // SetTracer attaches a tracer; the machine registers itself as a process
-// and emits every subsequent kernel, transfer and phase span into it.
+// and emits every subsequent kernel, transfer, fault, run and iteration
+// span into it.
 func (m *Machine) SetTracer(t *trace.Tracer) {
 	if t == nil {
 		panic("sim: SetTracer(nil); tracing is off by default")
@@ -388,7 +389,7 @@ func (m *Machine) LaunchKernelChecked(target Target, name string, cost timing.Ke
 		// end-to-end check notices.
 		m.chargeKernelLocked(target, name, cost, r)
 		if m.tracer != nil {
-			m.tracer.Metrics().Add(trace.CtrFaultPrefix+string(kind), 1)
+			m.tracer.Metrics().Add(faultCounter(kind), 1)
 		}
 		return r, &fault.Event{Kind: kind, Op: name}
 	case fault.Hang:
@@ -398,17 +399,25 @@ func (m *Machine) LaunchKernelChecked(target Target, name string, cost timing.Ke
 		m.chargeFaultLocked(trace.TrackAccelerator, name+" [hang]", m.policy.WatchdogNs)
 		if m.tracer != nil {
 			reg := m.tracer.Metrics()
-			reg.Add(trace.CtrFaultPrefix+string(kind), 1)
+			reg.Add(faultCounter(kind), 1)
 			reg.Add(trace.CtrWatchdogKills, 1)
 		}
 		return timing.Result{}, &fault.Event{Kind: kind, Op: name}
 	default: // LaunchFail, DeviceLost: the launch is rejected at issue.
 		m.chargeFaultLocked(trace.TrackAccelerator, name+" ["+string(kind)+"]", r.LaunchNs)
 		if m.tracer != nil {
-			m.tracer.Metrics().Add(trace.CtrFaultPrefix+string(kind), 1)
+			m.tracer.Metrics().Add(faultCounter(kind), 1)
 		}
 		return timing.Result{}, &fault.Event{Kind: kind, Op: name}
 	}
+}
+
+// faultCounter names kind's injected-fault counter ("fault.hang"). It is
+// the one counter name built at run time: each kind's spelling is
+// defined once, in fault, and the registry checks the result when it
+// exports it.
+func faultCounter(kind fault.Kind) trace.Counter {
+	return trace.CtrFaultPrefix + trace.Counter(kind)
 }
 
 // chargeFaultLocked advances the clock by ns of fault/recovery time,
@@ -519,7 +528,7 @@ func (m *Machine) transfer(kind EventKind, name string, bytes int64) float64 {
 			m.chargeFaultLocked(trace.TrackPCIe, name+" [retransmit]", ns)
 			if m.tracer != nil {
 				reg := m.tracer.Metrics()
-				reg.Add(trace.CtrFaultPrefix+string(fault.TransferCorrupt), 1)
+				reg.Add(faultCounter(fault.TransferCorrupt), 1)
 				reg.Add(trace.CtrRetransmits, 1)
 			}
 		}
@@ -659,8 +668,9 @@ func (m *Machine) TransferNs() float64 {
 }
 
 // ResetClock zeroes the virtual clock and split clocks (the PCIe ledger
-// is left to the caller, who may want cumulative traffic). Spans already emitted stay in the tracer; open phase spans
-// survive a reset.
+// is left to the caller, who may want cumulative traffic). Spans already
+// emitted stay in the tracer; open run and iteration spans survive a
+// reset.
 func (m *Machine) ResetClock() {
 	m.mu.Lock()
 	m.clockNs, m.kernelNs, m.transferNs, m.faultNs = 0, 0, 0, 0

@@ -3,10 +3,10 @@ package trace
 import "math"
 
 // Canonical histogram names the simulator publishes. Histograms live in
-// their own "hist." namespace (enforced by hetlint's counterkey analyzer)
-// so a registry snapshot cleanly separates scalar totals from
-// distributions. Each name records one hot path's per-operation latency
-// in virtual nanoseconds.
+// their own "hist." namespace (checked on export, see checkName) so a
+// registry snapshot cleanly separates scalar totals from distributions.
+// Each name records one hot path's per-operation latency in virtual
+// nanoseconds.
 const (
 	// HistKernelNs is the per-launch kernel latency distribution,
 	// published by sim.Machine on every successful launch.

@@ -1,9 +1,21 @@
 package trace
 
 import (
+	"fmt"
+	"regexp"
 	"sort"
+	"strings"
 	"sync"
 )
+
+// Counter names a registry counter. Add takes a Counter, so a name built
+// at run time compiles at a call site only through an explicit
+// conversion; the untyped Ctr* constants convert implicitly.
+type Counter string
+
+// Hist names a registry histogram; Observe takes one, as Add takes a
+// Counter.
+type Hist string
 
 // Canonical counter names the simulator publishes. Substrates add to these
 // instead of keeping private accumulators, so any consumer (the energy
@@ -95,6 +107,37 @@ const (
 // CtrFaultPrefix prefixes the per-kind injected-fault counters.
 const CtrFaultPrefix = "fault."
 
+// namespaces are the counters' established first segments. A new
+// subsystem earns its namespace by adding it here with its first
+// counters.
+var namespaces = map[string]bool{
+	"kernel": true, "transfer": true, "dram": true, "llc": true,
+	"lds": true, "flops": true, "instrs": true, "energy": true,
+	"fault": true, "resilience": true, "sched": true, "service": true,
+	"fleet": true, "workload": true,
+}
+
+// nameRE admits lowercase dotted names; a hyphen may join words inside a
+// segment ("fault.transfer-corrupt") but never lead or trail one.
+var nameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z0-9]+(-[a-z0-9]+)*)*$`)
+
+// checkName panics unless name keeps the registry's naming contract: a
+// lowercase dotted name, in one of namespaces for a counter and under
+// "hist." for a histogram. The registry checks names as it exports them
+// (Snapshot, Names, Histograms, HistNames), never in Add or Observe, so
+// the launch path pays nothing for the check.
+func checkName(name string, hist bool) {
+	seg, _, _ := strings.Cut(name, ".")
+	switch {
+	case !nameRE.MatchString(name):
+		panic(fmt.Sprintf("trace: registry name %q is not lowercase dotted", name))
+	case hist && !strings.HasPrefix(name, "hist."):
+		panic(fmt.Sprintf("trace: histogram name %q is not under %q", name, "hist."))
+	case !hist && !namespaces[seg]:
+		panic(fmt.Sprintf("trace: counter name %q is outside the established namespaces", name))
+	}
+}
+
 // Registry is a concurrent map of monotonically-accumulating counters
 // and log-bucketed histograms. The zero value is ready to use.
 type Registry struct {
@@ -104,12 +147,12 @@ type Registry struct {
 }
 
 // Add accumulates v into the named counter.
-func (r *Registry) Add(name string, v float64) {
+func (r *Registry) Add(name Counter, v float64) {
 	r.mu.Lock()
 	if r.c == nil {
 		r.c = make(map[string]float64)
 	}
-	r.c[name] += v
+	r.c[string(name)] += v
 	r.mu.Unlock()
 }
 
@@ -121,17 +164,16 @@ func (r *Registry) Get(name string) float64 {
 }
 
 // Observe adds one value to the named histogram, creating it on first
-// use. Histogram names live in the "hist." namespace (see the Hist*
-// constants); hetlint's counterkey analyzer enforces the contract.
-func (r *Registry) Observe(name string, v float64) {
+// use.
+func (r *Registry) Observe(name Hist, v float64) {
 	r.mu.Lock()
-	h := r.hists[name]
+	h := r.hists[string(name)]
 	if h == nil {
 		if r.hists == nil {
 			r.hists = make(map[string]*Histogram)
 		}
 		h = &Histogram{}
-		r.hists[name] = h
+		r.hists[string(name)] = h
 	}
 	h.Observe(v)
 	r.mu.Unlock()
@@ -155,6 +197,7 @@ func (r *Registry) HistNames() []string {
 	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.hists))
 	for k := range r.hists {
+		checkName(k, true)
 		names = append(names, k)
 	}
 	sort.Strings(names)
@@ -167,6 +210,7 @@ func (r *Registry) Histograms() map[string]*Histogram {
 	defer r.mu.Unlock()
 	out := make(map[string]*Histogram, len(r.hists))
 	for k, h := range r.hists {
+		checkName(k, true)
 		out[k] = h.Clone()
 	}
 	return out
@@ -218,6 +262,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 	defer r.mu.Unlock()
 	out := make(map[string]float64, len(r.c))
 	for k, v := range r.c {
+		checkName(k, false)
 		out[k] = v
 	}
 	return out
@@ -229,6 +274,7 @@ func (r *Registry) Names() []string {
 	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.c))
 	for k := range r.c {
+		checkName(k, false)
 		names = append(names, k)
 	}
 	sort.Strings(names)

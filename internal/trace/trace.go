@@ -1,12 +1,13 @@
 // Package trace is the structured observability layer: hierarchical spans
 // over the simulator's virtual clocks plus a run-wide counter registry.
 //
-// The simulated Machine emits kernel/transfer spans natively; applications
-// and the harness add run/iteration/phase spans around them, producing the
-// hierarchy experiment → app run → iteration → kernel/transfer. Spans carry
-// the attributes the paper's analyses need (device, bound resource, bytes,
-// wavefronts) and export to Chrome trace_event JSON (Perfetto /
-// chrome://tracing), CSV, and the ASCII timeline in internal/report.
+// The simulated Machine emits kernel/transfer/fault spans natively, and
+// applications open run and iteration spans around them (sim.Machine's
+// InRun/InIteration), producing the hierarchy app run → iteration →
+// kernel/transfer. Spans carry the attributes the paper's analyses need
+// (device, bound resource, bytes, wavefronts) and export to Chrome
+// trace_event JSON (Perfetto / chrome://tracing), CSV, and the ASCII
+// timeline in internal/report.
 //
 // A Tracer is safe for concurrent use: span IDs are allocated atomically
 // and emission appends under one mutex, so kernels launched from multiple
@@ -26,13 +27,10 @@ type Kind string
 
 // Span kinds, outermost first.
 const (
-	KindExperiment Kind = "experiment"
-	KindRun        Kind = "run"
-	KindIteration  Kind = "iteration"
-	KindPhase      Kind = "phase"
-	KindKernel     Kind = "kernel"
-	KindTransfer   Kind = "transfer"
-	KindBarrier    Kind = "barrier"
+	KindRun       Kind = "run"
+	KindIteration Kind = "iteration"
+	KindKernel    Kind = "kernel"
+	KindTransfer  Kind = "transfer"
 	// KindFault marks virtual time lost to an injected fault or its
 	// recovery (failed launch, watchdog wait, backoff, retransmission).
 	KindFault Kind = "fault"

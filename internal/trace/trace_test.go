@@ -181,6 +181,47 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// The registry accepts any name in Add and Observe and checks it on
+// export: every exporter panics on a name outside the contract.
+func TestRegistryChecksNamesOnExport(t *testing.T) {
+	tests := []struct {
+		name string
+		hist bool
+		ok   bool
+	}{
+		{"fault.transfer-corrupt", false, true},
+		{"instrs", false, true},
+		{"hist.kernel.ns", true, true},
+		{"Kernel.NS", false, false},
+		{"widget.count", false, false},
+		{"sched..splits", false, false},
+		{"fault.-hang", false, false},
+		{"hist.kernel.ns", false, false}, // a hist. counter
+		{"kernel.ns", true, false},       // a histogram outside hist.
+		{"hist", true, false},
+	}
+	for _, tc := range tests {
+		var r Registry
+		exports := map[string]func(){"Snapshot": func() { r.Snapshot() }, "Names": func() { r.Names() }}
+		if tc.hist {
+			r.Observe(Hist(tc.name), 1)
+			exports = map[string]func(){"Histograms": func() { r.Histograms() }, "HistNames": func() { r.HistNames() }}
+		} else {
+			r.Add(Counter(tc.name), 1)
+		}
+		for export, call := range exports {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				call()
+				return false
+			}()
+			if panicked == tc.ok {
+				t.Errorf("%s of %q (hist %v): panicked %v, want %v", export, tc.name, tc.hist, panicked, !tc.ok)
+			}
+		}
+	}
+}
+
 // Fold must remap child span IDs, parent links and process indices into
 // the destination's namespace while leaving span payloads untouched.
 func TestFold(t *testing.T) {
