@@ -269,7 +269,7 @@ func benchSplitOn(b *testing.B) {
 // which data-dependent kernels (SpMV, CoMD force, XSBench) still pay.
 func benchExecTally(b *testing.B) {
 	per := exec.Counters{SPFlops: hotCost.SPFlops, LoadBytes: hotCost.LoadBytes, StoreBytes: hotCost.StoreBytes, Instrs: hotCost.Instrs}
-	kernel := func(w *exec.WorkItem) { w.Tally(per) }
+	kernel := func(w *exec.WorkItem) { w.Tally(0, per) }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		exec.Run(hotCost.Items, kernel)
@@ -277,7 +277,7 @@ func benchExecTally(b *testing.B) {
 }
 
 // hetlintLoad memoizes the module load for benchHetlintModule, which
-// times the six-analyzer parallel driver alone. What a hetlint run pays
+// times the two-analyzer parallel driver alone. What a hetlint run pays
 // before its analyzers start, parsing and type-checking the module, is
 // benchHetlintLoad's measure.
 var hetlintLoad struct {
@@ -418,7 +418,7 @@ func BenchmarkCacheReplay(b *testing.B) {
 }
 
 // BenchmarkHetlint measures the two halves of a hetlint ./... run: the
-// whole-module load ("load") and the six-analyzer parallel driver over
+// whole-module load ("load") and the two-analyzer parallel driver over
 // the already-loaded module ("module"). Both are tracked in the BENCH
 // trajectory alongside the simulator hot paths.
 func BenchmarkHetlint(b *testing.B) {

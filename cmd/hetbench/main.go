@@ -129,8 +129,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		}
 	}
 	// One run memo for the whole invocation: -exp all characterizes each
-	// (app, device) and executes each app's functional pass once across
-	// every experiment.
+	// (app config, precision, device) and executes each app config's
+	// functional pass once across every experiment, whatever precision
+	// and kernel variant price it.
 	ctx = harness.WithMemo(harness.WithSeed(ctx, *seed))
 
 	stopProfile, err := profiling.Start(*cpuProfile, *memProfile)

@@ -4,8 +4,9 @@
 // (MissRate, Coalesce) memory traits (Traits, which streams an app's
 // generated address trace through the simulated LLC without holding it),
 // the split of a run into a functional pass and a pricing pass (Recorder,
-// Tape, Play), and the run-scoped memo characterizations and functional
-// passes are shared through.
+// Tape, Play) with the pricing views a pass tallies (View), and the
+// run-scoped memo characterizations and functional passes are shared
+// through.
 package appcore
 
 import (
@@ -91,7 +92,8 @@ func Streams(dev *device.Device) int {
 // Memo is a run's memo of pure work. Each app keys it with its own
 // unexported key types: a characterization on the inputs that determine
 // its address traces (app config, precision and the device Geometry), a
-// functional pass on app config, precision and kernel variant. Values
+// functional pass on the app config alone, since precision and kernel
+// variant only pick the pricing view its Tape is replayed in. Values
 // stored in it are shared by every cell of the run and must never be
 // mutated.
 type Memo = memo.Map[any, any]

@@ -74,7 +74,7 @@ func TestEnergyConservation(t *testing.T) {
 		s.Fx[i], s.Fy[i], s.Fz[i], s.PE[i] = fx, fy, fz, pe
 	}
 	e0 := s.TotalEnergy()
-	p.run(new(appcore.Recorder), s, false)
+	p.run(new(appcore.Recorder), s)
 	e1 := s.TotalEnergy()
 	drift := math.Abs(e1-e0) / math.Abs(e0)
 	if drift > 0.01 {

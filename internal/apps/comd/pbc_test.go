@@ -83,7 +83,7 @@ func TestCellIndexWraps(t *testing.T) {
 func TestPositionsStayInBox(t *testing.T) {
 	p := NewProblem(Config{Nx: 4, Ny: 4, Nz: 4, Iters: 30}, timing.Double)
 	s := NewState(p.Cfg)
-	p.run(new(appcore.Recorder), s, false)
+	p.run(new(appcore.Recorder), s)
 	for i := range s.X {
 		if s.X[i] < 0 || s.X[i] >= s.Lx || s.Y[i] < 0 || s.Y[i] >= s.Ly || s.Z[i] < 0 || s.Z[i] >= s.Lz {
 			t.Fatalf("atom %d escaped the box: (%g,%g,%g)", i, s.X[i], s.Y[i], s.Z[i])

@@ -25,7 +25,8 @@ type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	// Memo, when set, shares the characterization with every problem of
-	// the same Cfg and Precision in the run; nil measures on every call.
+	// the same Cfg and Precision in the run, and the functional pass with
+	// every problem of the same Cfg; nil computes on every call.
 	Memo *appcore.Memo
 }
 
@@ -83,11 +84,22 @@ func (p *Problem) groups() []arrayGroup {
 	}
 }
 
-// bodies builds the three kernel bodies. tiled selects the LDS-staged
-// force tally (OpenCL/C++ AMP); the flat form re-reads every neighbor from
-// global memory (all OpenACC can express, and the OpenMP baseline).
-func (p *Problem) bodies(s *State, tiled bool) (force, velHalf, position func(*exec.WorkItem)) {
-	elt := appcore.EltBytes(p.Precision)
+// The force kernel's tally forms. The tiled form is the LDS-staged
+// force tally (OpenCL/C++ AMP); the flat form re-reads every neighbor
+// from global memory (all OpenACC can express, and the OpenMP baseline).
+const (
+	flat = iota
+	tiled
+	forceForms
+)
+
+// view is the pricing view of a run at prec with the force kernel in
+// form.
+func view(prec timing.Precision, form int) int { return appcore.View(prec, form, forceForms) }
+
+// bodies builds the three kernel bodies, tallying the force kernel in
+// every precision and form and the integrators in every precision.
+func (s *State) bodies() (force, velHalf, position func(*exec.WorkItem)) {
 	n := len(s.X)
 	// Average atoms per cell: the LDS reuse factor for the tiled form.
 	reuse := float64(n) / float64(s.numCells())
@@ -110,36 +122,47 @@ func (p *Problem) bodies(s *State, tiled bool) (force, velHalf, position func(*e
 		fx, fy, fz, pe, visited := s.ljForceAtom(i)
 		s.Fx[i], s.Fy[i], s.Fz[i], s.PE[i] = fx, fy, fz, pe
 		flops := float64(visited)*14 + 30
-		sp, dp := appcore.Flops(p.Precision, flops)
-		loads := float64(visited) * 3 * elt
-		instrs := float64(visited)*18 + 40
-		var lds float64
-		if tiled {
-			// Neighbor positions staged once per tile and reused.
-			lds = loads
-			loads = loads/reuse + 8*elt
-		} else {
-			instrs *= divergenceReplay
+		for _, prec := range appcore.Precisions {
+			elt := appcore.EltBytes(prec)
+			sp, dp := appcore.Flops(prec, flops)
+			for form := range forceForms {
+				loads := float64(visited) * 3 * elt
+				instrs := float64(visited)*18 + 40
+				var lds float64
+				if form == tiled {
+					// Neighbor positions staged once per tile and reused.
+					lds = loads
+					loads = loads/reuse + 8*elt
+				} else {
+					instrs *= divergenceReplay
+				}
+				w.Tally(view(prec, form), exec.Counters{
+					SPFlops: sp, DPFlops: dp,
+					LoadBytes:  loads,
+					StoreBytes: 4 * elt,
+					LDSBytes:   lds,
+					Instrs:     instrs,
+				})
+			}
 		}
-		w.Tally(exec.Counters{
-			SPFlops: sp, DPFlops: dp,
-			LoadBytes:  loads,
-			StoreBytes: 4 * elt,
-			LDSBytes:   lds,
-			Instrs:     instrs,
-		})
 	}
 	dt := dtStep
-	velPer := exec.Counters{LoadBytes: 6 * elt, StoreBytes: 3 * elt, Instrs: 16}
-	velPer.SPFlops, velPer.DPFlops = appcore.Flops(p.Precision, 9)
-	velHalf = exec.Uniform(velPer, func(i int) {
+	velHalf = exec.Uniform(appcore.PerView(forceForms, func(prec timing.Precision) exec.Counters {
+		elt := appcore.EltBytes(prec)
+		per := exec.Counters{LoadBytes: 6 * elt, StoreBytes: 3 * elt, Instrs: 16}
+		per.SPFlops, per.DPFlops = appcore.Flops(prec, 9)
+		return per
+	}), func(i int) {
 		s.Vx[i] += 0.5 * dt * s.Fx[i]
 		s.Vy[i] += 0.5 * dt * s.Fy[i]
 		s.Vz[i] += 0.5 * dt * s.Fz[i]
 	})
-	posPer := exec.Counters{LoadBytes: 6 * elt, StoreBytes: 3 * elt, Instrs: 24}
-	posPer.SPFlops, posPer.DPFlops = appcore.Flops(p.Precision, 12)
-	position = exec.Uniform(posPer, func(i int) {
+	position = exec.Uniform(appcore.PerView(forceForms, func(prec timing.Precision) exec.Counters {
+		elt := appcore.EltBytes(prec)
+		per := exec.Counters{LoadBytes: 6 * elt, StoreBytes: 3 * elt, Instrs: 24}
+		per.SPFlops, per.DPFlops = appcore.Flops(prec, 12)
+		return per
+	}), func(i int) {
 		wrap := func(x, l float64) float64 {
 			x = math.Mod(x, l)
 			if x < 0 {
@@ -154,22 +177,17 @@ func (p *Problem) bodies(s *State, tiled bool) (force, velHalf, position func(*e
 	return force, velHalf, position
 }
 
-// runKey keys the functional pass in a run memo: the lattice, the
-// precision and the force kernel's form are everything it reads.
-type runKey struct {
-	cfg   Config
-	prec  timing.Precision
-	tiled bool
-}
+// runKey keys the functional pass in a run memo: the lattice is all it
+// reads, since every precision and force form is a view of one pass.
+type runKey struct{ cfg Config }
 
 // run executes the velocity-Verlet loop on s as a functional pass: the
 // leading FunctionalIters steps execute the physics (rebuilding link
 // cells every rebuildEvery steps), the rest replay measured kernel costs.
-func (p *Problem) run(rec *appcore.Recorder, s *State, tiled bool) {
-	force, velHalf, position := p.bodies(s, tiled)
+func (p *Problem) run(rec *appcore.Recorder, s *State) {
+	force, velHalf, position := s.bodies()
 	n := len(s.X)
 	fn := p.Cfg.functionalIters()
-	cellBytes := p.groups()[3].bytes
 
 	// Initial forces.
 	rec.Launch(kForce, n, true, force)
@@ -180,7 +198,7 @@ func (p *Problem) run(rec *appcore.Recorder, s *State, tiled bool) {
 			rec.Launch(kPosition, n, functional, position)
 			if functional && it%rebuildEvery == rebuildEvery-1 {
 				s.RebuildCells()
-				rec.Transfer(cellBytes)
+				rec.Transfer()
 			}
 			rec.Launch(kForce, n, functional, force)
 			rec.Launch(kVelocity, n, functional, velHalf)
@@ -188,13 +206,14 @@ func (p *Problem) run(rec *appcore.Recorder, s *State, tiled bool) {
 	}
 }
 
-// play books the run through the model driver d and returns the total
-// energy (see appcore.Play); tiled selects the force kernel's form. d's
-// Transfer prices the periodic re-upload of the rebuilt link cells.
-func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer, tiled bool) float64 {
-	return appcore.Play(p.Memo, runKey{p.Cfg, p.Precision, tiled}, core, d, func(rec *appcore.Recorder) float64 {
+// play books the run through the model driver d, in the view of the
+// Problem's precision and the force kernel's form, and returns the total
+// energy (see appcore.Play). d's Transfer prices the periodic re-upload
+// of the rebuilt link cells.
+func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer, form int) float64 {
+	return appcore.Play(p.Memo, runKey{p.Cfg}, view(p.Precision, form), core, d, func(rec *appcore.Recorder) float64 {
 		s := NewState(p.Cfg)
-		p.run(rec, s, tiled)
+		p.run(rec, s)
 		return s.TotalEnergy()
 	})
 }
@@ -214,13 +233,13 @@ func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	specs := p.specs(m)
 	energy := p.play(rt.Runtime, appcore.Pricer{
 		Launch: func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
-	}, false)
+	}, flat)
 	return p.result(m, modelapi.OpenMP, energy)
 }
 
 // runOpenCL stages atoms once and runs the force kernel in the given
 // form.
-func (p *Problem) runOpenCL(m *sim.Machine, tiled bool) (*opencl.Context, float64) {
+func (p *Problem) runOpenCL(m *sim.Machine, form int) (*opencl.Context, float64) {
 	m.ResetClock()
 	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
@@ -235,13 +254,13 @@ func (p *Problem) runOpenCL(m *sim.Machine, tiled bool) (*opencl.Context, float6
 	specs := p.specs(m)
 	return ctx, p.play(ctx.Runtime, appcore.Pricer{
 		Launch:   func(k, n int, per exec.Counters) { q.Launch(specs[k], n, per) },
-		Transfer: func(int64) { q.EnqueueWriteBuffer(cells) },
-	}, tiled)
+		Transfer: func() { q.EnqueueWriteBuffer(cells) },
+	}, form)
 }
 
 // RunOpenCL stages atoms once and uses the tiled, LDS-staged force kernel.
 func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
-	ctx, energy := p.runOpenCL(m, true)
+	ctx, energy := p.runOpenCL(m, tiled)
 	q := ctx.NewQueue()
 	q.EnqueueReadBuffer(ctx.CreateBuffer("comd.force", p.groups()[2].bytes))
 	q.Finish()
@@ -251,7 +270,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 // RunOpenCLFlat is the un-tiled OpenCL variant (no LDS staging), kept for
 // the Section VI-C tiling ablation.
 func (p *Problem) RunOpenCLFlat(m *sim.Machine) appcore.Result {
-	_, energy := p.runOpenCL(m, false)
+	_, energy := p.runOpenCL(m, flat)
 	return p.result(m, modelapi.OpenCL, energy)
 }
 
@@ -272,8 +291,8 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	specs := p.specs(m)
 	energy := p.play(rt.Runtime, appcore.Pricer{
 		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], cppamp.NewExtent(n), views, per) },
-		Transfer: func(int64) { cells.HostWrite() }, // restaged at next launch
-	}, true)
+		Transfer: func() { cells.HostWrite() }, // restaged at next launch
+	}, tiled)
 	views[2].Synchronize() // forces + energies
 	return p.result(m, modelapi.CppAMP, energy)
 }
@@ -290,10 +309,11 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	}
 	region := rt.Data(clauses...)
 	specs := p.specs(m)
+	cells := p.groups()[3].bytes
 	energy := p.play(rt.Runtime, appcore.Pricer{
 		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, nil, per) },
-		Transfer: func(bytes int64) { rt.UpdateDevice("comd.cells", bytes) },
-	}, false)
+		Transfer: func() { rt.UpdateDevice("comd.cells", cells) },
+	}, flat)
 	region.End()
 	return p.result(m, modelapi.OpenACC, energy)
 }

@@ -28,9 +28,9 @@ type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	Mesh      *Mesh
-	// Memo, when set, shares the characterization and the functional pass
-	// with every problem of the same Cfg and Precision in the run; nil
-	// computes on every call.
+	// Memo, when set, shares the characterization with every problem of
+	// the same Cfg and Precision in the run, and the functional pass with
+	// every problem of the same Cfg; nil computes on every call.
 	Memo *appcore.Memo
 
 	build sync.Once
@@ -218,11 +218,9 @@ func (p *Problem) measureMiss(dev *device.Device) float64 {
 // Functional pass.
 
 // runKey keys the functional pass in a run memo: every model runs the
-// same 28 kernel bodies, so the config and precision are all it reads.
-type runKey struct {
-	cfg  Config
-	prec timing.Precision
-}
+// same 28 kernel bodies in every precision, so the config is all it
+// reads.
+type runKey struct{ cfg Config }
 
 // recDriver feeds one timestep's kernel launches and data movement to a
 // functional-pass Recorder.
@@ -238,7 +236,7 @@ func (d *recDriver) launch(id KernelID, n int, body func(*exec.WorkItem)) {
 
 // readback records the per-iteration device→host copy of the
 // time-constraint partials.
-func (d *recDriver) readback(bytes int64) { d.rec.Transfer(bytes) }
+func (d *recDriver) readback() { d.rec.Transfer() }
 
 // execute is the functional pass: the timestep loop over a fresh Sedov
 // state, digested by its total energy. The leading FunctionalIters steps
@@ -246,7 +244,7 @@ func (d *recDriver) readback(bytes int64) { d.rec.Transfer(bytes) }
 func (p *Problem) execute(rec *appcore.Recorder) float64 {
 	s := NewState(p.mesh())
 	rec.Bind("lulesh.e", s.E)
-	st := newStepper(s, p.Precision)
+	st := newStepper(s)
 	d := &recDriver{rec: rec}
 	fn := p.Cfg.functionalIters()
 	for it := 0; it < p.Cfg.Iters; it++ {
@@ -260,7 +258,7 @@ func (p *Problem) execute(rec *appcore.Recorder) float64 {
 // the checksum (see appcore.Play). d's Transfer prices the per-iteration
 // readback of the time-constraint partials.
 func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer) float64 {
-	return appcore.Play(p.Memo, runKey{p.Cfg, p.Precision}, core, d, p.execute)
+	return appcore.Play(p.Memo, runKey{p.Cfg}, appcore.View(p.Precision, 0, 1), core, d, p.execute)
 }
 
 // ---------------------------------------------------------------------
@@ -309,7 +307,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	specs := p.specs(m)
 	sum := p.play(ctx.Runtime, appcore.Pricer{
 		Launch:   func(k, n int, per exec.Counters) { q.Launch(specs[k], n, per) },
-		Transfer: func(int64) { q.EnqueueReadBuffer(partials) },
+		Transfer: func() { q.EnqueueReadBuffer(partials) },
 	})
 	// Final results home.
 	q.EnqueueReadBuffer(ctx.CreateBuffer("lulesh.elem", p.group("lulesh.elem").bytes))
@@ -346,7 +344,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 			}
 			rt.Launch(specs[k], cppamp.NewExtent(n), all, per)
 		},
-		Transfer: func(int64) { views["lulesh.partials"].Synchronize() },
+		Transfer: func() { views["lulesh.partials"].Synchronize() },
 	})
 	views["lulesh.elem"].Synchronize()
 	views["lulesh.nodal"].Synchronize()
@@ -373,10 +371,11 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	}
 	region := rt.Data(clauses...)
 	specs := p.specs(m)
+	partials := p.group("lulesh.partials").bytes
 	sum := p.play(rt.Runtime, appcore.Pricer{
 		// Arrays are device-resident via the enclosing data region.
 		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, nil, per) },
-		Transfer: func(bytes int64) { rt.UpdateHost("lulesh.partials", bytes) },
+		Transfer: func() { rt.UpdateHost("lulesh.partials", partials) },
 	})
 	region.End()
 	return p.result(m, modelapi.OpenACC, sum)
@@ -399,9 +398,10 @@ func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 		}
 	}
 	specs := p.specs(m)
+	partials := p.group("lulesh.partials").bytes
 	sum := p.play(rt.Runtime, appcore.Pricer{
 		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
-		Transfer: func(bytes int64) { rt.CopyBack("lulesh.partials", bytes) },
+		Transfer: func() { rt.CopyBack("lulesh.partials", partials) },
 	})
 	rt.Wait()
 	rt.CopyBack("lulesh.elem", p.group("lulesh.elem").bytes)

@@ -127,7 +127,7 @@ func TestPhysicsStability(t *testing.T) {
 	p := NewProblem(Config{S: 8, Iters: 50}, timing.Double)
 	s := NewState(p.Mesh)
 	e0 := s.TotalEnergy()
-	st := newStepper(s, timing.Double)
+	st := newStepper(s)
 	d := &recDriver{rec: new(appcore.Recorder), functional: true}
 	for i := 0; i < 50; i++ {
 		st.step(d)

@@ -101,30 +101,32 @@ var Kernels = [NumKernels]KernelMeta{
 	KReduceConstraints: {"ReduceTimeConstraints", modelapi.Streaming, false},
 }
 
-// stepper binds state, precision and the tally helpers.
+// stepper binds state and the reduction partials.
 type stepper struct {
-	s    *State
-	prec timing.Precision
-	elt  float64 // modeled element size in bytes (4 or 8)
+	s *State
 	// nPartials is the reduction-output length.
 	nPartials int
 	partials  []float64
 }
 
-func newStepper(s *State, prec timing.Precision) *stepper {
+func newStepper(s *State) *stepper {
 	np := (s.Mesh.NumElem + reduceBlk - 1) / reduceBlk
-	return &stepper{s: s, prec: prec, elt: appcore.EltBytes(prec), nPartials: np, partials: make([]float64, np)}
+	return &stepper{s: s, nPartials: np, partials: make([]float64, np)}
 }
 
-// tally builds a Counters with precision-scaled flops and bytes.
-func (st *stepper) tally(flops, loadWords, storeWords, instrs float64) exec.Counters {
-	sp, dp := appcore.Flops(st.prec, flops)
-	return exec.Counters{
-		SPFlops: sp, DPFlops: dp,
-		LoadBytes:  loadWords * st.elt,
-		StoreBytes: storeWords * st.elt,
-		Instrs:     instrs,
-	}
+// tally builds a kernel's per-item counters in each precision's view,
+// with the flops routed and the words scaled by that precision.
+func tally(flops, loadWords, storeWords, instrs float64) exec.Views {
+	return appcore.PerView(1, func(prec timing.Precision) exec.Counters {
+		elt := appcore.EltBytes(prec)
+		sp, dp := appcore.Flops(prec, flops)
+		return exec.Counters{
+			SPFlops: sp, DPFlops: dp,
+			LoadBytes:  loadWords * elt,
+			StoreBytes: storeWords * elt,
+			Instrs:     instrs,
+		}
+	})
 }
 
 // step advances one timestep through the 28 kernels.
@@ -137,12 +139,12 @@ func (st *stepper) step(d *recDriver) {
 	// ---------------- Lagrange nodal phase ----------------
 
 	// 1. Stress from pressure and viscosity.
-	d.launch(KInitStress, ne, exec.Uniform(st.tally(2, 2, 1, 6), func(e int) {
+	d.launch(KInitStress, ne, exec.Uniform(tally(2, 2, 1, 6), func(e int) {
 		s.Sig[e] = -s.P[e] - s.Q[e]
 	}))
 
 	// 2. Integrate stress: corner forces from face-area vectors.
-	d.launch(KIntegrateStress, ne, exec.Uniform(st.tally(160, 26, 24, 260), func(e int) {
+	d.launch(KIntegrateStress, ne, exec.Uniform(tally(160, 26, 24, 260), func(e int) {
 		nl := m.Nodelist[e*8 : e*8+8]
 		var px, py, pz [8]float64
 		for c := 0; c < 8; c++ {
@@ -178,7 +180,7 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// 3. Hourglass control A: element-average velocity.
-	d.launch(KHourglassA, ne, exec.Uniform(st.tally(27, 25, 3, 60), func(e int) {
+	d.launch(KHourglassA, ne, exec.Uniform(tally(27, 25, 3, 60), func(e int) {
 		nl := m.Nodelist[e*8 : e*8+8]
 		var ax, ay, az float64
 		for c := 0; c < 8; c++ {
@@ -193,7 +195,7 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// 4. Hourglass control B: damping corner forces toward the mean.
-	d.launch(KHourglassB, ne, exec.Uniform(st.tally(75, 55, 24, 130), func(e int) {
+	d.launch(KHourglassB, ne, exec.Uniform(tally(75, 55, 24, 130), func(e int) {
 		nl := m.Nodelist[e*8 : e*8+8]
 		mc := hgCoef * s.ElemMass[e] / 8 / dt
 		for c := 0; c < 8; c++ {
@@ -205,7 +207,7 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// 5. Gather corner forces to nodes.
-	d.launch(KAddNodeForces, nn, exec.Uniform(st.tally(24, 26, 3, 60), func(n int) {
+	d.launch(KAddNodeForces, nn, exec.Uniform(tally(24, 26, 3, 60), func(n int) {
 		lo, hi := m.NodeElemStart[n], m.NodeElemStart[n+1]
 		var fx, fy, fz float64
 		for i := lo; i < hi; i++ {
@@ -218,7 +220,7 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// 6. Acceleration.
-	d.launch(KAcceleration, nn, exec.Uniform(st.tally(4, 4, 3, 10), func(n int) {
+	d.launch(KAcceleration, nn, exec.Uniform(tally(4, 4, 3, 10), func(n int) {
 		im := 1 / s.NodalMass[n]
 		s.Xdd[n] = s.Fx[n] * im
 		s.Ydd[n] = s.Fy[n] * im
@@ -226,7 +228,7 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// 7. Symmetry-plane boundary conditions.
-	d.launch(KAccelerationBC, len(m.SymmX)+len(m.SymmY)+len(m.SymmZ), exec.Uniform(st.tally(0, 1, 1, 5), func(i int) {
+	d.launch(KAccelerationBC, len(m.SymmX)+len(m.SymmY)+len(m.SymmZ), exec.Uniform(tally(0, 1, 1, 5), func(i int) {
 		switch {
 		case i < len(m.SymmX):
 			s.Xdd[m.SymmX[i]] = 0
@@ -238,14 +240,14 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// 8. Velocity update.
-	d.launch(KVelocity, nn, exec.Uniform(st.tally(6, 6, 3, 12), func(n int) {
+	d.launch(KVelocity, nn, exec.Uniform(tally(6, 6, 3, 12), func(n int) {
 		s.Xd[n] += s.Xdd[n] * dt
 		s.Yd[n] += s.Ydd[n] * dt
 		s.Zd[n] += s.Zdd[n] * dt
 	}))
 
 	// 9. Position update.
-	d.launch(KPosition, nn, exec.Uniform(st.tally(6, 6, 3, 12), func(n int) {
+	d.launch(KPosition, nn, exec.Uniform(tally(6, 6, 3, 12), func(n int) {
 		s.X[n] += s.Xd[n] * dt
 		s.Y[n] += s.Yd[n] * dt
 		s.Z[n] += s.Zd[n] * dt
@@ -254,7 +256,7 @@ func (st *stepper) step(d *recDriver) {
 	// ---------------- Lagrange element phase ----------------
 
 	// 10. Kinematics: new volumes.
-	d.launch(KKinematicsVolume, ne, exec.Uniform(st.tally(110, 26, 2, 180), func(e int) {
+	d.launch(KKinematicsVolume, ne, exec.Uniform(tally(110, 26, 2, 180), func(e int) {
 		vol := s.elemVolume(e)
 		vn := vol / s.Volo[e]
 		s.Delv[e] = vn - s.V[e]
@@ -262,24 +264,24 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// 11. Characteristic length.
-	d.launch(KCharLength, ne, exec.Uniform(st.tally(8, 2, 1, 14), func(e int) {
+	d.launch(KCharLength, ne, exec.Uniform(tally(8, 2, 1, 14), func(e int) {
 		s.Arealg[e] = math.Cbrt(s.Vnew[e] * s.Volo[e])
 	}))
 
 	// 12. Volume derivative (strain-rate trace).
-	d.launch(KStrainRate, ne, exec.Uniform(st.tally(2, 2, 1, 8), func(e int) {
+	d.launch(KStrainRate, ne, exec.Uniform(tally(2, 2, 1, 8), func(e int) {
 		s.Vdov[e] = s.Delv[e] / (s.Vnew[e] * dt)
 	}))
 
 	// 13. Part 2: snap near-unity volumes.
-	d.launch(KLagrangePart2, ne, exec.Uniform(st.tally(1, 1, 1, 6), func(e int) {
+	d.launch(KLagrangePart2, ne, exec.Uniform(tally(1, 1, 1, 6), func(e int) {
 		if math.Abs(s.Vnew[e]-1) < vCut {
 			s.Vnew[e] = 1
 		}
 	}))
 
 	// 14. Monotonic Q gradients: face-to-face velocity differences.
-	d.launch(KQGradients, ne, exec.Uniform(st.tally(21, 26, 3, 60), func(e int) {
+	d.launch(KQGradients, ne, exec.Uniform(tally(21, 26, 3, 60), func(e int) {
 		nl := m.Nodelist[e*8 : e*8+8]
 		faceAvg := func(f [4]int, v []float64) float64 {
 			return (v[nl[f[0]]] + v[nl[f[1]]] + v[nl[f[2]]] + v[nl[f[3]]]) / 4
@@ -308,14 +310,14 @@ func (st *stepper) step(d *recDriver) {
 		}
 		return phi
 	}
-	d.launch(KQRegion, ne, exec.Uniform(st.tally(24, 15, 3, 60), func(e int) {
+	d.launch(KQRegion, ne, exec.Uniform(tally(24, 15, 3, 60), func(e int) {
 		s.PhiXi[e] = limiter(s.DelvXi[e], s.DelvXi[m.Lxim[e]], s.DelvXi[m.Lxip[e]])
 		s.PhiEta[e] = limiter(s.DelvEta[e], s.DelvEta[m.Letam[e]], s.DelvEta[m.Letap[e]])
 		s.PhiZeta[e] = limiter(s.DelvZeta[e], s.DelvZeta[m.Lzetam[e]], s.DelvZeta[m.Lzetap[e]])
 	}))
 
 	// 16. Artificial viscosity.
-	d.launch(KQForElems, ne, exec.Uniform(st.tally(12, 8, 1, 26), func(e int) {
+	d.launch(KQForElems, ne, exec.Uniform(tally(12, 8, 1, 26), func(e int) {
 		if s.Vdov[e] < 0 {
 			rho := 1 / s.Vnew[e]
 			l := s.Arealg[e]
@@ -328,39 +330,39 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// 17–24. EOS pipeline.
-	d.launch(KEOSCopy, ne, exec.Uniform(st.tally(0, 3, 3, 8), func(e int) {
+	d.launch(KEOSCopy, ne, exec.Uniform(tally(0, 3, 3, 8), func(e int) {
 		s.EOld[e], s.POld[e], s.QOld[e] = s.E[e], s.P[e], s.Q[e]
 	}))
-	d.launch(KEnergy1, ne, exec.Uniform(st.tally(5, 4, 1, 12), func(e int) {
+	d.launch(KEnergy1, ne, exec.Uniform(tally(5, 4, 1, 12), func(e int) {
 		en := s.EOld[e] - 0.5*s.Delv[e]*(s.POld[e]+s.QOld[e])
 		s.E[e] = math.Max(en, eMin)
 	}))
-	d.launch(KPressure1, ne, exec.Uniform(st.tally(5, 3, 1, 12), func(e int) {
+	d.launch(KPressure1, ne, exec.Uniform(tally(5, 3, 1, 12), func(e int) {
 		vhalf := 0.5 * (s.V[e] + s.Vnew[e])
 		s.PHalf[e] = math.Max((gammaEOS-1)*s.E[e]/vhalf, pMin)
 	}))
-	d.launch(KEnergy2, ne, exec.Uniform(st.tally(6, 4, 1, 12), func(e int) {
+	d.launch(KEnergy2, ne, exec.Uniform(tally(6, 4, 1, 12), func(e int) {
 		en := s.E[e] - 0.5*s.Delv[e]*(s.PHalf[e]-s.POld[e])*0.5
 		s.E[e] = math.Max(en, eMin)
 	}))
-	d.launch(KPressure2, ne, exec.Uniform(st.tally(4, 2, 1, 10), func(e int) {
+	d.launch(KPressure2, ne, exec.Uniform(tally(4, 2, 1, 10), func(e int) {
 		s.P[e] = math.Max((gammaEOS-1)*s.E[e]/s.Vnew[e], pMin)
 	}))
-	d.launch(KEnergy3, ne, exec.Uniform(st.tally(2, 1, 1, 8), func(e int) {
+	d.launch(KEnergy3, ne, exec.Uniform(tally(2, 1, 1, 8), func(e int) {
 		if math.Abs(s.E[e]) < 1e-30 {
 			s.E[e] = 0
 		}
 		s.E[e] = math.Max(s.E[e], eMin)
 	}))
-	d.launch(KPressure3, ne, exec.Uniform(st.tally(4, 2, 1, 10), func(e int) {
+	d.launch(KPressure3, ne, exec.Uniform(tally(4, 2, 1, 10), func(e int) {
 		s.P[e] = math.Max((gammaEOS-1)*s.E[e]/s.Vnew[e], pMin)
 	}))
-	d.launch(KSoundSpeed, ne, exec.Uniform(st.tally(7, 2, 1, 14), func(e int) {
+	d.launch(KSoundSpeed, ne, exec.Uniform(tally(7, 2, 1, 14), func(e int) {
 		s.SS[e] = math.Sqrt(math.Max(gammaEOS*s.P[e]*s.Vnew[e], ssMin))
 	}))
 
 	// 25. Commit volumes.
-	d.launch(KUpdateVolumes, ne, exec.Uniform(st.tally(1, 1, 1, 6), func(e int) {
+	d.launch(KUpdateVolumes, ne, exec.Uniform(tally(1, 1, 1, 6), func(e int) {
 		v := s.Vnew[e]
 		if math.Abs(v-1) < vCut {
 			v = 1
@@ -371,15 +373,15 @@ func (st *stepper) step(d *recDriver) {
 	// ---------------- Time constraints ----------------
 
 	// 26–27. Per-element constraints.
-	d.launch(KCourant, ne, exec.Uniform(st.tally(2, 2, 1, 8), func(e int) {
+	d.launch(KCourant, ne, exec.Uniform(tally(2, 2, 1, 8), func(e int) {
 		s.DtCour[e] = s.Arealg[e] / math.Max(s.SS[e], 1e-20)
 	}))
-	d.launch(KHydro, ne, exec.Uniform(st.tally(3, 1, 1, 8), func(e int) {
+	d.launch(KHydro, ne, exec.Uniform(tally(3, 1, 1, 8), func(e int) {
 		s.DtHydro[e] = dvovMax / (math.Abs(s.Vdov[e]) + 1e-20)
 	}))
 
 	// 28. Block-min reduction into partials, then host min.
-	d.launch(KReduceConstraints, st.nPartials, exec.Uniform(st.tally(3*reduceBlk, 2*reduceBlk, 1, 4*reduceBlk), func(i int) {
+	d.launch(KReduceConstraints, st.nPartials, exec.Uniform(tally(3*reduceBlk, 2*reduceBlk, 1, 4*reduceBlk), func(i int) {
 		lo := i * reduceBlk
 		hi := lo + reduceBlk
 		if hi > ne {
@@ -396,7 +398,7 @@ func (st *stepper) step(d *recDriver) {
 	}))
 
 	// Per-iteration readback of the partial mins (small).
-	d.readback(int64(st.nPartials) * int64(st.elt))
+	d.readback()
 
 	// Host-side final min and dt update.
 	newDt := math.Inf(1)

@@ -17,7 +17,7 @@ func TestSedovAxisSymmetry(t *testing.T) {
 	const S = 6
 	p := NewProblem(Config{S: S, Iters: 1}, timing.Double)
 	s := NewState(p.Mesh)
-	st := newStepper(s, timing.Double)
+	st := newStepper(s)
 	d := &recDriver{rec: new(appcore.Recorder), functional: true}
 	for i := 0; i < 20; i++ {
 		st.step(d)
@@ -57,7 +57,7 @@ func TestQuiescentStateIsStationary(t *testing.T) {
 	p := NewProblem(Config{S: 4, Iters: 1}, timing.Double)
 	s := NewState(p.Mesh)
 	s.E[0] = 0 // remove the deposit: nothing should move
-	st := newStepper(s, timing.Double)
+	st := newStepper(s)
 	d := &recDriver{rec: new(appcore.Recorder), functional: true}
 	for i := 0; i < 5; i++ {
 		st.step(d)
@@ -80,7 +80,7 @@ func TestBlastPropagatesOutward(t *testing.T) {
 	const S = 8
 	p := NewProblem(Config{S: S, Iters: 1}, timing.Double)
 	s := NewState(p.Mesh)
-	st := newStepper(s, timing.Double)
+	st := newStepper(s)
 	d := &recDriver{rec: new(appcore.Recorder), functional: true}
 	for i := 0; i < 60; i++ {
 		st.step(d)

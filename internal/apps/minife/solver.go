@@ -58,9 +58,9 @@ type Problem struct {
 	Precision timing.Precision
 	A         *CSR
 	B         []float64
-	// Memo, when set, shares the characterization and the functional pass
-	// with every problem of the same Cfg and Precision in the run; nil
-	// computes on every call.
+	// Memo, when set, shares the characterization with every problem of
+	// the same Cfg and Precision in the run, and the functional pass with
+	// every problem of the same Cfg; nil computes on every call.
 	Memo *appcore.Memo
 
 	build sync.Once
@@ -198,7 +198,13 @@ const (
 	spmvAdaptive spmvForm = iota
 	spmvScalarGPU
 	spmvHost
+	spmvForms
 )
+
+// view is the pricing view of a solve at prec with the SpMV in form.
+func view(prec timing.Precision, form spmvForm) int {
+	return appcore.View(prec, int(form), int(spmvForms))
+}
 
 // solution is the functional pass's digest of a CG solve.
 type solution struct {
@@ -207,31 +213,24 @@ type solution struct {
 	sum      float64 // x checksum
 }
 
-// runKey keys the functional pass in a run memo: the system, the
-// precision and the SpMV tally form are everything it reads.
-type runKey struct {
-	cfg  Config
-	prec timing.Precision
-	form spmvForm
-}
+// runKey keys the functional pass in a run memo: the system is all it
+// reads, since every precision and SpMV form is a view of one solve.
+type runKey struct{ cfg Config }
 
-// play books the solve through the model driver d (see appcore.Play).
-// d's Transfer prices the per-iteration readback of dot partials.
+// play books the solve through the model driver d, in the view of the
+// Problem's precision and the SpMV form (see appcore.Play). d's Transfer
+// prices the per-iteration readback of dot partials.
 func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer, form spmvForm) solution {
-	return appcore.Play(p.Memo, runKey{p.Cfg, p.Precision, form}, core, d, func(rec *appcore.Recorder) solution {
-		return p.solve(rec, form)
-	})
+	return appcore.Play(p.Memo, runKey{p.Cfg}, view(p.Precision, form), core, d, p.solve)
 }
 
-// solve is the functional pass: CG on the assembled system. form picks
-// the SpMV tally variant. The leading FunctionalIters iterations execute
-// the kernels; the rest replay measured kernel costs.
-func (p *Problem) solve(rec *appcore.Recorder, form spmvForm) solution {
+// solve is the functional pass: CG on the assembled system, tallying the
+// SpMV in every precision and form. The leading FunctionalIters
+// iterations execute the kernels; the rest replay measured kernel costs.
+func (p *Problem) solve(rec *appcore.Recorder) solution {
 	a, b := p.system()
 	n := a.NumRows
-	elt := appcore.EltBytes(p.Precision)
 	nPart := (n + dotBlock - 1) / dotBlock
-	partBytes := int64(nPart) * int64(elt)
 
 	x := make([]float64, n)
 	r := make([]float64, n)
@@ -255,25 +254,34 @@ func (p *Problem) solve(rec *appcore.Recorder, form spmvForm) solution {
 		row := w.Global
 		ap[row] = a.MulRow(row, pv)
 		nnz := float64(a.RowPtr[row+1] - a.RowPtr[row])
-		sp, dp := appcore.Flops(p.Precision, 2*nnz)
-		loads := 8 + nnz*(4+2*elt) // rowptr + cols + vals + x gathers
-		instrs := 4 * nnz
-		var lds float64
-		switch form {
-		case spmvAdaptive:
-			lds = nnz * elt // row block staged via LDS
-			instrs = 3 * nnz
-		case spmvScalarGPU:
-			instrs = 8 * nnz // lane-divergent row walk replays
-		case spmvHost:
-			// plain prefetched row loop: no divergence, no LDS
+		for _, prec := range appcore.Precisions {
+			elt := appcore.EltBytes(prec)
+			sp, dp := appcore.Flops(prec, 2*nnz)
+			loads := 8 + nnz*(4+2*elt) // rowptr + cols + vals + x gathers
+			for form := range spmvForms {
+				instrs := 4 * nnz
+				var lds float64
+				switch form {
+				case spmvAdaptive:
+					lds = nnz * elt // row block staged via LDS
+					instrs = 3 * nnz
+				case spmvScalarGPU:
+					instrs = 8 * nnz // lane-divergent row walk replays
+				case spmvHost:
+					// plain prefetched row loop: no divergence, no LDS
+				}
+				w.Tally(view(prec, form), exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: loads, StoreBytes: elt, LDSBytes: lds, Instrs: instrs})
+			}
 		}
-		w.Tally(exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: loads, StoreBytes: elt, LDSBytes: lds, Instrs: instrs})
 	}
 	// Every dot block (a short last one included) and every axpy item
 	// is charged the same work, so those kernels are Uniform.
-	dotPer := exec.Counters{LoadBytes: 2 * dotBlock * elt, StoreBytes: elt, Instrs: 3 * dotBlock}
-	dotPer.SPFlops, dotPer.DPFlops = appcore.Flops(p.Precision, 2*dotBlock)
+	dotPer := appcore.PerView(int(spmvForms), func(prec timing.Precision) exec.Counters {
+		elt := appcore.EltBytes(prec)
+		per := exec.Counters{LoadBytes: 2 * dotBlock * elt, StoreBytes: elt, Instrs: 3 * dotBlock}
+		per.SPFlops, per.DPFlops = appcore.Flops(prec, 2*dotBlock)
+		return per
+	})
 	dotBody := func(v1, v2 []float64) func(*exec.WorkItem) {
 		return exec.Uniform(dotPer, func(b int) {
 			lo := b * dotBlock
@@ -288,15 +296,19 @@ func (p *Problem) solve(rec *appcore.Recorder, form spmvForm) solution {
 			partial[b] = s
 		})
 	}
-	axpyPer := exec.Counters{LoadBytes: 2 * elt, StoreBytes: elt, Instrs: 6}
-	axpyPer.SPFlops, axpyPer.DPFlops = appcore.Flops(p.Precision, 2)
+	axpyPer := appcore.PerView(int(spmvForms), func(prec timing.Precision) exec.Counters {
+		elt := appcore.EltBytes(prec)
+		per := exec.Counters{LoadBytes: 2 * elt, StoreBytes: elt, Instrs: 6}
+		per.SPFlops, per.DPFlops = appcore.Flops(prec, 2)
+		return per
+	})
 	axpyBody := func(f func(i int)) func(*exec.WorkItem) { return exec.Uniform(axpyPer, f) }
 
 	fn := p.Cfg.functionalIters()
 
 	// Initial rr.
 	rec.Launch(kDot, nPart, true, dotBody(r, r))
-	rec.Transfer(partBytes)
+	rec.Transfer()
 	rr := hostSum()
 	rr0 := rr
 
@@ -308,7 +320,7 @@ func (p *Problem) solve(rec *appcore.Recorder, form spmvForm) solution {
 		rec.Iteration(func() {
 			rec.Launch(kSpMV, n, functional, spmv)
 			rec.Launch(kDot, nPart, functional, dotBody(pv, ap))
-			rec.Transfer(partBytes)
+			rec.Transfer()
 			pap := hostSum()
 			if pap == 0 {
 				converged = true
@@ -320,7 +332,7 @@ func (p *Problem) solve(rec *appcore.Recorder, form spmvForm) solution {
 			rec.Launch(kAxpy, n, functional, axpyBody(func(i int) { r[i] -= alpha * ap[i] }))
 
 			rec.Launch(kDot, nPart, functional, dotBody(r, r))
-			rec.Transfer(partBytes)
+			rec.Transfer()
 			rrNew := hostSum()
 
 			if functional && p.Cfg.Tol > 0 && math.Sqrt(rrNew) <= p.Cfg.Tol*math.Sqrt(rr0) {
@@ -392,7 +404,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) SolveResult {
 	specs := p.specs(m, true)
 	s := p.play(ctx.Runtime, appcore.Pricer{
 		Launch:   func(k, n int, per exec.Counters) { q.Launch(specs[k], n, per) },
-		Transfer: func(int64) { q.EnqueueReadBuffer(partials) },
+		Transfer: func() { q.EnqueueReadBuffer(partials) },
 	}, spmvAdaptive)
 	elt := int64(appcore.EltBytes(p.Precision))
 	q.EnqueueReadBuffer(ctx.CreateBuffer("minife.x", int64(p.Cfg.NumRows())*elt))
@@ -413,7 +425,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) SolveResult {
 	specs := p.specs(m, true)
 	s := p.play(rt.Runtime, appcore.Pricer{
 		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], cppamp.NewExtent(n), views, per) },
-		Transfer: func(int64) { views[2].Synchronize() },
+		Transfer: func() { views[2].Synchronize() },
 	}, spmvAdaptive)
 	for _, v := range views {
 		v.Synchronize()
@@ -429,15 +441,16 @@ func (p *Problem) RunOpenACC(m *sim.Machine) SolveResult {
 	m.ResetClock()
 	rt := openacc.New(m).WithCoexec()
 	mat, vecs := p.matrixBytes()
+	partials := openacc.Create("minife.partials", p.partialsBytes())
 	region := rt.Data(
 		openacc.Copyin("minife.matrix", mat),
 		openacc.Copy("minife.vectors", vecs),
-		openacc.Create("minife.partials", p.partialsBytes()),
+		partials,
 	)
 	specs := p.specs(m, false)
 	s := p.play(rt.Runtime, appcore.Pricer{
 		Launch:   func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, nil, per) },
-		Transfer: func(bytes int64) { rt.UpdateHost("minife.partials", bytes) },
+		Transfer: func() { rt.UpdateHost(partials.Name, partials.Bytes) },
 	}, spmvScalarGPU)
 	region.End()
 	return p.result(m, modelapi.OpenACC, s)
@@ -466,7 +479,7 @@ func (p *Problem) RunOpenACCConservative(m *sim.Machine) SolveResult {
 			}
 			rt.Launch(specs[k], n, uses, per)
 		},
-		Transfer: func(bytes int64) { rt.UpdateHost("minife.partials", bytes) },
+		Transfer: func() { rt.UpdateHost(partials.Name, partials.Bytes) },
 	}, spmvScalarGPU)
 	return p.result(m, modelapi.OpenACC, s)
 }

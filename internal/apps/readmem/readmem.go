@@ -55,8 +55,9 @@ func (c Config) Validate() error {
 type Problem struct {
 	Cfg Config
 	In  []float64
-	// Memo, when set, shares the kernel spec and the functional pass with
-	// every problem of the same Cfg in the run; nil computes on every call.
+	// Memo, when set, shares the kernel spec with every problem of the
+	// same Cfg in the run, and the functional pass with every problem of
+	// the same Blocks; nil computes on every call.
 	Memo *appcore.Memo
 
 	build sync.Once
@@ -138,20 +139,21 @@ func (p *Problem) measureSpec(dev *device.Device) modelapi.KernelSpec {
 
 // execute is the functional pass: one launch of the block-sum kernel
 // (Figure 4b) into a fresh output vector, digested by its checksum. The
-// tally charges BlockSize loads plus one store at the configured
-// precision.
+// tally charges BlockSize loads plus one store in each precision.
 func (p *Problem) execute(rec *appcore.Recorder) float64 {
 	in := p.input()
 	out := make([]float64, p.Cfg.Blocks)
 	rec.Bind("read.out", out)
-	elt := appcore.EltBytes(p.Cfg.Precision)
-	sp, dp := appcore.Flops(p.Cfg.Precision, BlockSize)
-	per := exec.Counters{
-		SPFlops: sp, DPFlops: dp,
-		LoadBytes:  elt * BlockSize,
-		StoreBytes: elt,
-		Instrs:     2*BlockSize + 4,
-	}
+	per := appcore.PerView(1, func(prec timing.Precision) exec.Counters {
+		elt := appcore.EltBytes(prec)
+		sp, dp := appcore.Flops(prec, BlockSize)
+		return exec.Counters{
+			SPFlops: sp, DPFlops: dp,
+			LoadBytes:  elt * BlockSize,
+			StoreBytes: elt,
+			Instrs:     2*BlockSize + 4,
+		}
+	})
 	rec.Launch(0, p.Cfg.Blocks, true, exec.Uniform(per, func(b int) {
 		sum := 0.0
 		st := b * BlockSize
@@ -163,13 +165,14 @@ func (p *Problem) execute(rec *appcore.Recorder) float64 {
 	return checksum(out)
 }
 
-// runKey keys the functional pass in a run memo.
-type runKey struct{ cfg Config }
+// runKey keys the functional pass in a run memo: the input's size is all
+// it reads, so both precisions share it.
+type runKey struct{ blocks int }
 
 // play books the run's one launch through launch and returns the checksum
 // (see appcore.Play).
 func (p *Problem) play(core *modelapi.Runtime, launch func(n int, per exec.Counters)) float64 {
-	return appcore.Play(p.Memo, runKey{p.Cfg}, core, appcore.Pricer{
+	return appcore.Play(p.Memo, runKey{p.Cfg.Blocks}, appcore.View(p.Cfg.Precision, 0, 1), core, appcore.Pricer{
 		Launch: func(_, n int, per exec.Counters) { launch(n, per) },
 	}, p.execute)
 }

@@ -13,7 +13,6 @@ import (
 	"hetbench/internal/models/openmp"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/exec"
-	"hetbench/internal/sim/timing"
 )
 
 // lookupsPerItem batches queries per work item so functional execution of
@@ -28,7 +27,6 @@ const lookupsPerItem = 8
 func (p *Problem) execute(rec *appcore.Recorder) float64 {
 	p.data()
 	partial := make([]float64, p.items())
-	elt := appcore.EltBytes(p.Precision)
 	logUnion := math.Log2(float64(len(p.UnionEnergy)))
 	logNuclide := math.Log2(float64(p.Cfg.GridPoints))
 	rec.Launch(0, p.items(), true, func(w *exec.WorkItem) {
@@ -54,13 +52,16 @@ func (p *Problem) execute(rec *appcore.Recorder) float64 {
 			probes = float64(visited) * logNuclide
 		}
 		flops := float64(visited) * (4 + 3*NumXS)
-		sp, dp := appcore.Flops(p.Precision, flops)
-		w.Tally(exec.Counters{
-			SPFlops: sp, DPFlops: dp,
-			LoadBytes:  probes*elt + idxBytes + float64(visited)*2*(1+NumXS)*elt,
-			StoreBytes: elt,
-			Instrs:     probes*6 + float64(visited)*30,
-		})
+		for _, prec := range appcore.Precisions {
+			elt := appcore.EltBytes(prec)
+			sp, dp := appcore.Flops(prec, flops)
+			w.Tally(appcore.View(prec, 0, 1), exec.Counters{
+				SPFlops: sp, DPFlops: dp,
+				LoadBytes:  probes*elt + idxBytes + float64(visited)*2*(1+NumXS)*elt,
+				StoreBytes: elt,
+				Instrs:     probes*6 + float64(visited)*30,
+			})
+		}
 	})
 	return p.checksum(partial)
 }
@@ -78,16 +79,14 @@ func (p *Problem) checksum(partial []float64) float64 {
 }
 
 // runKey keys the functional pass in a run memo: every model runs the
-// same lookups, so the data set's config and precision are all it reads.
-type runKey struct {
-	cfg  Config
-	prec timing.Precision
-}
+// same lookups in every precision, so the data set's config is all it
+// reads.
+type runKey struct{ cfg Config }
 
 // play books the run's one launch through launch and returns the checksum
 // (see appcore.Play).
 func (p *Problem) play(core *modelapi.Runtime, launch func(n int, per exec.Counters)) float64 {
-	return appcore.Play(p.Memo, runKey{p.Cfg, p.Precision}, core, appcore.Pricer{
+	return appcore.Play(p.Memo, runKey{p.Cfg}, appcore.View(p.Precision, 0, 1), core, appcore.Pricer{
 		Launch: func(_, n int, per exec.Counters) { launch(n, per) },
 	}, p.execute)
 }

@@ -105,9 +105,9 @@ func (c Config) TableBytes(prec timing.Precision) int64 {
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
-	// Memo, when set, shares the characterization and the functional pass
-	// with every problem of the same Cfg and Precision in the run; nil
-	// computes on every call.
+	// Memo, when set, shares the characterization with every problem of
+	// the same Cfg and Precision in the run, and the functional pass with
+	// every problem of the same Cfg; nil computes on every call.
 	Memo *appcore.Memo
 
 	build sync.Once

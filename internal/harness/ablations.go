@@ -81,8 +81,7 @@ func AblationTilesData(ctx context.Context, scale Scale) (flatMs, tiledMs float6
 	// Two independent cells: the flat and tiled variants share nothing
 	// but the (immutable) problem configuration.
 	ms, err := runner.Map(ctx, "tiles", 2, func(cx *runner.Ctx, i int) float64 {
-		p := comd.NewProblem(cfg, timing.Single)
-		p.Memo = memoOf(cx.Context())
+		p := &comd.Problem{Cfg: cfg, Precision: timing.Single, Memo: memoOf(cx.Context())}
 		m := cx.Machine(sim.NewDGPU)
 		if i == 0 {
 			return p.RunOpenCLFlat(m).KernelNs / 1e6
@@ -133,8 +132,7 @@ func AblationGridTypeData(ctx context.Context, scale Scale) ([]GridTypeCell, err
 	return runner.Map(ctx, "gridtype", len(grids), func(cx *runner.Ctx, i int) GridTypeCell {
 		cfg := base
 		cfg.Grid = grids[i]
-		p := xsbench.NewProblem(cfg, timing.Double)
-		p.Memo = memoOf(cx.Context())
+		p := &xsbench.Problem{Cfg: cfg, Precision: timing.Double, Memo: memoOf(cx.Context())}
 		r := p.RunOpenCL(cx.Machine(sim.NewDGPU))
 		return GridTypeCell{
 			Grid:       grids[i].String(),

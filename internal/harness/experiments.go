@@ -105,11 +105,10 @@ func Table1Data(ctx context.Context, scale Scale) ([]Table1Row, error) {
 // paper-representative footprints (trace replay only — no timing runs).
 func characterizationMissRates(memo *appcore.Memo) map[string]float64 {
 	m := sim.NewDGPU()
-	lu := lulesh.NewProblem(lulesh.Config{S: 48, Iters: 1}, timing.Double)
-	co := comd.NewProblem(comd.Config{Nx: 24, Ny: 24, Nz: 24, Iters: 1}, timing.Double)
-	xs := xsbench.NewProblem(xsbench.Config{Nuclides: 32, GridPoints: 4096, Lookups: 1}, timing.Double)
-	mf := minife.NewProblem(minife.Config{Nx: 40, Ny: 40, Nz: 40, MaxIters: 1}, timing.Double)
-	lu.Memo, co.Memo, xs.Memo, mf.Memo = memo, memo, memo, memo
+	lu := &lulesh.Problem{Cfg: lulesh.Config{S: 48, Iters: 1}, Precision: timing.Double, Memo: memo}
+	co := &comd.Problem{Cfg: comd.Config{Nx: 24, Ny: 24, Nz: 24, Iters: 1}, Precision: timing.Double, Memo: memo}
+	xs := &xsbench.Problem{Cfg: xsbench.Config{Nuclides: 32, GridPoints: 4096, Lookups: 1}, Precision: timing.Double, Memo: memo}
+	mf := &minife.Problem{Cfg: minife.Config{Nx: 40, Ny: 40, Nz: 40, MaxIters: 1}, Precision: timing.Double, Memo: memo}
 	return map[string]float64{
 		"LULESH":  lu.MeasuredTraits(m),
 		"CoMD":    co.MeasuredMissRate(m),

@@ -89,9 +89,10 @@ type memoKey struct{}
 // WithMemo returns ctx carrying a fresh run memo. Every experiment run
 // under ctx measures each app's LLC characterization once per (app
 // config, precision, device geometry), executes each app's functional
-// pass once per (app config, precision, kernel variant) and the profile
-// and trace experiments' traced LULESH run once per (scale, model), and
-// shares them across its cells and experiments. The CLI installs one per invocation
+// pass once per app config (every precision and kernel variant prices a
+// view of it) and the profile and trace experiments' traced LULESH run
+// once per (scale, model), and shares them across its cells and
+// experiments. The CLI installs one per invocation
 // and the service one per request, so nothing outlives its run.
 func WithMemo(ctx context.Context) context.Context {
 	return context.WithValue(ctx, memoKey{}, &appcore.Memo{})

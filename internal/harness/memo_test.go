@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/xsbench"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
@@ -142,10 +143,14 @@ type runObservation struct {
 
 func observeRun(w *workloads, app string, model modelapi.Name, mk func() *sim.Machine) runObservation {
 	r, _ := w.runnerByName(app)
-	m := mk()
+	return observe(mk(), func(m *sim.Machine) appcore.Result { return r.run(m, model) })
+}
+
+// observe traces run on m.
+func observe(m *sim.Machine, run func(*sim.Machine) appcore.Result) runObservation {
 	tr := trace.New()
 	m.SetTracer(tr)
-	res := r.run(m, model)
+	res := run(m)
 	return runObservation{res, tr.Spans(), tr.Metrics().Snapshot()}
 }
 
@@ -193,6 +198,93 @@ func TestMemoizedRunMatchesFresh(t *testing.T) {
 				t.Errorf("%s: memoized counters %v, fresh %v", name, got.counters, fresh.counters)
 			}
 		}
+	}
+}
+
+// The runs outside the model × machine grid replay the same Tapes in
+// views the grid does not price: CoMD's flat OpenCL force, the HC model,
+// XSBench's nuclide grid and miniFE's OpenACC without a data region. Each
+// memoized run, priced from a pass that any precision or variant may
+// have recorded, matches a fresh, memo-less run in every span, counter,
+// Result and checksum. Each combination runs in two runner cells that
+// share the memo with the grid runs of both precisions.
+func TestMemoizedVariantRunsMatchFresh(t *testing.T) {
+	nuclideGrid := func(w *workloads) *xsbench.Problem {
+		cfg := xsbenchConfig(w.scale)
+		cfg.Grid = xsbench.NuclideGridOnly
+		return &xsbench.Problem{Cfg: cfg, Precision: w.prec, Memo: w.memo}
+	}
+	variants := []struct {
+		name string
+		run  func(w *workloads, m *sim.Machine) appcore.Result
+	}{
+		{"CoMD/OpenCLFlat", func(w *workloads, m *sim.Machine) appcore.Result { return w.Comd().RunOpenCLFlat(m) }},
+		{"LULESH/HC", func(w *workloads, m *sim.Machine) appcore.Result { return w.Lulesh().RunHC(m) }},
+		{"XSBench/HC", func(w *workloads, m *sim.Machine) appcore.Result { return w.Xsbench().RunHC(m) }},
+		{"XSBench/nuclide-grid/OpenCL", func(w *workloads, m *sim.Machine) appcore.Result { return nuclideGrid(w).RunOpenCL(m) }},
+		{"XSBench/nuclide-grid/OpenACC", func(w *workloads, m *sim.Machine) appcore.Result { return nuclideGrid(w).RunOpenACC(m) }},
+		{"miniFE/OpenACCConservative", func(w *workloads, m *sim.Machine) appcore.Result {
+			return w.Minife().RunOpenACCConservative(m).Result
+		}},
+	}
+	type combo struct {
+		variant int
+		mk      func() *sim.Machine
+		prec    timing.Precision
+	}
+	var combos []combo
+	for v := range variants {
+		for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
+			for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+				combos = append(combos, combo{v, mk, prec})
+			}
+		}
+	}
+	ctx := WithMemo(bg)
+	must(speedups(ctx, ScaleSmoke, sim.NewDGPU, timing.Single, timing.Double))
+	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) runObservation {
+		c := combos[i%len(combos)]
+		w := newWorkloads(cx.Context(), ScaleSmoke, c.prec)
+		return observe(c.mk(), func(m *sim.Machine) appcore.Result { return variants[c.variant].run(w, m) })
+	}))
+	for i, c := range combos {
+		w := newWorkloads(bg, ScaleSmoke, c.prec)
+		fresh := observe(c.mk(), func(m *sim.Machine) appcore.Result { return variants[c.variant].run(w, m) })
+		name := variants[c.variant].name + "/" + c.mk().Name() + "/" + c.prec.String()
+		if fresh.counters[trace.CtrKernelLaunches] == 0 {
+			t.Fatalf("%s: no launches traced", name)
+		}
+		for _, got := range []runObservation{memoized[i], memoized[i+len(combos)]} {
+			if got.res != fresh.res {
+				t.Errorf("%s: memoized result %+v, fresh %+v", name, got.res, fresh.res)
+			}
+			if !slices.Equal(got.spans, fresh.spans) {
+				t.Errorf("%s: memoized run's spans differ from a fresh run's", name)
+			}
+			if !maps.Equal(got.counters, fresh.counters) {
+				t.Errorf("%s: memoized counters %v, fresh %v", name, got.counters, fresh.counters)
+			}
+		}
+	}
+}
+
+// The fig9 sweep executes one functional pass per (app, config): its two
+// precisions and every model's kernel variant share it. A run memo holds
+// one entry per characterization (per precision, since the element size
+// changes the address trace) and one per functional pass, so a sweep
+// over both precisions holds exactly one entry per app fewer than the
+// single-precision sweeps on fresh memos together.
+func TestFig9RunsOnePassPerAppConfig(t *testing.T) {
+	entries := func(precs ...timing.Precision) int {
+		ctx := WithMemo(bg)
+		must(speedups(ctx, ScaleSmoke, sim.NewDGPU, precs...))
+		return memoOf(ctx).Len()
+	}
+	both := entries(timing.Single, timing.Double)
+	apart := entries(timing.Single) + entries(timing.Double)
+	if apart-both != len(AppNames) {
+		t.Errorf("SP+DP sweep holds %d memo entries, SP and DP sweeps %d together: the precisions share %d functional passes, want one per app (%d)",
+			both, apart, apart-both, len(AppNames))
 	}
 }
 

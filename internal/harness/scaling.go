@@ -29,8 +29,7 @@ func ScalingData(ctx context.Context, scale Scale) ([]lulesh.MPIXResult, error) 
 	// One runner cell per cluster size: each rank-count measurement builds
 	// its own problem and machines, so the sweep scales with host cores.
 	return runner.Map(ctx, "scaling", len(scalingRankCounts), func(cx *runner.Ctx, i int) lulesh.MPIXResult {
-		p := lulesh.NewProblem(cfg, timing.Double)
-		p.Memo = memoOf(cx.Context())
+		p := &lulesh.Problem{Cfg: cfg, Precision: timing.Double, Memo: memoOf(cx.Context())}
 		return p.StrongScaling([]int{scalingRankCounts[i]}, mpix.DefaultFabric())[0]
 	})
 }

@@ -12,7 +12,7 @@ import (
 func coexecBody(out []float64) func(*exec.WorkItem) {
 	return func(w *exec.WorkItem) {
 		out[w.Global] = float64(w.Global)
-		w.Tally(exec.Counters{SPFlops: 1, LoadBytes: 8, StoreBytes: 8, Instrs: 4})
+		w.Tally(0, exec.Counters{SPFlops: 1, LoadBytes: 8, StoreBytes: 8, Instrs: 4})
 	}
 }
 
@@ -26,7 +26,7 @@ func TestCoexecRouting(t *testing.T) {
 	const n = 1 << 12
 	out := make([]float64, n)
 	av := rt.NewArrayView("coexec.out", int64(n)*8)
-	rt.Launch(spec(), NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out)))
+	rt.Launch(spec(), NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out))[0])
 	if st := s.Stats(); st.Splits != 1 || st.HostItems+st.AccelItems != n {
 		t.Fatalf("streaming kernel not split: %+v", st)
 	}
@@ -37,7 +37,7 @@ func TestCoexecRouting(t *testing.T) {
 	}
 
 	irr := modelapi.KernelSpec{Name: "gather", Class: modelapi.Irregular, MissRate: 0.9, Coalesce: 0.25}
-	rt.Launch(irr, NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out)))
+	rt.Launch(irr, NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out))[0])
 	if st := s.Stats(); st.Splits != 1 {
 		t.Fatalf("irregular kernel was split: %+v", st)
 	}
@@ -54,7 +54,7 @@ func TestCoexecWithoutPlannerIsIdentical(t *testing.T) {
 		const n = 1 << 12
 		out := make([]float64, n)
 		av := rt.NewArrayView("coexec.out", int64(n)*8)
-		rt.Launch(spec(), NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out)))
+		rt.Launch(spec(), NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out))[0])
 		return m.ElapsedNs()
 	}
 	if a, b := run(false), run(true); a != b {

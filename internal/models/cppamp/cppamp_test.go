@@ -32,10 +32,10 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 			sum += data[w.Global*64+j]
 		}
 		res[w.Global] = sum
-		w.Tally(exec.Counters{SPFlops: 64, LoadBytes: 512, StoreBytes: 8, Instrs: 130})
+		w.Tally(0, exec.Counters{SPFlops: 64, LoadBytes: 512, StoreBytes: 8, Instrs: 130})
 	}
 
-	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body))
+	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body)[0])
 	if !in.onDevice || !out.onDevice {
 		t.Fatal("views not device-fresh after launch")
 	}
@@ -45,7 +45,7 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 	}
 
 	// Second launch: no re-staging (device already fresh).
-	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body))
+	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body)[0])
 	if m.Link().Stats().TransfersToDevice != 2 {
 		t.Error("second launch re-staged device-fresh views")
 	}
@@ -67,7 +67,7 @@ func TestViewSyncSemanticsOnDGPU(t *testing.T) {
 
 	// Host write invalidates: next launch re-stages.
 	in.HostWrite()
-	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body))
+	rt.Launch(spec(), NewExtent(n), []*ArrayView{in, out}, exec.Measure(n, body)[0])
 	if m.Link().Stats().TransfersToDevice < 4 {
 		t.Error("host-dirty views not re-staged")
 	}
@@ -131,7 +131,7 @@ func TestReplayPreservesStaging(t *testing.T) {
 	v := rt.NewArrayView("v", 4096)
 	views := []*ArrayView{v}
 	per := exec.Counters{SPFlops: 2, LoadBytes: 8, Instrs: 4}
-	rt.Launch(spec(), NewExtent(1024), views, exec.Measure(1024, func(w *exec.WorkItem) { w.Tally(per) }))
+	rt.Launch(spec(), NewExtent(1024), views, exec.Measure(1024, func(w *exec.WorkItem) { w.Tally(0, per) })[0])
 	v.Synchronize()
 	rt.Launch(spec(), NewExtent(1024), views, per)
 	if got := m.Link().Stats().TransfersToDevice; got != 2 {

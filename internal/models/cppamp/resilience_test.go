@@ -25,8 +25,8 @@ func TestRetryResyncsAllCapturedViews(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		rt.Launch(spec(), NewExtent(n), views, exec.Measure(n, func(w *exec.WorkItem) {
 			out[w.Global] = 3
-			w.Tally(exec.Counters{StoreBytes: 8, Instrs: 1})
-		}))
+			w.Tally(0, exec.Counters{StoreBytes: 8, Instrs: 1})
+		})[0])
 	}
 	rs := m.Resilience()
 	if rs.Retries == 0 {
@@ -56,8 +56,8 @@ func TestFallbackSynchronizesViews(t *testing.T) {
 	for i := 0; i < 50 && m.Resilience().Fallbacks == 0; i++ {
 		r := rt.Launch(spec(), NewExtent(n), []*ArrayView{v}, exec.Measure(n, func(w *exec.WorkItem) {
 			out[w.Global] = 1
-			w.Tally(exec.Counters{StoreBytes: 8, Instrs: 1})
-		}))
+			w.Tally(0, exec.Counters{StoreBytes: 8, Instrs: 1})
+		})[0])
 		if r.TimeNs <= 0 {
 			t.Fatal("resilient launch returned a zero result")
 		}
@@ -82,8 +82,8 @@ func TestBitFlipHitsBoundArray(t *testing.T) {
 	for i := 0; i < 100 && inj.Count(fault.BitFlip) == 0; i++ {
 		rt.Launch(spec(), NewExtent(n), nil, exec.Measure(n, func(w *exec.WorkItem) {
 			out[w.Global] = 1
-			w.Tally(exec.Counters{StoreBytes: 8, Instrs: 1})
-		}))
+			w.Tally(0, exec.Counters{StoreBytes: 8, Instrs: 1})
+		})[0])
 	}
 	if inj.Count(fault.BitFlip) == 0 {
 		t.Fatal("no bit flip drawn")

@@ -16,8 +16,9 @@ import (
 //
 // A runtime prices work; it does not decide what a kernel computes. Its
 // launch methods take the per-item counters a functional pass measured:
-// the apps record them once per run (see appcore.Recorder), and a caller
-// with a single kernel body measures it with exec.Measure.
+// the apps record them once per run config, in every pricing view (see
+// appcore.Recorder), and a caller with a single kernel body measures it
+// with exec.Measure and prices view 0.
 type Runtime struct {
 	machine *sim.Machine
 	profile *Profile

@@ -15,7 +15,7 @@ func spec() modelapi.KernelSpec {
 func body(out []float64) func(*exec.WorkItem) {
 	return func(w *exec.WorkItem) {
 		out[w.Global] = float64(w.Global) * 2
-		w.Tally(exec.Counters{SPFlops: 1, StoreBytes: 8, Instrs: 3})
+		w.Tally(0, exec.Counters{SPFlops: 1, StoreBytes: 8, Instrs: 3})
 	}
 }
 
@@ -27,7 +27,7 @@ func TestConservativeRegionCopies(t *testing.T) {
 	out := make([]float64, 1024)
 	uses := []Clause{Copy("out", 8192)}
 	for i := 0; i < 3; i++ {
-		rt.Launch(spec(), len(out), uses, exec.Measure(len(out), body(out)))
+		rt.Launch(spec(), len(out), uses, exec.Measure(len(out), body(out))[0])
 	}
 	st := m.Link().Stats()
 	if st.TransfersToDevice != 3 || st.TransfersFromDevice != 3 {
@@ -47,7 +47,7 @@ func TestDataRegionHoistsCopies(t *testing.T) {
 
 	region := rt.Data(Copy("out", 8192))
 	for i := 0; i < 5; i++ {
-		rt.Launch(spec(), len(out), []Clause{Copy("out", 8192)}, exec.Measure(len(out), body(out)))
+		rt.Launch(spec(), len(out), []Clause{Copy("out", 8192)}, exec.Measure(len(out), body(out))[0])
 	}
 	region.End()
 
@@ -69,7 +69,7 @@ func TestClauseIntents(t *testing.T) {
 		Copyout("res", 512),
 		Create("scratch", 1<<20),
 	}
-	rt.Launch(spec(), 64, uses, exec.Measure(64, body(out)))
+	rt.Launch(spec(), 64, uses, exec.Measure(64, body(out))[0])
 	st := m.Link().Stats()
 	if st.TransfersToDevice != 1 {
 		t.Errorf("copyin count = %d, want 1 (create/copyout must not copy in)", st.TransfersToDevice)
@@ -86,7 +86,7 @@ func TestAPUCopiesFree(t *testing.T) {
 	m := sim.NewAPU()
 	rt := New(m)
 	out := make([]float64, 64)
-	rt.Launch(spec(), 64, []Clause{Copy("out", 512)}, exec.Measure(64, body(out)))
+	rt.Launch(spec(), 64, []Clause{Copy("out", 512)}, exec.Measure(64, body(out))[0])
 	if m.TransferNs() != 0 {
 		t.Error("APU charged transfer time")
 	}
@@ -122,7 +122,7 @@ func TestReplayKeepsTransferSemantics(t *testing.T) {
 	m := sim.NewDGPU()
 	rt := New(m)
 	uses := []Clause{Copy("x", 8192)}
-	per := exec.Measure(1024, body(make([]float64, 1024)))
+	per := exec.Measure(1024, body(make([]float64, 1024)))[0]
 	rt.Launch(spec(), 1024, uses, per)
 	rt.Launch(spec(), 1024, uses, per)
 	st := m.Link().Stats()
@@ -138,10 +138,10 @@ func TestScalarFallbackSlowsIrregularLoops(t *testing.T) {
 	m1, m2 := sim.NewAPU(), sim.NewAPU()
 	rt := New(m1)
 	work := func(w *exec.WorkItem) {
-		w.Tally(exec.Counters{SPFlops: 200, LoadBytes: 64, Instrs: 250})
+		w.Tally(0, exec.Counters{SPFlops: 200, LoadBytes: 64, Instrs: 250})
 	}
 	irr := modelapi.KernelSpec{Name: "force", Class: modelapi.Irregular, MissRate: 0.26, Coalesce: 0.5}
-	rt.Launch(irr, 1<<16, nil, exec.Measure(1<<16, work))
+	rt.Launch(irr, 1<<16, nil, exec.Measure(1<<16, work)[0])
 	accTime := m1.ElapsedNs()
 
 	// Reference: identical cost under the OpenCL profile.
@@ -154,7 +154,7 @@ func TestScalarFallbackSlowsIrregularLoops(t *testing.T) {
 
 func TestLoopGVVectorMapping(t *testing.T) {
 	work := func(w *exec.WorkItem) {
-		w.Tally(exec.Counters{SPFlops: 300, LoadBytes: 8, Instrs: 330})
+		w.Tally(0, exec.Counters{SPFlops: 300, LoadBytes: 8, Instrs: 330})
 	}
 	s := modelapi.KernelSpec{Name: "gv", Class: modelapi.Regular, MissRate: 0.05, Coalesce: 1}
 	const n = 1 << 16
@@ -162,7 +162,7 @@ func TestLoopGVVectorMapping(t *testing.T) {
 	run := func(vector int) float64 {
 		m := sim.NewDGPU()
 		rt := New(m)
-		rt.LaunchGV(s, n, (n+vector-1)/vector, vector, nil, exec.Measure(n, work))
+		rt.LaunchGV(s, n, (n+vector-1)/vector, vector, nil, exec.Measure(n, work)[0])
 		return m.KernelNs()
 	}
 	full := run(64)   // full wavefronts

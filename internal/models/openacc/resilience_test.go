@@ -26,7 +26,7 @@ func TestRetryRecopiesWholeRegion(t *testing.T) {
 	)
 	h2dBefore := m.Link().Stats().TransfersToDevice
 	for i := 0; i < 40; i++ {
-		rt.Launch(spec(), n, []Clause{Copy("c", n*8)}, exec.Measure(n, body(out)))
+		rt.Launch(spec(), n, []Clause{Copy("c", n*8)}, exec.Measure(n, body(out))[0])
 	}
 	reg.End()
 	rs := m.Resilience()
@@ -56,7 +56,7 @@ func TestFallbackRoundTripsRegion(t *testing.T) {
 	reg := rt.Data(Copy("c", n*8))
 	d2hBefore := m.Link().Stats().TransfersFromDevice
 	for i := 0; i < 50 && m.Resilience().Fallbacks == 0; i++ {
-		if r := rt.Launch(spec(), n, nil, exec.Measure(n, body(out))); r.TimeNs <= 0 {
+		if r := rt.Launch(spec(), n, nil, exec.Measure(n, body(out))[0]); r.TimeNs <= 0 {
 			t.Fatal("resilient launch returned a zero result")
 		}
 	}
@@ -81,8 +81,8 @@ func TestBitFlipHitsBoundArray(t *testing.T) {
 	for i := 0; i < 100 && inj.Count(fault.BitFlip) == 0; i++ {
 		rt.Launch(spec(), n, nil, exec.Measure(n, func(w *exec.WorkItem) {
 			out[w.Global] = 1
-			w.Tally(exec.Counters{StoreBytes: 8, Instrs: 1})
-		}))
+			w.Tally(0, exec.Counters{StoreBytes: 8, Instrs: 1})
+		})[0])
 	}
 	if inj.Count(fault.BitFlip) == 0 {
 		t.Fatal("no bit flip drawn")

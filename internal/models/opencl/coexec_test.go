@@ -13,7 +13,7 @@ import (
 func coexecBody(out []float64) func(*exec.WorkItem) {
 	return func(w *exec.WorkItem) {
 		out[w.Global] = float64(w.Global)
-		w.Tally(exec.Counters{SPFlops: 1, LoadBytes: 8, StoreBytes: 8, Instrs: 4})
+		w.Tally(0, exec.Counters{SPFlops: 1, LoadBytes: 8, StoreBytes: 8, Instrs: 4})
 	}
 }
 
@@ -28,7 +28,7 @@ func TestCoexecRoutesStreamingKernel(t *testing.T) {
 	q := ctx.NewQueue()
 	const n = 1 << 12
 	out := make([]float64, n)
-	q.Launch(spec(), n, exec.Measure(n, coexecBody(out)))
+	q.Launch(spec(), n, exec.Measure(n, coexecBody(out))[0])
 	if st := s.Stats(); st.Splits != 1 || st.HostItems+st.AccelItems != n {
 		t.Fatalf("streaming kernel not split: %+v", st)
 	}
@@ -48,7 +48,7 @@ func TestCoexecSkipsIrregularKernel(t *testing.T) {
 	q := ctx.NewQueue()
 	out := make([]float64, 1<<10)
 	irr := modelapi.KernelSpec{Name: "gather", Class: modelapi.Irregular, MissRate: 0.9, Coalesce: 0.25}
-	q.Launch(irr, len(out), exec.Measure(len(out), coexecBody(out)))
+	q.Launch(irr, len(out), exec.Measure(len(out), coexecBody(out))[0])
 	if st := s.Stats(); st.Splits != 0 {
 		t.Fatalf("irregular kernel was split: %+v", st)
 	}
@@ -65,7 +65,7 @@ func TestCoexecWithoutPlannerIsIdentical(t *testing.T) {
 		}
 		q := ctx.NewQueue()
 		out := make([]float64, 1<<12)
-		q.Launch(spec(), len(out), exec.Measure(len(out), coexecBody(out)))
+		q.Launch(spec(), len(out), exec.Measure(len(out), coexecBody(out))[0])
 		return m.ElapsedNs()
 	}
 	if a, b := run(false), run(true); a != b {

@@ -42,8 +42,8 @@ func TestFigure4Flow(t *testing.T) {
 				sum += in[st+j]
 			}
 			out[w.Global] = sum
-			w.Tally(exec.Counters{SPFlops: block, LoadBytes: 8 * block, StoreBytes: 8, Instrs: 2 * block})
-		})
+			w.Tally(0, exec.Counters{SPFlops: block, LoadBytes: 8 * block, StoreBytes: 8, Instrs: 2 * block})
+		})[0]
 		r := q.Launch(spec(), n, per, bufIn, bufOut)
 		rcost := q.EnqueueReadBuffer(bufOut)
 		q.Finish()
@@ -93,7 +93,7 @@ func TestReplayMatchesFunctionalLaunch(t *testing.T) {
 	ctx := NewContext(sim.NewAPU())
 	q := ctx.NewQueue()
 	per := exec.Counters{SPFlops: 4, LoadBytes: 32, Instrs: 8}
-	r1 := q.Launch(spec(), 4096, exec.Measure(4096, func(w *exec.WorkItem) { w.Tally(per) }))
+	r1 := q.Launch(spec(), 4096, exec.Measure(4096, func(w *exec.WorkItem) { w.Tally(0, per) })[0])
 	r2 := q.Launch(spec(), 4096, per)
 	if r1.TimeNs != r2.TimeNs {
 		t.Errorf("replay time %g != functional time %g", r2.TimeNs, r1.TimeNs)

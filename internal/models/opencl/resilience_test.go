@@ -20,7 +20,7 @@ func newFaulty(cfg fault.Config) (*Context, *Queue, *sim.Machine) {
 func copyKernel(in, out []float64) func(*exec.WorkItem) {
 	return func(w *exec.WorkItem) {
 		out[w.Global] = in[w.Global] + 1
-		w.Tally(exec.Counters{SPFlops: 1, LoadBytes: 8, StoreBytes: 8, Instrs: 2})
+		w.Tally(0, exec.Counters{SPFlops: 1, LoadBytes: 8, StoreBytes: 8, Instrs: 2})
 	}
 }
 
@@ -38,7 +38,7 @@ func TestRetryRestagesOnlyStagedArgs(t *testing.T) {
 
 	h2dBefore := m.Link().Stats().TransfersToDevice
 	for i := 0; i < 40; i++ {
-		q.Launch(spec(), n, exec.Measure(n, k), bufIn, bufOut)
+		q.Launch(spec(), n, exec.Measure(n, k)[0], bufIn, bufOut)
 	}
 	rs := m.Resilience()
 	if rs.Retries == 0 {
@@ -72,7 +72,7 @@ func TestFallbackAfterPersistentDeviceLoss(t *testing.T) {
 	in, out := make([]float64, n), make([]float64, n)
 	k := copyKernel(in, out)
 	for i := 0; i < 50 && m.Resilience().Fallbacks == 0; i++ {
-		if r := q.Launch(spec(), n, exec.Measure(n, k)); r.TimeNs <= 0 {
+		if r := q.Launch(spec(), n, exec.Measure(n, k)[0]); r.TimeNs <= 0 {
 			t.Fatal("resilient launch returned a zero result")
 		}
 	}
@@ -96,7 +96,7 @@ func TestBitFlipCorruptsBoundOutput(t *testing.T) {
 	k := copyKernel(in, out)
 	inj := m.FaultInjector()
 	for i := 0; i < 100 && inj.Count(fault.BitFlip) == 0; i++ {
-		q.Launch(spec(), n, exec.Measure(n, k))
+		q.Launch(spec(), n, exec.Measure(n, k)[0])
 	}
 	if inj.Count(fault.BitFlip) == 0 {
 		t.Fatal("no bit flip drawn")

@@ -18,8 +18,8 @@ func TestParallelForRunsOnHost(t *testing.T) {
 	out := make([]float64, 4096)
 	r := rt.Launch(spec(), len(out), exec.Measure(len(out), func(w *exec.WorkItem) {
 		out[w.Global] = 1
-		w.Tally(exec.Counters{SPFlops: 1, StoreBytes: 8, Instrs: 2})
-	}))
+		w.Tally(0, exec.Counters{SPFlops: 1, StoreBytes: 8, Instrs: 2})
+	})[0])
 	if r.TimeNs <= 0 {
 		t.Fatal("no time charged")
 	}
@@ -38,7 +38,7 @@ func TestParallelForRunsOnHost(t *testing.T) {
 func TestReplayMatchesParallelFor(t *testing.T) {
 	per := exec.Counters{SPFlops: 10, LoadBytes: 16, Instrs: 14}
 	rt := New(sim.NewAPU())
-	r1 := rt.Launch(spec(), 2048, exec.Measure(2048, func(w *exec.WorkItem) { w.Tally(per) }))
+	r1 := rt.Launch(spec(), 2048, exec.Measure(2048, func(w *exec.WorkItem) { w.Tally(0, per) })[0])
 	r2 := rt.Launch(spec(), 2048, per)
 	if r1.TimeNs != r2.TimeNs {
 		t.Errorf("replay %g != functional %g", r2.TimeNs, r1.TimeNs)

@@ -16,6 +16,13 @@
 // finish. Kernels therefore tally without atomics, and no two
 // workers write the same cache line while they run.
 //
+// A launch tallies one Counters per pricing view (Views): the body
+// observes its work once (neighbours visited, probes, row lengths) and
+// tallies what that work costs under each view it may be priced in, such
+// as a precision crossed with an app's tally form. Each view keeps its
+// own totals in the same item and worker order, so a view's totals are
+// bit for bit those of a launch that tallied that view alone.
+//
 // A kernel whose per-item work does not depend on the data (the same
 // Counters for every item of the launch) is built with Uniform, which
 // charges that work once per worker chunk instead of once per item. The
@@ -72,6 +79,14 @@ func (c Counters) scaled(f float64) Counters {
 	}
 }
 
+// MaxViews bounds the pricing views one launch tallies: miniFE's two
+// precisions × three SpMV forms.
+const MaxViews = 6
+
+// Views holds a launch's counters once per pricing view; a kernel with
+// one view tallies view 0.
+type Views [MaxViews]Counters
+
 // WorkItem is the per-item context handed to kernels. One
 // WorkItem serves a worker's whole chunk of items.
 type WorkItem struct {
@@ -80,26 +95,30 @@ type WorkItem struct {
 	Global int
 	// end bounds the worker's chunk: items [Global, end) remain.
 	end int
-	// counters are the worker's own totals.
-	counters Counters
+	// counters are the worker's own totals, per view.
+	counters Views
 }
 
-// Tally accumulates this item's work into the worker's counters.
-func (w *WorkItem) Tally(c Counters) { w.counters.Add(c) }
+// Tally accumulates this item's work under view v into the worker's
+// counters.
+func (w *WorkItem) Tally(v int, c Counters) { w.counters[v].Add(c) }
 
 // Uniform builds a kernel whose every item does the same work:
-// body(i) runs once for each global index i, and per is charged once per
-// worker chunk as per × (items in the chunk). Use it when an item's
-// tally is launch-invariant; a tally that depends on the data belongs in
-// a per-item Tally. The kernel must be launched by Run itself, not
-// called from another kernel: each call runs the rest of its chunk.
-func Uniform(per Counters, body func(i int)) func(*WorkItem) {
+// body(i) runs once for each global index i, and each view's per is
+// charged once per worker chunk as per × (items in the chunk). Use it
+// when an item's tally is launch-invariant; a tally that depends on the
+// data belongs in a per-item Tally. The kernel must be launched by Run
+// itself, not called from another kernel: each call runs the rest of
+// its chunk.
+func Uniform(per Views, body func(i int)) func(*WorkItem) {
 	return func(w *WorkItem) {
 		lo, hi := w.Global, w.end
 		for i := lo; i < hi; i++ {
 			body(i)
 		}
-		w.counters.Add(per.scaled(float64(hi - lo)))
+		for v := range per {
+			w.counters[v].Add(per[v].scaled(float64(hi - lo)))
+		}
 		w.Global = hi - 1 // Run's increment then ends the chunk
 	}
 }
@@ -114,14 +133,15 @@ func workers() int {
 }
 
 // Run executes a kernel for global work items [0, global) and returns the
-// launch-total counters. It panics for non-positive sizes — launch
-// geometry is programmer error, mirroring CL_INVALID_WORK_DIMENSION.
-func Run(global int, kernel func(*WorkItem)) Counters {
+// launch-total counters of every view. It panics for non-positive
+// sizes — launch geometry is programmer error, mirroring
+// CL_INVALID_WORK_DIMENSION.
+func Run(global int, kernel func(*WorkItem)) Views {
 	if global <= 0 {
 		panic(fmt.Sprintf("exec: invalid global size %d", global))
 	}
 	nw := workers()
-	shards := make([]Counters, nw)
+	shards := make([]Views, nw)
 	var wg sync.WaitGroup
 	chunk := (global + nw - 1) / nw
 	for w := 0; w < nw; w++ {
@@ -145,15 +165,22 @@ func Run(global int, kernel func(*WorkItem)) Counters {
 	}
 	wg.Wait()
 
-	var total Counters
+	var total Views
 	for i := range shards {
-		total.Add(shards[i])
+		for v := range total {
+			total[v].Add(shards[i][v])
+		}
 	}
 	return total
 }
 
 // Measure runs a kernel over global work items and returns its
-// per-item counters: the measurement a runtime prices a launch from.
-func Measure(global int, kernel func(*WorkItem)) Counters {
-	return Run(global, kernel).PerItem(global)
+// per-item counters in every view: the measurement a runtime prices a
+// launch from.
+func Measure(global int, kernel func(*WorkItem)) Views {
+	total := Run(global, kernel)
+	for v := range total {
+		total[v] = total[v].PerItem(global)
+	}
+	return total
 }

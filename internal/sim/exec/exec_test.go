@@ -23,8 +23,8 @@ func TestRunCoversAllItems(t *testing.T) {
 func TestRunTalliesCounters(t *testing.T) {
 	const n = 1000
 	c := Run(n, func(w *WorkItem) {
-		w.Tally(Counters{SPFlops: 2, LoadBytes: 8, StoreBytes: 4, Instrs: 10})
-	})
+		w.Tally(0, Counters{SPFlops: 2, LoadBytes: 8, StoreBytes: 4, Instrs: 10})
+	})[0]
 	if c.SPFlops != 2*n || c.LoadBytes != 8*n || c.StoreBytes != 4*n || c.Instrs != 10*n {
 		t.Errorf("counters = %+v, want exact totals", c)
 	}
@@ -105,8 +105,8 @@ func TestTotalsIndependentOfWorkers(t *testing.T) {
 					name string
 					got  Counters
 				}{
-					{"tally", Run(global, func(w *WorkItem) { w.Tally(perItem) })},
-					{"uniform", Run(global, Uniform(perItem, func(i int) { atomic.AddInt32(&seen[i], 1) }))},
+					{"tally", Run(global, func(w *WorkItem) { w.Tally(0, perItem) })[0]},
+					{"uniform", Run(global, Uniform(Views{perItem}, func(i int) { atomic.AddInt32(&seen[i], 1) }))[0]},
 				}
 				for _, f := range forms {
 					if f.got != want {
@@ -120,6 +120,33 @@ func TestTotalsIndependentOfWorkers(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Each view keeps its own totals: a launch tallying every view equals,
+// view by view and bit for bit, a launch that tallied that view alone,
+// whatever the worker count. The per-item tallies are non-integer, so
+// the summation order shows.
+func TestViewsTallyIndependently(t *testing.T) {
+	const global = 4099
+	item := func(i, v int) Counters {
+		return Counters{LoadBytes: float64(i%13+v) / 7, Instrs: float64(v+1) * 0.1}
+	}
+	for _, procs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			all := Measure(global, func(w *WorkItem) {
+				for v := range MaxViews {
+					w.Tally(v, item(w.Global, v))
+				}
+			})
+			for v := range MaxViews {
+				alone := Measure(global, func(w *WorkItem) { w.Tally(0, item(w.Global, v)) })
+				if all[v] != alone[0] {
+					t.Errorf("view %d: %+v tallied with the others, %+v alone", v, all[v], alone[0])
+				}
+			}
+		})
 	}
 }
 
