@@ -5,8 +5,8 @@
 // generated address trace through the simulated LLC without holding it),
 // the split of a run into a functional pass and a pricing pass (Recorder,
 // Tape, Play) with the pricing views a pass tallies (View), and the
-// run-scoped memo characterizations and functional passes are shared
-// through.
+// run-scoped memo problem setup, characterizations and functional passes
+// are shared through (Memoize).
 package appcore
 
 import (
@@ -90,18 +90,19 @@ func Streams(dev *device.Device) int {
 }
 
 // Memo is a run's memo of pure work. Each app keys it with its own
-// unexported key types: a characterization on the inputs that determine
-// its address traces (app config, precision and the device Geometry), a
-// functional pass on the app config alone, since precision and kernel
-// variant only pick the pricing view its Tape is replayed in. Values
-// stored in it are shared by every cell of the run and must never be
-// mutated.
+// unexported key types: problem setup (LULESH's mesh, XSBench's table) on
+// the config fields it is built from, a characterization on the inputs
+// that determine its address traces (app config, precision and the
+// device Geometry), a functional pass on the app config alone, since
+// precision and kernel variant only pick the pricing view its Tape is
+// replayed in. Values stored in it are shared by every cell of the run
+// and must never be mutated.
 type Memo = memo.Map[any, any]
 
-// Characterize returns compute's result for key, computing it at most
-// once per memo. A nil memo computes every time. Play stores functional
-// passes through it too.
-func Characterize[K comparable, V any](m *Memo, key K, compute func() V) V {
+// Memoize returns compute's result for key, computing it at most once
+// per memo. A nil memo computes every time. Setup, characterizations and
+// (through Play) functional passes are all stored through it.
+func Memoize[K comparable, V any](m *Memo, key K, compute func() V) V {
 	return m.Get(key, func() any { return compute() }).(V)
 }
 

@@ -188,7 +188,7 @@ func Play[K comparable, R any](memo *Memo, key K, view int, core *modelapi.Runti
 	if core.Machine().FaultInjector() != nil {
 		return execute(&Recorder{live: &d, view: view, core: core})
 	}
-	o := Characterize(memo, key, func() outcome[R] {
+	o := Memoize(memo, key, func() outcome[R] {
 		var rec Recorder
 		res := execute(&rec)
 		return outcome[R]{&rec.tape, res}

@@ -43,7 +43,7 @@ type charKey struct {
 // accelerator, measured once per run memo on the initial lattice.
 func (p *Problem) characterize(m *sim.Machine) characterization {
 	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(m.Accelerator())}
-	return appcore.Characterize(p.Memo, key, func() characterization {
+	return appcore.Memoize(p.Memo, key, func() characterization {
 		return NewState(p.Cfg).characterize(m, p.Precision)
 	})
 }

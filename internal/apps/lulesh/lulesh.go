@@ -28,9 +28,11 @@ type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	Mesh      *Mesh
-	// Memo, when set, shares the characterization with every problem of
-	// the same Cfg and Precision in the run, and the functional pass with
-	// every problem of the same Cfg; nil computes on every call.
+	// Memo, when set, shares the mesh (connectivity and reference
+	// geometry) with every problem of the same edge S in the run, the
+	// characterization with every problem of the same Cfg and Precision,
+	// and the functional pass with every problem of the same Cfg; nil
+	// computes on every call.
 	Memo *appcore.Memo
 
 	build sync.Once
@@ -46,11 +48,14 @@ func NewProblem(cfg Config, prec timing.Precision) *Problem {
 	return p
 }
 
-// mesh returns the mesh, building it on first need.
+// meshKey keys the mesh in a run memo: the edge is all NewMesh reads.
+type meshKey struct{ s int }
+
+// mesh returns the mesh, taking it from the run memo on first need.
 func (p *Problem) mesh() *Mesh {
 	p.build.Do(func() {
 		if p.Mesh == nil {
-			p.Mesh = NewMesh(p.Cfg.S)
+			p.Mesh = appcore.Memoize(p.Memo, meshKey{p.Cfg.S}, func() *Mesh { return NewMesh(p.Cfg.S) })
 		}
 	})
 	return p.Mesh
@@ -111,7 +116,7 @@ func (p *Problem) key(dev *device.Device) specsKey {
 // accelerator, measured once per run memo. Each call gets its own copy.
 func (p *Problem) specs(m *sim.Machine) *[NumKernels]modelapi.KernelSpec {
 	dev := m.Accelerator()
-	out := appcore.Characterize(p.Memo, p.key(dev), func() [NumKernels]modelapi.KernelSpec {
+	out := appcore.Memoize(p.Memo, p.key(dev), func() [NumKernels]modelapi.KernelSpec {
 		return p.measureSpecs(dev)
 	})
 	return &out
@@ -190,7 +195,7 @@ func (p *Problem) measureSpecs(dev *device.Device) (out [NumKernels]modelapi.Ker
 // characterization number — measured once per run memo.
 func (p *Problem) MeasuredTraits(m *sim.Machine) (missRate float64) {
 	dev := m.Accelerator()
-	return appcore.Characterize(p.Memo, missKey(p.key(dev)), func() float64 { return p.measureMiss(dev) })
+	return appcore.Memoize(p.Memo, missKey(p.key(dev)), func() float64 { return p.measureMiss(dev) })
 }
 
 func (p *Problem) measureMiss(dev *device.Device) float64 {

@@ -2,6 +2,9 @@ package lulesh
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,7 +94,145 @@ func TestQuickHexVolumeScaling(t *testing.T) {
 	}
 }
 
+// hexVolumeTable is hexVolume's reference: the faces of hexFaces, each
+// as its four triangles, driven from the tables. hexVolume must match it
+// bit for bit.
+func hexVolumeTable(px, py, pz *[8]float64) float64 {
+	vol := 0.0
+	for _, f := range hexFaces {
+		for _, tri := range [4][3]int{
+			{f[0], f[1], f[2]}, {f[0], f[2], f[3]}, // diagonal 0–2
+			{f[1], f[2], f[3]}, {f[1], f[3], f[0]}, // diagonal 1–3
+		} {
+			a, b, c := tri[0], tri[1], tri[2]
+			vol += px[a]*(py[b]*pz[c]-pz[b]*py[c]) -
+				py[a]*(px[b]*pz[c]-pz[b]*px[c]) +
+				pz[a]*(px[b]*py[c]-py[b]*px[c])
+		}
+	}
+	return vol / 12
+}
+
+func TestHexVolumeMatchesTableForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	unit := func() (px, py, pz [8]float64) {
+		for c := 0; c < 8; c++ {
+			px[c], py[c], pz[c] = float64(cornerDX[c]), float64(cornerDY[c]), float64(cornerDZ[c])
+		}
+		return
+	}
+	check := func(kind string, px, py, pz [8]float64) {
+		t.Helper()
+		got, want := hexVolume(&px, &py, &pz), hexVolumeTable(&px, &py, &pz)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s hex %v %v %v: volume %v, table form %v", kind, px, py, pz, got, want)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		// Perturbed: every corner moved, at a random scale and offset.
+		px, py, pz := unit()
+		scale, off := math.Ldexp(1, rng.Intn(40)-20), rng.NormFloat64()*10
+		for c := 0; c < 8; c++ {
+			px[c] = off + scale*(px[c]+0.3*rng.NormFloat64())
+			py[c] = off + scale*(py[c]+0.3*rng.NormFloat64())
+			pz[c] = off + scale*(pz[c]+0.3*rng.NormFloat64())
+		}
+		check("perturbed", px, py, pz)
+
+		// Degenerate: the top face collapsed onto the bottom one, or
+		// two corners merged.
+		px, py, pz = unit()
+		for c := 4; c < 8; c++ {
+			pz[c] = rng.Float64() * 1e-12
+		}
+		check("flat", px, py, pz)
+		px, py, pz = unit()
+		a, b := rng.Intn(8), rng.Intn(8)
+		px[a], py[a], pz[a] = px[b], py[b], pz[b]
+		check("merged", px, py, pz)
+
+		// Inverted: mirrored, or a corner pushed through the hex.
+		px, py, pz = unit()
+		for c := 0; c < 8; c++ {
+			px[c] = -px[c] + 0.1*rng.NormFloat64()
+		}
+		check("mirrored", px, py, pz)
+		px, py, pz = unit()
+		c := rng.Intn(8)
+		px[c], py[c], pz[c] = 1-px[c]+rng.Float64(), 1-py[c]+rng.Float64(), 1-pz[c]+rng.Float64()
+		check("tangled", px, py, pz)
+	}
+}
+
+// newStateBruteForce is NewState's reference: the Sedov initialization
+// computed on the state itself, unit-cube coordinates and each element's
+// volume (by hexVolumeTable), masses accumulated from those.
+func newStateBruteForce(m *Mesh) *State {
+	s := NewState(m)
+	for _, f := range [][]float64{s.X, s.Y, s.Z, s.NodalMass, s.V, s.Volo, s.Vnew, s.ElemMass} {
+		clear(f)
+	}
+	np := m.S + 1
+	h := 1.0 / float64(m.S)
+	for k := 0; k < np; k++ {
+		for j := 0; j < np; j++ {
+			for i := 0; i < np; i++ {
+				n := (k*np+j)*np + i
+				s.X[n] = float64(i) * h
+				s.Y[n] = float64(j) * h
+				s.Z[n] = float64(k) * h
+			}
+		}
+	}
+	for e := 0; e < m.NumElem; e++ {
+		nl := m.Nodelist[e*8 : e*8+8]
+		var px, py, pz [8]float64
+		for c := 0; c < 8; c++ {
+			px[c], py[c], pz[c] = s.X[nl[c]], s.Y[nl[c]], s.Z[nl[c]]
+		}
+		vol := hexVolumeTable(&px, &py, &pz)
+		s.Volo[e] = vol
+		s.V[e] = 1
+		s.Vnew[e] = 1
+		s.ElemMass[e] = vol
+		for c := 0; c < 8; c++ {
+			s.NodalMass[nl[c]] += vol / 8
+		}
+	}
+	return s
+}
+
+// sameBits reports whether a and b hold the same float64 values bit for
+// bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 func TestInitialState(t *testing.T) {
+	for _, edge := range []int{2, 3, 6, 17} {
+		m := NewMesh(edge)
+		s, ref := NewState(m), newStateBruteForce(m)
+		// Two states built from one mesh share none of its geometry.
+		if s2 := NewState(m); &s2.X[0] == &s.X[0] || &s.X[0] == &m.X0[0] || &s.Volo[0] == &m.Volo[0] ||
+			&s.ElemMass[0] == &m.Volo[0] || &s.NodalMass[0] == &m.NodalMass[0] {
+			t.Fatalf("S=%d: a state aliases the mesh's reference geometry or another state", edge)
+		}
+		sv, rv := reflect.ValueOf(s).Elem(), reflect.ValueOf(ref).Elem()
+		for i := 0; i < sv.NumField(); i++ {
+			name := sv.Type().Field(i).Name
+			switch f := sv.Field(i).Interface().(type) {
+			case []float64:
+				if !sameBits(f, rv.Field(i).Interface().([]float64)) {
+					t.Fatalf("S=%d: %s differs from the brute-force initialization", edge, name)
+				}
+			case float64:
+				if math.Float64bits(f) != math.Float64bits(rv.Field(i).Float()) {
+					t.Fatalf("S=%d: %s = %v, brute force %v", edge, name, f, rv.Field(i).Float())
+				}
+			}
+		}
+	}
+
 	s := NewState(NewMesh(6))
 	// Total mass = domain volume = 1 (density 1 on the unit cube).
 	mass := 0.0

@@ -16,6 +16,7 @@ package lulesh
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Config sizes one run: `-s` edge elements and `-i` iterations, matching
@@ -53,7 +54,10 @@ func (c Config) functionalIters() int {
 	return c.FunctionalIters
 }
 
-// Mesh is the immutable connectivity of an S³ hex mesh.
+// Mesh is the immutable connectivity of an S³ hex mesh on the unit cube,
+// with the reference geometry every Sedov state starts from. Nothing
+// writes a Mesh after NewMesh returns, so a run memo shares one among all
+// the problems of a config.
 type Mesh struct {
 	S       int
 	NumElem int
@@ -71,6 +75,13 @@ type Mesh struct {
 	Lxim, Lxip, Letam, Letap, Lzetam, Lzetap []int32
 	// Symmetry-plane node sets (x=0, y=0, z=0 faces of the domain).
 	SymmX, SymmY, SymmZ []int32
+
+	// Reference geometry: the nodes' initial positions, each element's
+	// initial volume (its mass too, at density 1) and each node's mass,
+	// an eighth of every element volume it is a corner of.
+	X0, Y0, Z0 []float64
+	Volo       []float64
+	NodalMass  []float64
 }
 
 // corner offsets of the standard hex ordering.
@@ -159,6 +170,31 @@ func NewMesh(s int) *Mesh {
 			m.SymmZ = append(m.SymmZ, nodeIdx(j, k, 0))
 		}
 	}
+
+	// Unit cube coordinates.
+	h := 1.0 / float64(s)
+	m.X0, m.Y0, m.Z0 = make([]float64, m.NumNode), make([]float64, m.NumNode), make([]float64, m.NumNode)
+	for k := 0; k < np; k++ {
+		for j := 0; j < np; j++ {
+			for i := 0; i < np; i++ {
+				n := nodeIdx(i, j, k)
+				m.X0[n] = float64(i) * h
+				m.Y0[n] = float64(j) * h
+				m.Z0[n] = float64(k) * h
+			}
+		}
+	}
+
+	// Volumes and masses.
+	m.Volo = make([]float64, m.NumElem)
+	m.NodalMass = make([]float64, m.NumNode)
+	for e := 0; e < m.NumElem; e++ {
+		vol := elemVolume(m.Nodelist, m.X0, m.Y0, m.Z0, e)
+		m.Volo[e] = vol
+		for c := 0; c < 8; c++ {
+			m.NodalMass[m.Nodelist[e*8+c]] += vol / 8
+		}
+	}
 	return m
 }
 
@@ -197,20 +233,21 @@ type State struct {
 
 // NewState initializes the Sedov problem on a unit-cube mesh: uniform
 // density 1, cold everywhere, with the blast energy deposited in the
-// origin element (the standard LULESH initialization).
+// origin element (the standard LULESH initialization). The positions,
+// volumes and masses are copies of the mesh's reference geometry.
 func NewState(m *Mesh) *State {
 	s := &State{Mesh: m}
 	nn, ne := m.NumNode, m.NumElem
 	alloc := func(n int) []float64 { return make([]float64, n) }
-	s.X, s.Y, s.Z = alloc(nn), alloc(nn), alloc(nn)
+	s.X, s.Y, s.Z = slices.Clone(m.X0), slices.Clone(m.Y0), slices.Clone(m.Z0)
 	s.Xd, s.Yd, s.Zd = alloc(nn), alloc(nn), alloc(nn)
 	s.Xdd, s.Ydd, s.Zdd = alloc(nn), alloc(nn), alloc(nn)
 	s.Fx, s.Fy, s.Fz = alloc(nn), alloc(nn), alloc(nn)
-	s.NodalMass = alloc(nn)
+	s.NodalMass = slices.Clone(m.NodalMass)
 	s.E, s.P, s.Q = alloc(ne), alloc(ne), alloc(ne)
-	s.V, s.Volo, s.Vnew = alloc(ne), alloc(ne), alloc(ne)
+	s.V, s.Volo, s.Vnew = alloc(ne), slices.Clone(m.Volo), alloc(ne)
 	s.Delv, s.Vdov = alloc(ne), alloc(ne)
-	s.Arealg, s.SS, s.ElemMass = alloc(ne), alloc(ne), alloc(ne)
+	s.Arealg, s.SS, s.ElemMass = alloc(ne), alloc(ne), slices.Clone(m.Volo) // density 1
 	s.Sig = alloc(ne)
 	s.FxElem, s.FyElem, s.FzElem = alloc(8*ne), alloc(8*ne), alloc(8*ne)
 	s.VelAvgX, s.VelAvgY, s.VelAvgZ = alloc(ne), alloc(ne), alloc(ne)
@@ -218,31 +255,9 @@ func NewState(m *Mesh) *State {
 	s.PhiXi, s.PhiEta, s.PhiZeta = alloc(ne), alloc(ne), alloc(ne)
 	s.EOld, s.POld, s.QOld, s.PHalf = alloc(ne), alloc(ne), alloc(ne), alloc(ne)
 	s.DtCour, s.DtHydro = alloc(ne), alloc(ne)
-
-	// Unit cube coordinates.
-	np := m.S + 1
-	h := 1.0 / float64(m.S)
-	for k := 0; k < np; k++ {
-		for j := 0; j < np; j++ {
-			for i := 0; i < np; i++ {
-				n := (k*np+j)*np + i
-				s.X[n] = float64(i) * h
-				s.Y[n] = float64(j) * h
-				s.Z[n] = float64(k) * h
-			}
-		}
-	}
-
-	// Volumes and masses.
-	for e := 0; e < ne; e++ {
-		vol := s.elemVolume(e)
-		s.Volo[e] = vol
+	for e := range ne {
 		s.V[e] = 1
 		s.Vnew[e] = 1
-		s.ElemMass[e] = vol // density 1
-		for c := 0; c < 8; c++ {
-			s.NodalMass[m.Nodelist[e*8+c]] += vol / 8
-		}
 	}
 
 	// Sedov energy deposit in the origin element (LULESH's corner blast,
@@ -251,6 +266,7 @@ func NewState(m *Mesh) *State {
 
 	// Initial timestep from the deposit's sound speed, with a generous
 	// safety factor; the Courant constraint takes over after step one.
+	h := 1.0 / float64(m.S)
 	p0 := (gammaEOS - 1) * s.E[0]
 	ss0 := math.Sqrt(gammaEOS * p0)
 	s.Dt = 0.02 * h / ss0
@@ -258,14 +274,14 @@ func NewState(m *Mesh) *State {
 }
 
 // elemVolume computes the (signed, positive for valid meshes) volume of
-// element e from current coordinates via the divergence theorem over the
-// 12 boundary triangles.
-func (s *State) elemVolume(e int) float64 {
-	nl := s.Mesh.Nodelist[e*8 : e*8+8]
+// element e of connectivity nodelist at node positions x, y, z, via the
+// divergence theorem over its boundary (hexVolume).
+func elemVolume(nodelist []int32, x, y, z []float64, e int) float64 {
+	nl := nodelist[e*8 : e*8+8]
 	var px, py, pz [8]float64
 	for c := 0; c < 8; c++ {
 		n := nl[c]
-		px[c], py[c], pz[c] = s.X[n], s.Y[n], s.Z[n]
+		px[c], py[c], pz[c] = x[n], y[n], z[n]
 	}
 	return hexVolume(&px, &py, &pz)
 }
@@ -286,21 +302,45 @@ var hexFaces = [6][4]int{
 // face is integrated as the average of its two diagonal triangulations,
 // which equals the bilinear-patch integral and — unlike a fixed diagonal
 // choice — is exactly symmetric under mirror relabelings (the Sedov
-// problem's axis symmetry depends on this).
+// problem's axis symmetry depends on this). It is written out straight:
+// face f0 f1 f2 f3 of hexFaces, in order, contributes the triangles
+// f0f1f2 and f0f2f3 (diagonal 0–2), then f1f2f3 and f1f3f0 (diagonal
+// 1–3).
 func hexVolume(px, py, pz *[8]float64) float64 {
 	vol := 0.0
-	for _, f := range hexFaces {
-		for _, tri := range [4][3]int{
-			{f[0], f[1], f[2]}, {f[0], f[2], f[3]}, // diagonal 0–2
-			{f[1], f[2], f[3]}, {f[1], f[3], f[0]}, // diagonal 1–3
-		} {
-			a, b, c := tri[0], tri[1], tri[2]
-			vol += px[a]*(py[b]*pz[c]-pz[b]*py[c]) -
-				py[a]*(px[b]*pz[c]-pz[b]*px[c]) +
-				pz[a]*(px[b]*py[c]-py[b]*px[c])
-		}
-	}
+	vol += triple(px, py, pz, 0, 3, 2) // -z: 0 3 2 1
+	vol += triple(px, py, pz, 0, 2, 1)
+	vol += triple(px, py, pz, 3, 2, 1)
+	vol += triple(px, py, pz, 3, 1, 0)
+	vol += triple(px, py, pz, 4, 5, 6) // +z: 4 5 6 7
+	vol += triple(px, py, pz, 4, 6, 7)
+	vol += triple(px, py, pz, 5, 6, 7)
+	vol += triple(px, py, pz, 5, 7, 4)
+	vol += triple(px, py, pz, 0, 1, 5) // -y: 0 1 5 4
+	vol += triple(px, py, pz, 0, 5, 4)
+	vol += triple(px, py, pz, 1, 5, 4)
+	vol += triple(px, py, pz, 1, 4, 0)
+	vol += triple(px, py, pz, 2, 3, 7) // +y: 2 3 7 6
+	vol += triple(px, py, pz, 2, 7, 6)
+	vol += triple(px, py, pz, 3, 7, 6)
+	vol += triple(px, py, pz, 3, 6, 2)
+	vol += triple(px, py, pz, 0, 4, 7) // -x: 0 4 7 3
+	vol += triple(px, py, pz, 0, 7, 3)
+	vol += triple(px, py, pz, 4, 7, 3)
+	vol += triple(px, py, pz, 4, 3, 0)
+	vol += triple(px, py, pz, 1, 2, 6) // +x: 1 2 6 5
+	vol += triple(px, py, pz, 1, 6, 5)
+	vol += triple(px, py, pz, 2, 6, 5)
+	vol += triple(px, py, pz, 2, 5, 1)
 	return vol / 12
+}
+
+// triple returns the triple product a·(b×c) of corners a, b and c: six
+// times the signed volume of the tetrahedron they span with the origin.
+func triple(px, py, pz *[8]float64, a, b, c int) float64 {
+	return px[a]*(py[b]*pz[c]-pz[b]*py[c]) -
+		py[a]*(px[b]*pz[c]-pz[b]*px[c]) +
+		pz[a]*(px[b]*py[c]-py[b]*px[c])
 }
 
 // TotalEnergy returns internal + kinetic energy, the conservation digest

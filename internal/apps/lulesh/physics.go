@@ -257,7 +257,7 @@ func (st *stepper) step(d *recDriver) {
 
 	// 10. Kinematics: new volumes.
 	d.launch(KKinematicsVolume, ne, exec.Uniform(tally(110, 26, 2, 180), func(e int) {
-		vol := s.elemVolume(e)
+		vol := elemVolume(m.Nodelist, s.X, s.Y, s.Z, e)
 		vn := vol / s.Volo[e]
 		s.Delv[e] = vn - s.V[e]
 		s.Vnew[e] = vn

@@ -185,9 +185,13 @@ const massShift = 0.1
 // source vector.
 //
 // The row structure is the stencil (appendRow), known before any element
-// is visited. Each element then adds its 8×8 stiffness into fixed slots,
-// elements in z-, y-, x-major order, so every value is the same
-// floating-point sum an entry-by-entry accumulation would produce.
+// is visited. A row's values depend only on its node's class on each
+// axis (low end, interior or high end): the node's elements sit at the
+// same offsets, in the same z-, y-, x-major order, in every row of a
+// class. So the elements are summed on a template mesh of at most 2
+// elements per axis, which holds every class of the mesh, and each row
+// copies its class's values: every value is the same floating-point sum
+// an entry-by-entry accumulation over the whole mesh would produce.
 func Assemble(cfg Config) (*CSR, []float64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -198,25 +202,64 @@ func Assemble(cfg Config) (*CSR, []float64) {
 // assemble is Assemble without validation; any mesh of at least one
 // element per dimension assembles.
 func assemble(cfg Config) (*CSR, []float64) {
-	npx, npy := cfg.Nx+1, cfg.Ny+1
+	// The template has at most 3³ rows and 7³ stored entries.
+	t := Config{Nx: min(cfg.Nx, 2), Ny: min(cfg.Ny, 2), Nz: min(cfg.Nz, 2)}
+	var tVals [7 * 7 * 7]float64
+	var tStart [3*3*3 + 1]int
+	addRowValues(t, tVals[:t.nnz()])
+	for r := range t.NumRows() + 1 {
+		tStart[r] = t.rowStart(r)
+	}
+
 	rows, nnz := cfg.NumRows(), cfg.nnz()
 	a := &CSR{
 		NumRows: rows,
 		RowPtr:  make([]int32, rows+1),
 		Cols:    make([]int32, 0, nnz),
-		Vals:    make([]float64, nnz),
+		Vals:    make([]float64, 0, nnz),
 	}
 	r := 0
 	for z := 0; z <= cfg.Nz; z++ {
+		tz := classNode(z, cfg.Nz)
 		for y := 0; y <= cfg.Ny; y++ {
+			ty := classNode(y, cfg.Ny)
 			for x := 0; x <= cfg.Nx; x++ {
+				tr := (tz*(t.Ny+1)+ty)*(t.Nx+1) + classNode(x, cfg.Nx)
 				a.Cols = cfg.appendRow(a.Cols, x, y, z)
+				a.Vals = append(a.Vals, tVals[tStart[tr]:tStart[tr+1]]...)
 				r++
 				a.RowPtr[r] = int32(len(a.Cols))
 			}
 		}
 	}
 
+	// Spatially varying source (a constant b would be an eigenvector of
+	// the shifted operator and CG would converge in one step).
+	b := make([]float64, rows)
+	for i := range b {
+		b[i] = 1 + 0.5*math.Sin(float64(i)*0.37)
+	}
+	return a, b
+}
+
+// classNode maps coordinate c on an axis of n elements to the node of the
+// same class on the template's axis of min(n, 2) elements: its low end,
+// its interior node or its high end.
+func classNode(c, n int) int {
+	switch c {
+	case 0:
+		return 0
+	case n:
+		return min(n, 2)
+	}
+	return 1
+}
+
+// addRowValues adds the element stiffness, elements in z-, y-, x-major
+// order, and then the mass shift on the diagonal into vals, the stored
+// entries of cfg's matrix, rows laid out as rowStart places them.
+func addRowValues(cfg Config, vals []float64) {
+	npx, npy := cfg.Nx+1, cfg.Ny+1
 	// Element corners in the stiffness matrix's local order.
 	cx := [8]int{0, 1, 1, 0, 0, 1, 1, 0}
 	cy := [8]int{0, 0, 1, 1, 0, 0, 1, 1}
@@ -232,9 +275,9 @@ func assemble(cfg Config) (*CSR, []float64) {
 					// Corner j's slot in corner i's row is the rank of
 					// their offset among the row's in-bounds offsets.
 					sy, sz := nX, nX*nY
-					base := int(a.RowPtr[(z*npy+y)*npx+x]) -
+					base := cfg.rowStart((z*npy+y)*npx+x) -
 						(cz[i]+loZ)*sz - (cy[i]+loY)*sy - (cx[i] + loX)
-					row := a.Vals[base:]
+					row := vals[base:]
 					for j := 0; j < 8; j++ {
 						row[cz[j]*sz+cy[j]*sy+cx[j]] += hexStiffness[i][j]
 					}
@@ -243,26 +286,18 @@ func assemble(cfg Config) (*CSR, []float64) {
 		}
 	}
 	// The diagonal is the centre offset of each row.
-	r = 0
+	r := 0
 	for z := 0; z <= cfg.Nz; z++ {
 		loZ, _ := span(z, cfg.Nz)
 		for y := 0; y <= cfg.Ny; y++ {
 			loY, nY := span(y, cfg.Ny)
 			for x := 0; x <= cfg.Nx; x++ {
 				loX, nX := span(x, cfg.Nx)
-				a.Vals[int(a.RowPtr[r])-(loZ*nY+loY)*nX-loX] += massShift
+				vals[cfg.rowStart(r)-(loZ*nY+loY)*nX-loX] += massShift
 				r++
 			}
 		}
 	}
-
-	// Spatially varying source (a constant b would be an eigenvector of
-	// the shifted operator and CG would converge in one step).
-	b := make([]float64, rows)
-	for i := range b {
-		b[i] = 1 + 0.5*math.Sin(float64(i)*0.37)
-	}
-	return a, b
 }
 
 // Residual returns ‖b − A·x‖₂.

@@ -125,13 +125,20 @@ func assembleWithMaps(cfg Config) *CSR {
 	return a
 }
 
+// TestAssembleMatchesMapReference covers meshes equal to their row-class
+// template (at most 2 elements per axis) and mixed shapes whose template
+// differs from the mesh on some axes only.
 func TestAssembleMatchesMapReference(t *testing.T) {
 	for _, c := range []Config{
 		{Nx: 1, Ny: 1, Nz: 1},
 		{Nx: 2, Ny: 2, Nz: 2},
+		{Nx: 2, Ny: 1, Nz: 2},
 		{Nx: 3, Ny: 5, Nz: 2},
 		{Nx: 1, Ny: 4, Nz: 7},
 		{Nx: 6, Ny: 1, Nz: 3},
+		{Nx: 2, Ny: 3, Nz: 4},
+		{Nx: 4, Ny: 1, Nz: 5},
+		{Nx: 5, Ny: 5, Nz: 2},
 		{Nx: 24, Ny: 24, Nz: 24},
 	} {
 		got, b := assemble(c)

@@ -116,7 +116,7 @@ type characterization struct {
 func (p *Problem) characterize(m *sim.Machine) characterization {
 	dev := m.Accelerator()
 	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(dev)}
-	return appcore.Characterize(p.Memo, key, func() characterization { return p.measure(dev) })
+	return appcore.Memoize(p.Memo, key, func() characterization { return p.measure(dev) })
 }
 
 func (p *Problem) measure(dev *device.Device) (c characterization) {

@@ -120,7 +120,7 @@ type specKey struct {
 // accelerator LLC (a pure streaming pass), once per run memo.
 func (p *Problem) spec(m *sim.Machine) modelapi.KernelSpec {
 	dev := m.Accelerator()
-	return appcore.Characterize(p.Memo, specKey{p.Cfg, appcore.GeometryOf(dev)}, func() modelapi.KernelSpec {
+	return appcore.Memoize(p.Memo, specKey{p.Cfg, appcore.GeometryOf(dev)}, func() modelapi.KernelSpec {
 		return p.measureSpec(dev)
 	})
 }

@@ -98,20 +98,10 @@ func (c Config) TableBytes(prec timing.Precision) int64 {
 	return nuclideGrids + unionEnergies + indexGrid
 }
 
-// Problem holds the generated data set. NewProblem generates it; a
-// Problem literal with Cfg, Precision (and Memo) set generates it on first
-// need, so a run whose characterization and functional pass both hit the
-// run memo never builds the cross-section table.
-type Problem struct {
-	Cfg       Config
-	Precision timing.Precision
-	// Memo, when set, shares the characterization with every problem of
-	// the same Cfg and Precision in the run, and the functional pass with
-	// every problem of the same Cfg; nil computes on every call.
-	Memo *appcore.Memo
-
-	build sync.Once
-
+// Table is the synthetic H-M data set. It depends on the nuclide count
+// and grid size alone, and nothing writes it after it is generated, so a
+// run memo shares one among all the problems that have those two.
+type Table struct {
 	// NuclideEnergy[n][g] is nuclide n's sorted energy grid;
 	// NuclideXS[n][g*NumXS+c] its cross sections.
 	NuclideEnergy [][]float64
@@ -125,6 +115,25 @@ type Problem struct {
 	MatDensity  [][]float64
 }
 
+// Problem holds a lookup configuration and its data set. NewProblem
+// generates the table; a Problem literal with Cfg, Precision (and Memo)
+// set takes it on first need, so a run whose characterization and
+// functional pass both hit the run memo never builds the cross-section
+// table.
+type Problem struct {
+	Cfg       Config
+	Precision timing.Precision
+	// Memo, when set, shares the table with every problem of the same
+	// Nuclides and GridPoints in the run, the characterization with every
+	// problem of the same Cfg and Precision, and the functional pass with
+	// every problem of the same Cfg; nil computes on every call.
+	Memo *appcore.Memo
+
+	build sync.Once
+
+	*Table
+}
+
 // NewProblem generates the synthetic H-M data set deterministically.
 func NewProblem(cfg Config, prec timing.Precision) *Problem {
 	if err := cfg.Validate(); err != nil {
@@ -135,18 +144,24 @@ func NewProblem(cfg Config, prec timing.Precision) *Problem {
 	return p
 }
 
-// data generates the data set on first need; LookupMacroXS and the
-// kernel body read it afterwards.
+// tableKey keys the table in a run memo: everything generate reads.
+type tableKey struct{ nuclides, gridPoints int }
+
+// data takes the table from the run memo on first need; LookupMacroXS
+// and the kernel body read it afterwards.
 func (p *Problem) data() {
 	p.build.Do(func() {
-		if p.UnionEnergy == nil {
-			p.generate()
+		if p.Table == nil {
+			key := tableKey{p.Cfg.Nuclides, p.Cfg.GridPoints}
+			p.Table = appcore.Memoize(p.Memo, key, func() *Table { return generate(key.nuclides, key.gridPoints) })
 		}
 	})
 }
 
-func (p *Problem) generate() {
-	cfg := p.Cfg
+// generate builds the synthetic H-M data set deterministically from a
+// fixed xorshift stream.
+func generate(nuclides, gridPoints int) *Table {
+	t := &Table{}
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() float64 {
 		rng ^= rng << 13
@@ -156,63 +171,64 @@ func (p *Problem) generate() {
 	}
 
 	// Per-nuclide grids: sorted random energies in (0,1), smooth-ish XS.
-	p.NuclideEnergy = make([][]float64, cfg.Nuclides)
-	p.NuclideXS = make([][]float64, cfg.Nuclides)
-	for n := 0; n < cfg.Nuclides; n++ {
-		eg := make([]float64, cfg.GridPoints)
+	t.NuclideEnergy = make([][]float64, nuclides)
+	t.NuclideXS = make([][]float64, nuclides)
+	for n := 0; n < nuclides; n++ {
+		eg := make([]float64, gridPoints)
 		for g := range eg {
 			eg[g] = next()
 		}
 		sort.Float64s(eg)
 		// Guarantee full coverage of the lookup domain.
 		eg[0], eg[len(eg)-1] = 0, 1
-		xs := make([]float64, cfg.GridPoints*NumXS)
-		for g := 0; g < cfg.GridPoints; g++ {
+		xs := make([]float64, gridPoints*NumXS)
+		for g := 0; g < gridPoints; g++ {
 			base := 1 + math.Sin(float64(n)+eg[g]*20)*0.5
 			for c := 0; c < NumXS; c++ {
 				xs[g*NumXS+c] = base * (1 + 0.1*float64(c))
 			}
 		}
-		p.NuclideEnergy[n] = eg
-		p.NuclideXS[n] = xs
+		t.NuclideEnergy[n] = eg
+		t.NuclideXS[n] = xs
 	}
 
 	// Unionized grid.
-	total := cfg.Nuclides * cfg.GridPoints
-	p.UnionEnergy = make([]float64, 0, total)
-	for n := range p.NuclideEnergy {
-		p.UnionEnergy = append(p.UnionEnergy, p.NuclideEnergy[n]...)
+	total := nuclides * gridPoints
+	t.UnionEnergy = make([]float64, 0, total)
+	for n := range t.NuclideEnergy {
+		t.UnionEnergy = append(t.UnionEnergy, t.NuclideEnergy[n]...)
 	}
-	sort.Float64s(p.UnionEnergy)
-	p.UnionIndex = make([]int32, len(p.UnionEnergy)*cfg.Nuclides)
+	sort.Float64s(t.UnionEnergy)
+	t.UnionIndex = make([]int32, len(t.UnionEnergy)*nuclides)
 	// Two-pointer sweep: for each union point, each nuclide's bracketing
 	// lower index.
-	ptr := make([]int32, cfg.Nuclides)
-	for u, e := range p.UnionEnergy {
-		for n := 0; n < cfg.Nuclides; n++ {
-			eg := p.NuclideEnergy[n]
+	ptr := make([]int32, nuclides)
+	for u, e := range t.UnionEnergy {
+		for n := 0; n < nuclides; n++ {
+			eg := t.NuclideEnergy[n]
 			for int(ptr[n])+1 < len(eg) && eg[ptr[n]+1] <= e {
 				ptr[n]++
 			}
-			p.UnionIndex[u*cfg.Nuclides+n] = ptr[n]
+			t.UnionIndex[u*nuclides+n] = ptr[n]
 		}
 	}
 
 	// Materials: H-M-like sizes (fuel has the most nuclides).
-	sizes := materialSizes(cfg.Nuclides)
-	p.MatNuclides = make([][]int32, NumMaterials)
-	p.MatDensity = make([][]float64, NumMaterials)
+	sizes := materialSizes(nuclides)
+	t.MatNuclides = make([][]int32, NumMaterials)
+	t.MatDensity = make([][]float64, NumMaterials)
 	for m := 0; m < NumMaterials; m++ {
 		k := sizes[m]
 		ids := make([]int32, k)
 		dens := make([]float64, k)
 		for i := 0; i < k; i++ {
-			ids[i] = int32(int(next()*float64(cfg.Nuclides))) % int32(cfg.Nuclides)
+			ids[i] = int32(int(next()*float64(nuclides))) % int32(nuclides)
 			dens[i] = 0.1 + next()
 		}
-		p.MatNuclides[m] = ids
-		p.MatDensity[m] = dens
+		t.MatNuclides[m] = ids
+		t.MatDensity[m] = dens
 	}
+	return t
 }
 
 // materialSizes apportions nuclide counts across the 12 materials in
@@ -386,7 +402,7 @@ type traits struct{ miss, coalesce, accessMiss float64 }
 func (p *Problem) characterize(m *sim.Machine) traits {
 	dev := m.Accelerator()
 	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(dev)}
-	return appcore.Characterize(p.Memo, key, func() (t traits) {
+	return appcore.Memoize(p.Memo, key, func() (t traits) {
 		t.miss, t.coalesce, t.accessMiss = appcore.Traits(dev, int(appcore.EltBytes(p.Precision)), func(touch func(uint64)) {
 			p.Trace(4096, touch)
 		})

@@ -178,13 +178,15 @@ func minifeConfig(scale Scale) minife.Config {
 }
 
 // workloads holds the five apps at a scale and precision. Each Problem
-// is a literal that builds its data (mesh, matrix, cross-section table)
-// only when its characterization or functional pass misses the run memo,
-// so a cell whose runs all hit never builds one. A workloads value
-// belongs to a single goroutine (one experiment cell); it is not safe for
-// concurrent use, and the parallel runner gives every cell its own
-// instead of sharing one. What the cells do share is the run memo, which
-// every Problem here gets.
+// is a literal that asks for its data only when its characterization or
+// functional pass misses the run memo, so a cell whose runs all hit never
+// does. LULESH's mesh and XSBench's table come from the memo, once per
+// config for the whole run; miniFE's matrix and read-benchmark's input
+// are built by the cell that needs them. A workloads value belongs to a
+// single goroutine (one experiment cell); it is not safe for concurrent
+// use, and the parallel runner gives every cell its own instead of
+// sharing one. What the cells do share is the run memo, which every
+// Problem here gets.
 type workloads struct {
 	scale Scale
 	prec  timing.Precision

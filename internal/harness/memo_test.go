@@ -1,12 +1,17 @@
 package harness
 
 import (
+	"bytes"
+	"context"
+	"encoding/gob"
 	"maps"
 	"slices"
 	"testing"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/apps/xsbench"
+	"hetbench/internal/fault"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
@@ -271,10 +276,13 @@ func TestMemoizedVariantRunsMatchFresh(t *testing.T) {
 // The fig9 sweep executes one functional pass per (app, config): its two
 // precisions and every model's kernel variant share it. A run memo holds
 // one entry per characterization (per precision, since the element size
-// changes the address trace) and one per functional pass, so a sweep
-// over both precisions holds exactly one entry per app fewer than the
-// single-precision sweeps on fresh memos together.
+// changes the address trace), one per functional pass, and one per
+// per-config setup: LULESH's mesh and XSBench's table. So a sweep over
+// both precisions holds exactly one entry per app and one per setup
+// fewer than the single-precision sweeps on fresh memos together.
 func TestFig9RunsOnePassPerAppConfig(t *testing.T) {
+	// setups counts the apps that take their setup from the memo.
+	const setups = 2 // LULESH's mesh, XSBench's table
 	entries := func(precs ...timing.Precision) int {
 		ctx := WithMemo(bg)
 		must(speedups(ctx, ScaleSmoke, sim.NewDGPU, precs...))
@@ -282,9 +290,61 @@ func TestFig9RunsOnePassPerAppConfig(t *testing.T) {
 	}
 	both := entries(timing.Single, timing.Double)
 	apart := entries(timing.Single) + entries(timing.Double)
-	if apart-both != len(AppNames) {
-		t.Errorf("SP+DP sweep holds %d memo entries, SP and DP sweeps %d together: the precisions share %d functional passes, want one per app (%d)",
-			both, apart, apart-both, len(AppNames))
+	if apart-both != len(AppNames)+setups {
+		t.Errorf("SP+DP sweep holds %d memo entries, SP and DP sweeps %d together: the precisions share %d entries, want one functional pass per app (%d) and %d setups",
+			both, apart, apart-both, len(AppNames), setups)
+	}
+}
+
+// memoizedSetup returns the LULESH mesh and XSBench table the run memo on
+// ctx holds at scale. It runs both apps on a machine with an injector of
+// zero rates, which executes them live, so each takes its setup from the
+// memo even when the memo holds their functional passes. LULESH runs
+// three fully functional steps on the scale's mesh, so its nodes move
+// (the scale's own config executes one step, before any pressure builds).
+func memoizedSetup(ctx context.Context, scale Scale) (*lulesh.Mesh, *xsbench.Table) {
+	w := newWorkloads(ctx, scale, timing.Double)
+	w.luleshCfg = &lulesh.Config{S: luleshConfig(scale).S, Iters: 3}
+	m := sim.NewDGPU()
+	m.SetFaultInjector(fault.New(fault.Config{}), fault.DefaultPolicy())
+	w.Lulesh().Run(m, modelapi.OpenCL)
+	w.Xsbench().Run(m, modelapi.OpenCL)
+	return w.Lulesh().Mesh, w.Xsbench().Table
+}
+
+// gobOf encodes v; gob writes every float64 as its bits.
+func gobOf(t *testing.T, v any) []byte {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// Every cell reads the setup a run memo holds and none writes it: after
+// a faults sweep, whose injected bit flips land in each live run's
+// lulesh.e, and a fig9 sweep on the same memo, the memoized LULESH mesh
+// and XSBench table equal freshly built ones bit for bit.
+func TestSweepsLeaveMemoizedSetupUnchanged(t *testing.T) {
+	ctx := WithMemo(bg)
+	mesh, table := memoizedSetup(ctx, ScaleSmoke)
+	injected := int64(0)
+	for _, c := range must(FaultsData(ctx, ScaleSmoke)) {
+		injected += c.Injected
+	}
+	if injected == 0 {
+		t.Fatal("the faults sweep injected no fault")
+	}
+	must(speedups(ctx, ScaleSmoke, sim.NewDGPU, timing.Single, timing.Double))
+	if m, tb := memoizedSetup(ctx, ScaleSmoke); m != mesh || tb != table {
+		t.Fatal("the memo handed out a second mesh or table for one config")
+	}
+	if !bytes.Equal(gobOf(t, mesh), gobOf(t, lulesh.NewMesh(luleshConfig(ScaleSmoke).S))) {
+		t.Error("the memoized LULESH mesh differs from a fresh one after the sweeps")
+	}
+	fresh := xsbench.NewProblem(xsbenchConfig(ScaleSmoke), timing.Double).Table
+	if !bytes.Equal(gobOf(t, table), gobOf(t, fresh)) {
+		t.Error("the memoized XSBench table differs from a fresh one after the sweeps")
 	}
 }
 

@@ -37,7 +37,7 @@ type modelTraceKey struct {
 // cells. Both experiments read the same run, so it executes once per
 // (scale, model) under a run memo.
 func modelTrace(ctx context.Context, scale Scale, model modelapi.Name) ModelTrace {
-	return appcore.Characterize(memoOf(ctx), modelTraceKey{scale, model}, func() ModelTrace {
+	return appcore.Memoize(memoOf(ctx), modelTraceKey{scale, model}, func() ModelTrace {
 		w := newWorkloads(ctx, scale, timing.Double)
 		m := sim.NewDGPU()
 		t := trace.New()
