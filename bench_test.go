@@ -203,7 +203,7 @@ func benchLaunchUntraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.LaunchKernel(sim.OnAccelerator, "bench", hotCost)
+		m.Launch(sim.OnAccelerator, "bench", hotCost)
 	}
 }
 
@@ -220,16 +220,7 @@ func benchLaunchTraced(b *testing.B) {
 			m.SetTracer(trace.New())
 			b.StartTimer()
 		}
-		m.LaunchKernel(sim.OnAccelerator, "bench", hotCost)
-	}
-}
-
-func benchLaunchCheckedOff(b *testing.B) {
-	m := sim.NewDGPU()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.LaunchKernelChecked(sim.OnAccelerator, "bench", hotCost)
+		m.Launch(sim.OnAccelerator, "bench", hotCost)
 	}
 }
 
@@ -239,7 +230,7 @@ func benchLaunchCheckedOn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.LaunchKernelChecked(sim.OnAccelerator, "bench", hotCost)
+		m.Launch(sim.OnAccelerator, "bench", hotCost)
 	}
 }
 
@@ -249,7 +240,7 @@ func benchSplitOff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := m.LaunchKernelSplit("bench", hotCost, hotCost); !ok {
-			m.LaunchKernelChecked(sim.OnAccelerator, "bench", hotCost)
+			m.Launch(sim.OnAccelerator, "bench", hotCost)
 		}
 	}
 }
@@ -362,13 +353,12 @@ func benchHistObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultOverhead measures the checked kernel-launch path with
-// fault injection disabled (the default: one nil check before delegating
-// to the plain launch) against the same path with an injector attached.
-// The "off" case is the regression gate: detaching the injector must
-// restore the pre-fault-layer launch cost.
+// BenchmarkFaultOverhead measures the kernel launch with fault injection
+// disabled (the default: one nil check) against the same launch with an
+// injector attached. The "off" case is the regression gate: detaching
+// the injector must restore the pre-fault-layer launch cost.
 func BenchmarkFaultOverhead(b *testing.B) {
-	b.Run("off", benchLaunchCheckedOff)
+	b.Run("off", benchLaunchUntraced)
 	b.Run("on", benchLaunchCheckedOn)
 }
 
@@ -427,20 +417,16 @@ func BenchmarkHetlint(b *testing.B) {
 }
 
 // TestLaunchHotPathAllocs is the allocation gate on the histograms-off
-// hot path: with no tracer attached, a kernel launch must not allocate —
-// the histogram layer may only spend memory when a tracer is installed.
+// hot path: with no tracer or injector attached, a kernel launch must not
+// allocate — the histogram layer may only spend memory when a tracer is
+// installed.
 func TestLaunchHotPathAllocs(t *testing.T) {
 	m := sim.NewDGPU()
-	m.LaunchKernel(sim.OnAccelerator, "warmup", hotCost)
+	m.Launch(sim.OnAccelerator, "warmup", hotCost)
 	if avg := testing.AllocsPerRun(200, func() {
-		m.LaunchKernel(sim.OnAccelerator, "bench", hotCost)
+		m.Launch(sim.OnAccelerator, "bench", hotCost)
 	}); avg != 0 {
-		t.Errorf("untraced LaunchKernel allocates %.1f/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		m.LaunchKernelChecked(sim.OnAccelerator, "bench", hotCost)
-	}); avg != 0 {
-		t.Errorf("untraced LaunchKernelChecked allocates %.1f/op, want 0", avg)
+		t.Errorf("untraced Launch allocates %.1f/op, want 0", avg)
 	}
 }
 
@@ -469,7 +455,6 @@ func TestWriteBenchHotpath(t *testing.T) {
 	}{
 		{"launch/untraced", benchLaunchUntraced},
 		{"launch/traced", benchLaunchTraced},
-		{"launch/checked-off", benchLaunchCheckedOff},
 		{"launch/checked-on", benchLaunchCheckedOn},
 		{"split/off", benchSplitOff},
 		{"split/on", benchSplitOn},

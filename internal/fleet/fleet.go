@@ -89,13 +89,13 @@ func (h *bookingHeap) Pop() interface{} {
 	return b
 }
 
-// DefaultQueueCap bounds each node's pending queue (in-flight job
-// included) when Config.QueueCap is zero.
-const DefaultQueueCap = 16
+// QueueCap bounds each node's pending queue (in-flight job included). A
+// job offered when every eligible node is full is shed.
+const QueueCap = 16
 
-// DefaultMigrationPenaltyNs is the rebooking cost a migrated job pays on
-// its new node: job state must be re-staged and the launch re-issued.
-const DefaultMigrationPenaltyNs = 50e3
+// MigrationPenaltyNs is the rebooking cost a migrated job pays on its new
+// node: job state must be re-staged and the launch re-issued.
+const MigrationPenaltyNs = 50e3
 
 // Config parameterizes a Cluster.
 type Config struct {
@@ -108,25 +108,15 @@ type Config struct {
 	// granularity.
 	Policy sched.Policy
 
-	// QueueCap bounds each node's pending queue (default DefaultQueueCap).
-	// A job offered when every eligible node is full is shed.
-	QueueCap int
-
 	// Seed seeds the per-node fault streams (via fault.SubSeed, so node
 	// streams never alias each other or the trace generator's stream).
 	Seed int64
 
 	// DeviceLossRate is each admission's probability of knocking the
 	// chosen node out for a device-loss window (see internal/fault).
-	// Zero disables fault injection.
+	// Zero disables fault injection. A loss window lasts the fault
+	// package's DefaultDeviceLossNs.
 	DeviceLossRate float64
-	// DeviceLossNs is the loss-window length (default: the fault
-	// package's DefaultDeviceLossNs).
-	DeviceLossNs float64
-
-	// MigrationPenaltyNs is added to a migrated job's restart on its new
-	// node (default DefaultMigrationPenaltyNs).
-	MigrationPenaltyNs float64
 
 	// Metrics, when non-nil, receives the fleet.* counters and the
 	// hist.fleet.* histograms in addition to the Result — the hook the
@@ -146,13 +136,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: negative node counts (%d APUs, %d dGPUs)", c.APUs, c.DGPUs)
 	case c.APUs+c.DGPUs == 0:
 		return fmt.Errorf("fleet: cluster needs at least one node")
-	case c.QueueCap < 0:
-		return fmt.Errorf("fleet: QueueCap %d must be non-negative", c.QueueCap)
-	case c.MigrationPenaltyNs < 0:
-		return fmt.Errorf("fleet: MigrationPenaltyNs %g must be non-negative", c.MigrationPenaltyNs)
 	}
-	// Reuse the fault package's own rate/window validation.
-	fc := fault.Config{DeviceLossRate: c.DeviceLossRate, DeviceLossNs: c.DeviceLossNs}
+	// Reuse the fault package's own rate validation.
+	fc := fault.Config{DeviceLossRate: c.DeviceLossRate}
 	if err := fc.Validate(); err != nil {
 		return err
 	}
@@ -201,12 +187,6 @@ func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.QueueCap == 0 {
-		cfg.QueueCap = DefaultQueueCap
-	}
-	if cfg.MigrationPenaltyNs == 0 {
-		cfg.MigrationPenaltyNs = DefaultMigrationPenaltyNs
-	}
 	newMachine := cfg.NewMachine
 	if newMachine == nil {
 		newMachine = func(k NodeKind) *sim.Machine {
@@ -230,7 +210,6 @@ func New(cfg Config) *Cluster {
 		n.inj = fault.New(fault.Config{
 			Seed:           fault.SubSeed(cfg.Seed, int64(i)+1),
 			DeviceLossRate: cfg.DeviceLossRate,
-			DeviceLossNs:   cfg.DeviceLossNs,
 		})
 		c.nodes = append(c.nodes, n)
 	}
@@ -299,7 +278,7 @@ func CapacityPerSec(apus, dgpus int, mix JobMix) float64 {
 
 // eligible reports whether n can accept a normal admission at time t.
 func (c *Cluster) eligible(n *Node, t float64) bool {
-	return t >= n.lostNs && len(n.pending) < c.cfg.QueueCap
+	return t >= n.lostNs && len(n.pending) < QueueCap
 }
 
 // Run feeds the trace (arrival order) through the cluster and returns
@@ -401,7 +380,7 @@ func (c *Cluster) admit(t float64, j Job, migrated bool) {
 		start = n.lostNs
 	}
 	if migrated {
-		start += c.cfg.MigrationPenaltyNs
+		start += MigrationPenaltyNs
 	}
 	svc := c.serviceNs(n, j)
 	b := &booking{job: j, node: n, startNs: start, doneNs: start + svc, svcNs: svc, seq: c.seq}

@@ -2,8 +2,16 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"hetbench/internal/fault"
+	"hetbench/internal/harness/runner"
+	"hetbench/internal/models/modelapi"
+	"hetbench/internal/sim"
+	"hetbench/internal/trace"
+	"hetbench/internal/workload"
 )
 
 // TestDagSweepShape pins the sweep's structure: 2 machines × 4 specs ×
@@ -63,5 +71,55 @@ func TestDagRunDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "Best DAG win over serialized execution") {
 		t.Error("output is missing the acceptance summary line")
+	}
+}
+
+// A serial DAG run under device loss and CRC corruption reaches the
+// injector twice over: the loss window rebooks kernels host-ward, and
+// queued staging resends corrupted copies. A seeded sweep of such runs,
+// captured, reproduces bit for bit at one worker and at eight.
+func TestSerialDagFaultsReproduceAcrossJobs(t *testing.T) {
+	progs := must(dagPrograms())
+	type cell struct {
+		res     workload.Result
+		rs      sim.ResilienceStats
+		faultNs float64
+	}
+	sweep := func(jobs int) ([]cell, map[string]float64) {
+		old := runner.Jobs()
+		runner.SetJobs(jobs)
+		defer runner.SetJobs(old)
+		capture := trace.New()
+		ctx := runner.WithScope(bg, &runner.Scope{Capture: capture})
+		models := modelapi.All()
+		cells := must(runner.Map(ctx, "serial-faults", len(progs)*len(models), func(cx *runner.Ctx, i int) cell {
+			m := cx.Machine(sim.NewDGPU)
+			inj := fault.New(fault.Config{
+				Seed:                cellSeed(SeedOf(cx.Context()), i, 0),
+				DeviceLossRate:      0.5,
+				DeviceLossNs:        1e5,
+				TransferCorruptRate: 0.3,
+			})
+			for inj.LostUntilNs() == 0 {
+				inj.Launch(0)
+			}
+			m.SetFaultInjector(inj, fault.DefaultPolicy())
+			res := workload.Execute(m, progs[i/len(models)], workload.Options{Model: models[i%len(models)], Iterations: 2})
+			return cell{res, m.Resilience(), m.FaultNs()}
+		}))
+		return cells, capture.Metrics().Snapshot()
+	}
+	one, oneCtrs := sweep(1)
+	eight, eightCtrs := sweep(8)
+	if !reflect.DeepEqual(one, eight) || !reflect.DeepEqual(oneCtrs, eightCtrs) {
+		t.Errorf("serial fault sweep differs between one and eight workers:\n%+v\n%+v", one, eight)
+	}
+	rebooked, resent := 0, 0
+	for _, c := range one {
+		rebooked += c.res.Rebooked
+		resent += c.rs.Retransmits
+	}
+	if rebooked == 0 || resent == 0 {
+		t.Errorf("serial runs rebooked %d kernels and resent %d copies; the injector must reach both", rebooked, resent)
 	}
 }

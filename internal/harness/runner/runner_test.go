@@ -156,17 +156,17 @@ func TestRunErrorCellStillFoldsTracerAndCounts(t *testing.T) {
 	cells := []Cell{
 		{Label: "ok", Run: func(cx *Ctx) error {
 			m := cx.Machine(sim.NewDGPU)
-			m.LaunchKernel(sim.OnAccelerator, "k-ok", kernelCost(1000))
+			m.Launch(sim.OnAccelerator, "k-ok", kernelCost(1000))
 			return nil
 		}},
 		{Label: "fails-after-launch", Run: func(cx *Ctx) error {
 			m := cx.Machine(sim.NewDGPU)
-			m.LaunchKernel(sim.OnAccelerator, "k-fail", kernelCost(2000))
+			m.Launch(sim.OnAccelerator, "k-fail", kernelCost(2000))
 			return boom
 		}},
 		{Label: "ok-after-failure", Run: func(cx *Ctx) error {
 			m := cx.Machine(sim.NewDGPU)
-			m.LaunchKernel(sim.OnAccelerator, "k-late", kernelCost(3000))
+			m.Launch(sim.OnAccelerator, "k-late", kernelCost(3000))
 			return nil
 		}},
 	}
@@ -337,7 +337,7 @@ func TestCaptureFoldsDeterministically(t *testing.T) {
 			i := i
 			cells[i] = Cell{Run: func(cx *Ctx) error {
 				m := cx.Machine(sim.NewDGPU)
-				m.LaunchKernel(sim.OnAccelerator, fmt.Sprintf("k%d", i), kernelCost(1000*(i+1)))
+				m.Launch(sim.OnAccelerator, fmt.Sprintf("k%d", i), kernelCost(1000*(i+1)))
 				return nil
 			}}
 		}
@@ -403,7 +403,7 @@ func TestSetJobsDefaultAndStats(t *testing.T) {
 // machine.
 func oneCell() []Cell {
 	return []Cell{{Run: func(cx *Ctx) error {
-		cx.Machine(sim.NewDGPU).LaunchKernel(sim.OnAccelerator, "k", kernelCost(1000))
+		cx.Machine(sim.NewDGPU).Launch(sim.OnAccelerator, "k", kernelCost(1000))
 		return nil
 	}}}
 }

@@ -24,6 +24,15 @@ type Runtime struct {
 	*modelapi.Runtime
 	// pendingNs is banked async-transfer time not yet hidden or charged.
 	pendingNs float64
+	// uploaded lists the buffers CopyAsync moved to the device: the set a
+	// failed launch restages.
+	uploaded []upload
+}
+
+// upload is one buffer CopyAsync moved to the device.
+type upload struct {
+	name  string
+	bytes int64
 }
 
 // New returns an HC runtime for the machine.
@@ -50,17 +59,36 @@ func (r *Runtime) CopyAsync(name string, bytes int64) {
 	// ask the link directly.
 	us := r.Machine().Link().ToDevice(bytes)
 	r.pendingNs += us * 1e3
+	r.uploaded = append(r.uploaded, upload{name, bytes})
 }
 
 // Launch prices a kernel of n items whose measured per-item work is per;
-// its execution hides banked async-transfer time.
+// its execution hides banked async-transfer time. The launch goes through
+// the shared driver (modelapi.Runtime.LaunchResilient) and recovers the
+// explicit model's way, since HC's programmer knows what was uploaded: a
+// retry restages the buffers CopyAsync moved, and the host fallback syncs
+// them back and round-trips them.
 func (r *Runtime) Launch(spec modelapi.KernelSpec, n int, per exec.Counters) timing.Result {
-	result := r.Machine().LaunchKernel(sim.OnAccelerator, spec.Name, r.Cost(spec, n, per))
+	m := r.Machine()
+	result := r.LaunchResilient(&modelapi.Launch{
+		Spec: spec, Items: n, Per: per, Cost: r.Cost(spec, n, per),
+	}, modelapi.Recovery{
+		Restage:   func() { r.moveUploaded(m.TransferToDevice, "(restage)") },
+		Sync:      func() { r.moveUploaded(m.TransferFromDevice, "(fallback-sync)") },
+		RoundTrip: true,
+	})
 	r.pendingNs -= result.TimeNs
 	if r.pendingNs < 0 {
 		r.pendingNs = 0
 	}
 	return result
+}
+
+// moveUploaded copies every uploaded buffer one way, synchronously.
+func (r *Runtime) moveUploaded(move func(name string, bytes int64) float64, suffix string) {
+	for _, u := range r.uploaded {
+		move(u.name+suffix, u.bytes)
+	}
 }
 
 // Wait synchronizes outstanding async transfers, charging whatever kernel

@@ -3,6 +3,7 @@ package hc
 import (
 	"testing"
 
+	"hetbench/internal/fault"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/exec"
@@ -106,5 +107,47 @@ func TestMachineAccessor(t *testing.T) {
 	m := sim.NewDGPU()
 	if New(m).Machine() != m {
 		t.Error("Machine() wrong")
+	}
+}
+
+// Under an injector HC launches through the shared resilient driver:
+// transient failures retry, restaging what CopyAsync uploaded, and an
+// exhausted budget falls back to the host between a sync and a
+// round trip of the same buffers. A seeded run reproduces bit for bit.
+func TestLaunchRecoversUnderFaults(t *testing.T) {
+	type outcome struct {
+		rs      sim.ResilienceStats
+		elapsed float64
+		h2d     int
+		d2h     int
+	}
+	run := func() outcome {
+		m := sim.NewDGPU()
+		m.SetFaultInjector(fault.New(fault.Config{Seed: 3, LaunchFailRate: 0.75}), fault.DefaultPolicy())
+		rt := New(m)
+		rt.CopyAsync("table", 1<<20)
+		for i := 0; i < 40; i++ {
+			if r := rt.Launch(spec(), 1<<12, heavy); r.TimeNs <= 0 {
+				t.Fatal("resilient launch returned a zero result")
+			}
+		}
+		rt.Wait()
+		st := m.Link().Stats()
+		return outcome{m.Resilience(), m.ElapsedNs(), st.TransfersToDevice, st.TransfersFromDevice}
+	}
+	a := run()
+	if a.rs.Retries == 0 || a.rs.Fallbacks == 0 {
+		t.Fatalf("stats %+v, want retries and fallbacks at a 0.75 failure rate", a.rs)
+	}
+	// One async upload, one restage per retry, one round trip per
+	// fallback; each fallback also syncs the upload home first.
+	if want := 1 + a.rs.Retries + a.rs.Fallbacks; a.h2d != want {
+		t.Errorf("%d host-to-device copies, want %d", a.h2d, want)
+	}
+	if a.d2h != a.rs.Fallbacks {
+		t.Errorf("%d device-to-host copies, want one sync per fallback (%d)", a.d2h, a.rs.Fallbacks)
+	}
+	if b := run(); b != a {
+		t.Errorf("seeded rerun differs:\n%+v\n%+v", a, b)
 	}
 }

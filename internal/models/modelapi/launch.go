@@ -42,7 +42,7 @@ type Recovery struct {
 // routed to the bound corruption targets (detected later by end-to-end
 // checksum); and once the retry budget is spent the launch degrades to
 // the host CPU between rec.Sync and, with rec.RoundTrip, rec.Restage.
-// With no injector attached this is LaunchKernel plus one nil check.
+// With no injector attached this is one sim.Machine.Launch.
 func (r *Runtime) LaunchResilient(l *Launch, rec Recovery) timing.Result {
 	m := r.machine
 	if r.coexec && l.Spec.Class != Irregular {
@@ -50,7 +50,7 @@ func (r *Runtime) LaunchResilient(l *Launch, rec Recovery) timing.Result {
 			return res
 		}
 	}
-	res, ev := m.LaunchKernelChecked(sim.OnAccelerator, l.Spec.Name, l.Cost)
+	res, ev := m.Launch(sim.OnAccelerator, l.Spec.Name, l.Cost)
 	if ev == nil {
 		return res
 	}
@@ -67,7 +67,7 @@ func (r *Runtime) LaunchResilient(l *Launch, rec Recovery) timing.Result {
 		}
 		m.ChargeBackoffNs(l.Spec.Name, pol.BackoffNs(attempt))
 		rec.Restage()
-		res, ev = m.LaunchKernelChecked(sim.OnAccelerator, l.Spec.Name, l.Cost)
+		res, ev = m.Launch(sim.OnAccelerator, l.Spec.Name, l.Cost)
 		if ev == nil {
 			return res
 		}

@@ -60,7 +60,9 @@ func (r *Runtime) EnableCoexec() { r.coexec = true }
 func (r *Runtime) Bind(name string, data []float64) { r.corrupt.Bind(name, data) }
 
 // LaunchOnHost charges a launch named name of spec over n items on the
-// host CPU, compiled by the OpenMP host profile.
+// host CPU, compiled by the OpenMP host profile. Host launches never
+// fault, so there is no event to handle.
 func (r *Runtime) LaunchOnHost(name string, spec KernelSpec, n int, per exec.Counters) timing.Result {
-	return r.machine.LaunchKernel(sim.OnHost, name, spec.Cost(r.host, n, per))
+	res, _ := r.machine.Launch(sim.OnHost, name, spec.Cost(r.host, n, per))
+	return res
 }

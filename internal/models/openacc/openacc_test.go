@@ -146,7 +146,8 @@ func TestScalarFallbackSlowsIrregularLoops(t *testing.T) {
 
 	// Reference: identical cost under the OpenCL profile.
 	cost := irr.Cost(modelapi.ProfileFor(modelapi.OpenCL), 1<<16, exec.Counters{SPFlops: 200, LoadBytes: 64, Instrs: 250})
-	clTime := m2.LaunchKernel(sim.OnAccelerator, "force", cost).TimeNs
+	clRes, _ := m2.Launch(sim.OnAccelerator, "force", cost)
+	clTime := clRes.TimeNs
 	if accTime < 3*clTime {
 		t.Errorf("OpenACC irregular loop only %.1f× slower than OpenCL, want ≥3× (scalar fallback)", accTime/clTime)
 	}

@@ -60,7 +60,8 @@ func TestGPUBeatsOpenMPOnStreaming(t *testing.T) {
 
 	mGPU := sim.NewDGPU()
 	cost := spec().Cost(modelapi.ProfileFor(modelapi.OpenCL), 1<<18, per)
-	tGPU := mGPU.LaunchKernel(sim.OnAccelerator, "k", cost).TimeNs
+	rGPU, _ := mGPU.Launch(sim.OnAccelerator, "k", cost)
+	tGPU := rGPU.TimeNs
 	speedup := tCPU / tGPU
 	if speedup < 5 {
 		t.Errorf("dGPU speedup on streaming kernel = %.1f×, want large (≈bandwidth ratio)", speedup)

@@ -23,7 +23,12 @@ package sched
 //     a HEFT-style rank), so critical-path kernels book first and the
 //     short side fills around them; placement is earliest-finish-time.
 //
-// All three are deterministic: ties break toward the lower kernel index,
+// SerialDag is the baseline every speedup is measured against: kernels
+// book one at a time in lowest-index pick order (the workload's Kahn order),
+// each on the accelerator unless pinned to the host, and none starts
+// before everything already booked on either queue has finished.
+//
+// All of them are deterministic: ties break toward the lower kernel index,
 // and no randomness is drawn. The planner is fault-aware the same way the
 // chunk scheduler is: a kernel about to be issued to an accelerator that
 // sits inside a device-loss window is rebooked on the host (or, when the
@@ -123,17 +128,29 @@ type DagResult struct {
 }
 
 // DagPlanner schedules DAG launches on a machine's queue pair under one
-// policy. It holds no other state, so one planner may serve many
-// launches (and machines) at once.
+// policy, or serially. It holds no other state, so one planner may serve
+// many launches (and machines) at once.
 type DagPlanner struct {
 	policy Policy
+	serial bool
 }
 
 // NewDag builds a DAG planner for the policy.
 func NewDag(p Policy) *DagPlanner { return &DagPlanner{policy: p} }
 
-// Policy returns the planner's policy.
-func (p *DagPlanner) Policy() Policy { return p.policy }
+// SerialDag builds the serial schedule: one kernel at a time in the
+// planner's pick order, on the accelerator unless pinned to the host. It
+// keeps the planner's device-loss handling and publishes no sched.dag.*
+// counters, since it plans nothing.
+func SerialDag() *DagPlanner { return &DagPlanner{serial: true} }
+
+// String names the schedule: "serial" or the policy's name.
+func (p *DagPlanner) String() string {
+	if p.serial {
+		return "serial"
+	}
+	return p.policy.String()
+}
 
 // Run schedules one DAG launch on the machine's queue pair and returns
 // the schedule. The machine clock advances by the makespan.
@@ -236,6 +253,10 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 				ready = finish[d]
 			}
 		}
+		if p.serial {
+			// Nothing overlaps: wait for both queues to drain.
+			ready = max(ready, q.AvailNs(sim.OnHost), q.AvailNs(sim.OnAccelerator))
+		}
 
 		t := p.placeDag(q, kern, ready, hostNs[pick], accelNs[pick])
 		rebooked := false
@@ -283,7 +304,7 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 	st.IdleNs = q.IdleNs(sim.OnHost) + q.IdleNs(sim.OnAccelerator)
 	wall := q.Merge()
 
-	if tr := m.Tracer(); tr != nil {
+	if tr := m.Tracer(); tr != nil && !p.serial {
 		reg := tr.Metrics()
 		reg.Add(trace.CtrDagLaunches, 1)
 		reg.Add(trace.CtrDagKernels, float64(st.Kernels))
@@ -298,15 +319,16 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 }
 
 // placeDag chooses the device for one ready kernel. Placement constraints
-// win; otherwise Static uses the Shares-normalized roofline rates alone,
-// and the adaptive policies use earliest finish time over the queue
-// state (staging cost is not previewed — it is strategy-dependent and
-// booked by the interpreter after the decision).
+// win and the serial schedule takes the accelerator; otherwise Static
+// uses the Shares-normalized roofline rates alone, and the adaptive
+// policies use earliest finish time over the queue state (staging cost
+// is not previewed — it is strategy-dependent and booked by the
+// interpreter after the decision).
 func (p *DagPlanner) placeDag(q *sim.QueuePair, kern DagKernel, ready, hostNs, accelNs float64) sim.Target {
-	switch kern.Place {
-	case PlaceHost:
+	switch {
+	case kern.Place == PlaceHost:
 		return sim.OnHost
-	case PlaceAccel:
+	case kern.Place == PlaceAccel, p.serial:
 		return sim.OnAccelerator
 	}
 	switch p.policy {

@@ -2,10 +2,12 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hetbench/internal/fault"
 	"hetbench/internal/sim"
+	"hetbench/internal/trace"
 )
 
 // randomDag draws a random acyclic launch: edges only point from lower to
@@ -45,17 +47,19 @@ func randomDag(rng *rand.Rand, n int) DagLaunch {
 //     times suffice), and every booking follows its deps in stream order;
 //   - constraints win: pinned kernels land on their device;
 //   - the makespan is the longer queue, and it never beats the critical
-//     path's best-device lower bound.
+//     path's best-device lower bound;
+//   - the serial schedule books in Kahn order and runs one kernel at a
+//     time, so its makespan is the sum of its kernels.
 func TestDagProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	machines := []func() *sim.Machine{sim.NewAPU, sim.NewDGPU}
-	policies := []Policy{Static, Dynamic, HGuided}
+	planners := []*DagPlanner{SerialDag(), NewDag(Static), NewDag(Dynamic), NewDag(HGuided)}
 
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(12)
 		l := randomDag(rng, n)
 		mk := machines[rng.Intn(len(machines))]
-		for _, pol := range policies {
+		for _, pol := range planners {
 			var order []int
 			booked := make(map[int]int, n)
 			l.OnKernel = func(q *sim.QueuePair, k int, tg sim.Target, rebooked bool) {
@@ -66,8 +70,7 @@ func TestDagProperties(t *testing.T) {
 				}
 			}
 			m := mk()
-			p := NewDag(pol)
-			res := p.Run(m, l)
+			res := pol.Run(m, l)
 
 			if len(order) != n {
 				t.Fatalf("policy %v: booked %d of %d kernels", pol, len(order), n)
@@ -138,19 +141,76 @@ func TestDagProperties(t *testing.T) {
 			if res.MakespanNs < bound-1e-6 {
 				t.Errorf("policy %v: makespan %g beats the critical-path bound %g", pol, res.MakespanNs, bound)
 			}
+			if pol.serial {
+				sum := 0.0
+				for i, k := range order {
+					if i > 0 && k < order[i-1] && !dependsOn(l, k, order[i-1]) {
+						t.Errorf("serial booked kernel %d after %d, off the lowest-index order", k, order[i-1])
+					}
+					if res.Target[k] == sim.OnHost {
+						sum += hostM.Kernel(l.Kernels[k].Host).TimeNs
+					} else {
+						sum += accelM.Kernel(l.Kernels[k].Accel).TimeNs
+					}
+				}
+				if res.MakespanNs != sum {
+					t.Errorf("serial makespan %g, want the %g ns sum of its kernels", res.MakespanNs, sum)
+				}
+				if res.Stats.HostKernels != placedOn(l, PlaceHost) {
+					t.Errorf("serial ran %d kernels on the host, want only the %d host-pinned", res.Stats.HostKernels, placedOn(l, PlaceHost))
+				}
+			}
 		}
 	}
 }
 
-// TestDagDeterministic replays one launch per policy on fresh machines
+// dependsOn reports whether kernel k transitively depends on kernel d.
+func dependsOn(l DagLaunch, k, d int) bool {
+	for _, e := range l.Kernels[k].Deps {
+		if e == d || dependsOn(l, e, d) {
+			return true
+		}
+	}
+	return false
+}
+
+// placedOn counts the kernels pinned to p.
+func placedOn(l DagLaunch, p Placement) int {
+	n := 0
+	for _, k := range l.Kernels {
+		if k.Place == p {
+			n++
+		}
+	}
+	return n
+}
+
+// The serial schedule plans nothing, so it publishes none of the
+// sched.dag.* counters the policies report.
+func TestSerialDagPublishesNoPlanCounters(t *testing.T) {
+	m := sim.NewDGPU()
+	tr := trace.New()
+	m.SetTracer(tr)
+	SerialDag().Run(m, randomDag(rand.New(rand.NewSource(3)), 6))
+	for name, v := range tr.Metrics().Snapshot() {
+		if strings.HasPrefix(name, "sched.") {
+			t.Errorf("serial schedule published %s = %g", name, v)
+		}
+	}
+	if tr.Metrics().Get(trace.CtrKernelLaunches) != 6 {
+		t.Error("serial schedule booked no kernel spans")
+	}
+}
+
+// TestDagDeterministic replays one launch per schedule on fresh machines
 // and demands bit-identical schedules.
 func TestDagDeterministic(t *testing.T) {
-	for _, pol := range []Policy{Static, Dynamic, HGuided} {
+	for _, pol := range []*DagPlanner{SerialDag(), NewDag(Static), NewDag(Dynamic), NewDag(HGuided)} {
 		rng := rand.New(rand.NewSource(23))
 		l := randomDag(rng, 10)
 		var first DagResult
 		for i := 0; i < 5; i++ {
-			res := NewDag(pol).Run(sim.NewDGPU(), l)
+			res := pol.Run(sim.NewDGPU(), l)
 			if i == 0 {
 				first = res
 				continue

@@ -23,6 +23,11 @@
 //
 // All three policies are deterministic: they draw no randomness, so a run
 // is bit-reproducible under any -seed (no policy reads Config.Seed).
+//
+// The same queues run whole multi-kernel workloads (dag.go): a
+// DagPlanner places each kernel of a DAG under one of the three policies,
+// or serially (SerialDag), the baseline the overlapping schedules are
+// measured against.
 package sched
 
 import (

@@ -327,22 +327,6 @@ func (m *Machine) emitTransferLocked(kind EventKind, name string, bytes int64, n
 // ---------------------------------------------------------------------
 // Kernels and transfers.
 
-// LaunchKernel advances the virtual clock by the modeled duration of a
-// kernel with the given cost on the chosen target, and returns the timing
-// breakdown. It never consults the fault injector; runtimes that opt into
-// fault injection use LaunchKernelChecked.
-func (m *Machine) LaunchKernel(target Target, name string, cost timing.KernelCost) timing.Result {
-	model := m.accelModel
-	if target == OnHost {
-		model = m.hostModel
-	}
-	r := model.Kernel(cost)
-	m.mu.Lock()
-	m.chargeKernelLocked(target, name, cost, r)
-	m.mu.Unlock()
-	return r
-}
-
 // chargeKernelLocked books a successful kernel launch on the clocks,
 // characterization accumulators and tracer (mu held).
 func (m *Machine) chargeKernelLocked(target Target, name string, cost timing.KernelCost, r timing.Result) {
@@ -361,25 +345,30 @@ func (m *Machine) chargeKernelLocked(target Target, name string, cost timing.Ker
 	}
 }
 
-// LaunchKernelChecked is LaunchKernel for runtimes that participate in
-// fault injection: with an injector attached and the launch targeting the
-// accelerator, the injector may perturb the launch. A non-nil fault.Event
-// reports what happened; for LaunchFail, Hang and DeviceLost the kernel
-// did not run (the zero Result is returned) and the clock has already been
+// Launch advances the virtual clock by the modeled duration of a kernel
+// with the given cost on the chosen target, and returns the timing
+// breakdown. With a fault injector attached, an accelerator launch may be
+// perturbed; host launches never fault. A non-nil fault.Event reports
+// what happened: for LaunchFail, Hang and DeviceLost the kernel did not
+// run (the zero Result is returned) and the clock has already been
 // charged for the failed attempt — launch issue cost for transient
 // failures and device loss, the full watchdog deadline for a hang. For
 // BitFlip the launch completed normally (full Result, clock charged) but
 // one output element was silently corrupted; the caller routes the event
-// to its Corruptor. With no injector attached the cost over LaunchKernel
-// is a single nil check.
-func (m *Machine) LaunchKernelChecked(target Target, name string, cost timing.KernelCost) (timing.Result, *fault.Event) {
-	if m.faults == nil || target != OnAccelerator {
-		return m.LaunchKernel(target, name, cost), nil
+// to its Corruptor. With no injector attached the fault path costs a
+// single nil check.
+func (m *Machine) Launch(target Target, name string, cost timing.KernelCost) (timing.Result, *fault.Event) {
+	model := m.accelModel
+	if target == OnHost {
+		model = m.hostModel
 	}
-	r := m.accelModel.Kernel(cost)
+	r := model.Kernel(cost)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	kind := m.faults.Launch(m.clockNs)
+	kind := fault.None
+	if m.faults != nil && target == OnAccelerator {
+		kind = m.faults.Launch(m.clockNs)
+	}
 	switch kind {
 	case fault.None:
 		m.chargeKernelLocked(target, name, cost, r)
@@ -396,7 +385,7 @@ func (m *Machine) LaunchKernelChecked(target Target, name string, cost timing.Ke
 		// The kernel never completes; the watchdog kills it at the
 		// deadline, so the full deadline is lost.
 		m.resStats.WatchdogKills++
-		m.chargeFaultLocked(trace.TrackAccelerator, name+" [hang]", m.policy.WatchdogNs)
+		m.chargeFaultLocked(trace.TrackAccelerator, name+" [hang]", m.policy.WatchdogNs, 0, &m.clockNs)
 		if m.tracer != nil {
 			reg := m.tracer.Metrics()
 			reg.Add(faultCounter(kind), 1)
@@ -404,7 +393,7 @@ func (m *Machine) LaunchKernelChecked(target Target, name string, cost timing.Ke
 		}
 		return timing.Result{}, &fault.Event{Kind: kind, Op: name}
 	default: // LaunchFail, DeviceLost: the launch is rejected at issue.
-		m.chargeFaultLocked(trace.TrackAccelerator, name+" ["+string(kind)+"]", r.LaunchNs)
+		m.chargeFaultLocked(trace.TrackAccelerator, name+" ["+string(kind)+"]", r.LaunchNs, 0, &m.clockNs)
 		if m.tracer != nil {
 			m.tracer.Metrics().Add(faultCounter(kind), 1)
 		}
@@ -420,18 +409,20 @@ func faultCounter(kind fault.Kind) trace.Counter {
 	return trace.CtrFaultPrefix + trace.Counter(kind)
 }
 
-// chargeFaultLocked advances the clock by ns of fault/recovery time,
-// booking it on the fault split clock and, when traced, emitting a
-// KindFault span plus the fault.ns counter (mu held).
-func (m *Machine) chargeFaultLocked(track, name string, ns float64) {
-	start := m.clockNs
-	m.clockNs += ns
+// chargeFaultLocked books ns of fault/recovery time at position *at on a
+// timeline that starts at base — the machine clock (base 0) or a queue's
+// tail (base its start) — advancing *at past it. The time also lands on
+// the fault split clock and, when traced, as a KindFault span plus the
+// fault.ns counter (mu held).
+func (m *Machine) chargeFaultLocked(track, name string, ns, base float64, at *float64) {
+	start := *at
+	*at += ns
 	m.faultNs += ns
 	if m.tracer != nil {
 		m.tracer.Emit(trace.Span{
 			Parent: m.parentLocked(), Proc: m.proc,
 			Track: track, Name: name, Kind: trace.KindFault,
-			StartNs: start, DurNs: ns,
+			StartNs: base + start, DurNs: ns,
 		})
 		reg := m.tracer.Metrics()
 		reg.Add(trace.CtrFaultNs, ns)
@@ -505,34 +496,45 @@ func (m *Machine) linkNs(kind EventKind, bytes int64) float64 {
 	return m.link.FromDevice(bytes) * 1e3
 }
 
+// linkFaultsLocked books the fault time one PCIe copy of ns pays before
+// its good pass, at position *at on a timeline that starts at base (see
+// chargeFaultLocked): a stall while the device is lost, then one full
+// pass over the wire per CRC-failed attempt. Each fault advances *at by
+// itself, so the machine clock sums exactly as a serial run books it
+// (mu held).
+func (m *Machine) linkFaultsLocked(name string, ns, base float64, at *float64) {
+	if m.faults == nil || m.link == nil {
+		return
+	}
+	// A DMA engine cannot move data while the device is gone: stall until
+	// the loss window closes, booking the wait as fault time.
+	if until := m.faults.LostUntilNs(); until > base+*at {
+		m.resStats.DeviceWaits++
+		m.chargeFaultLocked(trace.TrackPCIe, name+" [device-wait]", until-(base+*at), base, at)
+	}
+	// Each CRC-failed attempt burns a full pass over the wire before the
+	// receiver rejects it and requests retransmission.
+	for i := 0; i < maxRetransmits; i++ {
+		if m.faults.Transfer(base+*at) != fault.TransferCorrupt {
+			break
+		}
+		m.resStats.Retransmits++
+		m.chargeFaultLocked(trace.TrackPCIe, name+" [retransmit]", ns, base, at)
+		if m.tracer != nil {
+			reg := m.tracer.Metrics()
+			reg.Add(faultCounter(fault.TransferCorrupt), 1)
+			reg.Add(trace.CtrRetransmits, 1)
+		}
+	}
+}
+
 func (m *Machine) transfer(kind EventKind, name string, bytes int64) float64 {
 	if bytes < 0 {
 		panic(fmt.Sprintf("sim: negative transfer %d", bytes))
 	}
 	ns := m.linkNs(kind, bytes)
 	m.mu.Lock()
-	if m.faults != nil && m.link != nil {
-		// A DMA engine cannot move data while the device is gone: stall
-		// until the loss window closes, booking the wait as fault time.
-		if until := m.faults.LostUntilNs(); until > m.clockNs {
-			m.resStats.DeviceWaits++
-			m.chargeFaultLocked(trace.TrackPCIe, name+" [device-wait]", until-m.clockNs)
-		}
-		// Each CRC-failed attempt burns a full pass over the wire before
-		// the receiver rejects it and requests retransmission.
-		for i := 0; i < maxRetransmits; i++ {
-			if m.faults.Transfer(m.clockNs) != fault.TransferCorrupt {
-				break
-			}
-			m.resStats.Retransmits++
-			m.chargeFaultLocked(trace.TrackPCIe, name+" [retransmit]", ns)
-			if m.tracer != nil {
-				reg := m.tracer.Metrics()
-				reg.Add(faultCounter(fault.TransferCorrupt), 1)
-				reg.Add(trace.CtrRetransmits, 1)
-			}
-		}
-	}
+	m.linkFaultsLocked(name, ns, 0, &m.clockNs)
 	start := m.clockNs
 	m.clockNs += ns
 	m.transferNs += ns
@@ -626,7 +628,7 @@ func (m *Machine) ChargeBackoffNs(name string, ns float64) {
 	m.mu.Lock()
 	m.resStats.Retries++
 	m.resStats.BackoffNs += ns
-	m.chargeFaultLocked(trace.TrackAccelerator, name+" [backoff]", ns)
+	m.chargeFaultLocked(trace.TrackAccelerator, name+" [backoff]", ns, 0, &m.clockNs)
 	if m.tracer != nil {
 		reg := m.tracer.Metrics()
 		reg.Add(trace.CtrRetries, 1)

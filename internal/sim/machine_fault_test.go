@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"hetbench/internal/fault"
@@ -14,7 +16,7 @@ func faultPolicy() fault.Policy { return fault.DefaultPolicy() }
 func launchUntil(t *testing.T, m *Machine, name string) *fault.Event {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
-		if _, ev := m.LaunchKernelChecked(OnAccelerator, name, cost()); ev != nil {
+		if _, ev := m.Launch(OnAccelerator, name, cost()); ev != nil {
 			return ev
 		}
 	}
@@ -23,16 +25,15 @@ func launchUntil(t *testing.T, m *Machine, name string) *fault.Event {
 }
 
 func TestCheckedLaunchWithoutInjector(t *testing.T) {
-	a, b := NewDGPU(), NewDGPU()
-	ra := a.LaunchKernel(OnAccelerator, "k", cost())
-	rb, ev := b.LaunchKernelChecked(OnAccelerator, "k", cost())
+	m := NewDGPU()
+	r, ev := m.Launch(OnAccelerator, "k", cost())
 	if ev != nil {
-		t.Fatal("checked launch without injector produced a fault event")
+		t.Fatal("launch without injector produced a fault event")
 	}
-	if ra != rb || a.ElapsedNs() != b.ElapsedNs() {
-		t.Error("checked launch diverges from plain launch with no injector")
+	if want := m.AcceleratorModel().Kernel(cost()); r != want || m.ElapsedNs() != want.TimeNs {
+		t.Error("launch without injector diverges from the timing model")
 	}
-	if b.FaultNs() != 0 {
+	if m.FaultNs() != 0 {
 		t.Error("fault clock nonzero without injector")
 	}
 }
@@ -85,21 +86,19 @@ func TestCheckedLaunchBitFlipStillRuns(t *testing.T) {
 	}
 }
 
+// Host launches never draw a fault: the injector models accelerator
+// failures, and the host is where failed launches fall back to.
 func TestUncheckedLaunchBypassesInjector(t *testing.T) {
 	m := NewDGPU()
 	inj := fault.New(fault.Config{Seed: 1, LaunchFailRate: 0.75})
 	m.SetFaultInjector(inj, faultPolicy())
 	for i := 0; i < 100; i++ {
-		if r := m.LaunchKernel(OnAccelerator, "k", cost()); r.TimeNs <= 0 {
-			t.Fatal("unchecked launch perturbed by injector")
+		if r, ev := m.Launch(OnHost, "k", cost()); ev != nil || r.TimeNs <= 0 {
+			t.Fatal("host launch drew a fault")
 		}
 	}
-	// Host launches are never injected either, even via the checked path.
-	if _, ev := m.LaunchKernelChecked(OnHost, "k", cost()); ev != nil {
-		t.Fatal("host launch drew a fault")
-	}
 	if inj.Total() != 0 {
-		t.Errorf("injector consulted %d times by unchecked/host paths", inj.Total())
+		t.Errorf("injector consulted %d times by host launches", inj.Total())
 	}
 }
 
@@ -131,7 +130,7 @@ func TestTransferWaitsOutDeviceLoss(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 1, DeviceLossRate: 0.75, DeviceLossNs: 5e4})
 	m.SetFaultInjector(inj, faultPolicy())
 	for i := 0; i < 1000 && inj.LostUntilNs() <= m.ElapsedNs(); i++ {
-		m.LaunchKernelChecked(OnAccelerator, "k", cost())
+		m.Launch(OnAccelerator, "k", cost())
 	}
 	if inj.LostUntilNs() <= m.ElapsedNs() {
 		t.Fatal("no device loss drawn")
@@ -144,6 +143,85 @@ func TestTransferWaitsOutDeviceLoss(t *testing.T) {
 	}
 	if got := m.FaultNs() - faultBefore; got < wait {
 		t.Errorf("transfer waited %g ns, want at least the %g ns left in the loss window", got, wait)
+	}
+}
+
+// Queued staging pays what a serial transfer pays, on its own queue: it
+// waits out a device-loss window and resends each CRC-failed pass. The
+// [device-wait] and [retransmit] spans land at queue positions, back to
+// back with the copies, and the machine clock moves only at Merge.
+func TestQueuedTransferFaults(t *testing.T) {
+	const bytes = 1 << 20
+	ns := NewDGPU().BeginQueues().RunTransfer(OnAccelerator, EvHostToDevice, "buf", bytes, 0)
+
+	m := NewDGPU()
+	tr := trace.New()
+	m.SetTracer(tr)
+	m.Launch(OnAccelerator, "warm", cost()) // offset the queue start
+	inj := fault.New(fault.Config{Seed: 1, DeviceLossRate: 0.75, DeviceLossNs: 5e4})
+	for inj.LostUntilNs() == 0 {
+		inj.Launch(m.ElapsedNs())
+	}
+	m.SetFaultInjector(inj, faultPolicy())
+	clock := m.ElapsedNs()
+	q := m.BeginQueues()
+	wait := inj.LostUntilNs() - q.StartNs()
+	if done := q.RunTransfer(OnHost, EvDeviceToHost, "buf", bytes, 0); done != wait+ns {
+		t.Errorf("copy finished at %g ns, want the %g ns wait plus %g ns of link time", done, wait, ns)
+	}
+	if rs := m.Resilience(); rs.DeviceWaits != 1 || m.FaultNs() != wait {
+		t.Errorf("DeviceWaits %d, fault time %g ns; want 1 wait of %g ns", rs.DeviceWaits, m.FaultNs(), wait)
+	}
+	if m.ElapsedNs() != clock {
+		t.Error("queued transfer moved the machine clock before Merge")
+	}
+	checkQueueTiles(t, tr, q.StartNs(), "[device-wait]")
+
+	m = NewDGPU()
+	tr = trace.New()
+	m.SetTracer(tr)
+	m.Launch(OnAccelerator, "warm", cost())
+	m.SetFaultInjector(fault.New(fault.Config{Seed: 2, TransferCorruptRate: 0.75}), faultPolicy())
+	q = m.BeginQueues()
+	prev := 0.0
+	for i := 0; i < 20; i++ {
+		before := m.Resilience().Retransmits
+		done := q.RunTransfer(OnAccelerator, EvHostToDevice, "buf", bytes, 0)
+		resent := m.Resilience().Retransmits - before
+		if want := prev + float64(resent+1)*ns; math.Abs(done-want) > 1e-9*want {
+			t.Fatalf("copy %d finished at %g ns, want %g (%d resends of %g ns)", i, done, want, resent, ns)
+		}
+		prev = done
+	}
+	if m.Resilience().Retransmits == 0 {
+		t.Fatal("no retransmission in 20 queued copies at a 0.75 corruption rate")
+	}
+	checkQueueTiles(t, tr, q.StartNs(), "[retransmit]")
+}
+
+// checkQueueTiles asserts that the traced PCIe spans (copies and their
+// faults, the first named with suffix) run back to back from the queue
+// start: each fault booked at its queue position, not the machine clock.
+func checkQueueTiles(t *testing.T, tr *trace.Tracer, startNs float64, suffix string) {
+	t.Helper()
+	at, faults := startNs, 0
+	for _, s := range tr.Spans() {
+		if s.Track != trace.TrackPCIe {
+			continue
+		}
+		if s.Kind == trace.KindFault {
+			faults++
+			if !strings.HasSuffix(s.Name, suffix) {
+				t.Errorf("fault span %q, want a %s span", s.Name, suffix)
+			}
+		}
+		if math.Abs(s.StartNs-at) > 1e-9*at {
+			t.Fatalf("%s span %q starts at %g ns, want the queue position %g", s.Kind, s.Name, s.StartNs, at)
+		}
+		at = s.EndNs()
+	}
+	if faults == 0 {
+		t.Errorf("no %s fault span on the PCIe track", suffix)
 	}
 }
 
@@ -189,7 +267,7 @@ func TestFaultTraceSpansAndCounters(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 3, LaunchFailRate: 0.5, TransferCorruptRate: 0.5})
 	m.SetFaultInjector(inj, faultPolicy())
 	for i := 0; i < 50; i++ {
-		m.LaunchKernelChecked(OnAccelerator, "k", cost())
+		m.Launch(OnAccelerator, "k", cost())
 		m.TransferToDevice("buf", 1<<16)
 	}
 	m.ChargeBackoffNs("k", 500)

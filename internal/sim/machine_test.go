@@ -38,7 +38,7 @@ func TestStockMachines(t *testing.T) {
 
 func TestKernelAdvancesClock(t *testing.T) {
 	m := NewAPU()
-	r := m.LaunchKernel(OnAccelerator, "k1", cost())
+	r, _ := m.Launch(OnAccelerator, "k1", cost())
 	if r.TimeNs <= 0 {
 		t.Fatal("kernel time not positive")
 	}
@@ -78,8 +78,8 @@ func TestTransfersFreeOnAPUCostlyOnDGPU(t *testing.T) {
 func TestHostVsAcceleratorTargets(t *testing.T) {
 	m := NewDGPU()
 	k := cost()
-	rHost := m.LaunchKernel(OnHost, "k", k)
-	rAccel := m.LaunchKernel(OnAccelerator, "k", k)
+	rHost, _ := m.Launch(OnHost, "k", k)
+	rAccel, _ := m.Launch(OnAccelerator, "k", k)
 	// The 32-CU GPU must beat the 4-core CPU on this parallel kernel.
 	if rAccel.TimeNs >= rHost.TimeNs {
 		t.Errorf("accelerator (%g ns) not faster than host (%g ns)", rAccel.TimeNs, rHost.TimeNs)
@@ -94,7 +94,7 @@ func TestEventLog(t *testing.T) {
 	tr := trace.New()
 	m.SetTracer(tr)
 	m.TransferToDevice("in", 4096)
-	m.LaunchKernel(OnAccelerator, "work", cost())
+	m.Launch(OnAccelerator, "work", cost())
 	m.TransferFromDevice("out", 4096)
 	sp := tr.Spans()
 	if len(sp) != 3 {
@@ -131,12 +131,13 @@ func TestConcurrentClock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				m.LaunchKernel(OnAccelerator, "k", cost())
+				m.Launch(OnAccelerator, "k", cost())
 			}
 		}()
 	}
 	wg.Wait()
-	one := NewAPU().LaunchKernel(OnAccelerator, "k", cost()).TimeNs
+	r1, _ := NewAPU().Launch(OnAccelerator, "k", cost())
+	one := r1.TimeNs
 	want := one * 400
 	got := m.ElapsedNs()
 	if got < want*0.999 || got > want*1.001 {
@@ -151,7 +152,7 @@ func TestIPCAndBoundedness(t *testing.T) {
 	}
 	// Memory-hog kernel.
 	memCost := timing.KernelCost{Items: 1 << 20, SPFlops: 2, LoadBytes: 256, Instrs: 20, MissRate: 0.9, Coalesce: 1, VecEff: 1}
-	m.LaunchKernel(OnAccelerator, "stream", memCost)
+	m.Launch(OnAccelerator, "stream", memCost)
 	if got := m.Boundedness(); got != "Memory" {
 		t.Errorf("boundedness = %s, want Memory", got)
 	}
@@ -160,8 +161,8 @@ func TestIPCAndBoundedness(t *testing.T) {
 	}
 	// Now dominate with compute.
 	cpuCost := timing.KernelCost{Items: 1 << 22, SPFlops: 2000, LoadBytes: 8, Instrs: 2200, MissRate: 0.05, Coalesce: 1, VecEff: 1}
-	m.LaunchKernel(OnAccelerator, "flops", cpuCost)
-	m.LaunchKernel(OnAccelerator, "flops", cpuCost)
+	m.Launch(OnAccelerator, "flops", cpuCost)
+	m.Launch(OnAccelerator, "flops", cpuCost)
 	if got := m.Boundedness(); got != "Compute" {
 		t.Errorf("boundedness = %s, want Compute after flop-heavy kernels", got)
 	}

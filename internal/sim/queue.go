@@ -5,7 +5,8 @@ package sim
 // both live in internal/sched (which imports sim, keeping the dependency
 // one-way, like fault.Injector): a CoexecPlanner splits one launch into
 // chunks across the two devices, and the DAG planner places the distinct
-// kernels of a multi-kernel workload so independent ones overlap.
+// kernels of a multi-kernel workload, overlapping independent ones or,
+// as the serial baseline, running one at a time.
 //
 // The two kinds of booking differ in two ways. A chunk is one piece of a
 // launch, so after a queue's first booking its launch overhead hides
@@ -143,15 +144,17 @@ func (q *QueuePair) waitLocked(t Target, readyNs float64) float64 {
 // it on its device's in-order command queue. Returns the transfer's
 // completion time relative to StartNs. On unified machines the copy is
 // free, like the machine's transfer helpers; across PCIe it costs link
-// time and is recorded in the link's traffic ledger. Queued staging
-// consults no fault injector — transfer-level faults stay on the serial
-// path, while device-loss windows reach DAG execution through the
-// planner's rebooking.
+// time and is recorded in the link's traffic ledger. Under a fault
+// injector the copy pays what a serial transfer pays, booked on this
+// queue: it waits out a device-loss window and resends each CRC-failed
+// pass, and the [device-wait] and [retransmit] fault spans land at their
+// queue positions.
 func (q *QueuePair) RunTransfer(t Target, kind EventKind, name string, bytes int64, readyNs float64) float64 {
 	m := q.m
 	ns := m.linkNs(kind, bytes)
 	m.mu.Lock()
 	start := q.waitLocked(t, readyNs)
+	m.linkFaultsLocked(name, ns, q.startNs, &start)
 	q.busy[t] = start + ns
 	if m.tracer != nil {
 		m.emitTransferLocked(kind, name, bytes, ns, q.startNs+start)

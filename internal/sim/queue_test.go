@@ -96,7 +96,7 @@ func TestCoexecQueueEmitsOverlappingSpans(t *testing.T) {
 	m := NewDGPU()
 	tr := trace.New()
 	m.SetTracer(tr)
-	m.LaunchKernel(OnAccelerator, "warm", cost()) // offset the queue start
+	m.Launch(OnAccelerator, "warm", cost()) // offset the queue start
 	q := m.BeginQueues()
 	q.RunChunk(OnAccelerator, "split", cost())
 	q.RunChunk(OnHost, "split", cost())
@@ -138,7 +138,7 @@ func TestCoexecQueueEmitsOverlappingSpans(t *testing.T) {
 // returned completion time is relative to the queue origin.
 func TestQueuePairIdlesUntilReady(t *testing.T) {
 	m := NewDGPU()
-	m.LaunchKernel(OnAccelerator, "warm", cost()) // offset the queue start
+	m.Launch(OnAccelerator, "warm", cost()) // offset the queue start
 	q := m.BeginQueues()
 	r1, fin1 := q.RunKernel(OnHost, "a", cost(), 0)
 	if fin1 != r1.TimeNs || q.IdleNs(OnHost) != 0 {

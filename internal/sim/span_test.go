@@ -27,14 +27,14 @@ func TestInRunAndInIterationNest(t *testing.T) {
 	tr := trace.New()
 	m.SetTracer(tr)
 	m.InRun("app/model", func() {
-		m.LaunchKernel(OnAccelerator, "setup", cost())
+		m.Launch(OnAccelerator, "setup", cost())
 		for i := 0; i < 2; i++ {
 			m.InIteration(i, func() {
-				m.LaunchKernel(OnAccelerator, []string{"step0", "step1"}[i], cost())
+				m.Launch(OnAccelerator, []string{"step0", "step1"}[i], cost())
 			})
 		}
 	})
-	m.LaunchKernel(OnHost, "after", cost())
+	m.Launch(OnHost, "after", cost())
 
 	s := spansByName(t, tr)
 	run, it0, it1 := s["app/model"], s["iter 0"], s["iter 1"]
@@ -79,7 +79,7 @@ func TestPanickingBodyClosesItsSpans(t *testing.T) {
 	if len(m.spanStack) != 0 {
 		t.Fatalf("span stack %v left open after a panic", m.spanStack)
 	}
-	m.LaunchKernel(OnHost, "after", cost())
+	m.Launch(OnHost, "after", cost())
 
 	s := spansByName(t, tr)
 	run, it := s["app/model"], s["iter 7"]

@@ -8,9 +8,10 @@
 // dependency graph derived from the buffer dataflow, and a deterministic
 // topological order. The interpreter in interp.go executes Programs
 // through sim.Machine under any of the three GPU programming models,
-// pricing each model's data-movement strategy per dependency edge, either
-// serialized on one device or co-scheduled across both by a
-// sched.DagPlanner.
+// pricing each model's data-movement strategy per dependency edge with
+// one residency rule. Every run is a sched.DagPlanner schedule on the
+// machine's device queues: the serial baseline (sched.SerialDag) or a
+// policy that co-schedules both devices.
 //
 // New scenarios cost a JSON file, not a Go package (ROADMAP item 2): the
 // four shipped specs under specs/ are the first config-defined workloads.
@@ -207,14 +208,14 @@ func (s *Spec) Compile() (*Program, error) {
 		if p.Place[i], err = parseDevice(k.Device); err != nil {
 			return nil, fmt.Errorf("workload: spec %s: kernel %s: %w", s.Name, k.Name, err)
 		}
-		if k.Items <= 0 {
-			return nil, fmt.Errorf("workload: spec %s: kernel %s: items %d must be positive", s.Name, k.Name, k.Items)
+		if k.Items <= 0 || k.Items > maxItems {
+			return nil, fmt.Errorf("workload: spec %s: kernel %s: items %d outside [1,%d]", s.Name, k.Name, k.Items, maxItems)
 		}
-		if k.WavefrontHint < 0 {
-			return nil, fmt.Errorf("workload: spec %s: kernel %s: wavefront_hint %d must not be negative", s.Name, k.Name, k.WavefrontHint)
+		if k.WavefrontHint < 0 || k.WavefrontHint > maxItems {
+			return nil, fmt.Errorf("workload: spec %s: kernel %s: wavefront_hint %d outside [0,%d]", s.Name, k.Name, k.WavefrontHint, maxItems)
 		}
-		if bad, v := negativePerItem(k); bad != "" {
-			return nil, fmt.Errorf("workload: spec %s: kernel %s: %s %g must not be negative", s.Name, k.Name, bad, v)
+		if bad, v := perItemOutOfRange(k); bad != "" {
+			return nil, fmt.Errorf("workload: spec %s: kernel %s: %s %g outside [0,%g]", s.Name, k.Name, bad, v, maxPerItem)
 		}
 		if k.MissRate < 0 || k.MissRate > 1 {
 			return nil, fmt.Errorf("workload: spec %s: kernel %s: miss_rate %g outside [0,1]", s.Name, k.Name, k.MissRate)
@@ -322,8 +323,17 @@ func (s *Spec) Compile() (*Program, error) {
 	return p, nil
 }
 
-// negativePerItem returns the first negative per-item field, if any.
-func negativePerItem(k Kernel) (string, float64) {
+// maxItems and maxPerItem bound a kernel's launch size and per-item
+// counts, so every total the timing model forms (items × per-item, and
+// the wavefront-padded launch) stays finite and in range.
+const (
+	maxItems   = 1 << 40
+	maxPerItem = 1e12
+)
+
+// perItemOutOfRange returns the first per-item field outside
+// [0, maxPerItem], if any.
+func perItemOutOfRange(k Kernel) (string, float64) {
 	fields := []struct {
 		name string
 		v    float64
@@ -333,7 +343,7 @@ func negativePerItem(k Kernel) (string, float64) {
 		{"lds_bytes", k.LDSBytes}, {"instrs", k.Instrs},
 	}
 	for _, f := range fields {
-		if f.v < 0 {
+		if f.v < 0 || f.v > maxPerItem {
 			return f.name, f.v
 		}
 	}

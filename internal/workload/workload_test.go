@@ -75,6 +75,8 @@ func TestParseRejects(t *testing.T) {
 		{"bad miss rate", `{"name":"x","kernels":[{"name":"k","class":"streaming","items":1,"miss_rate":1.5}]}`, "miss_rate"},
 		{"bad coalesce", `{"name":"x","kernels":[{"name":"k","class":"streaming","items":1,"coalesce":2}]}`, "coalesce"},
 		{"negative flops", `{"name":"x","kernels":[{"name":"k","class":"streaming","items":1,"sp_flops":-1}]}`, "sp_flops"},
+		{"huge items", `{"name":"x","kernels":[{"name":"k","class":"streaming","items":9223372036854775807,"wavefront_hint":64}]}`, "items"},
+		{"huge flops", `{"name":"x","kernels":[{"name":"k","class":"streaming","items":1,"dp_flops":1e308}]}`, "dp_flops"},
 		{"negative iterations", `{"name":"x","iterations":-1,"kernels":[{"name":"k","class":"streaming","items":1}]}`, "iterations"},
 	}
 	for _, tc := range tests {
