@@ -16,6 +16,7 @@ import (
 
 	"hetbench/internal/analysis"
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/apps/minife"
 	"hetbench/internal/fault"
 	"hetbench/internal/harness"
@@ -343,6 +344,32 @@ func benchCacheReplay(b *testing.B) {
 	}
 }
 
+// benchCacheGather replays LULESH's element-gather trace (measureSpecs'
+// gather: each element's 8 nodes in 3 coordinate arrays, then its own
+// record, in double precision) over the small-scale 32³-element mesh
+// through appcore.Traits at the APU's LLC geometry (512 sets × 16 ways):
+// the mostly-hitting traffic a characterization replay sees.
+func benchCacheGather(b *testing.B) {
+	dev := sim.NewAPU().Accelerator()
+	mesh := lulesh.NewMesh(32)
+	base := func(i int) uint64 { return uint64(i) * 64 << 20 }
+	trace := func(touch func(uint64)) {
+		for e := 0; e < mesh.NumElem; e++ {
+			for _, n := range mesh.Nodelist[8*e : 8*e+8] {
+				touch(base(0) + uint64(n)*8)
+				touch(base(1) + uint64(n)*8)
+				touch(base(2) + uint64(n)*8)
+			}
+			touch(base(3) + uint64(e)*8)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		appcore.Traits(dev, 8, trace)
+	}
+}
+
 func benchHistObserve(b *testing.B) {
 	reg := &trace.Registry{}
 	reg.Observe(trace.HistKernelNs, 1)
@@ -402,9 +429,11 @@ func BenchmarkMinifeAssemble(b *testing.B) {
 	b.Run("small", benchMinifeAssemble)
 }
 
-// BenchmarkCacheReplay measures one LLC characterization replay.
+// BenchmarkCacheReplay measures one LLC characterization replay: an
+// all-miss trace on the dGPU and LULESH's gather on the APU.
 func BenchmarkCacheReplay(b *testing.B) {
 	b.Run("dgpu", benchCacheReplay)
+	b.Run("gather", benchCacheGather)
 }
 
 // BenchmarkHetlint measures the two halves of a hetlint ./... run: the
@@ -464,6 +493,7 @@ func TestWriteBenchHotpath(t *testing.T) {
 		{"hetlint/module", benchHetlintModule},
 		{"minife/assemble", benchMinifeAssemble},
 		{"cache/replay", benchCacheReplay},
+		{"cache/gather", benchCacheGather},
 	}
 	for _, leaf := range leaves {
 		r := testing.Benchmark(leaf.fn)

@@ -104,14 +104,15 @@ func scattered(n int) func(touch func(uint64)) {
 }
 
 // TestTraitsAllocatesOnlyTheCache guards the streamed replay: one Traits
-// call allocates the simulated cache (its header and two way arrays) and
-// the touch closure, never the trace, however long the trace runs.
+// call allocates the simulated cache (its header and its one array) and
+// the touch closure with the count it updates, never the trace, however
+// long the trace runs.
 func TestTraitsAllocatesOnlyTheCache(t *testing.T) {
 	dev := device.R9280X()
 	trace := scattered(1 << 19)
 	allocs := testing.AllocsPerRun(3, func() { Traits(dev, 8, trace) })
-	if allocs > 5 {
-		t.Errorf("one Traits replay of 2^19 addresses allocates %v times, want ≤ 5 (the cache and the touch closure)", allocs)
+	if allocs > 4 {
+		t.Errorf("one Traits replay of 2^19 addresses allocates %v times, want ≤ 4 (the cache and the touch closure)", allocs)
 	}
 }
 

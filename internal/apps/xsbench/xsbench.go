@@ -193,12 +193,7 @@ func generate(nuclides, gridPoints int) *Table {
 	}
 
 	// Unionized grid.
-	total := nuclides * gridPoints
-	t.UnionEnergy = make([]float64, 0, total)
-	for n := range t.NuclideEnergy {
-		t.UnionEnergy = append(t.UnionEnergy, t.NuclideEnergy[n]...)
-	}
-	sort.Float64s(t.UnionEnergy)
+	t.UnionEnergy = mergeGrids(t.NuclideEnergy)
 	t.UnionIndex = make([]int32, len(t.UnionEnergy)*nuclides)
 	// Two-pointer sweep: for each union point, each nuclide's bracketing
 	// lower index.
@@ -231,6 +226,47 @@ func generate(nuclides, gridPoints int) *Table {
 	return t
 }
 
+// mergeGrids returns the sorted union of grids, each sorted and non-empty,
+// by a k-way merge: a binary min-heap of the grids' unmerged tails, keyed
+// by each tail's first point.
+func mergeGrids(grids [][]float64) []float64 {
+	heap := append([][]float64(nil), grids...)
+	total := 0
+	for _, g := range grids {
+		total += len(g)
+	}
+	// down sifts heap[i] down to its place.
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				return
+			}
+			if c+1 < len(heap) && heap[c+1][0] < heap[c][0] {
+				c++
+			}
+			if !(heap[c][0] < heap[i][0]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]float64, 0, total)
+	for len(heap) > 0 {
+		out = append(out, heap[0][0])
+		if heap[0] = heap[0][1:]; len(heap[0]) == 0 {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return out
+}
+
 // materialSizes apportions nuclide counts across the 12 materials in
 // H-M-like proportions (fuel ≈ half the nuclide set, others small).
 func materialSizes(nuclides int) [NumMaterials]int {
@@ -253,7 +289,7 @@ func (p *Problem) LookupMacroXS(energy float64, mat int, out *[NumXS]float64) in
 	var u int
 	if p.Cfg.Grid == UnionizedGrid {
 		// One binary search: largest union index with energy ≤ query.
-		u = sort.SearchFloat64s(p.UnionEnergy, energy)
+		u = lowerBound(p.UnionEnergy, energy)
 		if u > 0 {
 			u--
 		}
@@ -299,11 +335,28 @@ func (p *Problem) LookupMacroXS(energy float64, mat int, out *[NumXS]float64) in
 // NuclideEnergy[n][g] ≤ energy (the per-nuclide binary search of the
 // nuclide-grid structure).
 func (p *Problem) nuclideLowerBound(n int, energy float64) int {
-	g := sort.SearchFloat64s(p.NuclideEnergy[n], energy)
-	if g > 0 && (g == len(p.NuclideEnergy[n]) || p.NuclideEnergy[n][g] != energy) {
+	eg := p.NuclideEnergy[n]
+	g := lowerBound(eg, energy)
+	if g > 0 && (g == len(eg) || eg[g] != energy) {
 		g--
 	}
 	return g
+}
+
+// lowerBound returns the first index i with grid[i] ≥ energy, or
+// len(grid): sort.SearchFloat64s, probe for probe, as a loop the compiler
+// inlines into the lookup.
+func lowerBound(grid []float64, energy float64) int {
+	lo, hi := 0, len(grid)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if grid[mid] >= energy {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // lookupInputs deterministically generates the i-th (energy, material)

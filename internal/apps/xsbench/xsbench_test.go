@@ -231,3 +231,60 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestMergedUnionGridMatchesSort holds generate's k-way merge to what it
+// replaced, sorting the concatenated nuclide grids, bit for bit at the
+// smoke, small and default tables.
+func TestMergedUnionGridMatchesSort(t *testing.T) {
+	for _, c := range []struct{ nuclides, gridPoints int }{{16, 512}, {32, 2048}, {48, 4096}} {
+		tab := generate(c.nuclides, c.gridPoints)
+		var want []float64
+		for _, eg := range tab.NuclideEnergy {
+			want = append(want, eg...)
+		}
+		sort.Float64s(want)
+		if len(tab.UnionEnergy) != len(want) {
+			t.Fatalf("%d×%d: union grid has %d points, want %d", c.nuclides, c.gridPoints, len(tab.UnionEnergy), len(want))
+		}
+		for i, e := range tab.UnionEnergy {
+			if math.Float64bits(e) != math.Float64bits(want[i]) {
+				t.Fatalf("%d×%d: union point %d is %v, sorted concatenation has %v", c.nuclides, c.gridPoints, i, e, want[i])
+			}
+		}
+	}
+	if got := mergeGrids([][]float64{{2}, {0, 1, 3}}); len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
+		t.Errorf("mergeGrids of unequal grids = %v, want [0 1 2 3]", got)
+	}
+}
+
+// TestLowerBoundMatchesSortSearch holds the inlined search to
+// sort.SearchFloat64s on both grid types' searches (the unionized grid's
+// one search, each nuclide's own) at energies 0 and 1, on every grid
+// point and between every pair of neighbouring points.
+func TestLowerBoundMatchesSortSearch(t *testing.T) {
+	p := NewProblem(smallCfg(), timing.Double)
+	energies := []float64{0, 1, -0.5, 1.5, math.NaN()}
+	for i, e := range p.UnionEnergy {
+		energies = append(energies, e)
+		if i+1 < len(p.UnionEnergy) {
+			energies = append(energies, (e+p.UnionEnergy[i+1])/2)
+		}
+	}
+	for _, e := range energies {
+		if got, want := lowerBound(p.UnionEnergy, e), sort.SearchFloat64s(p.UnionEnergy, e); got != want {
+			t.Fatalf("unionized grid at %v: index %d, sort.SearchFloat64s %d", e, got, want)
+		}
+		for n, eg := range p.NuclideEnergy {
+			want := sort.SearchFloat64s(eg, e)
+			if got := lowerBound(eg, e); got != want {
+				t.Fatalf("nuclide %d grid at %v: index %d, sort.SearchFloat64s %d", n, e, got, want)
+			}
+			if want > 0 && (want == len(eg) || eg[want] != e) {
+				want--
+			}
+			if got := p.nuclideLowerBound(n, e); got != want {
+				t.Fatalf("nuclide %d at %v: lower bound %d, want %d", n, e, got, want)
+			}
+		}
+	}
+}

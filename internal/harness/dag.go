@@ -50,8 +50,6 @@ type DagCell struct {
 	// BaselineNs is the serialized run's elapsed time for the same
 	// (machine, spec, model), the denominator of Speedup.
 	BaselineNs float64
-	// Faults counts injected device losses on the dyn+loss row.
-	Faults int64
 }
 
 // Speedup is the cell's gain over the serialized single-device baseline.
@@ -140,12 +138,11 @@ func DagData(ctx context.Context, scale Scale) ([]DagCell, error) {
 				if !sc.Serial {
 					opt.Planner = sched.NewDag(sc.Policy)
 				}
-				var inj *fault.Injector
 				if sc.Loss {
 					// Lose the accelerator at t=0 for 40% of the baseline
 					// run: kernels issued inside the window rebook on the
 					// host, later ones return to the accelerator.
-					inj = fault.New(fault.Config{
+					inj := fault.New(fault.Config{
 						Seed:           cellSeed(SeedOf(cx.Context()), combos[i].mach, combos[i].spec),
 						DeviceLossRate: 0.5,
 						DeviceLossNs:   0.4 * baselineNs,
@@ -160,9 +157,6 @@ func DagData(ctx context.Context, scale Scale) ([]DagCell, error) {
 					baselineNs = cell.Result.ElapsedNs
 				}
 				cell.BaselineNs = baselineNs
-				if inj != nil {
-					cell.Faults = inj.Count(fault.DeviceLost)
-				}
 				cells = append(cells, cell)
 			}
 		}

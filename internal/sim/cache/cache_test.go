@@ -164,6 +164,115 @@ func TestStreamingReplayMissesEveryLine(t *testing.T) {
 	}
 }
 
+// TestTopAddressAtLineSize1 covers the one line address a reserved
+// empty-way marker would collide with: at line size 1, ^uint64(0) is its
+// own line address. It must miss cold, hit warm, age out under LRU like
+// any other line, and AccessRange must stop at it rather than wrap.
+func TestTopAddressAtLineSize1(t *testing.T) {
+	const top = ^uint64(0)
+	c := New(Config{SizeBytes: 4, LineBytes: 1, Ways: 2}) // 2 sets
+	if c.Access(top) {
+		t.Fatal("cold access to the top address hit")
+	}
+	if !c.Access(top) {
+		t.Fatal("warm access to the top address missed")
+	}
+	c.Access(top - 2) // same set: top is now LRU
+	c.Access(top - 4) // evicts top
+	if c.Access(top) {
+		t.Error("top address hit after two newer lines of its 2-way set")
+	}
+	want := Stats{Accesses: 5, Hits: 1, Misses: 4, Evictions: 2}
+	if got := c.Stats(); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
+	}
+
+	r := New(Config{SizeBytes: 4, LineBytes: 1, Ways: 2})
+	if m := r.AccessRange(top-1, 2); m != 2 {
+		t.Errorf("AccessRange over the top two bytes = %d misses, want 2", m)
+	}
+	if m := r.AccessRange(top, 1); m != 0 {
+		t.Errorf("AccessRange(top, 1) after touching it = %d misses, want 0", m)
+	}
+	if got := r.Stats().Accesses; got != 3 {
+		t.Errorf("AccessRange made %d accesses, want 3", got)
+	}
+}
+
+// TestMatchesReferenceOnAppTraces replays three trace shapes through
+// Cache and the stamp-scan reference (refCache) at both LLC geometries the
+// simulator models: the APU's 512 sets (mask indexing) and the dGPU's 768
+// (modulo indexing), 16 ways of 64 B each. Every access must hit or miss
+// alike and the final Stats, evictions included, must be equal.
+func TestMatchesReferenceOnAppTraces(t *testing.T) {
+	// stream reads 8-byte elements in order, 8 accesses per line.
+	stream := func(touch func(uint64)) {
+		for a := uint64(0); a < 1<<21; a += 8 {
+			touch(a)
+		}
+	}
+	// gather is LULESH's element loop on its small-scale 32³ hex mesh:
+	// each element reads its 8 corner nodes in 3 coordinate arrays, then
+	// its own record.
+	gather := func(touch func(uint64)) {
+		const s, n = 32, 33 // elements and nodes per edge
+		base := func(i int) uint64 { return uint64(i) * 64 << 20 }
+		for e := 0; e < s*s*s; e++ {
+			x, y, z := e%s, e/s%s, e/(s*s)
+			for c := 0; c < 8; c++ {
+				node := uint64((z+c/4)*n*n + (y+c/2%2)*n + x + (c%2 ^ c/2%2))
+				for arr := 0; arr < 3; arr++ {
+					touch(base(arr) + node*8)
+				}
+			}
+			touch(base(3) + uint64(e)*8)
+		}
+	}
+	// scatter draws 2^17 LCG addresses over 256 MB: nearly every access
+	// misses and, once the sets fill, evicts.
+	scatter := func(touch func(uint64)) {
+		x := uint64(1)
+		for i := 0; i < 1<<17; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			touch(x >> 36 &^ 7)
+		}
+	}
+	// Each shape's miss rate must be what its name says.
+	traces := []struct {
+		name             string
+		trace            func(touch func(uint64))
+		minMiss, maxMiss float64
+	}{{"stream", stream, 1.0 / 8, 1.0 / 8}, {"gather", gather, 0.001, 0.2}, {"scatter", scatter, 0.95, 1}}
+	for _, geo := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"apu", Config{SizeBytes: 512 << 10, LineBytes: 64, Ways: 16}},
+		{"dgpu", Config{SizeBytes: 768 << 10, LineBytes: 64, Ways: 16}},
+	} {
+		for _, tr := range traces {
+			t.Run(geo.name+"/"+tr.name, func(t *testing.T) {
+				c := New(geo.cfg)
+				ref := newRef(c)
+				i := 0
+				tr.trace(func(addr uint64) {
+					if got, want := c.Access(addr), ref.access(addr); got != want {
+						t.Fatalf("access %d (%#x): hit=%v, reference hit=%v", i, addr, got, want)
+					}
+					i++
+				})
+				if c.Stats() != ref.stats {
+					t.Fatalf("stats %+v, reference %+v", c.Stats(), ref.stats)
+				}
+				s := c.Stats()
+				if r := s.MissRate(); r < tr.minMiss || r > tr.maxMiss || s.Evictions == 0 {
+					t.Errorf("%+v: miss rate %g outside [%g, %g] or no evictions", s, r, tr.minMiss, tr.maxMiss)
+				}
+			})
+		}
+	}
+}
+
 func TestStatsRates(t *testing.T) {
 	var s Stats
 	if s.MissRate() != 0 {

@@ -20,10 +20,12 @@ func fuzzGeometry(g1, g2 byte) Config {
 	}
 }
 
-// refCache is the stamp-scan LRU Cache replaced: one record per way with a
-// valid flag, set index and tag split off the line address by 64-bit
-// modulo and divide, victim = an invalid way if any, else the oldest
-// stamp. FuzzCacheAccess holds Cache to it access by access.
+// refCache is the stamp-scan reference: an LRU cache written the plain
+// way, one record per way with a valid flag and a last-use stamp, set
+// index and tag split off the line address by 64-bit modulo and divide,
+// victim = an invalid way if any, else the oldest stamp.
+// FuzzCacheAccess and TestMatchesReferenceOnAppTraces hold Cache to it
+// access by access.
 type refCache struct {
 	sets, ways int
 	lineShift  uint
