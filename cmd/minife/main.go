@@ -37,7 +37,7 @@ func main() {
 		os.Exit(2)
 	}
 	p := minife.NewProblem(minife.Config{Nx: *nx, Ny: *ny, Nz: *nz, MaxIters: *iters, Tol: *tol, FunctionalIters: *fn}, prec)
-	fmt.Printf("system: %d unknowns, %d nonzeros\n\n", p.A.NumRows, p.A.NNZ())
+	fmt.Printf("system: %d unknowns, %d nonzeros\n\n", p.Cfg.NumRows(), p.Cfg.NNZ())
 	err = harness.RunApp(context.Background(), os.Stdout, minife.AppName, machines,
 		func(m *sim.Machine, model modelapi.Name) appcore.Result {
 			r := p.Run(m, model)

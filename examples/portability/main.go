@@ -18,7 +18,7 @@ func main() {
 		MaxIters: 40, Tol: 0, FunctionalIters: 3,
 	}, timing.Double)
 	fmt.Printf("miniFE: %d unknowns, %d nonzeros, CG with CSR-Adaptive SpMV\n\n",
-		problem.A.NumRows, problem.A.NNZ())
+		problem.Cfg.NumRows(), problem.Cfg.NNZ())
 
 	apu := problem.RunCppAMP(sim.NewAPU())
 	dgpu := problem.RunCppAMP(sim.NewDGPU())

@@ -16,8 +16,6 @@ import (
 // with its reason: tests compare the production paths against them.
 var reachExempt = map[string]string{
 	"(*hetbench/internal/apps/readmem.Problem).ReferenceSums": "serial reference the readmem kernels are checked against",
-	"hetbench/internal/apps/minife.Assemble":                  "sequential CSR assembly the minife kernels are checked against",
-	"hetbench/internal/apps/minife.Residual":                  "residual norm the CG solve is checked against",
 	"(*hetbench/internal/apps/comd.State).TotalMomentum":      "momentum conservation check of the CoMD integrator",
 	"hetbench/internal/sim.NewCustom":                         "builds the small-LLC machine the run-memo tests price cells on",
 	"hetbench/internal/report.WriteBenchFile":                 "writes BENCH_hotpath.json when the root TestWriteBenchHotpath regenerates it",

@@ -1,10 +1,14 @@
 // Package minife implements the miniFE finite-element proxy application:
-// assemble a sparse linear system from hexahedral elements on a 3-D
-// structured mesh, then solve it with an un-preconditioned conjugate-
-// gradient iteration whose device side is the paper's three kernels —
-// SpMV (CSR-Adaptive on OpenCL/C++ AMP, scalar CSR under OpenACC), axpy
-// (waxpby) and dot — making it the memory-bandwidth-bound member of the
-// suite (Table I: 39% LLC miss rate, 0.88 IPC).
+// a sparse linear system from hexahedral elements on a 3-D structured
+// mesh, solved with an un-preconditioned conjugate-gradient iteration
+// whose device side is the paper's three kernels — SpMV (CSR-Adaptive on
+// OpenCL/C++ AMP, scalar CSR under OpenACC), axpy (waxpby) and dot —
+// making it the memory-bandwidth-bound member of the suite (Table I: 39%
+// LLC miss rate, 0.88 IPC).
+//
+// The functional pass is matrix-free (operator), while pricing and
+// characterization still model the CSR kernel the paper runs: its
+// row-pointer, column, value and x-gather traffic, and its trace.
 package minife
 
 import (
@@ -53,13 +57,13 @@ func (c Config) functionalIters() int {
 // NumRows returns the unknown count ((nx+1)(ny+1)(nz+1) nodes).
 func (c Config) NumRows() int { return (c.Nx + 1) * (c.Ny + 1) * (c.Nz + 1) }
 
-// nnz returns the stored entry count: per dimension, the nodes' in-bounds
-// neighbour counts sum to 3n+1.
-func (c Config) nnz() int { return (3*c.Nx + 1) * (3*c.Ny + 1) * (3*c.Nz + 1) }
+// NNZ returns the system matrix's stored entry count: per dimension,
+// the nodes' in-bounds neighbour counts sum to 3n+1.
+func (c Config) NNZ() int { return (3*c.Nx + 1) * (3*c.Ny + 1) * (3*c.Nz + 1) }
 
-// The assembled system's row structure is its stencil: every node couples
-// to the in-bounds nodes of its 3×3×3 neighbourhood, so a row's columns,
-// in ascending order, are its in-bounds neighbour offsets in (z, y, x)
+// The system's row structure is its stencil: every node couples to the
+// in-bounds nodes of its 3×3×3 neighbourhood, so a row's columns, in
+// ascending order, are its in-bounds neighbour offsets in (z, y, x)
 // lexicographic order. span, rowStart and appendRow give it without
 // assembling anything.
 
@@ -84,12 +88,14 @@ func spanBefore(c, n int) int { return max(0, min(3*c-1, 3*n+1)) }
 // coords returns row r's node coordinates.
 func (c Config) coords(r int) (x, y, z int) {
 	npx, npy := c.Nx+1, c.Ny+1
-	return r % npx, r / npx % npy, r / (npx * npy)
+	q := r / npx
+	z = q / npy
+	return r - q*npx, q - z*npy, z
 }
 
 // rowStart returns the index of row r's first stored entry, RowPtr[r] of
-// the assembled CSR, for r in [0, NumRows]: the rows before r in z-, y-,
-// x-major order, each holding the product of its axes' spans.
+// the CSR the kernels model, for r in [0, NumRows]: the rows before r in
+// z-, y-, x-major order, each holding the product of its axes' spans.
 func (c Config) rowStart(r int) int {
 	x, y, z := c.coords(r)
 	_, nY := span(y, c.Ny)
@@ -114,26 +120,6 @@ func (c Config) appendRow(dst []int32, x, y, z int) []int32 {
 		}
 	}
 	return dst
-}
-
-// CSR is a compressed-sparse-row matrix.
-type CSR struct {
-	NumRows int
-	RowPtr  []int32
-	Cols    []int32
-	Vals    []float64
-}
-
-// NNZ returns the stored-nonzero count.
-func (a *CSR) NNZ() int { return len(a.Cols) }
-
-// MulRow computes (A·x)[row].
-func (a *CSR) MulRow(row int, x []float64) float64 {
-	sum := 0.0
-	for i := a.RowPtr[row]; i < a.RowPtr[row+1]; i++ {
-		sum += a.Vals[i] * x[a.Cols[i]]
-	}
-	return sum
 }
 
 // hexStiffness is the 8×8 element stiffness matrix of the Laplace
@@ -175,72 +161,80 @@ func buildHexStiffness() (k [8][8]float64) {
 	return k
 }
 
-// massShift keeps the assembled operator positive definite (a Helmholtz
+// massShift keeps the operator positive definite (a Helmholtz
 // term, standing in for miniFE's Dirichlet boundary rows).
 const massShift = 0.1
 
-// Assemble builds the CSR system A·x = b by summing element stiffness
-// contributions (the "generated and assembled into a sparse matrix"
-// phase of miniFE) plus a mass shift on the diagonal. b is the unit
-// source vector.
-//
-// The row structure is the stencil (appendRow), known before any element
-// is visited. A row's values depend only on its node's class on each
-// axis (low end, interior or high end): the node's elements sit at the
-// same offsets, in the same z-, y-, x-major order, in every row of a
-// class. So the elements are summed on a template mesh of at most 2
-// elements per axis, which holds every class of the mesh, and each row
-// copies its class's values: every value is the same floating-point sum
-// an entry-by-entry accumulation over the whole mesh would produce.
-func Assemble(cfg Config) (*CSR, []float64) {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return assemble(cfg)
+// operator applies the system matrix A without storing it. A row's
+// values depend only on its node's class on each axis (low end, interior
+// or high end): the node's elements sit at the same offsets, in the same
+// z-, y-, x-major order, in every row of a class. So the elements are
+// summed once on a template mesh of at most 2 elements per axis, whose
+// rows are the mesh's row classes, and each row reads its class's
+// values (the same floating-point sums a whole-mesh assembly makes) at
+// its class's column offsets.
+type operator struct {
+	cfg, t Config // the mesh and its template
+	// The template's rows (at most 3³ rows and 7³ stored entries), laid
+	// out as t.rowStart places them: each entry's value and its column's
+	// offset from its row on cfg's mesh. Template row tr's entries are
+	// [start[tr], start[tr+1]).
+	vals  [7 * 7 * 7]float64
+	offs  [7 * 7 * 7]int
+	start [3*3*3 + 1]int
 }
 
-// assemble is Assemble without validation; any mesh of at least one
-// element per dimension assembles.
-func assemble(cfg Config) (*CSR, []float64) {
-	// The template has at most 3³ rows and 7³ stored entries.
+// newOperator builds cfg's operator; any mesh of at least one element per
+// dimension works.
+func newOperator(cfg Config) *operator {
 	t := Config{Nx: min(cfg.Nx, 2), Ny: min(cfg.Ny, 2), Nz: min(cfg.Nz, 2)}
-	var tVals [7 * 7 * 7]float64
-	var tStart [3*3*3 + 1]int
-	addRowValues(t, tVals[:t.nnz()])
-	for r := range t.NumRows() + 1 {
-		tStart[r] = t.rowStart(r)
-	}
-
-	rows, nnz := cfg.NumRows(), cfg.nnz()
-	a := &CSR{
-		NumRows: rows,
-		RowPtr:  make([]int32, rows+1),
-		Cols:    make([]int32, 0, nnz),
-		Vals:    make([]float64, 0, nnz),
-	}
-	r := 0
-	for z := 0; z <= cfg.Nz; z++ {
-		tz := classNode(z, cfg.Nz)
-		for y := 0; y <= cfg.Ny; y++ {
-			ty := classNode(y, cfg.Ny)
-			for x := 0; x <= cfg.Nx; x++ {
-				tr := (tz*(t.Ny+1)+ty)*(t.Nx+1) + classNode(x, cfg.Nx)
-				a.Cols = cfg.appendRow(a.Cols, x, y, z)
-				a.Vals = append(a.Vals, tVals[tStart[tr]:tStart[tr+1]]...)
-				r++
-				a.RowPtr[r] = int32(len(a.Cols))
+	o := &operator{cfg: cfg, t: t}
+	addRowValues(t, o.vals[:t.NNZ()])
+	npx, npy := cfg.Nx+1, cfg.Ny+1
+	for tr := range t.NumRows() {
+		o.start[tr] = t.rowStart(tr)
+		// A template node's spans are those of its class on the mesh.
+		x, y, z := t.coords(tr)
+		loX, nX := span(x, t.Nx)
+		loY, nY := span(y, t.Ny)
+		loZ, nZ := span(z, t.Nz)
+		k := o.start[tr]
+		for dz := loZ; dz < loZ+nZ; dz++ {
+			for dy := loY; dy < loY+nY; dy++ {
+				for dx := loX; dx < loX+nX; dx++ {
+					o.offs[k] = (dz*npy+dy)*npx + dx
+					k++
+				}
 			}
 		}
 	}
-
-	// Spatially varying source (a constant b would be an eigenvector of
-	// the shifted operator and CG would converge in one step).
-	b := make([]float64, rows)
-	for i := range b {
-		b[i] = 1 + 0.5*math.Sin(float64(i)*0.37)
-	}
-	return a, b
+	o.start[t.NumRows()] = t.NNZ()
+	return o
 }
+
+// class returns row r's class, its template row.
+func (o *operator) class(r int) int {
+	c, t := o.cfg, o.t
+	x, y, z := c.coords(r)
+	return (classNode(z, c.Nz)*(t.Ny+1)+classNode(y, c.Ny))*(t.Nx+1) + classNode(x, c.Nx)
+}
+
+// mulRow returns (A·x)[r], summed over the row's entries in ascending
+// column order as a CSR row walk sums them, and the row's class.
+func (o *operator) mulRow(r int, x []float64) (sum float64, class int) {
+	class = o.class(r)
+	vals := o.vals[o.start[class]:o.start[class+1]]
+	offs := o.offs[o.start[class]:][:len(vals)]
+	for k, v := range vals {
+		sum += v * x[r+offs[k]]
+	}
+	return sum, class
+}
+
+// source returns entry i of the right-hand side b. It varies in space: a
+// constant b would be an eigenvector of the shifted operator and CG would
+// converge in one step.
+func source(i int) float64 { return 1 + 0.5*math.Sin(float64(i)*0.37) }
 
 // classNode maps coordinate c on an axis of n elements to the node of the
 // same class on the template's axis of min(n, 2) elements: its low end,
@@ -298,14 +292,4 @@ func addRowValues(cfg Config, vals []float64) {
 			}
 		}
 	}
-}
-
-// Residual returns ‖b − A·x‖₂.
-func Residual(a *CSR, x, b []float64) float64 {
-	sum := 0.0
-	for r := 0; r < a.NumRows; r++ {
-		d := b[r] - a.MulRow(r, x)
-		sum += d * d
-	}
-	return math.Sqrt(sum)
 }

@@ -3,6 +3,7 @@ package minife
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
 
@@ -39,29 +41,30 @@ func TestStiffnessMatrixProperties(t *testing.T) {
 }
 
 func TestAssembly(t *testing.T) {
-	a, b := Assemble(Config{Nx: 4, Ny: 4, Nz: 4, MaxIters: 1})
-	if a.NumRows != 125 || len(b) != 125 {
-		t.Fatalf("rows = %d, want 125", a.NumRows)
+	c := Config{Nx: 4, Ny: 4, Nz: 4, MaxIters: 1}
+	o := newOperator(c)
+	if c.NumRows() != 125 {
+		t.Fatalf("rows = %d, want 125", c.NumRows())
 	}
 	// Interior node: 27-point stencil.
 	// node (2,2,2) of a 5³ grid = (2*5+2)*5+2 = 62.
-	row := 62
-	if got := int(a.RowPtr[row+1] - a.RowPtr[row]); got != 27 {
-		t.Errorf("interior row nnz = %d, want 27", got)
+	if cols, _ := rowOf(o, 62); len(cols) != 27 {
+		t.Errorf("interior row nnz = %d, want 27", len(cols))
 	}
 	// Corner node: 8 entries.
-	if got := int(a.RowPtr[1] - a.RowPtr[0]); got != 8 {
-		t.Errorf("corner row nnz = %d, want 8", got)
+	if cols, _ := rowOf(o, 0); len(cols) != 8 {
+		t.Errorf("corner row nnz = %d, want 8", len(cols))
 	}
 	// Symmetric positive definite-ish: diagonal dominance direction —
 	// row sums equal the mass shift.
-	for r := 0; r < a.NumRows; r++ {
+	for r := 0; r < c.NumRows(); r++ {
+		cols, vals := rowOf(o, r)
 		sum := 0.0
 		diag := 0.0
-		for i := a.RowPtr[r]; i < a.RowPtr[r+1]; i++ {
-			sum += a.Vals[i]
-			if int(a.Cols[i]) == r {
-				diag = a.Vals[i]
+		for i, v := range vals {
+			sum += v
+			if int(cols[i]) == r {
+				diag = v
 			}
 		}
 		if math.Abs(sum-massShift) > 1e-12 {
@@ -71,18 +74,44 @@ func TestAssembly(t *testing.T) {
 			t.Fatalf("row %d diagonal %g not positive", r, diag)
 		}
 		// Columns sorted (CSR invariant for the adaptive kernel).
-		for i := a.RowPtr[r] + 1; i < a.RowPtr[r+1]; i++ {
-			if a.Cols[i-1] >= a.Cols[i] {
+		for i := 1; i < len(cols); i++ {
+			if cols[i-1] >= cols[i] {
 				t.Fatalf("row %d columns unsorted", r)
 			}
 		}
 	}
 }
 
+// rowOf returns row r of o: its columns, ascending, and their values.
+func rowOf(o *operator, r int) (cols []int32, vals []float64) {
+	c := o.class(r)
+	for k := o.start[c]; k < o.start[c+1]; k++ {
+		cols = append(cols, int32(r+o.offs[k]))
+		vals = append(vals, o.vals[k])
+	}
+	return cols, vals
+}
+
+// csr is the reference matrix the operator is checked against.
+type csr struct {
+	rowPtr []int32
+	cols   []int32
+	vals   []float64
+}
+
+// mulRow computes (A·x)[r] by a CSR row walk.
+func (a *csr) mulRow(r int, x []float64) float64 {
+	sum := 0.0
+	for i := a.rowPtr[r]; i < a.rowPtr[r+1]; i++ {
+		sum += a.vals[i] * x[a.cols[i]]
+	}
+	return sum
+}
+
 // assembleWithMaps is the reference assembly: per-row maps accumulate
 // each element's stiffness in element order, then every row's columns
-// are sorted. Assemble must reproduce it bit for bit.
-func assembleWithMaps(cfg Config) *CSR {
+// are sorted. The operator must reproduce it bit for bit.
+func assembleWithMaps(cfg Config) *csr {
 	npx, npy := cfg.Nx+1, cfg.Ny+1
 	rows := cfg.NumRows()
 	node := func(i, j, k int) int32 { return int32((k*npy+j)*npx + i) }
@@ -108,7 +137,7 @@ func assembleWithMaps(cfg Config) *CSR {
 			}
 		}
 	}
-	a := &CSR{NumRows: rows, RowPtr: make([]int32, rows+1)}
+	a := &csr{rowPtr: make([]int32, rows+1)}
 	for r := 0; r < rows; r++ {
 		acc[r][int32(r)] += massShift
 		cols := make([]int32, 0, len(acc[r]))
@@ -117,56 +146,63 @@ func assembleWithMaps(cfg Config) *CSR {
 		}
 		sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
 		for _, c := range cols {
-			a.Cols = append(a.Cols, c)
-			a.Vals = append(a.Vals, acc[r][c])
+			a.cols = append(a.cols, c)
+			a.vals = append(a.vals, acc[r][c])
 		}
-		a.RowPtr[r+1] = int32(len(a.Cols))
+		a.rowPtr[r+1] = int32(len(a.cols))
 	}
 	return a
 }
 
-// TestAssembleMatchesMapReference covers meshes equal to their row-class
-// template (at most 2 elements per axis) and mixed shapes whose template
-// differs from the mesh on some axes only.
+// referenceMeshes are meshes equal to their row-class template (at most 2
+// elements per axis) and mixed shapes whose template differs from the
+// mesh on some axes only.
+var referenceMeshes = []Config{
+	{Nx: 1, Ny: 1, Nz: 1},
+	{Nx: 2, Ny: 2, Nz: 2},
+	{Nx: 2, Ny: 1, Nz: 2},
+	{Nx: 3, Ny: 5, Nz: 2},
+	{Nx: 1, Ny: 4, Nz: 7},
+	{Nx: 6, Ny: 1, Nz: 3},
+	{Nx: 2, Ny: 3, Nz: 4},
+	{Nx: 4, Ny: 1, Nz: 5},
+	{Nx: 5, Ny: 5, Nz: 2},
+	{Nx: 24, Ny: 24, Nz: 24},
+}
+
+// TestAssembleMatchesMapReference holds every row of the operator, its
+// columns and its values, to the map reference bit for bit.
 func TestAssembleMatchesMapReference(t *testing.T) {
-	for _, c := range []Config{
-		{Nx: 1, Ny: 1, Nz: 1},
-		{Nx: 2, Ny: 2, Nz: 2},
-		{Nx: 2, Ny: 1, Nz: 2},
-		{Nx: 3, Ny: 5, Nz: 2},
-		{Nx: 1, Ny: 4, Nz: 7},
-		{Nx: 6, Ny: 1, Nz: 3},
-		{Nx: 2, Ny: 3, Nz: 4},
-		{Nx: 4, Ny: 1, Nz: 5},
-		{Nx: 5, Ny: 5, Nz: 2},
-		{Nx: 24, Ny: 24, Nz: 24},
-	} {
-		got, b := assemble(c)
+	for _, c := range referenceMeshes {
+		o := newOperator(c)
 		want := assembleWithMaps(c)
 		name := fmt.Sprintf("%dx%dx%d", c.Nx, c.Ny, c.Nz)
-		if got.NumRows != want.NumRows || len(b) != want.NumRows {
-			t.Fatalf("%s: %d rows (b %d), want %d", name, got.NumRows, len(b), want.NumRows)
+		if len(want.rowPtr) != c.NumRows()+1 || len(want.cols) != c.NNZ() {
+			t.Fatalf("%s: reference has %d rows and %d entries, want %d and %d",
+				name, len(want.rowPtr)-1, len(want.cols), c.NumRows(), c.NNZ())
 		}
-		if !slices.Equal(got.RowPtr, want.RowPtr) {
-			t.Fatalf("%s: RowPtr differs from the map reference", name)
-		}
-		if !slices.Equal(got.Cols, want.Cols) {
-			t.Fatalf("%s: Cols differ from the map reference", name)
-		}
-		if len(got.Vals) != len(want.Vals) {
-			t.Fatalf("%s: %d values, want %d", name, len(got.Vals), len(want.Vals))
-		}
-		for i := range want.Vals {
-			if math.Float64bits(got.Vals[i]) != math.Float64bits(want.Vals[i]) {
-				t.Fatalf("%s: Vals[%d] = %v, want %v bit for bit", name, i, got.Vals[i], want.Vals[i])
+		for r := 0; r < c.NumRows(); r++ {
+			cols, vals := rowOf(o, r)
+			lo, hi := want.rowPtr[r], want.rowPtr[r+1]
+			if !slices.Equal(cols, want.cols[lo:hi]) {
+				t.Fatalf("%s: row %d columns %v, reference %v", name, r, cols, want.cols[lo:hi])
+			}
+			if len(vals) != int(hi-lo) {
+				t.Fatalf("%s: row %d has %d values, want %d", name, r, len(vals), hi-lo)
+			}
+			for i, v := range vals {
+				if math.Float64bits(v) != math.Float64bits(want.vals[int(lo)+i]) {
+					t.Fatalf("%s: row %d value %d = %v, want %v bit for bit", name, r, i, v, want.vals[int(lo)+i])
+				}
 			}
 		}
 	}
 }
 
 // TestStencilMatchesAssemble holds the row-structure helpers the
-// characterization reads to the CSR assemble builds: RowPtr from
-// rowStart's arithmetic, and each row's columns from appendRow.
+// characterization and the operator read to the map reference: RowPtr
+// from rowStart's arithmetic, each row's columns from appendRow and its
+// class from mulRow.
 func TestStencilMatchesAssemble(t *testing.T) {
 	for _, c := range []Config{
 		{Nx: 1, Ny: 1, Nz: 1},
@@ -175,41 +211,60 @@ func TestStencilMatchesAssemble(t *testing.T) {
 		{Nx: 6, Ny: 1, Nz: 3},
 		{Nx: 24, Ny: 24, Nz: 24},
 	} {
-		a, _ := assemble(c)
+		a := assembleWithMaps(c)
+		o := newOperator(c)
+		x := make([]float64, c.NumRows())
 		name := fmt.Sprintf("%dx%dx%d", c.Nx, c.Ny, c.Nz)
-		for r := 0; r <= a.NumRows; r++ {
-			if got := c.rowStart(r); got != int(a.RowPtr[r]) {
-				t.Fatalf("%s: rowStart(%d) = %d, RowPtr %d", name, r, got, a.RowPtr[r])
+		for r := 0; r <= c.NumRows(); r++ {
+			if got := c.rowStart(r); got != int(a.rowPtr[r]) {
+				t.Fatalf("%s: rowStart(%d) = %d, RowPtr %d", name, r, got, a.rowPtr[r])
 			}
 		}
 		var cols []int32
-		for r := 0; r < a.NumRows; r++ {
-			x, y, z := c.coords(r)
-			cols = c.appendRow(cols[:0], x, y, z)
-			if want := a.Cols[a.RowPtr[r]:a.RowPtr[r+1]]; !slices.Equal(cols, want) {
+		for r := 0; r < c.NumRows(); r++ {
+			px, py, pz := c.coords(r)
+			cols = c.appendRow(cols[:0], px, py, pz)
+			if want := a.cols[a.rowPtr[r]:a.rowPtr[r+1]]; !slices.Equal(cols, want) {
 				t.Fatalf("%s: row %d columns %v, assembled %v", name, r, cols, want)
+			}
+			if _, k := o.mulRow(r, x); o.start[k+1]-o.start[k] != len(cols) {
+				t.Fatalf("%s: row %d of class %d (%d entries) has %d columns", name, r, k, o.start[k+1]-o.start[k], len(cols))
 			}
 		}
 	}
 }
 
+// randomVector fills a vector of n entries in [0, 1) from seed.
+func randomVector(n int, seed int64) []float64 {
+	x := make([]float64, n)
+	s := uint64(seed)
+	for i := range x {
+		s = s*6364136223846793005 + 1
+		x[i] = float64(s>>40) / float64(1<<24)
+	}
+	return x
+}
+
 func TestQuickSpMVMatchesDense(t *testing.T) {
-	a, _ := Assemble(Config{Nx: 3, Ny: 3, Nz: 3, MaxIters: 1})
-	n := a.NumRows
+	c := Config{Nx: 3, Ny: 3, Nz: 3, MaxIters: 1}
+	o := newOperator(c)
+	a := assembleWithMaps(c)
+	n := c.NumRows()
 	f := func(seed int64) bool {
-		x := make([]float64, n)
-		s := uint64(seed)
-		for i := range x {
-			s = s*6364136223846793005 + 1
-			x[i] = float64(s>>40) / float64(1<<24)
-		}
+		x := randomVector(n, seed)
 		// Dense reference for a few rows.
 		for _, r := range []int{0, n / 2, n - 1} {
 			want := 0.0
-			for i := a.RowPtr[r]; i < a.RowPtr[r+1]; i++ {
-				want += a.Vals[i] * x[a.Cols[i]]
+			for i := a.rowPtr[r]; i < a.rowPtr[r+1]; i++ {
+				want += a.vals[i] * x[a.cols[i]]
 			}
-			if math.Abs(a.MulRow(r, x)-want) > 1e-12 {
+			if got, _ := o.mulRow(r, x); math.Abs(got-want) > 1e-12 {
+				return false
+			}
+		}
+		// Every row is the reference's row walk, bit for bit.
+		for r := range n {
+			if got, _ := o.mulRow(r, x); math.Float64bits(got) != math.Float64bits(a.mulRow(r, x)) {
 				return false
 			}
 		}
@@ -217,6 +272,42 @@ func TestQuickSpMVMatchesDense(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// spmvViewMeshes are the meshes the SpMV tallies are checked on.
+var spmvViewMeshes = []Config{
+	{Nx: 3, Ny: 3, Nz: 3},
+	{Nx: 24, Ny: 24, Nz: 24},
+	{Nx: 48, Ny: 48, Nz: 48},
+	{Nx: 7, Ny: 2, Nz: 13},
+}
+
+// TestSpMVClassTalliesMatchPerRow holds the SpMV launch, tallied by row
+// class, to a launch whose every row tallies its own work from its
+// column count, view by view and bit for bit, at GOMAXPROCS 1 and 3.
+func TestSpMVClassTalliesMatchPerRow(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		for _, c := range spmvViewMeshes {
+			t.Run(fmt.Sprintf("procs=%d/%dx%dx%d", procs, c.Nx, c.Ny, c.Nz), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				n := c.NumRows()
+				x, ap := randomVector(n, 7), make([]float64, n)
+				got := exec.Run(n, newOperator(c).spmv(ap, x))
+				want := exec.Run(n, func(w *exec.WorkItem) {
+					px, py, pz := c.coords(w.Global)
+					per := spmvTally(float64(len(c.appendRow(nil, px, py, pz))))
+					for v := range per {
+						w.Tally(v, per[v])
+					}
+				})
+				for v := range want {
+					if got[v] != want[v] {
+						t.Errorf("view %d: class tallies %+v, per-row %+v", v, got[v], want[v])
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -321,16 +412,39 @@ func TestMeasuredMissRateBand(t *testing.T) {
 	}
 }
 
+// residual returns ‖b − A·x‖₂ with A applied by mulRow.
+func residual(n int, mulRow func(r int, x []float64) float64, x, b []float64) float64 {
+	sum := 0.0
+	for r := 0; r < n; r++ {
+		d := b[r] - mulRow(r, x)
+		sum += d * d
+	}
+	return math.Sqrt(sum)
+}
+
 func TestResidualFunction(t *testing.T) {
-	a, b := Assemble(Config{Nx: 3, Ny: 3, Nz: 3, MaxIters: 1})
-	x := make([]float64, a.NumRows)
+	c := Config{Nx: 3, Ny: 3, Nz: 3, MaxIters: 1}
+	o := newOperator(c)
+	opRow := func(r int, x []float64) float64 { s, _ := o.mulRow(r, x); return s }
+	n := c.NumRows()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = source(i)
+	}
+	x := make([]float64, n)
 	// x = 0 → residual = ‖b‖.
 	want := 0.0
 	for _, v := range b {
 		want += v * v
 	}
 	want = math.Sqrt(want)
-	if got := Residual(a, x, b); math.Abs(got-want) > 1e-12 {
+	if got := residual(n, opRow, x, b); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Residual(0) = %g, want %g", got, want)
+	}
+	// Elsewhere the operator's residual is the reference matrix's, bit
+	// for bit.
+	x = randomVector(n, 3)
+	if got, ref := residual(n, opRow, x, b), residual(n, assembleWithMaps(c).mulRow, x, b); math.Float64bits(got) != math.Float64bits(ref) {
+		t.Errorf("residual = %v, reference %v", got, ref)
 	}
 }

@@ -3,7 +3,6 @@ package minife
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/cppamp"
@@ -48,43 +47,25 @@ const (
 	coalesceScalar   = 0.35
 )
 
-// Problem is an assembled system ready to solve under any model.
-// NewProblem assembles it; a Problem literal with Cfg, Precision (and
-// Memo) set assembles it on first need, so a run whose functional pass
-// hits the run memo never builds the matrix. Characterization reads the
-// stencil, never the matrix.
+// Problem is a miniFE system ready to solve under any model, built by
+// NewProblem or as a literal with Cfg and Precision (and Memo) set. It
+// holds no matrix: the functional pass applies A matrix-free, and
+// pricing and characterization model the stored CSR.
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
-	A         *CSR
-	B         []float64
 	// Memo, when set, shares the characterization with every problem of
 	// the same Cfg and Precision in the run, and the functional pass with
 	// every problem of the same Cfg; nil computes on every call.
 	Memo *appcore.Memo
-
-	build sync.Once
 }
 
-// NewProblem assembles the FE system.
+// NewProblem validates cfg and returns its problem at prec.
 func NewProblem(cfg Config, prec timing.Precision) *Problem {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Problem{Cfg: cfg, Precision: prec}
-	p.system()
-	return p
-}
-
-// system returns the matrix and right-hand side, assembling them on
-// first need.
-func (p *Problem) system() (*CSR, []float64) {
-	p.build.Do(func() {
-		if p.A == nil {
-			p.A, p.B = assemble(p.Cfg)
-		}
-	})
-	return p.A, p.B
+	return &Problem{Cfg: cfg, Precision: prec}
 }
 
 // SolveResult captures the solver outcome alongside the timing result.
@@ -123,9 +104,8 @@ func (p *Problem) measure(dev *device.Device) (c characterization) {
 	elt := uint64(appcore.EltBytes(p.Precision))
 	streams := appcore.Streams(dev)
 
-	// SpMV trace: interleaved row walks (val/col streams) plus x-vector
-	// gathers through the stencil's columns, the structure of the matrix
-	// the functional pass assembles.
+	// SpMV trace: interleaved CSR row walks (val/col streams) plus
+	// x-vector gathers through the stencil's columns.
 	rows := p.Cfg.NumRows()
 	perStream := rows / streams
 	if perStream == 0 {
@@ -224,12 +204,52 @@ func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer, form spmvForm) 
 	return appcore.Play(p.Memo, runKey{p.Cfg}, view(p.Precision, form), core, d, p.solve)
 }
 
-// solve is the functional pass: CG on the assembled system, tallying the
-// SpMV in every precision and form. The leading FunctionalIters
-// iterations execute the kernels; the rest replay measured kernel costs.
+// spmvTally is the work of an SpMV row with nnz stored entries in every
+// precision and form.
+func spmvTally(nnz float64) (per exec.Views) {
+	for _, prec := range appcore.Precisions {
+		elt := appcore.EltBytes(prec)
+		sp, dp := appcore.Flops(prec, 2*nnz)
+		loads := 8 + nnz*(4+2*elt) // rowptr + cols + vals + x gathers
+		for form := range spmvForms {
+			instrs := 4 * nnz
+			var lds float64
+			switch form {
+			case spmvAdaptive:
+				lds = nnz * elt // row block staged via LDS
+				instrs = 3 * nnz
+			case spmvScalarGPU:
+				instrs = 8 * nnz // lane-divergent row walk replays
+			case spmvHost:
+				// plain prefetched row loop: no divergence, no LDS
+			}
+			per[view(prec, form)] = exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: loads, StoreBytes: elt, LDSBytes: lds, Instrs: instrs}
+		}
+	}
+	return per
+}
+
+// spmv is the SpMV kernel ap = A·p, tallied by row class: a row's work
+// depends on its stored entry count alone.
+func (o *operator) spmv(ap, p []float64) func(*exec.WorkItem) {
+	per := make([]exec.Views, o.t.NumRows())
+	for k := range per {
+		per[k] = spmvTally(float64(o.start[k+1] - o.start[k]))
+	}
+	return exec.Classed(per, func(r int) int {
+		s, class := o.mulRow(r, p)
+		ap[r] = s
+		return class
+	})
+}
+
+// solve is the functional pass: CG with the matrix-free operator,
+// tallying the SpMV in every precision and form. The leading
+// FunctionalIters iterations execute the kernels; the rest replay
+// measured kernel costs.
 func (p *Problem) solve(rec *appcore.Recorder) solution {
-	a, b := p.system()
-	n := a.NumRows
+	op := newOperator(p.Cfg)
+	n := p.Cfg.NumRows()
 	nPart := (n + dotBlock - 1) / dotBlock
 
 	x := make([]float64, n)
@@ -238,7 +258,9 @@ func (p *Problem) solve(rec *appcore.Recorder) solution {
 	ap := make([]float64, n)
 	partial := make([]float64, nPart)
 
-	copy(r, b) // x0 = 0 → r = b
+	for i := range r {
+		r[i] = source(i) // x0 = 0 → r = b
+	}
 	copy(pv, r)
 
 	hostSum := func() float64 {
@@ -249,31 +271,7 @@ func (p *Problem) solve(rec *appcore.Recorder) solution {
 		return s
 	}
 
-	// Kernel bodies. avgNNZ drives the SpMV tallies.
-	spmv := func(w *exec.WorkItem) {
-		row := w.Global
-		ap[row] = a.MulRow(row, pv)
-		nnz := float64(a.RowPtr[row+1] - a.RowPtr[row])
-		for _, prec := range appcore.Precisions {
-			elt := appcore.EltBytes(prec)
-			sp, dp := appcore.Flops(prec, 2*nnz)
-			loads := 8 + nnz*(4+2*elt) // rowptr + cols + vals + x gathers
-			for form := range spmvForms {
-				instrs := 4 * nnz
-				var lds float64
-				switch form {
-				case spmvAdaptive:
-					lds = nnz * elt // row block staged via LDS
-					instrs = 3 * nnz
-				case spmvScalarGPU:
-					instrs = 8 * nnz // lane-divergent row walk replays
-				case spmvHost:
-					// plain prefetched row loop: no divergence, no LDS
-				}
-				w.Tally(view(prec, form), exec.Counters{SPFlops: sp, DPFlops: dp, LoadBytes: loads, StoreBytes: elt, LDSBytes: lds, Instrs: instrs})
-			}
-		}
-	}
+	spmv := op.spmv(ap, pv)
 	// Every dot block (a short last one included) and every axpy item
 	// is charged the same work, so those kernels are Uniform.
 	dotPer := appcore.PerView(int(spmvForms), func(prec timing.Precision) exec.Counters {
@@ -365,10 +363,12 @@ func (p *Problem) result(m *sim.Machine, model modelapi.Name, s solution) SolveR
 	}
 }
 
+// matrixBytes returns the device footprint of the modeled CSR and of the
+// solver's vectors.
 func (p *Problem) matrixBytes() (mat, vecs int64) {
 	elt := int64(appcore.EltBytes(p.Precision))
 	rows := int64(p.Cfg.NumRows())
-	mat = int64(p.Cfg.nnz())*(4+elt) + (rows+1)*4
+	mat = int64(p.Cfg.NNZ())*(4+elt) + (rows+1)*4
 	vecs = 4 * rows * elt // x, r, p, Ap
 	return mat, vecs
 }

@@ -188,7 +188,7 @@ func RunTable4(_ context.Context, _ Scale, w io.Writer) error {
 	t2 := report.NewTable("\nThis repository's implementations (logical Go SLOC per app package)",
 		"Package", "SLOC", "Files")
 	for _, dir := range []string{"readmem", "lulesh", "comd", "xsbench", "minife"} {
-		total, files, err := sloc.CountDir("internal/apps/"+dir, ".go")
+		total, files, err := sloc.CountImpl("internal/apps/" + dir)
 		if err != nil {
 			// Running outside the repo root: report and continue.
 			t2.AddRow(dir, "n/a", "n/a")

@@ -23,12 +23,12 @@
 // own totals in the same item and worker order, so a view's totals are
 // bit for bit those of a launch that tallied that view alone.
 //
-// A kernel whose per-item work does not depend on the data (the same
-// Counters for every item of the launch) is built with Uniform, which
-// charges that work once per worker chunk instead of once per item. The
-// apps charge only integers below 2^53 this way, so per × n equals the
-// n-term sum bit for bit and the chunking (and so GOMAXPROCS) never
-// reaches the totals.
+// A kernel whose per-item work depends on the data only through the
+// item's class (miniFE's SpMV rows) is built with Classed, which charges
+// each class's work once per worker chunk instead of once per item;
+// Uniform is its one-class case. The apps charge only integers below
+// 2^53 this way, so per × n equals the n-term sum bit for bit and the
+// chunking (and so GOMAXPROCS) never reaches the totals.
 package exec
 
 import (
@@ -91,7 +91,7 @@ type Views [MaxViews]Counters
 // WorkItem serves a worker's whole chunk of items.
 type WorkItem struct {
 	// Global is the work item's global index. Kernels read it; only
-	// Uniform moves it, to the end of its chunk.
+	// Classed moves it, to the end of its chunk.
 	Global int
 	// end bounds the worker's chunk: items [Global, end) remain.
 	end int
@@ -103,24 +103,38 @@ type WorkItem struct {
 // counters.
 func (w *WorkItem) Tally(v int, c Counters) { w.counters[v].Add(c) }
 
-// Uniform builds a kernel whose every item does the same work:
-// body(i) runs once for each global index i, and each view's per is
-// charged once per worker chunk as per × (items in the chunk). Use it
-// when an item's tally is launch-invariant; a tally that depends on the
-// data belongs in a per-item Tally. The kernel must be launched by Run
-// itself, not called from another kernel: each call runs the rest of
-// its chunk.
-func Uniform(per Views, body func(i int)) func(*WorkItem) {
+// MaxClasses bounds the item classes of a Classed kernel: miniFE's 27
+// SpMV row classes.
+const MaxClasses = 27
+
+// Classed builds a kernel whose items each do one of a few fixed amounts
+// of work: body(i) runs once for each global index i and returns the
+// item's class k (below MaxClasses), and per[k] is charged once per
+// worker chunk as per[k] × (items of class k in the chunk). A tally that
+// depends on the data in any other way belongs in a per-item Tally. The
+// kernel must be launched by Run itself, not called from another kernel:
+// each call runs the rest of its chunk.
+func Classed(per []Views, body func(i int) int) func(*WorkItem) {
 	return func(w *WorkItem) {
-		lo, hi := w.Global, w.end
-		for i := lo; i < hi; i++ {
-			body(i)
+		var count [MaxClasses]int
+		for i := w.Global; i < w.end; i++ {
+			count[body(i)]++
 		}
-		for v := range per {
-			w.counters[v].Add(per[v].scaled(float64(hi - lo)))
+		for k, n := range count {
+			if n > 0 {
+				for v := range per[k] {
+					w.counters[v].Add(per[k][v].scaled(float64(n)))
+				}
+			}
 		}
-		w.Global = hi - 1 // Run's increment then ends the chunk
+		w.Global = w.end - 1 // Run's increment then ends the chunk
 	}
+}
+
+// Uniform builds a kernel whose every item does the same work, charging
+// per once per worker chunk: Classed with one class.
+func Uniform(per Views, body func(i int)) func(*WorkItem) {
+	return Classed([]Views{per}, func(i int) int { body(i); return 0 })
 }
 
 // workers returns the parallelism for functional execution.

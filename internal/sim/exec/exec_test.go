@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -148,6 +150,71 @@ func TestViewsTallyIndependently(t *testing.T) {
 			}
 		})
 	}
+}
+
+// classPer is an integer-valued tally per class and view, every value
+// distinct, as miniFE's SpMV charges by row class.
+func classPer() []Views {
+	per := make([]Views, MaxClasses)
+	for k := range per {
+		for v := range per[k] {
+			f := float64(k*MaxViews + v + 1)
+			per[k][v] = Counters{SPFlops: 2 * f, DPFlops: 3 * f, LoadBytes: 8 + 29*f, StoreBytes: f, LDSBytes: 7 * f, Instrs: 4*f + 1}
+		}
+	}
+	return per
+}
+
+// A Classed launch equals, view by view and bit for bit, a launch whose
+// every item tallies its class's counters itself, over random class
+// sequences and item counts below, at and above the worker count.
+func TestClassedMatchesPerItemTally(t *testing.T) {
+	per := classPer()
+	for _, procs := range []int{1, 3} {
+		for _, global := range []int{1, 2, 3, 4, 7, 1000, 4099} {
+			t.Run(fmt.Sprintf("procs=%d/global=%d", procs, global), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				rng := rand.New(rand.NewSource(int64(procs*10007 + global)))
+				class := make([]int, global)
+				for i := range class {
+					class[i] = rng.Intn(MaxClasses)
+				}
+				seen := make([]int32, global)
+				got := Run(global, Classed(per, func(i int) int {
+					atomic.AddInt32(&seen[i], 1)
+					return class[i]
+				}))
+				want := Run(global, func(w *WorkItem) {
+					for v := range per[class[w.Global]] {
+						w.Tally(v, per[class[w.Global]][v])
+					}
+				})
+				for v := range want {
+					if !sameBits(got[v], want[v]) {
+						t.Errorf("view %d: classed %+v, per-item %+v", v, got[v], want[v])
+					}
+				}
+				for i, c := range seen {
+					if c != 1 {
+						t.Fatalf("classed body ran item %d %d times, want exactly 1", i, c)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bits in every
+// field.
+func sameBits(a, b Counters) bool {
+	fa := []float64{a.SPFlops, a.DPFlops, a.LoadBytes, a.StoreBytes, a.LDSBytes, a.Instrs}
+	fb := []float64{b.SPFlops, b.DPFlops, b.LoadBytes, b.StoreBytes, b.LDSBytes, b.Instrs}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func BenchmarkRunSimple(b *testing.B) {

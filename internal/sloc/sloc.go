@@ -138,6 +138,20 @@ func CountDir(dir string, exts ...string) (int, map[string]int, error) {
 	return total, perFile, nil
 }
 
+// CountImpl counts logical SLOC in the Go implementation files under dir:
+// every .go file but the tests (_test.go), as Table IV counts the code
+// that implements a benchmark.
+func CountImpl(dir string) (int, map[string]int, error) {
+	total, perFile, err := CountDir(dir, ".go")
+	for name, n := range perFile {
+		if strings.HasSuffix(name, "_test.go") {
+			total -= n
+			delete(perFile, name)
+		}
+	}
+	return total, perFile, err
+}
+
 // Table4 is the paper's measured "source lines of code changed starting
 // from the CPU serial implementation" (Table IV).
 type Table4Row struct {

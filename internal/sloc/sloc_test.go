@@ -45,6 +45,7 @@ func TestCountFileAndDir(t *testing.T) {
 	write("a.go", "package a\n\n// doc\nfunc A() {}\n")
 	write("b.go", "package a\nvar X = 1\n")
 	write("c.txt", "not counted\n")
+	write("a_test.go", "package a\nvar T = 2\n")
 
 	n, err := CountFile(filepath.Join(dir, "a.go"))
 	if err != nil || n != 2 {
@@ -54,11 +55,18 @@ func TestCountFileAndDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 4 {
-		t.Errorf("CountDir total = %d, want 4", total)
+	if total != 6 {
+		t.Errorf("CountDir total = %d, want 6", total)
 	}
-	if len(perFile) != 2 {
-		t.Errorf("CountDir files = %d, want 2", len(perFile))
+	if len(perFile) != 3 {
+		t.Errorf("CountDir files = %d, want 3", len(perFile))
+	}
+	total, perFile, err = CountImpl(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 4 || len(perFile) != 2 || perFile["a_test.go"] != 0 {
+		t.Errorf("CountImpl = %d lines in %v, want 4 in a.go and b.go", total, perFile)
 	}
 	if _, err := CountFile(filepath.Join(dir, "missing.go")); err == nil {
 		t.Error("missing file did not error")
