@@ -18,6 +18,7 @@ import (
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/apps/minife"
+	"hetbench/internal/apps/xsbench"
 	"hetbench/internal/fault"
 	"hetbench/internal/harness"
 	"hetbench/internal/harness/runner"
@@ -338,6 +339,29 @@ func benchMinifeSolve(b *testing.B) {
 	}
 }
 
+// benchXsbenchLookup runs XSBench's functional pass at the small-scale
+// config (32 nuclides × 2,048 grid points, 100,000 lookups): the
+// energy-ordered lookups and the tally launch. Each op runs a fresh
+// Problem on a machine with a fault injector that injects nothing, so the
+// run bypasses the memoized functional pass, while the table and the
+// characterization, built before the timer starts, stay memoized.
+func benchXsbenchLookup(b *testing.B) {
+	cfg := xsbench.Config{Nuclides: 32, GridPoints: 2048, Lookups: 100_000}
+	memo := new(appcore.Memo)
+	m := sim.NewAPU()
+	m.SetFaultInjector(fault.New(fault.Config{}), fault.DefaultPolicy())
+	lookup := func() {
+		p := &xsbench.Problem{Cfg: cfg, Precision: timing.Double, Memo: memo}
+		p.RunOpenMP(m)
+	}
+	lookup()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookup()
+	}
+}
+
 // benchCacheReplay streams 2^19 scattered 8-byte reads (an LCG over
 // 256 MB) through appcore.Traits at the dGPU's LLC geometry (768 sets ×
 // 16 ways): the characterization replay each app pays once per config,
@@ -442,6 +466,12 @@ func BenchmarkMinifeSolve(b *testing.B) {
 	b.Run("small", benchMinifeSolve)
 }
 
+// BenchmarkXsbenchLookup measures XSBench's functional pass: the lookups,
+// in energy order, and the launch that tallies them.
+func BenchmarkXsbenchLookup(b *testing.B) {
+	b.Run("small", benchXsbenchLookup)
+}
+
 // BenchmarkCacheReplay measures one LLC characterization replay: an
 // all-miss trace on the dGPU and LULESH's gather on the APU.
 func BenchmarkCacheReplay(b *testing.B) {
@@ -505,6 +535,7 @@ func TestWriteBenchHotpath(t *testing.T) {
 		{"hetlint/load", benchHetlintLoad},
 		{"hetlint/module", benchHetlintModule},
 		{"minife/solve", benchMinifeSolve},
+		{"xsbench/lookup", benchXsbenchLookup},
 		{"cache/replay", benchCacheReplay},
 		{"cache/gather", benchCacheGather},
 	}

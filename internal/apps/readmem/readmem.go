@@ -4,13 +4,16 @@
 // the calibration workload — "an apt choice to understand the quality of
 // code generation by the compilers" — and is memory-bandwidth bound.
 //
+// The input is a function of its index, so the functional pass computes
+// each element where the kernel reads it and stores no input array; the
+// priced runs still stage and stream the input as a device buffer.
+//
 // One implementation exists per programming model, each phrased in that
 // model's idiom, all verified against the serial reference.
 package readmem
 
 import (
 	"fmt"
-	"sync"
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/cppamp"
@@ -48,53 +51,52 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Problem is a generated instance. NewProblem builds its input; a
-// Problem literal with Cfg (and Memo) set builds it on first need, so a
-// run whose kernel spec and functional pass both hit the run memo never
-// builds one.
+// Problem is one instance. Input element i is element(i), so no pass
+// stores the input: the kernel and the reference compute each element
+// where they read it. Only the priced runs model the input, as the
+// device buffer bytesIn sizes.
 type Problem struct {
 	Cfg Config
-	In  []float64
 	// Memo, when set, shares the kernel spec with every problem of the
 	// same Cfg in the run, and the functional pass with every problem of
 	// the same Blocks; nil computes on every call.
 	Memo *appcore.Memo
-
-	build sync.Once
 }
 
-// NewProblem builds a deterministic instance.
+// NewProblem validates cfg and returns its instance; there is no input
+// to build.
 func NewProblem(cfg Config) *Problem {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Problem{Cfg: cfg}
-	p.input()
-	return p
+	return &Problem{Cfg: cfg}
 }
 
-// input returns the input buffer, building it on first need.
-func (p *Problem) input() []float64 {
-	p.build.Do(func() {
-		if p.In != nil {
-			return
+// element is input element i.
+func element(i int) float64 { return float64(i%17) * 0.25 }
+
+// blockSum returns block b's sum of the input, adding element(i) in index
+// order. It carries i%17 as a residue that wraps, instead of dividing
+// once per element.
+func blockSum(b int) float64 {
+	sum := 0.0
+	r := b * BlockSize % 17
+	for j := 0; j < BlockSize; j++ {
+		sum += float64(r) * 0.25
+		if r++; r == 17 {
+			r = 0
 		}
-		p.In = make([]float64, p.Cfg.Blocks*BlockSize)
-		for i := range p.In {
-			p.In[i] = float64(i%17) * 0.25
-		}
-	})
-	return p.In
+	}
+	return sum
 }
 
 // ReferenceSums computes the expected output serially (Figure 3a).
 func (p *Problem) ReferenceSums() []float64 {
-	in := p.input()
 	out := make([]float64, p.Cfg.Blocks)
-	for i := 0; i < len(in); i += BlockSize {
+	for i := 0; i < p.Cfg.Blocks*BlockSize; i += BlockSize {
 		sum := 0.0
 		for j := 0; j < BlockSize; j++ {
-			sum += in[i+j]
+			sum += element(i + j)
 		}
 		out[i/BlockSize] = sum
 	}
@@ -138,12 +140,17 @@ func (p *Problem) measureSpec(dev *device.Device) modelapi.KernelSpec {
 }
 
 // execute is the functional pass: one launch of the block-sum kernel
-// (Figure 4b) into a fresh output vector, digested by its checksum. The
-// tally charges BlockSize loads plus one store in each precision.
+// (Figure 4b) into a fresh output vector, digested by its checksum.
 func (p *Problem) execute(rec *appcore.Recorder) float64 {
-	in := p.input()
 	out := make([]float64, p.Cfg.Blocks)
 	rec.Bind("read.out", out)
+	rec.Launch(0, p.Cfg.Blocks, true, kernel(out))
+	return checksum(out)
+}
+
+// kernel is the block-sum kernel writing out[b] for each block b. The
+// tally charges BlockSize loads plus one store in each precision.
+func kernel(out []float64) func(*exec.WorkItem) {
 	per := appcore.PerView(1, func(prec timing.Precision) exec.Counters {
 		elt := appcore.EltBytes(prec)
 		sp, dp := appcore.Flops(prec, BlockSize)
@@ -154,15 +161,7 @@ func (p *Problem) execute(rec *appcore.Recorder) float64 {
 			Instrs:     2*BlockSize + 4,
 		}
 	})
-	rec.Launch(0, p.Cfg.Blocks, true, exec.Uniform(per, func(b int) {
-		sum := 0.0
-		st := b * BlockSize
-		for j := 0; j < BlockSize; j++ {
-			sum += in[st+j]
-		}
-		out[b] = sum
-	}))
-	return checksum(out)
+	return exec.Uniform(per, func(b int) { out[b] = blockSum(b) })
 }
 
 // runKey keys the functional pass in a run memo: the input's size is all

@@ -1,10 +1,13 @@
 package readmem
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
 
@@ -107,5 +110,34 @@ func TestSinglePrecisionFasterOrEqual(t *testing.T) {
 	// bandwidth-bound kernel.
 	if tSP >= tDP {
 		t.Errorf("SP kernel (%g) not faster than DP (%g)", tSP, tDP)
+	}
+}
+
+// TestBlockSumsMatchStoredInput holds the kernel's block sums, which
+// compute each input element from its index, to block sums over a stored
+// input array, bit for bit, and ReferenceSums to the kernel's output.
+func TestBlockSumsMatchStoredInput(t *testing.T) {
+	for _, blocks := range []int{1, 17, 4096, 1001} {
+		t.Run(fmt.Sprint(blocks), func(t *testing.T) {
+			in := make([]float64, blocks*BlockSize)
+			for i := range in {
+				in[i] = float64(i%17) * 0.25
+			}
+			got := make([]float64, blocks)
+			exec.Run(blocks, kernel(got))
+			ref := NewProblem(Config{Blocks: blocks, Precision: timing.Double}).ReferenceSums()
+			for b := range got {
+				want := 0.0
+				for _, v := range in[b*BlockSize : (b+1)*BlockSize] {
+					want += v
+				}
+				if math.Float64bits(got[b]) != math.Float64bits(want) {
+					t.Fatalf("block %d: kernel sum %v, stored input %v", b, got[b], want)
+				}
+				if math.Float64bits(ref[b]) != math.Float64bits(got[b]) {
+					t.Fatalf("block %d: ReferenceSums %v, kernel %v", b, ref[b], got[b])
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,8 @@ package xsbench
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/cppamp"
@@ -20,26 +22,34 @@ import (
 // charged per lookup.
 const lookupsPerItem = 8
 
+// blockItems is the number of work items whose lookups run as one
+// energy-ordered block: 65,536 lookups.
+const blockItems = 8192
+
+// energyBuckets is the number of energy ranges a block's lookups are
+// counting-sorted into: the top 12 bits of the energy.
+const energyBuckets = 1 << 12
+
 // execute is the functional pass: one launch of the lookup kernel, in
 // which each work item performs lookupsPerItem queries, accumulates a
 // verification sum and tallies the binary-search probes and nuclide
-// gathers it actually performed. The digest is the sum over items.
+// gathers it actually performed. The digest is the sum over items. The
+// lookups run before the launch, in energy order (lookupAll); the launch
+// body tallies each item's work in item order.
 func (p *Problem) execute(rec *appcore.Recorder) float64 {
 	p.data()
-	partial := make([]float64, p.items())
+	partial, visited := p.lookupAll()
+	rec.Launch(0, p.items(), true, p.tally(visited))
+	return p.checksum(partial)
+}
+
+// tally is the lookup kernel's body: item i tallies the work of its
+// lookups, which visited visited[i] nuclides.
+func (p *Problem) tally(visited []uint16) func(*exec.WorkItem) {
 	logUnion := math.Log2(float64(len(p.UnionEnergy)))
 	logNuclide := math.Log2(float64(p.Cfg.GridPoints))
-	rec.Launch(0, p.items(), true, func(w *exec.WorkItem) {
-		var out [NumXS]float64
-		sum := 0.0
-		visited := 0
-		for k := 0; k < lookupsPerItem; k++ {
-			i := w.Global*lookupsPerItem + k
-			energy, mat := p.lookupInputs(i)
-			visited += p.LookupMacroXS(energy, mat, &out)
-			sum += out[0]
-		}
-		partial[w.Global] = sum
+	return func(w *exec.WorkItem) {
+		visited := float64(visited[w.Global])
 		// Work: binary-search probes + per-nuclide gathers and
 		// 5-channel interpolation. The unionized structure searches
 		// once per lookup and reads an index pointer per nuclide; the
@@ -47,23 +57,104 @@ func (p *Problem) execute(rec *appcore.Recorder) float64 {
 		var probes, idxBytes float64
 		if p.Cfg.Grid == UnionizedGrid {
 			probes = float64(lookupsPerItem) * logUnion
-			idxBytes = float64(visited) * 4
+			idxBytes = visited * 4
 		} else {
-			probes = float64(visited) * logNuclide
+			probes = visited * logNuclide
 		}
-		flops := float64(visited) * (4 + 3*NumXS)
+		flops := visited * (4 + 3*NumXS)
 		for _, prec := range appcore.Precisions {
 			elt := appcore.EltBytes(prec)
 			sp, dp := appcore.Flops(prec, flops)
 			w.Tally(appcore.View(prec, 0, 1), exec.Counters{
 				SPFlops: sp, DPFlops: dp,
-				LoadBytes:  probes*elt + idxBytes + float64(visited)*2*(1+NumXS)*elt,
+				LoadBytes:  probes*elt + idxBytes + visited*2*(1+NumXS)*elt,
 				StoreBytes: elt,
-				Instrs:     probes*6 + float64(visited)*30,
+				Instrs:     probes*6 + visited*30,
 			})
 		}
-	})
-	return p.checksum(partial)
+	}
+}
+
+// lookupAll runs every item's lookups. It returns each item's sum of the
+// total cross section over its lookups, added in lookup order, and the
+// number of nuclides its lookups visited. Items run in blocks of
+// blockItems, each block's lookups in energy order, so that neighbouring
+// lookups search and gather neighbouring grid points. LookupMacroXS is a
+// pure function of its query, so the order never reaches a result. The
+// blocks run on GOMAXPROCS workers, and each block writes only its own
+// items.
+func (p *Problem) lookupAll() (partial []float64, visited []uint16) {
+	items := p.items()
+	partial, visited = make([]float64, items), make([]uint16, items)
+	blocks := (items + blockItems - 1) / blockItems
+	workers := min(runtime.GOMAXPROCS(0), blocks)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s blockScratch
+			for b := w; b < blocks; b += workers {
+				lo := b * blockItems
+				hi := min(lo+blockItems, items)
+				p.lookupBlock(&s, lo, partial[lo:hi], visited[lo:hi])
+			}
+		}()
+	}
+	wg.Wait()
+	return partial, visited
+}
+
+// blockScratch is one worker's buffers for lookupBlock.
+type blockScratch struct {
+	start [energyBuckets]int32
+	// order lists the block's lookups in energy order; total holds
+	// each lookup's total cross section, in lookup order.
+	order []int32
+	total []float64
+}
+
+// lookupBlock runs the lookups of the items from lo on, one per entry of
+// partial and visited, in energy order: a counting sort on the energy's
+// top bits, stable in lookup order. visited must hold zeros.
+func (p *Problem) lookupBlock(s *blockScratch, lo int, partial []float64, visited []uint16) {
+	first := lo * lookupsPerItem
+	n := len(partial) * lookupsPerItem
+	if cap(s.order) < n {
+		s.order, s.total = make([]int32, n), make([]float64, n)
+	}
+	order, total := s.order[:n], s.total[:n]
+	bucket := func(j int) int {
+		energy, _ := p.lookupInputs(first + j)
+		return int(energy * energyBuckets)
+	}
+	clear(s.start[:])
+	for j := range n {
+		s.start[bucket(j)]++
+	}
+	at := int32(0)
+	for k, c := range s.start {
+		s.start[k] = at
+		at += c
+	}
+	for j := range n {
+		k := bucket(j)
+		order[s.start[k]] = int32(j)
+		s.start[k]++
+	}
+	var out [NumXS]float64
+	for _, j := range order {
+		energy, mat := p.lookupInputs(first + int(j))
+		visited[j/lookupsPerItem] += uint16(p.LookupMacroXS(energy, mat, &out))
+		total[j] = out[0]
+	}
+	for i := range partial {
+		sum := 0.0
+		for _, t := range total[i*lookupsPerItem : (i+1)*lookupsPerItem] {
+			sum += t
+		}
+		partial[i] = sum
+	}
 }
 
 func (p *Problem) items() int {

@@ -75,9 +75,14 @@ func PaperSmall() Config {
 	return Config{Nuclides: 68, GridPoints: 11303, Lookups: 15_000_000}
 }
 
+// maxNuclides bounds Nuclides so that the nuclides one work item's
+// lookups visit, at most lookupsPerItem × half the nuclides (the fuel),
+// fit the uint16 the functional pass counts them in.
+const maxNuclides = 2*(math.MaxUint16/lookupsPerItem) + 1
+
 // Validate reports unusable configurations.
 func (c Config) Validate() error {
-	if c.Nuclides < 1 || c.GridPoints < 2 || c.Lookups < 1 {
+	if c.Nuclides < 1 || c.Nuclides > maxNuclides || c.GridPoints < 2 || c.Lookups < 1 {
 		return fmt.Errorf("xsbench: invalid config %+v", c)
 	}
 	return nil

@@ -1,13 +1,17 @@
 package xsbench
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"hetbench/internal/apps/appcore"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
 
@@ -224,6 +228,7 @@ func TestConfigValidate(t *testing.T) {
 		{Nuclides: 0, GridPoints: 10, Lookups: 1},
 		{Nuclides: 1, GridPoints: 1, Lookups: 1},
 		{Nuclides: 1, GridPoints: 10, Lookups: 0},
+		{Nuclides: maxNuclides + 1, GridPoints: 10, Lookups: 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -284,6 +289,83 @@ func TestLowerBoundMatchesSortSearch(t *testing.T) {
 			}
 			if got := p.nuclideLowerBound(n, e); got != want {
 				t.Fatalf("nuclide %d at %v: lower bound %d, want %d", n, e, got, want)
+			}
+		}
+	}
+}
+
+// itemOrderPass is the lookup kernel with its lookups in the body: each
+// work item runs its lookups in item order, sums their total cross
+// sections and tallies the nuclides they visited. It returns the
+// launch's counters in every view and the checksum over items, and is
+// the oracle the energy-ordered pass is held to.
+func itemOrderPass(p *Problem) (exec.Views, float64) {
+	partial := make([]float64, p.items())
+	logUnion := math.Log2(float64(len(p.UnionEnergy)))
+	logNuclide := math.Log2(float64(p.Cfg.GridPoints))
+	views := exec.Run(p.items(), func(w *exec.WorkItem) {
+		var out [NumXS]float64
+		sum := 0.0
+		visited := 0
+		for k := 0; k < lookupsPerItem; k++ {
+			i := w.Global*lookupsPerItem + k
+			energy, mat := p.lookupInputs(i)
+			visited += p.LookupMacroXS(energy, mat, &out)
+			sum += out[0]
+		}
+		partial[w.Global] = sum
+		var probes, idxBytes float64
+		if p.Cfg.Grid == UnionizedGrid {
+			probes = float64(lookupsPerItem) * logUnion
+			idxBytes = float64(visited) * 4
+		} else {
+			probes = float64(visited) * logNuclide
+		}
+		flops := float64(visited) * (4 + 3*NumXS)
+		for _, prec := range appcore.Precisions {
+			elt := appcore.EltBytes(prec)
+			sp, dp := appcore.Flops(prec, flops)
+			w.Tally(appcore.View(prec, 0, 1), exec.Counters{
+				SPFlops: sp, DPFlops: dp,
+				LoadBytes:  probes*elt + idxBytes + float64(visited)*2*(1+NumXS)*elt,
+				StoreBytes: elt,
+				Instrs:     probes*6 + float64(visited)*30,
+			})
+		}
+	})
+	return views, p.checksum(partial)
+}
+
+// TestEnergyOrderedPassMatchesItemOrder holds the functional pass, whose
+// lookups run in energy-ordered blocks before the launch, to the
+// item-order oracle bit for bit: the checksum and every view's counters.
+// It covers both grid types, one lookup, part of one item, exactly one
+// block, one block plus one item and several blocks, at GOMAXPROCS 1
+// and 3.
+func TestEnergyOrderedPassMatchesItemOrder(t *testing.T) {
+	block := blockItems * lookupsPerItem
+	tab := generate(16, 512)
+	for _, procs := range []int{1, 3} {
+		for _, grid := range []GridType{UnionizedGrid, NuclideGridOnly} {
+			for _, lookups := range []int{1, 7, block, block + lookupsPerItem, 3*block + 5*lookupsPerItem + 3} {
+				t.Run(fmt.Sprintf("procs=%d/%s/%d", procs, grid, lookups), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					p := &Problem{Cfg: Config{Nuclides: 16, GridPoints: 512, Lookups: lookups, Grid: grid}, Precision: timing.Double, Table: tab}
+					want, wantSum := itemOrderPass(p)
+					if sum := p.execute(new(appcore.Recorder)); math.Float64bits(sum) != math.Float64bits(wantSum) {
+						t.Errorf("checksum %v, item order %v", sum, wantSum)
+					}
+					partial, visited := p.lookupAll()
+					if sum := p.checksum(partial); math.Float64bits(sum) != math.Float64bits(wantSum) {
+						t.Errorf("lookupAll checksum %v, item order %v", sum, wantSum)
+					}
+					got := exec.Run(p.items(), p.tally(visited))
+					for v := range want {
+						if got[v] != want[v] {
+							t.Errorf("view %d: energy order %+v, item order %+v", v, got[v], want[v])
+						}
+					}
+				})
 			}
 		}
 	}
