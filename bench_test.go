@@ -428,8 +428,8 @@ func BenchmarkFaultOverhead(b *testing.B) {
 
 // BenchmarkSchedulerOverhead measures the split-launch path with no
 // co-execution planner attached (the default: one nil check, then the
-// caller falls back to the single-device launch — exactly the routing the
-// runtimes perform under WithCoexec) against the same path with a dynamic
+// caller falls back to the single-device launch — exactly the routing
+// every runtime launch performs) against the same path with a dynamic
 // scheduler splitting every launch. The "off" case is the regression gate:
 // an unattached scheduler must cost nothing beyond the nil check.
 func BenchmarkSchedulerOverhead(b *testing.B) {

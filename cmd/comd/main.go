@@ -8,11 +8,8 @@ import (
 	"fmt"
 	"os"
 
-	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/comd"
 	"hetbench/internal/harness"
-	"hetbench/internal/models/modelapi"
-	"hetbench/internal/sim"
 )
 
 func main() {
@@ -36,8 +33,7 @@ func main() {
 		os.Exit(2)
 	}
 	p := comd.NewProblem(comd.Config{Nx: *x, Ny: *y, Nz: *z, Iters: *iters, FunctionalIters: *fn}, prec)
-	err = harness.RunApp(context.Background(), os.Stdout, comd.AppName, machines,
-		func(m *sim.Machine, model modelapi.Name) appcore.Result { return p.Run(m, model) })
+	err = harness.RunApp(context.Background(), os.Stdout, comd.AppName, machines, p.Run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

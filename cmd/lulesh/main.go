@@ -9,11 +9,8 @@ import (
 	"fmt"
 	"os"
 
-	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/harness"
-	"hetbench/internal/models/modelapi"
-	"hetbench/internal/sim"
 )
 
 func main() {
@@ -35,8 +32,7 @@ func main() {
 		os.Exit(2)
 	}
 	p := lulesh.NewProblem(lulesh.Config{S: *s, Iters: *iters, FunctionalIters: *fn}, prec)
-	err = harness.RunApp(context.Background(), os.Stdout, lulesh.AppName, machines,
-		func(m *sim.Machine, model modelapi.Name) appcore.Result { return p.Run(m, model) })
+	err = harness.RunApp(context.Background(), os.Stdout, lulesh.AppName, machines, p.Run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -39,10 +39,7 @@ func main() {
 	p := minife.NewProblem(minife.Config{Nx: *nx, Ny: *ny, Nz: *nz, MaxIters: *iters, Tol: *tol, FunctionalIters: *fn}, prec)
 	fmt.Printf("system: %d unknowns, %d nonzeros\n\n", p.Cfg.NumRows(), p.Cfg.NNZ())
 	err = harness.RunApp(context.Background(), os.Stdout, minife.AppName, machines,
-		func(m *sim.Machine, model modelapi.Name) appcore.Result {
-			r := p.Run(m, model)
-			return r.Result
-		})
+		func(m *sim.Machine, model modelapi.Name) appcore.Result { return p.Run(m, model).Result })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

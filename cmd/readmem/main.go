@@ -8,11 +8,8 @@ import (
 	"fmt"
 	"os"
 
-	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/readmem"
 	"hetbench/internal/harness"
-	"hetbench/internal/models/modelapi"
-	"hetbench/internal/sim"
 )
 
 func main() {
@@ -32,8 +29,7 @@ func main() {
 		os.Exit(2)
 	}
 	p := readmem.NewProblem(readmem.Config{Blocks: *blocks, Precision: prec})
-	err = harness.RunApp(context.Background(), os.Stdout, readmem.AppName, machines,
-		func(m *sim.Machine, model modelapi.Name) appcore.Result { return p.Run(m, model) })
+	err = harness.RunApp(context.Background(), os.Stdout, readmem.AppName, machines, p.Run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

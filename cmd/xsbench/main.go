@@ -8,11 +8,8 @@ import (
 	"fmt"
 	"os"
 
-	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/xsbench"
 	"hetbench/internal/harness"
-	"hetbench/internal/models/modelapi"
-	"hetbench/internal/sim"
 )
 
 func main() {
@@ -54,8 +51,7 @@ func main() {
 	}
 	p := xsbench.NewProblem(cfg, prec)
 	fmt.Printf("lookup table: %.0f MB\n\n", float64(cfg.TableBytes(prec))/(1<<20))
-	err = harness.RunApp(context.Background(), os.Stdout, xsbench.AppName, machines,
-		func(m *sim.Machine, model modelapi.Name) appcore.Result { return p.Run(m, model) })
+	err = harness.RunApp(context.Background(), os.Stdout, xsbench.AppName, machines, p.Run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -1,7 +1,8 @@
 // Package appcore holds the vocabulary shared by the proxy applications:
-// the run-result record every implementation returns, precision helpers,
-// the conversion from cache-simulator measurements to the timing model's
-// (MissRate, Coalesce) memory traits (Traits, which streams an app's
+// the one run path every Problem.Run takes (Run), the run-result record
+// every implementation returns (Result, built by NewResult), precision
+// helpers, the conversion from cache-simulator measurements to the timing
+// model's (MissRate, Coalesce) memory traits (Traits, which streams an app's
 // generated address trace through the simulated LLC without holding it),
 // the split of a run into a functional pass and a pricing pass (Recorder,
 // Tape, Play) with the pricing views a pass tallies (View), and the
@@ -14,6 +15,7 @@ import (
 
 	"hetbench/internal/memo"
 	"hetbench/internal/models/modelapi"
+	"hetbench/internal/sim"
 	"hetbench/internal/sim/cache"
 	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/timing"
@@ -44,6 +46,33 @@ type Result struct {
 	// Kernels is the number of distinct device kernels the
 	// implementation used (Table I).
 	Kernels int
+}
+
+// NewResult is the Result of a run of app under model that has just
+// ended on m: m's clock splits, plus the run's checksum and the app's
+// kernel count.
+func NewResult(m *sim.Machine, app string, model modelapi.Name, prec timing.Precision, checksum float64, kernels int) Result {
+	return Result{
+		App: app, Model: model, Machine: m.Name(), Precision: prec,
+		ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
+		Checksum: checksum, Kernels: kernels,
+	}
+}
+
+// Run is the one run path of every app's Problem.Run: it resets m's
+// clock, opens the run span app/model and calls model's port on p inside
+// it. It panics for a model ports has no entry for. Each port is also an
+// entry point of its own, so it resets the clock again inside the span.
+func Run[P, R any](m *sim.Machine, app string, model modelapi.Name, p P, ports map[modelapi.Name]func(P, *sim.Machine) R) (r R) {
+	m.ResetClock()
+	m.InRun(app+"/"+string(model), func() {
+		port, ok := ports[model]
+		if !ok {
+			panic(fmt.Sprintf("%s: no implementation for %s", app, model))
+		}
+		r = port(p, m)
+	})
+	return r
 }
 
 // SpeedupOver returns baseline.ElapsedNs / r.ElapsedNs — the paper's

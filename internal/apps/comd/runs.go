@@ -1,7 +1,6 @@
 package comd
 
 import (
-	"fmt"
 	"math"
 
 	"hetbench/internal/apps/appcore"
@@ -218,14 +217,6 @@ func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer, form int) float
 	})
 }
 
-func (p *Problem) result(m *sim.Machine, model modelapi.Name, energy float64) appcore.Result {
-	return appcore.Result{
-		App: AppName, Model: model, Machine: m.Name(), Precision: p.Precision,
-		ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
-		Checksum: energy, Kernels: 3,
-	}
-}
-
 // RunOpenMP is the 4-core CPU baseline (flat force loop).
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
@@ -234,7 +225,7 @@ func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	energy := p.play(rt.Runtime, appcore.Pricer{
 		Launch: func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
 	}, flat)
-	return p.result(m, modelapi.OpenMP, energy)
+	return appcore.NewResult(m, AppName, modelapi.OpenMP, p.Precision, energy, 3)
 }
 
 // runOpenCL stages atoms once and runs the force kernel in the given
@@ -264,14 +255,14 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	q := ctx.NewQueue()
 	q.EnqueueReadBuffer(ctx.CreateBuffer("comd.force", p.groups()[2].bytes))
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, energy)
+	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, energy, 3)
 }
 
 // RunOpenCLFlat is the un-tiled OpenCL variant (no LDS staging), kept for
 // the Section VI-C tiling ablation.
 func (p *Problem) RunOpenCLFlat(m *sim.Machine) appcore.Result {
 	_, energy := p.runOpenCL(m, flat)
-	return p.result(m, modelapi.OpenCL, energy)
+	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, energy, 3)
 }
 
 // RunCppAMP uses tile_static staging for the force kernel (the 3×
@@ -294,7 +285,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 		Transfer: func() { cells.HostWrite() }, // restaged at next launch
 	}, tiled)
 	views[2].Synchronize() // forces + energies
-	return p.result(m, modelapi.CppAMP, energy)
+	return appcore.NewResult(m, AppName, modelapi.CppAMP, p.Precision, energy, 3)
 }
 
 // RunOpenACC annotates the flat loops; the compiler cannot tile or use the
@@ -315,25 +306,18 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 		Transfer: func() { rt.UpdateDevice("comd.cells", cells) },
 	}, flat)
 	region.End()
-	return p.result(m, modelapi.OpenACC, energy)
+	return appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, energy, 3)
 }
 
-// Run dispatches by model name, wrapping the whole run in a trace span.
-func (p *Problem) Run(m *sim.Machine, model modelapi.Name) (r appcore.Result) {
-	m.ResetClock()
-	m.InRun(AppName+"/"+string(model), func() {
-		switch model {
-		case modelapi.OpenMP:
-			r = p.RunOpenMP(m)
-		case modelapi.OpenCL:
-			r = p.RunOpenCL(m)
-		case modelapi.CppAMP:
-			r = p.RunCppAMP(m)
-		case modelapi.OpenACC:
-			r = p.RunOpenACC(m)
-		default:
-			panic(fmt.Sprintf("comd: no implementation for %s", model))
-		}
-	})
-	return r
+// ports are the models Run dispatches to.
+var ports = map[modelapi.Name]func(*Problem, *sim.Machine) appcore.Result{
+	modelapi.OpenMP:  (*Problem).RunOpenMP,
+	modelapi.OpenCL:  (*Problem).RunOpenCL,
+	modelapi.CppAMP:  (*Problem).RunCppAMP,
+	modelapi.OpenACC: (*Problem).RunOpenACC,
+}
+
+// Run runs CoMD under model on m inside one run span (see appcore.Run).
+func (p *Problem) Run(m *sim.Machine, model modelapi.Name) appcore.Result {
+	return appcore.Run(m, AppName, model, p, ports)
 }

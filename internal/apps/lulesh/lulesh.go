@@ -1,7 +1,6 @@
 package lulesh
 
 import (
-	"fmt"
 	"sync"
 
 	"hetbench/internal/apps/appcore"
@@ -269,14 +268,6 @@ func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer) float64 {
 // ---------------------------------------------------------------------
 // Run functions, one per model.
 
-func (p *Problem) result(m *sim.Machine, model modelapi.Name, sum float64) appcore.Result {
-	return appcore.Result{
-		App: AppName, Model: model, Machine: m.Name(), Precision: p.Precision,
-		ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
-		Checksum: sum, Kernels: int(NumKernels),
-	}
-}
-
 // RunOpenMP runs the 4-core CPU baseline.
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
@@ -285,7 +276,7 @@ func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	sum := p.play(rt.Runtime, appcore.Pricer{
 		Launch: func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
 	})
-	return p.result(m, modelapi.OpenMP, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenMP, p.Precision, sum, int(NumKernels))
 }
 
 // RunOpenCL stages the state explicitly, runs 28 NDRange launches per
@@ -294,7 +285,7 @@ func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 // OpenCL's discrete-GPU wins.
 func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	ctx := opencl.NewContext(m).WithCoexec()
+	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 
 	var partials *opencl.Buffer
@@ -318,7 +309,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	q.EnqueueReadBuffer(ctx.CreateBuffer("lulesh.elem", p.group("lulesh.elem").bytes))
 	q.EnqueueReadBuffer(ctx.CreateBuffer("lulesh.nodal", p.group("lulesh.nodal").bytes))
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, sum, int(NumKernels))
 }
 
 // RunCppAMP wraps the state in array_views. On the APU everything is
@@ -327,7 +318,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 // round-trip every iteration (Section VI-A's LULESH discussion).
 func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	rt := cppamp.New(m).WithCoexec()
+	rt := cppamp.New(m)
 
 	views := map[string]*cppamp.ArrayView{}
 	var all []*cppamp.ArrayView
@@ -353,7 +344,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	})
 	views["lulesh.elem"].Synchronize()
 	views["lulesh.nodal"].Synchronize()
-	return p.result(m, modelapi.CppAMP, sum)
+	return appcore.NewResult(m, AppName, modelapi.CppAMP, p.Precision, sum, int(NumKernels))
 }
 
 // RunOpenACC uses a structured data region around the whole timestep loop
@@ -361,7 +352,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 // iteration `update host` of the constraint partials.
 func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	rt := openacc.New(m).WithCoexec()
+	rt := openacc.New(m)
 
 	var clauses []openacc.Clause
 	for _, g := range p.groups() {
@@ -383,7 +374,7 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 		Transfer: func() { rt.UpdateHost("lulesh.partials", partials) },
 	})
 	region.End()
-	return p.result(m, modelapi.OpenACC, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, sum, int(NumKernels))
 }
 
 // RunHC is the Section VII model: the initial state upload is
@@ -411,25 +402,18 @@ func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 	rt.Wait()
 	rt.CopyBack("lulesh.elem", p.group("lulesh.elem").bytes)
 	rt.CopyBack("lulesh.nodal", p.group("lulesh.nodal").bytes)
-	return p.result(m, modelapi.HC, sum)
+	return appcore.NewResult(m, AppName, modelapi.HC, p.Precision, sum, int(NumKernels))
 }
 
-// Run dispatches by model name, wrapping the whole run in a trace span.
-func (p *Problem) Run(m *sim.Machine, model modelapi.Name) (r appcore.Result) {
-	m.ResetClock()
-	m.InRun(AppName+"/"+string(model), func() {
-		switch model {
-		case modelapi.OpenMP:
-			r = p.RunOpenMP(m)
-		case modelapi.OpenCL:
-			r = p.RunOpenCL(m)
-		case modelapi.CppAMP:
-			r = p.RunCppAMP(m)
-		case modelapi.OpenACC:
-			r = p.RunOpenACC(m)
-		default:
-			panic(fmt.Sprintf("lulesh: no implementation for %s", model))
-		}
-	})
-	return r
+// ports are the models Run dispatches to.
+var ports = map[modelapi.Name]func(*Problem, *sim.Machine) appcore.Result{
+	modelapi.OpenMP:  (*Problem).RunOpenMP,
+	modelapi.OpenCL:  (*Problem).RunOpenCL,
+	modelapi.CppAMP:  (*Problem).RunCppAMP,
+	modelapi.OpenACC: (*Problem).RunOpenACC,
+}
+
+// Run runs LULESH under model on m inside one run span (see appcore.Run).
+func (p *Problem) Run(m *sim.Machine, model modelapi.Name) appcore.Result {
+	return appcore.Run(m, AppName, model, p, ports)
 }

@@ -1,7 +1,6 @@
 package minife
 
 import (
-	"fmt"
 	"math"
 
 	"hetbench/internal/apps/appcore"
@@ -351,18 +350,6 @@ func (p *Problem) solve(rec *appcore.Recorder) solution {
 	return solution{iters, math.Sqrt(rr), sum}
 }
 
-func (p *Problem) result(m *sim.Machine, model modelapi.Name, s solution) SolveResult {
-	return SolveResult{
-		Result: appcore.Result{
-			App: AppName, Model: model, Machine: m.Name(), Precision: p.Precision,
-			ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
-			Checksum: s.sum, Kernels: 3,
-		},
-		Iterations: s.iters,
-		Residual:   s.residual,
-	}
-}
-
 // matrixBytes returns the device footprint of the modeled CSR and of the
 // solver's vectors.
 func (p *Problem) matrixBytes() (mat, vecs int64) {
@@ -389,13 +376,13 @@ func (p *Problem) RunOpenMP(m *sim.Machine) SolveResult {
 	s := p.play(rt.Runtime, appcore.Pricer{
 		Launch: func(k, n int, per exec.Counters) { rt.Launch(specs[k], n, per) },
 	}, spmvHost)
-	return p.result(m, modelapi.OpenMP, s)
+	return SolveResult{appcore.NewResult(m, AppName, modelapi.OpenMP, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
 // RunOpenCL uses the CSR-Adaptive SpMV with explicit staging.
 func (p *Problem) RunOpenCL(m *sim.Machine) SolveResult {
 	m.ResetClock()
-	ctx := opencl.NewContext(m).WithCoexec()
+	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 	mat, vecs := p.matrixBytes()
 	q.EnqueueWriteBuffer(ctx.CreateBuffer("minife.matrix", mat))
@@ -409,13 +396,13 @@ func (p *Problem) RunOpenCL(m *sim.Machine) SolveResult {
 	elt := int64(appcore.EltBytes(p.Precision))
 	q.EnqueueReadBuffer(ctx.CreateBuffer("minife.x", int64(p.Cfg.NumRows())*elt))
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, s)
+	return SolveResult{appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
 // RunCppAMP uses tiled CSR-Adaptive via tile_static staging.
 func (p *Problem) RunCppAMP(m *sim.Machine) SolveResult {
 	m.ResetClock()
-	rt := cppamp.New(m).WithCoexec()
+	rt := cppamp.New(m)
 	mat, vecs := p.matrixBytes()
 	views := []*cppamp.ArrayView{
 		rt.NewArrayView("minife.matrix", mat),
@@ -430,7 +417,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) SolveResult {
 	for _, v := range views {
 		v.Synchronize()
 	}
-	return p.result(m, modelapi.CppAMP, s)
+	return SolveResult{appcore.NewResult(m, AppName, modelapi.CppAMP, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
 // RunOpenACC uses a data region; the compiler generates scalar
@@ -439,7 +426,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) SolveResult {
 // explanation for the OpenACC slowdown on miniFE.
 func (p *Problem) RunOpenACC(m *sim.Machine) SolveResult {
 	m.ResetClock()
-	rt := openacc.New(m).WithCoexec()
+	rt := openacc.New(m)
 	mat, vecs := p.matrixBytes()
 	partials := openacc.Create("minife.partials", p.partialsBytes())
 	region := rt.Data(
@@ -453,7 +440,7 @@ func (p *Problem) RunOpenACC(m *sim.Machine) SolveResult {
 		Transfer: func() { rt.UpdateHost(partials.Name, partials.Bytes) },
 	}, spmvScalarGPU)
 	region.End()
-	return p.result(m, modelapi.OpenACC, s)
+	return SolveResult{appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
 // RunOpenACCConservative runs the CG solve without the hand-placed data
@@ -481,25 +468,19 @@ func (p *Problem) RunOpenACCConservative(m *sim.Machine) SolveResult {
 		},
 		Transfer: func() { rt.UpdateHost(partials.Name, partials.Bytes) },
 	}, spmvScalarGPU)
-	return p.result(m, modelapi.OpenACC, s)
+	return SolveResult{appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
-// Run dispatches by model name.
-func (p *Problem) Run(m *sim.Machine, model modelapi.Name) (r SolveResult) {
-	m.ResetClock()
-	m.InRun(AppName+"/"+string(model), func() {
-		switch model {
-		case modelapi.OpenMP:
-			r = p.RunOpenMP(m)
-		case modelapi.OpenCL:
-			r = p.RunOpenCL(m)
-		case modelapi.CppAMP:
-			r = p.RunCppAMP(m)
-		case modelapi.OpenACC:
-			r = p.RunOpenACC(m)
-		default:
-			panic(fmt.Sprintf("minife: no implementation for %s", model))
-		}
-	})
-	return r
+// ports are the models Run dispatches to.
+var ports = map[modelapi.Name]func(*Problem, *sim.Machine) SolveResult{
+	modelapi.OpenMP:  (*Problem).RunOpenMP,
+	modelapi.OpenCL:  (*Problem).RunOpenCL,
+	modelapi.CppAMP:  (*Problem).RunCppAMP,
+	modelapi.OpenACC: (*Problem).RunOpenACC,
+}
+
+// Run solves the system under model on m inside one run span (see
+// appcore.Run).
+func (p *Problem) Run(m *sim.Machine, model modelapi.Name) SolveResult {
+	return appcore.Run(m, AppName, model, p, ports)
 }

@@ -184,28 +184,20 @@ func (p *Problem) bytesOut() int64 {
 	return int64(p.Cfg.Blocks) * int64(appcore.EltBytes(p.Cfg.Precision))
 }
 
-func (p *Problem) result(m *sim.Machine, model modelapi.Name, sum float64) appcore.Result {
-	return appcore.Result{
-		App: AppName, Model: model, Machine: m.Name(), Precision: p.Cfg.Precision,
-		ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
-		Checksum: sum, Kernels: 1,
-	}
-}
-
 // RunOpenMP is the Figure 3b port: the serial loop plus one pragma.
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
 	rt := openmp.New(m)
 	spec := p.spec(m)
 	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, per) })
-	return p.result(m, modelapi.OpenMP, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenMP, p.Cfg.Precision, sum, 1)
 }
 
 // RunOpenCL is the Figure 4 implementation: explicit buffers, staging and
 // an NDRange launch.
 func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	ctx := opencl.NewContext(m).WithCoexec()
+	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 	bufIn := ctx.CreateBuffer("read.in", p.bytesIn())
 	bufOut := ctx.CreateBuffer("read.out", p.bytesOut())
@@ -214,21 +206,21 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	sum := p.play(ctx.Runtime, func(n int, per exec.Counters) { q.Launch(spec, n, per, bufIn, bufOut) })
 	q.EnqueueReadBuffer(bufOut)
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Cfg.Precision, sum, 1)
 }
 
 // RunCppAMP is the Figure 6 implementation: array_views and a
 // parallel_for_each over a tiled extent.
 func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	rt := cppamp.New(m).WithCoexec()
+	rt := cppamp.New(m)
 	avIn := rt.NewArrayView("read.in", p.bytesIn())
 	avOut := rt.NewArrayView("read.out", p.bytesOut())
 	views := []*cppamp.ArrayView{avIn, avOut}
 	spec := p.spec(m)
 	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, cppamp.NewExtent(n), views, per) })
 	avOut.Synchronize()
-	return p.result(m, modelapi.CppAMP, sum)
+	return appcore.NewResult(m, AppName, modelapi.CppAMP, p.Cfg.Precision, sum, 1)
 }
 
 // RunOpenACC is the Figure 5 implementation: a kernels-loop with the
@@ -236,7 +228,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 // data movement left to the compiler.
 func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	m.ResetClock()
-	rt := openacc.New(m).WithCoexec()
+	rt := openacc.New(m)
 	uses := []openacc.Clause{
 		openacc.Copyin("read.in", p.bytesIn()),
 		openacc.Copyout("read.out", p.bytesOut()),
@@ -244,25 +236,19 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	gang := (p.Cfg.Blocks + BlockSize - 1) / BlockSize
 	spec := p.spec(m)
 	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.LaunchGV(spec, n, gang, BlockSize, uses, per) })
-	return p.result(m, modelapi.OpenACC, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenACC, p.Cfg.Precision, sum, 1)
 }
 
-// Run dispatches by model name.
-func (p *Problem) Run(m *sim.Machine, model modelapi.Name) (r appcore.Result) {
-	m.ResetClock()
-	m.InRun(AppName+"/"+string(model), func() {
-		switch model {
-		case modelapi.OpenMP:
-			r = p.RunOpenMP(m)
-		case modelapi.OpenCL:
-			r = p.RunOpenCL(m)
-		case modelapi.CppAMP:
-			r = p.RunCppAMP(m)
-		case modelapi.OpenACC:
-			r = p.RunOpenACC(m)
-		default:
-			panic(fmt.Sprintf("readmem: no implementation for %s", model))
-		}
-	})
-	return r
+// ports are the models Run dispatches to.
+var ports = map[modelapi.Name]func(*Problem, *sim.Machine) appcore.Result{
+	modelapi.OpenMP:  (*Problem).RunOpenMP,
+	modelapi.OpenCL:  (*Problem).RunOpenCL,
+	modelapi.CppAMP:  (*Problem).RunCppAMP,
+	modelapi.OpenACC: (*Problem).RunOpenACC,
+}
+
+// Run runs the benchmark under model on m inside one run span (see
+// appcore.Run).
+func (p *Problem) Run(m *sim.Machine, model modelapi.Name) appcore.Result {
+	return appcore.Run(m, AppName, model, p, ports)
 }

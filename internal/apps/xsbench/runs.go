@@ -1,7 +1,6 @@
 package xsbench
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -182,21 +181,13 @@ func (p *Problem) play(core *modelapi.Runtime, launch func(n int, per exec.Count
 	}, p.execute)
 }
 
-func (p *Problem) result(m *sim.Machine, model modelapi.Name, sum float64) appcore.Result {
-	return appcore.Result{
-		App: AppName, Model: model, Machine: m.Name(), Precision: p.Precision,
-		ElapsedNs: m.ElapsedNs(), KernelNs: m.KernelNs(), TransferNs: m.TransferNs(), FaultNs: m.FaultNs(),
-		Checksum: sum, Kernels: 1,
-	}
-}
-
 // RunOpenMP is the CPU baseline.
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
 	rt := openmp.New(m)
 	spec := p.Specs(m)
 	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, per) })
-	return p.result(m, modelapi.OpenMP, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenMP, p.Precision, sum, 1)
 }
 
 // RunOpenCL stages the lookup table once (the dominant transfer on the
@@ -213,7 +204,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	sum := p.play(ctx.Runtime, func(n int, per exec.Counters) { q.Launch(spec, n, per) })
 	q.EnqueueReadBuffer(results)
 	q.Finish()
-	return p.result(m, modelapi.OpenCL, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, sum, 1)
 }
 
 // RunCppAMP wraps the table in an array_view. CLAMP v0.6 performs no
@@ -233,7 +224,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	for _, v := range views {
 		v.Synchronize()
 	}
-	return p.result(m, modelapi.CppAMP, sum)
+	return appcore.NewResult(m, AppName, modelapi.CppAMP, p.Precision, sum, 1)
 }
 
 // RunOpenACC uses a data region with copyin for the table (the hand-tuned
@@ -249,7 +240,7 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	spec := p.Specs(m)
 	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, nil, per) })
 	region.End()
-	return p.result(m, modelapi.OpenACC, sum)
+	return appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, sum, 1)
 }
 
 // RunHC runs the Section VII Heterogeneous Compute model: single-source
@@ -264,25 +255,18 @@ func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, per) })
 	rt.Wait()
 	rt.CopyBack("xs.results", int64(p.items())*int64(appcore.EltBytes(p.Precision)))
-	return p.result(m, modelapi.HC, sum)
+	return appcore.NewResult(m, AppName, modelapi.HC, p.Precision, sum, 1)
 }
 
-// Run dispatches by model name.
-func (p *Problem) Run(m *sim.Machine, model modelapi.Name) (r appcore.Result) {
-	m.ResetClock()
-	m.InRun(AppName+"/"+string(model), func() {
-		switch model {
-		case modelapi.OpenMP:
-			r = p.RunOpenMP(m)
-		case modelapi.OpenCL:
-			r = p.RunOpenCL(m)
-		case modelapi.CppAMP:
-			r = p.RunCppAMP(m)
-		case modelapi.OpenACC:
-			r = p.RunOpenACC(m)
-		default:
-			panic(fmt.Sprintf("xsbench: no implementation for %s", model))
-		}
-	})
-	return r
+// ports are the models Run dispatches to.
+var ports = map[modelapi.Name]func(*Problem, *sim.Machine) appcore.Result{
+	modelapi.OpenMP:  (*Problem).RunOpenMP,
+	modelapi.OpenCL:  (*Problem).RunOpenCL,
+	modelapi.CppAMP:  (*Problem).RunCppAMP,
+	modelapi.OpenACC: (*Problem).RunOpenACC,
+}
+
+// Run runs XSBench under model on m inside one run span (see appcore.Run).
+func (p *Problem) Run(m *sim.Machine, model modelapi.Name) appcore.Result {
+	return appcore.Run(m, AppName, model, p, ports)
 }

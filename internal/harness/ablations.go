@@ -7,6 +7,8 @@ import (
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/comd"
+	"hetbench/internal/apps/lulesh"
+	"hetbench/internal/apps/minife"
 	"hetbench/internal/apps/xsbench"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/modelapi"
@@ -28,26 +30,32 @@ type HCCell struct {
 // OpenACC and approach (or beat) OpenCL, because uploads hide behind
 // kernels and no compiler-managed copies ever recur.
 func AblationHCData(ctx context.Context, scale Scale) ([]HCCell, error) {
-	// One runner cell per (app, model) row, each with its own workloads
-	// and machine; the row order matches the serial table.
+	// One runner cell per (app, model) row, each with its own Problem and
+	// machine; the row order matches the serial table. The rows call the
+	// model ports directly, since Run dispatches no HC port.
+	xs := func(memo *appcore.Memo) *xsbench.Problem {
+		return &xsbench.Problem{Cfg: xsbenchConfig(scale), Precision: timing.Double, Memo: memo}
+	}
+	lu := func(memo *appcore.Memo) *lulesh.Problem {
+		return &lulesh.Problem{Cfg: luleshConfig(scale), Precision: timing.Double, Memo: memo}
+	}
 	combos := []struct {
 		app   string
 		model modelapi.Name
-		run   func(w *workloads, m *sim.Machine) appcore.Result
+		run   func(memo *appcore.Memo, m *sim.Machine) appcore.Result
 	}{
-		{"XSBench", modelapi.OpenCL, func(w *workloads, m *sim.Machine) appcore.Result { return w.Xsbench().RunOpenCL(m) }},
-		{"XSBench", modelapi.CppAMP, func(w *workloads, m *sim.Machine) appcore.Result { return w.Xsbench().RunCppAMP(m) }},
-		{"XSBench", modelapi.OpenACC, func(w *workloads, m *sim.Machine) appcore.Result { return w.Xsbench().RunOpenACC(m) }},
-		{"XSBench", modelapi.HC, func(w *workloads, m *sim.Machine) appcore.Result { return w.Xsbench().RunHC(m) }},
-		{"LULESH", modelapi.OpenCL, func(w *workloads, m *sim.Machine) appcore.Result { return w.Lulesh().RunOpenCL(m) }},
-		{"LULESH", modelapi.CppAMP, func(w *workloads, m *sim.Machine) appcore.Result { return w.Lulesh().RunCppAMP(m) }},
-		{"LULESH", modelapi.OpenACC, func(w *workloads, m *sim.Machine) appcore.Result { return w.Lulesh().RunOpenACC(m) }},
-		{"LULESH", modelapi.HC, func(w *workloads, m *sim.Machine) appcore.Result { return w.Lulesh().RunHC(m) }},
+		{"XSBench", modelapi.OpenCL, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return xs(memo).RunOpenCL(m) }},
+		{"XSBench", modelapi.CppAMP, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return xs(memo).RunCppAMP(m) }},
+		{"XSBench", modelapi.OpenACC, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return xs(memo).RunOpenACC(m) }},
+		{"XSBench", modelapi.HC, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return xs(memo).RunHC(m) }},
+		{"LULESH", modelapi.OpenCL, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return lu(memo).RunOpenCL(m) }},
+		{"LULESH", modelapi.CppAMP, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return lu(memo).RunCppAMP(m) }},
+		{"LULESH", modelapi.OpenACC, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return lu(memo).RunOpenACC(m) }},
+		{"LULESH", modelapi.HC, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return lu(memo).RunHC(m) }},
 	}
 	return runner.Map(ctx, "hc", len(combos), func(cx *runner.Ctx, i int) HCCell {
 		c := combos[i]
-		w := newWorkloads(cx.Context(), scale, timing.Double)
-		r := c.run(w, cx.Machine(sim.NewDGPU))
+		r := c.run(memoOf(cx.Context()), cx.Machine(sim.NewDGPU))
 		return HCCell{
 			App: c.app, Model: c.model,
 			ElapsedMs: r.ElapsedNs / 1e6, KernelMs: r.KernelNs / 1e6, TransferMs: r.TransferNs / 1e6,
@@ -166,13 +174,13 @@ func RunAblationGridType(ctx context.Context, scale Scale, w io.Writer) error {
 func AblationDataRegionData(ctx context.Context, scale Scale) (withMs, withoutMs float64, withMB, withoutMB float64, err error) {
 	type cell struct{ ms, mb float64 }
 	out, err := runner.Map(ctx, "dataregion", 2, func(cx *runner.Ctx, i int) cell {
-		w := newWorkloads(cx.Context(), scale, timing.Double)
+		p := &minife.Problem{Cfg: minifeConfig(scale), Precision: timing.Double, Memo: memoOf(cx.Context())}
 		m := cx.Machine(sim.NewDGPU)
 		var r appcore.Result
 		if i == 0 {
-			r = w.Minife().RunOpenACC(m).Result
+			r = p.RunOpenACC(m).Result
 		} else {
-			r = w.Minife().RunOpenACCConservative(m).Result
+			r = p.RunOpenACCConservative(m).Result
 		}
 		st := m.Link().Stats()
 		return cell{ms: r.ElapsedNs / 1e6, mb: float64(st.BytesToDevice+st.BytesFromDevice) / (1 << 20)}

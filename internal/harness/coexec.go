@@ -61,20 +61,12 @@ func (c CoexecCell) Speedup() float64 {
 	return c.BaselineNs / c.Result.ElapsedNs
 }
 
-// CoexecData sweeps readmem, LULESH and miniFE across the partitioners on
-// both machines. The partitioners draw no randomness, so the sweep is
-// bit-reproducible under any seed; the context's seed (SeedOf) is still
-// threaded into each scheduler so future stochastic policies inherit the
-// contract.
+// CoexecData sweeps readmem, LULESH and miniFE under OpenCL across the
+// partitioners on both machines. The partitioners draw no randomness, so
+// the sweep is bit-reproducible under any seed.
 func CoexecData(ctx context.Context, scale Scale) ([]CoexecCell, error) {
-	apps := []struct {
-		name string
-		run  func(w *workloads, m *sim.Machine) appcore.Result
-	}{
-		{readmem.AppName, func(w *workloads, m *sim.Machine) appcore.Result { return w.Readmem().Run(m, modelapi.OpenCL) }},
-		{lulesh.AppName, func(w *workloads, m *sim.Machine) appcore.Result { return w.Lulesh().Run(m, modelapi.OpenCL) }},
-		{minife.AppName, func(w *workloads, m *sim.Machine) appcore.Result { return w.Minife().Run(m, modelapi.OpenCL).Result }},
-	}
+	apps := []string{readmem.AppName, lulesh.AppName, minife.AppName}
+	cfgs := scaleConfigs(scale, timing.Double)
 	machines := []struct {
 		name string
 		mk   func() *sim.Machine
@@ -94,23 +86,21 @@ func CoexecData(ctx context.Context, scale Scale) ([]CoexecCell, error) {
 	}
 	groups, err := runner.Map(ctx, "coexec", len(combos), func(cx *runner.Ctx, i int) []CoexecCell {
 		mach, app := machines[combos[i].mach], apps[combos[i].app]
-		w := newWorkloads(cx.Context(), scale, timing.Double)
-		baseline := app.run(w, cx.Machine(mach.mk))
+		memo := memoOf(cx.Context())
+		baseline := runApp(memo, cfgs, app, cx.Machine(mach.mk), modelapi.OpenCL)
 		var cells []CoexecCell
 		for _, p := range coexecPartitioners() {
 			cell := CoexecCell{
-				Machine: mach.name, App: app.name, Partition: p.Label,
+				Machine: mach.name, App: app, Partition: p.Label,
 				BaselineNs: baseline.ElapsedNs,
 			}
 			if p.Cfg == nil {
 				cell.Result = baseline
 			} else {
-				cfg := *p.Cfg
-				cfg.Seed = SeedOf(cx.Context())
-				s := sched.New(cfg)
+				s := sched.New(*p.Cfg)
 				m := cx.Machine(mach.mk)
 				m.SetCoexec(s)
-				cell.Result = app.run(w, m)
+				cell.Result = runApp(memo, cfgs, app, m, modelapi.OpenCL)
 				cell.Stats = s.Stats()
 			}
 			cells = append(cells, cell)

@@ -52,10 +52,8 @@ func TestCoexecDynamicBeatsWorstStatic(t *testing.T) {
 func TestCoexecCellsSplitAndStayCorrect(t *testing.T) {
 	cells := must(CoexecData(WithMemo(bg), ScaleSmoke))
 	fresh := map[string]float64{}
-	w := newWorkloads(bg, ScaleSmoke, timing.Double)
 	for _, app := range []string{readmem.AppName, lulesh.AppName, minife.AppName} {
-		r, _ := w.runnerByName(app)
-		fresh[app] = r.run(sim.NewAPU(), modelapi.OpenMP).Checksum
+		fresh[app] = runApp(nil, scaleConfigs(ScaleSmoke, timing.Double), app, sim.NewAPU(), modelapi.OpenMP).Checksum
 	}
 	for _, c := range cells {
 		if want := fresh[c.App]; c.Result.Checksum != want {

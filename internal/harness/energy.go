@@ -45,10 +45,8 @@ func EnergyData(ctx context.Context, scale Scale) ([]EnergyRow, error) {
 		}
 	}
 	return runner.Map(ctx, "energy", len(combos), func(cx *runner.Ctx, i int) EnergyRow {
-		w := newWorkloads(cx.Context(), scale, timing.Double)
-		r, _ := w.runnerByName(combos[i].app)
 		m := tracedMachine(cx, combos[i].mk)
-		res := r.run(m, modelapi.OpenCL)
+		res := runApp(memoOf(cx.Context()), scaleConfigs(scale, timing.Double), combos[i].app, m, modelapi.OpenCL)
 
 		// The machine prices every launch's compute and DRAM energy as it
 		// books it. OpenCL runs launch only on the accelerator, so that
@@ -69,7 +67,7 @@ func EnergyData(ctx context.Context, scale Scale) ([]EnergyRow, error) {
 			avgW = energy / (res.ElapsedNs / 1e9)
 		}
 		return EnergyRow{
-			App: r.name, Machine: m.Name(),
+			App: combos[i].app, Machine: m.Name(),
 			TimeMs: res.ElapsedNs / 1e6, EnergyJ: energy, AvgW: avgW,
 		}
 	})

@@ -19,51 +19,6 @@ import (
 	"hetbench/internal/sloc"
 )
 
-// appRunner adapts one app to a uniform (machine, model) → result call.
-type appRunner struct {
-	name string
-	run  func(m *sim.Machine, model modelapi.Name) appcore.Result
-	// kernelOnly marks apps the paper compares by kernel time (the
-	// read-benchmark: "data-transfer times, if any, were left out").
-	kernelOnly bool
-}
-
-func (w *workloads) runners() []appRunner {
-	return []appRunner{
-		{
-			name:       "read-benchmark",
-			run:        func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Readmem().Run(m, md) },
-			kernelOnly: true,
-		},
-		{
-			name: "LULESH",
-			run:  func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Lulesh().Run(m, md) },
-		},
-		{
-			name: "CoMD",
-			run:  func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Comd().Run(m, md) },
-		},
-		{
-			name: "XSBench",
-			run:  func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Xsbench().Run(m, md) },
-		},
-		{
-			name: "miniFE",
-			run:  func(m *sim.Machine, md modelapi.Name) appcore.Result { return w.Minife().Run(m, md).Result },
-		},
-	}
-}
-
-// runnerByName finds one app adapter; ok is false for unknown names.
-func (w *workloads) runnerByName(name string) (appRunner, bool) {
-	for _, r := range w.runners() {
-		if r.name == name {
-			return r, true
-		}
-	}
-	return appRunner{}, false
-}
-
 // ---------------------------------------------------------------------
 // Table I.
 
@@ -84,16 +39,15 @@ type Table1Row struct {
 func Table1Data(ctx context.Context, scale Scale) ([]Table1Row, error) {
 	char := characterizationMissRates(memoOf(ctx))
 	// Table I lists only the four proxy applications (not read-benchmark);
-	// one runner cell per app, each with its own workloads and machine.
+	// one runner cell per app, each with its own machine.
 	apps := []string{"LULESH", "CoMD", "XSBench", "miniFE"}
+	cfgs := scaleConfigs(scale, timing.Double)
 	return runner.Map(ctx, "table1", len(apps), func(cx *runner.Ctx, i int) Table1Row {
-		w := newWorkloads(cx.Context(), scale, timing.Double)
-		r, _ := w.runnerByName(apps[i])
 		m := cx.Machine(sim.NewDGPU)
-		res := r.run(m, modelapi.OpenCL)
+		res := runApp(memoOf(cx.Context()), cfgs, apps[i], m, modelapi.OpenCL)
 		return Table1Row{
-			App:         r.name,
-			MissRate:    char[r.name],
+			App:         apps[i],
+			MissRate:    char[apps[i]],
 			IPC:         m.IPC(),
 			Kernels:     res.Kernels,
 			Boundedness: m.Boundedness(),

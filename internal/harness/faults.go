@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/fault"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/modelapi"
@@ -90,8 +91,8 @@ func FaultsData(ctx context.Context, scale Scale) ([]FaultCell, error) {
 	// so the streams are identical to the serial sweep's.
 	groups, err := runner.Map(ctx, "faults", len(models), func(cx *runner.Ctx, mi int) []FaultCell {
 		model := models[mi]
-		w := newWorkloads(cx.Context(), scale, timing.Double)
-		clean := w.Lulesh().Run(cx.Machine(sim.NewDGPU), model)
+		p := &lulesh.Problem{Cfg: luleshConfig(scale), Precision: timing.Double, Memo: memoOf(cx.Context())}
+		clean := p.Run(cx.Machine(sim.NewDGPU), model)
 		cells := make([]FaultCell, 0, len(FaultRates))
 		for ri, rate := range FaultRates {
 			cell := FaultCell{
@@ -108,7 +109,7 @@ func FaultsData(ctx context.Context, scale Scale) ([]FaultCell, error) {
 			m.SetFaultInjector(inj, pol)
 			cell.Result, cell.TotalNs, cell.Redos, cell.Correct = runResilient(
 				m, pol, clean.Checksum,
-				func() appcore.Result { return w.Lulesh().Run(m, model) },
+				func() appcore.Result { return p.Run(m, model) },
 			)
 			cell.Stats = m.Resilience()
 			cell.Injected = inj.Total()

@@ -2,10 +2,10 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/readmem"
 	"hetbench/internal/fault"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
@@ -70,8 +70,8 @@ func TestFaultsReproducibleUnderSeed(t *testing.T) {
 // injector as a last resort — completion with correct numerics is
 // guaranteed.
 func TestRunResilientRedoesSilentCorruption(t *testing.T) {
-	w := newWorkloads(context.Background(), ScaleSmoke, timing.Double)
-	golden := w.Readmem().RunOpenCL(sim.NewDGPU()).Checksum
+	p := &readmem.Problem{Cfg: readmemConfig(ScaleSmoke, timing.Double)}
+	golden := p.RunOpenCL(sim.NewDGPU()).Checksum
 	pol := fault.DefaultPolicy()
 
 	sawRedo := false
@@ -79,7 +79,7 @@ func TestRunResilientRedoesSilentCorruption(t *testing.T) {
 		m := sim.NewDGPU()
 		m.SetFaultInjector(fault.New(fault.Config{Seed: s, BitFlipRate: 0.75}), pol)
 		res, total, redos, correct := runResilient(m, pol, golden,
-			func() appcore.Result { return w.Readmem().RunOpenCL(m) })
+			func() appcore.Result { return p.RunOpenCL(m) })
 		if !correct || res.Checksum != golden {
 			t.Fatalf("seed %d: runResilient returned wrong checksum %g, want %g", s, res.Checksum, golden)
 		}
@@ -100,49 +100,18 @@ func TestRunResilientRedoesSilentCorruption(t *testing.T) {
 // and the checksum can diverge from the clean one before any redo. A
 // memoized replay would always report the clean checksum.
 func TestFaultInjectedRunsBypassTheMemo(t *testing.T) {
-	w := newWorkloads(WithMemo(bg), ScaleSmoke, timing.Double)
-	clean := w.Readmem().RunOpenCL(sim.NewDGPU()).Checksum
+	p := &readmem.Problem{Cfg: readmemConfig(ScaleSmoke, timing.Double), Memo: &appcore.Memo{}}
+	clean := p.RunOpenCL(sim.NewDGPU()).Checksum
 	diverged := false
 	for s := int64(1); s <= 8 && !diverged; s++ {
 		m := sim.NewDGPU()
 		m.SetFaultInjector(fault.New(fault.Config{Seed: s, BitFlipRate: 0.75}), fault.DefaultPolicy())
-		diverged = w.Readmem().RunOpenCL(m).Checksum != clean
+		diverged = p.RunOpenCL(m).Checksum != clean
 	}
 	if !diverged {
 		t.Error("no seed in 1..8 diverged from the clean checksum at a 0.75 bit-flip rate")
 	}
-	if got := w.Readmem().RunOpenCL(sim.NewDGPU()).Checksum; got != clean {
+	if got := p.RunOpenCL(sim.NewDGPU()).Checksum; got != clean {
 		t.Errorf("clean run after faulty ones: checksum %g, want %g", got, clean)
-	}
-}
-
-// The smoke scale builds complete (toy-sized) workloads on demand.
-func TestSmokeWorkloads(t *testing.T) {
-	w := newWorkloads(context.Background(), ScaleSmoke, timing.Double)
-	if w.Readmem() == nil || w.Lulesh() == nil || w.Comd() == nil || w.Xsbench() == nil || w.Minife() == nil {
-		t.Fatal("smoke workloads incomplete")
-	}
-}
-
-// Lazy workloads build each app exactly once and honor the per-app config
-// overrides the Figure 7 sweep installs.
-func TestWorkloadsLazyAndOverridable(t *testing.T) {
-	w := newWorkloads(context.Background(), ScaleSmoke, timing.Double)
-	if w.lulesh != nil || w.comd != nil {
-		t.Fatal("workloads built apps eagerly")
-	}
-	if p := w.Lulesh(); p != w.Lulesh() {
-		t.Error("Lulesh() rebuilt the problem on second call")
-	}
-	if w.comd != nil {
-		t.Error("Lulesh() built CoMD as a side effect")
-	}
-
-	f7 := fig7Workloads(context.Background(), ScaleSmoke)
-	if got := f7.Lulesh().Cfg.Iters; got != 2 {
-		t.Errorf("fig7 LULESH override not applied: Iters = %d, want 2", got)
-	}
-	if got := f7.Minife().Cfg.MaxIters; got != 5 {
-		t.Errorf("fig7 miniFE override not applied: MaxIters = %d, want 5", got)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"hetbench/internal/apps/comd"
+	"hetbench/internal/apps/readmem"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/report"
@@ -20,27 +22,17 @@ var (
 	fig7MemMHz  = []int{480, 590, 700, 810, 920, 1030, 1140, 1250}
 )
 
-// fig7Workloads builds the sweep instances: few iterations (only relative
-// kernel time matters) but large enough bodies that launch overhead does
-// not flatten the curves.
-func fig7Workloads(ctx context.Context, scale Scale) *workloads {
-	w := newWorkloads(ctx, scale, timing.Single)
-	lcfg := luleshConfig(scale)
-	lcfg.Iters, lcfg.FunctionalIters = 2, 1
-	w.luleshCfg = &lcfg
-	ccfg := comdFig7Cfg(scale)
-	w.comdCfg = &ccfg
-	mcfg := minifeConfig(scale)
-	mcfg.MaxIters, mcfg.FunctionalIters = 5, 1
-	w.minifeCfg = &mcfg
-	return w
-}
-
-func comdFig7Cfg(scale Scale) comd.Config {
-	c := comd.Config{Nx: 16, Ny: 16, Nz: 16, Iters: 2, FunctionalIters: 1}
+// fig7Configs returns the sweep's configurations: few iterations (only
+// relative kernel time matters) but large enough bodies that launch
+// overhead does not flatten the curves.
+func fig7Configs(scale Scale) appConfigs {
+	c := scaleConfigs(scale, timing.Single)
+	c.lulesh.Iters, c.lulesh.FunctionalIters = 2, 1
+	c.comd = comd.Config{Nx: 16, Ny: 16, Nz: 16, Iters: 2, FunctionalIters: 1}
 	if scale == ScalePaper {
-		c.Nx, c.Ny, c.Nz = 24, 24, 24
+		c.comd.Nx, c.comd.Ny, c.comd.Nz = 24, 24, 24
 	}
+	c.minife.MaxIters, c.minife.FunctionalIters = 5, 1
 	return c
 }
 
@@ -64,21 +56,20 @@ func fig7Data(cx *runner.Ctx, scale Scale, app string) ([]*report.Series, error)
 		// Without a memo every clock point would re-execute the app.
 		ctx = WithMemo(ctx)
 	}
-	w := fig7Workloads(ctx, scale)
-	target, ok := w.runnerByName(app)
-	if !ok {
+	if !slices.Contains(AppNames, app) {
 		return nil, fmt.Errorf("harness: fig7: unknown app %q", app)
 	}
+	memo, cfgs := memoOf(ctx), fig7Configs(scale)
 
 	// The nominal-clock run on the cell's machine fills the memo (and is
 	// the run a -trace capture sees).
-	target.run(cx.Machine(sim.NewDGPU), modelapi.OpenCL)
+	runApp(memo, cfgs, app, cx.Machine(sim.NewDGPU), modelapi.OpenCL)
 
 	timeAt := func(core, mem int) float64 {
 		m := sim.NewDGPU()
 		m.AcceleratorModel().SetCoreClock(core)
 		m.AcceleratorModel().SetMemClock(mem)
-		target.run(m, modelapi.OpenCL)
+		runApp(memo, cfgs, app, m, modelapi.OpenCL)
 		return m.KernelNs()
 	}
 
@@ -162,18 +153,20 @@ func speedups(ctx context.Context, scale Scale, newMachine func() *sim.Machine, 
 	}
 	groups, err := runner.Map(ctx, "speedup", len(combos), func(cx *runner.Ctx, i int) []SpeedupCell {
 		c := combos[i]
-		w := newWorkloads(cx.Context(), scale, c.prec)
-		r, _ := w.runnerByName(c.app)
-		base := r.run(cx.Machine(sim.NewAPU), modelapi.OpenMP)
+		memo, cfgs := memoOf(cx.Context()), scaleConfigs(scale, c.prec)
+		// The paper compares read-benchmark by kernel time: "data-transfer
+		// times, if any, were left out".
+		kernelOnly := c.app == readmem.AppName
+		base := runApp(memo, cfgs, c.app, cx.Machine(sim.NewAPU), modelapi.OpenMP)
 		baseT := base.ElapsedNs
-		if r.kernelOnly {
+		if kernelOnly {
 			baseT = base.KernelNs
 		}
 		var out []SpeedupCell
 		for _, model := range modelapi.All() {
-			res := r.run(cx.Machine(newMachine), model)
+			res := runApp(memo, cfgs, c.app, cx.Machine(newMachine), model)
 			t := res.ElapsedNs
-			if r.kernelOnly {
+			if kernelOnly {
 				t = res.KernelNs
 			}
 			sp := 0.0
@@ -181,7 +174,7 @@ func speedups(ctx context.Context, scale Scale, newMachine func() *sim.Machine, 
 				sp = baseT / t
 			}
 			out = append(out, SpeedupCell{
-				App: r.name, Model: model, Precision: c.prec, Speedup: sp,
+				App: c.app, Model: model, Precision: c.prec, Speedup: sp,
 				KernelMs: res.KernelNs / 1e6, TransferMs: res.TransferNs / 1e6,
 			})
 		}

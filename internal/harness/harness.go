@@ -19,6 +19,8 @@ import (
 	"hetbench/internal/apps/minife"
 	"hetbench/internal/apps/readmem"
 	"hetbench/internal/apps/xsbench"
+	"hetbench/internal/models/modelapi"
+	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
 
@@ -177,93 +179,41 @@ func minifeConfig(scale Scale) minife.Config {
 	}
 }
 
-// workloads holds the five apps at a scale and precision. Each Problem
-// is a literal that asks for its data only when its characterization or
-// functional pass misses the run memo, so a cell whose runs all hit never
-// does. LULESH's mesh and XSBench's table come from the memo, once per
-// config for the whole run; miniFE's matrix and read-benchmark's input
-// are built by the cell that needs them. A workloads value belongs to a
-// single goroutine (one experiment cell); it is not safe for concurrent
-// use, and the parallel runner gives every cell its own instead of
-// sharing one. What the cells do share is the run memo, which every
-// Problem here gets.
-type workloads struct {
-	scale Scale
-	prec  timing.Precision
-	memo  *appcore.Memo
-
-	// Optional per-app config overrides applied at first build (the
-	// Figure 7 sweep trims iteration counts); nil means the scale default.
-	luleshCfg *lulesh.Config
-	comdCfg   *comd.Config
-	minifeCfg *minife.Config
-
-	readmem *readmem.Problem
-	lulesh  *lulesh.Problem
-	comd    *comd.Problem
-	xsbench *xsbench.Problem
-	minife  *minife.Problem
+// appConfigs is each app's configuration at one precision: a scale's
+// (scaleConfigs) or Figure 7's trimmed ones (fig7Configs).
+type appConfigs struct {
+	prec    timing.Precision
+	readmem readmem.Config
+	lulesh  lulesh.Config
+	comd    comd.Config
+	xsbench xsbench.Config
+	minife  minife.Config
 }
 
-func newWorkloads(ctx context.Context, scale Scale, prec timing.Precision) *workloads {
-	switch scale {
-	case ScaleSmoke, ScaleSmall, ScaleDefault, ScalePaper:
-	default:
-		panic(fmt.Sprintf("harness: unknown scale %d", scale))
-	}
-	return &workloads{scale: scale, prec: prec, memo: memoOf(ctx)}
+// scaleConfigs returns every app's configuration at scale and prec.
+func scaleConfigs(scale Scale, prec timing.Precision) appConfigs {
+	return appConfigs{prec, readmemConfig(scale, prec), luleshConfig(scale), comdConfig(scale), xsbenchConfig(scale), minifeConfig(scale)}
 }
 
-// Readmem returns the read-benchmark instance.
-func (w *workloads) Readmem() *readmem.Problem {
-	if w.readmem == nil {
-		w.readmem = &readmem.Problem{Cfg: readmemConfig(w.scale, w.prec), Memo: w.memo}
+// runApp runs the app named app (one of AppNames) under model on m. Its
+// Problem is a literal on its configuration in c and on memo: it builds
+// nothing until its characterization or functional pass misses the memo,
+// where LULESH's mesh and XSBench's table also live, once per config for
+// the whole run.
+func runApp(memo *appcore.Memo, c appConfigs, app string, m *sim.Machine, model modelapi.Name) appcore.Result {
+	switch app {
+	case readmem.AppName:
+		return (&readmem.Problem{Cfg: c.readmem, Memo: memo}).Run(m, model)
+	case lulesh.AppName:
+		return (&lulesh.Problem{Cfg: c.lulesh, Precision: c.prec, Memo: memo}).Run(m, model)
+	case comd.AppName:
+		return (&comd.Problem{Cfg: c.comd, Precision: c.prec, Memo: memo}).Run(m, model)
+	case xsbench.AppName:
+		return (&xsbench.Problem{Cfg: c.xsbench, Precision: c.prec, Memo: memo}).Run(m, model)
+	case minife.AppName:
+		return (&minife.Problem{Cfg: c.minife, Precision: c.prec, Memo: memo}).Run(m, model).Result
 	}
-	return w.readmem
-}
-
-// Lulesh returns the LULESH instance.
-func (w *workloads) Lulesh() *lulesh.Problem {
-	if w.lulesh == nil {
-		cfg := luleshConfig(w.scale)
-		if w.luleshCfg != nil {
-			cfg = *w.luleshCfg
-		}
-		w.lulesh = &lulesh.Problem{Cfg: cfg, Precision: w.prec, Memo: w.memo}
-	}
-	return w.lulesh
-}
-
-// Comd returns the CoMD instance.
-func (w *workloads) Comd() *comd.Problem {
-	if w.comd == nil {
-		cfg := comdConfig(w.scale)
-		if w.comdCfg != nil {
-			cfg = *w.comdCfg
-		}
-		w.comd = &comd.Problem{Cfg: cfg, Precision: w.prec, Memo: w.memo}
-	}
-	return w.comd
-}
-
-// Xsbench returns the XSBench instance.
-func (w *workloads) Xsbench() *xsbench.Problem {
-	if w.xsbench == nil {
-		w.xsbench = &xsbench.Problem{Cfg: xsbenchConfig(w.scale), Precision: w.prec, Memo: w.memo}
-	}
-	return w.xsbench
-}
-
-// Minife returns the miniFE instance.
-func (w *workloads) Minife() *minife.Problem {
-	if w.minife == nil {
-		cfg := minifeConfig(w.scale)
-		if w.minifeCfg != nil {
-			cfg = *w.minifeCfg
-		}
-		w.minife = &minife.Problem{Cfg: cfg, Precision: w.prec, Memo: w.memo}
-	}
-	return w.minife
+	panic(fmt.Sprintf("harness: unknown app %q", app))
 }
 
 // Experiment is one regenerable paper artifact. Run honors ctx: a

@@ -14,6 +14,9 @@ import (
 
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/comd"
+	"hetbench/internal/apps/lulesh"
+	"hetbench/internal/apps/minife"
+	"hetbench/internal/apps/readmem"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
@@ -239,6 +242,27 @@ func TestFig7Shapes(t *testing.T) {
 	mf := get("miniFE")
 	if mf[3]/mf[1] < 1.3 {
 		t.Errorf("miniFE: mem scaling at full core = %.2f×, want ≥1.3", mf[3]/mf[1])
+	}
+}
+
+// Figure 7's trimmed configs reach its runs: LULESH steps twice and
+// miniFE's solve stops after five iterations, below the scale's own
+// counts.
+func TestFig7ConfigsReachItsRuns(t *testing.T) {
+	for app, want := range map[string]int{lulesh.AppName: 2, minife.AppName: 5} {
+		m := sim.NewDGPU()
+		tr := trace.New()
+		m.SetTracer(tr)
+		runApp(nil, fig7Configs(ScaleSmoke), app, m, modelapi.OpenCL)
+		iters := 0
+		for _, s := range tr.Spans() {
+			if s.Kind == trace.KindIteration {
+				iters++
+			}
+		}
+		if iters != want {
+			t.Errorf("fig7 %s run took %d iterations, want %d", app, iters, want)
+		}
 	}
 }
 
@@ -560,12 +584,10 @@ func TestCLIHelpers(t *testing.T) {
 }
 
 func TestRunAppRenders(t *testing.T) {
-	w := newWorkloads(context.Background(), ScaleSmall, timing.Double)
+	p := &readmem.Problem{Cfg: readmemConfig(ScaleSmall, timing.Double)}
 	var buf bytes.Buffer
 	machines, _ := Machines("both")
-	err := RunApp(bg, &buf, "read-benchmark", machines, func(m *sim.Machine, md modelapi.Name) appcore.Result {
-		return w.Readmem().Run(m, md)
-	})
+	err := RunApp(bg, &buf, "read-benchmark", machines, p.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,12 +714,13 @@ func TestEnergyData(t *testing.T) {
 // and DRAM bytes as the device's, on the strength of this.
 func TestOpenCLLaunchesOnlyOnAccelerator(t *testing.T) {
 	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
-		for _, r := range newWorkloads(WithMemo(bg), ScaleSmoke, prec).runners() {
+		memo, cfgs := &appcore.Memo{}, scaleConfigs(ScaleSmoke, prec)
+		for _, app := range AppNames {
 			for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
 				m := mk()
 				tr := trace.New()
 				m.SetTracer(tr)
-				r.run(m, modelapi.OpenCL)
+				runApp(memo, cfgs, app, m, modelapi.OpenCL)
 				kernels := map[string]int{}
 				for _, s := range tr.Spans() {
 					if s.Kind == trace.KindKernel {
@@ -706,7 +729,7 @@ func TestOpenCLLaunchesOnlyOnAccelerator(t *testing.T) {
 				}
 				if kernels[trace.TrackHost] > 0 || kernels[trace.TrackAccelerator] == 0 {
 					t.Errorf("%s/%s on %s: kernel spans per track %v, want accelerator only",
-						r.name, prec, m.Name(), kernels)
+						app, prec, m.Name(), kernels)
 				}
 			}
 		}

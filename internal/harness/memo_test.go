@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/comd"
 	"hetbench/internal/apps/lulesh"
+	"hetbench/internal/apps/minife"
 	"hetbench/internal/apps/xsbench"
 	"hetbench/internal/fault"
 	"hetbench/internal/harness/runner"
@@ -29,11 +31,11 @@ type charOutcome struct {
 	results []appcore.Result
 }
 
-func observeCharacterization(w *workloads, app string, mk func() *sim.Machine) charOutcome {
-	r, _ := w.runnerByName(app)
-	o := charOutcome{miss: measuredMissRate(w, app, mk())}
+func observeCharacterization(memo *appcore.Memo, prec timing.Precision, app string, mk func() *sim.Machine) charOutcome {
+	c := scaleConfigs(ScaleSmoke, prec)
+	o := charOutcome{miss: measuredMissRate(memo, c, app, mk())}
 	for _, model := range []modelapi.Name{modelapi.OpenCL, modelapi.OpenACC} {
-		o.results = append(o.results, r.run(mk(), model))
+		o.results = append(o.results, runApp(memo, c, app, mk(), model))
 	}
 	return o
 }
@@ -59,13 +61,13 @@ func TestMemoizedCharacterizationMatchesFresh(t *testing.T) {
 	ctx := WithMemo(bg)
 	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) charOutcome {
 		c := combos[i%len(combos)]
-		return observeCharacterization(newWorkloads(cx.Context(), ScaleSmoke, c.prec), c.app, c.mk)
+		return observeCharacterization(memoOf(cx.Context()), c.prec, c.app, c.mk)
 	}))
 	if memoOf(ctx).Len() == 0 {
 		t.Fatal("no characterization went through the run memo")
 	}
 	for i, c := range combos {
-		fresh := observeCharacterization(newWorkloads(bg, ScaleSmoke, c.prec), c.app, c.mk)
+		fresh := observeCharacterization(nil, c.prec, c.app, c.mk)
 		name := c.app + "/" + c.mk().Name() + "/" + c.prec.String()
 		for _, got := range []charOutcome{memoized[i], memoized[i+len(combos)]} {
 			if !sameOutcome(got, fresh) {
@@ -77,16 +79,16 @@ func TestMemoizedCharacterizationMatchesFresh(t *testing.T) {
 
 // measuredMissRate is app's Table I miss rate on m. read-benchmark
 // measures none: its streaming miss rate is fixed by construction.
-func measuredMissRate(w *workloads, app string, m *sim.Machine) float64 {
+func measuredMissRate(memo *appcore.Memo, c appConfigs, app string, m *sim.Machine) float64 {
 	switch app {
 	case "LULESH":
-		return w.Lulesh().MeasuredTraits(m)
+		return (&lulesh.Problem{Cfg: c.lulesh, Precision: c.prec, Memo: memo}).MeasuredTraits(m)
 	case "CoMD":
-		return w.Comd().MeasuredMissRate(m)
+		return (&comd.Problem{Cfg: c.comd, Precision: c.prec, Memo: memo}).MeasuredMissRate(m)
 	case "XSBench":
-		return w.Xsbench().MeasuredMissRate(m)
+		return (&xsbench.Problem{Cfg: c.xsbench, Precision: c.prec, Memo: memo}).MeasuredMissRate(m)
 	case "miniFE":
-		return w.Minife().MeasuredMissRate(m)
+		return (&minife.Problem{Cfg: c.minife, Precision: c.prec, Memo: memo}).MeasuredMissRate(m)
 	}
 	return 0
 }
@@ -122,10 +124,10 @@ func TestMemoKeyCoversGeometry(t *testing.T) {
 		vary := machine(v.edit)
 		matters := false
 		for _, app := range AppNames {
-			ctx := WithMemo(bg)
-			before := observeCharacterization(newWorkloads(ctx, ScaleSmoke, timing.Double), app, base)
-			got := observeCharacterization(newWorkloads(ctx, ScaleSmoke, timing.Double), app, vary)
-			fresh := observeCharacterization(newWorkloads(bg, ScaleSmoke, timing.Double), app, vary)
+			memo := &appcore.Memo{}
+			before := observeCharacterization(memo, timing.Double, app, base)
+			got := observeCharacterization(memo, timing.Double, app, vary)
+			fresh := observeCharacterization(nil, timing.Double, app, vary)
 			if !sameOutcome(got, fresh) {
 				t.Errorf("%s, %s changed: memoized %+v, fresh %+v", app, v.field, got, fresh)
 			}
@@ -146,9 +148,9 @@ type runObservation struct {
 	counters map[string]float64
 }
 
-func observeRun(w *workloads, app string, model modelapi.Name, mk func() *sim.Machine) runObservation {
-	r, _ := w.runnerByName(app)
-	return observe(mk(), func(m *sim.Machine) appcore.Result { return r.run(m, model) })
+func observeRun(memo *appcore.Memo, prec timing.Precision, app string, model modelapi.Name, mk func() *sim.Machine) runObservation {
+	c := scaleConfigs(ScaleSmoke, prec)
+	return observe(mk(), func(m *sim.Machine) appcore.Result { return runApp(memo, c, app, m, model) })
 }
 
 // observe traces run on m.
@@ -184,10 +186,10 @@ func TestMemoizedRunMatchesFresh(t *testing.T) {
 	ctx := WithMemo(bg)
 	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) runObservation {
 		c := combos[i%len(combos)]
-		return observeRun(newWorkloads(cx.Context(), ScaleSmoke, c.prec), c.app, c.model, c.mk)
+		return observeRun(memoOf(cx.Context()), c.prec, c.app, c.model, c.mk)
 	}))
 	for i, c := range combos {
-		fresh := observeRun(newWorkloads(bg, ScaleSmoke, c.prec), c.app, c.model, c.mk)
+		fresh := observeRun(nil, c.prec, c.app, c.model, c.mk)
 		name := c.app + "/" + string(c.model) + "/" + c.mk().Name() + "/" + c.prec.String()
 		if fresh.counters[trace.CtrKernelLaunches] == 0 {
 			t.Fatalf("%s: no launches traced", name)
@@ -214,22 +216,32 @@ func TestMemoizedRunMatchesFresh(t *testing.T) {
 // Result and checksum. Each combination runs in two runner cells that
 // share the memo with the grid runs of both precisions.
 func TestMemoizedVariantRunsMatchFresh(t *testing.T) {
-	nuclideGrid := func(w *workloads) *xsbench.Problem {
-		cfg := xsbenchConfig(w.scale)
-		cfg.Grid = xsbench.NuclideGridOnly
-		return &xsbench.Problem{Cfg: cfg, Precision: w.prec, Memo: w.memo}
+	xs := func(memo *appcore.Memo, prec timing.Precision, grid xsbench.GridType) *xsbench.Problem {
+		cfg := xsbenchConfig(ScaleSmoke)
+		cfg.Grid = grid
+		return &xsbench.Problem{Cfg: cfg, Precision: prec, Memo: memo}
 	}
 	variants := []struct {
 		name string
-		run  func(w *workloads, m *sim.Machine) appcore.Result
+		run  func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result
 	}{
-		{"CoMD/OpenCLFlat", func(w *workloads, m *sim.Machine) appcore.Result { return w.Comd().RunOpenCLFlat(m) }},
-		{"LULESH/HC", func(w *workloads, m *sim.Machine) appcore.Result { return w.Lulesh().RunHC(m) }},
-		{"XSBench/HC", func(w *workloads, m *sim.Machine) appcore.Result { return w.Xsbench().RunHC(m) }},
-		{"XSBench/nuclide-grid/OpenCL", func(w *workloads, m *sim.Machine) appcore.Result { return nuclideGrid(w).RunOpenCL(m) }},
-		{"XSBench/nuclide-grid/OpenACC", func(w *workloads, m *sim.Machine) appcore.Result { return nuclideGrid(w).RunOpenACC(m) }},
-		{"miniFE/OpenACCConservative", func(w *workloads, m *sim.Machine) appcore.Result {
-			return w.Minife().RunOpenACCConservative(m).Result
+		{"CoMD/OpenCLFlat", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
+			return (&comd.Problem{Cfg: comdConfig(ScaleSmoke), Precision: prec, Memo: memo}).RunOpenCLFlat(m)
+		}},
+		{"LULESH/HC", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
+			return (&lulesh.Problem{Cfg: luleshConfig(ScaleSmoke), Precision: prec, Memo: memo}).RunHC(m)
+		}},
+		{"XSBench/HC", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
+			return xs(memo, prec, xsbench.UnionizedGrid).RunHC(m)
+		}},
+		{"XSBench/nuclide-grid/OpenCL", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
+			return xs(memo, prec, xsbench.NuclideGridOnly).RunOpenCL(m)
+		}},
+		{"XSBench/nuclide-grid/OpenACC", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
+			return xs(memo, prec, xsbench.NuclideGridOnly).RunOpenACC(m)
+		}},
+		{"miniFE/OpenACCConservative", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
+			return (&minife.Problem{Cfg: minifeConfig(ScaleSmoke), Precision: prec, Memo: memo}).RunOpenACCConservative(m).Result
 		}},
 	}
 	type combo struct {
@@ -249,12 +261,10 @@ func TestMemoizedVariantRunsMatchFresh(t *testing.T) {
 	must(speedups(ctx, ScaleSmoke, sim.NewDGPU, timing.Single, timing.Double))
 	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) runObservation {
 		c := combos[i%len(combos)]
-		w := newWorkloads(cx.Context(), ScaleSmoke, c.prec)
-		return observe(c.mk(), func(m *sim.Machine) appcore.Result { return variants[c.variant].run(w, m) })
+		return observe(c.mk(), func(m *sim.Machine) appcore.Result { return variants[c.variant].run(memoOf(cx.Context()), c.prec, m) })
 	}))
 	for i, c := range combos {
-		w := newWorkloads(bg, ScaleSmoke, c.prec)
-		fresh := observe(c.mk(), func(m *sim.Machine) appcore.Result { return variants[c.variant].run(w, m) })
+		fresh := observe(c.mk(), func(m *sim.Machine) appcore.Result { return variants[c.variant].run(nil, c.prec, m) })
 		name := variants[c.variant].name + "/" + c.mk().Name() + "/" + c.prec.String()
 		if fresh.counters[trace.CtrKernelLaunches] == 0 {
 			t.Fatalf("%s: no launches traced", name)
@@ -303,13 +313,13 @@ func TestFig9RunsOnePassPerAppConfig(t *testing.T) {
 // three fully functional steps on the scale's mesh, so its nodes move
 // (the scale's own config executes one step, before any pressure builds).
 func memoizedSetup(ctx context.Context, scale Scale) (*lulesh.Mesh, *xsbench.Table) {
-	w := newWorkloads(ctx, scale, timing.Double)
-	w.luleshCfg = &lulesh.Config{S: luleshConfig(scale).S, Iters: 3}
+	lu := &lulesh.Problem{Cfg: lulesh.Config{S: luleshConfig(scale).S, Iters: 3}, Precision: timing.Double, Memo: memoOf(ctx)}
+	xs := &xsbench.Problem{Cfg: xsbenchConfig(scale), Precision: timing.Double, Memo: memoOf(ctx)}
 	m := sim.NewDGPU()
 	m.SetFaultInjector(fault.New(fault.Config{}), fault.DefaultPolicy())
-	w.Lulesh().Run(m, modelapi.OpenCL)
-	w.Xsbench().Run(m, modelapi.OpenCL)
-	return w.Lulesh().Mesh, w.Xsbench().Table
+	lu.Run(m, modelapi.OpenCL)
+	xs.Run(m, modelapi.OpenCL)
+	return lu.Mesh, xs.Table
 }
 
 // gobOf encodes v; gob writes every float64 as its bits.

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/fault"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/modelapi"
@@ -33,20 +34,15 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 	fmt.Fprintln(w, "bucket upper bounds clamped to the observed range, deterministic at any -jobs).")
 	fmt.Fprintln(w)
 
-	apps := []string{"read-benchmark", "LULESH", "CoMD", "XSBench", "miniFE"}
-	cells := make([]runner.Cell, 0, len(apps)+2)
-	for _, app := range apps {
+	cfgs := scaleConfigs(scale, timing.Double)
+	cells := make([]runner.Cell, 0, len(AppNames)+2)
+	for _, app := range AppNames {
 		app := app
 		cells = append(cells, runner.Cell{Label: "perfbaseline/" + app, Run: func(cx *runner.Ctx) error {
-			w := newWorkloads(cx.Context(), scale, timing.Double)
-			r, ok := w.runnerByName(app)
-			if !ok {
-				return fmt.Errorf("unknown app %q", app)
-			}
 			m := sim.NewDGPU()
 			t := trace.New()
 			m.SetTracer(t)
-			res := r.run(m, modelapi.OpenCL)
+			res := runApp(memoOf(cx.Context()), cfgs, app, m, modelapi.OpenCL)
 			fmt.Fprintf(cx.Out, "--- %s (OpenCL, dGPU): %.3f ms elapsed ---\n", app, res.ElapsedNs/1e6)
 			if err := histTable(cx.Out, fmt.Sprintf("%s — latency distributions", app), t.Metrics().Histograms()); err != nil {
 				return err
@@ -57,18 +53,18 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 	}
 
 	cells = append(cells, runner.Cell{Label: "perfbaseline/faults", Run: func(cx *runner.Ctx) error {
-		w := newWorkloads(cx.Context(), scale, timing.Double)
+		p := &lulesh.Problem{Cfg: luleshConfig(scale), Precision: timing.Double, Memo: memoOf(cx.Context())}
 		pol := fault.DefaultPolicy()
 		m := sim.NewDGPU()
 		t := trace.New()
 		m.SetTracer(t)
-		clean := w.Lulesh().Run(m, modelapi.OpenCL)
+		clean := p.Run(m, modelapi.OpenCL)
 		mf := sim.NewDGPU()
 		mf.SetTracer(t)
 		inj := fault.New(faultConfig(perfBaselineFaultRate, cellSeed(SeedOf(cx.Context()), 7, 7)))
 		mf.SetFaultInjector(inj, pol)
 		_, totalNs, _, _ := runResilient(mf, pol, clean.Checksum,
-			func() appcore.Result { return w.Lulesh().Run(mf, modelapi.OpenCL) })
+			func() appcore.Result { return p.Run(mf, modelapi.OpenCL) })
 		fmt.Fprintf(cx.Out, "--- LULESH under fault rate %.2f (OpenCL, dGPU): %.3f ms total, %d faults injected ---\n",
 			perfBaselineFaultRate, totalNs/1e6, inj.Total())
 		if err := histTable(cx.Out, "faults — latency distributions", t.Metrics().Histograms()); err != nil {
@@ -79,13 +75,13 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 	}})
 
 	cells = append(cells, runner.Cell{Label: "perfbaseline/coexec", Run: func(cx *runner.Ctx) error {
-		w := newWorkloads(cx.Context(), scale, timing.Double)
+		p := &lulesh.Problem{Cfg: luleshConfig(scale), Precision: timing.Double, Memo: memoOf(cx.Context())}
 		s := sched.New(sched.Config{Policy: sched.Dynamic})
 		m := sim.NewDGPU()
 		t := trace.New()
 		m.SetTracer(t)
 		m.SetCoexec(s)
-		res := w.Lulesh().Run(m, modelapi.OpenCL)
+		res := p.Run(m, modelapi.OpenCL)
 		fmt.Fprintf(cx.Out, "--- LULESH co-executed (dynamic split, dGPU): %.3f ms elapsed ---\n", res.ElapsedNs/1e6)
 		if err := histTable(cx.Out, "coexec — latency distributions", t.Metrics().Histograms()); err != nil {
 			return err

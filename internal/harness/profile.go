@@ -127,10 +127,8 @@ type RooflineRow struct {
 // attainable = min(peak, intensity × bandwidth).
 func RooflineData(ctx context.Context, scale Scale) ([]RooflineRow, error) {
 	return runner.Map(ctx, "roofline", len(AppNames), func(cx *runner.Ctx, i int) RooflineRow {
-		w := newWorkloads(cx.Context(), scale, timing.Single)
-		r, _ := w.runnerByName(AppNames[i])
 		m := tracedMachine(cx, sim.NewDGPU)
-		r.run(m, modelapi.OpenCL)
+		runApp(memoOf(cx.Context()), scaleConfigs(scale, timing.Single), AppNames[i], m, modelapi.OpenCL)
 
 		reg := m.Tracer().Metrics()
 		flops := reg.Get(trace.CtrSPFlops) + reg.Get(trace.CtrDPFlops)
@@ -150,7 +148,7 @@ func RooflineData(ctx context.Context, scale Scale) ([]RooflineRow, error) {
 		}
 		achieved := flops / m.KernelNs() // flops/ns = Gflops
 		return RooflineRow{
-			App:                   r.name,
+			App:                   AppNames[i],
 			IntensityFlopsPerByte: intensity,
 			AchievedGflops:        achieved,
 			AttainableGflops:      attainable,

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/report"
@@ -38,11 +39,11 @@ type modelTraceKey struct {
 // (scale, model) under a run memo.
 func modelTrace(ctx context.Context, scale Scale, model modelapi.Name) ModelTrace {
 	return appcore.Memoize(memoOf(ctx), modelTraceKey{scale, model}, func() ModelTrace {
-		w := newWorkloads(ctx, scale, timing.Double)
+		p := &lulesh.Problem{Cfg: luleshConfig(scale), Precision: timing.Double, Memo: memoOf(ctx)}
 		m := sim.NewDGPU()
 		t := trace.New()
 		m.SetTracer(t)
-		res := w.Lulesh().Run(m, model)
+		res := p.Run(m, model)
 		return ModelTrace{
 			Model: model, Result: res, Spans: t.Spans(),
 			Counters: t.Metrics().Snapshot(), Hists: t.Metrics().Histograms(),

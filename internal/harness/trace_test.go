@@ -2,13 +2,17 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/comd"
+	"hetbench/internal/apps/lulesh"
+	"hetbench/internal/apps/minife"
+	"hetbench/internal/apps/readmem"
+	"hetbench/internal/apps/xsbench"
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
@@ -18,26 +22,57 @@ import (
 // The counter registry must agree with the Machine's legacy accumulators
 // across a Figure 8-style sweep (every app × GPU model on the APU at
 // small scale): the two are independent tallies of the same virtual clock.
+// Every run takes appcore.Run's one path: a single run span named
+// App/Model from virtual time 0 and a Result naming the app, model,
+// machine, precision and kernel count; a model an app has no port for
+// panics with the app's "no implementation" message.
 func TestRegistryMatchesMachineCounters(t *testing.T) {
-	w := newWorkloads(context.Background(), ScaleSmall, timing.Double)
-	for _, r := range w.runners() {
+	kernels := map[string]int{
+		readmem.AppName: 1, lulesh.AppName: int(lulesh.NumKernels), comd.AppName: 3, xsbench.AppName: 1, minife.AppName: 3,
+	}
+	cfgs := scaleConfigs(ScaleSmall, timing.Double)
+	for _, app := range AppNames {
 		for _, model := range modelapi.All() {
 			m := sim.NewAPU()
 			tr := trace.New()
 			m.SetTracer(tr)
-			r.run(m, model)
+			res := runApp(nil, cfgs, app, m, model)
 
 			reg := tr.Metrics()
 			if got, want := reg.Get(trace.CtrKernelNs), m.KernelNs(); !approxEq(got, want) {
-				t.Errorf("%s/%s: kernel.ns = %g, machine says %g", r.name, model, got, want)
+				t.Errorf("%s/%s: kernel.ns = %g, machine says %g", app, model, got, want)
 			}
 			if got, want := reg.Get(trace.CtrTransferNs), m.TransferNs(); !approxEq(got, want) {
-				t.Errorf("%s/%s: transfer.ns = %g, machine says %g", r.name, model, got, want)
+				t.Errorf("%s/%s: transfer.ns = %g, machine says %g", app, model, got, want)
 			}
 			if m.KernelNs() > 0 && reg.Get(trace.CtrKernelLaunches) == 0 {
-				t.Errorf("%s/%s: kernel time with no recorded launches", r.name, model)
+				t.Errorf("%s/%s: kernel time with no recorded launches", app, model)
+			}
+
+			var runs []trace.Span
+			for _, s := range tr.Spans() {
+				if s.Kind == trace.KindRun {
+					runs = append(runs, s)
+				}
+			}
+			if name := app + "/" + string(model); len(runs) != 1 || runs[0].Name != name || runs[0].StartNs != 0 {
+				t.Errorf("%s/%s: run spans %+v, want one named %q from 0", app, model, runs, name)
+			}
+			got := appcore.Result{App: res.App, Model: res.Model, Machine: res.Machine, Precision: res.Precision, Kernels: res.Kernels}
+			want := appcore.Result{App: app, Model: model, Machine: m.Name(), Precision: timing.Double, Kernels: kernels[app]}
+			if got != want {
+				t.Errorf("%s/%s: result names %+v, want %+v", app, model, got, want)
 			}
 		}
+		func() {
+			want := app + ": no implementation for " + string(modelapi.HC)
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("%s under HC panicked with %v, want %q", app, got, want)
+				}
+			}()
+			runApp(nil, cfgs, app, sim.NewAPU(), modelapi.HC)
+		}()
 	}
 }
 

@@ -16,13 +16,13 @@ func coexecBody(out []float64) func(*exec.WorkItem) {
 	}
 }
 
-// A streaming parallel_for_each on a WithCoexec runtime routes through the
-// planner; an Irregular one stays single-device.
+// A streaming parallel_for_each on a machine with a planner routes
+// through it; an Irregular one stays single-device.
 func TestCoexecRouting(t *testing.T) {
 	m := sim.NewDGPU()
 	s := sched.New(sched.Config{Policy: sched.HGuided})
 	m.SetCoexec(s)
-	rt := New(m).WithCoexec()
+	rt := New(m)
 	const n = 1 << 12
 	out := make([]float64, n)
 	av := rt.NewArrayView("coexec.out", int64(n)*8)
@@ -40,24 +40,5 @@ func TestCoexecRouting(t *testing.T) {
 	rt.Launch(irr, NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out))[0])
 	if st := s.Stats(); st.Splits != 1 {
 		t.Fatalf("irregular kernel was split: %+v", st)
-	}
-}
-
-// WithCoexec without a planner must be timing-identical to the default.
-func TestCoexecWithoutPlannerIsIdentical(t *testing.T) {
-	run := func(opt bool) float64 {
-		m := sim.NewDGPU()
-		rt := New(m)
-		if opt {
-			rt = rt.WithCoexec()
-		}
-		const n = 1 << 12
-		out := make([]float64, n)
-		av := rt.NewArrayView("coexec.out", int64(n)*8)
-		rt.Launch(spec(), NewExtent(n), []*ArrayView{av}, exec.Measure(n, coexecBody(out))[0])
-		return m.ElapsedNs()
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("WithCoexec with no planner changed timing: %g vs %g ns", a, b)
 	}
 }

@@ -33,13 +33,6 @@ func New(machine *sim.Machine) *Runtime {
 	return &Runtime{modelapi.NewRuntime(machine, modelapi.CppAMP)}
 }
 
-// WithCoexec opts this runtime into co-execution (see
-// modelapi.Runtime.EnableCoexec).
-func (r *Runtime) WithCoexec() *Runtime {
-	r.EnableCoexec()
-	return r
-}
-
 // Extent is a 1-D iteration domain (extent<1> in AMP).
 type Extent struct{ Size int }
 

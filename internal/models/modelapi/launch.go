@@ -34,9 +34,11 @@ type Recovery struct {
 }
 
 // LaunchResilient issues one accelerator launch under the machine's fault
-// policy — the launch path the GPU runtimes share. With the co-execution
-// opt-in set, an eligible launch goes to the co-execution planner when
-// one is attached. Otherwise transient failures (launch rejection,
+// policy — the launch path the GPU runtimes share. When the machine has a
+// co-execution planner attached (sim.Machine.SetCoexec), every launch but
+// an Irregular one goes to it: irregular kernels stay single-device,
+// matching the paper's observation that generated code quality collapses
+// on them. Otherwise transient failures (launch rejection,
 // watchdog-killed hang, device loss) are retried with exponential
 // backoff, calling rec.Restage before each retry; a silent bit flip is
 // routed to the bound corruption targets (detected later by end-to-end
@@ -45,7 +47,7 @@ type Recovery struct {
 // With no injector attached this is one sim.Machine.Launch.
 func (r *Runtime) LaunchResilient(l *Launch, rec Recovery) timing.Result {
 	m := r.machine
-	if r.coexec && l.Spec.Class != Irregular {
+	if l.Spec.Class != Irregular {
 		if res, ok := m.LaunchKernelSplit(l.Spec.Name, l.Cost, l.Spec.Cost(r.host, l.Items, l.Per)); ok {
 			return res
 		}

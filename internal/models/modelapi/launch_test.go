@@ -41,7 +41,7 @@ func TestReplayedLaunchAllocs(t *testing.T) {
 		{"OpenCL co-executed", 1, func() func() {
 			m := sim.NewDGPU()
 			m.SetCoexec(sched.New(sched.Config{Policy: sched.Dynamic}))
-			q := opencl.NewContext(m).WithCoexec().NewQueue()
+			q := opencl.NewContext(m).NewQueue()
 			return func() { q.Launch(allocSpec(), n, allocPer) }
 		}},
 		{"C++ AMP", 0, func() func() {

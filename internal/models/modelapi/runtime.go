@@ -10,9 +10,9 @@ import (
 // Runtime is the core every model runtime embeds. It binds a model to a
 // machine and holds what all five runtimes share: the model's profile on
 // that machine, the OpenMP host profile that co-executed CPU shares and
-// host fallbacks run under, the silent-corruption targets and the
-// co-execution opt-in. A runtime adds only its data-management idiom and
-// the Recovery hooks that price it.
+// host fallbacks run under, and the silent-corruption targets. A runtime
+// adds only its data-management idiom and the Recovery hooks that price
+// it.
 //
 // A runtime prices work; it does not decide what a kernel computes. Its
 // launch methods take the per-item counters a functional pass measured:
@@ -24,7 +24,6 @@ type Runtime struct {
 	profile *Profile
 	host    *Profile
 	corrupt fault.Corruptor
-	coexec  bool
 }
 
 // NewRuntime binds model n to a machine, with n's profile adjusted for
@@ -45,13 +44,6 @@ func (r *Runtime) Machine() *sim.Machine { return r.machine }
 func (r *Runtime) Cost(spec KernelSpec, n int, per exec.Counters) timing.KernelCost {
 	return spec.Cost(r.profile, n, per)
 }
-
-// EnableCoexec opts the runtime's streaming and regular kernels into
-// CPU+accelerator co-execution whenever a planner is attached to the
-// machine (sim.Machine.SetCoexec); without one, launches are unchanged.
-// Irregular kernels always stay single-device, matching the paper's
-// observation that generated code quality collapses on them.
-func (r *Runtime) EnableCoexec() { r.coexec = true }
 
 // Bind registers an output array as a silent-corruption target: when the
 // fault injector flips a bit in a kernel's output, the flip lands in a

@@ -16,13 +16,13 @@ func coexecBody(out []float64) func(*exec.WorkItem) {
 	}
 }
 
-// A streaming kernels-loop on a WithCoexec runtime routes through the
-// planner; an Irregular one (the scalar-CSR case) stays single-device.
+// A streaming kernels-loop on a machine with a planner routes through
+// it; an Irregular one (the scalar-CSR case) stays single-device.
 func TestCoexecRouting(t *testing.T) {
 	m := sim.NewDGPU()
 	s := sched.New(sched.Config{Policy: sched.Static})
 	m.SetCoexec(s)
-	rt := New(m).WithCoexec()
+	rt := New(m)
 	const n = 1 << 12
 	out := make([]float64, n)
 	uses := []Clause{Copyout("coexec.out", int64(n)*8)}
@@ -40,23 +40,5 @@ func TestCoexecRouting(t *testing.T) {
 	rt.Launch(irr, n, uses, exec.Measure(n, coexecBody(out))[0])
 	if st := s.Stats(); st.Splits != 1 {
 		t.Fatalf("irregular loop was split: %+v", st)
-	}
-}
-
-// WithCoexec without a planner must be timing-identical to the default.
-func TestCoexecWithoutPlannerIsIdentical(t *testing.T) {
-	run := func(opt bool) float64 {
-		m := sim.NewDGPU()
-		rt := New(m)
-		if opt {
-			rt = rt.WithCoexec()
-		}
-		const n = 1 << 12
-		out := make([]float64, n)
-		rt.Launch(spec(), n, []Clause{Copyout("coexec.out", int64(n)*8)}, exec.Measure(n, coexecBody(out))[0])
-		return m.ElapsedNs()
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("WithCoexec with no planner changed timing: %g vs %g ns", a, b)
 	}
 }

@@ -36,15 +36,6 @@ func New(machine *sim.Machine) *Runtime {
 	return &Runtime{Runtime: modelapi.NewRuntime(machine, modelapi.OpenACC)}
 }
 
-// WithCoexec opts this runtime into co-execution (see
-// modelapi.Runtime.EnableCoexec). Irregular loops always stay
-// single-device — the directive compiler's scalar fallback makes the
-// host share worthless there.
-func (r *Runtime) WithCoexec() *Runtime {
-	r.EnableCoexec()
-	return r
-}
-
 // Intent is a data clause kind.
 type Intent int
 

@@ -17,14 +17,14 @@ func coexecBody(out []float64) func(*exec.WorkItem) {
 	}
 }
 
-// A streaming kernel on a WithCoexec context routes through the attached
-// planner and still computes the right answer (the scheduler is a timing
+// A streaming kernel on a machine with a planner attached routes through
+// it and still computes the right answer (the scheduler is a timing
 // construct; functional execution is untouched).
 func TestCoexecRoutesStreamingKernel(t *testing.T) {
 	m := sim.NewDGPU()
 	s := sched.New(sched.Config{Policy: sched.Dynamic})
 	m.SetCoexec(s)
-	ctx := NewContext(m).WithCoexec()
+	ctx := NewContext(m)
 	q := ctx.NewQueue()
 	const n = 1 << 12
 	out := make([]float64, n)
@@ -39,36 +39,17 @@ func TestCoexecRoutesStreamingKernel(t *testing.T) {
 	}
 }
 
-// Irregular kernels stay single-device even under WithCoexec.
+// Irregular kernels stay single-device even with a planner attached.
 func TestCoexecSkipsIrregularKernel(t *testing.T) {
 	m := sim.NewDGPU()
 	s := sched.New(sched.Config{Policy: sched.Dynamic})
 	m.SetCoexec(s)
-	ctx := NewContext(m).WithCoexec()
+	ctx := NewContext(m)
 	q := ctx.NewQueue()
 	out := make([]float64, 1<<10)
 	irr := modelapi.KernelSpec{Name: "gather", Class: modelapi.Irregular, MissRate: 0.9, Coalesce: 0.25}
 	q.Launch(irr, len(out), exec.Measure(len(out), coexecBody(out))[0])
 	if st := s.Stats(); st.Splits != 0 {
 		t.Fatalf("irregular kernel was split: %+v", st)
-	}
-}
-
-// WithCoexec without an attached planner must not change timing at all —
-// the opt-in is free until a scheduler exists.
-func TestCoexecWithoutPlannerIsIdentical(t *testing.T) {
-	run := func(opt bool) float64 {
-		m := sim.NewDGPU()
-		ctx := NewContext(m)
-		if opt {
-			ctx = ctx.WithCoexec()
-		}
-		q := ctx.NewQueue()
-		out := make([]float64, 1<<12)
-		q.Launch(spec(), len(out), exec.Measure(len(out), coexecBody(out))[0])
-		return m.ElapsedNs()
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("WithCoexec with no planner changed timing: %g vs %g ns", a, b)
 	}
 }

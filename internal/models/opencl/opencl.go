@@ -30,13 +30,6 @@ func NewContext(machine *sim.Machine) *Context {
 	return &Context{modelapi.NewRuntime(machine, modelapi.OpenCL)}
 }
 
-// WithCoexec opts this context into co-execution (see
-// modelapi.Runtime.EnableCoexec).
-func (c *Context) WithCoexec() *Context {
-	c.EnableCoexec()
-	return c
-}
-
 // Buffer is a device allocation (cl_mem). The simulator keeps one copy of
 // the data (the Go slice owned by the application); Buffer tracks the
 // allocation size so transfers are charged faithfully. staged records that
