@@ -16,6 +16,7 @@ import (
 
 	"hetbench/internal/analysis"
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/apps/comd"
 	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/apps/minife"
 	"hetbench/internal/apps/xsbench"
@@ -48,6 +49,9 @@ var hotCost = timing.KernelCost{
 	Items: 1 << 16, SPFlops: 32, LoadBytes: 24, StoreBytes: 8,
 	Instrs: 48, MissRate: 0.2, Coalesce: 0.9,
 }
+
+// hotHostCost costs hotCost's host side for the split-launch leaves.
+func hotHostCost() timing.KernelCost { return hotCost }
 
 // BenchmarkTable1Characteristics measures the Table I workload
 // characterization (LLC miss rates from cache-simulator trace replay, IPC
@@ -241,7 +245,7 @@ func benchSplitOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := m.LaunchKernelSplit("bench", hotCost, hotCost); !ok {
+		if _, ok := m.LaunchKernelSplit("bench", hotCost, hotHostCost); !ok {
 			m.Launch(sim.OnAccelerator, "bench", hotCost)
 		}
 	}
@@ -253,7 +257,7 @@ func benchSplitOn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.LaunchKernelSplit("bench", hotCost, hotCost)
+		m.LaunchKernelSplit("bench", hotCost, hotHostCost)
 	}
 }
 
@@ -359,6 +363,19 @@ func benchXsbenchLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lookup()
+	}
+}
+
+// benchComdForce runs one evaluation of CoMD's force kernel on the
+// small-scale 8³ lattice (2,048 atoms, 5 link cells per axis): the
+// cell-box refresh, then one exec.Measure launch of the force body, which
+// tallies every precision and force form.
+func benchComdForce(b *testing.B) {
+	s := comd.NewState(comd.Config{Nx: 8, Ny: 8, Nz: 8, Iters: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Forces()
 	}
 }
 
@@ -472,6 +489,12 @@ func BenchmarkXsbenchLookup(b *testing.B) {
 	b.Run("small", benchXsbenchLookup)
 }
 
+// BenchmarkComdForce measures one CoMD force evaluation, the kernel a
+// CoMD functional pass spends most of its time in.
+func BenchmarkComdForce(b *testing.B) {
+	b.Run("small", benchComdForce)
+}
+
 // BenchmarkCacheReplay measures one LLC characterization replay: an
 // all-miss trace on the dGPU and LULESH's gather on the APU.
 func BenchmarkCacheReplay(b *testing.B) {
@@ -536,6 +559,7 @@ func TestWriteBenchHotpath(t *testing.T) {
 		{"hetlint/module", benchHetlintModule},
 		{"minife/solve", benchMinifeSolve},
 		{"xsbench/lookup", benchXsbenchLookup},
+		{"comd/force", benchComdForce},
 		{"cache/replay", benchCacheReplay},
 		{"cache/gather", benchCacheGather},
 	}

@@ -157,7 +157,9 @@ func GeometryOf(dev *device.Device) Geometry {
 // cache and converts the outcome into the timing model's memory traits.
 // trace generates the trace: it calls touch with each access's byte
 // address, in order, and each access touches accessBytes. The addresses
-// stream straight into the cache; no trace is ever materialized. The
+// stream straight into the cache; no trace is ever materialized. An
+// access that lies within one line is one cache.Access; one that
+// straddles lines goes through AccessRange, one Access per line. The
 // traits are:
 //
 //   - missRate: the fraction of requested bytes that DRAM must supply,
@@ -171,9 +173,14 @@ func Traits(dev *device.Device, accessBytes int, trace func(touch func(addr uint
 	}
 	cfg := cache.Config{SizeBytes: dev.L2SizeBytes, LineBytes: dev.CacheLineBytes, Ways: dev.L2Ways}
 	c := cache.New(cfg)
+	lineMask := uint64(dev.CacheLineBytes - 1)
 	n := 0
 	trace(func(addr uint64) {
-		c.AccessRange(addr, accessBytes)
+		if addr&lineMask+uint64(accessBytes) <= lineMask+1 {
+			c.Access(addr)
+		} else {
+			c.AccessRange(addr, accessBytes)
+		}
 		n++
 	})
 	if n == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hetbench/internal/models/modelapi"
+	"hetbench/internal/sim/cache"
 	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/timing"
 )
@@ -113,6 +114,80 @@ func TestTraitsAllocatesOnlyTheCache(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { Traits(dev, 8, trace) })
 	if allocs > 4 {
 		t.Errorf("one Traits replay of 2^19 addresses allocates %v times, want ≤ 4 (the cache and the touch closure)", allocs)
+	}
+}
+
+// rangeTraits is Traits with every access sent through AccessRange, the
+// reference the one-line path is held to.
+func rangeTraits(dev *device.Device, accessBytes int, trace func(touch func(uint64))) (missRate, coalesce, accessMissRate float64) {
+	c := cache.New(cache.Config{SizeBytes: dev.L2SizeBytes, LineBytes: dev.CacheLineBytes, Ways: dev.L2Ways})
+	n := 0
+	trace(func(addr uint64) {
+		c.AccessRange(addr, accessBytes)
+		n++
+	})
+	st := c.Stats()
+	ratio := float64(st.Misses) * float64(dev.CacheLineBytes) / float64(n*accessBytes)
+	if ratio <= 1 {
+		return ratio, 1, st.MissRate()
+	}
+	return 1, 1 / ratio, st.MissRate()
+}
+
+// TestTraitsMatchesRangeReference holds Traits, which sends an access
+// that lies in one line straight to Access, to rangeTraits bit for bit
+// on traces whose accesses straddle lines: CoMD's 12- and 24-byte
+// position reads, gathered and streamed, and accesses ending at, or one
+// to accessBytes−1 bytes past, a line's end. Both LLC geometries run.
+func TestTraitsMatchesRangeReference(t *testing.T) {
+	// gather reads atom positions of size bytes in a scattered order
+	// over 2^17 atoms, then streams them.
+	gather := func(size uint64) func(touch func(uint64)) {
+		return func(touch func(uint64)) {
+			s := uint64(3)
+			for i := 0; i < 1<<17; i++ {
+				s = s*6364136223846793005 + 1442695040888963407
+				touch(s >> 47 * size)
+			}
+			for j := uint64(0); j < 1<<17; j++ {
+				touch(j * size)
+			}
+		}
+	}
+	// lineEnds ends each access b bytes past a line end, for every b
+	// from 0 to size, over lines spread across every set.
+	lineEnds := func(size uint64) func(touch func(uint64)) {
+		return func(touch func(uint64)) {
+			for l := uint64(1); l < 1<<14; l++ {
+				for b := uint64(0); b <= size; b++ {
+					touch(l*64*97 + 64 + b - size)
+				}
+			}
+		}
+	}
+	for _, dev := range []*device.Device{device.A10_7850K(), device.R9280X()} {
+		for _, tc := range []struct {
+			name  string
+			size  int
+			trace func(touch func(uint64))
+		}{
+			{"comd-single", 12, gather(12)},
+			{"comd-double", 24, gather(24)},
+			{"ends-8", 8, lineEnds(8)},
+			{"ends-12", 12, lineEnds(12)},
+			{"ends-24", 24, lineEnds(24)},
+			{"ends-64", 64, lineEnds(64)},
+			{"ends-100", 100, lineEnds(100)},
+			{"scattered-8", 8, scattered(1 << 16)},
+		} {
+			t.Run(dev.Name+"/"+tc.name, func(t *testing.T) {
+				miss, coal, acc := Traits(dev, tc.size, tc.trace)
+				wmiss, wcoal, wacc := rangeTraits(dev, tc.size, tc.trace)
+				if math.Float64bits(miss) != math.Float64bits(wmiss) || math.Float64bits(coal) != math.Float64bits(wcoal) || math.Float64bits(acc) != math.Float64bits(wacc) {
+					t.Errorf("traits (%v, %v, %v), AccessRange reference (%v, %v, %v)", miss, coal, acc, wmiss, wcoal, wacc)
+				}
+			})
+		}
 	}
 }
 

@@ -127,10 +127,18 @@ type Recorder struct {
 // Launch records a launch of kernel over n items, executing body when
 // functional is set or kernel has no measurement yet.
 func (r *Recorder) Launch(kernel, n int, functional bool, body func(*exec.WorkItem)) {
+	r.LaunchWith(kernel, n, functional, func() exec.Views { return exec.Measure(n, body) })
+}
+
+// LaunchWith is Launch for a kernel that prepares its inputs before its
+// items run: execute runs the kernel's n items, as exec.Measure does, and
+// returns their counters. It is called exactly when Launch would run the
+// body.
+func (r *Recorder) LaunchWith(kernel, n int, functional bool, execute func() exec.Views) {
 	per, ok := r.last[kernel]
 	if functional || !ok {
 		per = new(exec.Views)
-		*per = exec.Measure(n, body)
+		*per = execute()
 		if r.last == nil {
 			r.last = make(map[int]*exec.Views)
 		}

@@ -86,7 +86,17 @@ type State struct {
 	CellStart     []int32
 	CellAtoms     []int32
 	CellNeighbors []int32
+
+	// boxes bounds each link cell's atoms at their positions when last
+	// refreshed (refreshBoxes); ljForceAtom skips a neighbor cell whose
+	// box lies beyond the cutoff.
+	boxes []cellBox
 }
+
+// cellBox is the axis-aligned bounding box of one link cell's atoms. An
+// empty cell's box is inverted (lo = +Inf, hi = −Inf), so no atom is
+// within any distance of it.
+type cellBox struct{ lo, hi [3]float64 }
 
 // fcc basis offsets within one unit cell.
 var fccBasis = [4][3]float64{{0, 0, 0}, {0.5, 0.5, 0}, {0.5, 0, 0.5}, {0, 0.5, 0.5}}
@@ -226,6 +236,28 @@ func (s *State) RebuildCells() {
 		s.CellAtoms[s.CellStart[c]+fill[c]] = int32(i)
 		fill[c]++
 	}
+	s.refreshBoxes()
+}
+
+// refreshBoxes rebuilds every cell's bounding box from its atoms'
+// current positions. Atoms drift, and position wraps an atom to the far
+// side of the box while CellOf still names its old cell, so the boxes
+// must be refreshed whenever positions change before the force kernel
+// runs.
+func (s *State) refreshBoxes() {
+	if s.boxes == nil {
+		s.boxes = make([]cellBox, s.numCells())
+	}
+	inf := math.Inf(1)
+	for c := range s.boxes {
+		b := cellBox{lo: [3]float64{inf, inf, inf}, hi: [3]float64{-inf, -inf, -inf}}
+		for _, j := range s.CellAtoms[s.CellStart[c]:s.CellStart[c+1]] {
+			x, y, z := s.X[j], s.Y[j], s.Z[j]
+			b.lo = [3]float64{min(b.lo[0], x), min(b.lo[1], y), min(b.lo[2], z)}
+			b.hi = [3]float64{max(b.hi[0], x), max(b.hi[1], y), max(b.hi[2], z)}
+		}
+		s.boxes[c] = b
+	}
 }
 
 // minImage applies the periodic minimum-image convention.
@@ -239,10 +271,33 @@ func minImage(d, l float64) float64 {
 	return d
 }
 
+// boxSlack is the margin, relative to the box length, by which
+// ljForceAtom shrinks its distance bound before skipping a cell. The
+// rounding of the minimum-image differences and of the bound itself is
+// a few ulps of the box length, about 1e-15 of it.
+const boxSlack = 1e-9
+
+// axisGap bounds |minImage(x−v, l)| from below for every v in [lo, hi]:
+// minImage returns x−v shifted by −l, 0 or +l, so the bound is the
+// distance from x to the nearest of the interval's three images.
+func axisGap(x, lo, hi, l float64) float64 {
+	g := max(0, lo-x, x-hi)
+	g = min(g, max(0, lo-x+l, x-hi-l))
+	g = min(g, max(0, lo-x-l, x-hi+l))
+	return max(0, g-boxSlack*l)
+}
+
 // ljForceAtom computes the LJ force and energy on atom i against all
 // neighbors within the cutoff, returning (fx, fy, fz, pe, pairsVisited).
 // The potential is the truncated-and-shifted 12-6 LJ so that energy is
 // continuous at the cutoff (bounded drift under Verlet integration).
+//
+// pairsVisited prices the kernel: it counts every other atom of the 27
+// neighbor cells, which are distinct since each axis has at least 3
+// cells. A cell whose bounding box lies beyond the cutoff holds no pair
+// the sum would keep, so it is skipped unread; the pairs that remain are
+// summed in the same order, so every result is bit-identical to a scan
+// of all 27 cells. The boxes must be fresh (refreshBoxes).
 func (s *State) ljForceAtom(i int) (fx, fy, fz, pe float64, visited int) {
 	const rc2 = cutoff * cutoff
 	// energy shift: 4(rc^-12 - rc^-6)
@@ -251,11 +306,17 @@ func (s *State) ljForceAtom(i int) (fx, fy, fz, pe float64, visited int) {
 
 	xi, yi, zi := s.X[i], s.Y[i], s.Z[i]
 	ci := s.CellOf[i]
-	for k := 0; k < 27; k++ {
-		cell := s.CellNeighbors[int(ci)*27+k]
+	for _, cell := range s.CellNeighbors[int(ci)*27 : int(ci)*27+27] {
 		lo, hi := s.CellStart[cell], s.CellStart[cell+1]
-		for a := lo; a < hi; a++ {
-			j := s.CellAtoms[a]
+		visited += int(hi - lo)
+		b := &s.boxes[cell]
+		gx := axisGap(xi, b.lo[0], b.hi[0], s.Lx)
+		gy := axisGap(yi, b.lo[1], b.hi[1], s.Ly)
+		gz := axisGap(zi, b.lo[2], b.hi[2], s.Lz)
+		if gx*gx+gy*gy+gz*gz >= rc2 {
+			continue
+		}
+		for _, j := range s.CellAtoms[lo:hi] {
 			if int(j) == i {
 				continue
 			}
@@ -263,7 +324,6 @@ func (s *State) ljForceAtom(i int) (fx, fy, fz, pe float64, visited int) {
 			dy := minImage(yi-s.Y[j], s.Ly)
 			dz := minImage(zi-s.Z[j], s.Lz)
 			r2 := dx*dx + dy*dy + dz*dz
-			visited++
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
@@ -277,7 +337,7 @@ func (s *State) ljForceAtom(i int) (fx, fy, fz, pe float64, visited int) {
 			pe += 0.5 * (4*(inv6*inv6-inv6) - eShift)
 		}
 	}
-	return fx, fy, fz, pe, visited
+	return fx, fy, fz, pe, visited - 1
 }
 
 // TotalEnergy returns kinetic + potential energy (unit mass atoms).

@@ -96,9 +96,9 @@ const (
 // form.
 func view(prec timing.Precision, form int) int { return appcore.View(prec, form, forceForms) }
 
-// bodies builds the three kernel bodies, tallying the force kernel in
-// every precision and form and the integrators in every precision.
-func (s *State) bodies() (force, velHalf, position func(*exec.WorkItem)) {
+// forceBody is the force kernel's body: item i computes atom i's force
+// and energy, tallying its work in every precision and form.
+func (s *State) forceBody() func(*exec.WorkItem) {
 	n := len(s.X)
 	// Average atoms per cell: the LDS reuse factor for the tiled form.
 	reuse := float64(n) / float64(s.numCells())
@@ -116,7 +116,7 @@ func (s *State) bodies() (force, velHalf, position func(*exec.WorkItem)) {
 	// paper's "exposing parallelism in the form of tiles improved the
 	// performance of CoMD by almost 3×".
 	const divergenceReplay = 3.0
-	force = func(w *exec.WorkItem) {
+	return func(w *exec.WorkItem) {
 		i := w.Global
 		fx, fy, fz, pe, visited := s.ljForceAtom(i)
 		s.Fx[i], s.Fy[i], s.Fz[i], s.PE[i] = fx, fy, fz, pe
@@ -145,6 +145,20 @@ func (s *State) bodies() (force, velHalf, position func(*exec.WorkItem)) {
 			}
 		}
 	}
+}
+
+// Forces runs the force kernel once over every atom at the current
+// positions, storing each atom's force and potential energy, and
+// returns the kernel's per-item counters in every view. It first
+// refreshes the cell boxes the cutoff test reads.
+func (s *State) Forces() exec.Views {
+	s.refreshBoxes()
+	return exec.Measure(len(s.X), s.forceBody())
+}
+
+// integrators builds the two integrator bodies, tallied in every
+// precision.
+func (s *State) integrators() (velHalf, position func(*exec.WorkItem)) {
 	dt := dtStep
 	velHalf = exec.Uniform(appcore.PerView(forceForms, func(prec timing.Precision) exec.Counters {
 		elt := appcore.EltBytes(prec)
@@ -173,7 +187,7 @@ func (s *State) bodies() (force, velHalf, position func(*exec.WorkItem)) {
 		s.Y[i] = wrap(s.Y[i]+dt*s.Vy[i], s.Ly)
 		s.Z[i] = wrap(s.Z[i]+dt*s.Vz[i], s.Lz)
 	})
-	return force, velHalf, position
+	return velHalf, position
 }
 
 // runKey keys the functional pass in a run memo: the lattice is all it
@@ -184,12 +198,12 @@ type runKey struct{ cfg Config }
 // leading FunctionalIters steps execute the physics (rebuilding link
 // cells every rebuildEvery steps), the rest replay measured kernel costs.
 func (p *Problem) run(rec *appcore.Recorder, s *State) {
-	force, velHalf, position := s.bodies()
+	velHalf, position := s.integrators()
 	n := len(s.X)
 	fn := p.Cfg.functionalIters()
 
 	// Initial forces.
-	rec.Launch(kForce, n, true, force)
+	rec.LaunchWith(kForce, n, true, s.Forces)
 	for it := 0; it < p.Cfg.Iters; it++ {
 		functional := it < fn
 		rec.Iteration(func() {
@@ -199,7 +213,7 @@ func (p *Problem) run(rec *appcore.Recorder, s *State) {
 				s.RebuildCells()
 				rec.Transfer()
 			}
-			rec.Launch(kForce, n, functional, force)
+			rec.LaunchWith(kForce, n, functional, s.Forces)
 			rec.Launch(kVelocity, n, functional, velHalf)
 		})
 	}

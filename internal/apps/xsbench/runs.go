@@ -76,12 +76,13 @@ func (p *Problem) tally(visited []uint16) func(*exec.WorkItem) {
 
 // lookupAll runs every item's lookups. It returns each item's sum of the
 // total cross section over its lookups, added in lookup order, and the
-// number of nuclides its lookups visited. Items run in blocks of
-// blockItems, each block's lookups in energy order, so that neighbouring
-// lookups search and gather neighbouring grid points. LookupMacroXS is a
-// pure function of its query, so the order never reaches a result. The
-// blocks run on GOMAXPROCS workers, and each block writes only its own
-// items.
+// number of nuclides its lookups visited. Each lookup computes channel 0
+// alone (lookupTotalXS), the one channel the sum reads. Items run in
+// blocks of blockItems, each block's lookups in energy order, so that
+// neighbouring lookups search and gather neighbouring grid points. A
+// lookup is a pure function of its query, so the order never reaches a
+// result. The blocks run on GOMAXPROCS workers, and each block writes
+// only its own items.
 func (p *Problem) lookupAll() (partial []float64, visited []uint16) {
 	items := p.items()
 	partial, visited = make([]float64, items), make([]uint16, items)
@@ -141,11 +142,11 @@ func (p *Problem) lookupBlock(s *blockScratch, lo int, partial []float64, visite
 		order[s.start[k]] = int32(j)
 		s.start[k]++
 	}
-	var out [NumXS]float64
 	for _, j := range order {
 		energy, mat := p.lookupInputs(first + int(j))
-		visited[j/lookupsPerItem] += uint16(p.LookupMacroXS(energy, mat, &out))
-		total[j] = out[0]
+		t, v := p.lookupTotalXS(energy, mat)
+		visited[j/lookupsPerItem] += uint16(v)
+		total[j] = t
 	}
 	for i := range partial {
 		sum := 0.0

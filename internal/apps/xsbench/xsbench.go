@@ -291,41 +291,13 @@ func materialSizes(nuclides int) [NumMaterials]int {
 // results (the nuclide-grid path just finds each bracketing index by its
 // own binary search). Reports how many nuclides were visited.
 func (p *Problem) LookupMacroXS(energy float64, mat int, out *[NumXS]float64) int {
-	var u int
-	if p.Cfg.Grid == UnionizedGrid {
-		// One binary search: largest union index with energy ≤ query.
-		u = lowerBound(p.UnionEnergy, energy)
-		if u > 0 {
-			u--
-		}
-	}
+	u := p.unionLowerBound(energy)
 	for c := range out {
 		out[c] = 0
 	}
-	ids := p.MatNuclides[mat]
 	dens := p.MatDensity[mat]
-	for i, n := range ids {
-		var g int
-		if p.Cfg.Grid == UnionizedGrid {
-			g = int(p.UnionIndex[u*p.Cfg.Nuclides+int(n)])
-		} else {
-			g = p.nuclideLowerBound(int(n), energy)
-		}
-		eg := p.NuclideEnergy[n]
-		if g+1 >= len(eg) {
-			g = len(eg) - 2
-		}
-		e0, e1 := eg[g], eg[g+1]
-		f := 0.0
-		if e1 > e0 {
-			f = (energy - e0) / (e1 - e0)
-		}
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
+	for i, n := range p.MatNuclides[mat] {
+		g, f := p.bracket(u, n, energy)
 		xs := p.NuclideXS[n]
 		d := dens[i]
 		for c := 0; c < NumXS; c++ {
@@ -333,7 +305,63 @@ func (p *Problem) LookupMacroXS(energy float64, mat int, out *[NumXS]float64) in
 			out[c] += d * (lo + f*(hi-lo))
 		}
 	}
-	return len(ids)
+	return len(dens)
+}
+
+// lookupTotalXS is LookupMacroXS for channel 0 alone, the total cross
+// section: the one channel the functional pass sums. It adds the same
+// terms in the same order, so total is bit-identical to LookupMacroXS's
+// out[0].
+func (p *Problem) lookupTotalXS(energy float64, mat int) (total float64, visited int) {
+	u := p.unionLowerBound(energy)
+	dens := p.MatDensity[mat]
+	for i, n := range p.MatNuclides[mat] {
+		g, f := p.bracket(u, n, energy)
+		xs := p.NuclideXS[n]
+		lo, hi := xs[g*NumXS], xs[(g+1)*NumXS]
+		total += dens[i] * (lo + f*(hi-lo))
+	}
+	return total, len(dens)
+}
+
+// unionLowerBound returns the largest union-grid index with energy ≤ the
+// query (one binary search), or 0 for the nuclide-grid structure, which
+// has no union grid to search.
+func (p *Problem) unionLowerBound(energy float64) int {
+	if p.Cfg.Grid != UnionizedGrid {
+		return 0
+	}
+	u := lowerBound(p.UnionEnergy, energy)
+	if u > 0 {
+		u--
+	}
+	return u
+}
+
+// bracket returns nuclide n's grid interval [g, g+1] around energy, found
+// through union index u or by the nuclide's own binary search, and the
+// interpolation fraction f of energy within it, clamped to [0, 1].
+func (p *Problem) bracket(u int, n int32, energy float64) (g int, f float64) {
+	if p.Cfg.Grid == UnionizedGrid {
+		g = int(p.UnionIndex[u*p.Cfg.Nuclides+int(n)])
+	} else {
+		g = p.nuclideLowerBound(int(n), energy)
+	}
+	eg := p.NuclideEnergy[n]
+	if g+1 >= len(eg) {
+		g = len(eg) - 2
+	}
+	e0, e1 := eg[g], eg[g+1]
+	if e1 > e0 {
+		f = (energy - e0) / (e1 - e0)
+	}
+	if f < 0 {
+		f = 0
+	}
+	if f > 1 {
+		f = 1
+	}
+	return g, f
 }
 
 // nuclideLowerBound returns the largest index g with

@@ -370,3 +370,40 @@ func TestEnergyOrderedPassMatchesItemOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestChannelZeroPassMatchesFiveChannels holds lookupAll, whose lookups
+// compute the total cross section alone, to the five-channel
+// LookupMacroXS run item by item: every item's partial sum and visited
+// count, bit for bit. It covers the smoke and small configs on both grid
+// types at GOMAXPROCS 1 and 3.
+func TestChannelZeroPassMatchesFiveChannels(t *testing.T) {
+	for _, cfg := range []Config{
+		{Nuclides: 16, GridPoints: 512, Lookups: 20_000},
+		{Nuclides: 32, GridPoints: 2048, Lookups: 100_000},
+	} {
+		tab := generate(cfg.Nuclides, cfg.GridPoints)
+		for _, grid := range []GridType{UnionizedGrid, NuclideGridOnly} {
+			cfg.Grid = grid
+			p := &Problem{Cfg: cfg, Precision: timing.Double, Table: tab}
+			want := make([]float64, p.items())
+			wantVisited := make([]uint16, p.items())
+			var out [NumXS]float64
+			for i := range p.Cfg.Lookups {
+				energy, mat := p.lookupInputs(i)
+				wantVisited[i/lookupsPerItem] += uint16(p.LookupMacroXS(energy, mat, &out))
+				want[i/lookupsPerItem] += out[0]
+			}
+			for _, procs := range []int{1, 3} {
+				t.Run(fmt.Sprintf("procs=%d/%d/%s", procs, cfg.Nuclides, grid), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					partial, visited := p.lookupAll()
+					for i := range want {
+						if math.Float64bits(partial[i]) != math.Float64bits(want[i]) || visited[i] != wantVisited[i] {
+							t.Fatalf("item %d: partial %v, visited %d; five-channel %v, %d", i, partial[i], visited[i], want[i], wantVisited[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -36,9 +36,10 @@ type Recovery struct {
 // LaunchResilient issues one accelerator launch under the machine's fault
 // policy — the launch path the GPU runtimes share. When the machine has a
 // co-execution planner attached (sim.Machine.SetCoexec), every launch but
-// an Irregular one goes to it: irregular kernels stay single-device,
-// matching the paper's observation that generated code quality collapses
-// on them. Otherwise transient failures (launch rejection,
+// an Irregular one goes to it, costed on the host as well: irregular
+// kernels stay single-device, matching the paper's observation that
+// generated code quality collapses on them. Without a planner the host
+// side is never costed. Otherwise transient failures (launch rejection,
 // watchdog-killed hang, device loss) are retried with exponential
 // backoff, calling rec.Restage before each retry; a silent bit flip is
 // routed to the bound corruption targets (detected later by end-to-end
@@ -48,7 +49,8 @@ type Recovery struct {
 func (r *Runtime) LaunchResilient(l *Launch, rec Recovery) timing.Result {
 	m := r.machine
 	if l.Spec.Class != Irregular {
-		if res, ok := m.LaunchKernelSplit(l.Spec.Name, l.Cost, l.Spec.Cost(r.host, l.Items, l.Per)); ok {
+		host := func() timing.KernelCost { return l.Spec.Cost(r.host, l.Items, l.Per) }
+		if res, ok := m.LaunchKernelSplit(l.Spec.Name, l.Cost, host); ok {
 			return res
 		}
 	}

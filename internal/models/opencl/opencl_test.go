@@ -124,3 +124,20 @@ func TestMachineAccessor(t *testing.T) {
 		t.Error("Machine() accessor wrong")
 	}
 }
+
+// BenchmarkQueueLaunch measures one planner-less Queue.Launch of a
+// streaming kernel, the launch nearly every priced OpenCL run makes: the
+// accelerator cost, the co-execution check and the machine's launch. The
+// host-side cost is built only when a planner is attached.
+func BenchmarkQueueLaunch(b *testing.B) {
+	ctx := NewContext(sim.NewDGPU())
+	q := ctx.NewQueue()
+	buf := ctx.CreateBuffer("in", 1<<20)
+	q.EnqueueWriteBuffer(buf)
+	per := exec.Counters{SPFlops: 32, LoadBytes: 24, StoreBytes: 8, Instrs: 48}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Launch(spec(), 1<<16, per, buf)
+	}
+}

@@ -25,7 +25,7 @@ func TestTimelineRendersOverlappingDeviceSpans(t *testing.T) {
 		Items: 1 << 14, SPFlops: 8, LoadBytes: 64, StoreBytes: 8,
 		Instrs: 24, MissRate: 0.8, Coalesce: 0.95,
 	}
-	if _, ok := m.LaunchKernelSplit("axpy", cost, cost); !ok {
+	if _, ok := m.LaunchKernelSplit("axpy", cost, func() timing.KernelCost { return cost }); !ok {
 		t.Fatal("split launch did not run")
 	}
 

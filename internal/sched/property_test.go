@@ -78,7 +78,7 @@ func TestPartitionProperties(t *testing.T) {
 			tr := trace.New()
 			m.SetTracer(tr)
 			m.SetCoexec(s)
-			r, ok := m.LaunchKernelSplit("prop", cost, cost)
+			r, ok := m.LaunchKernelSplit("prop", cost, func() timing.KernelCost { return cost })
 			if !ok {
 				t.Fatalf("trial %d %v: split launch not routed", trial, pol)
 			}

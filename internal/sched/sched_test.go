@@ -18,6 +18,11 @@ func streamCost(items int) timing.KernelCost {
 	}
 }
 
+// streamHost costs streamCost's host side for LaunchKernelSplit.
+func streamHost(items int) func() timing.KernelCost {
+	return func() timing.KernelCost { return streamCost(items) }
+}
+
 func launch(items int) sim.CoexecLaunch {
 	return sim.CoexecLaunch{Name: "k", Accel: streamCost(items), Host: streamCost(items)}
 }
@@ -29,7 +34,7 @@ func split(t *testing.T, mk func() *sim.Machine, cfg Config, items int) (float64
 	s := New(cfg)
 	m := mk()
 	m.SetCoexec(s)
-	r, ok := m.LaunchKernelSplit("k", streamCost(items), streamCost(items))
+	r, ok := m.LaunchKernelSplit("k", streamCost(items), streamHost(items))
 	if !ok {
 		t.Fatal("split launch not routed to the scheduler")
 	}
@@ -107,7 +112,7 @@ func TestDynamicWavefrontAlignment(t *testing.T) {
 	tr := trace.New()
 	m.SetTracer(tr)
 	m.SetCoexec(s)
-	if _, ok := m.LaunchKernelSplit("k", streamCost(items), streamCost(items)); !ok {
+	if _, ok := m.LaunchKernelSplit("k", streamCost(items), streamHost(items)); !ok {
 		t.Fatal("not routed")
 	}
 	var sum, offWave int
@@ -136,7 +141,7 @@ func TestHGuidedShrinksChunks(t *testing.T) {
 	tr := trace.New()
 	m.SetTracer(tr)
 	m.SetCoexec(s)
-	if _, ok := m.LaunchKernelSplit("k", streamCost(items), streamCost(items)); !ok {
+	if _, ok := m.LaunchKernelSplit("k", streamCost(items), streamHost(items)); !ok {
 		t.Fatal("not routed")
 	}
 	var sizes []int
@@ -196,7 +201,7 @@ func TestDeviceLossMigratesChunksToHost(t *testing.T) {
 		tr := trace.New()
 		m.SetTracer(tr)
 		m.SetCoexec(s)
-		if _, ok := m.LaunchKernelSplit("k", streamCost(1<<12), streamCost(1<<12)); !ok {
+		if _, ok := m.LaunchKernelSplit("k", streamCost(1<<12), streamHost(1<<12)); !ok {
 			t.Fatal("not routed")
 		}
 		st := s.Stats()
@@ -234,7 +239,7 @@ func TestSchedCounters(t *testing.T) {
 	tr := trace.New()
 	m.SetTracer(tr)
 	m.SetCoexec(s)
-	m.LaunchKernelSplit("k", streamCost(1<<14), streamCost(1<<14))
+	m.LaunchKernelSplit("k", streamCost(1<<14), streamHost(1<<14))
 	reg := tr.Metrics()
 	st := s.Stats()
 	if got := reg.Get(trace.CtrSchedChunks); got != float64(st.Chunks) {

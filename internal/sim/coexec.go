@@ -44,15 +44,17 @@ func (m *Machine) SetCoexec(p CoexecPlanner) {
 }
 
 // LaunchKernelSplit routes one accelerator launch through the attached
-// co-execution planner. ok is false when no planner is attached — the
-// caller falls through to its normal single-device path — so, like the
-// fault injector, a machine without co-execution pays only a nil check.
-func (m *Machine) LaunchKernelSplit(name string, accel, host timing.KernelCost) (timing.Result, bool) {
+// co-execution planner; host costs the launch's host side, and is called
+// only when a planner is attached. ok is false when none is — the caller
+// falls through to its normal single-device path — so, like the fault
+// injector, a machine without co-execution pays only a nil check.
+func (m *Machine) LaunchKernelSplit(name string, accel timing.KernelCost, host func() timing.KernelCost) (timing.Result, bool) {
 	if m.coexec == nil {
 		return timing.Result{}, false
 	}
-	if accel.Items != host.Items {
-		panic(fmt.Sprintf("sim: split launch %q costs disagree on items (%d vs %d)", name, accel.Items, host.Items))
+	h := host()
+	if accel.Items != h.Items {
+		panic(fmt.Sprintf("sim: split launch %q costs disagree on items (%d vs %d)", name, accel.Items, h.Items))
 	}
-	return m.coexec.LaunchSplit(m, CoexecLaunch{Name: name, Accel: accel, Host: host}), true
+	return m.coexec.LaunchSplit(m, CoexecLaunch{Name: name, Accel: accel, Host: h}), true
 }

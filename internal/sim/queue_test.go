@@ -27,7 +27,10 @@ func (p *halfAndHalf) LaunchSplit(m *Machine, l CoexecLaunch) timing.Result {
 
 func TestLaunchKernelSplitWithoutPlanner(t *testing.T) {
 	m := NewDGPU()
-	if _, ok := m.LaunchKernelSplit("k", cost(), cost()); ok {
+	if _, ok := m.LaunchKernelSplit("k", cost(), func() timing.KernelCost {
+		t.Fatal("host side costed with no planner attached")
+		return cost()
+	}); ok {
 		t.Fatal("split launch reported ok with no planner attached")
 	}
 	if m.ElapsedNs() != 0 {
@@ -42,7 +45,7 @@ func TestSetCoexecRoutesLaunches(t *testing.T) {
 	if m.coexec == nil {
 		t.Fatal("no planner attached after SetCoexec")
 	}
-	r, ok := m.LaunchKernelSplit("k", cost(), cost())
+	r, ok := m.LaunchKernelSplit("k", cost(), cost)
 	if !ok || p.calls != 1 {
 		t.Fatalf("split launch ok=%v planner calls=%d, want routed once", ok, p.calls)
 	}
