@@ -333,7 +333,7 @@ func benchMinifeSolve(b *testing.B) {
 	m.SetFaultInjector(fault.New(fault.Config{}), fault.DefaultPolicy())
 	solve := func() {
 		p := &minife.Problem{Cfg: cfg, Precision: timing.Double, Memo: memo}
-		p.RunOpenMP(m)
+		p.Run(m, modelapi.OpenMP)
 	}
 	solve()
 	b.ReportAllocs()
@@ -356,7 +356,7 @@ func benchXsbenchLookup(b *testing.B) {
 	m.SetFaultInjector(fault.New(fault.Config{}), fault.DefaultPolicy())
 	lookup := func() {
 		p := &xsbench.Problem{Cfg: cfg, Precision: timing.Double, Memo: memo}
-		p.RunOpenMP(m)
+		p.Run(m, modelapi.OpenMP)
 	}
 	lookup()
 	b.ReportAllocs()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"hetbench/internal/apps/minife"
+	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
@@ -20,8 +21,8 @@ func main() {
 	fmt.Printf("miniFE: %d unknowns, %d nonzeros, CG with CSR-Adaptive SpMV\n\n",
 		problem.Cfg.NumRows(), problem.Cfg.NNZ())
 
-	apu := problem.RunCppAMP(sim.NewAPU())
-	dgpu := problem.RunCppAMP(sim.NewDGPU())
+	apu := problem.Run(sim.NewAPU(), modelapi.CppAMP)
+	dgpu := problem.Run(sim.NewDGPU(), modelapi.CppAMP)
 
 	fmt.Printf("C++ AMP on %-18s: %8.3f ms (kernel %8.3f ms)\n", "the APU", apu.ElapsedNs/1e6, apu.KernelNs/1e6)
 	fmt.Printf("C++ AMP on %-18s: %8.3f ms (kernel %8.3f ms)\n", "the R9 280X", dgpu.ElapsedNs/1e6, dgpu.KernelNs/1e6)

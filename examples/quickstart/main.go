@@ -23,7 +23,7 @@ func main() {
 	for _, machine := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
 		m := machine()
 		fmt.Printf("== %s ==\n", m.Name())
-		base := problem.RunOpenMP(machine())
+		base := problem.Run(machine(), modelapi.OpenMP)
 		fmt.Printf("  %-8s %8.3f ms (the 4-core baseline)\n", "OpenMP", base.ElapsedNs/1e6)
 		for _, model := range modelapi.All() {
 			r := problem.Run(machine(), model)

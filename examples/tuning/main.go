@@ -8,14 +8,15 @@ import (
 	"fmt"
 
 	"hetbench/internal/apps/comd"
+	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
 
 func main() {
 	p := comd.NewProblem(comd.Config{Nx: 16, Ny: 16, Nz: 16, Iters: 3, FunctionalIters: 1}, timing.Single)
-	flat := p.RunOpenCLFlat(sim.NewDGPU())
-	tiled := p.RunOpenCL(sim.NewDGPU())
+	flat := p.Run(sim.NewDGPU(), comd.OpenCLFlat)
+	tiled := p.Run(sim.NewDGPU(), modelapi.OpenCL)
 	fmt.Printf("CoMD force kernel on the R9 280X (%d atoms):\n", p.Cfg.NumAtoms())
 	fmt.Printf("  flat gather     : %8.3f ms\n", flat.KernelNs/1e6)
 	fmt.Printf("  LDS-tiled       : %8.3f ms   (%.2f× — paper: ≈3×)\n\n",

@@ -1,6 +1,7 @@
 // Package appcore holds the vocabulary shared by the proxy applications:
-// the one run path every Problem.Run takes (Run), the run-result record
-// every implementation returns (Result, built by NewResult), precision
+// the one run path every Problem.Run takes (Run; Problem.Run is an app's
+// only run entry, and its per-model ports stay private), the run-result
+// record every implementation returns (Result, built by NewResult), precision
 // helpers, the conversion from cache-simulator measurements to the timing
 // model's (MissRate, Coalesce) memory traits (Traits, which streams an app's
 // generated address trace through the simulated LLC without holding it),
@@ -61,8 +62,9 @@ func NewResult(m *sim.Machine, app string, model modelapi.Name, prec timing.Prec
 
 // Run is the one run path of every app's Problem.Run: it resets m's
 // clock, opens the run span app/model and calls model's port on p inside
-// it. It panics for a model ports has no entry for. Each port is also an
-// entry point of its own, so it resets the clock again inside the span.
+// it. It panics for a model ports has no entry for. A table may also key
+// an app's ablation variant under a name of its own: the span names the
+// variant, the port's Result the model it runs.
 func Run[P, R any](m *sim.Machine, app string, model modelapi.Name, p P, ports map[modelapi.Name]func(P, *sim.Machine) R) (r R) {
 	m.ResetClock()
 	m.InRun(app+"/"+string(model), func() {

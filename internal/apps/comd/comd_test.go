@@ -108,11 +108,11 @@ func TestCoMDShapes(t *testing.T) {
 	cfg := Config{Nx: 6, Ny: 6, Nz: 6, Iters: 5}
 	dp := NewProblem(cfg, timing.Double)
 
-	base := dp.RunOpenMP(sim.NewAPU())
+	base := dp.Run(sim.NewAPU(), modelapi.OpenMP)
 	for _, machine := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
-		cl := dp.RunOpenCL(machine())
-		amp := dp.RunCppAMP(machine())
-		acc := dp.RunOpenACC(machine())
+		cl := dp.Run(machine(), modelapi.OpenCL)
+		amp := dp.Run(machine(), modelapi.CppAMP)
+		acc := dp.Run(machine(), modelapi.OpenACC)
 		sCL, sAMP, sACC := cl.SpeedupOver(base), amp.SpeedupOver(base), acc.SpeedupOver(base)
 		if !(sCL > sAMP && sAMP > sACC) {
 			t.Errorf("%s: ordering CL %.2f > AMP %.2f > ACC %.2f violated", cl.Machine, sCL, sAMP, sACC)
@@ -120,8 +120,8 @@ func TestCoMDShapes(t *testing.T) {
 	}
 
 	// Compute-bound: dGPU ≫ APU for OpenCL.
-	clAPU := dp.RunOpenCL(sim.NewAPU())
-	clDGPU := dp.RunOpenCL(sim.NewDGPU())
+	clAPU := dp.Run(sim.NewAPU(), modelapi.OpenCL)
+	clDGPU := dp.Run(sim.NewDGPU(), modelapi.OpenCL)
 	if r := clAPU.ElapsedNs / clDGPU.ElapsedNs; r < 3 {
 		t.Errorf("dGPU/APU CoMD advantage = %.2f×, want large (compute-bound)", r)
 	}
@@ -129,8 +129,8 @@ func TestCoMDShapes(t *testing.T) {
 	// SP vs DP: the APU's 1/16 DP rate must show a bigger gap than the
 	// dGPU's 1/4 (Section VI-A).
 	sp := NewProblem(cfg, timing.Single)
-	gapAPU := dp.RunOpenCL(sim.NewAPU()).KernelNs / sp.RunOpenCL(sim.NewAPU()).KernelNs
-	gapDGPU := dp.RunOpenCL(sim.NewDGPU()).KernelNs / sp.RunOpenCL(sim.NewDGPU()).KernelNs
+	gapAPU := dp.Run(sim.NewAPU(), modelapi.OpenCL).KernelNs / sp.Run(sim.NewAPU(), modelapi.OpenCL).KernelNs
+	gapDGPU := dp.Run(sim.NewDGPU(), modelapi.OpenCL).KernelNs / sp.Run(sim.NewDGPU(), modelapi.OpenCL).KernelNs
 	if gapAPU <= gapDGPU {
 		t.Errorf("DP/SP gap APU %.2f not above dGPU %.2f", gapAPU, gapDGPU)
 	}
@@ -145,8 +145,8 @@ func TestTilingAblation(t *testing.T) {
 	cfg := Config{Nx: 16, Ny: 16, Nz: 16, Iters: 2}
 	p := NewProblem(cfg, timing.Single)
 
-	flat := p.RunOpenCLFlat(sim.NewDGPU()).KernelNs
-	tiled := p.RunOpenCL(sim.NewDGPU()).KernelNs
+	flat := p.Run(sim.NewDGPU(), OpenCLFlat).KernelNs
+	tiled := p.Run(sim.NewDGPU(), modelapi.OpenCL).KernelNs
 	if speedup := flat / tiled; speedup < 1.5 {
 		t.Errorf("tiling speedup = %.2f×, want substantial (paper ≈3×)", speedup)
 	}

@@ -231,9 +231,8 @@ func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer, form int) float
 	})
 }
 
-// RunOpenMP is the 4-core CPU baseline (flat force loop).
-func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+// runOpenMP is the 4-core CPU baseline (flat force loop).
+func (p *Problem) runOpenMP(m *sim.Machine) appcore.Result {
 	rt := openmp.New(m)
 	specs := p.specs(m)
 	energy := p.play(rt.Runtime, appcore.Pricer{
@@ -242,10 +241,9 @@ func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.OpenMP, p.Precision, energy, 3)
 }
 
-// runOpenCL stages atoms once and runs the force kernel in the given
+// stageOpenCL stages atoms once and runs the force kernel in the given
 // form.
-func (p *Problem) runOpenCL(m *sim.Machine, form int) (*opencl.Context, float64) {
-	m.ResetClock()
+func (p *Problem) stageOpenCL(m *sim.Machine, form int) (*opencl.Context, float64) {
 	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 	var cells *opencl.Buffer
@@ -263,26 +261,28 @@ func (p *Problem) runOpenCL(m *sim.Machine, form int) (*opencl.Context, float64)
 	}, form)
 }
 
-// RunOpenCL stages atoms once and uses the tiled, LDS-staged force kernel.
-func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
-	ctx, energy := p.runOpenCL(m, tiled)
+// runOpenCL stages atoms once and uses the tiled, LDS-staged force kernel.
+func (p *Problem) runOpenCL(m *sim.Machine) appcore.Result {
+	ctx, energy := p.stageOpenCL(m, tiled)
 	q := ctx.NewQueue()
 	q.EnqueueReadBuffer(ctx.CreateBuffer("comd.force", p.groups()[2].bytes))
 	q.Finish()
 	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, energy, 3)
 }
 
-// RunOpenCLFlat is the un-tiled OpenCL variant (no LDS staging), kept for
-// the Section VI-C tiling ablation.
-func (p *Problem) RunOpenCLFlat(m *sim.Machine) appcore.Result {
-	_, energy := p.runOpenCL(m, flat)
+// OpenCLFlat is the port key of the un-tiled OpenCL variant (Section
+// VI-C's tiling ablation). Its Result.Model is OpenCL.
+const OpenCLFlat modelapi.Name = "OpenCL-flat"
+
+// runOpenCLFlat is the un-tiled OpenCL variant (no LDS staging).
+func (p *Problem) runOpenCLFlat(m *sim.Machine) appcore.Result {
+	_, energy := p.stageOpenCL(m, flat)
 	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, energy, 3)
 }
 
-// RunCppAMP uses tile_static staging for the force kernel (the 3×
+// runCppAMP uses tile_static staging for the force kernel (the 3×
 // improvement the paper credits to tiling, Section VI-C).
-func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runCppAMP(m *sim.Machine) appcore.Result {
 	rt := cppamp.New(m)
 	var views []*cppamp.ArrayView
 	var cells *cppamp.ArrayView
@@ -302,11 +302,10 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.CppAMP, p.Precision, energy, 3)
 }
 
-// RunOpenACC annotates the flat loops; the compiler cannot tile or use the
+// runOpenACC annotates the flat loops; the compiler cannot tile or use the
 // LDS (Figure 11), and the irregular force loop falls back to mostly
 // scalar code (Section VI-A's CoMD result).
-func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runOpenACC(m *sim.Machine) appcore.Result {
 	rt := openacc.New(m)
 	var clauses []openacc.Clause
 	for _, g := range p.groups() {
@@ -323,12 +322,13 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, energy, 3)
 }
 
-// ports are the models Run dispatches to.
+// ports are the keys Run dispatches to: the models and the flat variant.
 var ports = map[modelapi.Name]func(*Problem, *sim.Machine) appcore.Result{
-	modelapi.OpenMP:  (*Problem).RunOpenMP,
-	modelapi.OpenCL:  (*Problem).RunOpenCL,
-	modelapi.CppAMP:  (*Problem).RunCppAMP,
-	modelapi.OpenACC: (*Problem).RunOpenACC,
+	modelapi.OpenMP:  (*Problem).runOpenMP,
+	modelapi.OpenCL:  (*Problem).runOpenCL,
+	modelapi.CppAMP:  (*Problem).runCppAMP,
+	modelapi.OpenACC: (*Problem).runOpenACC,
+	OpenCLFlat:       (*Problem).runOpenCLFlat,
 }
 
 // Run runs CoMD under model on m inside one run span (see appcore.Run).

@@ -268,9 +268,8 @@ func (p *Problem) play(core *modelapi.Runtime, d appcore.Pricer) float64 {
 // ---------------------------------------------------------------------
 // Run functions, one per model.
 
-// RunOpenMP runs the 4-core CPU baseline.
-func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+// runOpenMP runs the 4-core CPU baseline.
+func (p *Problem) runOpenMP(m *sim.Machine) appcore.Result {
 	rt := openmp.New(m)
 	specs := p.specs(m)
 	sum := p.play(rt.Runtime, appcore.Pricer{
@@ -279,12 +278,11 @@ func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.OpenMP, p.Precision, sum, int(NumKernels))
 }
 
-// RunOpenCL stages the state explicitly, runs 28 NDRange launches per
+// runOpenCL stages the state explicitly, runs 28 NDRange launches per
 // iteration, reads the small constraint partials each step and the state
 // once at the end — the hand-tuned data movement the paper credits for
 // OpenCL's discrete-GPU wins.
-func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runOpenCL(m *sim.Machine) appcore.Result {
 	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 
@@ -312,12 +310,11 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, sum, int(NumKernels))
 }
 
-// RunCppAMP wraps the state in array_views. On the APU everything is
+// runCppAMP wraps the state in array_views. On the APU everything is
 // zero-copy; on the discrete GPU the CLAMP compiler bug forces the
 // monotonic-Q limiter kernel onto the CPU, and its captured views
 // round-trip every iteration (Section VI-A's LULESH discussion).
-func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runCppAMP(m *sim.Machine) appcore.Result {
 	rt := cppamp.New(m)
 
 	views := map[string]*cppamp.ArrayView{}
@@ -347,11 +344,10 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.CppAMP, p.Precision, sum, int(NumKernels))
 }
 
-// RunOpenACC uses a structured data region around the whole timestep loop
+// runOpenACC uses a structured data region around the whole timestep loop
 // (the hand-tuned form the paper's implementations used) with a per-
 // iteration `update host` of the constraint partials.
-func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runOpenACC(m *sim.Machine) appcore.Result {
 	rt := openacc.New(m)
 
 	var clauses []openacc.Clause
@@ -377,13 +373,12 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, sum, int(NumKernels))
 }
 
-// RunHC is the Section VII model: the initial state upload is
+// runHC is the Section VII model: the initial state upload is
 // asynchronous and hides behind the first timesteps' kernels, the
 // per-iteration readback is explicit and minimal, and no view semantics
 // ever re-copy the state. It is the "best of both worlds" configuration
 // the paper closes with.
-func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runHC(m *sim.Machine) appcore.Result {
 	rt := hc.New(m)
 	for _, g := range p.groups() {
 		switch g.name {
@@ -407,10 +402,11 @@ func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 
 // ports are the models Run dispatches to.
 var ports = map[modelapi.Name]func(*Problem, *sim.Machine) appcore.Result{
-	modelapi.OpenMP:  (*Problem).RunOpenMP,
-	modelapi.OpenCL:  (*Problem).RunOpenCL,
-	modelapi.CppAMP:  (*Problem).RunCppAMP,
-	modelapi.OpenACC: (*Problem).RunOpenACC,
+	modelapi.OpenMP:  (*Problem).runOpenMP,
+	modelapi.OpenCL:  (*Problem).runOpenCL,
+	modelapi.CppAMP:  (*Problem).runCppAMP,
+	modelapi.OpenACC: (*Problem).runOpenACC,
+	modelapi.HC:      (*Problem).runHC,
 }
 
 // Run runs LULESH under model on m inside one run span (see appcore.Run).

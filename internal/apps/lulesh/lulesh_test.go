@@ -325,10 +325,10 @@ func TestAllModelsAgreeAndCount28Kernels(t *testing.T) {
 // from the CPU-fallback kernel's per-iteration round trips.
 func TestDGPUShapeOpenCLBestAMPWorst(t *testing.T) {
 	p := NewProblem(Config{S: 16, Iters: 8}, timing.Double)
-	base := p.RunOpenMP(sim.NewAPU())
-	cl := p.RunOpenCL(sim.NewDGPU())
-	amp := p.RunCppAMP(sim.NewDGPU())
-	acc := p.RunOpenACC(sim.NewDGPU())
+	base := p.Run(sim.NewAPU(), modelapi.OpenMP)
+	cl := p.Run(sim.NewDGPU(), modelapi.OpenCL)
+	amp := p.Run(sim.NewDGPU(), modelapi.CppAMP)
+	acc := p.Run(sim.NewDGPU(), modelapi.OpenACC)
 
 	sCL, sAMP, sACC := cl.SpeedupOver(base), amp.SpeedupOver(base), acc.SpeedupOver(base)
 	if !(sCL > sACC && sACC > sAMP) {
@@ -343,9 +343,9 @@ func TestDGPUShapeOpenCLBestAMPWorst(t *testing.T) {
 // not pay the fallback penalty (unified memory).
 func TestAPUShapeModelsClose(t *testing.T) {
 	p := NewProblem(Config{S: 16, Iters: 8}, timing.Double)
-	cl := p.RunOpenCL(sim.NewAPU())
-	amp := p.RunCppAMP(sim.NewAPU())
-	acc := p.RunOpenACC(sim.NewAPU())
+	cl := p.Run(sim.NewAPU(), modelapi.OpenCL)
+	amp := p.Run(sim.NewAPU(), modelapi.CppAMP)
+	acc := p.Run(sim.NewAPU(), modelapi.OpenACC)
 	if amp.TransferNs != 0 || acc.TransferNs != 0 || cl.TransferNs != 0 {
 		t.Error("APU charged transfer time")
 	}
@@ -360,8 +360,8 @@ func TestReplayedIterationsMatchFunctionalTiming(t *testing.T) {
 	// per iteration as a fully functional run (same costs replayed).
 	full := NewProblem(Config{S: 6, Iters: 6}, timing.Double)
 	fast := NewProblem(Config{S: 6, Iters: 6, FunctionalIters: 2}, timing.Double)
-	tFull := full.RunOpenCL(sim.NewDGPU()).ElapsedNs
-	tFast := fast.RunOpenCL(sim.NewDGPU()).ElapsedNs
+	tFull := full.Run(sim.NewDGPU(), modelapi.OpenCL).ElapsedNs
+	tFast := fast.Run(sim.NewDGPU(), modelapi.OpenCL).ElapsedNs
 	if math.Abs(tFull-tFast) > 0.02*tFull {
 		t.Errorf("replayed run time %g differs from functional %g by >2%%", tFast, tFull)
 	}

@@ -21,7 +21,7 @@ type MPIXResult struct {
 	HaloBytes int64
 }
 
-// RunMPIX strong-scales the Sedov problem across the cluster with a slab
+// runMPIX strong-scales the Sedov problem across the cluster with a slab
 // decomposition along z — the MPI half of the paper's "MPI+X": each rank
 // runs the 28 X-model kernels on its S×S×(S/P) slab, exchanges one ghost
 // layer with its face neighbors each timestep, and joins the global
@@ -32,7 +32,7 @@ type MPIXResult struct {
 // each launch's items (the kernels are element- or node-parallel, so the
 // split is exact up to the surface layers); communication is simulated
 // message by message on the cluster fabric.
-func (p *Problem) RunMPIX(c *mpix.Cluster) MPIXResult {
+func (p *Problem) runMPIX(c *mpix.Cluster) MPIXResult {
 	ranks := c.Size()
 	if p.Cfg.S%ranks != 0 && ranks > 1 {
 		panic(fmt.Sprintf("lulesh: S=%d not divisible into %d slabs", p.Cfg.S, ranks))
@@ -112,7 +112,7 @@ func (p *Problem) StrongScaling(rankCounts []int, fabric mpix.Fabric) []MPIXResu
 	var out []MPIXResult
 	for _, n := range rankCounts {
 		c := mpix.NewCluster(n, fabric)
-		out = append(out, p.RunMPIX(c))
+		out = append(out, p.runMPIX(c))
 	}
 	return out
 }

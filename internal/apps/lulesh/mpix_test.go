@@ -51,7 +51,7 @@ func TestMPIXPanicsOnIndivisibleSlabs(t *testing.T) {
 			t.Error("indivisible slab count did not panic")
 		}
 	}()
-	p.RunMPIX(mpix.NewCluster(3, mpix.DefaultFabric()))
+	p.runMPIX(mpix.NewCluster(3, mpix.DefaultFabric()))
 }
 
 func TestMPIXDegenerateHelpers(t *testing.T) {

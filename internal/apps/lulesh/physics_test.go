@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hetbench/internal/apps/appcore"
+	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
@@ -102,14 +103,14 @@ func TestBlastPropagatesOutward(t *testing.T) {
 
 func TestHCMatchesOtherModels(t *testing.T) {
 	p := NewProblem(Config{S: 8, Iters: 6, FunctionalIters: 2}, timing.Double)
-	ref := p.RunOpenCL(sim.NewDGPU())
-	hc := p.RunHC(sim.NewDGPU())
+	ref := p.Run(sim.NewDGPU(), modelapi.OpenCL)
+	hc := p.Run(sim.NewDGPU(), modelapi.HC)
 	if hc.Checksum != ref.Checksum {
 		t.Errorf("HC checksum %g != OpenCL %g", hc.Checksum, ref.Checksum)
 	}
 	// HC must not be slower than C++ AMP on the dGPU (no fallback, no
 	// view round-trips).
-	amp := p.RunCppAMP(sim.NewDGPU())
+	amp := p.Run(sim.NewDGPU(), modelapi.CppAMP)
 	if hc.ElapsedNs >= amp.ElapsedNs {
 		t.Errorf("HC %.2fms not faster than AMP %.2fms", hc.ElapsedNs/1e6, amp.ElapsedNs/1e6)
 	}

@@ -313,7 +313,7 @@ func TestSpMVClassTalliesMatchPerRow(t *testing.T) {
 
 func TestCGConverges(t *testing.T) {
 	p := NewProblem(smallCfg(), timing.Double)
-	r := p.RunOpenMP(sim.NewAPU())
+	r := p.Run(sim.NewAPU(), modelapi.OpenMP)
 	if r.Residual > 1e-6 {
 		t.Errorf("CG residual = %g after %d iters, want converged", r.Residual, r.Iterations)
 	}
@@ -348,9 +348,9 @@ func TestAllModelsAgree(t *testing.T) {
 func TestAPUShape(t *testing.T) {
 	cfg := Config{Nx: 16, Ny: 16, Nz: 16, MaxIters: 30, Tol: 0}
 	p := NewProblem(cfg, timing.Double)
-	base := p.RunOpenMP(sim.NewAPU())
-	cl := p.RunOpenCL(sim.NewAPU())
-	acc := p.RunOpenACC(sim.NewAPU())
+	base := p.Run(sim.NewAPU(), modelapi.OpenMP)
+	cl := p.Run(sim.NewAPU(), modelapi.OpenCL)
+	acc := p.Run(sim.NewAPU(), modelapi.OpenACC)
 
 	sCL := cl.SpeedupOver(base.Result)
 	if sCL < 0.5 || sCL > 3 {
@@ -368,10 +368,10 @@ func TestAPUShape(t *testing.T) {
 func TestDGPUShape(t *testing.T) {
 	cfg := Config{Nx: 40, Ny: 40, Nz: 40, MaxIters: 30, Tol: 0, FunctionalIters: 2}
 	p := NewProblem(cfg, timing.Double)
-	base := p.RunOpenMP(sim.NewAPU())
-	cl := p.RunOpenCL(sim.NewDGPU())
-	amp := p.RunCppAMP(sim.NewDGPU())
-	acc := p.RunOpenACC(sim.NewDGPU())
+	base := p.Run(sim.NewAPU(), modelapi.OpenMP)
+	cl := p.Run(sim.NewDGPU(), modelapi.OpenCL)
+	amp := p.Run(sim.NewDGPU(), modelapi.CppAMP)
+	acc := p.Run(sim.NewDGPU(), modelapi.OpenACC)
 
 	sCL, sAMP, sACC := cl.SpeedupOver(base.Result), amp.SpeedupOver(base.Result), acc.SpeedupOver(base.Result)
 	if !(sCL > sACC && sAMP > sACC) {
@@ -379,7 +379,7 @@ func TestDGPUShape(t *testing.T) {
 	}
 	// Bandwidth-bound scaling: OpenCL on the dGPU must clearly beat its
 	// APU self.
-	clAPU := p.RunOpenCL(sim.NewAPU())
+	clAPU := p.Run(sim.NewAPU(), modelapi.OpenCL)
 	if cl.KernelNs >= clAPU.KernelNs {
 		t.Error("dGPU OpenCL kernels not faster than APU (bandwidth-bound app)")
 	}

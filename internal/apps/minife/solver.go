@@ -365,12 +365,11 @@ func (p *Problem) partialsBytes() int64 {
 	return nPart * int64(appcore.EltBytes(p.Precision))
 }
 
-// RunOpenMP is the CPU baseline. The host row loop streams each row's
+// runOpenMP is the CPU baseline. The host row loop streams each row's
 // data through hardware prefetchers, so it takes the well-coalesced spec
 // (the GPU lane-divergence waste of scalar CSR does not apply to a CPU)
 // with the flat tally form.
-func (p *Problem) RunOpenMP(m *sim.Machine) SolveResult {
-	m.ResetClock()
+func (p *Problem) runOpenMP(m *sim.Machine) SolveResult {
 	rt := openmp.New(m)
 	specs := p.specs(m, true)
 	s := p.play(rt.Runtime, appcore.Pricer{
@@ -379,9 +378,8 @@ func (p *Problem) RunOpenMP(m *sim.Machine) SolveResult {
 	return SolveResult{appcore.NewResult(m, AppName, modelapi.OpenMP, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
-// RunOpenCL uses the CSR-Adaptive SpMV with explicit staging.
-func (p *Problem) RunOpenCL(m *sim.Machine) SolveResult {
-	m.ResetClock()
+// runOpenCL uses the CSR-Adaptive SpMV with explicit staging.
+func (p *Problem) runOpenCL(m *sim.Machine) SolveResult {
 	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 	mat, vecs := p.matrixBytes()
@@ -399,9 +397,8 @@ func (p *Problem) RunOpenCL(m *sim.Machine) SolveResult {
 	return SolveResult{appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
-// RunCppAMP uses tiled CSR-Adaptive via tile_static staging.
-func (p *Problem) RunCppAMP(m *sim.Machine) SolveResult {
-	m.ResetClock()
+// runCppAMP uses tiled CSR-Adaptive via tile_static staging.
+func (p *Problem) runCppAMP(m *sim.Machine) SolveResult {
 	rt := cppamp.New(m)
 	mat, vecs := p.matrixBytes()
 	views := []*cppamp.ArrayView{
@@ -420,12 +417,11 @@ func (p *Problem) RunCppAMP(m *sim.Machine) SolveResult {
 	return SolveResult{appcore.NewResult(m, AppName, modelapi.CppAMP, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
-// RunOpenACC uses a data region; the compiler generates scalar
+// runOpenACC uses a data region; the compiler generates scalar
 // row-per-thread CSR ("the compiler is unable to recognize and take
 // advantage of the complicated memory access patterns") — the paper's
 // explanation for the OpenACC slowdown on miniFE.
-func (p *Problem) RunOpenACC(m *sim.Machine) SolveResult {
-	m.ResetClock()
+func (p *Problem) runOpenACC(m *sim.Machine) SolveResult {
 	rt := openacc.New(m)
 	mat, vecs := p.matrixBytes()
 	partials := openacc.Create("minife.partials", p.partialsBytes())
@@ -443,12 +439,16 @@ func (p *Problem) RunOpenACC(m *sim.Machine) SolveResult {
 	return SolveResult{appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
-// RunOpenACCConservative runs the CG solve without the hand-placed data
+// OpenACCPerRegion is the port key of the OpenACC solve without the
+// hand-placed data region (Section III-B's data-directive ablation). Its
+// Result.Model is OpenACC.
+const OpenACCPerRegion modelapi.Name = "OpenACC-per-region"
+
+// runOpenACCPerRegion runs the CG solve without the hand-placed data
 // region — the PGI-era default the paper describes in Section III-B:
 // every kernels region conservatively copies its arrays in and out
-// (the motivation for the data directive; kept for the ablation).
-func (p *Problem) RunOpenACCConservative(m *sim.Machine) SolveResult {
-	m.ResetClock()
+// (the motivation for the data directive).
+func (p *Problem) runOpenACCPerRegion(m *sim.Machine) SolveResult {
 	rt := openacc.New(m)
 	mat, vecs := p.matrixBytes()
 	matrix := openacc.Copyin("minife.matrix", mat)
@@ -471,12 +471,14 @@ func (p *Problem) RunOpenACCConservative(m *sim.Machine) SolveResult {
 	return SolveResult{appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, s.sum, 3), s.iters, s.residual}
 }
 
-// ports are the models Run dispatches to.
+// ports are the keys Run dispatches to: the models and the per-region
+// variant.
 var ports = map[modelapi.Name]func(*Problem, *sim.Machine) SolveResult{
-	modelapi.OpenMP:  (*Problem).RunOpenMP,
-	modelapi.OpenCL:  (*Problem).RunOpenCL,
-	modelapi.CppAMP:  (*Problem).RunCppAMP,
-	modelapi.OpenACC: (*Problem).RunOpenACC,
+	modelapi.OpenMP:  (*Problem).runOpenMP,
+	modelapi.OpenCL:  (*Problem).runOpenCL,
+	modelapi.CppAMP:  (*Problem).runCppAMP,
+	modelapi.OpenACC: (*Problem).runOpenACC,
+	OpenACCPerRegion: (*Problem).runOpenACCPerRegion,
 }
 
 // Run solves the system under model on m inside one run span (see

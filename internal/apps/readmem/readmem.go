@@ -184,19 +184,17 @@ func (p *Problem) bytesOut() int64 {
 	return int64(p.Cfg.Blocks) * int64(appcore.EltBytes(p.Cfg.Precision))
 }
 
-// RunOpenMP is the Figure 3b port: the serial loop plus one pragma.
-func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+// runOpenMP is the Figure 3b port: the serial loop plus one pragma.
+func (p *Problem) runOpenMP(m *sim.Machine) appcore.Result {
 	rt := openmp.New(m)
 	spec := p.spec(m)
 	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, per) })
 	return appcore.NewResult(m, AppName, modelapi.OpenMP, p.Cfg.Precision, sum, 1)
 }
 
-// RunOpenCL is the Figure 4 implementation: explicit buffers, staging and
+// runOpenCL is the Figure 4 implementation: explicit buffers, staging and
 // an NDRange launch.
-func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runOpenCL(m *sim.Machine) appcore.Result {
 	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 	bufIn := ctx.CreateBuffer("read.in", p.bytesIn())
@@ -209,10 +207,9 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Cfg.Precision, sum, 1)
 }
 
-// RunCppAMP is the Figure 6 implementation: array_views and a
+// runCppAMP is the Figure 6 implementation: array_views and a
 // parallel_for_each over a tiled extent.
-func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runCppAMP(m *sim.Machine) appcore.Result {
 	rt := cppamp.New(m)
 	avIn := rt.NewArrayView("read.in", p.bytesIn())
 	avOut := rt.NewArrayView("read.out", p.bytesOut())
@@ -223,11 +220,10 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.CppAMP, p.Cfg.Precision, sum, 1)
 }
 
-// RunOpenACC is the Figure 5 implementation: a kernels-loop with the
+// runOpenACC is the Figure 5 implementation: a kernels-loop with the
 // paper's exact clauses — `gang(size/BLOCKSIZE) vector(BLOCKSIZE)` — and
 // data movement left to the compiler.
-func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runOpenACC(m *sim.Machine) appcore.Result {
 	rt := openacc.New(m)
 	uses := []openacc.Clause{
 		openacc.Copyin("read.in", p.bytesIn()),
@@ -241,10 +237,10 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 
 // ports are the models Run dispatches to.
 var ports = map[modelapi.Name]func(*Problem, *sim.Machine) appcore.Result{
-	modelapi.OpenMP:  (*Problem).RunOpenMP,
-	modelapi.OpenCL:  (*Problem).RunOpenCL,
-	modelapi.CppAMP:  (*Problem).RunCppAMP,
-	modelapi.OpenACC: (*Problem).RunOpenACC,
+	modelapi.OpenMP:  (*Problem).runOpenMP,
+	modelapi.OpenCL:  (*Problem).runOpenCL,
+	modelapi.CppAMP:  (*Problem).runCppAMP,
+	modelapi.OpenACC: (*Problem).runOpenACC,
 }
 
 // Run runs the benchmark under model on m inside one run span (see

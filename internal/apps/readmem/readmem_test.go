@@ -42,9 +42,9 @@ func TestAllModelsMatchReference(t *testing.T) {
 func TestKernelTimeRatios(t *testing.T) {
 	p := NewProblem(Config{Blocks: 1 << 17, Precision: timing.Double})
 	m := sim.NewDGPU()
-	cl := p.RunOpenCL(m).KernelNs
-	amp := p.RunCppAMP(m).KernelNs
-	acc := p.RunOpenACC(m).KernelNs
+	cl := p.Run(m, modelapi.OpenCL).KernelNs
+	amp := p.Run(m, modelapi.CppAMP).KernelNs
+	acc := p.Run(m, modelapi.OpenACC).KernelNs
 	if r := amp / cl; r < 1.15 || r > 1.45 {
 		t.Errorf("AMP/OpenCL kernel ratio = %.2f, want ≈1.3", r)
 	}
@@ -60,9 +60,9 @@ func TestKernelTimeRatios(t *testing.T) {
 func TestMemoryBoundSpeedupShape(t *testing.T) {
 	p := NewProblem(Config{Blocks: 1 << 17, Precision: timing.Double})
 	apu, dgpu := sim.NewAPU(), sim.NewDGPU()
-	base := p.RunOpenMP(apu)
-	clAPU := p.RunOpenCL(sim.NewAPU())
-	clDGPU := p.RunOpenCL(dgpu)
+	base := p.Run(apu, modelapi.OpenMP)
+	clAPU := p.Run(sim.NewAPU(), modelapi.OpenCL)
+	clDGPU := p.Run(dgpu, modelapi.OpenCL)
 
 	sAPU := base.KernelNs / clAPU.KernelNs
 	sDGPU := base.KernelNs / clDGPU.KernelNs
@@ -104,8 +104,8 @@ func TestRunUnknownModelPanics(t *testing.T) {
 func TestSinglePrecisionFasterOrEqual(t *testing.T) {
 	sp := NewProblem(Config{Blocks: 1 << 12, Precision: timing.Single})
 	dp := NewProblem(cfg())
-	tSP := sp.RunOpenCL(sim.NewDGPU()).KernelNs
-	tDP := dp.RunOpenCL(sim.NewDGPU()).KernelNs
+	tSP := sp.Run(sim.NewDGPU(), modelapi.OpenCL).KernelNs
+	tDP := dp.Run(sim.NewDGPU(), modelapi.OpenCL).KernelNs
 	// Half the bytes: SP should be meaningfully faster on a
 	// bandwidth-bound kernel.
 	if tSP >= tDP {

@@ -182,20 +182,18 @@ func (p *Problem) play(core *modelapi.Runtime, launch func(n int, per exec.Count
 	}, p.execute)
 }
 
-// RunOpenMP is the CPU baseline.
-func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+// runOpenMP is the CPU baseline.
+func (p *Problem) runOpenMP(m *sim.Machine) appcore.Result {
 	rt := openmp.New(m)
 	spec := p.Specs(m)
 	sum := p.play(rt.Runtime, func(n int, per exec.Counters) { rt.Launch(spec, n, per) })
 	return appcore.NewResult(m, AppName, modelapi.OpenMP, p.Precision, sum, 1)
 }
 
-// RunOpenCL stages the lookup table once (the dominant transfer on the
+// runOpenCL stages the lookup table once (the dominant transfer on the
 // discrete GPU: 240 MB for `-s small`), launches the kernel, and reads
 // back only the small result vector — the explicit-staging advantage.
-func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runOpenCL(m *sim.Machine) appcore.Result {
 	ctx := opencl.NewContext(m)
 	q := ctx.NewQueue()
 	table := ctx.CreateBuffer("xs.table", p.Cfg.TableBytes(p.Precision))
@@ -208,13 +206,12 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.OpenCL, p.Precision, sum, 1)
 }
 
-// RunCppAMP wraps the table in an array_view. CLAMP v0.6 performs no
+// runCppAMP wraps the table in an array_view. CLAMP v0.6 performs no
 // read-only analysis, so when the host touches results after the kernel,
 // the destructor-time synchronization drags the whole (conservatively
 // "written") table back across PCIe too — the mechanism behind OpenCL's
 // "improvement of up to 2× over the other programming models" here.
-func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runCppAMP(m *sim.Machine) appcore.Result {
 	rt := cppamp.New(m)
 	table := rt.NewArrayView("xs.table", p.Cfg.TableBytes(p.Precision))
 	results := rt.NewArrayView("xs.results", int64(p.items())*int64(appcore.EltBytes(p.Precision)))
@@ -228,11 +225,10 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.CppAMP, p.Precision, sum, 1)
 }
 
-// RunOpenACC uses a data region with copyin for the table (the hand-tuned
+// runOpenACC uses a data region with copyin for the table (the hand-tuned
 // directive form); the gap to OpenCL on the dGPU is the code generator's
 // poor handling of the irregular gather loop.
-func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runOpenACC(m *sim.Machine) appcore.Result {
 	rt := openacc.New(m)
 	region := rt.Data(
 		openacc.Copyin("xs.table", p.Cfg.TableBytes(p.Precision)),
@@ -244,12 +240,11 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 	return appcore.NewResult(m, AppName, modelapi.OpenACC, p.Precision, sum, 1)
 }
 
-// RunHC runs the Section VII Heterogeneous Compute model: single-source
+// runHC runs the Section VII Heterogeneous Compute model: single-source
 // kernel plus an *asynchronous* table upload that overlaps the lookup
 // kernel ("asynchronous kernel launches which help in overlapping kernel
 // execution with data-transfers, resulting in further speedup").
-func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
-	m.ResetClock()
+func (p *Problem) runHC(m *sim.Machine) appcore.Result {
 	rt := hc.New(m)
 	rt.CopyAsync("xs.table", p.Cfg.TableBytes(p.Precision))
 	spec := p.Specs(m)
@@ -261,10 +256,11 @@ func (p *Problem) RunHC(m *sim.Machine) appcore.Result {
 
 // ports are the models Run dispatches to.
 var ports = map[modelapi.Name]func(*Problem, *sim.Machine) appcore.Result{
-	modelapi.OpenMP:  (*Problem).RunOpenMP,
-	modelapi.OpenCL:  (*Problem).RunOpenCL,
-	modelapi.CppAMP:  (*Problem).RunCppAMP,
-	modelapi.OpenACC: (*Problem).RunOpenACC,
+	modelapi.OpenMP:  (*Problem).runOpenMP,
+	modelapi.OpenCL:  (*Problem).runOpenCL,
+	modelapi.CppAMP:  (*Problem).runCppAMP,
+	modelapi.OpenACC: (*Problem).runOpenACC,
+	modelapi.HC:      (*Problem).runHC,
 }
 
 // Run runs XSBench under model on m inside one run span (see appcore.Run).

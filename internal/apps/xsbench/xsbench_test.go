@@ -144,18 +144,18 @@ func TestXSBenchShapes(t *testing.T) {
 
 	// APU: AMP wins (HSA pointers beat Catalyst OpenCL on this
 	// irregular kernel).
-	clAPU := p.RunOpenCL(sim.NewAPU())
-	ampAPU := p.RunCppAMP(sim.NewAPU())
-	accAPU := p.RunOpenACC(sim.NewAPU())
+	clAPU := p.Run(sim.NewAPU(), modelapi.OpenCL)
+	ampAPU := p.Run(sim.NewAPU(), modelapi.CppAMP)
+	accAPU := p.Run(sim.NewAPU(), modelapi.OpenACC)
 	if !(ampAPU.ElapsedNs < clAPU.ElapsedNs && ampAPU.ElapsedNs < accAPU.ElapsedNs) {
 		t.Errorf("APU: AMP %.3fms not best (CL %.3fms, ACC %.3fms)",
 			ampAPU.ElapsedNs/1e6, clAPU.ElapsedNs/1e6, accAPU.ElapsedNs/1e6)
 	}
 
 	// dGPU: OpenCL best; AMP pays the table transfer twice.
-	clD := p.RunOpenCL(sim.NewDGPU())
-	ampD := p.RunCppAMP(sim.NewDGPU())
-	accD := p.RunOpenACC(sim.NewDGPU())
+	clD := p.Run(sim.NewDGPU(), modelapi.OpenCL)
+	ampD := p.Run(sim.NewDGPU(), modelapi.CppAMP)
+	accD := p.Run(sim.NewDGPU(), modelapi.OpenACC)
 	if !(clD.ElapsedNs < ampD.ElapsedNs && clD.ElapsedNs < accD.ElapsedNs) {
 		t.Errorf("dGPU: OpenCL %.3fms not best (AMP %.3fms, ACC %.3fms)",
 			clD.ElapsedNs/1e6, ampD.ElapsedNs/1e6, accD.ElapsedNs/1e6)
@@ -203,8 +203,8 @@ func TestGridTypesAgree(t *testing.T) {
 		}
 	}
 	// End-to-end checksums agree too.
-	ru := pu.RunOpenCL(sim.NewDGPU())
-	rn := pn.RunOpenCL(sim.NewDGPU())
+	ru := pu.Run(sim.NewDGPU(), modelapi.OpenCL)
+	rn := pn.Run(sim.NewDGPU(), modelapi.OpenCL)
 	if math.Abs(ru.Checksum-rn.Checksum) > 1e-9*math.Abs(ru.Checksum) {
 		t.Errorf("checksums differ: %g vs %g", ru.Checksum, rn.Checksum)
 	}

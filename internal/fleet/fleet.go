@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hetbench/internal/fault"
-	"hetbench/internal/memo"
 	"hetbench/internal/sched"
 	"hetbench/internal/sim"
 	"hetbench/internal/trace"
@@ -153,14 +152,15 @@ var refJob = Job{Class: ClassStream, Items: classBaseItems[ClassStream]}
 
 // Cluster is a single-use fleet simulation: build with New, feed one
 // trace to Run, read the Result. Nodes accumulate state across a run, so
-// reuse requires a fresh Cluster.
+// reuse requires a fresh Cluster. A Cluster runs on its caller's
+// goroutine and is not safe for concurrent use.
 type Cluster struct {
 	cfg      Config
 	nodes    []*Node
 	bal      balancer
 	seq      int
 	events   bookingHeap
-	svcCache memo.Map[svcKey, float64]
+	svcCache map[svcKey]float64
 
 	queueHist   *trace.Histogram
 	sojournHist *trace.Histogram
@@ -198,6 +198,7 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:         cfg,
+		svcCache:    map[svcKey]float64{},
 		queueHist:   &trace.Histogram{},
 		sojournHist: &trace.Histogram{},
 	}
@@ -241,7 +242,12 @@ func machineServiceNs(m *sim.Machine, j Job) float64 {
 // nodes of one kind price a job identically.
 func (c *Cluster) serviceNs(n *Node, j Job) float64 {
 	key := svcKey{kind: n.Kind, class: j.Class, items: j.Items}
-	return c.svcCache.Get(key, func() float64 { return machineServiceNs(n.Machine, j) })
+	t, ok := c.svcCache[key]
+	if !ok {
+		t = machineServiceNs(n.Machine, j)
+		c.svcCache[key] = t
+	}
+	return t
 }
 
 // CapacityPerSec estimates the aggregate service capacity (jobs per

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/comd"
 	"hetbench/internal/apps/lulesh"
 	"hetbench/internal/apps/minife"
@@ -30,34 +29,16 @@ type HCCell struct {
 // OpenACC and approach (or beat) OpenCL, because uploads hide behind
 // kernels and no compiler-managed copies ever recur.
 func AblationHCData(ctx context.Context, scale Scale) ([]HCCell, error) {
-	// One runner cell per (app, model) row, each with its own Problem and
-	// machine; the row order matches the serial table. The rows call the
-	// model ports directly, since Run dispatches no HC port.
-	xs := func(memo *appcore.Memo) *xsbench.Problem {
-		return &xsbench.Problem{Cfg: xsbenchConfig(scale), Precision: timing.Double, Memo: memo}
-	}
-	lu := func(memo *appcore.Memo) *lulesh.Problem {
-		return &lulesh.Problem{Cfg: luleshConfig(scale), Precision: timing.Double, Memo: memo}
-	}
-	combos := []struct {
-		app   string
-		model modelapi.Name
-		run   func(memo *appcore.Memo, m *sim.Machine) appcore.Result
-	}{
-		{"XSBench", modelapi.OpenCL, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return xs(memo).RunOpenCL(m) }},
-		{"XSBench", modelapi.CppAMP, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return xs(memo).RunCppAMP(m) }},
-		{"XSBench", modelapi.OpenACC, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return xs(memo).RunOpenACC(m) }},
-		{"XSBench", modelapi.HC, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return xs(memo).RunHC(m) }},
-		{"LULESH", modelapi.OpenCL, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return lu(memo).RunOpenCL(m) }},
-		{"LULESH", modelapi.CppAMP, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return lu(memo).RunCppAMP(m) }},
-		{"LULESH", modelapi.OpenACC, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return lu(memo).RunOpenACC(m) }},
-		{"LULESH", modelapi.HC, func(memo *appcore.Memo, m *sim.Machine) appcore.Result { return lu(memo).RunHC(m) }},
-	}
-	return runner.Map(ctx, "hc", len(combos), func(cx *runner.Ctx, i int) HCCell {
-		c := combos[i]
-		r := c.run(memoOf(cx.Context()), cx.Machine(sim.NewDGPU))
+	// One runner cell per (app, model) row, each on its own machine; the
+	// row order matches the serial table.
+	apps := []string{xsbench.AppName, lulesh.AppName}
+	models := append(modelapi.All(), modelapi.HC)
+	c := scaleConfigs(scale, timing.Double)
+	return runner.Map(ctx, "hc", len(apps)*len(models), func(cx *runner.Ctx, i int) HCCell {
+		app, model := apps[i/len(models)], models[i%len(models)]
+		r := runApp(memoOf(cx.Context()), c, app, cx.Machine(sim.NewDGPU), model)
 		return HCCell{
-			App: c.app, Model: c.model,
+			App: app, Model: model,
 			ElapsedMs: r.ElapsedNs / 1e6, KernelMs: r.KernelNs / 1e6, TransferMs: r.TransferNs / 1e6,
 		}
 	})
@@ -88,13 +69,10 @@ func AblationTilesData(ctx context.Context, scale Scale) (flatMs, tiledMs float6
 	}
 	// Two independent cells: the flat and tiled variants share nothing
 	// but the (immutable) problem configuration.
-	ms, err := runner.Map(ctx, "tiles", 2, func(cx *runner.Ctx, i int) float64 {
+	keys := []modelapi.Name{comd.OpenCLFlat, modelapi.OpenCL}
+	ms, err := runner.Map(ctx, "tiles", len(keys), func(cx *runner.Ctx, i int) float64 {
 		p := &comd.Problem{Cfg: cfg, Precision: timing.Single, Memo: memoOf(cx.Context())}
-		m := cx.Machine(sim.NewDGPU)
-		if i == 0 {
-			return p.RunOpenCLFlat(m).KernelNs / 1e6
-		}
-		return p.RunOpenCL(m).KernelNs / 1e6
+		return p.Run(cx.Machine(sim.NewDGPU), keys[i]).KernelNs / 1e6
 	})
 	if err != nil {
 		return 0, 0, err
@@ -141,7 +119,7 @@ func AblationGridTypeData(ctx context.Context, scale Scale) ([]GridTypeCell, err
 		cfg := base
 		cfg.Grid = grids[i]
 		p := &xsbench.Problem{Cfg: cfg, Precision: timing.Double, Memo: memoOf(cx.Context())}
-		r := p.RunOpenCL(cx.Machine(sim.NewDGPU))
+		r := p.Run(cx.Machine(sim.NewDGPU), modelapi.OpenCL)
 		return GridTypeCell{
 			Grid:       grids[i].String(),
 			TableMB:    float64(cfg.TableBytes(timing.Double)) / (1 << 20),
@@ -173,15 +151,11 @@ func RunAblationGridType(ctx context.Context, scale Scale, w io.Writer) error {
 // moved).
 func AblationDataRegionData(ctx context.Context, scale Scale) (withMs, withoutMs float64, withMB, withoutMB float64, err error) {
 	type cell struct{ ms, mb float64 }
-	out, err := runner.Map(ctx, "dataregion", 2, func(cx *runner.Ctx, i int) cell {
+	keys := []modelapi.Name{modelapi.OpenACC, minife.OpenACCPerRegion}
+	out, err := runner.Map(ctx, "dataregion", len(keys), func(cx *runner.Ctx, i int) cell {
 		p := &minife.Problem{Cfg: minifeConfig(scale), Precision: timing.Double, Memo: memoOf(cx.Context())}
 		m := cx.Machine(sim.NewDGPU)
-		var r appcore.Result
-		if i == 0 {
-			r = p.RunOpenACC(m).Result
-		} else {
-			r = p.RunOpenACCConservative(m).Result
-		}
+		r := p.Run(m, keys[i])
 		st := m.Link().Stats()
 		return cell{ms: r.ElapsedNs / 1e6, mb: float64(st.BytesToDevice+st.BytesFromDevice) / (1 << 20)}
 	})

@@ -7,6 +7,7 @@ import (
 	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/readmem"
 	"hetbench/internal/fault"
+	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
 )
@@ -71,7 +72,7 @@ func TestFaultsReproducibleUnderSeed(t *testing.T) {
 // guaranteed.
 func TestRunResilientRedoesSilentCorruption(t *testing.T) {
 	p := &readmem.Problem{Cfg: readmemConfig(ScaleSmoke, timing.Double)}
-	golden := p.RunOpenCL(sim.NewDGPU()).Checksum
+	golden := p.Run(sim.NewDGPU(), modelapi.OpenCL).Checksum
 	pol := fault.DefaultPolicy()
 
 	sawRedo := false
@@ -79,7 +80,7 @@ func TestRunResilientRedoesSilentCorruption(t *testing.T) {
 		m := sim.NewDGPU()
 		m.SetFaultInjector(fault.New(fault.Config{Seed: s, BitFlipRate: 0.75}), pol)
 		res, total, redos, correct := runResilient(m, pol, golden,
-			func() appcore.Result { return p.RunOpenCL(m) })
+			func() appcore.Result { return p.Run(m, modelapi.OpenCL) })
 		if !correct || res.Checksum != golden {
 			t.Fatalf("seed %d: runResilient returned wrong checksum %g, want %g", s, res.Checksum, golden)
 		}
@@ -101,17 +102,17 @@ func TestRunResilientRedoesSilentCorruption(t *testing.T) {
 // memoized replay would always report the clean checksum.
 func TestFaultInjectedRunsBypassTheMemo(t *testing.T) {
 	p := &readmem.Problem{Cfg: readmemConfig(ScaleSmoke, timing.Double), Memo: &appcore.Memo{}}
-	clean := p.RunOpenCL(sim.NewDGPU()).Checksum
+	clean := p.Run(sim.NewDGPU(), modelapi.OpenCL).Checksum
 	diverged := false
 	for s := int64(1); s <= 8 && !diverged; s++ {
 		m := sim.NewDGPU()
 		m.SetFaultInjector(fault.New(fault.Config{Seed: s, BitFlipRate: 0.75}), fault.DefaultPolicy())
-		diverged = p.RunOpenCL(m).Checksum != clean
+		diverged = p.Run(m, modelapi.OpenCL).Checksum != clean
 	}
 	if !diverged {
 		t.Error("no seed in 1..8 diverged from the clean checksum at a 0.75 bit-flip rate")
 	}
-	if got := p.RunOpenCL(sim.NewDGPU()).Checksum; got != clean {
+	if got := p.Run(sim.NewDGPU(), modelapi.OpenCL).Checksum; got != clean {
 		t.Errorf("clean run after faulty ones: checksum %g, want %g", got, clean)
 	}
 }

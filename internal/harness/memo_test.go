@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -216,33 +217,24 @@ func TestMemoizedRunMatchesFresh(t *testing.T) {
 // Result and checksum. Each combination runs in two runner cells that
 // share the memo with the grid runs of both precisions.
 func TestMemoizedVariantRunsMatchFresh(t *testing.T) {
-	xs := func(memo *appcore.Memo, prec timing.Precision, grid xsbench.GridType) *xsbench.Problem {
-		cfg := xsbenchConfig(ScaleSmoke)
-		cfg.Grid = grid
-		return &xsbench.Problem{Cfg: cfg, Precision: prec, Memo: memo}
-	}
 	variants := []struct {
-		name string
-		run  func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result
+		app     string
+		key     modelapi.Name
+		nuclide bool // XSBench on its nuclide grid
 	}{
-		{"CoMD/OpenCLFlat", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
-			return (&comd.Problem{Cfg: comdConfig(ScaleSmoke), Precision: prec, Memo: memo}).RunOpenCLFlat(m)
-		}},
-		{"LULESH/HC", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
-			return (&lulesh.Problem{Cfg: luleshConfig(ScaleSmoke), Precision: prec, Memo: memo}).RunHC(m)
-		}},
-		{"XSBench/HC", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
-			return xs(memo, prec, xsbench.UnionizedGrid).RunHC(m)
-		}},
-		{"XSBench/nuclide-grid/OpenCL", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
-			return xs(memo, prec, xsbench.NuclideGridOnly).RunOpenCL(m)
-		}},
-		{"XSBench/nuclide-grid/OpenACC", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
-			return xs(memo, prec, xsbench.NuclideGridOnly).RunOpenACC(m)
-		}},
-		{"miniFE/OpenACCConservative", func(memo *appcore.Memo, prec timing.Precision, m *sim.Machine) appcore.Result {
-			return (&minife.Problem{Cfg: minifeConfig(ScaleSmoke), Precision: prec, Memo: memo}).RunOpenACCConservative(m).Result
-		}},
+		{comd.AppName, comd.OpenCLFlat, false},
+		{lulesh.AppName, modelapi.HC, false},
+		{xsbench.AppName, modelapi.HC, false},
+		{xsbench.AppName, modelapi.OpenCL, true},
+		{xsbench.AppName, modelapi.OpenACC, true},
+		{minife.AppName, minife.OpenACCPerRegion, false},
+	}
+	run := func(memo *appcore.Memo, v int, prec timing.Precision, m *sim.Machine) appcore.Result {
+		c := scaleConfigs(ScaleSmoke, prec)
+		if variants[v].nuclide {
+			c.xsbench.Grid = xsbench.NuclideGridOnly
+		}
+		return runApp(memo, c, variants[v].app, m, variants[v].key)
 	}
 	type combo struct {
 		variant int
@@ -261,11 +253,12 @@ func TestMemoizedVariantRunsMatchFresh(t *testing.T) {
 	must(speedups(ctx, ScaleSmoke, sim.NewDGPU, timing.Single, timing.Double))
 	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) runObservation {
 		c := combos[i%len(combos)]
-		return observe(c.mk(), func(m *sim.Machine) appcore.Result { return variants[c.variant].run(memoOf(cx.Context()), c.prec, m) })
+		return observe(c.mk(), func(m *sim.Machine) appcore.Result { return run(memoOf(cx.Context()), c.variant, c.prec, m) })
 	}))
 	for i, c := range combos {
-		fresh := observe(c.mk(), func(m *sim.Machine) appcore.Result { return variants[c.variant].run(nil, c.prec, m) })
-		name := variants[c.variant].name + "/" + c.mk().Name() + "/" + c.prec.String()
+		fresh := observe(c.mk(), func(m *sim.Machine) appcore.Result { return run(nil, c.variant, c.prec, m) })
+		v := variants[c.variant]
+		name := fmt.Sprintf("%s/%s/nuclide=%t/%s/%s", v.app, v.key, v.nuclide, c.mk().Name(), c.prec)
 		if fresh.counters[trace.CtrKernelLaunches] == 0 {
 			t.Fatalf("%s: no launches traced", name)
 		}

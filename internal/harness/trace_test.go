@@ -23,30 +23,51 @@ import (
 // across a Figure 8-style sweep (every app × GPU model on the APU at
 // small scale): the two are independent tallies of the same virtual clock.
 // Every run takes appcore.Run's one path: a single run span named
-// App/Model from virtual time 0 and a Result naming the app, model,
-// machine, precision and kernel count; a model an app has no port for
-// panics with the app's "no implementation" message.
+// App/key from virtual time 0 and a Result naming the app, model,
+// machine, precision and kernel count. Besides the GPU models, LULESH and
+// XSBench run HC, and CoMD's flat OpenCL and miniFE's per-region OpenACC
+// variants run under keys of their own with the model's Result; every
+// key's checksum is the OpenCL run's. A model
+// an app has no port for panics with the app's "no implementation"
+// message.
 func TestRegistryMatchesMachineCounters(t *testing.T) {
 	kernels := map[string]int{
 		readmem.AppName: 1, lulesh.AppName: int(lulesh.NumKernels), comd.AppName: 3, xsbench.AppName: 1, minife.AppName: 3,
 	}
+	// extra maps each app's run keys beyond modelapi.All() to the model
+	// its Result names.
+	extra := map[string]map[modelapi.Name]modelapi.Name{
+		lulesh.AppName:  {modelapi.HC: modelapi.HC},
+		xsbench.AppName: {modelapi.HC: modelapi.HC},
+		comd.AppName:    {comd.OpenCLFlat: modelapi.OpenCL},
+		minife.AppName:  {minife.OpenACCPerRegion: modelapi.OpenACC},
+	}
 	cfgs := scaleConfigs(ScaleSmall, timing.Double)
 	for _, app := range AppNames {
-		for _, model := range modelapi.All() {
+		var checksum float64 // OpenCL's, the first key
+		keys := modelapi.All()
+		for key := range extra[app] {
+			keys = append(keys, key)
+		}
+		for _, key := range keys {
+			model, ok := extra[app][key]
+			if !ok {
+				model = key
+			}
 			m := sim.NewAPU()
 			tr := trace.New()
 			m.SetTracer(tr)
-			res := runApp(nil, cfgs, app, m, model)
+			res := runApp(nil, cfgs, app, m, key)
 
 			reg := tr.Metrics()
 			if got, want := reg.Get(trace.CtrKernelNs), m.KernelNs(); !approxEq(got, want) {
-				t.Errorf("%s/%s: kernel.ns = %g, machine says %g", app, model, got, want)
+				t.Errorf("%s/%s: kernel.ns = %g, machine says %g", app, key, got, want)
 			}
 			if got, want := reg.Get(trace.CtrTransferNs), m.TransferNs(); !approxEq(got, want) {
-				t.Errorf("%s/%s: transfer.ns = %g, machine says %g", app, model, got, want)
+				t.Errorf("%s/%s: transfer.ns = %g, machine says %g", app, key, got, want)
 			}
 			if m.KernelNs() > 0 && reg.Get(trace.CtrKernelLaunches) == 0 {
-				t.Errorf("%s/%s: kernel time with no recorded launches", app, model)
+				t.Errorf("%s/%s: kernel time with no recorded launches", app, key)
 			}
 
 			var runs []trace.Span
@@ -55,14 +76,22 @@ func TestRegistryMatchesMachineCounters(t *testing.T) {
 					runs = append(runs, s)
 				}
 			}
-			if name := app + "/" + string(model); len(runs) != 1 || runs[0].Name != name || runs[0].StartNs != 0 {
-				t.Errorf("%s/%s: run spans %+v, want one named %q from 0", app, model, runs, name)
+			if name := app + "/" + string(key); len(runs) != 1 || runs[0].Name != name || runs[0].StartNs != 0 {
+				t.Errorf("%s/%s: run spans %+v, want one named %q from 0", app, key, runs, name)
 			}
 			got := appcore.Result{App: res.App, Model: res.Model, Machine: res.Machine, Precision: res.Precision, Kernels: res.Kernels}
 			want := appcore.Result{App: app, Model: model, Machine: m.Name(), Precision: timing.Double, Kernels: kernels[app]}
 			if got != want {
-				t.Errorf("%s/%s: result names %+v, want %+v", app, model, got, want)
+				t.Errorf("%s/%s: result names %+v, want %+v", app, key, got, want)
 			}
+			if key == modelapi.OpenCL {
+				checksum = res.Checksum
+			} else if res.Checksum != checksum {
+				t.Errorf("%s/%s: checksum %g, OpenCL's %g", app, key, res.Checksum, checksum)
+			}
+		}
+		if _, ok := extra[app][modelapi.HC]; ok {
+			continue
 		}
 		func() {
 			want := app + ": no implementation for " + string(modelapi.HC)

@@ -1,8 +1,7 @@
 // Package memo provides Map, a concurrency-safe map that computes each
 // key's value once. A run hangs one on its context so runner cells that
 // need the same pure result (an app's cache characterization on a device,
-// say) share one computation instead of repeating it; the fleet simulator
-// uses another for its per-cluster service-time table.
+// say) share one computation instead of repeating it.
 package memo
 
 import "sync"
