@@ -328,7 +328,7 @@ func benchHetlintLoad(b *testing.B) {
 // the timer starts, stays memoized.
 func benchMinifeSolve(b *testing.B) {
 	cfg := minife.Config{Nx: 48, Ny: 48, Nz: 48, MaxIters: 2}
-	memo := new(appcore.Memo)
+	memo := appcore.NewMemo(nil)
 	m := sim.NewAPU()
 	m.SetFaultInjector(fault.New(fault.Config{}), fault.DefaultPolicy())
 	solve := func() {
@@ -351,7 +351,7 @@ func benchMinifeSolve(b *testing.B) {
 // characterization, built before the timer starts, stay memoized.
 func benchXsbenchLookup(b *testing.B) {
 	cfg := xsbench.Config{Nuclides: 32, GridPoints: 2048, Lookups: 100_000}
-	memo := new(appcore.Memo)
+	memo := appcore.NewMemo(nil)
 	m := sim.NewAPU()
 	m.SetFaultInjector(fault.New(fault.Config{}), fault.DefaultPolicy())
 	lookup := func() {

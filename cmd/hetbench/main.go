@@ -132,7 +132,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	// (app config, precision, device) and executes each app config's
 	// functional pass once across every experiment, whatever precision
 	// and kernel variant price it.
-	ctx = harness.WithMemo(harness.WithSeed(ctx, *seed))
+	ctx = harness.WithMemo(harness.WithSeed(ctx, *seed), nil)
 
 	stopProfile, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {

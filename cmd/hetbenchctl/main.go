@@ -185,5 +185,6 @@ func dumpMetricz(ctx context.Context, addr string, stdout, stderr io.Writer) int
 	}
 	fmt.Fprintf(stdout, "goroutines %d\n", m.Goroutines)
 	fmt.Fprintf(stdout, "cache.len %d\n", m.CacheLen)
+	fmt.Fprintf(stdout, "traits.len %d\n", m.TraitsLen)
 	return 0
 }

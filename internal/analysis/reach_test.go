@@ -20,7 +20,7 @@ var reachExempt = map[string]string{
 	"(*hetbench/internal/apps/xsbench.Problem).LookupMacroXS": "five-channel lookup the channel-0 functional pass is checked against",
 	"hetbench/internal/sim.NewCustom":                         "builds the small-LLC machine the run-memo tests price cells on",
 	"hetbench/internal/report.WriteBenchFile":                 "writes BENCH_hotpath.json when the root TestWriteBenchHotpath regenerates it",
-	"(*hetbench/internal/memo.Map[K, V]).Len":                 "lets the harness memo tests see that cells went through the run memo",
+	"(*hetbench/internal/apps/appcore.Memo).Len":              "lets the harness memo tests see that cells went through the run memo",
 }
 
 // reachSkip lists the test-support packages: only tests import them.

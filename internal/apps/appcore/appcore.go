@@ -7,8 +7,9 @@
 // generated address trace through the simulated LLC without holding it),
 // the split of a run into a functional pass and a pricing pass (Recorder,
 // Tape, Play) with the pricing views a pass tallies (View), and the
-// run-scoped memo problem setup, characterizations and functional passes
-// are shared through (Memoize).
+// run-scoped memo problem setup and functional passes are shared through
+// (Memoize), with characterizations in a table that may outlive the run
+// (Characterize).
 package appcore
 
 import (
@@ -122,19 +123,66 @@ func Streams(dev *device.Device) int {
 
 // Memo is a run's memo of pure work. Each app keys it with its own
 // unexported key types: problem setup (LULESH's mesh, XSBench's table) on
-// the config fields it is built from, a characterization on the inputs
-// that determine its address traces (app config, precision and the
-// device Geometry), a functional pass on the app config alone, since
-// precision and kernel variant only pick the pricing view its Tape is
-// replayed in. Values stored in it are shared by every cell of the run
-// and must never be mutated.
-type Memo = memo.Map[any, any]
+// the config fields it is built from, a functional pass on the app config
+// alone, since precision and kernel variant only pick the pricing view
+// its Tape is replayed in (both through Memoize), and a characterization
+// on the inputs that determine its address traces (app config, precision
+// and the device Geometry; through Characterize, into the memo's
+// characterization table, which may outlive the run). Values stored in it
+// are shared by every cell of the run and must never be mutated. Build
+// one with NewMemo; a nil *Memo computes every time.
+type Memo struct {
+	run    memo.Map[any, any]
+	traits *Characterizations
+}
+
+// Characterizations is a table of LLC characterizations. Its keys are
+// app config, precision and device Geometry, never a seed, and its values
+// are plain numbers, so one table can serve many runs: hetbenchd keeps
+// one for its lifetime.
+type Characterizations = memo.Map[any, any]
+
+// NewMemo returns an empty run memo whose characterizations go to
+// traits, which other memos may share; nil gives the memo a table of its
+// own.
+func NewMemo(traits *Characterizations) *Memo {
+	if traits == nil {
+		traits = new(Characterizations)
+	}
+	return &Memo{traits: traits}
+}
+
+// Len reports how many entries m holds, its characterization table's
+// included.
+func (m *Memo) Len() int {
+	if m == nil {
+		return 0
+	}
+	return m.run.Len() + m.traits.Len()
+}
 
 // Memoize returns compute's result for key, computing it at most once
-// per memo. A nil memo computes every time. Setup, characterizations and
-// (through Play) functional passes are all stored through it.
+// per memo. A nil memo computes every time. Setup and (through Play)
+// functional passes are stored through it.
 func Memoize[K comparable, V any](m *Memo, key K, compute func() V) V {
-	return m.Get(key, func() any { return compute() }).(V)
+	if m == nil {
+		return compute()
+	}
+	return get(&m.run, key, compute)
+}
+
+// Characterize is Memoize for an LLC characterization: it computes at
+// most once per characterization table, which may outlive m. A nil memo
+// computes every time.
+func Characterize[K comparable, V any](m *Memo, key K, compute func() V) V {
+	if m == nil {
+		return compute()
+	}
+	return get(m.traits, key, compute)
+}
+
+func get[K comparable, V any](t *memo.Map[any, any], key K, compute func() V) V {
+	return t.Get(key, func() any { return compute() }).(V)
 }
 
 // Geometry is every device field a characterization reads: the LLC shape

@@ -256,3 +256,35 @@ func TestStreams(t *testing.T) {
 		t.Errorf("Streams(APU) = %d, want 64", got)
 	}
 }
+
+// Memos on one characterization table share its characterizations and
+// nothing else; a memo built without a table gets one of its own, and a
+// nil memo computes every time.
+func TestCharacterizeSharesTableAcrossMemos(t *testing.T) {
+	calls := 0
+	count := func() int { calls++; return calls }
+	traits := new(Characterizations)
+	a, b := NewMemo(traits), NewMemo(traits)
+	if Characterize(a, "k", count) != 1 || Characterize(b, "k", count) != 1 || calls != 1 {
+		t.Errorf("two memos on one table measured %d times, want once", calls)
+	}
+	Memoize(a, "k", count)
+	Memoize(b, "k", count)
+	if calls != 3 {
+		t.Errorf("two memos on one table shared a run entry (%d computes, want 3)", calls)
+	}
+	if traits.Len() != 1 || a.Len() != 2 {
+		t.Errorf("table holds %d, memo %d entries; want 1 and 2", traits.Len(), a.Len())
+	}
+	own := NewMemo(nil)
+	Characterize(own, "k", count)
+	Characterize(own, "k", count)
+	if calls != 4 || own.Len() != 1 || traits.Len() != 1 {
+		t.Errorf("a memo without a table: %d computes, %d entries, shared table %d; want 4, 1, 1", calls, own.Len(), traits.Len())
+	}
+	Characterize(nil, "k", count)
+	Characterize(nil, "k", count)
+	if calls != 6 {
+		t.Errorf("a nil memo computed %d times, want 2", calls-4)
+	}
+}

@@ -96,7 +96,7 @@ func TestTapeReplayKeepsOrderAndIterations(t *testing.T) {
 // fault injector always executes, on a live Recorder that prices the
 // cell's view of each op as it runs.
 func TestPlayMemoizesUnlessInjected(t *testing.T) {
-	memo := &Memo{}
+	memo := NewMemo(nil)
 	executed := 0
 	execute := func(rec *Recorder) float64 {
 		executed++

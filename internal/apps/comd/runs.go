@@ -24,12 +24,13 @@ type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	// Memo, when set, shares the characterization with every problem of
-	// the same Cfg and Precision in the run, and the functional pass with
-	// every problem of the same Cfg; nil computes on every call.
+	// the same Cfg and Precision on its characterization table, and the
+	// functional pass with every problem of the same Cfg in the run; nil
+	// computes on every call.
 	Memo *appcore.Memo
 }
 
-// charKey keys the characterization in a run memo: the initial lattice,
+// charKey keys the characterization in a characterization table: the initial lattice,
 // the element size and the LLC geometry (stream count included) are
 // everything the traces depend on.
 type charKey struct {
@@ -39,10 +40,11 @@ type charKey struct {
 }
 
 // characterize returns the characterization on the machine's
-// accelerator, measured once per run memo on the initial lattice.
+// accelerator, measured once per characterization table on the initial
+// lattice.
 func (p *Problem) characterize(m *sim.Machine) characterization {
 	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(m.Accelerator())}
-	return appcore.Memoize(p.Memo, key, func() characterization {
+	return appcore.Characterize(p.Memo, key, func() characterization {
 		return NewState(p.Cfg).characterize(m, p.Precision)
 	})
 }
@@ -53,7 +55,8 @@ func (p *Problem) specs(m *sim.Machine) *[3]modelapi.KernelSpec {
 }
 
 // MeasuredMissRate reports the force gather's per-access LLC miss rate
-// on the machine (the Table I number), measured once per run memo.
+// on the machine (the Table I number), measured once per
+// characterization table.
 func (p *Problem) MeasuredMissRate(m *sim.Machine) float64 {
 	return p.characterize(m).forceAccessMiss
 }

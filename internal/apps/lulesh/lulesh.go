@@ -29,9 +29,9 @@ type Problem struct {
 	Mesh      *Mesh
 	// Memo, when set, shares the mesh (connectivity and reference
 	// geometry) with every problem of the same edge S in the run, the
-	// characterization with every problem of the same Cfg and Precision,
-	// and the functional pass with every problem of the same Cfg; nil
-	// computes on every call.
+	// characterization with every problem of the same Cfg and Precision
+	// on its characterization table, and the functional pass with every
+	// problem of the same Cfg in the run; nil computes on every call.
 	Memo *appcore.Memo
 
 	build sync.Once
@@ -96,8 +96,9 @@ func (p *Problem) group(name string) arrayGroup {
 // ---------------------------------------------------------------------
 // Characterization: kernel specs with traits measured on the machine.
 
-// specsKey keys the kernel specs in a run memo: the mesh, the element
-// size and the LLC geometry are everything the traces depend on.
+// specsKey keys the kernel specs in a characterization table: the mesh,
+// the element size and the LLC geometry are everything the traces depend
+// on.
 type specsKey struct {
 	cfg  Config
 	prec timing.Precision
@@ -112,10 +113,11 @@ func (p *Problem) key(dev *device.Device) specsKey {
 }
 
 // specs returns the per-kernel memory traits on the machine's
-// accelerator, measured once per run memo. Each call gets its own copy.
+// accelerator, measured once per characterization table. Each call gets
+// its own copy.
 func (p *Problem) specs(m *sim.Machine) *[NumKernels]modelapi.KernelSpec {
 	dev := m.Accelerator()
-	out := appcore.Memoize(p.Memo, p.key(dev), func() [NumKernels]modelapi.KernelSpec {
+	out := appcore.Characterize(p.Memo, p.key(dev), func() [NumKernels]modelapi.KernelSpec {
 		return p.measureSpecs(dev)
 	})
 	return &out
@@ -191,10 +193,10 @@ func (p *Problem) measureSpecs(dev *device.Device) (out [NumKernels]modelapi.Ker
 
 // MeasuredTraits reports the aggregate per-access LLC miss rate of the
 // application's dominant access patterns on a device — the Table I
-// characterization number — measured once per run memo.
+// characterization number — measured once per characterization table.
 func (p *Problem) MeasuredTraits(m *sim.Machine) (missRate float64) {
 	dev := m.Accelerator()
-	return appcore.Memoize(p.Memo, missKey(p.key(dev)), func() float64 { return p.measureMiss(dev) })
+	return appcore.Characterize(p.Memo, missKey(p.key(dev)), func() float64 { return p.measureMiss(dev) })
 }
 
 func (p *Problem) measureMiss(dev *device.Device) float64 {

@@ -54,8 +54,9 @@ type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	// Memo, when set, shares the characterization with every problem of
-	// the same Cfg and Precision in the run, and the functional pass with
-	// every problem of the same Cfg; nil computes on every call.
+	// the same Cfg and Precision on its characterization table, and the
+	// functional pass with every problem of the same Cfg in the run; nil
+	// computes on every call.
 	Memo *appcore.Memo
 }
 
@@ -74,7 +75,7 @@ type SolveResult struct {
 	Residual   float64
 }
 
-// charKey keys the characterization in a run memo: the stencil, the
+// charKey keys the characterization in a characterization table: the stencil, the
 // element size and the LLC geometry (stream count included) are
 // everything the traces depend on.
 type charKey struct {
@@ -92,11 +93,11 @@ type characterization struct {
 }
 
 // characterize returns the characterization on the machine's
-// accelerator, measured once per run memo.
+// accelerator, measured once per characterization table.
 func (p *Problem) characterize(m *sim.Machine) characterization {
 	dev := m.Accelerator()
 	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(dev)}
-	return appcore.Memoize(p.Memo, key, func() characterization { return p.measure(dev) })
+	return appcore.Characterize(p.Memo, key, func() characterization { return p.measure(dev) })
 }
 
 func (p *Problem) measure(dev *device.Device) (c characterization) {

@@ -58,8 +58,9 @@ func (c Config) Validate() error {
 type Problem struct {
 	Cfg Config
 	// Memo, when set, shares the kernel spec with every problem of the
-	// same Cfg in the run, and the functional pass with every problem of
-	// the same Blocks; nil computes on every call.
+	// same Cfg on its characterization table, and the functional pass
+	// with every problem of the same Blocks in the run; nil computes on
+	// every call.
 	Memo *appcore.Memo
 }
 
@@ -112,17 +113,18 @@ func checksum(out []float64) float64 {
 	return s
 }
 
-// specKey keys the kernel spec in a run memo.
+// specKey keys the kernel spec in a characterization table.
 type specKey struct {
 	cfg  Config
 	geom appcore.Geometry
 }
 
 // spec builds the kernel spec with traits measured on the machine's
-// accelerator LLC (a pure streaming pass), once per run memo.
+// accelerator LLC (a pure streaming pass), once per characterization
+// table.
 func (p *Problem) spec(m *sim.Machine) modelapi.KernelSpec {
 	dev := m.Accelerator()
-	return appcore.Memoize(p.Memo, specKey{p.Cfg, appcore.GeometryOf(dev)}, func() modelapi.KernelSpec {
+	return appcore.Characterize(p.Memo, specKey{p.Cfg, appcore.GeometryOf(dev)}, func() modelapi.KernelSpec {
 		return p.measureSpec(dev)
 	})
 }

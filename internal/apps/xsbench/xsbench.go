@@ -130,8 +130,9 @@ type Problem struct {
 	Precision timing.Precision
 	// Memo, when set, shares the table with every problem of the same
 	// Nuclides and GridPoints in the run, the characterization with every
-	// problem of the same Cfg and Precision, and the functional pass with
-	// every problem of the same Cfg; nil computes on every call.
+	// problem of the same Cfg and Precision on its characterization
+	// table, and the functional pass with every problem of the same Cfg in
+	// the run; nil computes on every call.
 	Memo *appcore.Memo
 
 	build sync.Once
@@ -471,7 +472,7 @@ func (p *Problem) Trace(samples int, touch func(uint64)) {
 	}
 }
 
-// charKey keys the characterization in a run memo: the data set, the
+// charKey keys the characterization in a characterization table: the data set, the
 // element size and the LLC geometry are everything the trace depends on.
 type charKey struct {
 	cfg  Config
@@ -484,11 +485,11 @@ type charKey struct {
 type traits struct{ miss, coalesce, accessMiss float64 }
 
 // characterize replays the lookup trace through the machine's
-// accelerator LLC, once per run memo.
+// accelerator LLC, once per characterization table.
 func (p *Problem) characterize(m *sim.Machine) traits {
 	dev := m.Accelerator()
 	key := charKey{p.Cfg, p.Precision, appcore.GeometryOf(dev)}
-	return appcore.Memoize(p.Memo, key, func() (t traits) {
+	return appcore.Characterize(p.Memo, key, func() (t traits) {
 		t.miss, t.coalesce, t.accessMiss = appcore.Traits(dev, int(appcore.EltBytes(p.Precision)), func(touch func(uint64)) {
 			p.Trace(4096, touch)
 		})

@@ -121,11 +121,6 @@ type Config struct {
 	// hist.fleet.* histograms in addition to the Result — the hook the
 	// harness uses to publish a run into an experiment's trace capture.
 	Metrics *trace.Registry
-
-	// NewMachine, when non-nil, overrides machine construction (the
-	// harness injects cell-scoped machines here). Default: sim.NewAPU
-	// and sim.NewDGPU.
-	NewMachine func(NodeKind) *sim.Machine
 }
 
 // Validate reports an unusable config.
@@ -187,15 +182,6 @@ func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	newMachine := cfg.NewMachine
-	if newMachine == nil {
-		newMachine = func(k NodeKind) *sim.Machine {
-			if k == DGPU {
-				return sim.NewDGPU()
-			}
-			return sim.NewAPU()
-		}
-	}
 	c := &Cluster{
 		cfg:         cfg,
 		svcCache:    map[svcKey]float64{},
@@ -203,11 +189,11 @@ func New(cfg Config) *Cluster {
 		sojournHist: &trace.Histogram{},
 	}
 	for i := 0; i < cfg.APUs+cfg.DGPUs; i++ {
-		kind := APU
+		kind, mk := APU, sim.NewAPU
 		if i >= cfg.APUs {
-			kind = DGPU
+			kind, mk = DGPU, sim.NewDGPU
 		}
-		n := &Node{ID: i, Kind: kind, Machine: newMachine(kind)}
+		n := &Node{ID: i, Kind: kind, Machine: mk()}
 		n.inj = fault.New(fault.Config{
 			Seed:           fault.SubSeed(cfg.Seed, int64(i)+1),
 			DeviceLossRate: cfg.DeviceLossRate,

@@ -50,7 +50,7 @@ func TestCoexecDynamicBeatsWorstStatic(t *testing.T) {
 // checksum is held against a fresh, memo-less run of the same app, not
 // against the gpu-only cell that shares the memo.
 func TestCoexecCellsSplitAndStayCorrect(t *testing.T) {
-	cells := must(CoexecData(WithMemo(bg), ScaleSmoke))
+	cells := must(CoexecData(WithMemo(bg, nil), ScaleSmoke))
 	fresh := map[string]float64{}
 	for _, app := range []string{readmem.AppName, lulesh.AppName, minife.AppName} {
 		fresh[app] = runApp(nil, scaleConfigs(ScaleSmoke, timing.Double), app, sim.NewAPU(), modelapi.OpenMP).Checksum

@@ -101,7 +101,7 @@ func TestRunResilientRedoesSilentCorruption(t *testing.T) {
 // and the checksum can diverge from the clean one before any redo. A
 // memoized replay would always report the clean checksum.
 func TestFaultInjectedRunsBypassTheMemo(t *testing.T) {
-	p := &readmem.Problem{Cfg: readmemConfig(ScaleSmoke, timing.Double), Memo: &appcore.Memo{}}
+	p := &readmem.Problem{Cfg: readmemConfig(ScaleSmoke, timing.Double), Memo: appcore.NewMemo(nil)}
 	clean := p.Run(sim.NewDGPU(), modelapi.OpenCL).Checksum
 	diverged := false
 	for s := int64(1); s <= 8 && !diverged; s++ {

@@ -54,7 +54,7 @@ func fig7Data(cx *runner.Ctx, scale Scale, app string) ([]*report.Series, error)
 	ctx := cx.Context()
 	if memoOf(ctx) == nil {
 		// Without a memo every clock point would re-execute the app.
-		ctx = WithMemo(ctx)
+		ctx = WithMemo(ctx, nil)
 	}
 	if !slices.Contains(AppNames, app) {
 		return nil, fmt.Errorf("harness: fig7: unknown app %q", app)

@@ -10,7 +10,6 @@ import (
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/report"
 	"hetbench/internal/sched"
-	"hetbench/internal/sim"
 )
 
 // fleetPolicies is the placement-policy sweep: the same three policies
@@ -76,31 +75,17 @@ type FleetCell struct {
 	Result     fleet.Result
 }
 
-// fleetNewMachine adapts the cell context into the fleet's machine
-// factory so every node's machine attaches to the cell's capture tracer
-// (when one is active) exactly like single-machine experiments do.
-func fleetNewMachine(cx *runner.Ctx) func(fleet.NodeKind) *sim.Machine {
-	return func(k fleet.NodeKind) *sim.Machine {
-		if k == fleet.DGPU {
-			return cx.Machine(sim.NewDGPU)
-		}
-		return cx.Machine(sim.NewAPU)
-	}
-}
-
-// fleetConfig assembles a cluster config bound to the cell's tracer.
+// fleetConfig assembles a cluster config that books its counters into
+// the cell's capture, if any. Fleet nodes price jobs analytically and
+// emit no span, so their machines stay off the capture's processes.
 func fleetConfig(cx *runner.Ctx, mix FleetMix, policy sched.Policy, seed int64, lossRate float64) fleet.Config {
-	cfg := fleet.Config{
+	return fleet.Config{
 		APUs: mix.APUs, DGPUs: mix.DGPUs,
 		Policy:         policy,
 		Seed:           seed,
 		DeviceLossRate: lossRate,
-		NewMachine:     fleetNewMachine(cx),
+		Metrics:        cx.Metrics(),
 	}
-	if tr := cx.Machine(sim.NewAPU).Tracer(); tr != nil {
-		cfg.Metrics = tr.Metrics()
-	}
-	return cfg
 }
 
 // FleetSweepData runs the arrival-rate × placement-policy × fleet-mix

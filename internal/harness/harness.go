@@ -88,16 +88,19 @@ func SetSeed(s int64) { fallbackSeed.Store(s) }
 // memoKey is the context key WithMemo stores the run memo under.
 type memoKey struct{}
 
-// WithMemo returns ctx carrying a fresh run memo. Every experiment run
-// under ctx measures each app's LLC characterization once per (app
-// config, precision, device geometry), executes each app's functional
-// pass once per app config (every precision and kernel variant prices a
-// view of it) and the profile and trace experiments' traced LULESH run
-// once per (scale, model), and shares them across its cells and
-// experiments. The CLI installs one per invocation
-// and the service one per request, so nothing outlives its run.
-func WithMemo(ctx context.Context) context.Context {
-	return context.WithValue(ctx, memoKey{}, &appcore.Memo{})
+// WithMemo returns ctx carrying a fresh run memo that keeps LLC
+// characterizations in traits. Every experiment run under ctx measures
+// each app's characterization once per (app config, precision, device
+// geometry) per table, executes each app's functional pass once per app
+// config (every precision and kernel variant prices a view of it) and
+// the profile and trace experiments' traced LULESH run once per (scale,
+// model), and shares them across its cells and experiments. A nil
+// traits gives the memo a table of its own. The CLI installs one memo
+// per invocation with traits nil; the service installs one per request,
+// all on the one table it keeps for its lifetime. Setup and functional
+// passes never outlive their run.
+func WithMemo(ctx context.Context, traits *appcore.Characterizations) context.Context {
+	return context.WithValue(ctx, memoKey{}, appcore.NewMemo(traits))
 }
 
 // memoOf returns the memo ctx carries, or nil: without one every

@@ -277,7 +277,7 @@ var small89, default89 figures89
 
 func (f *figures89) get(scale Scale) (apu, dgpu []SpeedupCell) {
 	f.once.Do(func() {
-		ctx := WithMemo(bg)
+		ctx := WithMemo(bg, nil)
 		f.apu = must(SpeedupData(ctx, scale, sim.NewAPU))
 		f.dgpu = must(SpeedupData(ctx, scale, sim.NewDGPU))
 	})
@@ -714,7 +714,7 @@ func TestEnergyData(t *testing.T) {
 // and DRAM bytes as the device's, on the strength of this.
 func TestOpenCLLaunchesOnlyOnAccelerator(t *testing.T) {
 	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
-		memo, cfgs := &appcore.Memo{}, scaleConfigs(ScaleSmoke, prec)
+		memo, cfgs := appcore.NewMemo(nil), scaleConfigs(ScaleSmoke, prec)
 		for _, app := range AppNames {
 			for _, mk := range []func() *sim.Machine{sim.NewAPU, sim.NewDGPU} {
 				m := mk()
@@ -740,7 +740,7 @@ func TestOpenCLLaunchesOnlyOnAccelerator(t *testing.T) {
 func TestRunAllRenders(t *testing.T) {
 	var buf bytes.Buffer
 	// One memo for the whole pass, as `hetbench -exp all` runs it.
-	if err := RunAll(WithMemo(bg), ScaleSmall, &buf); err != nil {
+	if err := RunAll(WithMemo(bg, nil), ScaleSmall, &buf); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	out := buf.String()

@@ -43,8 +43,9 @@ func observeCharacterization(memo *appcore.Memo, prec timing.Precision, app stri
 
 // A memoized characterization equals a fresh, uncached one for every app
 // × machine × precision at smoke scale. Each combination runs in two
-// runner cells that share the run memo, so under -race the two race for
-// the same key and one of them reads the other's value.
+// runner cells that share the run memo and its characterization table,
+// so under -race the two race for the same key and one of them reads the
+// other's value.
 func TestMemoizedCharacterizationMatchesFresh(t *testing.T) {
 	type combo struct {
 		app  string
@@ -59,13 +60,14 @@ func TestMemoizedCharacterizationMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	ctx := WithMemo(bg)
+	traits := new(appcore.Characterizations)
+	ctx := WithMemo(bg, traits)
 	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) charOutcome {
 		c := combos[i%len(combos)]
 		return observeCharacterization(memoOf(cx.Context()), c.prec, c.app, c.mk)
 	}))
-	if memoOf(ctx).Len() == 0 {
-		t.Fatal("no characterization went through the run memo")
+	if traits.Len() == 0 {
+		t.Fatal("no characterization went through the characterization table")
 	}
 	for i, c := range combos {
 		fresh := observeCharacterization(nil, c.prec, c.app, c.mk)
@@ -125,7 +127,7 @@ func TestMemoKeyCoversGeometry(t *testing.T) {
 		vary := machine(v.edit)
 		matters := false
 		for _, app := range AppNames {
-			memo := &appcore.Memo{}
+			memo := appcore.NewMemo(nil)
 			before := observeCharacterization(memo, timing.Double, app, base)
 			got := observeCharacterization(memo, timing.Double, app, vary)
 			fresh := observeCharacterization(nil, timing.Double, app, vary)
@@ -184,7 +186,7 @@ func TestMemoizedRunMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	ctx := WithMemo(bg)
+	ctx := WithMemo(bg, nil)
 	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) runObservation {
 		c := combos[i%len(combos)]
 		return observeRun(memoOf(cx.Context()), c.prec, c.app, c.model, c.mk)
@@ -249,7 +251,7 @@ func TestMemoizedVariantRunsMatchFresh(t *testing.T) {
 			}
 		}
 	}
-	ctx := WithMemo(bg)
+	ctx := WithMemo(bg, nil)
 	must(speedups(ctx, ScaleSmoke, sim.NewDGPU, timing.Single, timing.Double))
 	memoized := must(runner.Map(ctx, "memo", 2*len(combos), func(cx *runner.Ctx, i int) runObservation {
 		c := combos[i%len(combos)]
@@ -287,7 +289,7 @@ func TestFig9RunsOnePassPerAppConfig(t *testing.T) {
 	// setups counts the apps that take their setup from the memo.
 	const setups = 2 // LULESH's mesh, XSBench's table
 	entries := func(precs ...timing.Precision) int {
-		ctx := WithMemo(bg)
+		ctx := WithMemo(bg, nil)
 		must(speedups(ctx, ScaleSmoke, sim.NewDGPU, precs...))
 		return memoOf(ctx).Len()
 	}
@@ -329,7 +331,7 @@ func gobOf(t *testing.T, v any) []byte {
 // lulesh.e, and a fig9 sweep on the same memo, the memoized LULESH mesh
 // and XSBench table equal freshly built ones bit for bit.
 func TestSweepsLeaveMemoizedSetupUnchanged(t *testing.T) {
-	ctx := WithMemo(bg)
+	ctx := WithMemo(bg, nil)
 	mesh, table := memoizedSetup(ctx, ScaleSmoke)
 	injected := int64(0)
 	for _, c := range must(FaultsData(ctx, ScaleSmoke)) {
@@ -355,11 +357,17 @@ func TestMemoOf(t *testing.T) {
 	if memoOf(bg) != nil {
 		t.Error("a bare context carries a memo")
 	}
-	ctx := WithMemo(bg)
+	ctx := WithMemo(bg, nil)
 	if memoOf(ctx) == nil || memoOf(ctx) != memoOf(WithSeed(ctx, 3)) {
 		t.Error("WithMemo's memo does not survive a derived context")
 	}
-	if memoOf(WithMemo(ctx)) == memoOf(ctx) {
+	if memoOf(WithMemo(ctx, nil)) == memoOf(ctx) {
 		t.Error("each WithMemo must install a fresh memo")
+	}
+	// A shared characterization table still gets a fresh run memo, so
+	// setup and functional passes never outlive their run.
+	traits := new(appcore.Characterizations)
+	if memoOf(WithMemo(bg, traits)) == memoOf(WithMemo(bg, traits)) {
+		t.Error("each WithMemo on a shared table must install a fresh memo")
 	}
 }

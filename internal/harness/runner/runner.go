@@ -93,6 +93,16 @@ func (cx *Ctx) Machine(mk func() *sim.Machine) *sim.Machine {
 	return m
 }
 
+// Metrics returns the registry of the cell's private tracer, or nil when
+// the run captures no trace: where a cell whose work runs on no machine
+// (the fleet's analytic pricing) books its counters.
+func (cx *Ctx) Metrics() *trace.Registry {
+	if cx == nil || cx.tracer == nil {
+		return nil
+	}
+	return cx.tracer.Metrics()
+}
+
 // jobs bounds the cells running across all Runs in the process (the
 // cmd/hetbench -jobs flag), so concurrent runs (the service's) share one
 // pool. Everything else a run carries lives on its Scope.

@@ -40,7 +40,7 @@ func TestEveryAppRunHasOneRunSpan(t *testing.T) {
 	}
 	for _, e := range experiments() {
 		sc := &runner.Scope{Capture: trace.New()}
-		if err := e.Run(runner.WithScope(WithMemo(bg), sc), ScaleSmoke, io.Discard); err != nil {
+		if err := e.Run(runner.WithScope(WithMemo(bg, nil), sc), ScaleSmoke, io.Discard); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
 		spans := sc.Capture.Spans()
@@ -87,5 +87,21 @@ func TestEveryAppRunHasOneRunSpan(t *testing.T) {
 		if !exempt && runs == 0 {
 			t.Errorf("%s: no run span captured", e.ID)
 		}
+	}
+}
+
+// Fleet nodes price jobs analytically and emit no span, so a fleet run
+// under a capture registers no machine with it, yet books the fleet's
+// counters there.
+func TestFleetCaptureHoldsNoIdleMachine(t *testing.T) {
+	sc := &runner.Scope{Capture: trace.New()}
+	if err := Registry()["fleet"].Run(runner.WithScope(bg, sc), ScaleSmoke, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if procs := sc.Capture.Processes(); len(procs) != 0 {
+		t.Errorf("fleet capture registers %d machines that emit no span, want none", len(procs))
+	}
+	if sc.Capture.Metrics().Get(trace.CtrFleetCompleted) == 0 {
+		t.Error("fleet capture books no completed job")
 	}
 }

@@ -168,20 +168,20 @@ func TestTraceData(t *testing.T) {
 // RunTrace renders what the memo holds instead of running again, so
 // `-exp all` executes three traced runs, not six.
 func TestProfileAndTraceShareTracedRuns(t *testing.T) {
-	ctx := WithMemo(bg)
+	ctx := WithMemo(bg, nil)
 	if err := RunProfile(ctx, ScaleSmoke, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, model := range modelapi.All() {
-		memoOf(ctx).Get(modelTraceKey{ScaleSmoke, model}, func() any {
+		appcore.Memoize(memoOf(ctx), modelTraceKey{ScaleSmoke, model}, func() ModelTrace {
 			t.Errorf("RunProfile left no traced %s run in the memo", model)
 			return ModelTrace{Model: model}
 		})
 	}
 
-	stub := WithMemo(bg)
+	stub := WithMemo(bg, nil)
 	for _, model := range modelapi.All() {
-		memoOf(stub).Get(modelTraceKey{ScaleSmoke, model}, func() any {
+		appcore.Memoize(memoOf(stub), modelTraceKey{ScaleSmoke, model}, func() ModelTrace {
 			return ModelTrace{Model: model, Result: appcore.Result{ElapsedNs: 42e6}}
 		})
 	}

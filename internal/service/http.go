@@ -138,11 +138,15 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // Metrics is the /metricz document: every service.* counter, the
 // request-latency quantiles, and runtime gauges the smoke tests read.
+// TraitsLen counts the characterizations the service keeps across
+// requests: it stops growing once every reachable (app config,
+// precision, device geometry) has been measured.
 type Metrics struct {
 	Counters   map[string]float64 `json:"counters"`
 	RequestNs  map[string]float64 `json:"request_ns"`
 	Goroutines int                `json:"goroutines"`
 	CacheLen   int                `json:"cache_len"`
+	TraitsLen  int                `json:"traits_len"`
 }
 
 func (s *Service) handleMetricz(w http.ResponseWriter, r *http.Request) {
@@ -151,6 +155,7 @@ func (s *Service) handleMetricz(w http.ResponseWriter, r *http.Request) {
 		RequestNs:  map[string]float64{},
 		Goroutines: runtime.NumGoroutine(),
 		CacheLen:   s.cache.Len(),
+		TraitsLen:  s.traits.Len(),
 	}
 	if h := s.reg.Hist(trace.HistServiceRequestNs); h != nil {
 		m.RequestNs["count"] = float64(h.Count())

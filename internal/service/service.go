@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hetbench/internal/apps/appcore"
 	"hetbench/internal/harness"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/trace"
@@ -61,8 +62,12 @@ type Service struct {
 	reg  *trace.Registry
 
 	cache *resultCache
-	sem   chan struct{} // admission slots, cap MaxConcurrent
-	queue chan struct{} // queue tickets, cap MaxQueued
+	// traits is the LLC characterization table every request's run memo
+	// shares: characterizations take no seed, so they live as long as
+	// the service.
+	traits *appcore.Characterizations
+	sem    chan struct{} // admission slots, cap MaxConcurrent
+	queue  chan struct{} // queue tickets, cap MaxQueued
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -165,6 +170,7 @@ func New(opts Options) *Service {
 		opts:    opts,
 		reg:     reg,
 		cache:   newResultCache(opts.CacheBytes, reg),
+		traits:  new(appcore.Characterizations),
 		sem:     make(chan struct{}, opts.MaxConcurrent),
 		queue:   make(chan struct{}, opts.MaxQueued),
 		flights: make(map[string]*flight),
@@ -321,9 +327,10 @@ func (s *Service) execute(ctx context.Context, key string, req RunRequest) (*Res
 		run = registryRun
 	}
 	var buf bytes.Buffer
-	// A fresh run memo per request: the daemon retains nothing between
-	// runs beyond the result cache.
-	err := run(harness.WithMemo(harness.WithSeed(ctx, req.Seed)), req.Experiment, scale, &buf)
+	// A fresh run memo per request on the service's one characterization
+	// table: between runs the daemon retains the result cache and the
+	// characterizations, never a run's setup or functional passes.
+	err := run(harness.WithMemo(harness.WithSeed(ctx, req.Seed), s.traits), req.Experiment, scale, &buf)
 	res := &Result{
 		Key: key, Experiment: req.Experiment, Scale: req.Scale, Seed: req.Seed,
 		Output: buf.String(),

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hetbench/internal/harness"
 	"hetbench/internal/harness/runner"
@@ -90,10 +91,15 @@ func TestDoRejectsUnknownExperimentAndScale(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	reg := &trace.Registry{}
-	// Budget fits one entry (output + entryOverhead) but not two.
-	payload := strings.Repeat("x", 512)
+	// Budget fits one entry (output + entryOverhead) but not two. Each
+	// key renders its own bytes: identical outputs would share one copy.
 	var calls atomic.Int64
-	s := New(Options{Run: countingRun(&calls, payload), Registry: reg, CacheBytes: 1024})
+	run := func(ctx context.Context, experiment string, scale harness.Scale, w io.Writer) error {
+		calls.Add(1)
+		fmt.Fprint(w, strings.Repeat(experiment, 512))
+		return nil
+	}
+	s := New(Options{Run: run, Registry: reg, CacheBytes: 1024})
 	ctx := context.Background()
 
 	if _, err := s.Do(ctx, RunRequest{Experiment: "a"}); err != nil {
@@ -121,6 +127,45 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if calls.Load() != 3 {
 		t.Fatalf("run executed %d times, want 3 (a, b, a-again)", calls.Load())
+	}
+}
+
+// Two keys with identical output share one stored copy and charge the
+// budget for it once; evicting one leaves the other's output intact.
+func TestCacheSharesIdenticalOutputs(t *testing.T) {
+	reg := &trace.Registry{}
+	c := newResultCache(1<<20, reg)
+	out := strings.Repeat("table", 200)
+	c.put("a", &Result{Output: out})
+	c.put("b", &Result{Output: strings.Clone(out)})
+	if len(c.outputs) != 1 || c.outputs[out].refs != 2 {
+		t.Fatalf("two identical outputs stored as %d copies", len(c.outputs))
+	}
+	if want := int64(len(out)) + 2*entryOverhead; c.size != want {
+		t.Fatalf("cache charged %d bytes, want %d (the output once)", c.size, want)
+	}
+	a, _ := c.get("a")
+	b, _ := c.get("b")
+	if unsafe.StringData(a.Output) != unsafe.StringData(b.Output) {
+		t.Fatal("the second key keeps its own copy of the output")
+	}
+	c.mu.Lock()
+	c.evict(c.items["a"])
+	c.mu.Unlock()
+	if _, ok := c.get("a"); ok {
+		t.Fatal("evicted key still cached")
+	}
+	if b, ok := c.get("b"); !ok || b.Output != out {
+		t.Fatal("evicting one key lost the other's output")
+	}
+	if want := int64(len(out)) + entryOverhead; c.size != want || len(c.outputs) != 1 {
+		t.Fatalf("after eviction: %d bytes charged, %d outputs; want %d and 1", c.size, len(c.outputs), want)
+	}
+	c.mu.Lock()
+	c.evict(c.items["b"])
+	c.mu.Unlock()
+	if c.size != 0 || len(c.outputs) != 0 {
+		t.Fatalf("empty cache still charges %d bytes for %d outputs", c.size, len(c.outputs))
 	}
 }
 
@@ -411,4 +456,70 @@ func TestDifferentSeedsOverlap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Characterizations outlive the request: roofline at seeds 1, 2 and 3,
+// then table1, in one service, measure roofline's characterizations once,
+// and every output equals its cold, memo-per-run registry run.
+func TestCharacterizationsOutliveRequests(t *testing.T) {
+	bg := context.Background()
+	cold := func(exp string, seed int64) string {
+		var buf bytes.Buffer
+		if err := harness.Registry()[exp].Run(harness.WithMemo(harness.WithSeed(bg, seed), nil), harness.ScaleSmoke, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	s := New(Options{})
+	measured := 0
+	for _, req := range []RunRequest{
+		{Experiment: "roofline", Seed: 1}, {Experiment: "roofline", Seed: 2},
+		{Experiment: "roofline", Seed: 3}, {Experiment: "table1", Seed: 1},
+	} {
+		req.Scale = "smoke"
+		res, err := s.Do(bg, req)
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", req.Experiment, req.Seed, err)
+		}
+		if res.Cached {
+			t.Fatalf("%s seed %d: served from the result cache, not run", req.Experiment, req.Seed)
+		}
+		if res.Output != cold(req.Experiment, req.Seed) {
+			t.Errorf("%s seed %d: service output differs from its cold run", req.Experiment, req.Seed)
+		}
+		if req.Experiment != "roofline" {
+			continue
+		}
+		if n := s.traits.Len(); measured == 0 {
+			measured = n
+		} else if n != measured {
+			t.Errorf("roofline seed %d: table holds %d characterizations, %d after seed 1", req.Seed, n, measured)
+		}
+	}
+	if measured == 0 {
+		t.Fatal("roofline stored no characterization in the service's table")
+	}
+}
+
+// BenchmarkDoMiss is one hetbenchd cache miss: Do of roofline at smoke
+// scale under a seed no earlier request used, on a service one roofline
+// request has warmed. Each op runs the experiment on a fresh run memo
+// and reads its characterizations from the service's table. It is not a
+// hotpath-suite leaf: a miss runs parallel runner cells, so its
+// allocs/op moves with GOMAXPROCS and scheduling, and its ns/op spreads
+// wider than the perf-delta gate between runs of one tree.
+func BenchmarkDoMiss(b *testing.B) {
+	s := New(Options{})
+	ctx := context.Background()
+	do := func(seed int64) {
+		if _, err := s.Do(ctx, RunRequest{Experiment: "roofline", Scale: "smoke", Seed: seed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	do(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do(int64(i) + 2)
+	}
 }
