@@ -512,16 +512,34 @@ func BenchmarkHetlint(b *testing.B) {
 }
 
 // TestLaunchHotPathAllocs is the allocation gate on the histograms-off
-// hot path: with no tracer or injector attached, a kernel launch must not
-// allocate — the histogram layer may only spend memory when a tracer is
-// installed.
+// hot path: with no tracer or injector attached, a kernel launch, plain
+// or split across both devices by the co-execution scheduler, must not
+// allocate, from a machine's first launch on and again after ResetClock.
+// The histogram layer may only spend memory when a tracer is installed.
 func TestLaunchHotPathAllocs(t *testing.T) {
-	m := sim.NewDGPU()
-	m.Launch(sim.OnAccelerator, "warmup", hotCost)
-	if avg := testing.AllocsPerRun(200, func() {
-		m.Launch(sim.OnAccelerator, "bench", hotCost)
-	}); avg != 0 {
-		t.Errorf("untraced Launch allocates %.1f/op, want 0", avg)
+	const runs = 50
+	for _, split := range []bool{false, true} {
+		name, launch := "launch/untraced", func(m *sim.Machine) { m.Launch(sim.OnAccelerator, "bench", hotCost) }
+		if split {
+			name, launch = "split/on", func(m *sim.Machine) { m.LaunchKernelSplit("bench", hotCost, hotHostCost) }
+		}
+		// AllocsPerRun calls f once more than runs, unmeasured, so each
+		// measured call gets a machine that has never launched.
+		fresh := make([]*sim.Machine, runs+1)
+		for i := range fresh {
+			fresh[i] = sim.NewDGPU()
+			if split {
+				fresh[i].SetCoexec(sched.New(sched.Config{Policy: sched.Dynamic}))
+			}
+		}
+		next := 0
+		if avg := testing.AllocsPerRun(runs, func() { launch(fresh[next]); next++ }); avg != 0 {
+			t.Errorf("%s: a machine's first launch allocates %.1f/op, want 0", name, avg)
+		}
+		m := fresh[0]
+		if avg := testing.AllocsPerRun(runs, func() { m.ResetClock(); launch(m) }); avg != 0 {
+			t.Errorf("%s: the first launch after ResetClock allocates %.1f/op, want 0", name, avg)
+		}
 	}
 }
 

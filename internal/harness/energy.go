@@ -45,7 +45,7 @@ func EnergyData(ctx context.Context, scale Scale) ([]EnergyRow, error) {
 		}
 	}
 	return runner.Map(ctx, "energy", len(combos), func(cx *runner.Ctx, i int) EnergyRow {
-		m := tracedMachine(cx, combos[i].mk)
+		m := cx.TracedMachine(combos[i].mk)
 		res := runApp(memoOf(cx.Context()), scaleConfigs(scale, timing.Double), combos[i].app, m, modelapi.OpenCL)
 
 		// The machine prices every launch's compute and DRAM energy as it

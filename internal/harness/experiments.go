@@ -17,6 +17,7 @@ import (
 	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/timing"
 	"hetbench/internal/sloc"
+	"hetbench/internal/trace"
 )
 
 // ---------------------------------------------------------------------
@@ -35,7 +36,8 @@ type Table1Row struct {
 // running the hand-tuned OpenCL implementations (the paper's setup).
 // LLC miss rates use fixed characterization instances whose footprints
 // exceed the 768 KB L2 regardless of the timing-run scale, because a
-// cache-resident toy instance would report vacuous 0% rates.
+// cache-resident toy instance would report vacuous 0% rates. IPC and
+// boundedness come from the run's kernel counters (kernelProfile).
 func Table1Data(ctx context.Context, scale Scale) ([]Table1Row, error) {
 	char := characterizationMissRates(memoOf(ctx))
 	// Table I lists only the four proxy applications (not read-benchmark);
@@ -43,16 +45,42 @@ func Table1Data(ctx context.Context, scale Scale) ([]Table1Row, error) {
 	apps := []string{"LULESH", "CoMD", "XSBench", "miniFE"}
 	cfgs := scaleConfigs(scale, timing.Double)
 	return runner.Map(ctx, "table1", len(apps), func(cx *runner.Ctx, i int) Table1Row {
-		m := cx.Machine(sim.NewDGPU)
+		m := cx.TracedMachine(sim.NewDGPU)
 		res := runApp(memoOf(cx.Context()), cfgs, apps[i], m, modelapi.OpenCL)
+		ipc, bound := kernelProfile(m.Tracer().Metrics())
 		return Table1Row{
 			App:         apps[i],
 			MissRate:    char[apps[i]],
-			IPC:         m.IPC(),
+			IPC:         ipc,
 			Kernels:     res.Kernels,
-			Boundedness: m.Boundedness(),
+			Boundedness: bound,
 		}
 	})
+}
+
+// kernelProfile reads Table I's IPC and boundedness from a run's kernel
+// counters. IPC is the time-weighted mean over every launch. The run is
+// "Memory" bound when more than 60% of its kernel time (less launch
+// overhead) is bandwidth-limited, "Compute" bound when more than 60% is
+// ALU-, issue- or LDS-limited, and "Balanced" otherwise; a run with no
+// kernel time is "Unknown".
+func kernelProfile(reg *trace.Registry) (ipc float64, bound string) {
+	ns := reg.Get(trace.CtrKernelNs)
+	if ns == 0 {
+		return 0, "Unknown"
+	}
+	ipc = reg.Get(trace.CtrKernelIPCNs) / ns
+	mem := reg.Get(trace.CtrKernelBoundMemNs)
+	compute := reg.Get(trace.CtrKernelBoundALUNs) + reg.Get(trace.CtrKernelBoundIssueNs) + reg.Get(trace.CtrKernelBoundLDSNs)
+	switch total := mem + compute; {
+	case total == 0:
+		return ipc, "Unknown"
+	case mem/total > 0.6:
+		return ipc, "Memory"
+	case compute/total > 0.6:
+		return ipc, "Compute"
+	}
+	return ipc, "Balanced"
 }
 
 // characterizationMissRates measures per-access LLC miss rates on

@@ -145,7 +145,7 @@ type FleetFaultCell struct {
 func FleetFaultsData(ctx context.Context, scale Scale) ([]FleetFaultCell, error) {
 	mix := fleetMixes(scale)[1] // balanced
 	njobs := fleetJobCount(scale)
-	groups, err := runner.Map(ctx, "fleet-faults", len(FleetLossRates), func(cx *runner.Ctx, fi int) []FleetFaultCell {
+	return runner.Map(ctx, "fleet-faults", len(FleetLossRates), func(cx *runner.Ctx, fi int) FleetFaultCell {
 		seed := fault.SubSeed(SeedOf(cx.Context()), 500)
 		rate := 0.7 * fleet.CapacityPerSec(mix.APUs, mix.DGPUs, fleetJobMix)
 		jobs := fleet.Generate(fleet.TraceSpec{
@@ -153,16 +153,8 @@ func FleetFaultsData(ctx context.Context, scale Scale) ([]FleetFaultCell, error)
 			Mix: fleetJobMix, Seed: seed,
 		})
 		r := fleet.New(fleetConfig(cx, mix, sched.Dynamic, seed, FleetLossRates[fi])).Run(jobs)
-		return []FleetFaultCell{{LossRate: FleetLossRates[fi], Result: r}}
+		return FleetFaultCell{LossRate: FleetLossRates[fi], Result: r}
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FleetFaultCell, 0, len(FleetLossRates))
-	for _, g := range groups {
-		out = append(out, g...)
-	}
-	return out, nil
 }
 
 // RunFleet is the fleet experiment: cluster-scale load balancing with

@@ -192,6 +192,33 @@ func TestTable1Shapes(t *testing.T) {
 	}
 }
 
+// Table I's IPC and boundedness come from a traced machine's kernel
+// counters: a fresh tracer reads Unknown/0, a memory hog Memory, and
+// flop-heavy kernels that dominate its time Compute.
+func TestIPCAndBoundedness(t *testing.T) {
+	m := sim.NewDGPU()
+	m.SetTracer(trace.New())
+	reg := m.Tracer().Metrics()
+	if ipc, bound := kernelProfile(reg); bound != "Unknown" || ipc != 0 {
+		t.Errorf("fresh tracer reads %s/%g, want Unknown/0", bound, ipc)
+	}
+	memCost := timing.KernelCost{Items: 1 << 20, SPFlops: 2, LoadBytes: 256, Instrs: 20, MissRate: 0.9, Coalesce: 1, VecEff: 1}
+	m.Launch(sim.OnAccelerator, "stream", memCost)
+	ipc, bound := kernelProfile(reg)
+	if bound != "Memory" {
+		t.Errorf("boundedness = %s, want Memory", bound)
+	}
+	if ipc <= 0 {
+		t.Error("IPC not accumulated")
+	}
+	flopCost := timing.KernelCost{Items: 1 << 22, SPFlops: 2000, LoadBytes: 8, Instrs: 2200, MissRate: 0.05, Coalesce: 1, VecEff: 1}
+	m.Launch(sim.OnAccelerator, "flops", flopCost)
+	m.Launch(sim.OnAccelerator, "flops", flopCost)
+	if _, bound := kernelProfile(reg); bound != "Compute" {
+		t.Errorf("boundedness = %s, want Compute after flop-heavy kernels", bound)
+	}
+}
+
 // Figure 7 shapes at the extremes of the grid.
 func TestFig7Shapes(t *testing.T) {
 	get := func(app string) []float64 {

@@ -13,7 +13,6 @@ import (
 	"hetbench/internal/sched"
 	"hetbench/internal/sim"
 	"hetbench/internal/sim/timing"
-	"hetbench/internal/trace"
 )
 
 // perfBaselineFaultRate is the composite fault intensity of the
@@ -39,57 +38,49 @@ func RunPerfBaseline(ctx context.Context, scale Scale, w io.Writer) error {
 	for _, app := range AppNames {
 		app := app
 		cells = append(cells, runner.Cell{Label: "perfbaseline/" + app, Run: func(cx *runner.Ctx) error {
-			m := sim.NewDGPU()
-			t := trace.New()
-			m.SetTracer(t)
+			m := cx.TracedMachine(sim.NewDGPU)
 			res := runApp(memoOf(cx.Context()), cfgs, app, m, modelapi.OpenCL)
 			fmt.Fprintf(cx.Out, "--- %s (OpenCL, dGPU): %.3f ms elapsed ---\n", app, res.ElapsedNs/1e6)
-			if err := histTable(cx.Out, fmt.Sprintf("%s — latency distributions", app), t.Metrics().Histograms()); err != nil {
-				return err
-			}
-			fmt.Fprintln(cx.Out)
-			return nil
+			return writeHists(cx, app, m)
 		}})
 	}
 
 	cells = append(cells, runner.Cell{Label: "perfbaseline/faults", Run: func(cx *runner.Ctx) error {
 		p := &lulesh.Problem{Cfg: luleshConfig(scale), Precision: timing.Double, Memo: memoOf(cx.Context())}
 		pol := fault.DefaultPolicy()
-		m := sim.NewDGPU()
-		t := trace.New()
-		m.SetTracer(t)
+		m := cx.TracedMachine(sim.NewDGPU)
 		clean := p.Run(m, modelapi.OpenCL)
-		mf := sim.NewDGPU()
-		mf.SetTracer(t)
+		mf := cx.TracedMachine(sim.NewDGPU)
 		inj := fault.New(faultConfig(perfBaselineFaultRate, cellSeed(SeedOf(cx.Context()), 7, 7)))
 		mf.SetFaultInjector(inj, pol)
 		_, totalNs, _, _ := runResilient(mf, pol, clean.Checksum,
 			func() appcore.Result { return p.Run(mf, modelapi.OpenCL) })
 		fmt.Fprintf(cx.Out, "--- LULESH under fault rate %.2f (OpenCL, dGPU): %.3f ms total, %d faults injected ---\n",
 			perfBaselineFaultRate, totalNs/1e6, inj.Total())
-		if err := histTable(cx.Out, "faults — latency distributions", t.Metrics().Histograms()); err != nil {
-			return err
-		}
-		fmt.Fprintln(cx.Out)
-		return nil
+		return writeHists(cx, "faults", mf)
 	}})
 
 	cells = append(cells, runner.Cell{Label: "perfbaseline/coexec", Run: func(cx *runner.Ctx) error {
 		p := &lulesh.Problem{Cfg: luleshConfig(scale), Precision: timing.Double, Memo: memoOf(cx.Context())}
 		s := sched.New(sched.Config{Policy: sched.Dynamic})
-		m := sim.NewDGPU()
-		t := trace.New()
-		m.SetTracer(t)
+		m := cx.TracedMachine(sim.NewDGPU)
 		m.SetCoexec(s)
 		res := p.Run(m, modelapi.OpenCL)
 		fmt.Fprintf(cx.Out, "--- LULESH co-executed (dynamic split, dGPU): %.3f ms elapsed ---\n", res.ElapsedNs/1e6)
-		if err := histTable(cx.Out, "coexec — latency distributions", t.Metrics().Histograms()); err != nil {
-			return err
-		}
-		fmt.Fprintln(cx.Out)
-		return nil
+		return writeHists(cx, "coexec", m)
 	}})
 
 	_, err := runner.Run(ctx, w, cells)
+	return err
+}
+
+// writeHists ends a perfbaseline cell's output: the latency histograms
+// its traced machines (m and any sharing its tracer) recorded, then a
+// blank line.
+func writeHists(cx *runner.Ctx, name string, m *sim.Machine) error {
+	if err := histTable(cx.Out, name+" — latency distributions", m.Tracer().Metrics().Histograms()); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(cx.Out)
 	return err
 }

@@ -127,7 +127,7 @@ type RooflineRow struct {
 // attainable = min(peak, intensity × bandwidth).
 func RooflineData(ctx context.Context, scale Scale) ([]RooflineRow, error) {
 	return runner.Map(ctx, "roofline", len(AppNames), func(cx *runner.Ctx, i int) RooflineRow {
-		m := tracedMachine(cx, sim.NewDGPU)
+		m := cx.TracedMachine(sim.NewDGPU)
 		runApp(memoOf(cx.Context()), scaleConfigs(scale, timing.Single), AppNames[i], m, modelapi.OpenCL)
 
 		reg := m.Tracer().Metrics()

@@ -62,9 +62,12 @@ type Ctx struct {
 	// Context so client disconnects and deadlines cancel in-flight work.
 	ctx context.Context
 
-	// tracer is the cell's private tracer, non-nil only when the run's
-	// Scope has a Capture (the -trace and -metrics flags).
-	tracer *trace.Tracer
+	// tracer is the cell's private tracer. When the run's Scope has a
+	// Capture (the -trace and -metrics flags), Run makes it before the
+	// cell starts and folds it into the capture afterwards; otherwise
+	// TracedMachine makes it on first use and nothing folds it.
+	tracer  *trace.Tracer
+	capture bool
 }
 
 // Context returns the run's context. Long-running cells should poll it
@@ -87,7 +90,22 @@ func (cx *Ctx) Context() context.Context {
 // from tests); it degenerates to plain construction.
 func (cx *Ctx) Machine(mk func() *sim.Machine) *sim.Machine {
 	m := mk()
-	if cx != nil && cx.tracer != nil && m.Tracer() == nil {
+	if cx != nil && cx.capture && m.Tracer() == nil {
+		m.SetTracer(cx.tracer)
+	}
+	return m
+}
+
+// TracedMachine builds one cell-private machine that always carries the
+// cell's tracer, so the cell can read its run's counters back. Without a
+// capture the cell's traced machines share one tracer that nothing
+// folds, and Machine's machines stay untraced.
+func (cx *Ctx) TracedMachine(mk func() *sim.Machine) *sim.Machine {
+	m := cx.Machine(mk)
+	if m.Tracer() == nil {
+		if cx.tracer == nil {
+			cx.tracer = trace.New()
+		}
 		m.SetTracer(cx.tracer)
 	}
 	return m
@@ -97,7 +115,7 @@ func (cx *Ctx) Machine(mk func() *sim.Machine) *sim.Machine {
 // the run captures no trace: where a cell whose work runs on no machine
 // (the fleet's analytic pricing) books its counters.
 func (cx *Ctx) Metrics() *trace.Registry {
-	if cx == nil || cx.tracer == nil {
+	if cx == nil || !cx.capture {
 		return nil
 	}
 	return cx.tracer.Metrics()
@@ -345,7 +363,7 @@ func Run(ctx context.Context, w io.Writer, cells []Cell) (Stats, error) {
 	for i := range cells {
 		cx := &Ctx{Index: i, Out: &bytes.Buffer{}, ctx: ctx}
 		if capTracer != nil {
-			cx.tracer = trace.New()
+			cx.tracer, cx.capture = trace.New(), true
 		}
 		ctxs[i] = cx
 		wg.Add(1)

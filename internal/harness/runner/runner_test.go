@@ -408,6 +408,67 @@ func oneCell() []Cell {
 	}}}
 }
 
+// A cell's traced machines share one tracer and its plain machines stay
+// untraced. Without a capture that tracer is the cell's own and nothing
+// folds it; under a capture it is the cell's capture tracer, folded in
+// cell order.
+func TestTracedMachinesShareTheCellTracer(t *testing.T) {
+	withJobs(t, 2)
+	const n = 3
+	run := func(sc *Scope) []*trace.Tracer {
+		t.Helper()
+		tracers := make([]*trace.Tracer, n)
+		cells := make([]Cell, n)
+		for i := range cells {
+			cells[i] = Cell{Run: func(cx *Ctx) error {
+				a, b := cx.TracedMachine(sim.NewDGPU), cx.TracedMachine(sim.NewAPU)
+				if a.Tracer() == nil || a.Tracer() != b.Tracer() {
+					return fmt.Errorf("cell %d: traced machines on tracers %p and %p, want one", i, a.Tracer(), b.Tracer())
+				}
+				if got := cx.Machine(sim.NewDGPU).Tracer(); (sc.Capture == nil) != (got == nil) {
+					return fmt.Errorf("cell %d: plain machine's tracer %p under capture %p", i, got, sc.Capture)
+				}
+				if (sc.Capture == nil) != (cx.Metrics() == nil) {
+					return fmt.Errorf("cell %d: Metrics() is %p under capture %p", i, cx.Metrics(), sc.Capture)
+				}
+				a.Launch(sim.OnAccelerator, fmt.Sprintf("k%d", i), kernelCost(1000))
+				b.Launch(sim.OnAccelerator, fmt.Sprintf("k%d", i), kernelCost(1000))
+				tracers[i] = a.Tracer()
+				return nil
+			}}
+		}
+		if _, err := Run(WithScope(context.Background(), sc), nil, cells); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < n; i++ {
+			if tracers[i] == tracers[0] {
+				t.Errorf("cells 0 and %d share a tracer", i)
+			}
+		}
+		return tracers
+	}
+
+	for i, tr := range run(&Scope{}) {
+		if procs, spans := tr.Processes(), tr.Spans(); len(procs) != 2 || len(spans) != 2 {
+			t.Errorf("uncaptured cell %d: tracer holds %d machines and %d spans, want its own 2 and 2", i, len(procs), len(spans))
+		}
+	}
+
+	sc := &Scope{Capture: trace.New()}
+	run(sc)
+	var got []string
+	for _, s := range sc.Capture.Spans() {
+		got = append(got, s.Name)
+	}
+	if want := "k0 k0 k1 k1 k2 k2"; strings.Join(got, " ") != want {
+		t.Errorf("capture spans %q, want %q in cell order", strings.Join(got, " "), want)
+	}
+	dgpu, apu := sim.NewDGPU().Name(), sim.NewAPU().Name()
+	if procs := sc.Capture.Processes(); fmt.Sprint(procs) != fmt.Sprint([]string{dgpu, apu, dgpu, dgpu, apu, dgpu, dgpu, apu, dgpu}) {
+		t.Errorf("capture machines %q, not each cell's three in cell order", procs)
+	}
+}
+
 // Runs under a Scope add their stats to it, capture into its tracer, and
 // leave the fallback scope alone.
 func TestScopeCollectsItsRuns(t *testing.T) {

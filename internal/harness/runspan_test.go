@@ -19,16 +19,15 @@ import (
 // not open an app's run span.
 func TestEveryAppRunHasOneRunSpan(t *testing.T) {
 	noAppRun := map[string]string{
-		"table2":       "prints the device catalog",
-		"table3":       "prints the compiler profiles",
-		"table4":       "counts source lines",
-		"fig11":        "prints the feature matrix",
-		"scaling":      "reprices LULESH's one-step pass per rank on machines of its own, no app run",
-		"profile":      "traces its runs on tracers of its own (TestTraceData checks their run spans)",
-		"trace":        "traces its runs on tracers of its own (TestTraceData checks their run spans)",
-		"perfbaseline": "traces its runs on tracers of its own, read for latency histograms",
-		"dag":          "runs workload specs, whose run spans are named <spec>/<model>",
-		"fleet":        "prices jobs analytically on fleet nodes, no app run",
+		"table2":  "prints the device catalog",
+		"table3":  "prints the compiler profiles",
+		"table4":  "counts source lines",
+		"fig11":   "prints the feature matrix",
+		"scaling": "reprices LULESH's one-step pass per rank on machines of its own, no app run",
+		"profile": "traces its runs on tracers of its own (TestTraceData checks their run spans)",
+		"trace":   "traces its runs on tracers of its own (TestTraceData checks their run spans)",
+		"dag":     "runs workload specs, whose run spans are named <spec>/<model>",
+		"fleet":   "prices jobs analytically on fleet nodes, no app run",
 	}
 	keys := map[modelapi.Name]bool{modelapi.OpenMP: true, modelapi.HC: true, comd.OpenCLFlat: true, minife.OpenACCPerRegion: true}
 	for _, model := range modelapi.All() {

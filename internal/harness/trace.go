@@ -51,17 +51,6 @@ func modelTrace(ctx context.Context, scale Scale, model modelapi.Name) ModelTrac
 	})
 }
 
-// tracedMachine builds a cell's machine with a tracer attached: the
-// cell's capture tracer when the run captures one, else a dedicated one,
-// so the cell can read its run's counters back.
-func tracedMachine(cx *runner.Ctx, mk func() *sim.Machine) *sim.Machine {
-	m := cx.Machine(mk)
-	if m.Tracer() == nil {
-		m.SetTracer(trace.New())
-	}
-	return m
-}
-
 // lastIteration returns the last completed iteration span, the timeline's
 // representative steady-state window (the leading functional iterations
 // pay one-time staging; the replayed tail is what the paper measures).

@@ -185,11 +185,10 @@ func (p *DagPlanner) Run(m *sim.Machine, l DagLaunch) DagResult {
 	}
 
 	// HGuided priority: bottom level — the kernel's own best-device time
-	// plus the longest chain below it. Computed over a reverse pass; Deps
-	// edges always point at earlier schedulable work, so iterating until
-	// a fixed point in reverse index order is unnecessary: compute by
-	// topological sweep using Kahn order from the sinks. Simpler: since
-	// the graph is acyclic, a memoized recursion is exact and cheap.
+	// plus the longest bottom level among its successors. A memoized
+	// depth-first recursion over succ computes each kernel's level once;
+	// meeting a kernel whose level is still in progress means the
+	// dependencies form a cycle, which panics.
 	var prio []float64
 	if p.policy == HGuided {
 		prio = make([]float64, n)

@@ -198,7 +198,7 @@ func (s *Scheduler) LaunchSplit(m *sim.Machine, l sim.CoexecLaunch) timing.Resul
 	// decision depends on the queue state the previous chunk left behind.
 	var st Stats
 	st.Splits = 1
-	bound := map[string]float64{}
+	var bound [len(boundNames)]float64
 	var dram float64
 	tracer := m.Tracer()
 	run := func(c chunk) {
@@ -212,7 +212,11 @@ func (s *Scheduler) LaunchSplit(m *sim.Machine, l sim.CoexecLaunch) timing.Resul
 		}
 		st.Chunks++
 		dram += r.DRAMBytes
-		bound[r.Bound] += r.TimeNs
+		for i, b := range boundNames {
+			if b == r.Bound {
+				bound[i] += r.TimeNs
+			}
+		}
 		if c.t == sim.OnHost {
 			st.HostItems += int64(c.n)
 		} else {
@@ -262,16 +266,20 @@ func (s *Scheduler) LaunchSplit(m *sim.Machine, l sim.CoexecLaunch) timing.Resul
 		reg.Add(trace.CtrSchedMigrated, float64(st.Migrated))
 	}
 
-	// The merged result: the makespan, the dominant limiting resource and
-	// the combined DRAM traffic of all chunks.
+	// The merged result: the makespan, the dominant limiting resource (the
+	// first in boundNames on a tie) and the combined DRAM traffic of all
+	// chunks.
 	major, majorNs := "mem", 0.0
-	for b, ns := range bound {
+	for i, ns := range bound {
 		if ns > majorNs {
-			major, majorNs = b, ns
+			major, majorNs = boundNames[i], ns
 		}
 	}
 	return timing.Result{TimeNs: wall, DRAMBytes: dram, Bound: major}
 }
+
+// boundNames are the limiting resources timing.Result.Bound names.
+var boundNames = [...]string{"alu", "mem", "lds", "issue"}
 
 // runStatic carves one chunk per device with the host taking either the
 // configured fraction or its roofline-proportional share. The host chunk

@@ -65,10 +65,6 @@ type Machine struct {
 	kernelNs   float64
 	transferNs float64
 	faultNs    float64
-	// Workload-characterization accumulators (Table I): time-weighted
-	// IPC and per-bound kernel time.
-	ipcWeighted float64
-	boundNs     map[string]float64
 
 	// Tracing state (all guarded by mu). proc is this machine's process
 	// index in the tracer; spanStack holds the open run and iteration
@@ -299,6 +295,26 @@ func (m *Machine) emitKernelLocked(target Target, name string, cost timing.Kerne
 	reg.Add(trace.CtrInstrs, items*cost.Instrs)
 	prof := power.ProfileFor(dev)
 	reg.Add(trace.CtrEnergyJ, prof.KernelEnergyJ(r.TimeNs, model.CoreClock(), dev.CoreClockMHz, r.DRAMBytes))
+	reg.Add(trace.CtrKernelIPCNs, r.IPC*r.TimeNs)
+	// Weight boundedness by the limiting term itself so fixed launch
+	// overhead on small kernels does not masquerade as a resource bound.
+	reg.Add(boundCounter(r.Bound), r.TimeNs-r.LaunchNs)
+}
+
+// boundCounter names the kernel.bound.*.ns counter of a limiting
+// resource, one of the four timing.Result.Bound names.
+func boundCounter(bound string) trace.Counter {
+	switch bound {
+	case "alu":
+		return trace.CtrKernelBoundALUNs
+	case "mem":
+		return trace.CtrKernelBoundMemNs
+	case "lds":
+		return trace.CtrKernelBoundLDSNs
+	case "issue":
+		return trace.CtrKernelBoundIssueNs
+	}
+	panic(fmt.Sprintf("sim: unknown kernel bound %q", bound))
 }
 
 // emitTransferLocked records one transfer's span and counters (mu held).
@@ -327,19 +343,12 @@ func (m *Machine) emitTransferLocked(kind EventKind, name string, bytes int64, n
 // ---------------------------------------------------------------------
 // Kernels and transfers.
 
-// chargeKernelLocked books a successful kernel launch on the clocks,
-// characterization accumulators and tracer (mu held).
+// chargeKernelLocked books a successful kernel launch on the clocks and
+// tracer (mu held).
 func (m *Machine) chargeKernelLocked(target Target, name string, cost timing.KernelCost, r timing.Result) {
 	start := m.clockNs
 	m.clockNs += r.TimeNs
 	m.kernelNs += r.TimeNs
-	m.ipcWeighted += r.IPC * r.TimeNs
-	if m.boundNs == nil {
-		m.boundNs = make(map[string]float64)
-	}
-	// Weight boundedness by the limiting term itself so fixed launch
-	// overhead on small kernels does not masquerade as a resource bound.
-	m.boundNs[r.Bound] += r.TimeNs - r.LaunchNs
 	if m.tracer != nil {
 		m.emitKernelLocked(target, name, cost, r, start)
 	}
@@ -427,45 +436,6 @@ func (m *Machine) chargeFaultLocked(track, name string, ns, base float64, at *fl
 		reg := m.tracer.Metrics()
 		reg.Add(trace.CtrFaultNs, ns)
 		reg.Observe(trace.HistFaultNs, ns)
-	}
-}
-
-// IPC returns the time-weighted mean instructions-per-cycle of all
-// kernels launched since the last reset (the Table I metric).
-func (m *Machine) IPC() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.kernelNs == 0 {
-		return 0
-	}
-	return m.ipcWeighted / m.kernelNs
-}
-
-// Boundedness classifies the run from the per-bound kernel-time split:
-// "Memory" when bandwidth dominates, "Compute" when ALU/issue dominates,
-// "Balanced" otherwise (the Table I column).
-func (m *Machine) Boundedness() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.kernelNs == 0 {
-		return "Unknown"
-	}
-	total := 0.0
-	for _, v := range m.boundNs {
-		total += v
-	}
-	if total == 0 {
-		return "Unknown"
-	}
-	mem := m.boundNs["mem"] / total
-	compute := (m.boundNs["alu"] + m.boundNs["issue"] + m.boundNs["lds"]) / total
-	switch {
-	case mem > 0.6:
-		return "Memory"
-	case compute > 0.6:
-		return "Compute"
-	default:
-		return "Balanced"
 	}
 }
 
@@ -676,8 +646,6 @@ func (m *Machine) TransferNs() float64 {
 func (m *Machine) ResetClock() {
 	m.mu.Lock()
 	m.clockNs, m.kernelNs, m.transferNs, m.faultNs = 0, 0, 0, 0
-	m.ipcWeighted = 0
-	m.boundNs = nil
 	if m.faults != nil {
 		// A device-loss window is anchored to the virtual clock; resetting
 		// the clock without closing the window would leak the outage into

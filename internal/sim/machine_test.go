@@ -145,33 +145,6 @@ func TestConcurrentClock(t *testing.T) {
 	}
 }
 
-func TestIPCAndBoundedness(t *testing.T) {
-	m := NewDGPU()
-	if m.Boundedness() != "Unknown" || m.IPC() != 0 {
-		t.Error("fresh machine must report Unknown/0")
-	}
-	// Memory-hog kernel.
-	memCost := timing.KernelCost{Items: 1 << 20, SPFlops: 2, LoadBytes: 256, Instrs: 20, MissRate: 0.9, Coalesce: 1, VecEff: 1}
-	m.Launch(OnAccelerator, "stream", memCost)
-	if got := m.Boundedness(); got != "Memory" {
-		t.Errorf("boundedness = %s, want Memory", got)
-	}
-	if m.IPC() <= 0 {
-		t.Error("IPC not accumulated")
-	}
-	// Now dominate with compute.
-	cpuCost := timing.KernelCost{Items: 1 << 22, SPFlops: 2000, LoadBytes: 8, Instrs: 2200, MissRate: 0.05, Coalesce: 1, VecEff: 1}
-	m.Launch(OnAccelerator, "flops", cpuCost)
-	m.Launch(OnAccelerator, "flops", cpuCost)
-	if got := m.Boundedness(); got != "Compute" {
-		t.Errorf("boundedness = %s, want Compute after flop-heavy kernels", got)
-	}
-	m.ResetClock()
-	if m.Boundedness() != "Unknown" {
-		t.Error("ResetClock did not clear boundedness")
-	}
-}
-
 func TestNewCustomValidates(t *testing.T) {
 	bad := device.R9280X()
 	bad.ComputeUnits = 0

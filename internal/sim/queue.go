@@ -36,12 +36,12 @@ type QueuePair struct {
 	count   [2]int     // bookings, indexed by Target
 }
 
-// BeginQueues opens a queue pair at the current virtual clock.
+// BeginQueues opens a queue pair at the current virtual clock. It stays
+// small enough to inline, so a caller that keeps the pair local (the
+// co-execution scheduler) holds it on its stack and a split launch
+// allocates nothing.
 func (m *Machine) BeginQueues() *QueuePair {
-	m.mu.Lock()
-	q := &QueuePair{m: m, startNs: m.clockNs}
-	m.mu.Unlock()
-	return q
+	return &QueuePair{m: m, startNs: m.ElapsedNs()}
 }
 
 // StartNs returns the virtual time both queues opened at.
@@ -105,15 +105,6 @@ func (q *QueuePair) book(t Target, name string, cost timing.KernelCost, readyNs 
 	start := q.waitLocked(t, readyNs)
 	q.busy[t] = start + r.TimeNs
 	q.count[t]++
-	// Characterization accumulators see every booking; kernelNs (added at
-	// Merge) sees only the critical path, so IPC is mildly overweighted
-	// while the devices overlap — acceptable for a metric no overlapped
-	// experiment reports.
-	m.ipcWeighted += r.IPC * r.TimeNs
-	if m.boundNs == nil {
-		m.boundNs = make(map[string]float64)
-	}
-	m.boundNs[r.Bound] += r.TimeNs - r.LaunchNs
 	if m.tracer != nil {
 		if chunk {
 			side := "acc"

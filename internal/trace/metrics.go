@@ -36,6 +36,16 @@ const (
 	CtrInstrs         = "instrs"
 	CtrEnergyJ        = "energy.j"
 
+	// Table I's characterization, added per launch: IPC-weighted kernel
+	// time (over kernel.ns it is the time-weighted mean IPC) and kernel
+	// time less launch overhead, split by the resource the timing model
+	// names as the limit.
+	CtrKernelIPCNs        = "kernel.ipc.ns"
+	CtrKernelBoundALUNs   = "kernel.bound.alu.ns"
+	CtrKernelBoundMemNs   = "kernel.bound.mem.ns"
+	CtrKernelBoundLDSNs   = "kernel.bound.lds.ns"
+	CtrKernelBoundIssueNs = "kernel.bound.issue.ns"
+
 	// Fault-injection and resilience counters (see internal/fault). Each
 	// injected fault also increments a per-kind counter named
 	// CtrFaultPrefix + kind ("fault.launch-fail", "fault.hang", ...).
